@@ -103,16 +103,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if ccKind != cc.KindDefault {
-		switch {
-		case strings.ToLower(*coupling) == "le" || strings.ToLower(*coupling) == "lockengine":
-			return fmt.Errorf("-cc %s cannot be combined with -coupling le: the lock engine baseline is hard-wired to its native 2PL protocol (use -coupling gem or pcl)", ccKind)
-		case ccKind == cc.KindMVTO && *force:
-			return fmt.Errorf("-cc mvto cannot be combined with -force: MV-TO serves reads from its version store, so FORCE update propagation does not apply (drop -force)")
-		case *check:
-			return fmt.Errorf("-cc %s cannot be combined with -check: the coherency oracle assumes two-phase locking (drop -check)", ccKind)
-		}
-	}
 	if *attrTol < 0 {
 		return fmt.Errorf("-attrib-tolerance must be non-negative, got %v", *attrTol)
 	}

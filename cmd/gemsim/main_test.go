@@ -88,6 +88,9 @@ func TestRunRejectsContradictoryFlags(t *testing.T) {
 		{"-skew", "0.8", "-trace", "/nonexistent.trc"},
 		{"-skew", "1.5"},
 		{"-quiet", "-v"},
+		{"-coupling", "le", "-force", "-cc", "occ"},
+		{"-cc", "mvto", "-force"},
+		{"-cc", "occ", "-check"},
 	} {
 		if err := run(append(args, "-warmup", "100ms", "-measure", "200ms")); err == nil {
 			t.Errorf("args %v: expected error", args)

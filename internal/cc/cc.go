@@ -1,21 +1,19 @@
-// Package cc is the pluggable concurrency-control engine layer. The
-// coupling modes of the paper fix one protocol each — two-phase
-// locking against a GEM-resident lock table under close coupling,
-// primary copy locking under loose coupling — but the design space is
-// wider: multiversion timestamp ordering and backward-validation
-// optimistic engines trade abort work against lock waiting [La11], and
-// Thomasian's heterogeneous data access model locks the hot set while
-// running the cold tail optimistically [Th93].
+// Package cc holds the data of the pluggable concurrency-control
+// engines. The coupling modes of the paper fix one protocol each —
+// two-phase locking against a GEM-resident lock table under close
+// coupling, primary copy locking under loose coupling — but the design
+// space is wider: multiversion timestamp ordering and
+// backward-validation optimistic engines trade abort work against lock
+// waiting [La11], and Thomasian's heterogeneous data access model locks
+// the hot set while running the cold tail optimistically [Th93].
 //
-// The package defines the exported engine seam: a Kind naming each
-// engine, the Engine hook interface the transaction manager drives
-// (begin/read/write/validate/commit/abort), the Outcome every mediated
-// access reports to the buffer manager, and the Coherency callback
-// surface through which an engine reads and publishes committed page
-// versions. The engines themselves live with the transaction manager
-// (internal/node), which owns the cost model: every metadata access is
-// charged against the simulated GEM device, CPU, or network according
-// to the coupling mode.
+// The package is pure state: a Kind naming each engine, the Outcome
+// every mediated access reports to the buffer manager, the per-attempt
+// Txn record of observed versions, the Conflict abort error, and the
+// MV-TO VersionStore. The engines themselves live with the transaction
+// manager (internal/node), which owns the cost model: every metadata
+// access is charged against the simulated GEM device, CPU, or network
+// according to the coupling mode.
 package cc
 
 import (
@@ -62,17 +60,8 @@ func (k Kind) String() string {
 	}
 }
 
-// Optimistic reports whether the engine runs (at least part of) its
-// accesses without locks and validates at end-of-transaction.
-func (k Kind) Optimistic() bool {
-	return k == KindMVTO || k == KindOCC || k == KindHAD
-}
-
 // Valid reports whether k names a known engine.
 func Valid(k Kind) bool { return k >= KindDefault && k <= KindHAD }
-
-// Names lists the accepted engine names.
-func Names() []string { return []string{"2pl", "mvto", "occ", "had"} }
 
 // Parse maps an engine name to its Kind. The empty string selects the
 // default engine.
@@ -104,8 +93,6 @@ type Outcome struct {
 	Owner int
 	// Carried reports that the reply itself carried the page copy.
 	Carried bool
-	// Local reports that the access was mediated without messages.
-	Local bool
 }
 
 // Txn is the engine-side state of one transaction execution attempt.
@@ -113,8 +100,6 @@ type Txn struct {
 	// ID is the attempt's transaction identifier (globally monotonic;
 	// restarts run under a fresh one).
 	ID int64
-	// Node is the executing node.
-	Node int
 	// TS is the timestamp-ordering timestamp (MV-TO); it equals the
 	// attempt's ID, so restarts are automatically younger.
 	TS uint64
@@ -125,12 +110,10 @@ type Txn struct {
 	// Writes marks the pages the attempt accessed optimistically in
 	// write mode (the publish set; every write is also in Reads).
 	Writes map[model.PageID]bool
-	// Host points back to the hosting transaction manager's record.
-	Host any
 }
 
 // Begin resets the attempt state; the hosting transaction manager
-// calls it through Engine.Begin before every (re-)execution.
+// calls it before every (re-)execution.
 func (t *Txn) Begin(id int64) {
 	t.ID = id
 	t.TS = uint64(id)
@@ -162,56 +145,6 @@ func (t *Txn) RecordWrite(page model.PageID) {
 		t.Writes = make(map[model.PageID]bool, 4)
 	}
 	t.Writes[page] = true
-}
-
-// Engine mediates every data access of a transaction. Implementations
-// live with the transaction manager and charge the coupling-dependent
-// cost of each hook (GEM entry accesses, lock-handling CPU, message
-// round trips) before touching shared state through Coherency.
-type Engine interface {
-	// Kind identifies the engine.
-	Kind() Kind
-	// Begin resets the engine-side state at the start of an execution
-	// attempt; restarts call it again under a fresh transaction ID.
-	Begin(t *Txn)
-	// Read and Write mediate one page access in the respective mode
-	// and report the Outcome the buffer manager must observe. first
-	// reports whether this is the attempt's first touch of the page
-	// (buffer hit-rate accounting). The error is either a *Conflict
-	// (abort and restart with backoff) or one of the transaction
-	// manager's abort sentinels propagated from a blocking lock wait.
-	Read(t *Txn, page model.PageID) (out Outcome, first bool, err error)
-	Write(t *Txn, page model.PageID) (out Outcome, first bool, err error)
-	// Validate runs the end-of-transaction validation before the
-	// commit log write: OCC backward validation of the recorded set,
-	// the MV-TO first-committer-wins re-check. A *Conflict error
-	// aborts the attempt.
-	Validate(t *Txn) error
-	// Commit publishes the attempt's writes (new page versions, page
-	// ownership) and releases any locks it holds.
-	Commit(t *Txn)
-	// Abort discards the engine-side state of a failed attempt and
-	// releases any locks it holds.
-	Abort(t *Txn)
-	// Kill drops the state of a transaction whose node crashed. It
-	// must not charge costs or touch lock tables (recovery sweeps
-	// those).
-	Kill(t *Txn)
-}
-
-// Coherency is the callback surface the hosting system supplies to an
-// engine: committed page-version lookups and commit-time publication
-// against the coupling mode's shared metadata (GLT entries under close
-// coupling, GLA partitions under PCL). The calls are pure state —
-// the engine charges their access cost separately.
-type Coherency interface {
-	// Committed returns the committed sequence number of the page and
-	// the node buffering that version (-1: permanent storage).
-	Committed(page model.PageID) (seq uint64, owner int)
-	// Publish records a committed write: the new sequence number and
-	// the node now owning the current copy. Stale publishes (seq not
-	// above the recorded one) are ignored, keeping metadata monotonic.
-	Publish(page model.PageID, seq uint64, owner int)
 }
 
 // Reason classifies engine-initiated aborts; it is the trace argument

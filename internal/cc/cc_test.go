@@ -35,17 +35,6 @@ func TestParse(t *testing.T) {
 	}
 }
 
-func TestOptimistic(t *testing.T) {
-	if KindDefault.Optimistic() {
-		t.Error("2pl classified optimistic")
-	}
-	for _, k := range []Kind{KindMVTO, KindOCC, KindHAD} {
-		if !k.Optimistic() {
-			t.Errorf("%v not classified optimistic", k)
-		}
-	}
-}
-
 func TestTxnRecording(t *testing.T) {
 	tx := &Txn{}
 	tx.Begin(7)

@@ -320,7 +320,7 @@ func (c *Config) validate() error {
 		return fmt.Errorf("core: ClosedLoop.TerminalsPerNode must be positive")
 	case c.GlobalLogMerge && !c.LogInGEM:
 		return fmt.Errorf("core: GlobalLogMerge requires LogInGEM")
-	case c.CC != cc.KindDefault && !cc.Valid(c.CC):
+	case !cc.Valid(c.CC):
 		return fmt.Errorf("core: invalid CC engine %v", c.CC)
 	case c.CC != cc.KindDefault && c.Coupling == CouplingLockEngine:
 		return fmt.Errorf("core: the lock engine baseline is hard-wired to its native 2PL protocol (use GEM or PCL coupling with an alternative engine)")

@@ -1,7 +1,6 @@
 package node
 
 import (
-	"sort"
 	"time"
 
 	"gemsim/internal/attrib"
@@ -12,12 +11,94 @@ import (
 	"gemsim/internal/trace"
 )
 
-// This file hosts the pluggable concurrency-control engines behind the
-// exported cc.Engine seam. The legacy engine wraps the coupling mode's
-// native 2PL protocol (gemCC, pclCC, leCC) with the exact historical
-// call sequence, so default runs stay byte-identical; the optimistic
-// engines (OCC, MV-TO) and the hot/cold hybrid (HAD) implement the
-// cost model described in DESIGN.md §12:
+// ccEngine is a node's concurrency-control engine: it mediates every
+// page access of a transaction attempt and ends the attempt. The
+// coupling modes' native two-phase locking protocols — GEM locking
+// (gemCC), primary copy locking (pclCC) and the central lock engine
+// (leCC) — implement it directly; optEngine implements the optimistic
+// engines (OCC, MV-TO) and the hot/cold hybrid (HAD) on top of them.
+type ccEngine interface {
+	// access mediates one page access in the given mode and reports the
+	// Outcome the buffer manager must observe. first reports the
+	// attempt's first touch of the page (buffer hit-ratio accounting).
+	// The error is a *cc.Conflict (restart with backoff) or one of the
+	// abort sentinels errDeadlock, errTimeout and errKilled.
+	access(t *txn, page model.PageID, mode model.LockMode) (out cc.Outcome, first bool, err error)
+	// releaseAll ends the attempt: on commit it publishes the new page
+	// versions; either way it releases every lock the attempt holds.
+	releaseAll(t *txn, commit bool)
+}
+
+// lockCovers reports whether held, the transaction's lock on a page (if
+// any), already covers an access in mode: only a read lock asked for
+// writing needs an upgrade.
+func lockCovers(held *heldLock, mode model.LockMode) bool {
+	return held != nil && !(held.mode == model.LockRead && mode == model.LockWrite)
+}
+
+// buffered is the outcome of a repeated access that needs no
+// mediation: a held lock, or a recorded optimistic observation,
+// guarantees the buffered copy cannot have been dropped below the
+// version the attempt observed.
+func (n *Node) buffered(page model.PageID) cc.Outcome {
+	out := cc.Outcome{Owner: -1}
+	if fr := n.pool.Peek(page); fr != nil {
+		out.Seq = fr.SeqNo
+	}
+	return out
+}
+
+// remoteRoundTrip sends msg to the partition's serving node home and
+// parks until the reply arrives, the node crashes under the attempt
+// (errKilled), the attempt is chosen as a deadlock victim
+// (errDeadlock), or the lock-wait timer fires (errTimeout: the request
+// or the reply was lost, or the serving node died). A serving node
+// already known to be down aborts the attempt at once with errTimeout;
+// by the time the backoff expires the partition has been reassigned to
+// a survivor. The whole round trip counts as lock-message time and is
+// charged to res on the critical path — the requester has no view of
+// the remote service split — and traced as span cat/name.
+func (n *Node) remoteRoundTrip(t *txn, home int, msg any, wait *remoteWait, res attrib.Res, cat, name string, page model.PageID) error {
+	sys := n.sys
+	if sys.faultsOn && sys.down[home] {
+		return errTimeout
+	}
+	n.remoteLocks++
+	start := sys.env.Now()
+	sys.net.Send(t.proc, n.id, home, netsim.Short, msg)
+	// The wait becomes visible only after the send: until the request
+	// is registered at the serving node this transaction cannot be in
+	// a deadlock cycle, and a crash sweep must not unpark the process
+	// while it is still inside the send.
+	t.waiting = wait
+	armed := sys.faultsOn && sys.params.LockWaitTimeout > 0
+	if armed {
+		t.proc.UnparkAfter(sys.params.LockWaitTimeout)
+	}
+	t.proc.Park()
+	t.waiting = nil
+	t.phases.Add(trace.PhaseLockMsg, sys.env.Now()-start)
+	t.cp.Add(res, sys.env.Now()-start, 0)
+	if tr := sys.tracer; tr.Enabled() {
+		tr.Span(n.track, int64(t.id), cat, name, start, sys.env.Now(), page.String())
+	}
+	if t.killed {
+		wait.abandoned = true
+		return errKilled
+	}
+	if wait.deadlock {
+		return errDeadlock
+	}
+	if armed && !wait.woken {
+		wait.abandoned = true
+		sys.lockTimeouts++
+		return errTimeout
+	}
+	return nil
+}
+
+// optEngine is the optimistic engine family, costed as described in
+// DESIGN.md §12:
 //
 //   - under close coupling an optimistic metadata lookup is one GEM
 //     entry read without lock-handling CPU (no queue management, no
@@ -29,47 +110,408 @@ import (
 //   - under PCL, metadata of a local partition costs a CPU burst and
 //     remote partitions cost one message round trip per access and one
 //     batched round trip per partition at validation; publication
-//     rides on one-way messages like the legacy lock release.
+//     rides on one-way messages like the native lock release.
 //
-// All optimistic metadata work is attributed to attrib.ResCC; the HAD
-// hot path goes through the native lock protocol and stays ResLock.
+// Accesses record the committed version they observed; validate
+// re-checks the set at end-of-transaction, and commit publishes the new
+// versions in the coupling mode's coherency metadata. All optimistic
+// metadata work is attributed to attrib.ResCC; the HAD hot path goes
+// through the native lock protocol and stays ResLock.
+type optEngine struct {
+	n *Node
+	// mvto selects multiversion timestamp ordering; otherwise accesses
+	// record committed sequence numbers for backward validation (OCC).
+	mvto bool
+	// native is the coupling mode's 2PL engine under HAD, nil
+	// otherwise. Pages the attempt already holds locked or that belong
+	// to the workload's hot set (Params.HotPage, which tracks the skew
+	// rotation) take the native path — waits, not restarts, on the
+	// high-contention pages — and every attempt ends with its
+	// releaseAll. Without a configured hot set HAD runs every access
+	// optimistically.
+	native ccEngine
+}
 
-// sortedCCPages orders an optimistic page set deterministically.
-func sortedCCPages[V any](m map[model.PageID]V) []model.PageID {
-	pages := make([]model.PageID, 0, len(m))
-	for p := range m {
-		pages = append(pages, p)
+// hot reports whether the page belongs to the workload's current hot
+// set.
+func (e *optEngine) hot(page model.PageID) bool {
+	sys := e.n.sys
+	return sys.params.HotPage != nil && sys.params.HotPage(page, time.Duration(sys.env.Now()))
+}
+
+func (e *optEngine) access(t *txn, page model.PageID, mode model.LockMode) (cc.Outcome, bool, error) {
+	if e.native != nil && (t.locked[page] != nil || e.hot(page)) {
+		return e.native.access(t, page, mode)
 	}
-	sort.Slice(pages, func(i, j int) bool { return pageLess(pages[i], pages[j]) })
-	return pages
-}
-
-// metaCoherency adapts the coupling mode's shared page metadata — GLT
-// entries under close coupling, GLA partitions under PCL — to the
-// engine-facing cc.Coherency surface. Publish is monotonic: a stale
-// publish from the parallel-validation window cannot regress the
-// committed sequence number.
-type metaCoherency struct {
-	sys *System
-}
-
-func (m metaCoherency) meta(page model.PageID) *pageMeta {
-	if m.sys.params.Coupling == CouplingPCL {
-		return m.sys.pclMetaOf(m.sys.gla.GLA(page), page)
+	if t.killed {
+		return cc.Outcome{}, false, errKilled
 	}
-	return m.sys.gltMetaOf(page)
+	write := mode == model.LockWrite
+	if t.cct.Touched(page) {
+		if write && !t.cct.Writes[page] {
+			if err := e.upgrade(t, page); err != nil {
+				return cc.Outcome{}, false, err
+			}
+		}
+		return e.n.buffered(page), false, nil
+	}
+	sys := e.n.sys
+	if sys.params.Coupling == CouplingPCL {
+		gla := sys.gla.GLA(page)
+		if sys.ctl != nil {
+			sys.ctl.observePart(gla, e.n.id)
+		}
+		if home := sys.glaHomeOf(gla); home != e.n.id {
+			out, err := e.accessRemote(t, page, gla, home, write)
+			return out, true, err
+		}
+	}
+	e.lookup(t)
+	out, err := e.observe(t, page, write)
+	return out, true, err
 }
 
-func (m metaCoherency) Committed(page model.PageID) (uint64, int) {
-	pm := m.meta(page)
-	return pm.Seq, pm.Owner
+// meta returns the page's coherency metadata: its GLT entry under close
+// coupling, its GLA partition entry under PCL.
+func (e *optEngine) meta(page model.PageID) *pageMeta {
+	sys := e.n.sys
+	if sys.params.Coupling == CouplingPCL {
+		return sys.pclMetaOf(sys.gla.GLA(page), page)
+	}
+	return sys.gltMetaOf(page)
 }
 
-func (m metaCoherency) Publish(page model.PageID, seq uint64, owner int) {
-	pm := m.meta(page)
+// lookup charges one metadata lookup this node performs itself: a GEM
+// entry read without lock-handling CPU under close coupling; under PCL
+// an entry probe of a local partition without queue management, half a
+// lock operation's path length.
+func (e *optEngine) lookup(t *txn) {
+	if e.n.sys.params.Coupling == CouplingPCL {
+		e.n.ccCPUOp(t, e.n.sys.params.LockInstr/2)
+		return
+	}
+	e.n.ccGEMOp(t, 0, 1)
+}
+
+// observe completes a first-touch access against metadata this node
+// reads itself (GEM, or a local PCL partition): OCC records the
+// committed sequence number, MV-TO the version valid at the attempt's
+// timestamp, or admits the write.
+func (e *optEngine) observe(t *txn, page model.PageID, write bool) (cc.Outcome, error) {
+	n := e.n
+	sys := n.sys
+	gem := sys.params.Coupling != CouplingPCL
+	pm := e.meta(page)
+	out := cc.Outcome{Seq: pm.Seq, Owner: -1}
+	if gem && !sys.params.Force {
+		out.Owner = pm.Owner
+	}
+	switch {
+	case e.mvto && write:
+		return out, e.admitWrite(t, page, pm.Seq)
+	case e.mvto:
+		v, old := sys.ccVersions.Read(page, t.cct.TS, pm.Seq)
+		if old && gem {
+			// Version-list traversal: one more entry access; old
+			// versions come from permanent storage, not a node buffer.
+			n.ccGEMOp(t, 0, 1)
+			out.Owner = -1
+		}
+		out.Seq = v.Seq
+		t.cct.RecordRead(page, v.WTS)
+	default:
+		t.cct.RecordRead(page, pm.Seq)
+		if write {
+			t.cct.RecordWrite(page)
+		}
+	}
+	return out, nil
+}
+
+// admitWrite runs the MV-TO write admission check against the
+// committed sequence number seq and adds the page to the publish set.
+// The admitted version replaces an earlier read observation.
+func (e *optEngine) admitWrite(t *txn, page model.PageID, seq uint64) error {
+	wts, ok, reason := e.n.sys.ccVersions.WriteObserve(page, t.cct.TS, seq)
+	if !ok {
+		return e.n.ccConflict(t, page, reason)
+	}
+	delete(t.cct.Reads, page)
+	t.cct.RecordRead(page, wts)
+	t.cct.RecordWrite(page)
+	return nil
+}
+
+// accessRemote mediates a first-touch access to a remote PCL partition
+// with one message round trip at its serving node.
+func (e *optEngine) accessRemote(t *txn, page model.PageID, gla, home int, write bool) (cc.Outcome, error) {
+	op := ccOpLookup
+	if e.mvto {
+		op = ccOpVersionRead
+		if write {
+			op = ccOpVersionWrite
+		}
+	}
+	wait, err := e.remoteOp(t, gla, home, op, []ccOpPage{{Page: page}})
+	if err != nil {
+		return cc.Outcome{}, err
+	}
+	out := cc.Outcome{Seq: wait.seq, Owner: -1}
+	if wait.ownerHasCopy && !e.n.sys.params.Force {
+		out.Owner = home
+	}
+	observed := wait.seq
+	if e.mvto {
+		observed = wait.ccWTS
+	}
+	t.cct.RecordRead(page, observed)
+	if write {
+		t.cct.RecordWrite(page)
+	}
+	return out, nil
+}
+
+// upgrade registers a write on a page first touched in read mode. OCC
+// needs no extra metadata work (backward validation covers the read
+// observation); MV-TO must run its write admission check.
+func (e *optEngine) upgrade(t *txn, page model.PageID) error {
+	if !e.mvto {
+		t.cct.RecordWrite(page)
+		return nil
+	}
+	sys := e.n.sys
+	if sys.params.Coupling == CouplingPCL {
+		gla := sys.gla.GLA(page)
+		if home := sys.glaHomeOf(gla); home != e.n.id {
+			wait, err := e.remoteOp(t, gla, home, ccOpVersionWrite, []ccOpPage{{Page: page}})
+			if err != nil {
+				return err
+			}
+			t.cct.Reads[page] = wait.ccWTS
+			t.cct.RecordWrite(page)
+			return nil
+		}
+	}
+	e.lookup(t)
+	return e.admitWrite(t, page, e.meta(page).Seq)
+}
+
+// remoteOp performs one optimistic metadata operation at a partition's
+// serving node; a rejected operation aborts the attempt with a
+// conflict.
+func (e *optEngine) remoteOp(t *txn, gla, home int, op ccOp, pages []ccOpPage) (*remoteWait, error) {
+	n := e.n
+	wait := &remoteWait{proc: t.proc}
+	msg := ccOpMsg{Owner: t.owner, Op: op, GLA: gla, TS: t.cct.TS, MVTO: e.mvto, Pages: pages, Wait: wait}
+	if err := n.remoteRoundTrip(t, home, msg, wait, attrib.ResCC, "cc", "cc-remote", pages[0].Page); err != nil {
+		return nil, err
+	}
+	if !wait.ccOK {
+		reason := wait.ccReason
+		if reason == "" {
+			reason = e.occReason(t, wait.ccPage)
+		}
+		return nil, n.ccConflict(t, wait.ccPage, reason)
+	}
+	return wait, nil
+}
+
+// validate runs backward validation at end-of-transaction, before the
+// commit log write: OCC re-checks every recorded access against the
+// committed metadata, MV-TO re-checks its write set first-committer-
+// wins. One combined metadata operation is charged per partition.
+func (e *optEngine) validate(t *txn) error {
+	n := e.n
+	sys := n.sys
+	set := t.cct.Reads
+	if e.mvto {
+		if len(t.cct.Writes) == 0 {
+			return nil
+		}
+		set = make(map[model.PageID]uint64, len(t.cct.Writes))
+		for page := range t.cct.Writes {
+			set[page] = t.cct.Reads[page]
+		}
+	}
+	if len(set) == 0 {
+		return nil
+	}
+	n.ccValidations++
+	start := sys.env.Now()
+	pages := sortedPages(set)
+	var conflict error
+	if sys.params.Coupling == CouplingPCL {
+		conflict = e.validatePCL(t, pages, set)
+	} else {
+		n.ccGEMOp(t, sys.params.LockInstr, len(pages))
+		for _, page := range pages {
+			if conflict = e.check(t, page, set[page]); conflict != nil {
+				break
+			}
+		}
+	}
+	if tr := sys.tracer; tr.Enabled() {
+		arg := "ok"
+		if conflict != nil {
+			arg = "conflict"
+		}
+		tr.Span(n.track, int64(t.id), "cc", "cc-validate", start, sys.env.Now(), arg)
+	}
+	if _, isCC := conflict.(*cc.Conflict); isCC {
+		n.ccValidationFails++
+	}
+	return conflict
+}
+
+// check re-checks one recorded observation against the committed
+// metadata: first-committer-wins under MV-TO, an unchanged sequence
+// number under OCC.
+func (e *optEngine) check(t *txn, page model.PageID, recorded uint64) error {
+	seq := e.meta(page).Seq
+	if e.mvto {
+		if ok, reason := e.n.sys.ccVersions.Recheck(page, t.cct.TS, recorded, seq); !ok {
+			return e.n.ccConflict(t, page, reason)
+		}
+	} else if seq != recorded {
+		return e.n.ccConflict(t, page, e.occReason(t, page))
+	}
+	return nil
+}
+
+// occReason classifies an OCC validation failure: a stale page of the
+// publish set is a write-write conflict, a stale read observation a
+// plain validation conflict.
+func (e *optEngine) occReason(t *txn, page model.PageID) cc.Reason {
+	if t.cct.Writes[page] {
+		return cc.ReasonWW
+	}
+	return cc.ReasonValidation
+}
+
+// validatePCL validates the set partition by partition: local GLAs
+// with one CPU burst, remote GLAs with one batched round trip each.
+func (e *optEngine) validatePCL(t *txn, pages []model.PageID, set map[model.PageID]uint64) error {
+	n := e.n
+	sys := n.sys
+	perGLA := make(map[int][]ccOpPage)
+	for _, page := range pages {
+		gla := sys.gla.GLA(page)
+		perGLA[gla] = append(perGLA[gla], ccOpPage{Page: page, Recorded: set[page]})
+	}
+	for _, gla := range sortedKeys(perGLA) {
+		batch := perGLA[gla]
+		if home := sys.glaHomeOf(gla); home != n.id {
+			if _, err := e.remoteOp(t, gla, home, ccOpValidate, batch); err != nil {
+				return err
+			}
+			continue
+		}
+		n.ccCPUOp(t, sys.params.LockInstr)
+		for _, op := range batch {
+			if err := e.check(t, op.Page, op.Recorded); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// releaseAll publishes a committed attempt's writes; under HAD the
+// native protocol then releases the hot locks (and re-publishes its
+// locked modified pages).
+func (e *optEngine) releaseAll(t *txn, commit bool) {
+	if commit {
+		e.publish(t)
+	}
+	if e.native != nil {
+		e.native.releaseAll(t, commit)
+	}
+}
+
+// publish installs the attempt's writes in the coherency metadata: one
+// combined operation under close coupling, one one-way message per
+// remote partition under PCL (NOFORCE carries the pages, like the
+// native lock release).
+func (e *optEngine) publish(t *txn) {
+	n := e.n
+	sys := n.sys
+	if len(t.cct.Writes) == 0 {
+		return
+	}
+	pages := sortedPages(t.cct.Writes)
+	if sys.params.Coupling == CouplingPCL {
+		e.publishPCL(t, pages)
+		return
+	}
+	n.ccGEMOp(t, sys.params.LockInstr, len(pages))
+	owner := n.id
+	if sys.params.Force {
+		owner = -1
+	}
+	for _, page := range pages {
+		if mod := t.modified[page]; mod != nil {
+			e.install(t, page, mod.frame.SeqNo, owner)
+		}
+	}
+}
+
+// install records one committed write in metadata this node reaches
+// itself: the MV-TO version, then the sequence number and owner. The
+// update is monotonic: validation precedes the commit log write, so a
+// concurrent attempt can validate against the same version and commit
+// the same sequence number first (DESIGN.md §12, approximation 2).
+func (e *optEngine) install(t *txn, page model.PageID, seq uint64, owner int) {
+	sys := e.n.sys
+	pm := e.meta(page)
+	if e.mvto {
+		sys.ccVersions.Commit(page, t.cct.TS, seq, pm.Seq)
+	}
 	if seq > pm.Seq {
 		pm.Seq = seq
 		pm.Owner = owner
+	}
+	sys.oracle.commit(page, seq)
+}
+
+func (e *optEngine) publishPCL(t *txn, pages []model.PageID) {
+	n := e.n
+	sys := n.sys
+	perGLA := make(map[int][]releasedPage)
+	for _, page := range pages {
+		mod := t.modified[page]
+		if mod == nil {
+			continue
+		}
+		gla := sys.gla.GLA(page)
+		if sys.glaHomeOf(gla) == n.id {
+			e.install(t, page, mod.frame.SeqNo, -1)
+			continue
+		}
+		rp := releasedPage{Page: page, NewSeq: mod.frame.SeqNo}
+		if !sys.params.Force {
+			// Ownership moves to the serving node; the local copy stays
+			// readable but is no longer this node's to write back.
+			rp.Carried = true
+			mod.frame.Dirty = false
+		}
+		perGLA[gla] = append(perGLA[gla], rp)
+	}
+	n.ccCPUOp(t, sys.params.LockInstr)
+	for _, gla := range sortedKeys(perGLA) {
+		batch := perGLA[gla]
+		class := netsim.Short
+		for _, rp := range batch {
+			if rp.Carried {
+				class = netsim.Long
+				break
+			}
+		}
+		// Reliable: a lost publication would leave the partition's
+		// metadata stale and invalidate later validations.
+		sys.net.SendReliable(t.proc, n.id, sys.glaHomeOf(gla), class, ccPublishMsg{
+			Owner: t.owner, GLA: gla, TS: t.cct.TS,
+			MVTO: e.mvto, Pages: batch,
+		})
 	}
 }
 
@@ -107,515 +549,6 @@ func (n *Node) ccConflict(t *txn, page model.PageID, reason cc.Reason) error {
 		tr.Instant(n.track, int64(t.id), "cc", "cc-abort", n.sys.env.Now(), string(reason))
 	}
 	return &cc.Conflict{Reason: reason, Page: page}
-}
-
-// legacyCCAccess is the historical in-line access logic of the native
-// 2PL protocols: acquire (or upgrade) the lock on first touch or mode
-// upgrade, otherwise observe the buffered sequence number — a held
-// lock guarantees the copy cannot have been invalidated.
-func (n *Node) legacyCCAccess(t *txn, page model.PageID, mode model.LockMode) (cc.Outcome, bool, error) {
-	out := ccOutcome{Owner: -1}
-	held := t.locked[page]
-	first := held == nil
-	if held == nil || (held.mode == model.LockRead && mode == model.LockWrite) {
-		var err error
-		out, err = n.cc.lock(t, page, mode)
-		if err != nil {
-			return ccOutcome{}, first, err
-		}
-	} else {
-		// Lock already sufficient: the page cannot have been
-		// invalidated since it was locked.
-		if fr := n.pool.Peek(page); fr != nil {
-			out.Seq = fr.SeqNo
-		}
-	}
-	return out, first, nil
-}
-
-// legacyEngine adapts the coupling mode's native ccProtocol (gemCC,
-// pclCC, leCC) to the engine seam with the exact historical call
-// sequence: default runs are byte-identical to the pre-engine code.
-type legacyEngine struct {
-	n *Node
-}
-
-func (e *legacyEngine) Kind() cc.Kind          { return cc.KindDefault }
-func (e *legacyEngine) Begin(*cc.Txn)          {}
-func (e *legacyEngine) Validate(*cc.Txn) error { return nil }
-func (e *legacyEngine) Kill(*cc.Txn)           {}
-
-func (e *legacyEngine) Read(ct *cc.Txn, page model.PageID) (cc.Outcome, bool, error) {
-	return e.n.legacyCCAccess(ct.Host.(*txn), page, model.LockRead)
-}
-
-func (e *legacyEngine) Write(ct *cc.Txn, page model.PageID) (cc.Outcome, bool, error) {
-	return e.n.legacyCCAccess(ct.Host.(*txn), page, model.LockWrite)
-}
-
-func (e *legacyEngine) Commit(ct *cc.Txn) {
-	t := ct.Host.(*txn)
-	e.n.cc.releaseAll(t, true)
-}
-
-func (e *legacyEngine) Abort(ct *cc.Txn) {
-	t := ct.Host.(*txn)
-	e.n.cc.releaseAll(t, false)
-}
-
-// optEngine is the optimistic engine family: backward-validation OCC
-// (kind occ) and multiversion timestamp ordering (kind mvto). Accesses
-// record the committed version they observed; a costed validation at
-// end-of-transaction re-checks the set, and commit publishes the new
-// versions through the coherency metadata. No attempt holds global
-// state between hooks, so Kill (node crash) has nothing to sweep.
-type optEngine struct {
-	n    *Node
-	kind cc.Kind
-	coh  cc.Coherency
-}
-
-func (e *optEngine) Kind() cc.Kind { return e.kind }
-
-func (e *optEngine) Begin(ct *cc.Txn) {
-	ct.Begin(int64(ct.Host.(*txn).id))
-}
-
-func (e *optEngine) Kill(*cc.Txn)  {}
-func (e *optEngine) Abort(*cc.Txn) {}
-
-// repeat is the outcome of a non-first touch: the recorded observation
-// still stands and the buffered copy cannot have been dropped below it
-// without a refetch, so the access is free (mirrors the legacy
-// lock-already-sufficient path).
-func (e *optEngine) repeat(page model.PageID) cc.Outcome {
-	out := cc.Outcome{Owner: -1, Local: true}
-	if fr := e.n.pool.Peek(page); fr != nil {
-		out.Seq = fr.SeqNo
-	}
-	return out
-}
-
-func (e *optEngine) Read(ct *cc.Txn, page model.PageID) (cc.Outcome, bool, error) {
-	t := ct.Host.(*txn)
-	if t.killed {
-		return cc.Outcome{}, false, errKilled
-	}
-	if ct.Touched(page) {
-		return e.repeat(page), false, nil
-	}
-	if e.n.sys.params.Coupling == CouplingPCL {
-		return e.accessPCL(t, ct, page, false)
-	}
-	return e.accessGEM(t, ct, page, false)
-}
-
-func (e *optEngine) Write(ct *cc.Txn, page model.PageID) (cc.Outcome, bool, error) {
-	t := ct.Host.(*txn)
-	if t.killed {
-		return cc.Outcome{}, false, errKilled
-	}
-	if ct.Touched(page) {
-		if !ct.Writes[page] {
-			if err := e.upgrade(t, ct, page); err != nil {
-				return cc.Outcome{}, false, err
-			}
-		}
-		return e.repeat(page), false, nil
-	}
-	if e.n.sys.params.Coupling == CouplingPCL {
-		return e.accessPCL(t, ct, page, true)
-	}
-	return e.accessGEM(t, ct, page, true)
-}
-
-// accessGEM mediates a first-touch access under close coupling: one
-// GEM entry read of the page's coherency metadata (no lock-handling
-// CPU), recording the observed committed version.
-func (e *optEngine) accessGEM(t *txn, ct *cc.Txn, page model.PageID, write bool) (cc.Outcome, bool, error) {
-	n := e.n
-	sys := n.sys
-	n.ccGEMOp(t, 0, 1)
-	seq, owner := e.coh.Committed(page)
-	out := cc.Outcome{Seq: seq, Owner: -1, Local: true}
-	if !sys.params.Force {
-		out.Owner = owner
-	}
-	if e.kind == cc.KindMVTO {
-		if write {
-			wts, ok, reason := sys.ccVersions.WriteObserve(page, ct.TS, seq)
-			if !ok {
-				return cc.Outcome{}, true, n.ccConflict(t, page, reason)
-			}
-			ct.RecordRead(page, wts)
-			ct.RecordWrite(page)
-			return out, true, nil
-		}
-		v, old := sys.ccVersions.Read(page, ct.TS, seq)
-		if old {
-			// Version-list traversal: one more entry access; old
-			// versions come from permanent storage, not a node buffer.
-			n.ccGEMOp(t, 0, 1)
-			out.Owner = -1
-		}
-		out.Seq = v.Seq
-		ct.RecordRead(page, v.WTS)
-		return out, true, nil
-	}
-	ct.RecordRead(page, seq)
-	if write {
-		ct.RecordWrite(page)
-	}
-	return out, true, nil
-}
-
-// accessPCL mediates a first-touch access under PCL: metadata of a
-// local partition is read with a CPU burst; remote partitions cost one
-// message round trip at the serving node.
-func (e *optEngine) accessPCL(t *txn, ct *cc.Txn, page model.PageID, write bool) (cc.Outcome, bool, error) {
-	n := e.n
-	sys := n.sys
-	gla := sys.gla.GLA(page)
-	home := sys.glaHomeOf(gla)
-	if sys.ctl != nil {
-		sys.ctl.observePart(gla, n.id)
-	}
-	if home == n.id {
-		// Local partition: an entry probe without queue management,
-		// half a lock operation's path length.
-		n.ccCPUOp(t, sys.params.LockInstr/2)
-		seq, _ := e.coh.Committed(page)
-		out := cc.Outcome{Seq: seq, Owner: -1, Local: true}
-		if e.kind == cc.KindMVTO {
-			if write {
-				wts, ok, reason := sys.ccVersions.WriteObserve(page, ct.TS, seq)
-				if !ok {
-					return cc.Outcome{}, true, n.ccConflict(t, page, reason)
-				}
-				ct.RecordRead(page, wts)
-				ct.RecordWrite(page)
-				return out, true, nil
-			}
-			v, _ := sys.ccVersions.Read(page, ct.TS, seq)
-			out.Seq = v.Seq
-			ct.RecordRead(page, v.WTS)
-			return out, true, nil
-		}
-		ct.RecordRead(page, seq)
-		if write {
-			ct.RecordWrite(page)
-		}
-		return out, true, nil
-	}
-
-	op := ccOpLookup
-	if e.kind == cc.KindMVTO {
-		op = ccOpVersionRead
-		if write {
-			op = ccOpVersionWrite
-		}
-	}
-	wait, err := e.remoteOp(t, home, ccOpMsg{
-		Owner: t.owner, Op: op, GLA: gla, TS: ct.TS,
-		Pages: []ccOpPage{{Page: page}},
-	})
-	if err != nil {
-		return cc.Outcome{}, true, err
-	}
-	if !wait.ccOK {
-		return cc.Outcome{}, true, n.ccConflict(t, page, wait.ccReason)
-	}
-	out := cc.Outcome{Seq: wait.seq, Owner: -1}
-	if wait.ownerHasCopy && !sys.params.Force {
-		out.Owner = home
-	}
-	if e.kind == cc.KindMVTO {
-		ct.RecordRead(page, wait.ccWTS)
-	} else {
-		ct.RecordRead(page, wait.seq)
-	}
-	if write {
-		ct.RecordWrite(page)
-	}
-	return out, true, nil
-}
-
-// upgrade registers a write on a page first touched in read mode. OCC
-// needs no extra metadata work (backward validation covers the read
-// observation); MV-TO must run its write admission check.
-func (e *optEngine) upgrade(t *txn, ct *cc.Txn, page model.PageID) error {
-	n := e.n
-	sys := n.sys
-	if e.kind == cc.KindMVTO {
-		if sys.params.Coupling == CouplingPCL {
-			gla := sys.gla.GLA(page)
-			if home := sys.glaHomeOf(gla); home != n.id {
-				wait, err := e.remoteOp(t, home, ccOpMsg{
-					Owner: t.owner, Op: ccOpVersionWrite, GLA: gla, TS: ct.TS,
-					Pages: []ccOpPage{{Page: page}},
-				})
-				if err != nil {
-					return err
-				}
-				if !wait.ccOK {
-					return n.ccConflict(t, page, wait.ccReason)
-				}
-				ct.Reads[page] = wait.ccWTS
-				ct.RecordWrite(page)
-				return nil
-			}
-			n.ccCPUOp(t, sys.params.LockInstr/2)
-		} else {
-			n.ccGEMOp(t, 0, 1)
-		}
-		seq, _ := e.coh.Committed(page)
-		wts, ok, reason := sys.ccVersions.WriteObserve(page, ct.TS, seq)
-		if !ok {
-			return n.ccConflict(t, page, reason)
-		}
-		ct.Reads[page] = wts
-	}
-	ct.RecordWrite(page)
-	return nil
-}
-
-// Validate runs backward validation at end-of-transaction, before the
-// commit log write: OCC re-checks every recorded access against the
-// committed metadata, MV-TO re-checks its write set first-committer-
-// wins. One combined metadata operation is charged per partition.
-func (e *optEngine) Validate(ct *cc.Txn) error {
-	t := ct.Host.(*txn)
-	n := e.n
-	sys := n.sys
-	var set map[model.PageID]uint64
-	if e.kind == cc.KindMVTO {
-		if len(ct.Writes) == 0 {
-			return nil
-		}
-		set = make(map[model.PageID]uint64, len(ct.Writes))
-		for page := range ct.Writes {
-			set[page] = ct.Reads[page]
-		}
-	} else {
-		set = ct.Reads
-	}
-	if len(set) == 0 {
-		return nil
-	}
-	n.ccValidations++
-	start := sys.env.Now()
-	pages := sortedCCPages(set)
-	var conflict error
-	if sys.params.Coupling == CouplingPCL {
-		conflict = e.validatePCL(t, ct, pages, set)
-	} else {
-		n.ccGEMOp(t, sys.params.LockInstr, len(pages))
-		for _, page := range pages {
-			if e.kind == cc.KindMVTO {
-				seq, _ := e.coh.Committed(page)
-				if ok, reason := sys.ccVersions.Recheck(page, ct.TS, set[page], seq); !ok {
-					conflict = n.ccConflict(t, page, reason)
-					break
-				}
-			} else if seq, _ := e.coh.Committed(page); seq != set[page] {
-				conflict = n.ccConflict(t, page, e.occReason(ct, page))
-				break
-			}
-		}
-	}
-	if tr := sys.tracer; tr.Enabled() {
-		arg := "ok"
-		if conflict != nil {
-			arg = "conflict"
-		}
-		tr.Span(n.track, int64(t.id), "cc", "cc-validate", start, sys.env.Now(), arg)
-	}
-	if conflict != nil {
-		if _, isCC := conflict.(*cc.Conflict); isCC {
-			n.ccValidationFails++
-		}
-	}
-	return conflict
-}
-
-// occReason classifies an OCC validation failure: a stale page of the
-// publish set is a write-write conflict, a stale read observation a
-// plain validation conflict.
-func (e *optEngine) occReason(ct *cc.Txn, page model.PageID) cc.Reason {
-	if ct.Writes[page] {
-		return cc.ReasonWW
-	}
-	return cc.ReasonValidation
-}
-
-// validatePCL validates the set partition by partition: local GLAs
-// with one CPU burst, remote GLAs with one batched round trip each.
-func (e *optEngine) validatePCL(t *txn, ct *cc.Txn, pages []model.PageID, set map[model.PageID]uint64) error {
-	n := e.n
-	sys := n.sys
-	perGLA := make(map[int][]ccOpPage)
-	for _, page := range pages {
-		gla := sys.gla.GLA(page)
-		perGLA[gla] = append(perGLA[gla], ccOpPage{Page: page, Recorded: set[page]})
-	}
-	for _, gla := range sortedKeys(perGLA) {
-		batch := perGLA[gla]
-		if home := sys.glaHomeOf(gla); home != n.id {
-			wait, err := e.remoteOp(t, home, ccOpMsg{
-				Owner: t.owner, Op: ccOpValidate, GLA: gla, TS: ct.TS,
-				MVTO: e.kind == cc.KindMVTO, Pages: batch,
-			})
-			if err != nil {
-				return err
-			}
-			if !wait.ccOK {
-				reason := wait.ccReason
-				if reason == "" {
-					reason = e.occReason(ct, wait.ccPage)
-				}
-				return n.ccConflict(t, wait.ccPage, reason)
-			}
-			continue
-		}
-		n.ccCPUOp(t, sys.params.LockInstr)
-		for _, op := range batch {
-			if e.kind == cc.KindMVTO {
-				seq, _ := e.coh.Committed(op.Page)
-				if ok, reason := sys.ccVersions.Recheck(op.Page, ct.TS, op.Recorded, seq); !ok {
-					return n.ccConflict(t, op.Page, reason)
-				}
-			} else if seq, _ := e.coh.Committed(op.Page); seq != op.Recorded {
-				return n.ccConflict(t, op.Page, e.occReason(ct, op.Page))
-			}
-		}
-	}
-	return nil
-}
-
-// Commit publishes the attempt's writes: new sequence numbers (and,
-// for MV-TO, committed versions) are installed in the coherency
-// metadata, one combined operation under close coupling, one one-way
-// message per remote partition under PCL (NOFORCE carries the pages,
-// mirroring the legacy lock-release propagation).
-func (e *optEngine) Commit(ct *cc.Txn) {
-	t := ct.Host.(*txn)
-	n := e.n
-	sys := n.sys
-	if len(ct.Writes) == 0 {
-		return
-	}
-	pages := sortedCCPages(ct.Writes)
-	if sys.params.Coupling == CouplingPCL {
-		e.publishPCL(t, ct, pages)
-		return
-	}
-	n.ccGEMOp(t, sys.params.LockInstr, len(pages))
-	owner := n.id
-	if sys.params.Force {
-		owner = -1
-	}
-	for _, page := range pages {
-		mod := t.modified[page]
-		if mod == nil {
-			continue
-		}
-		seq0, _ := e.coh.Committed(page)
-		if e.kind == cc.KindMVTO {
-			sys.ccVersions.Commit(page, ct.TS, mod.frame.SeqNo, seq0)
-		}
-		e.coh.Publish(page, mod.frame.SeqNo, owner)
-		sys.oracle.commit(page, mod.frame.SeqNo)
-	}
-}
-
-func (e *optEngine) publishPCL(t *txn, ct *cc.Txn, pages []model.PageID) {
-	n := e.n
-	sys := n.sys
-	perGLA := make(map[int][]releasedPage)
-	for _, page := range pages {
-		mod := t.modified[page]
-		if mod == nil {
-			continue
-		}
-		gla := sys.gla.GLA(page)
-		if sys.glaHomeOf(gla) == n.id {
-			seq0, _ := e.coh.Committed(page)
-			if e.kind == cc.KindMVTO {
-				sys.ccVersions.Commit(page, ct.TS, mod.frame.SeqNo, seq0)
-			}
-			e.coh.Publish(page, mod.frame.SeqNo, -1)
-			sys.oracle.commit(page, mod.frame.SeqNo)
-			continue
-		}
-		rp := releasedPage{Page: page, NewSeq: mod.frame.SeqNo}
-		if !sys.params.Force {
-			// Ownership moves to the serving node; the local copy stays
-			// readable but is no longer this node's to write back.
-			rp.Carried = true
-			mod.frame.Dirty = false
-		}
-		perGLA[gla] = append(perGLA[gla], rp)
-	}
-	n.ccCPUOp(t, sys.params.LockInstr)
-	for _, gla := range sortedKeys(perGLA) {
-		batch := perGLA[gla]
-		class := netsim.Short
-		for _, rp := range batch {
-			if rp.Carried {
-				class = netsim.Long
-				break
-			}
-		}
-		// Reliable: a lost publication would leave the partition's
-		// metadata stale and invalidate later validations.
-		sys.net.SendReliable(t.proc, n.id, sys.glaHomeOf(gla), class, ccPublishMsg{
-			Owner: t.owner, GLA: gla, TS: ct.TS,
-			MVTO: e.kind == cc.KindMVTO, Pages: batch,
-		})
-	}
-}
-
-// remoteOp performs one metadata round trip at a partition's serving
-// node, with the same fault handling as a remote lock request: a
-// pre-detected crash or a timer wake aborts the attempt with
-// errTimeout and the transaction retries after backoff.
-func (e *optEngine) remoteOp(t *txn, home int, msg ccOpMsg) (*remoteWait, error) {
-	n := e.n
-	sys := n.sys
-	if sys.faultsOn && sys.down[home] {
-		return nil, errTimeout
-	}
-	n.remoteLocks++
-	wait := &remoteWait{proc: t.proc}
-	msg.Wait = wait
-	start := sys.env.Now()
-	sys.net.Send(t.proc, n.id, home, netsim.Short, msg)
-	// Visible only after the send: a crash sweep must not unpark the
-	// process while it is still inside the send.
-	t.waiting = wait
-	armed := sys.faultsOn && sys.params.LockWaitTimeout > 0
-	if armed {
-		t.proc.UnparkAfter(sys.params.LockWaitTimeout)
-	}
-	t.proc.Park()
-	t.waiting = nil
-	t.phases.Add(trace.PhaseLockMsg, sys.env.Now()-start)
-	t.cp.Add(attrib.ResCC, sys.env.Now()-start, 0)
-	if tr := sys.tracer; tr.Enabled() {
-		tr.Span(n.track, int64(t.id), "cc", "cc-remote", start, sys.env.Now(), msg.Pages[0].Page.String())
-	}
-	if t.killed {
-		wait.abandoned = true
-		return nil, errKilled
-	}
-	if armed && !wait.woken {
-		// Timer wake: the request or the reply was lost, or the serving
-		// node died. Retry after backoff.
-		wait.abandoned = true
-		sys.lockTimeouts++
-		return nil, errTimeout
-	}
-	return wait, nil
 }
 
 // handleCCOp serves optimistic metadata operations at a partition's
@@ -687,69 +620,3 @@ func (n *Node) handleCCPublish(p *sim.Proc, m ccPublishMsg) {
 		}
 	}
 }
-
-// hadEngine is Thomasian's heterogeneous data access model: accesses
-// to the workload's hot set (classified by Params.HotPage, which
-// tracks the skew rotation) run under the coupling mode's native 2PL —
-// waits, not restarts, on the high-contention pages — while the cold
-// tail runs under backward-validation OCC and skips the lock-handling
-// path length. Without a configured hot set the engine degenerates to
-// plain OCC.
-type hadEngine struct {
-	opt optEngine
-}
-
-func (e *hadEngine) Kind() cc.Kind { return cc.KindHAD }
-
-func (e *hadEngine) Begin(ct *cc.Txn) { e.opt.Begin(ct) }
-
-func (e *hadEngine) hot(page model.PageID) bool {
-	n := e.opt.n
-	if n.sys.params.HotPage == nil {
-		return false
-	}
-	return n.sys.params.HotPage(page, time.Duration(n.sys.env.Now()))
-}
-
-func (e *hadEngine) Read(ct *cc.Txn, page model.PageID) (cc.Outcome, bool, error) {
-	t := ct.Host.(*txn)
-	if t.locked[page] != nil || e.hot(page) {
-		return e.opt.n.legacyCCAccess(t, page, model.LockRead)
-	}
-	return e.opt.Read(ct, page)
-}
-
-func (e *hadEngine) Write(ct *cc.Txn, page model.PageID) (cc.Outcome, bool, error) {
-	t := ct.Host.(*txn)
-	if t.locked[page] != nil || e.hot(page) {
-		return e.opt.n.legacyCCAccess(t, page, model.LockWrite)
-	}
-	return e.opt.Write(ct, page)
-}
-
-func (e *hadEngine) Validate(ct *cc.Txn) error { return e.opt.Validate(ct) }
-
-func (e *hadEngine) Commit(ct *cc.Txn) {
-	t := ct.Host.(*txn)
-	// Publish the cold writes, then release the hot locks through the
-	// native protocol (which also publishes its locked modified pages;
-	// re-publication of cold pages under close coupling is idempotent —
-	// the values are identical).
-	e.opt.Commit(ct)
-	e.opt.n.cc.releaseAll(t, true)
-}
-
-func (e *hadEngine) Abort(ct *cc.Txn) {
-	t := ct.Host.(*txn)
-	e.opt.n.cc.releaseAll(t, false)
-}
-
-func (e *hadEngine) Kill(*cc.Txn) {}
-
-// compile-time interface checks
-var (
-	_ cc.Engine    = (*legacyEngine)(nil)
-	_ cc.Engine    = (*optEngine)(nil)
-	_ cc.Engine    = (*hadEngine)(nil)
-	_ cc.Coherency = metaCoherency{}
-)

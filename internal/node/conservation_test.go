@@ -30,17 +30,21 @@ func TestEngineConservation(t *testing.T) {
 		name     string
 		coupling Coupling
 		engine   cc.Kind
+		force    bool
 	}{
-		{"gem-2pl", CouplingGEM, cc.KindDefault},
-		{"pcl-2pl", CouplingPCL, cc.KindDefault},
-		{"gem-mvto", CouplingGEM, cc.KindMVTO},
-		{"gem-occ", CouplingGEM, cc.KindOCC},
-		{"gem-had", CouplingGEM, cc.KindHAD},
-		{"pcl-occ", CouplingPCL, cc.KindOCC},
+		{"gem-2pl", CouplingGEM, cc.KindDefault, false},
+		{"pcl-2pl", CouplingPCL, cc.KindDefault, false},
+		{"le-2pl", CouplingLockEngine, cc.KindDefault, true},
+		{"gem-mvto", CouplingGEM, cc.KindMVTO, false},
+		{"gem-occ", CouplingGEM, cc.KindOCC, false},
+		{"gem-had", CouplingGEM, cc.KindHAD, false},
+		{"pcl-mvto", CouplingPCL, cc.KindMVTO, false},
+		{"pcl-occ", CouplingPCL, cc.KindOCC, false},
+		{"pcl-had", CouplingPCL, cc.KindHAD, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			params := testParams(2, tc.coupling, false)
+			params := testParams(2, tc.coupling, tc.force)
 			params.CC = tc.engine
 			if tc.engine != cc.KindDefault {
 				// The coherency oracle assumes 2PL (params.Validate

@@ -861,7 +861,7 @@ func (s *System) rebuildFromNode(n *Node, parts map[int]bool) int64 {
 	var count int64
 	for _, o := range owners {
 		t := s.active[o]
-		for _, page := range sortedLockedPages(t) {
+		for _, page := range sortedPages(t.locked) {
 			g := s.gla.GLA(page)
 			if !parts[g] {
 				continue

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"gemsim/internal/attrib"
+	"gemsim/internal/cc"
 	"gemsim/internal/lock"
 	"gemsim/internal/model"
 	"gemsim/internal/netsim"
@@ -56,11 +57,16 @@ func (c *gemCC) gltAccessAttr(t *txn, entries int) {
 	t.cp.AddWindow(attrib.ResLock, n.sys.env.Now()-start, svc)
 }
 
-// lock processes one lock request against the GLT.
-func (c *gemCC) lock(t *txn, page model.PageID, mode model.LockMode) (ccOutcome, error) {
+// access processes one lock request against the GLT, unless a held
+// lock already covers the access.
+func (c *gemCC) access(t *txn, page model.PageID, mode model.LockMode) (cc.Outcome, bool, error) {
 	n := c.n
+	held := t.locked[page]
+	if lockCovers(held, mode) {
+		return n.buffered(page), false, nil
+	}
 	if t.killed {
-		return ccOutcome{}, errKilled
+		return cc.Outcome{}, false, errKilled
 	}
 	n.localLocks++ // GLT locking is routing-independent; no messages
 	svcStart := n.sys.env.Now()
@@ -78,7 +84,7 @@ func (c *gemCC) lock(t *txn, page model.PageID, mode model.LockMode) (ccOutcome,
 		t.waiting = nil
 		if err != nil {
 			n.lockWaitDone(t, page, start)
-			return ccOutcome{}, err
+			return cc.Outcome{}, false, err
 		}
 		n.lockWaitTime.AddDuration(n.sys.env.Now() - start)
 		n.lockWaitDone(t, page, start)
@@ -93,11 +99,11 @@ func (c *gemCC) lock(t *txn, page model.PageID, mode model.LockMode) (ccOutcome,
 	t.locked[page] = &heldLock{mode: mode, kind: kindLocal}
 
 	meta := n.sys.gltMetaOf(page)
-	out := ccOutcome{Seq: meta.Seq, Owner: -1, Local: true}
+	out := cc.Outcome{Seq: meta.Seq, Owner: -1}
 	if !n.sys.params.Force {
 		out.Owner = meta.Owner
 	}
-	return out, nil
+	return out, held == nil, nil
 }
 
 // releaseAll performs commit phase 2 (or abort): every held GLT entry
@@ -112,7 +118,7 @@ func (c *gemCC) releaseAll(t *txn, commit bool) {
 		c.gltAccessAttr(t, 2*len(held))
 	}
 	if commit {
-		for _, page := range sortedModifiedPages(t) {
+		for _, page := range sortedPages(t.modified) {
 			mod := t.modified[page]
 			file := n.sys.db.File(page.File)
 			if !file.Locking {

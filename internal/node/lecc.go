@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"gemsim/internal/attrib"
+	"gemsim/internal/cc"
 	"gemsim/internal/lock"
 	"gemsim/internal/model"
 	"gemsim/internal/netsim"
@@ -87,9 +88,14 @@ func (c *leCC) engineChain(cont sim.Continuation, left int) {
 	})
 }
 
-// lock processes one lock request at the central lock engine.
-func (c *leCC) lock(t *txn, page model.PageID, mode model.LockMode) (ccOutcome, error) {
+// access processes one lock request at the central lock engine,
+// unless a held lock already covers the access.
+func (c *leCC) access(t *txn, page model.PageID, mode model.LockMode) (cc.Outcome, bool, error) {
 	n := c.n
+	held := t.locked[page]
+	if lockCovers(held, mode) {
+		return n.buffered(page), false, nil
+	}
 	n.localLocks++ // engine access, no inter-node messages
 	svcStart := n.sys.env.Now()
 	c.engineAccessAttr(t, 1)
@@ -105,7 +111,7 @@ func (c *leCC) lock(t *txn, page model.PageID, mode model.LockMode) (ccOutcome, 
 		t.waiting = nil
 		if err != nil {
 			n.lockWaitDone(t, page, start)
-			return ccOutcome{}, err
+			return cc.Outcome{}, false, err
 		}
 		n.lockWaitTime.AddDuration(n.sys.env.Now() - start)
 		n.lockWaitDone(t, page, start)
@@ -116,7 +122,7 @@ func (c *leCC) lock(t *txn, page model.PageID, mode model.LockMode) (ccOutcome, 
 	// the sequence number still travels for the coherency oracle (a
 	// cached copy that survived all broadcasts is current).
 	meta := n.sys.gltMetaOf(page)
-	return ccOutcome{Seq: meta.Seq, Owner: -1, Local: true}, nil
+	return cc.Outcome{Seq: meta.Seq, Owner: -1}, held == nil, nil
 }
 
 // releaseAll performs commit phase 2 at the lock engine. For update
@@ -129,7 +135,7 @@ func (c *leCC) releaseAll(t *txn, commit bool) {
 
 	if commit && len(t.modified) > 0 {
 		pages := make([]model.PageID, 0, len(t.modified))
-		for _, page := range sortedModifiedPages(t) {
+		for _, page := range sortedPages(t.modified) {
 			file := sys.db.File(page.File)
 			if !file.Locking {
 				continue

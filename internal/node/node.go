@@ -33,9 +33,11 @@ type Node struct {
 	pool     *buffer.Pool
 	mpl      *sim.Semaphore
 	logGroup *storage.Group
-	cc       ccProtocol
-	eng      cc.Engine
-	src      *rng.Source
+	cc       ccEngine
+	// opt is the optimistic engine when one is configured (it is then
+	// also cc); nil under native 2PL, which has no validation phase.
+	opt *optEngine
+	src *rng.Source
 
 	// HISTORY insert state: every node appends to its own current
 	// page (blocking factor inserts per page).
@@ -90,20 +92,6 @@ type Node struct {
 	storageWrites     int64
 }
 
-// ccOutcome is what a mediated access tells the buffer manager: the
-// committed global sequence number of the page, where the current
-// version can be obtained, and whether the grant already carried the
-// page. It is the exported cc.Outcome; the alias keeps the historical
-// name inside the transaction manager.
-type ccOutcome = cc.Outcome
-
-// ccProtocol is the concurrency/coherency control component interface
-// implemented by GEM locking and primary copy locking.
-type ccProtocol interface {
-	lock(t *txn, page model.PageID, mode model.LockMode) (ccOutcome, error)
-	releaseAll(t *txn, commit bool)
-}
-
 // lockKind records how a transaction acquired a lock, which determines
 // the release path.
 type lockKind int
@@ -140,9 +128,8 @@ type txn struct {
 	locked   map[model.PageID]*heldLock
 	modified map[model.PageID]*modRecord
 
-	// cct is the concurrency-control engine's view of the transaction.
-	// The record is shared across restart attempts; Engine.Begin resets
-	// it for each one.
+	// cct records the optimistic engines' observations. The record is
+	// shared across restart attempts; runTxn resets it for each one.
 	cct *cc.Txn
 
 	waiting  *remoteWait
@@ -171,22 +158,11 @@ func pageLess(a, b model.PageID) bool {
 	return a.Page < b.Page
 }
 
-// sortedLockedPages returns the transaction's locked pages in a stable
-// order (map iteration order would make runs nondeterministic).
-func sortedLockedPages(t *txn) []model.PageID {
-	pages := make([]model.PageID, 0, len(t.locked))
-	for p := range t.locked {
-		pages = append(pages, p)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pageLess(pages[i], pages[j]) })
-	return pages
-}
-
-// sortedModifiedPages returns the transaction's modified pages in a
-// stable order.
-func sortedModifiedPages(t *txn) []model.PageID {
-	pages := make([]model.PageID, 0, len(t.modified))
-	for p := range t.modified {
+// sortedPages returns the pages of a page-keyed map in a stable order
+// (map iteration order would make runs nondeterministic).
+func sortedPages[V any](m map[model.PageID]V) []model.PageID {
+	pages := make([]model.PageID, 0, len(m))
+	for p := range m {
 		pages = append(pages, p)
 	}
 	sort.Slice(pages, func(i, j int) bool { return pageLess(pages[i], pages[j]) })
@@ -229,13 +205,12 @@ func newNode(s *System, id int) *Node {
 	case CouplingLockEngine:
 		n.cc = &leCC{n: n}
 	}
-	switch s.params.CC {
-	case cc.KindMVTO, cc.KindOCC:
-		n.eng = &optEngine{n: n, kind: s.params.CC, coh: metaCoherency{sys: s}}
-	case cc.KindHAD:
-		n.eng = &hadEngine{opt: optEngine{n: n, kind: cc.KindOCC, coh: metaCoherency{sys: s}}}
-	default:
-		n.eng = &legacyEngine{n: n}
+	if s.params.CC != cc.KindDefault {
+		n.opt = &optEngine{n: n, mvto: s.params.CC == cc.KindMVTO}
+		if s.params.CC == cc.KindHAD {
+			n.opt.native = n.cc
+		}
+		n.cc = n.opt
 	}
 	return n
 }
@@ -282,7 +257,7 @@ func (n *Node) runTxn(p *sim.Proc, spec model.Txn, arrive sim.Time, ph *trace.Ph
 	cp.Add(attrib.ResOther, sys.env.Now()-entered, 0)
 	timeouts := 0
 	conflicts := 0
-	cct := &cc.Txn{Node: n.id}
+	cct := &cc.Txn{}
 	var t *txn
 	for {
 		if sys.faultsOn && sys.down[n.id] {
@@ -302,11 +277,10 @@ func (n *Node) runTxn(p *sim.Proc, spec model.Txn, arrive sim.Time, ph *trace.Ph
 			cct:      cct,
 		}
 		t.owner = lock.Owner{Node: n.id, Tx: t.id}
-		cct.Host = t
+		cct.Begin(int64(t.id))
 		p.SetTraceID(int64(t.id))
 		sys.active[t.owner] = t
 		n.admitted++
-		n.eng.Begin(cct)
 		err := n.attempt(t)
 		delete(sys.active, t.owner)
 		if err == nil {
@@ -315,7 +289,6 @@ func (n *Node) runTxn(p *sim.Proc, spec model.Txn, arrive sim.Time, ph *trace.Ph
 		if t.killed || err == errKilled {
 			// Crash kill: no local undo (the frames died with the
 			// buffer) and no lock release (recovery does that).
-			n.eng.Kill(cct)
 			p.SetTraceID(0)
 			n.mpl.Release()
 			return false
@@ -417,15 +390,15 @@ func (n *Node) attempt(t *txn) error {
 		t.phases.Add(trace.PhaseCPU, n.sys.env.Now()-cpuStart)
 		t.cp.AddWindow(attrib.ResCPU, n.sys.env.Now()-cpuStart, n.cpu.ServiceTime(instr))
 
-		out := ccOutcome{Owner: -1}
+		out := cc.Outcome{Owner: -1}
 		firstTouch := true
 		if file.Locking {
-			var err error
+			mode := model.LockRead
 			if ref.Write {
-				out, firstTouch, err = n.eng.Write(t.cct, ref.Page)
-			} else {
-				out, firstTouch, err = n.eng.Read(t.cct, ref.Page)
+				mode = model.LockWrite
 			}
+			var err error
+			out, firstTouch, err = n.cc.access(t, ref.Page, mode)
 			if err != nil {
 				return err
 			}
@@ -457,8 +430,10 @@ func (n *Node) attempt(t *txn) error {
 	}
 	// Optimistic engines validate before the commit log write: a failed
 	// attempt writes no log.
-	if err := n.eng.Validate(t.cct); err != nil {
-		return err
+	if n.opt != nil {
+		if err := n.opt.validate(t); err != nil {
+			return err
+		}
 	}
 	n.commit(t)
 	return nil
@@ -506,7 +481,7 @@ func (n *Node) commit(t *txn) {
 		t.phases.Add(trace.PhaseLog, n.sys.env.Now()-logStart)
 		if params.Force {
 			forceStart := n.sys.env.Now()
-			for _, page := range sortedModifiedPages(t) {
+			for _, page := range sortedPages(t.modified) {
 				mod := t.modified[page]
 				file := n.sys.db.File(page.File)
 				n.writeStorage(t.proc, t.cp, file, page, mod.frame.SeqNo)
@@ -517,7 +492,7 @@ func (n *Node) commit(t *txn) {
 		}
 	}
 	relStart := n.sys.env.Now()
-	n.eng.Commit(t.cct)
+	n.cc.releaseAll(t, true)
 	t.phases.Add(trace.PhaseCommit, n.sys.env.Now()-relStart)
 	for _, mod := range t.modified {
 		mod.frame.Unfix()
@@ -528,7 +503,7 @@ func (n *Node) commit(t *txn) {
 // propagation, modified frames restored to their pre-images.
 func (n *Node) abortTxn(t *txn) {
 	n.aborts++
-	n.eng.Abort(t.cct)
+	n.cc.releaseAll(t, false)
 	for _, mod := range t.modified {
 		mod.frame.SeqNo = mod.preSeq
 		mod.frame.Dirty = mod.preDirty
@@ -539,7 +514,7 @@ func (n *Node) abortTxn(t *txn) {
 // getPage brings the page into the buffer (coherency controlled) and
 // returns its frame, fixed. The caller unfixes it after the record
 // access unless the page was modified.
-func (n *Node) getPage(t *txn, file *model.File, page model.PageID, write bool, out ccOutcome, firstTouch bool) *buffer.Frame {
+func (n *Node) getPage(t *txn, file *model.File, page model.PageID, write bool, out cc.Outcome, firstTouch bool) *buffer.Frame {
 	for {
 		if fr := n.pool.Get(page); fr != nil {
 			if fr.SeqNo >= out.Seq {
@@ -595,7 +570,7 @@ func (n *Node) getPage(t *txn, file *model.File, page model.PageID, write bool, 
 // fetchMiss obtains a missing page: fresh HISTORY pages are allocated,
 // carried pages (PCL) are installed directly, otherwise the page comes
 // from the owning node (GEM locking, NOFORCE) or from storage.
-func (n *Node) fetchMiss(t *txn, file *model.File, page model.PageID, write bool, out ccOutcome) *buffer.Frame {
+func (n *Node) fetchMiss(t *txn, file *model.File, page model.PageID, write bool, out cc.Outcome) *buffer.Frame {
 	if file.AppendOnly && out.Seq == 0 && n.sys.oracle.neverWritten(page) {
 		// First insert into a fresh page: no I/O, allocate in place.
 		return n.install(page, 1, true)
@@ -929,10 +904,3 @@ func (n *Node) Pool() *buffer.Pool { return n.pool }
 
 // CPU exposes the CPU complex (tests and diagnostics).
 func (n *Node) CPU() *cpusrv.CPU { return n.cpu }
-
-// compile-time interface checks
-var (
-	_ ccProtocol = (*gemCC)(nil)
-	_ ccProtocol = (*pclCC)(nil)
-	_ ccProtocol = (*leCC)(nil)
-)

@@ -2,6 +2,7 @@ package node
 
 import (
 	"gemsim/internal/attrib"
+	"gemsim/internal/cc"
 	"gemsim/internal/lock"
 	"gemsim/internal/model"
 	"gemsim/internal/netsim"
@@ -30,12 +31,23 @@ type pclCC struct {
 
 func (c *pclCC) table(gla int) *lock.Table { return c.n.sys.tables[gla] }
 
-// lock processes one page lock request under PCL.
-func (c *pclCC) lock(t *txn, page model.PageID, mode model.LockMode) (ccOutcome, error) {
+// access processes one page lock request under PCL, unless a held lock
+// already covers the access.
+func (c *pclCC) access(t *txn, page model.PageID, mode model.LockMode) (cc.Outcome, bool, error) {
+	held := t.locked[page]
+	if lockCovers(held, mode) {
+		return c.n.buffered(page), false, nil
+	}
+	out, err := c.lock(t, page, mode)
+	return out, held == nil, err
+}
+
+// lock routes a lock request to the page's partition.
+func (c *pclCC) lock(t *txn, page model.PageID, mode model.LockMode) (cc.Outcome, error) {
 	n := c.n
 	sys := n.sys
 	if t.killed {
-		return ccOutcome{}, errKilled
+		return cc.Outcome{}, errKilled
 	}
 	gla := sys.gla.GLA(page)
 	// After a failover the partition of a crashed node is served by the
@@ -67,7 +79,7 @@ func (c *pclCC) lock(t *txn, page model.PageID, mode model.LockMode) (ccOutcome,
 }
 
 // lockLocal handles a request against this node's own partition.
-func (c *pclCC) lockLocal(t *txn, page model.PageID, mode model.LockMode, gla int) (ccOutcome, error) {
+func (c *pclCC) lockLocal(t *txn, page model.PageID, mode model.LockMode, gla int) (cc.Outcome, error) {
 	n := c.n
 	sys := n.sys
 	n.localLocks++
@@ -88,7 +100,7 @@ func (c *pclCC) lockLocal(t *txn, page model.PageID, mode model.LockMode, gla in
 		t.waiting = nil
 		if err != nil {
 			n.lockWaitDone(t, page, start)
-			return ccOutcome{}, err
+			return cc.Outcome{}, err
 		}
 		n.lockWaitTime.AddDuration(sys.env.Now() - start)
 		n.lockWaitDone(t, page, start)
@@ -98,13 +110,13 @@ func (c *pclCC) lockLocal(t *txn, page model.PageID, mode model.LockMode, gla in
 	}
 	t.locked[page] = &heldLock{mode: mode, kind: kindLocal}
 	meta := sys.pclMetaOf(gla, page)
-	return ccOutcome{Seq: meta.Seq, Owner: -1, Local: true}, nil
+	return cc.Outcome{Seq: meta.Seq, Owner: -1}, nil
 }
 
 // lockShadowRA handles a locally processed read lock under a read
 // authorization. copySeq is the sequence number of the buffered copy,
 // which the RA guarantees to be current.
-func (c *pclCC) lockShadowRA(t *txn, page model.PageID, gla int, copySeq uint64) (ccOutcome, error) {
+func (c *pclCC) lockShadowRA(t *txn, page model.PageID, gla int, copySeq uint64) (cc.Outcome, error) {
 	n := c.n
 	sys := n.sys
 	n.localLocks++
@@ -127,7 +139,7 @@ func (c *pclCC) lockShadowRA(t *txn, page model.PageID, gla int, copySeq uint64)
 		t.waiting = nil
 		if err != nil {
 			n.lockWaitDone(t, page, start)
-			return ccOutcome{}, err
+			return cc.Outcome{}, err
 		}
 		n.lockWaitTime.AddDuration(sys.env.Now() - start)
 		n.lockWaitDone(t, page, start)
@@ -136,29 +148,22 @@ func (c *pclCC) lockShadowRA(t *txn, page model.PageID, gla int, copySeq uint64)
 		// the GLA node, which owns the current version under NOFORCE.
 		meta := sys.pclMetaOf(gla, page)
 		t.locked[page] = &heldLock{mode: model.LockRead, kind: kindShadowRA}
-		out := ccOutcome{Seq: meta.Seq, Owner: -1, Local: true}
+		out := cc.Outcome{Seq: meta.Seq, Owner: -1}
 		if !sys.params.Force {
 			out.Owner = sys.glaHomeOf(gla)
 		}
 		return out, nil
 	}
 	t.locked[page] = &heldLock{mode: model.LockRead, kind: kindShadowRA}
-	return ccOutcome{Seq: copySeq, Owner: -1, Local: true}, nil
+	return cc.Outcome{Seq: copySeq, Owner: -1}, nil
 }
 
 // lockRemote sends the request to the partition's serving node (its
 // original GLA home, or the adoptive coordinator after a failover) and
 // waits for the grant.
-func (c *pclCC) lockRemote(t *txn, page model.PageID, mode model.LockMode, gla, home int) (ccOutcome, error) {
+func (c *pclCC) lockRemote(t *txn, page model.PageID, mode model.LockMode, gla, home int) (cc.Outcome, error) {
 	n := c.n
 	sys := n.sys
-	if sys.faultsOn && sys.down[home] {
-		// The serving node crashed and the failure is not yet detected:
-		// abort and retry; by the time the backoff has expired the
-		// partition has been reassigned to a survivor.
-		return ccOutcome{}, errTimeout
-	}
-	n.remoteLocks++
 	wait := &remoteWait{proc: t.proc}
 	msg := lockRequestMsg{Owner: t.owner, Page: page, Mode: mode, GLA: gla, Wait: wait}
 	if fr := n.pool.Peek(page); fr != nil {
@@ -169,52 +174,23 @@ func (c *pclCC) lockRemote(t *txn, page model.PageID, mode model.LockMode, gla, 
 		msg.CachedSeq = seq
 	}
 	start := sys.env.Now()
-	sys.net.Send(t.proc, n.id, home, netsim.Short, msg)
-	// The wait becomes visible only after the send: until the request
-	// is registered at the serving node this transaction cannot be in
-	// a deadlock cycle, and a crash sweep must not unpark the process
-	// while it is still inside the send.
-	t.waiting = wait
-	armed := sys.faultsOn && sys.params.LockWaitTimeout > 0
-	if armed {
-		t.proc.UnparkAfter(sys.params.LockWaitTimeout)
-	}
-	t.proc.Park()
-	t.waiting = nil
-	// The whole round trip — send, remote queueing and processing,
-	// grant (or timeout) — counts as lock-message time. On the
-	// critical path it is network waiting: the requester has no view
-	// of the remote service split.
-	t.phases.Add(trace.PhaseLockMsg, sys.env.Now()-start)
-	t.cp.Add(attrib.ResNet, sys.env.Now()-start, 0)
-	if tr := sys.tracer; tr.Enabled() {
-		tr.Span(n.track, int64(t.id), "lock", "remote", start, sys.env.Now(), page.String())
-	}
-	if t.killed {
-		wait.abandoned = true
-		return ccOutcome{}, errKilled
-	}
-	if wait.deadlock {
-		return ccOutcome{}, errDeadlock
-	}
-	if armed && !wait.woken {
-		// Timer wake: the request or the grant was lost, or the serving
-		// node died. Withdraw the request (the abort path clears this
-		// owner's table state directly; the cancel message models the
-		// distributed withdrawal) and retry after backoff.
-		wait.abandoned = true
-		sys.lockTimeouts++
-		if home = sys.glaHomeOf(gla); !sys.down[home] {
-			sys.net.Send(t.proc, n.id, home, netsim.Short, lockCancelMsg{Owner: t.owner, GLA: gla})
+	if err := n.remoteRoundTrip(t, home, msg, wait, attrib.ResNet, "lock", "remote", page); err != nil {
+		if err == errTimeout {
+			// Withdraw the request unless the serving node is down (the
+			// abort path clears this owner's table state directly; the
+			// cancel message models the distributed withdrawal).
+			if home = sys.glaHomeOf(gla); !sys.down[home] {
+				sys.net.Send(t.proc, n.id, home, netsim.Short, lockCancelMsg{Owner: t.owner, GLA: gla})
+			}
 		}
-		return ccOutcome{}, errTimeout
+		return cc.Outcome{}, err
 	}
 	n.lockWaitTime.AddDuration(sys.env.Now() - start)
 	if wait.grantRA {
 		n.raHeld[page] = true
 	}
 	t.locked[page] = &heldLock{mode: mode, kind: kindRemote}
-	out := ccOutcome{Seq: wait.seq, Owner: -1, Carried: wait.carried, Local: false}
+	out := cc.Outcome{Seq: wait.seq, Owner: -1, Carried: wait.carried}
 	if wait.ownerHasCopy && !sys.params.Force {
 		// Should the local copy disappear before the access (it can be
 		// replaced while the grant is in flight), fetch from the serving
@@ -367,7 +343,7 @@ func (c *pclCC) releaseAll(t *txn, commit bool) {
 	}
 
 	perGLA := make(map[int][]releasedPage)
-	for _, page := range sortedLockedPages(t) {
+	for _, page := range sortedPages(t.locked) {
 		hl := t.locked[page]
 		gla := sys.gla.GLA(page)
 		mod := t.modified[page]
