@@ -47,3 +47,39 @@ func TestTier1AllocFree(t *testing.T) {
 		t.Fatalf("timer re-arm cycle allocates %.1f/op, want 0", n)
 	}
 }
+
+// TestTier2Allocs pins the allocation contract of the process tier:
+// once the worker pool is warm, a spawn -> Wait -> finish cycle
+// allocates only the Proc record, and parking and resuming a live
+// process allocates nothing.
+func TestTier2Allocs(t *testing.T) {
+	env := NewEnv()
+	defer env.Stop()
+	body := func(p *Proc) { p.Wait(time.Microsecond) }
+	spawn := func() {
+		env.Spawn("s", body)
+		if err := env.RunUntilIdle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spawn() // warm the worker pool
+	if n := testing.AllocsPerRun(200, spawn); n > 1 {
+		t.Fatalf("spawn cycle allocates %.1f/op, want at most 1 (the Proc record)", n)
+	}
+
+	parked := env.Spawn("parked", func(p *Proc) {
+		for {
+			p.Park()
+		}
+	})
+	resume := func() {
+		parked.Unpark()
+		if err := env.RunUntilIdle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resume()
+	if n := testing.AllocsPerRun(200, resume); n != 0 {
+		t.Fatalf("park/resume cycle allocates %.1f/op, want 0", n)
+	}
+}

@@ -26,6 +26,26 @@ func BenchmarkProcessHandoff(b *testing.B) {
 	}
 }
 
+// BenchmarkSpawn measures a process's whole life on a warmed Env:
+// spawn, one Wait, finish. Its one allocation per op is the Proc
+// record; the coroutine comes from the idle-worker pool.
+func BenchmarkSpawn(b *testing.B) {
+	env := NewEnv()
+	defer env.Stop()
+	body := func(p *Proc) { p.Wait(time.Microsecond) }
+	env.Spawn("warm", body)
+	if err := env.RunUntilIdle(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env.Spawn("s", body)
+		if err := env.RunUntilIdle(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkResourceUse measures a contended acquire/wait/release cycle.
 func BenchmarkResourceUse(b *testing.B) {
 	env := NewEnv()

@@ -9,11 +9,13 @@
 // entry points are Env.After/Env.At, Timer, and the callback side of
 // Resource (AcquireFn, Request, RequestResume).
 //
-// Tier 2 — processes — are goroutines for model code that genuinely
-// blocks with state (transaction logic, recovery sequences). The kernel
-// guarantees that at most one process runs at any instant: kernel and
-// processes hand control to each other over unbuffered channels, so
-// model code needs no locking and runs deterministically.
+// Tier 2 — processes — are runtime coroutines (iter.Pull) for model
+// code that genuinely blocks with state (transaction logic, recovery
+// sequences). The kernel resumes a process by switching straight into
+// its coroutine and the process parks by switching straight back, so at
+// most one of them runs at any instant: model code needs no locking and
+// runs deterministically. Coroutines are pooled: a finished process
+// leaves its coroutine idle in the Env for the next Spawn.
 //
 // Both tiers share one event calendar ordered by (at, seq) with ties
 // broken by insertion order, so mixing them preserves determinism. A
@@ -76,7 +78,7 @@ type Env struct {
 	free       []*event // recycled event records
 	dispatched int64
 	live       map[*Proc]struct{}
-	stopping   bool
+	idle       []*worker // process coroutines waiting for a Spawn
 	panicked   any
 }
 
@@ -188,180 +190,10 @@ func (e *Env) At(at Time, fn func()) {
 	e.schedule(at, nil, fn)
 }
 
-// stopSignal is panicked inside a process to unwind it during Stop.
-type stopSignal struct{}
-
-// Proc is a simulation process. All blocking primitives must be called
-// by the process itself (from the function passed to Spawn).
-type Proc struct {
-	env     *Env
-	name    string
-	resume  chan bool     // kernel -> proc; value: stopped
-	yielded chan struct{} // proc -> kernel: blocked or finished
-	gen     int64         // incremented at every resume; stale wake events are dropped
-	done    bool
-	joiner  *Proc
-	traceID int64 // transaction id for the trace layer; 0 outside transactions
-}
-
-// Env returns the environment the process runs in.
-func (p *Proc) Env() *Env { return p.env }
-
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// Done reports whether the process function has returned.
-func (p *Proc) Done() bool { return p.done }
-
-// SetTraceID tags the process with the transaction id it is currently
-// executing, so device models can attribute trace spans to it. Zero
-// means no transaction context.
-func (p *Proc) SetTraceID(id int64) { p.traceID = id }
-
-// TraceID returns the transaction id set by SetTraceID, or zero.
-func (p *Proc) TraceID() int64 { return p.traceID }
-
-// Spawn creates a new process executing fn and schedules it to start at
-// the current simulated time.
-func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
-	return e.SpawnAfter(0, name, fn)
-}
-
-// SpawnAfter creates a new process executing fn, starting after delay d.
-func (e *Env) SpawnAfter(d Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan bool), yielded: make(chan struct{})}
-	e.live[p] = struct{}{}
-	go p.run(fn)
-	e.schedule(e.now+d, p, nil)
-	return p
-}
-
-// run is the top-level body of a process goroutine.
-func (p *Proc) run(fn func(p *Proc)) {
-	stopped := <-p.resume
-	p.gen++
-	if !stopped {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(stopSignal); !ok {
-						p.env.panicked = fmt.Sprintf("process %q: %v", p.name, r)
-					}
-				}
-			}()
-			fn(p)
-		}()
-	}
-	p.done = true
-	delete(p.env.live, p)
-	if p.joiner != nil {
-		j := p.joiner
-		p.joiner = nil
-		p.env.schedule(p.env.now, j, nil)
-	}
-	p.yielded <- struct{}{}
-}
-
-// park blocks the calling process until the kernel resumes it.
-func (p *Proc) park() {
-	p.yielded <- struct{}{}
-	stopped := <-p.resume
-	p.gen++
-	if stopped {
-		panic(stopSignal{})
-	}
-}
-
-// Park blocks the calling process until another process or a kernel
-// callback calls Unpark on it. It is the building block for condition
-// waits (lock queues, page-transfer waits).
-func (p *Proc) Park() { p.park() }
-
-// Unpark schedules p to resume at the current simulated time. It must
-// only be called for a process that is parked (or about to park within
-// the same instant); the kernel delivers the resume after the caller
-// yields, so "unpark then park" races cannot occur within one instant
-// as long as the parking process parks before yielding control.
-func (p *Proc) Unpark() {
-	p.env.schedule(p.env.now, p, nil)
-}
-
-// UnparkAfter schedules p to resume after delay d.
-func (p *Proc) UnparkAfter(d Time) {
-	p.env.schedule(p.env.now+d, p, nil)
-}
-
-// Wait suspends the calling process for duration d of simulated time.
-func (p *Proc) Wait(d Time) {
-	p.env.schedule(p.env.now+d, p, nil)
-	p.park()
-}
-
-// Continuation is a handle for resuming a parked process from a
-// callback-tier service chain acting on its behalf. It pins the
-// process's generation at creation time: if the process is killed and
-// moves on while the chain is still in flight, the chain's final
-// resume is dropped as stale instead of waking the process in whatever
-// it is doing now — but the chain's bookkeeping callbacks still run,
-// so stations are released exactly once.
-type Continuation struct {
-	p   *Proc
-	gen int64
-}
-
-// Continuation captures the calling process's current generation. Take
-// it before parking, then hand it to the service chain.
-func (p *Proc) Continuation() Continuation {
-	return Continuation{p: p, gen: p.gen}
-}
-
-// Proc returns the process the continuation belongs to.
-func (c Continuation) Proc() *Proc { return c.p }
-
-// TraceID returns the pinned process's current transaction id.
-func (c Continuation) TraceID() int64 { return c.p.traceID }
-
-// ResumeAfter schedules a combined event after delay d: fn runs in
-// kernel context and then the process resumes — both within the same
-// calendar slot, exactly where a plain Wait(d) resume would have
-// fired. It is the terminator of callback-tier service chains: the
-// final completion does its bookkeeping in fn and hands control back
-// to the parked process without an extra calendar hop.
-func (c Continuation) ResumeAfter(d Time, fn func()) {
-	env := c.p.env
-	ev := env.schedule(env.now+d, c.p, fn)
-	ev.gen = c.gen
-}
-
-// Join blocks the calling process until other has finished. At most one
-// process may join another.
-func (p *Proc) Join(other *Proc) {
-	if other.done {
-		return
-	}
-	if other.joiner != nil {
-		panic("sim: second joiner on process " + other.name)
-	}
-	other.joiner = p
-	p.park()
-}
-
-// Fork runs each fn as a child process and blocks until all have
-// finished. It models parallel sub-operations such as the parallel
-// force-writes at commit.
-func (p *Proc) Fork(name string, fns ...func(p *Proc)) {
-	children := make([]*Proc, len(fns))
-	for i, fn := range fns {
-		children[i] = p.env.Spawn(fmt.Sprintf("%s/%d", name, i), fn)
-	}
-	for _, c := range children {
-		p.Join(c)
-	}
-}
-
 // Run advances the simulation until the event calendar is empty or the
 // clock would pass until. Events scheduled exactly at until still run.
-// It returns an error if any process panicked.
+// It returns an error if a process panicked; the error is reported
+// once, and the environment stays usable.
 func (e *Env) Run(until Time) error {
 	if err := e.drain(until, true); err != nil {
 		return err
@@ -391,7 +223,9 @@ func (e *Env) drain(until Time, bounded bool) error {
 		e.dispatch(ev)
 		e.recycle(ev)
 		if e.panicked != nil {
-			return fmt.Errorf("sim: %v", e.panicked)
+			err := fmt.Errorf("sim: %v", e.panicked)
+			e.panicked = nil
+			return err
 		}
 	}
 }
@@ -425,24 +259,6 @@ func (e *Env) dispatch(ev *event) {
 		if ev.proc.done || ev.gen != ev.proc.gen {
 			return // stale wake: the process moved on since this was scheduled
 		}
-		ev.proc.resume <- false
-		<-ev.proc.yielded
+		ev.proc.resume()
 	}
-}
-
-// Stop terminates all live processes by unwinding them, so that no
-// goroutines leak after a run. The environment must not be used again.
-func (e *Env) Stop() {
-	e.stopping = true
-	for len(e.live) > 0 {
-		var p *Proc
-		for q := range e.live {
-			p = q
-			break
-		}
-		delete(e.live, p)
-		p.resume <- true
-		<-p.yielded
-	}
-	e.events = calendar{}
 }

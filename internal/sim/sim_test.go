@@ -163,11 +163,85 @@ func TestJoinFinishedChildReturnsImmediately(t *testing.T) {
 	env.Stop()
 }
 
+// TestStaleWakesAcrossWorkerReuse checks that wake events still queued
+// for a finished process are dropped even when the next process runs on
+// the same pooled worker: the new process starts exactly at its
+// scheduled time and is not woken early by the old one's events.
+func TestStaleWakesAcrossWorkerReuse(t *testing.T) {
+	env := NewEnv()
+	var (
+		wa, wb      *worker
+		cont        Continuation
+		chainRan    bool
+		start, stop Time
+	)
+	a := env.Spawn("a", func(p *Proc) {
+		wa = p.w
+		cont = p.Continuation()
+		p.Park()
+		// Scheduled at a's final generation: a recycled Proc record
+		// would match it and start b at 4ms.
+		p.UnparkAfter(3 * time.Millisecond)
+	})
+	env.At(time.Millisecond, func() {
+		a.Unpark()                                                       // wakes a, which finishes
+		a.Unpark()                                                       // stale at 1ms
+		a.UnparkAfter(4 * time.Millisecond)                              // stale at 5ms
+		cont.ResumeAfter(2*time.Millisecond, func() { chainRan = true }) // stale resume at 3ms
+		env.After(0, func() {
+			if !a.Done() {
+				t.Error("a not finished before b is spawned")
+			}
+			env.SpawnAfter(5*time.Millisecond, "b", func(p *Proc) {
+				wb = p.w
+				start = env.Now()
+				p.Wait(10 * time.Millisecond)
+				stop = env.Now()
+			})
+		})
+	})
+	if err := env.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if wa == nil || wa != wb {
+		t.Fatalf("b did not reuse a's worker (%p, %p)", wa, wb)
+	}
+	if !chainRan {
+		t.Fatal("the stale continuation's callback did not run")
+	}
+	if start != 6*time.Millisecond || stop != 16*time.Millisecond {
+		t.Fatalf("b ran %v..%v, want 6ms..16ms", start, stop)
+	}
+	env.Stop()
+}
+
+// TestProcPanicSurfacesAsError checks that a process panic reaches Run
+// as an error naming the process, and that the panicking process's
+// worker then runs a later process to completion.
 func TestProcPanicSurfacesAsError(t *testing.T) {
 	env := NewEnv()
-	env.Spawn("boom", func(p *Proc) { panic("kaput") })
-	if err := env.RunUntilIdle(); err == nil {
-		t.Fatal("expected error from panicking process")
+	var wx *worker
+	env.Spawn("x", func(p *Proc) {
+		wx = p.w
+		panic("kaput")
+	})
+	err := env.RunUntilIdle()
+	if err == nil || err.Error() != `sim: process "x": kaput` {
+		t.Fatalf("err = %v, want the panic of process x", err)
+	}
+	finished := false
+	y := env.Spawn("y", func(p *Proc) {
+		p.Wait(time.Millisecond)
+		finished = true
+	})
+	if y.w != wx {
+		t.Fatal("y did not reuse x's worker")
+	}
+	if err := env.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if !finished || env.Now() != time.Millisecond {
+		t.Fatalf("y finished=%v at %v, want true at 1ms", finished, env.Now())
 	}
 	env.Stop()
 }

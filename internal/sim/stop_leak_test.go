@@ -10,8 +10,11 @@ import (
 // after stopping an environment whose processes are blocked in every
 // way the kernel supports — plain Park, pending Wait timers, resource
 // queues, semaphore admission, mailbox receives — the process goroutine
-// count must return to its pre-run level. A leak here would accumulate
-// across the thousands of environments a parameter sweep creates.
+// count must return to its pre-run level. Processes that finished
+// before Stop leave idle pooled workers, and one process is spawned but
+// never started; Stop must retire both kinds of worker. A leak here
+// would accumulate across the thousands of environments a parameter
+// sweep creates.
 func TestStopLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -36,15 +39,23 @@ func TestStopLeaksNoGoroutines(t *testing.T) {
 		env.Spawn("mwait", func(p *Proc) { m.Get(p) })
 		env.Spawn("parked", func(p *Proc) { p.Park() })
 		env.Spawn("sleeper", func(p *Proc) { p.Wait(time.Hour) })
+		env.Spawn("finished", func(p *Proc) { p.Wait(time.Millisecond) })
 	}
+	started := false
+	unstarted := env.SpawnAfter(time.Hour, "unstarted", func(p *Proc) { started = true })
 	if err := env.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
+	if len(env.idle) == 0 {
+		t.Fatal("expected idle pooled workers before Stop")
+	}
 	env.Stop()
+	if started || !unstarted.Done() {
+		t.Fatalf("unstarted process: ran=%v done=%v, want false, true", started, unstarted.Done())
+	}
 
-	// Stop synchronizes with each process's unwind, but the goroutine
-	// itself exits just after its final yield; give the runtime a
-	// moment to reap before declaring a leak.
+	// Stop switches into each worker until its coroutine returns, but
+	// give the runtime a moment to reap before declaring a leak.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		runtime.GC()
