@@ -35,6 +35,23 @@ func main() {
 }
 
 func run(args []string) error {
+	cfg, out, err := parseArgs(args)
+	if err != nil {
+		return err
+	}
+	return execute(cfg, out)
+}
+
+// outputs holds the flags that select what a run writes and prints.
+type outputs struct {
+	traceOut, traceFmt, tsOut       string
+	sampleIv                        time.Duration
+	phases, attrTbl, quiet, verbose bool
+}
+
+// parseArgs turns the command line into the configuration to run and
+// the output selection.
+func parseArgs(args []string) (core.Config, outputs, error) {
 	fs := flag.NewFlagSet("gemsim", flag.ContinueOnError)
 	var (
 		cfgPath  = fs.String("config", "", "JSON configuration file (other flags are ignored)")
@@ -77,10 +94,10 @@ func run(args []string) error {
 		quiet    = fs.Bool("quiet", false, "suppress the summary line (useful with -trace-out/-timeseries)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return core.Config{}, outputs{}, err
 	}
 	if *quiet && *verbose {
-		return fmt.Errorf("-quiet and -v are mutually exclusive")
+		return core.Config{}, outputs{}, fmt.Errorf("-quiet and -v are mutually exclusive")
 	}
 	// Reject contradictory flag combinations up front, with errors that
 	// name the fix, instead of letting them surface as confusing
@@ -88,39 +105,40 @@ func run(args []string) error {
 	explicit := make(map[string]bool)
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	if explicit["mpl"] && *mpl <= 0 {
-		return fmt.Errorf("-mpl must be positive, got %d (omit the flag for the workload default)", *mpl)
+		return core.Config{}, outputs{}, fmt.Errorf("-mpl must be positive, got %d (omit the flag for the workload default)", *mpl)
 	}
 	if *traceOut != "" && *traceOut == *tsOut {
-		return fmt.Errorf("-trace-out and -timeseries both write to %q; give them distinct paths", *traceOut)
+		return core.Config{}, outputs{}, fmt.Errorf("-trace-out and -timeseries both write to %q; give them distinct paths", *traceOut)
 	}
 	if (*skewT > 0 || *acctSkew > 0) && *tracePth != "" {
-		return fmt.Errorf("-skew and -account-skew shape the debit-credit workload and cannot be combined with -trace")
+		return core.Config{}, outputs{}, fmt.Errorf("-skew and -account-skew shape the debit-credit workload and cannot be combined with -trace")
 	}
 	if *attrTbl && *attrOff {
-		return fmt.Errorf("-attrib and -attrib-off are mutually exclusive")
+		return core.Config{}, outputs{}, fmt.Errorf("-attrib and -attrib-off are mutually exclusive")
 	}
+	out := outputs{*traceOut, *traceFmt, *tsOut, *sampleIv, *phases, *attrTbl, *quiet, *verbose}
 	ccKind, err := cc.Parse(strings.ToLower(*ccEng))
 	if err != nil {
-		return err
+		return core.Config{}, outputs{}, err
 	}
 	if *attrTol < 0 {
-		return fmt.Errorf("-attrib-tolerance must be non-negative, got %v", *attrTol)
+		return core.Config{}, outputs{}, fmt.Errorf("-attrib-tolerance must be non-negative, got %v", *attrTol)
 	}
 
 	if *cfgPath != "" {
 		cfg, err := core.LoadConfigFile(*cfgPath)
 		if err != nil {
-			return err
+			return core.Config{}, outputs{}, err
 		}
 		applyAttribFlags(&cfg, *attrOff, *attrTol)
-		return execute(cfg, *traceOut, *traceFmt, *tsOut, *sampleIv, *phases, *attrTbl, *quiet, *verbose)
+		return cfg, out, nil
 	}
 
 	cfg := core.DefaultDebitCreditConfig(*nodes)
 	if *tracePth != "" {
 		trace, err := workload.ReadTraceFile(*tracePth)
 		if err != nil {
-			return err
+			return core.Config{}, outputs{}, err
 		}
 		cfg = core.DefaultTraceConfig(*nodes, trace)
 	}
@@ -141,7 +159,7 @@ func run(args []string) error {
 	case "le", "lockengine":
 		cfg.Coupling = core.CouplingLockEngine
 	default:
-		return fmt.Errorf("unknown coupling %q (want gem, pcl or le)", *coupling)
+		return core.Config{}, outputs{}, fmt.Errorf("unknown coupling %q (want gem, pcl or le)", *coupling)
 	}
 	switch strings.ToLower(*routing) {
 	case "random":
@@ -151,12 +169,12 @@ func run(args []string) error {
 	case "loadaware":
 		cfg.Routing = core.RoutingLoadAware
 	default:
-		return fmt.Errorf("unknown routing %q (want random, affinity or loadaware)", *routing)
+		return core.Config{}, outputs{}, fmt.Errorf("unknown routing %q (want random, affinity or loadaware)", *routing)
 	}
 	if *btMedium != "" {
 		m, err := parseMedium(*btMedium)
 		if err != nil {
-			return err
+			return core.Config{}, outputs{}, err
 		}
 		cfg.FileMedium = map[string]model.Medium{"BRANCH/TELLER": m}
 	}
@@ -168,7 +186,7 @@ func run(args []string) error {
 	if *term > 0 {
 		cfg.ClosedLoop = &core.ClosedLoopConfig{TerminalsPerNode: *term, ThinkTime: *think, Pooled: *pooled}
 	} else if *pooled {
-		return fmt.Errorf("-pooled-terminals needs -terminals (the open model has no terminal population)")
+		return core.Config{}, outputs{}, fmt.Errorf("-pooled-terminals needs -terminals (the open model has no terminal population)")
 	}
 	if *skewT > 0 || *acctSkew > 0 {
 		dc := workload.DefaultDebitCreditParams(cfg.ArrivalRatePerNode * float64(*nodes))
@@ -181,10 +199,10 @@ func run(args []string) error {
 	if *mtbf > 0 || *mttr > 0 || *reopenP != "" || *recWrk > 0 {
 		pol, err := recovery.ParseReopenPolicy(*reopenP)
 		if err != nil {
-			return err
+			return core.Config{}, outputs{}, err
 		}
 		if *recWrk < 0 {
-			return fmt.Errorf("-recovery-workers must be non-negative, got %d", *recWrk)
+			return core.Config{}, outputs{}, fmt.Errorf("-recovery-workers must be non-negative, got %d", *recWrk)
 		}
 		cfg.Faults = &core.FaultConfig{
 			MTBF:            *mtbf,
@@ -199,7 +217,7 @@ func run(args []string) error {
 	cfg.CheckInvariants = *check
 	applyAttribFlags(&cfg, *attrOff, *attrTol)
 
-	return execute(cfg, *traceOut, *traceFmt, *tsOut, *sampleIv, *phases, *attrTbl, *quiet, *verbose)
+	return cfg, out, nil
 }
 
 // applyAttribFlags folds the attribution flags into the configuration
@@ -215,7 +233,9 @@ func applyAttribFlags(cfg *core.Config, off bool, tol float64) {
 
 // execute attaches the requested tracing outputs, runs the
 // configuration and prints the results.
-func execute(cfg core.Config, traceOut, traceFmt, tsOut string, sampleIv time.Duration, phases, attrTbl, quiet, verbose bool) error {
+func execute(cfg core.Config, out outputs) error {
+	traceOut, traceFmt, tsOut, sampleIv := out.traceOut, out.traceFmt, out.tsOut, out.sampleIv
+	phases, attrTbl, quiet, verbose := out.phases, out.attrTbl, out.quiet, out.verbose
 	if traceOut != "" || tsOut != "" || phases {
 		tc := &core.TraceConfig{SampleInterval: sampleIv}
 		if traceOut != "" {

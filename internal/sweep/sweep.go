@@ -67,7 +67,7 @@ func (r *Run) Fingerprint() string {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(r.Key))
 	fmt.Fprintf(h, "|seed=%d|", r.Config.Seed)
-	_, _ = h.Write([]byte(configDigest(&r.Config)))
+	_, _ = h.Write([]byte(ConfigDigest(&r.Config)))
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
@@ -104,12 +104,13 @@ type cfgDigest struct {
 	Tuned bool
 }
 
-// configDigest canonically encodes the result-relevant parts of a
-// configuration. Trace workloads are digested from bounded samples
+// ConfigDigest canonically encodes the result-relevant parts of a
+// configuration: two configurations with equal digests produce the
+// same simulated results. Trace workloads are digested from bounded samples
 // (length plus the shape of the first transactions), which
 // distinguishes differently generated traces without walking millions
 // of references per run.
-func configDigest(cfg *core.Config) string {
+func ConfigDigest(cfg *core.Config) string {
 	d := cfgDigest{
 		Nodes:          cfg.Nodes,
 		Rate:           cfg.ArrivalRatePerNode,
