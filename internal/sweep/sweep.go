@@ -73,13 +73,18 @@ func (r *Run) Fingerprint() string {
 
 // cfgDigest is the hashable shadow of core.Config: every field that
 // influences simulation results, in a canonically marshalable form
-// (map keys sort during JSON encoding).
+// (map keys sort during JSON encoding). Two Config fields are left
+// out on purpose: Tracing only observes a run, and Tune is covered by
+// the Tuned flag. Fields added after the first digests are omitted
+// when zero, so stored fingerprints of runs that leave them unset stay
+// valid.
 type cfgDigest struct {
 	Nodes       int
 	Rate        float64
 	Coupling    int
 	Force       bool
 	Routing     int
+	CC          int `json:",omitempty"`
 	BufferPages int
 	MPL         int
 
@@ -91,6 +96,7 @@ type cfgDigest struct {
 
 	ClosedTerminals int
 	ClosedThinkNS   int64
+	ClosedPooled    bool `json:",omitempty"`
 
 	WarmupNS  int64
 	MeasureNS int64
@@ -99,6 +105,9 @@ type cfgDigest struct {
 
 	Workload string
 	Faults   string `json:",omitempty"`
+	Control  string `json:",omitempty"`
+	// Attribution changes the stored attribution metrics (bn_*).
+	Attribution *core.AttributionConfig `json:",omitempty"`
 	// Tuned flags a Tune hook; its effect is not hashable, so tuned
 	// configurations only ever match themselves within one process.
 	Tuned bool
@@ -117,6 +126,7 @@ func ConfigDigest(cfg *core.Config) string {
 		Coupling:       int(cfg.Coupling),
 		Force:          cfg.Force,
 		Routing:        int(cfg.Routing),
+		CC:             int(cfg.CC),
 		BufferPages:    cfg.BufferPages,
 		MPL:            cfg.MPL,
 		LogInGEM:       cfg.LogInGEM,
@@ -141,10 +151,18 @@ func ConfigDigest(cfg *core.Config) string {
 	if cl := cfg.ClosedLoop; cl != nil {
 		d.ClosedTerminals = cl.TerminalsPerNode
 		d.ClosedThinkNS = int64(cl.ThinkTime)
+		d.ClosedPooled = cl.Pooled
 	}
 	if cfg.Faults != nil {
 		fb, _ := json.Marshal(cfg.Faults)
 		d.Faults = string(fb)
+	}
+	if cfg.Control != nil {
+		cb, _ := json.Marshal(cfg.Control)
+		d.Control = string(cb)
+	}
+	if cfg.Attribution != (core.AttributionConfig{}) {
+		d.Attribution = &cfg.Attribution
 	}
 	b, err := json.Marshal(&d)
 	if err != nil {

@@ -2,12 +2,17 @@ package sweep
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"gemsim/internal/cc"
 	"gemsim/internal/core"
+	"gemsim/internal/model"
+	"gemsim/internal/node"
+	"gemsim/internal/workload"
 )
 
 func TestDeriveSeedStable(t *testing.T) {
@@ -240,5 +245,77 @@ func TestTablesSkipsFailedCells(t *testing.T) {
 	}
 	if !strings.Contains(figs[0].Table.Render(), "-") {
 		t.Fatal("failed cell must render as '-'")
+	}
+}
+
+// fingerprintExcluded lists the core.Config fields a fingerprint
+// deliberately ignores, with the reason.
+var fingerprintExcluded = map[string]string{
+	"Tracing": "observes a run without changing its results",
+}
+
+// TestFingerprintCoversEveryResultField changes each result-affecting
+// Config field in turn and requires a different fingerprint, so a
+// resumed sweep never reuses a result of a different configuration. A
+// new Config field fails the test until it gets a mutation here or an
+// entry in fingerprintExcluded.
+func TestFingerprintCoversEveryResultField(t *testing.T) {
+	base := func() core.Config {
+		cfg := core.DefaultDebitCreditConfig(2)
+		cfg.Seed = 7
+		cfg.ClosedLoop = &core.ClosedLoopConfig{TerminalsPerNode: 4, ThinkTime: time.Second}
+		cfg.Faults = &core.FaultConfig{MTBF: 8 * time.Second, MTTR: time.Second}
+		cfg.Control = node.DefaultControlConfig()
+		return cfg
+	}
+	dc := workload.DefaultDebitCreditParams(200)
+	mutations := map[string]func(*core.Config){
+		"Nodes":                       func(c *core.Config) { c.Nodes = 3 },
+		"ArrivalRatePerNode":          func(c *core.Config) { c.ArrivalRatePerNode = 90 },
+		"Coupling":                    func(c *core.Config) { c.Coupling = core.CouplingPCL },
+		"Force":                       func(c *core.Config) { c.Force = true },
+		"Routing":                     func(c *core.Config) { c.Routing = core.RoutingRandom },
+		"CC":                          func(c *core.Config) { c.CC = cc.KindOCC },
+		"BufferPages":                 func(c *core.Config) { c.BufferPages = 300 },
+		"MPL":                         func(c *core.Config) { c.MPL = 16 },
+		"Workload":                    func(c *core.Config) { c.Workload.DebitCredit = &dc },
+		"FileMedium":                  func(c *core.Config) { c.FileMedium = map[string]model.Medium{"ACCOUNT": model.MediumGEM} },
+		"DiskCachePages":              func(c *core.Config) { c.DiskCachePages = map[string]int{"ACCOUNT": 10} },
+		"LogInGEM":                    func(c *core.Config) { c.LogInGEM = true },
+		"GEMMessaging":                func(c *core.Config) { c.GEMMessaging = true },
+		"GlobalLogMerge":              func(c *core.Config) { c.GlobalLogMerge = true },
+		"ClosedLoop":                  func(c *core.Config) { c.ClosedLoop = nil },
+		"ClosedLoop.TerminalsPerNode": func(c *core.Config) { c.ClosedLoop.TerminalsPerNode = 5 },
+		"ClosedLoop.ThinkTime":        func(c *core.Config) { c.ClosedLoop.ThinkTime = 2 * time.Second },
+		"ClosedLoop.Pooled":           func(c *core.Config) { c.ClosedLoop.Pooled = true },
+		"Warmup":                      func(c *core.Config) { c.Warmup += time.Second },
+		"Measure":                     func(c *core.Config) { c.Measure += time.Second },
+		"Seed":                        func(c *core.Config) { c.Seed = 8 },
+		"CheckInvariants":             func(c *core.Config) { c.CheckInvariants = true },
+		"Faults":                      func(c *core.Config) { c.Faults.RecoveryWorkers = 4 },
+		"Attribution":                 func(c *core.Config) { c.Attribution.Off = true },
+		"Attribution.Tolerance":       func(c *core.Config) { c.Attribution.Tolerance = 0.1 },
+		"Control":                     func(c *core.Config) { c.Control.Reroute = false },
+		"Control nil":                 func(c *core.Config) { c.Control = nil },
+		"Tune":                        func(c *core.Config) { c.Tune = func(*node.Params) {} },
+	}
+	fields := reflect.TypeOf(core.Config{})
+	for i := 0; i < fields.NumField(); i++ {
+		name := fields.Field(i).Name
+		if _, ok := mutations[name]; !ok && fingerprintExcluded[name] == "" {
+			t.Errorf("Config.%s has no fingerprint mutation and no exclusion", name)
+		}
+	}
+	fp := func(cfg core.Config) string {
+		r := Run{Key: "k", Config: cfg}
+		return r.Fingerprint()
+	}
+	want := fp(base())
+	for name, mut := range mutations {
+		cfg := base()
+		mut(&cfg)
+		if fp(cfg) == want {
+			t.Errorf("fingerprint ignores %s", name)
+		}
 	}
 }
