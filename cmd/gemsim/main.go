@@ -7,6 +7,10 @@
 //	gemsim -nodes 8 -coupling pcl -force -routing random -measure 20s
 //	gemsim -nodes 4 -bt-medium gem          # BRANCH/TELLER in GEM
 //	gemsim -nodes 4 -trace workload.trc     # trace-driven run
+//	gemsim -config c.json -coupling pcl     # flags override the file
+//
+// The configuration flags are the knobs of core.Knobs; without -config
+// they start from 1 node, 4s warm-up and 16s measurement.
 package main
 
 import (
@@ -14,17 +18,11 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
-	"gemsim/internal/cc"
 	"gemsim/internal/core"
-	"gemsim/internal/model"
-	"gemsim/internal/node"
-	"gemsim/internal/recovery"
 	"gemsim/internal/report"
 	"gemsim/internal/trace"
-	"gemsim/internal/workload"
 )
 
 func main() {
@@ -50,200 +48,88 @@ type outputs struct {
 }
 
 // parseArgs turns the command line into the configuration to run and
-// the output selection.
+// the output selection. The configuration flags come from the knob
+// table (core.Knobs) and write a core.ConfigFile: gemsim's defaults,
+// or the -config file, with every explicitly set flag on top.
 func parseArgs(args []string) (core.Config, outputs, error) {
 	fs := flag.NewFlagSet("gemsim", flag.ContinueOnError)
-	var (
-		cfgPath  = fs.String("config", "", "JSON configuration file (other flags are ignored)")
-		nodes    = fs.Int("nodes", 1, "number of processing nodes")
-		rate     = fs.Float64("rate", 0, "arrival rate per node in TPS (default 100, 50 for traces)")
-		coupling = fs.String("coupling", "gem", "coupling mode: gem (close), pcl (loose) or le (lock engine)")
-		force    = fs.Bool("force", false, "use the FORCE update strategy (default NOFORCE)")
-		routing  = fs.String("routing", "affinity", "workload allocation: random, affinity or loadaware")
-		ccEng    = fs.String("cc", "", "concurrency-control engine: 2pl (default), mvto, occ or had")
-		buffer   = fs.Int("buffer", 0, "database buffer pages per node (default 200, 1000 for traces)")
-		mpl      = fs.Int("mpl", 0, "multiprogramming level per node (default 64, 256 for traces)")
-		btMedium = fs.String("bt-medium", "", "BRANCH/TELLER medium: disk, vcache, nvcache, gem, gemwb or gemcache")
-		logGEM   = fs.Bool("log-gem", false, "allocate log files to GEM")
-		logMerge = fs.Bool("log-merge", false, "run the global log merge process (needs -log-gem)")
-		gemMsg   = fs.Bool("gem-messaging", false, "exchange all messages across GEM")
-		skewT    = fs.Float64("skew", 0, "branch Zipf skew theta in [0,1) (debit-credit only; 0 = uniform)")
-		acctSkew = fs.Float64("account-skew", 0, "account Zipf skew theta in [0,1) within the chosen branch")
-		adaptive = fs.Bool("adaptive", false, "enable the closed-loop load controller (feedback admission and re-routing)")
-		term     = fs.Int("terminals", 0, "closed-loop mode: terminals per node (0 = open model)")
-		think    = fs.Duration("think", time.Second, "closed-loop mean think time")
-		pooled   = fs.Bool("pooled-terminals", false, "hyperscale closed-loop source: idle terminals are calendar events, not goroutines (needs -terminals)")
-		mtbf     = fs.Duration("mtbf", 0, "mean time between node crashes (stochastic fault injection; set with -mttr)")
-		mttr     = fs.Duration("mttr", 0, "mean time to repair a crashed node (set with -mtbf)")
-		reopenP  = fs.String("reopen", "", "post-crash reopen policy: offline (REDO completes first) or incremental (admit during replay)")
-		recWrk   = fs.Int("recovery-workers", 0, "parallel REDO replay workers (0 or 1 = serial)")
-		tracePth = fs.String("trace", "", "trace file for trace-driven simulation")
-		warmup   = fs.Duration("warmup", 4*time.Second, "warm-up period of simulated time")
-		measure  = fs.Duration("measure", 16*time.Second, "measurement period of simulated time")
-		seed     = fs.Int64("seed", 1, "random seed")
-		check    = fs.Bool("check", false, "enable the coherency invariant oracle")
-		traceOut = fs.String("trace-out", "", "write an event trace to this file (see -trace-format)")
-		traceFmt = fs.String("trace-format", "jsonl", "event trace encoding: jsonl or perfetto")
-		tsOut    = fs.String("timeseries", "", "write windowed time-series samples (JSONL) to this file")
-		sampleIv = fs.Duration("sample-interval", 500*time.Millisecond, "time-series window length")
-		phases   = fs.Bool("phases", false, "collect and print the per-phase response time breakdown")
-		attrOff  = fs.Bool("attrib-off", false, "disable bottleneck attribution accounting")
-		attrTol  = fs.Float64("attrib-tolerance", 0, "operational-law residual warning threshold (0 = default 5%)")
-		attrTbl  = fs.Bool("attrib", false, "print the per-resource bottleneck attribution tables")
-		verbose  = fs.Bool("v", false, "print detailed metrics")
-		quiet    = fs.Bool("quiet", false, "suppress the summary line (useful with -trace-out/-timeseries)")
-	)
+	cfgPath := fs.String("config", "", "JSON configuration file; explicitly set configuration flags override it")
+	byFlag := make(map[string]core.Knob)
+	for _, k := range core.Knobs() {
+		if k.Flag == "" {
+			continue
+		}
+		byFlag[k.Flag] = k
+		switch k.Kind {
+		case core.KnobInt:
+			fs.Int64(k.Flag, 0, k.Usage)
+		case core.KnobFloat:
+			fs.Float64(k.Flag, 0, k.Usage)
+		case core.KnobBool:
+			fs.Bool(k.Flag, false, k.Usage)
+		case core.KnobString:
+			fs.String(k.Flag, "", k.Usage)
+		case core.KnobDuration:
+			fs.Duration(k.Flag, 0, k.Usage)
+		}
+	}
+	var out outputs
+	fs.StringVar(&out.traceOut, "trace-out", "", "write an event trace to this file (see -trace-format)")
+	fs.StringVar(&out.traceFmt, "trace-format", "jsonl", "event trace encoding: jsonl or perfetto")
+	fs.StringVar(&out.tsOut, "timeseries", "", "write windowed time-series samples (JSONL) to this file")
+	fs.DurationVar(&out.sampleIv, "sample-interval", 500*time.Millisecond, "time-series window length")
+	fs.BoolVar(&out.phases, "phases", false, "collect and print the per-phase response time breakdown")
+	fs.BoolVar(&out.attrTbl, "attrib", false, "print the per-resource bottleneck attribution tables")
+	fs.BoolVar(&out.verbose, "v", false, "print detailed metrics")
+	fs.BoolVar(&out.quiet, "quiet", false, "suppress the summary line (useful with -trace-out/-timeseries)")
 	if err := fs.Parse(args); err != nil {
-		return core.Config{}, outputs{}, err
+		return core.Config{}, out, err
 	}
-	if *quiet && *verbose {
-		return core.Config{}, outputs{}, fmt.Errorf("-quiet and -v are mutually exclusive")
+	if out.quiet && out.verbose {
+		return core.Config{}, out, fmt.Errorf("-quiet and -v are mutually exclusive")
 	}
-	// Reject contradictory flag combinations up front, with errors that
-	// name the fix, instead of letting them surface as confusing
-	// behaviour deep in a run.
-	explicit := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if explicit["mpl"] && *mpl <= 0 {
-		return core.Config{}, outputs{}, fmt.Errorf("-mpl must be positive, got %d (omit the flag for the workload default)", *mpl)
-	}
-	if *traceOut != "" && *traceOut == *tsOut {
-		return core.Config{}, outputs{}, fmt.Errorf("-trace-out and -timeseries both write to %q; give them distinct paths", *traceOut)
-	}
-	if (*skewT > 0 || *acctSkew > 0) && *tracePth != "" {
-		return core.Config{}, outputs{}, fmt.Errorf("-skew and -account-skew shape the debit-credit workload and cannot be combined with -trace")
-	}
-	if *attrTbl && *attrOff {
-		return core.Config{}, outputs{}, fmt.Errorf("-attrib and -attrib-off are mutually exclusive")
-	}
-	out := outputs{*traceOut, *traceFmt, *tsOut, *sampleIv, *phases, *attrTbl, *quiet, *verbose}
-	ccKind, err := cc.Parse(strings.ToLower(*ccEng))
-	if err != nil {
-		return core.Config{}, outputs{}, err
-	}
-	if *attrTol < 0 {
-		return core.Config{}, outputs{}, fmt.Errorf("-attrib-tolerance must be non-negative, got %v", *attrTol)
+	if out.traceOut != "" && out.traceOut == out.tsOut {
+		return core.Config{}, out, fmt.Errorf("-trace-out and -timeseries both write to %q; give them distinct paths", out.traceOut)
 	}
 
+	cf := core.ConfigFile{Nodes: 1, Warmup: "4s", Measure: "16s"}
+	var err error
 	if *cfgPath != "" {
-		cfg, err := core.LoadConfigFile(*cfgPath)
-		if err != nil {
-			return core.Config{}, outputs{}, err
-		}
-		applyAttribFlags(&cfg, *attrOff, *attrTol)
-		return cfg, out, nil
-	}
-
-	cfg := core.DefaultDebitCreditConfig(*nodes)
-	if *tracePth != "" {
-		trace, err := workload.ReadTraceFile(*tracePth)
-		if err != nil {
-			return core.Config{}, outputs{}, err
-		}
-		cfg = core.DefaultTraceConfig(*nodes, trace)
-	}
-	if *rate > 0 {
-		cfg.ArrivalRatePerNode = *rate
-	}
-	if *buffer > 0 {
-		cfg.BufferPages = *buffer
-	}
-	if *mpl > 0 {
-		cfg.MPL = *mpl
-	}
-	switch strings.ToLower(*coupling) {
-	case "gem":
-		cfg.Coupling = core.CouplingGEM
-	case "pcl":
-		cfg.Coupling = core.CouplingPCL
-	case "le", "lockengine":
-		cfg.Coupling = core.CouplingLockEngine
-	default:
-		return core.Config{}, outputs{}, fmt.Errorf("unknown coupling %q (want gem, pcl or le)", *coupling)
-	}
-	switch strings.ToLower(*routing) {
-	case "random":
-		cfg.Routing = core.RoutingRandom
-	case "affinity":
-		cfg.Routing = core.RoutingAffinity
-	case "loadaware":
-		cfg.Routing = core.RoutingLoadAware
-	default:
-		return core.Config{}, outputs{}, fmt.Errorf("unknown routing %q (want random, affinity or loadaware)", *routing)
-	}
-	if *btMedium != "" {
-		m, err := parseMedium(*btMedium)
-		if err != nil {
-			return core.Config{}, outputs{}, err
-		}
-		cfg.FileMedium = map[string]model.Medium{"BRANCH/TELLER": m}
-	}
-	cfg.Force = *force
-	cfg.CC = ccKind
-	cfg.LogInGEM = *logGEM
-	cfg.GlobalLogMerge = *logMerge
-	cfg.GEMMessaging = *gemMsg
-	if *term > 0 {
-		cfg.ClosedLoop = &core.ClosedLoopConfig{TerminalsPerNode: *term, ThinkTime: *think, Pooled: *pooled}
-	} else if *pooled {
-		return core.Config{}, outputs{}, fmt.Errorf("-pooled-terminals needs -terminals (the open model has no terminal population)")
-	}
-	if *skewT > 0 || *acctSkew > 0 {
-		dc := workload.DefaultDebitCreditParams(cfg.ArrivalRatePerNode * float64(*nodes))
-		dc.Skew = &workload.Skew{BranchTheta: *skewT, AccountTheta: *acctSkew}
-		cfg.Workload.DebitCredit = &dc
-	}
-	if *adaptive {
-		cfg.Control = node.DefaultControlConfig()
-	}
-	if *mtbf > 0 || *mttr > 0 || *reopenP != "" || *recWrk > 0 {
-		pol, err := recovery.ParseReopenPolicy(*reopenP)
-		if err != nil {
-			return core.Config{}, outputs{}, err
-		}
-		if *recWrk < 0 {
-			return core.Config{}, outputs{}, fmt.Errorf("-recovery-workers must be non-negative, got %d", *recWrk)
-		}
-		cfg.Faults = &core.FaultConfig{
-			MTBF:            *mtbf,
-			MTTR:            *mttr,
-			Reopen:          pol,
-			RecoveryWorkers: *recWrk,
+		if cf, err = core.ReadConfigFile(*cfgPath); err != nil {
+			return core.Config{}, out, err
 		}
 	}
-	cfg.Warmup = *warmup
-	cfg.Measure = *measure
-	cfg.Seed = *seed
-	cfg.CheckInvariants = *check
-	applyAttribFlags(&cfg, *attrOff, *attrTol)
-
+	fs.Visit(func(f *flag.Flag) {
+		if k, ok := byFlag[f.Name]; ok && err == nil {
+			if e := k.SetString(&cf, f.Value.String()); e != nil {
+				err = fmt.Errorf("-%s: %w", f.Name, e)
+			}
+		}
+	})
+	if err != nil {
+		return core.Config{}, out, err
+	}
+	cfg, err := cf.ToConfig()
+	if err != nil {
+		return core.Config{}, out, err
+	}
+	if out.attrTbl && cfg.Attribution.Off {
+		return core.Config{}, out, fmt.Errorf("-attrib needs attribution on (drop -attrib-off or the file's attribution.off)")
+	}
 	return cfg, out, nil
-}
-
-// applyAttribFlags folds the attribution flags into the configuration
-// (on top of whatever a -config file specified).
-func applyAttribFlags(cfg *core.Config, off bool, tol float64) {
-	if off {
-		cfg.Attribution.Off = true
-	}
-	if tol > 0 {
-		cfg.Attribution.Tolerance = tol
-	}
 }
 
 // execute attaches the requested tracing outputs, runs the
 // configuration and prints the results.
 func execute(cfg core.Config, out outputs) error {
-	traceOut, traceFmt, tsOut, sampleIv := out.traceOut, out.traceFmt, out.tsOut, out.sampleIv
-	phases, attrTbl, quiet, verbose := out.phases, out.attrTbl, out.quiet, out.verbose
-	if traceOut != "" || tsOut != "" || phases {
-		tc := &core.TraceConfig{SampleInterval: sampleIv}
-		if traceOut != "" {
-			format, ok := trace.ParseFormat(traceFmt)
+	if out.traceOut != "" || out.tsOut != "" || out.phases {
+		tc := &core.TraceConfig{SampleInterval: out.sampleIv}
+		if out.traceOut != "" {
+			format, ok := trace.ParseFormat(out.traceFmt)
 			if !ok {
-				return fmt.Errorf("unknown trace format %q (want jsonl or perfetto)", traceFmt)
+				return fmt.Errorf("unknown trace format %q (want jsonl or perfetto)", out.traceFmt)
 			}
-			f, err := os.Create(traceOut)
+			f, err := os.Create(out.traceOut)
 			if err != nil {
 				return err
 			}
@@ -251,8 +137,8 @@ func execute(cfg core.Config, out outputs) error {
 			tc.Events = f
 			tc.Format = format
 		}
-		if tsOut != "" {
-			f, err := os.Create(tsOut)
+		if out.tsOut != "" {
+			f, err := os.Create(out.tsOut)
 			if err != nil {
 				return err
 			}
@@ -266,16 +152,16 @@ func execute(cfg core.Config, out outputs) error {
 	if err != nil {
 		return err
 	}
-	if !quiet {
+	if !out.quiet {
 		fmt.Println(rep)
 	}
-	if verbose {
+	if out.verbose {
 		printDetails(rep)
 	}
-	if m := &rep.Metrics; m.Phases != nil && m.Phases.N > 0 && (verbose || phases) {
+	if m := &rep.Metrics; m.Phases != nil && m.Phases.N > 0 && (out.verbose || out.phases) {
 		fmt.Print(report.PhaseTable(m.Phases).Render())
 	}
-	if m := &rep.Metrics; m.Attribution != nil && m.Attribution.N > 0 && (verbose || attrTbl) {
+	if m := &rep.Metrics; m.Attribution != nil && m.Attribution.N > 0 && (out.verbose || out.attrTbl) {
 		fmt.Printf("dominant bottleneck     %s (%.1f%% of mean RT)\n",
 			m.DominantBottleneck, 100*m.DominantShare)
 		fmt.Print(report.AttribTable(m.Attribution).Render())
@@ -285,25 +171,6 @@ func execute(cfg core.Config, out outputs) error {
 		}
 	}
 	return nil
-}
-
-func parseMedium(s string) (model.Medium, error) {
-	switch strings.ToLower(s) {
-	case "disk":
-		return model.MediumDisk, nil
-	case "vcache":
-		return model.MediumDiskCacheVolatile, nil
-	case "nvcache":
-		return model.MediumDiskCacheNV, nil
-	case "gem":
-		return model.MediumGEM, nil
-	case "gemwb":
-		return model.MediumGEMWriteBuffer, nil
-	case "gemcache":
-		return model.MediumGEMCache, nil
-	default:
-		return 0, fmt.Errorf("unknown medium %q (want disk, vcache, nvcache, gem, gemwb or gemcache)", s)
-	}
 }
 
 func printDetails(rep *core.Report) {

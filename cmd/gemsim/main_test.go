@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"gemsim/internal/core"
 	"gemsim/internal/sweep"
@@ -75,11 +76,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 
 func TestParseMediumNames(t *testing.T) {
 	for _, name := range []string{"disk", "vcache", "nvcache", "gem"} {
-		if _, err := parseMedium(name); err != nil {
+		if _, _, err := parseArgs([]string{"-bt-medium", name}); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
-	if _, err := parseMedium("tape"); err == nil {
+	if _, _, err := parseArgs([]string{"-bt-medium", "tape"}); err == nil {
 		t.Error("expected error for unknown medium")
 	}
 }
@@ -95,10 +96,38 @@ func TestRunRejectsContradictoryFlags(t *testing.T) {
 		{"-coupling", "le", "-force", "-cc", "occ"},
 		{"-cc", "mvto", "-force"},
 		{"-cc", "occ", "-check"},
+		{"-terminals", "-3"},
+		{"-pooled-terminals"},
+		{"-terminals", "4", "-think", "-1s"},
+		{"-recovery-workers", "-1"},
+		{"-config", writeConfig(t, `{"nodes":2}`), "-coupling", "warp"},
 	} {
 		if err := run(append(args, "-warmup", "100ms", "-measure", "200ms")); err == nil {
 			t.Errorf("args %v: expected error", args)
 		}
+	}
+}
+
+func writeConfig(t *testing.T, content string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "c.json")
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestFlagsOverrideConfigFile checks that explicitly set configuration
+// flags apply on top of a -config file and unset ones leave it alone.
+func TestFlagsOverrideConfigFile(t *testing.T) {
+	path := writeConfig(t, `{"nodes":3,"coupling":"pcl","routing":"random","warmup":"1s","measure":"2s","attribution":{"off":true}}`)
+	cfg, _, err := parseArgs([]string{"-config", path, "-coupling", "gem", "-buffer", "300", "-attrib-off=false"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Nodes != 3 || cfg.Coupling != core.CouplingGEM || cfg.Routing != core.RoutingRandom ||
+		cfg.BufferPages != 300 || cfg.Measure != 2*time.Second || cfg.Attribution.Off {
+		t.Fatalf("cfg %+v", cfg)
 	}
 }
 

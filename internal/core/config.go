@@ -318,6 +318,8 @@ func (c *Config) validate() error {
 		return fmt.Errorf("core: set at most one of Workload.DebitCredit and Workload.Trace")
 	case c.ClosedLoop != nil && c.ClosedLoop.TerminalsPerNode <= 0:
 		return fmt.Errorf("core: ClosedLoop.TerminalsPerNode must be positive")
+	case c.ClosedLoop != nil && c.ClosedLoop.ThinkTime < 0:
+		return fmt.Errorf("core: ClosedLoop.ThinkTime must be non-negative, got %v", c.ClosedLoop.ThinkTime)
 	case c.GlobalLogMerge && !c.LogInGEM:
 		return fmt.Errorf("core: GlobalLogMerge requires LogInGEM")
 	case !cc.Valid(c.CC):

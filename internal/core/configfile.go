@@ -28,7 +28,9 @@ type ConfigFile struct {
 	// "mvto", "occ", "had".
 	CC          string `json:"cc,omitempty"`
 	BufferPages int    `json:"bufferPages,omitempty"`
-	MPL         int    `json:"mpl,omitempty"`
+	// MPL, when present, must be positive; leave it out for the
+	// workload default.
+	MPL *int `json:"mpl,omitempty"`
 
 	// TraceFile switches to trace-driven simulation.
 	TraceFile string `json:"traceFile,omitempty"`
@@ -193,18 +195,25 @@ func ParseRouting(s string) (Routing, error) {
 	}
 }
 
-// ToConfig materializes the file into a runnable Config. Trace files
-// are loaded from disk.
+// ToConfig materializes the file into a Config, parsing names and
+// durations and rejecting values no configuration can use. Zero
+// values select the defaults (one node, the workload's rate, buffer
+// and MPL, the open model). Trace files are loaded from disk. The
+// remaining consistency checks run when the Config runs.
 func (f *ConfigFile) ToConfig() (Config, error) {
-	cfg := DefaultDebitCreditConfig(maxInt(f.Nodes, 1))
+	nodes := f.Nodes
+	if nodes == 0 {
+		nodes = 1
+	}
+	cfg := DefaultDebitCreditConfig(nodes)
 	if f.TraceFile != "" {
 		trace, err := workload.ReadTraceFile(f.TraceFile)
 		if err != nil {
 			return Config{}, err
 		}
-		cfg = DefaultTraceConfig(maxInt(f.Nodes, 1), trace)
+		cfg = DefaultTraceConfig(nodes, trace)
 	}
-	if f.ArrivalRatePerNode > 0 {
+	if f.ArrivalRatePerNode != 0 {
 		cfg.ArrivalRatePerNode = f.ArrivalRatePerNode
 	}
 	if f.Coupling != "" {
@@ -229,11 +238,14 @@ func (f *ConfigFile) ToConfig() (Config, error) {
 		cfg.CC = k
 	}
 	cfg.Force = f.Force
-	if f.BufferPages > 0 {
+	if f.BufferPages != 0 {
 		cfg.BufferPages = f.BufferPages
 	}
-	if f.MPL > 0 {
-		cfg.MPL = f.MPL
+	if f.MPL != nil {
+		if *f.MPL <= 0 {
+			return Config{}, fmt.Errorf("core: mpl must be positive, got %d (leave it out for the workload default)", *f.MPL)
+		}
+		cfg.MPL = *f.MPL
 	}
 	if len(f.FileMedium) > 0 {
 		cfg.FileMedium = make(map[string]model.Medium, len(f.FileMedium))
@@ -251,7 +263,12 @@ func (f *ConfigFile) ToConfig() (Config, error) {
 	cfg.LogInGEM = f.LogInGEM
 	cfg.GlobalLogMerge = f.GlobalLogMerge
 	cfg.GEMMessaging = f.GEMMessaging
-	if f.ClosedLoopTerminals > 0 {
+	switch {
+	case f.ClosedLoopTerminals < 0:
+		return Config{}, fmt.Errorf("core: closedLoopTerminals must be non-negative, got %d (0 = open model)", f.ClosedLoopTerminals)
+	case f.ClosedLoopPooled && f.ClosedLoopTerminals == 0:
+		return Config{}, fmt.Errorf("core: closedLoopPooled needs closedLoopTerminals (the open model has no terminal population)")
+	case f.ClosedLoopTerminals > 0:
 		think := time.Second
 		if f.ClosedLoopThinkTime != "" {
 			var err error
@@ -311,9 +328,6 @@ func (f *ConfigFile) ToConfig() (Config, error) {
 		cfg.Faults = fc
 	}
 	if f.Attribution != nil {
-		if f.Attribution.Tolerance < 0 {
-			return Config{}, fmt.Errorf("core: attribution.tolerance must be non-negative, got %v", f.Attribution.Tolerance)
-		}
 		cfg.Attribution = AttributionConfig{
 			Off:       f.Attribution.Off,
 			Tolerance: f.Attribution.Tolerance,
@@ -474,24 +488,31 @@ func parseOptDuration(name, s string) (time.Duration, error) {
 	return d, nil
 }
 
-// LoadConfigFile reads a JSON configuration from path.
-func LoadConfigFile(path string) (Config, error) {
+// ReadConfigFile decodes a JSON configuration file.
+func ReadConfigFile(path string) (ConfigFile, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return Config{}, err
+		return ConfigFile{}, err
 	}
 	dec := json.NewDecoder(strings.NewReader(string(data)))
 	dec.DisallowUnknownFields()
 	var f ConfigFile
 	if err := dec.Decode(&f); err != nil {
-		return Config{}, fmt.Errorf("core: parse %s: %w", path, err)
+		return ConfigFile{}, fmt.Errorf("core: parse %s: %w", path, err)
 	}
-	return f.ToConfig()
+	return f, nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// LoadConfigFile reads a JSON configuration from path and checks that
+// it can run.
+func LoadConfigFile(path string) (Config, error) {
+	f, err := ReadConfigFile(path)
+	if err != nil {
+		return Config{}, err
 	}
-	return b
+	cfg, err := f.ToConfig()
+	if err != nil {
+		return Config{}, err
+	}
+	return cfg, cfg.validate()
 }

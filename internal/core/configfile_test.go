@@ -120,6 +120,12 @@ func TestLoadConfigFileErrors(t *testing.T) {
 		`{"nodes": 2, "coupling": "gem", "routing": "random", "faults": {"crashes": [{"node": 1, "at": "soon", "repair": "1s"}]}}`,
 		`{"nodes": 2, "coupling": "gem", "routing": "random", "faults": {"lockWaitTimeout": "fast"}}`,
 		`{"nodes": 1, "unknownField": true}`,
+		`{"nodes": 1, "closedLoopTerminals": -3}`,
+		`{"nodes": 1, "closedLoopPooled": true}`,
+		`{"nodes": 1, "closedLoopTerminals": 2, "closedLoopThinkTime": "-1s"}`,
+		`{"nodes": 2, "faults": {"recoveryWorkers": -1}}`,
+		`{"nodes": 1, "mpl": 0}`,
+		`{"nodes": -2}`,
 		`not json at all`,
 	}
 	for i, content := range cases {

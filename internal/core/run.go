@@ -93,10 +93,12 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 	if cl := cfg.ClosedLoop; cl != nil {
+		start := sys.StartClosed
 		if cl.Pooled {
-			sys.StartClosedPooled(cl.TerminalsPerNode, cl.ThinkTime)
-		} else {
-			sys.StartClosed(cl.TerminalsPerNode, cl.ThinkTime)
+			start = sys.StartClosedPooled
+		}
+		if err := start(cl.TerminalsPerNode, cl.ThinkTime); err != nil {
+			return nil, err
 		}
 	} else {
 		sys.Start(cfg.ArrivalRatePerNode)

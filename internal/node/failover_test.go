@@ -106,7 +106,9 @@ func TestOrphanedLockStallsWithoutTimeout(t *testing.T) {
 		// A closed workload: once every terminal is blocked on the
 		// orphan, the event calendar drains (an open source would keep
 		// scheduling arrivals and mask the stall).
-		sys.StartClosed(2, 10*time.Millisecond)
+		if err := sys.StartClosed(2, 10*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
 		if err := env.Run(2 * time.Second); err != nil {
 			t.Fatal(err)
 		}

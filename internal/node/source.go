@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"time"
 
 	"gemsim/internal/model"
@@ -74,10 +75,11 @@ func (q *readyQ) pop() readyItem {
 // per node, each thinking for an exponentially distributed time
 // between transactions, with idle terminals held as calendar events
 // instead of goroutines. Use for hyperscale terminal populations; see
-// the pooledTerminals doc for how it differs from StartClosed.
-func (s *System) StartClosedPooled(terminals int, thinkTime time.Duration) {
+// the pooledTerminals doc for how it differs from StartClosed. It fails
+// for a non-positive terminal count.
+func (s *System) StartClosedPooled(terminals int, thinkTime time.Duration) error {
 	if terminals <= 0 {
-		panic("node: need at least one terminal per node")
+		return fmt.Errorf("node: need at least one terminal per node, got %d", terminals)
 	}
 	pt := &pooledTerminals{
 		s:         s,
@@ -95,6 +97,7 @@ func (s *System) StartClosedPooled(terminals int, thinkTime time.Duration) {
 	}
 	s.startCheckpoints()
 	s.startAvailability()
+	return nil
 }
 
 // scheduleThink parks one terminal in the calendar for its think time.

@@ -17,12 +17,35 @@ func runClosed(t *testing.T, params Params, gen *scriptGen, terminals int, think
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.StartClosed(terminals, think)
+	if err := sys.StartClosed(terminals, think); err != nil {
+		t.Fatal(err)
+	}
 	sys.ResetStats()
 	if err := env.Run(simDur); err != nil {
 		t.Fatal(err)
 	}
 	return sys, sys.Snapshot()
+}
+
+// TestStartClosedRejectsNoTerminals checks that both closed-loop
+// sources report a non-positive terminal count as an error.
+func TestStartClosedRejectsNoTerminals(t *testing.T) {
+	params := testParams(1, CouplingGEM, false)
+	gen := &scriptGen{db: testDB(), txns: []model.Txn{{Type: 0, Refs: []model.Ref{{Page: pgID(1)}}}}}
+	for _, terminals := range []int{0, -3} {
+		env := sim.NewEnv()
+		sys, err := NewSystem(env, params, gen, typeRouter{params.Nodes}, modGLA{params.Nodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.StartClosed(terminals, time.Second); err == nil {
+			t.Errorf("StartClosed(%d) accepted", terminals)
+		}
+		if err := sys.StartClosedPooled(terminals, time.Second); err == nil {
+			t.Errorf("StartClosedPooled(%d) accepted", terminals)
+		}
+		env.Stop()
+	}
 }
 
 func TestClosedLoopThroughputBound(t *testing.T) {

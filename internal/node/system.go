@@ -398,10 +398,11 @@ func (s *System) MergedLogPages() int64 { return s.mergedLogPages }
 // terminals per node, each submitting a transaction, waiting for its
 // completion and then thinking for an exponentially distributed time
 // (the TPC-A style closed model; the paper's evaluation uses the open
-// model started with Start).
-func (s *System) StartClosed(terminals int, thinkTime time.Duration) {
+// model started with Start). It fails for a non-positive terminal
+// count.
+func (s *System) StartClosed(terminals int, thinkTime time.Duration) error {
 	if terminals <= 0 {
-		panic("node: need at least one terminal per node")
+		return fmt.Errorf("node: need at least one terminal per node, got %d", terminals)
 	}
 	gen := s.split.Stream("workload")
 	tgen, timed := s.gen.(workload.TimedGenerator)
@@ -433,6 +434,7 @@ func (s *System) StartClosed(terminals int, thinkTime time.Duration) {
 	}
 	s.startCheckpoints()
 	s.startAvailability()
+	return nil
 }
 
 // nextTxID allocates a transaction identifier; larger ids are younger.

@@ -5,11 +5,8 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
-	"gemsim/internal/cc"
 	"gemsim/internal/core"
-	"gemsim/internal/recovery"
 	"gemsim/internal/report"
 )
 
@@ -57,15 +54,11 @@ type Spec struct {
 	Seed int64 `json:"seed,omitempty"`
 }
 
-// Axis is one swept dimension: a configuration field and its values.
-// Supported fields: nodes, rate, coupling, cc (concurrency-control
-// engine: "2pl", "mvto", "occ", "had"), force, routing, bufferPages,
-// mpl, terminals (closed-loop terminals per node), think (mean think
-// time, a duration string), pooled (bool: hyperscale pooled terminal
-// source), logInGEM, gemMessaging, skew (branch Zipf theta, 0 =
-// uniform), drift (bool: canonical mid-run hot-spot rotation), control
-// (bool: adaptive load controller on/off), and "medium.<FILE>"
-// (storage medium of the named file, e.g. "medium.BRANCH/TELLER").
+// Axis is one swept dimension: a configuration knob and its values.
+// Field names a knob of the table in internal/core/knobs.go by one of
+// its axis names (core.AxisNames lists them; "medium.<FILE>" sets the
+// storage medium of the named file). Each value is applied on top of
+// the base like the knob's JSON key, and labels the run.
 type Axis struct {
 	Field  string            `json:"field"`
 	Values []json.RawMessage `json:"values"`
@@ -89,8 +82,8 @@ func LoadSpec(path string) (*Spec, error) {
 	return &s, nil
 }
 
-// Validate checks the spec's shape (axis fields and metric names are
-// additionally checked during expansion, where values are decoded).
+// Validate checks the spec's shape, axis fields and metric (axis
+// values are checked during expansion, where they are decoded).
 func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("spec needs a name")
@@ -108,6 +101,9 @@ func (s *Spec) Validate() error {
 		}
 		if seen[a.Field] {
 			return fmt.Errorf("axis %q declared twice", a.Field)
+		}
+		if _, ok := core.AxisKnob(a.Field); !ok {
+			return fmt.Errorf("unknown axis field %q (want %s)", a.Field, strings.Join(core.AxisNames(), ", "))
 		}
 		seen[a.Field] = true
 	}
@@ -182,19 +178,22 @@ func (s *Spec) Runs() ([]Run, error) {
 		counts[i] = len(a.Values)
 		total *= len(a.Values)
 	}
+	knobs := make([]core.Knob, len(s.Axes))
+	for i, a := range s.Axes {
+		knobs[i], _ = core.AxisKnob(a.Field)
+	}
 	odo := make([]int, len(s.Axes))
 	runs := make([]Run, 0, total)
 	rowIdx := make(map[string]int)
 	colIdx := make(map[string]int)
 	for {
-		cf := s.Base // shallow copy; applyAxis copies maps before editing
+		cf := s.Base // shallow copy; knobs copy maps and blocks before editing
 		labels := make([]string, len(s.Axes))
 		for i, a := range s.Axes {
-			lbl, err := applyAxis(&cf, a.Field, a.Values[odo[i]])
-			if err != nil {
-				return nil, err
+			if err := knobs[i].Set(&cf, a.Values[odo[i]]); err != nil {
+				return nil, fmt.Errorf("sweep: axis %q: %w", a.Field, err)
 			}
-			labels[i] = lbl
+			labels[i] = knobs[i].Label(&cf)
 		}
 		row := labels[rowAxis]
 		var colParts []string
@@ -253,284 +252,6 @@ func (s *Spec) Runs() ([]Run, error) {
 		}
 	}
 	return runs, nil
-}
-
-// applyAxis sets one axis value on a configuration file copy and
-// returns the "field=value" label.
-func applyAxis(cf *core.ConfigFile, field string, raw json.RawMessage) (string, error) {
-	if name, ok := strings.CutPrefix(field, "medium."); ok {
-		v, err := decodeString(field, raw)
-		if err != nil {
-			return "", err
-		}
-		if _, err := core.ParseMedium(v); err != nil {
-			return "", fmt.Errorf("sweep: axis %q: %w", field, err)
-		}
-		fm := make(map[string]string, len(cf.FileMedium)+1)
-		for k, m := range cf.FileMedium {
-			fm[k] = m
-		}
-		fm[name] = v
-		cf.FileMedium = fm
-		return name + "=" + v, nil
-	}
-	switch strings.ToLower(field) {
-	case "nodes":
-		n, err := decodeInt(field, raw)
-		if err != nil {
-			return "", err
-		}
-		cf.Nodes = n
-		return fmt.Sprintf("n=%d", n), nil
-	case "rate", "arrivalratepernode":
-		v, err := decodeFloat(field, raw)
-		if err != nil {
-			return "", err
-		}
-		cf.ArrivalRatePerNode = v
-		return fmt.Sprintf("rate=%g", v), nil
-	case "coupling":
-		v, err := decodeString(field, raw)
-		if err != nil {
-			return "", err
-		}
-		if _, err := core.ParseCoupling(v); err != nil {
-			return "", fmt.Errorf("sweep: axis %q: %w", field, err)
-		}
-		cf.Coupling = v
-		return v, nil
-	case "force":
-		v, err := decodeBool(field, raw)
-		if err != nil {
-			return "", err
-		}
-		cf.Force = v
-		if v {
-			return "FORCE", nil
-		}
-		return "NOFORCE", nil
-	case "routing":
-		v, err := decodeString(field, raw)
-		if err != nil {
-			return "", err
-		}
-		if _, err := core.ParseRouting(v); err != nil {
-			return "", fmt.Errorf("sweep: axis %q: %w", field, err)
-		}
-		cf.Routing = v
-		return v, nil
-	case "bufferpages", "buffer":
-		n, err := decodeInt(field, raw)
-		if err != nil {
-			return "", err
-		}
-		cf.BufferPages = n
-		return fmt.Sprintf("buf=%d", n), nil
-	case "mpl":
-		n, err := decodeInt(field, raw)
-		if err != nil {
-			return "", err
-		}
-		cf.MPL = n
-		return fmt.Sprintf("mpl=%d", n), nil
-	case "loggem", "logingem":
-		v, err := decodeBool(field, raw)
-		if err != nil {
-			return "", err
-		}
-		cf.LogInGEM = v
-		return fmt.Sprintf("logGEM=%v", v), nil
-	case "gemmessaging":
-		v, err := decodeBool(field, raw)
-		if err != nil {
-			return "", err
-		}
-		cf.GEMMessaging = v
-		return fmt.Sprintf("gemMsg=%v", v), nil
-	case "skew", "branchtheta":
-		v, err := decodeFloat(field, raw)
-		if err != nil {
-			return "", err
-		}
-		if v < 0 || v >= 1 {
-			return "", fmt.Errorf("sweep: axis %q: Zipf theta must be in [0,1), got %g", field, v)
-		}
-		sk := core.SkewFile{}
-		if cf.Skew != nil {
-			sk = *cf.Skew
-		}
-		sk.BranchTheta = v
-		if v == 0 && sk.AccountTheta == 0 && sk.HotFraction == 0 && len(sk.Drift) == 0 {
-			cf.Skew = nil
-			return "uniform", nil
-		}
-		cf.Skew = &sk
-		return fmt.Sprintf("skew=%g", v), nil
-	case "drift":
-		v, err := decodeBool(field, raw)
-		if err != nil {
-			return "", err
-		}
-		sk := core.SkewFile{}
-		if cf.Skew != nil {
-			sk = *cf.Skew
-		}
-		if v {
-			// Canonical drift schedule: rotate the branch popularity
-			// ranking by a quarter of the branches at 8s and again at
-			// 16s of simulated time.
-			sk.Drift = []core.DriftFile{{At: "8s", Rotate: 0.25}, {At: "16s", Rotate: 0.25}}
-			cf.Skew = &sk
-			return "drift", nil
-		}
-		sk.Drift = nil
-		if sk.BranchTheta == 0 && sk.AccountTheta == 0 && sk.HotFraction == 0 {
-			cf.Skew = nil
-		} else {
-			cf.Skew = &sk
-		}
-		return "steady", nil
-	case "reopen":
-		v, err := decodeString(field, raw)
-		if err != nil {
-			return "", err
-		}
-		if _, err := recovery.ParseReopenPolicy(v); err != nil {
-			return "", fmt.Errorf("sweep: axis %q: %w", field, err)
-		}
-		ff := core.FaultsFile{}
-		if cf.Faults != nil {
-			ff = *cf.Faults
-		}
-		ff.Reopen = v
-		cf.Faults = &ff
-		return "reopen=" + v, nil
-	case "recoveryworkers":
-		n, err := decodeInt(field, raw)
-		if err != nil {
-			return "", err
-		}
-		if n < 0 {
-			return "", fmt.Errorf("sweep: axis %q: worker count must be non-negative, got %d", field, n)
-		}
-		ff := core.FaultsFile{}
-		if cf.Faults != nil {
-			ff = *cf.Faults
-		}
-		ff.RecoveryWorkers = n
-		cf.Faults = &ff
-		return fmt.Sprintf("workers=%d", n), nil
-	case "mtbf", "mttr":
-		v, err := decodeString(field, raw)
-		if err != nil {
-			return "", err
-		}
-		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			return "", fmt.Errorf("sweep: axis %q: want a positive duration, got %q", field, v)
-		}
-		ff := core.FaultsFile{}
-		if cf.Faults != nil {
-			ff = *cf.Faults
-		}
-		if strings.ToLower(field) == "mtbf" {
-			ff.MTBF = v
-		} else {
-			ff.MTTR = v
-		}
-		cf.Faults = &ff
-		return strings.ToLower(field) + "=" + v, nil
-	case "terminals", "closedloopterminals":
-		n, err := decodeInt(field, raw)
-		if err != nil {
-			return "", err
-		}
-		if n <= 0 {
-			return "", fmt.Errorf("sweep: axis %q: terminal count must be positive, got %d", field, n)
-		}
-		cf.ClosedLoopTerminals = n
-		return fmt.Sprintf("terms=%d", n), nil
-	case "think", "thinktime", "closedloopthinktime":
-		v, err := decodeString(field, raw)
-		if err != nil {
-			return "", err
-		}
-		d, err := time.ParseDuration(v)
-		if err != nil || d < 0 {
-			return "", fmt.Errorf("sweep: axis %q: want a non-negative duration, got %q", field, v)
-		}
-		cf.ClosedLoopThinkTime = v
-		return "think=" + v, nil
-	case "pooled", "closedlooppooled":
-		v, err := decodeBool(field, raw)
-		if err != nil {
-			return "", err
-		}
-		cf.ClosedLoopPooled = v
-		if v {
-			return "pooled", nil
-		}
-		return "perterm", nil
-	case "cc", "engine":
-		v, err := decodeString(field, raw)
-		if err != nil {
-			return "", err
-		}
-		if _, err := cc.Parse(strings.ToLower(v)); err != nil {
-			return "", fmt.Errorf("sweep: axis %q: %w", field, err)
-		}
-		cf.CC = v
-		return "cc=" + strings.ToLower(v), nil
-	case "control", "adaptive":
-		v, err := decodeBool(field, raw)
-		if err != nil {
-			return "", err
-		}
-		if v {
-			ctl := core.ControlFile{}
-			if cf.Control != nil {
-				ctl = *cf.Control
-			}
-			cf.Control = &ctl
-			return "adaptive", nil
-		}
-		cf.Control = nil
-		return "static", nil
-	default:
-		return "", fmt.Errorf("sweep: unknown axis field %q (want nodes, rate, coupling, cc, force, routing, bufferPages, mpl, terminals, think, pooled, logInGEM, gemMessaging, skew, drift, control, reopen, recoveryWorkers, mtbf, mttr or medium.<FILE>)", field)
-	}
-}
-
-func decodeInt(field string, raw json.RawMessage) (int, error) {
-	var v int
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return 0, fmt.Errorf("sweep: axis %q: want an integer, got %s", field, raw)
-	}
-	return v, nil
-}
-
-func decodeFloat(field string, raw json.RawMessage) (float64, error) {
-	var v float64
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return 0, fmt.Errorf("sweep: axis %q: want a number, got %s", field, raw)
-	}
-	return v, nil
-}
-
-func decodeBool(field string, raw json.RawMessage) (bool, error) {
-	var v bool
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return false, fmt.Errorf("sweep: axis %q: want true/false, got %s", field, raw)
-	}
-	return v, nil
-}
-
-func decodeString(field string, raw json.RawMessage) (string, error) {
-	var v string
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return "", fmt.Errorf("sweep: axis %q: want a string, got %s", field, raw)
-	}
-	return v, nil
 }
 
 // RunSpec expands and executes a sweep spec and aggregates its table.
