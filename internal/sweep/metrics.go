@@ -9,65 +9,39 @@ import (
 	"gemsim/internal/core"
 )
 
-// metricFuncs maps metric names (usable as a Spec's "metric" and stored
-// with every result) to their extractors.
-var metricFuncs = map[string]func(*core.Report) float64{
-	"rt_ms":       func(r *core.Report) float64 { return ms(r.Metrics.MeanResponseTime) },
-	"norm_rt_ms":  func(r *core.Report) float64 { return ms(r.Metrics.NormalizedResponseTime) },
-	"p95_rt_ms":   func(r *core.Report) float64 { return ms(r.Metrics.P95ResponseTime) },
-	"tput":        func(r *core.Report) float64 { return r.Metrics.Throughput },
-	"tput80":      func(r *core.Report) float64 { return r.ThroughputPerNodeAt(0.8) },
-	"cpu_util":    func(r *core.Report) float64 { return r.Metrics.MeanCPUUtilization },
-	"gem_util":    func(r *core.Report) float64 { return r.Metrics.GEMUtilization },
-	"msgs_txn":    func(r *core.Report) float64 { return r.Metrics.MessagesPerTxn },
-	"inval_txn":   func(r *core.Report) float64 { return r.Metrics.InvalidationsPerTxn },
-	"local_locks": func(r *core.Report) float64 { return r.Metrics.LocalLockShare },
-	"commits":     func(r *core.Report) float64 { return float64(r.Metrics.Commits) },
-	"aborts":      func(r *core.Report) float64 { return float64(r.Metrics.Aborts) },
-	"deadlocks":   func(r *core.Report) float64 { return float64(r.Metrics.Deadlocks) },
-	"admitted":    func(r *core.Report) float64 { return float64(r.Metrics.Admitted) },
-	"restarts":    func(r *core.Report) float64 { return float64(r.Metrics.Restarts) },
-	"cc_aborts":   func(r *core.Report) float64 { return float64(r.Metrics.CCAborts) },
-	"bn_dom":      func(r *core.Report) float64 { return bnDominantIdx(r) },
-	"bn_share":    func(r *core.Report) float64 { return r.Metrics.DominantShare },
-	"bn_cpu":      bnShare(attrib.ResCPU),
-	"bn_lock":     bnShare(attrib.ResLock),
-	"bn_gem":      bnShare(attrib.ResGEM),
-	"bn_buffer":   bnShare(attrib.ResBuf),
-	"bn_disk":     bnShare(attrib.ResDisk),
-	"bn_net":      bnShare(attrib.ResNet),
-	"bn_cc":       bnShare(attrib.ResCC),
-	"bn_other":    bnShare(attrib.ResOther),
-}
-
-// metricLabels names each metric's table axis.
-var metricLabels = map[string]string{
-	"rt_ms":       "mean response time [ms]",
-	"norm_rt_ms":  "normalized response time [ms]",
-	"p95_rt_ms":   "p95 response time [ms]",
-	"tput":        "throughput [TPS]",
-	"tput80":      "TPS per node at 80% CPU",
-	"cpu_util":    "mean CPU utilization",
-	"gem_util":    "GEM utilization",
-	"msgs_txn":    "messages per txn",
-	"inval_txn":   "invalidations per txn",
-	"local_locks": "local lock share",
-	"commits":     "committed transactions",
-	"aborts":      "aborted transactions",
-	"deadlocks":   "deadlocks",
-	"admitted":    "admitted execution attempts",
-	"restarts":    "transaction restarts",
-	"cc_aborts":   "engine-initiated aborts",
-	"bn_dom":      "dominant bottleneck (attrib.Res index)",
-	"bn_share":    "dominant bottleneck RT share",
-	"bn_cpu":      "RT share attributed to CPU",
-	"bn_lock":     "RT share attributed to locking",
-	"bn_gem":      "RT share attributed to GEM",
-	"bn_buffer":   "RT share attributed to buffer waits",
-	"bn_disk":     "RT share attributed to disk",
-	"bn_net":      "RT share attributed to network",
-	"bn_cc":       "RT share attributed to CC validation",
-	"bn_other":    "unattributed RT share",
+// metrics declares the standard metric set: each metric's name
+// (usable as a Spec's "metric" and stored with every result), its table
+// axis label and its extractor.
+var metrics = []struct {
+	name, label string
+	extract     func(*core.Report) float64
+}{
+	{"rt_ms", "mean response time [ms]", func(r *core.Report) float64 { return ms(r.Metrics.MeanResponseTime) }},
+	{"norm_rt_ms", "normalized response time [ms]", func(r *core.Report) float64 { return ms(r.Metrics.NormalizedResponseTime) }},
+	{"p95_rt_ms", "p95 response time [ms]", func(r *core.Report) float64 { return ms(r.Metrics.P95ResponseTime) }},
+	{"tput", "throughput [TPS]", func(r *core.Report) float64 { return r.Metrics.Throughput }},
+	{"tput80", "TPS per node at 80% CPU", func(r *core.Report) float64 { return r.ThroughputPerNodeAt(0.8) }},
+	{"cpu_util", "mean CPU utilization", func(r *core.Report) float64 { return r.Metrics.MeanCPUUtilization }},
+	{"gem_util", "GEM utilization", func(r *core.Report) float64 { return r.Metrics.GEMUtilization }},
+	{"msgs_txn", "messages per txn", func(r *core.Report) float64 { return r.Metrics.MessagesPerTxn }},
+	{"inval_txn", "invalidations per txn", func(r *core.Report) float64 { return r.Metrics.InvalidationsPerTxn }},
+	{"local_locks", "local lock share", func(r *core.Report) float64 { return r.Metrics.LocalLockShare }},
+	{"commits", "committed transactions", func(r *core.Report) float64 { return float64(r.Metrics.Commits) }},
+	{"aborts", "aborted transactions", func(r *core.Report) float64 { return float64(r.Metrics.Aborts) }},
+	{"deadlocks", "deadlocks", func(r *core.Report) float64 { return float64(r.Metrics.Deadlocks) }},
+	{"admitted", "admitted execution attempts", func(r *core.Report) float64 { return float64(r.Metrics.Admitted) }},
+	{"restarts", "transaction restarts", func(r *core.Report) float64 { return float64(r.Metrics.Restarts) }},
+	{"cc_aborts", "engine-initiated aborts", func(r *core.Report) float64 { return float64(r.Metrics.CCAborts) }},
+	{"bn_dom", "dominant bottleneck (attrib.Res index)", bnDominantIdx},
+	{"bn_share", "dominant bottleneck RT share", func(r *core.Report) float64 { return r.Metrics.DominantShare }},
+	{"bn_cpu", "RT share attributed to CPU", bnShare(attrib.ResCPU)},
+	{"bn_lock", "RT share attributed to locking", bnShare(attrib.ResLock)},
+	{"bn_gem", "RT share attributed to GEM", bnShare(attrib.ResGEM)},
+	{"bn_buffer", "RT share attributed to buffer waits", bnShare(attrib.ResBuf)},
+	{"bn_disk", "RT share attributed to disk", bnShare(attrib.ResDisk)},
+	{"bn_net", "RT share attributed to network", bnShare(attrib.ResNet)},
+	{"bn_cc", "RT share attributed to CC validation", bnShare(attrib.ResCC)},
+	{"bn_other", "unattributed RT share", bnShare(attrib.ResOther)},
 }
 
 // bnShare extracts one resource's attributed response-time share; NaN
@@ -103,23 +77,29 @@ func DominantName(v float64) string {
 
 // Metric resolves a metric name to its extractor.
 func Metric(name string) (func(*core.Report) float64, bool) {
-	f, ok := metricFuncs[name]
-	return f, ok
+	for _, m := range metrics {
+		if m.name == name {
+			return m.extract, true
+		}
+	}
+	return nil, false
 }
 
 // MetricLabel returns the axis label of a metric name.
 func MetricLabel(name string) string {
-	if l, ok := metricLabels[name]; ok {
-		return l
+	for _, m := range metrics {
+		if m.name == name {
+			return m.label
+		}
 	}
 	return name
 }
 
 // MetricNames lists the available metric names, sorted.
 func MetricNames() []string {
-	names := make([]string, 0, len(metricFuncs))
-	for name := range metricFuncs {
-		names = append(names, name)
+	names := make([]string, len(metrics))
+	for i, m := range metrics {
+		names[i] = m.name
 	}
 	sort.Strings(names)
 	return names
@@ -129,9 +109,9 @@ func MetricNames() []string {
 // store persists it so resumed sweeps can aggregate any metric without
 // re-running.
 func Extract(rep *core.Report) map[string]float64 {
-	vals := make(map[string]float64, len(metricFuncs)+1)
-	for name, f := range metricFuncs {
-		vals[name] = f(rep)
+	vals := make(map[string]float64, len(metrics)+1)
+	for _, m := range metrics {
+		vals[m.name] = m.extract(rep)
 	}
 	return vals
 }

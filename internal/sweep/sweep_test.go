@@ -319,3 +319,19 @@ func TestFingerprintCoversEveryResultField(t *testing.T) {
 		}
 	}
 }
+
+func TestMetricTable(t *testing.T) {
+	seen := make(map[string]bool)
+	for _, m := range metrics {
+		if seen[m.name] || m.label == "" || m.extract == nil {
+			t.Errorf("metric %q is declared twice or incompletely", m.name)
+		}
+		seen[m.name] = true
+	}
+	if len(MetricNames()) != len(metrics) {
+		t.Error("MetricNames does not list every metric")
+	}
+	if _, ok := Metric("bogus"); ok || MetricLabel("bogus") != "bogus" {
+		t.Error("unknown metric resolved")
+	}
+}
