@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"strings"
 )
 
@@ -139,11 +140,10 @@ var knobs = []Knob{
 			if err := json.Unmarshal(raw, &on); err != nil {
 				return err
 			}
-			switch {
-			case !on:
+			if on {
+				own(&f.Control) // keeps the base's controller settings
+			} else {
 				f.Control = nil
-			case f.Control == nil:
-				f.Control = &ControlFile{}
 			}
 			return nil
 		}},
@@ -162,19 +162,19 @@ var knobs = []Knob{
 	{Axes: []string{"mtbf"}, Flag: "mtbf", Kind: KnobDuration,
 		Usage: "mean time between node crashes (stochastic fault injection; set with -mttr)",
 		Label: func(f *ConfigFile) string { return "mtbf=" + f.Faults.MTBF },
-		set:   field(func(f *ConfigFile) *string { return &f.faults().MTBF })},
+		set:   field(func(f *ConfigFile) *string { return &own(&f.Faults).MTBF })},
 	{Axes: []string{"mttr"}, Flag: "mttr", Kind: KnobDuration,
 		Usage: "mean time to repair a crashed node (set with -mtbf)",
 		Label: func(f *ConfigFile) string { return "mttr=" + f.Faults.MTTR },
-		set:   field(func(f *ConfigFile) *string { return &f.faults().MTTR })},
+		set:   field(func(f *ConfigFile) *string { return &own(&f.Faults).MTTR })},
 	{Axes: []string{"reopen"}, Flag: "reopen", Kind: KnobString,
 		Usage: "post-crash reopen policy: offline (REDO completes first) or incremental (admit during replay)",
 		Label: func(f *ConfigFile) string { return "reopen=" + f.Faults.Reopen },
-		set:   field(func(f *ConfigFile) *string { return &f.faults().Reopen })},
+		set:   field(func(f *ConfigFile) *string { return &own(&f.Faults).Reopen })},
 	{Axes: []string{"recoveryWorkers"}, Flag: "recovery-workers", Kind: KnobInt,
 		Usage: "parallel REDO replay workers (0 or 1 = serial)",
 		Label: func(f *ConfigFile) string { return fmt.Sprintf("workers=%d", f.Faults.RecoveryWorkers) },
-		set:   field(func(f *ConfigFile) *int { return &f.faults().RecoveryWorkers })},
+		set:   field(func(f *ConfigFile) *int { return &own(&f.Faults).RecoveryWorkers })},
 	{Flag: "trace", Kind: KnobString,
 		Usage: "trace file for trace-driven simulation",
 		set:   field(func(f *ConfigFile) *string { return &f.TraceFile })},
@@ -192,10 +192,10 @@ var knobs = []Knob{
 		set:   field(func(f *ConfigFile) *bool { return &f.CheckInvariants })},
 	{Flag: "attrib-off", Kind: KnobBool,
 		Usage: "disable bottleneck attribution accounting",
-		set:   field(func(f *ConfigFile) *bool { return &f.attribution().Off })},
+		set:   field(func(f *ConfigFile) *bool { return &own(&f.Attribution).Off })},
 	{Flag: "attrib-tolerance", Kind: KnobFloat,
 		Usage: "operational-law residual warning threshold (0 = default 5%)",
-		set:   field(func(f *ConfigFile) *float64 { return &f.attribution().Tolerance })},
+		set:   field(func(f *ConfigFile) *float64 { return &own(&f.Attribution).Tolerance })},
 }
 
 // mediumKnob is the storage medium of one file.
@@ -209,9 +209,9 @@ func mediumKnob(file, flag string) Knob {
 			if err := json.Unmarshal(raw, &m); err != nil {
 				return err
 			}
-			fm := make(map[string]string, len(f.FileMedium)+1)
-			for k, v := range f.FileMedium {
-				fm[k] = v
+			fm := maps.Clone(f.FileMedium)
+			if fm == nil {
+				fm = make(map[string]string, 1)
 			}
 			fm[file] = m
 			f.FileMedium = fm
@@ -270,38 +270,25 @@ func skewField[T any](assign func(*SkewFile, T)) func(*ConfigFile, json.RawMessa
 		if err := json.Unmarshal(raw, &v); err != nil {
 			return err
 		}
-		sk := SkewFile{}
-		if f.Skew != nil {
-			sk = *f.Skew
-		}
-		assign(&sk, v)
-		f.Skew = nil
-		if sk.BranchTheta != 0 || sk.AccountTheta != 0 || sk.HotFraction != 0 || len(sk.Drift) > 0 {
-			f.Skew = &sk
+		sk := own(&f.Skew)
+		assign(sk, v)
+		if sk.BranchTheta == 0 && sk.AccountTheta == 0 && sk.HotFraction == 0 && len(sk.Drift) == 0 {
+			f.Skew = nil
 		}
 		return nil
 	}
 }
 
-// faults returns the file's faults block, copied so that files sharing
-// it (sweep points of one base) stay independent.
-func (f *ConfigFile) faults() *FaultsFile {
-	ff := FaultsFile{}
-	if f.Faults != nil {
-		ff = *f.Faults
+// own replaces the block *p with a copy (a zero block when nil) and
+// returns it, so files sharing the block (sweep points of one base)
+// stay independent.
+func own[T any](p **T) *T {
+	v := new(T)
+	if *p != nil {
+		*v = **p
 	}
-	f.Faults = &ff
-	return &ff
-}
-
-// attribution is faults for the attribution block.
-func (f *ConfigFile) attribution() *AttributionFile {
-	a := AttributionFile{}
-	if f.Attribution != nil {
-		a = *f.Attribution
-	}
-	f.Attribution = &a
-	return &a
+	*p = v
+	return v
 }
 
 func pick(cond bool, yes, no string) string {

@@ -258,3 +258,30 @@ func keysOf(m map[string]Run) []string {
 	}
 	return out
 }
+
+// TestSpecRunsLeaveBaseUnchanged checks that axis values are applied to
+// copies: expanding a spec must not write through to its base's maps
+// and blocks, and every run keeps the base settings no axis sets.
+func TestSpecRunsLeaveBaseUnchanged(t *testing.T) {
+	s, err := LoadSpec(filepath.Join("testdata", "axes_all.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Base.Faults = &core.FaultsFile{LockWaitTimeout: "1s"}
+	s.Base.FileMedium = map[string]string{"ACCOUNT": "disk"}
+	s.Base.Control = &core.ControlFile{MinMPL: 2}
+	before, _ := json.Marshal(s.Base)
+	runs, err := s.Runs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range runs {
+		c := &r.Config
+		if c.Faults.LockWaitTimeout != time.Second || len(c.FileMedium) != 2 || c.Control.MinMPL != 2 {
+			t.Fatalf("run %s lost base settings: faults %+v, media %v, control %+v", r.Key, c.Faults, c.FileMedium, c.Control)
+		}
+	}
+	if after, _ := json.Marshal(s.Base); string(after) != string(before) {
+		t.Fatalf("expansion changed the base:\n before %s\n after  %s", before, after)
+	}
+}
