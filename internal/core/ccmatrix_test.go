@@ -60,9 +60,9 @@ func ccMatrixTrace() *workload.Trace {
 // ccMatrixCells enumerates every valid cell: GEM and PCL with each
 // engine under FORCE and NOFORCE (MV-TO is NOFORCE-only), the lock
 // engine with its native 2PL, every engine on a synthetic trace under
-// both couplings, and one PCL-OCC run with a node crash,
-// message loss and a lock-wait timeout so remote metadata round trips
-// end in kills and timeouts.
+// both couplings, one PCL-OCC run with a node crash, message loss and
+// a lock-wait timeout so remote metadata round trips end in kills and
+// timeouts, and the four failover-preset recoveries.
 func ccMatrixCells() []ccMatrixCell {
 	var cells []ccMatrixCell
 	for _, coupling := range []Coupling{CouplingGEM, CouplingPCL} {
@@ -99,6 +99,14 @@ func ccMatrixCells() []ccMatrixCell {
 		LockWaitTimeout: 50 * time.Millisecond,
 	}
 	cells = append(cells, ccMatrixCell{"pcl/occ/force=false/crash", crash})
+
+	// The failover preset's scenarios at its -quick windows: GEM and PCL
+	// coupling, each recovering from a disk-resident and a GEM-resident
+	// log.
+	quick := FailoverOptions{Warmup: 2 * time.Second, Measure: 20 * time.Second}
+	for _, sc := range failoverScenarios {
+		cells = append(cells, ccMatrixCell{"failover/" + sc.label, FailoverConfig(sc.coupling, sc.logInGEM, quick)})
+	}
 	return cells
 }
 
