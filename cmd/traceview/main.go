@@ -253,7 +253,7 @@ func (t *traceData) validate() []string {
 			switch e.Ph {
 			case "X":
 				if !recoverySpanNames[e.Name] {
-					add(i, "unknown recovery span %q (want detect, lock-recovery, log-scan, redo, replay, reopen or page-repair)", e.Name)
+					add(i, "unknown recovery span %q (want detect, lock-recovery, log-scan, replay, reopen or page-repair)", e.Name)
 				}
 			case "i":
 				if e.Name != "recovered" {
@@ -359,14 +359,13 @@ var ccAbortReasons = map[string]bool{
 }
 
 // recoverySpanNames is the complete recovery-phase vocabulary: the
-// serial path emits detect/lock-recovery/log-scan/redo, the parallel
-// replay engine emits per-worker log-scan/replay spans, and
+// coordinator emits detect and lock-recovery, every replay worker
+// (the coordinator is worker 0) its log-scan and replay spans, and
 // incremental reopen adds reopen plus per-page page-repair spans.
 var recoverySpanNames = map[string]bool{
 	"detect":        true,
 	"lock-recovery": true,
 	"log-scan":      true,
-	"redo":          true,
 	"replay":        true,
 	"reopen":        true,
 	"page-repair":   true,

@@ -125,10 +125,9 @@ type FaultConfig struct {
 	// first; recovery.ReopenIncremental admits transactions while
 	// replay is in flight, repairing unredone pages on first touch.
 	Reopen recovery.ReopenPolicy
-	// RecoveryWorkers is the number of parallel replay workers the
-	// recovery coordinator spawns; the REDO backlog is partitioned by
-	// GLA across them. 0 or 1 keeps the serial replay of earlier
-	// versions.
+	// RecoveryWorkers is the number of replay workers, the recovery
+	// coordinator included; the REDO backlog is partitioned by GLA
+	// across them. 0 or 1 means the coordinator replays alone.
 	RecoveryWorkers int
 	// AvailabilityWindow is the sampling window of the availability
 	// tracker (time-to-full-throughput, per-window unavailability, SLO
@@ -359,21 +358,32 @@ func (c *Config) validate() error {
 			return fmt.Errorf("core: fault injection is not supported for the lock engine baseline")
 		case c.CheckInvariants:
 			return fmt.Errorf("core: CheckInvariants cannot be combined with Faults (crashes legitimately lose uncommitted state)")
-		case f.MessageLossProb < 0 || f.MessageLossProb >= 1:
-			return fmt.Errorf("core: Faults.MessageLossProb must be in [0,1), got %v", f.MessageLossProb)
-		case (f.MTBF > 0) != (f.MTTR > 0):
-			return fmt.Errorf("core: Faults.MTBF and Faults.MTTR must be set together")
-		case f.LockWaitTimeout < 0 || f.CheckpointInterval < 0 || f.DetectDelay < 0:
-			return fmt.Errorf("core: Faults timings must be non-negative")
 		case c.Nodes < 2 && (len(f.Crashes) > 0 || f.MTBF > 0):
 			return fmt.Errorf("core: node crashes need at least 2 nodes (no survivor to recover)")
-		case f.Reopen != recovery.ReopenOffline && f.Reopen != recovery.ReopenIncremental:
-			return fmt.Errorf("core: invalid Faults.Reopen policy %d", f.Reopen)
-		case f.RecoveryWorkers < 0:
-			return fmt.Errorf("core: Faults.RecoveryWorkers must be non-negative, got %d", f.RecoveryWorkers)
-		case f.AvailabilityWindow < 0:
-			return fmt.Errorf("core: Faults.AvailabilityWindow must be non-negative, got %v", f.AvailabilityWindow)
 		}
+		return f.validate()
+	}
+	return nil
+}
+
+// validate checks the fault block on its own, independent of the rest
+// of the configuration.
+func (f *FaultConfig) validate() error {
+	switch {
+	case f.MessageLossProb < 0 || f.MessageLossProb >= 1:
+		return fmt.Errorf("core: Faults.MessageLossProb must be in [0,1), got %v", f.MessageLossProb)
+	case f.MTBF < 0 || f.MTTR < 0:
+		return fmt.Errorf("core: Faults.MTBF and Faults.MTTR must be positive, got %v and %v", f.MTBF, f.MTTR)
+	case (f.MTBF > 0) != (f.MTTR > 0):
+		return fmt.Errorf("core: Faults.MTBF and Faults.MTTR must be set together")
+	case f.LockWaitTimeout < 0 || f.CheckpointInterval < 0 || f.DetectDelay < 0:
+		return fmt.Errorf("core: Faults timings must be non-negative")
+	case f.Reopen != recovery.ReopenOffline && f.Reopen != recovery.ReopenIncremental:
+		return fmt.Errorf("core: invalid Faults.Reopen policy %d", f.Reopen)
+	case f.RecoveryWorkers < 0:
+		return fmt.Errorf("core: Faults.RecoveryWorkers must be non-negative, got %d", f.RecoveryWorkers)
+	case f.AvailabilityWindow < 0:
+		return fmt.Errorf("core: Faults.AvailabilityWindow must be non-negative, got %v", f.AvailabilityWindow)
 	}
 	return nil
 }

@@ -87,7 +87,8 @@ type FaultsFile struct {
 	DetectDelay        string      `json:"detectDelay,omitempty"`
 	// Reopen is "offline" (default) or "incremental".
 	Reopen string `json:"reopen,omitempty"`
-	// RecoveryWorkers is the parallel replay width (0/1 = serial).
+	// RecoveryWorkers is the replay width, coordinator included (0/1 =
+	// the coordinator alone).
 	RecoveryWorkers int `json:"recoveryWorkers,omitempty"`
 	// AvailabilityWindow is the availability sampling window.
 	AvailabilityWindow string `json:"availabilityWindow,omitempty"`
@@ -459,20 +460,13 @@ func (f *FaultsFile) toFaultConfig() (*FaultConfig, error) {
 	if fc.Reopen, err = recovery.ParseReopenPolicy(f.Reopen); err != nil {
 		return nil, fmt.Errorf("core: faults.reopen: %w", err)
 	}
-	if f.RecoveryWorkers < 0 {
-		return nil, fmt.Errorf("core: faults.recoveryWorkers must be non-negative, got %d", f.RecoveryWorkers)
-	}
 	fc.RecoveryWorkers = f.RecoveryWorkers
 	if fc.AvailabilityWindow, err = parseOptDuration("faults.availabilityWindow", f.AvailabilityWindow); err != nil {
 		return nil, err
 	}
-	// Degenerate MTBF/MTTR pairs are rejected here, before a run is
-	// assembled, with the generator's descriptive errors.
-	if (fc.MTBF != 0) != (fc.MTTR != 0) {
-		return nil, fmt.Errorf("core: faults.mtbf and faults.mttr must be set together")
-	}
-	if fc.MTBF != 0 && (fc.MTBF < 0 || fc.MTTR < 0) {
-		return nil, fmt.Errorf("core: faults.mtbf and faults.mttr must be positive, got %v and %v", fc.MTBF, fc.MTTR)
+	// Invalid fault blocks are rejected here, before a run is assembled.
+	if err := fc.validate(); err != nil {
+		return nil, err
 	}
 	return fc, nil
 }

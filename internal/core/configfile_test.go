@@ -124,6 +124,8 @@ func TestLoadConfigFileErrors(t *testing.T) {
 		`{"nodes": 1, "closedLoopPooled": true}`,
 		`{"nodes": 1, "closedLoopTerminals": 2, "closedLoopThinkTime": "-1s"}`,
 		`{"nodes": 2, "faults": {"recoveryWorkers": -1}}`,
+		`{"nodes": 2, "faults": {"mtbf": "-5s", "mttr": "-1s"}}`,
+		`{"nodes": 2, "faults": {"availabilityWindow": "-1s"}}`,
 		`{"nodes": 1, "mpl": 0}`,
 		`{"nodes": -2}`,
 		`not json at all`,

@@ -143,29 +143,39 @@ func TestFaultConfigValidation(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*Config)
+		want   string // expected error substring, if pinned
 	}{
-		{"lock engine", func(c *Config) { c.Coupling = CouplingLockEngine; c.Force = true }},
-		{"invariants", func(c *Config) { c.CheckInvariants = true }},
-		{"loss prob", func(c *Config) { c.Faults.MessageLossProb = 1 }},
-		{"mtbf without mttr", func(c *Config) { c.Faults.MTBF = time.Minute }},
-		{"negative timeout", func(c *Config) { c.Faults.LockWaitTimeout = -time.Second }},
+		{"lock engine", func(c *Config) { c.Coupling = CouplingLockEngine; c.Force = true }, ""},
+		{"invariants", func(c *Config) { c.CheckInvariants = true }, ""},
+		{"loss prob", func(c *Config) { c.Faults.MessageLossProb = 1 }, ""},
+		{"mtbf without mttr", func(c *Config) { c.Faults.MTBF = time.Minute }, "set together"},
+		{"negative mtbf and mttr", func(c *Config) { c.Faults.MTBF, c.Faults.MTTR = -5*time.Second, -time.Second }, "must be positive"},
+		{"negative mttr", func(c *Config) { c.Faults.MTBF, c.Faults.MTTR = 5*time.Second, -time.Second }, "must be positive"},
+		{"negative mtbf", func(c *Config) { c.Faults.MTBF, c.Faults.MTTR = -5*time.Second, time.Second }, "must be positive"},
+		{"negative timeout", func(c *Config) { c.Faults.LockWaitTimeout = -time.Second }, ""},
+		{"negative workers", func(c *Config) { c.Faults.RecoveryWorkers = -1 }, "RecoveryWorkers"},
+		{"bad reopen", func(c *Config) { c.Faults.Reopen = recovery.ReopenPolicy(7) }, "Reopen"},
+		{"negative window", func(c *Config) { c.Faults.AvailabilityWindow = -time.Second }, "AvailabilityWindow"},
 		{"crash with one node", func(c *Config) {
 			c.Nodes = 1
 			c.Faults.Crashes = []fault.NodeCrash{{Node: 0, At: time.Second, Repair: time.Second}}
-		}},
+		}, ""},
 		{"overlapping crash windows", func(c *Config) {
 			c.Faults.Crashes = []fault.NodeCrash{
 				{Node: 0, At: time.Second, Repair: 2 * time.Second},
 				{Node: 1, At: 2 * time.Second, Repair: time.Second},
 			}
-		}},
+		}, ""},
 	}
 	for _, tc := range cases {
 		cfg := DefaultDebitCreditConfig(2)
 		cfg.Faults = &FaultConfig{}
 		tc.mutate(&cfg)
-		if _, err := Run(cfg); err == nil {
+		_, err := Run(cfg)
+		if err == nil {
 			t.Errorf("%s: expected an error", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -172,7 +172,7 @@ var knobs = []Knob{
 		Label: func(f *ConfigFile) string { return "reopen=" + f.Faults.Reopen },
 		set:   field(func(f *ConfigFile) *string { return &own(&f.Faults).Reopen })},
 	{Axes: []string{"recoveryWorkers"}, Flag: "recovery-workers", Kind: KnobInt,
-		Usage: "parallel REDO replay workers (0 or 1 = serial)",
+		Usage: "REDO replay workers, the recovery coordinator included (0 or 1 = coordinator alone)",
 		Label: func(f *ConfigFile) string { return fmt.Sprintf("workers=%d", f.Faults.RecoveryWorkers) },
 		set:   field(func(f *ConfigFile) *int { return &own(&f.Faults).RecoveryWorkers })},
 	{Flag: "trace", Kind: KnobString,

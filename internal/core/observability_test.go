@@ -210,7 +210,7 @@ func TestFaultTraceAndTimeSeries(t *testing.T) {
 		`"track":"failover","cat":"fault","name":"crash"`,
 		`"track":"failover","cat":"recovery","name":"detect"`,
 		`"track":"failover","cat":"recovery","name":"lock-recovery"`,
-		`"track":"failover","cat":"recovery","name":"redo"`,
+		`"track":"failover","cat":"recovery","name":"replay"`,
 		`"track":"failover","cat":"recovery","name":"recovered"`,
 		`"track":"failover","cat":"fault","name":"repair"`,
 	} {

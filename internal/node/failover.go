@@ -76,8 +76,9 @@ type FailoverStats struct {
 	// and fences are armed (replay still in flight); under offline
 	// replay it equals RecoveredAt.
 	ReopenAt time.Duration
-	// Phase durations. Under parallel replay LogScan and Redo are the
-	// critical path: the slowest worker's scan and replay time.
+	// Phase durations: LogScan and Redo are the critical path, the
+	// slowest replay worker's scan and replay time. The coordinator's
+	// scan (worker 0) includes the loser undo scan.
 	LockRecovery time.Duration
 	LogScan      time.Duration
 	Redo         time.Duration
@@ -98,14 +99,14 @@ type FailoverStats struct {
 	// because a readmitted transaction touched them first
 	// (incremental reopen only).
 	PagesRepairedOnDemand int64
-	// Workers is the number of parallel replay workers used.
+	// Workers is the number of replay workers used, the coordinator
+	// included.
 	Workers int
 }
 
 // recoveryRun is the live state of one in-flight recovery under the
-// replay engine (parallel workers and/or incremental reopen). It is
-// nil outside recovery and under the legacy serial path, so the
-// default configurations take no new branches.
+// replay engine. It is nil outside recovery, so fault-free runs take
+// no new branches.
 type recoveryRun struct {
 	crashed     int
 	coordID     int
@@ -118,7 +119,7 @@ type recoveryRun struct {
 	coordProc   *sim.Proc
 	// waiting is set once the coordinator has parked for completion;
 	// before that, finishing workers must not Unpark it (it may be
-	// parked inside a device wait of its own undo scan).
+	// parked inside a device wait of its own scan or replay).
 	waiting   bool
 	repairs   int64
 	maxScan   time.Duration
@@ -349,10 +350,11 @@ func (s *System) startCheckpoints() {
 // runRecovery is the recovery coordinator: a process at the
 // lowest-numbered survivor that recovers lock state, fences the failed
 // node's modified pages, releases loser locks, scans the failed node's
-// log since its last checkpoint and redoes the lost pages. Every step
-// is charged against the coordinator's CPU and the shared devices, so
-// the recovery duration — and the degradation other transactions see —
-// comes out of the simulation itself.
+// log since its last checkpoint and redoes the lost pages as replay
+// worker 0 (runReplay). Every step is charged against the
+// coordinator's CPU and the shared devices, so the recovery duration —
+// and the degradation other transactions see — comes out of the
+// simulation itself.
 func (s *System) runRecovery(p *sim.Proc, crashed int, crashAt sim.Time, losers []lock.Owner, dirty []dirtyPage, logPages int64, w *failWindow) {
 	params := &s.params
 	if params.FailureDetectDelay > 0 {
@@ -466,19 +468,9 @@ func (s *System) runRecovery(p *sim.Proc, crashed int, crashAt sim.Time, losers 
 		tr.Span("failover", 0, "recovery", "lock-recovery", lockStart, s.env.Now(), traceArg)
 	}
 
-	workers := params.RecoveryWorkers
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(params.RecoveryWorkers, 1)
 	incremental := params.Reopen == recovery.ReopenIncremental
-	if incremental || workers > 1 {
-		// Replay engine: the REDO backlog partitioned by GLA across
-		// parallel workers, on-demand page repair under incremental
-		// reopen.
-		s.runParallelReplay(p, coordID, coord, crashed, losers, redo, logPages, workers, incremental, &fs, traceArg)
-	} else {
-		s.runSerialReplay(p, coordID, coord, crashed, losers, redo, logPages, &fs, traceArg)
-	}
+	s.runReplay(p, coordID, coord, crashed, losers, redo, logPages, workers, incremental, &fs, traceArg)
 	fs.PagesRedone = int64(len(redo))
 	fs.Workers = workers
 	if tr := s.tracer; tr.Enabled() {
@@ -497,46 +489,6 @@ func (s *System) runRecovery(p *sim.Proc, crashed int, crashAt sim.Time, losers 
 		// The allocation just changed under the controller (partitions
 		// adopted, load redirected): rebalance right away.
 		s.ctl.noteFailover()
-	}
-}
-
-// runSerialReplay is the legacy restart discipline (offline reopen,
-// one worker): scan the whole log span, then redo the lost pages one
-// by one on the recovery coordinator. The event sequence is identical
-// to earlier versions, so default fault configurations stay
-// bit-identical.
-func (s *System) runSerialReplay(p *sim.Proc, coordID int, coord *Node, crashed int, losers []lock.Owner, redo []redoPage, logPages int64, fs *FailoverStats, traceArg string) {
-	params := &s.params
-	// Phase 2: scan the failed node's log written since its last fuzzy
-	// checkpoint, plus the undo information of each loser. This is the
-	// phase where log placement decides the outage: GEM-resident logs
-	// read at ~50 µs per page, log disks at ~6 ms.
-	scanStart := s.env.Now()
-	logPage := model.PageID{File: -1, Page: int32(crashed)}
-	for i := int64(0); i < logPages; i++ {
-		s.readCrashedLog(p, coord, crashed, logPage)
-	}
-	for range losers {
-		s.readCrashedLog(p, coord, crashed, logPage)
-		if params.RecoveryApplyInstr > 0 {
-			coord.cpu.Exec(p, params.RecoveryApplyInstr)
-		}
-	}
-	fs.LogScan = s.env.Now() - scanStart
-	if tr := s.tracer; tr.Enabled() {
-		tr.Span("failover", 0, "recovery", "log-scan", scanStart, s.env.Now(), traceArg)
-	}
-
-	// Phase 3: redo the lost pages — read the storage version, apply
-	// the log records, write the recovered version back, then drop the
-	// fence.
-	redoStart := s.env.Now()
-	for i := range redo {
-		s.redoOnePage(p, coordID, coord, crashed, &redo[i])
-	}
-	fs.Redo = s.env.Now() - redoStart
-	if tr := s.tracer; tr.Enabled() {
-		tr.Span("failover", 0, "recovery", "redo", redoStart, s.env.Now(), traceArg)
 	}
 }
 
@@ -590,19 +542,21 @@ func (s *System) redoOnePage(p *sim.Proc, coordID int, coord *Node, crashed int,
 	}
 }
 
-// runParallelReplay is the replay engine: the failed node's log span
-// and REDO backlog are partitioned by GLA across recovery workers
-// (longest-backlog-first, deterministic), each worker scanning its log
-// share and replaying its partitions as an independent process over
-// the shared devices — the coordinator node's CPU complex bounds the
-// CPU-side speedup at CPUsPerNode, its disk groups and GEM ports the
-// device side, so the parallelism is costed, not free. Under
-// incremental reopen the complex is considered reopened as soon as the
-// fences are armed — which is already the case on entry — and a
-// transaction hitting an unredone fence triggers an on-demand
-// single-page repair that jumps the replay queue (see
-// noteFenceConflict). The loser undo scan stays on the coordinator.
-func (s *System) runParallelReplay(p *sim.Proc, coordID int, coord *Node, crashed int, losers []lock.Owner, redo []redoPage, logPages int64, workers int, incremental bool, fs *FailoverStats, traceArg string) {
+// runReplay is the replay engine that serves every recovery: the
+// failed node's log span and REDO backlog are partitioned by GLA
+// across recovery workers (longest-backlog-first, deterministic). The
+// coordinator is worker 0: it scans its log share, then the undo
+// information of each loser, then replays its own partitions. Workers
+// 1..W-1 are processes of their own over the shared devices — the
+// coordinator node's CPU complex bounds the CPU-side speedup at
+// CPUsPerNode, its disk groups and GEM ports the device side, so the
+// parallelism is costed, not free. With one worker and offline reopen
+// this is a single serial pass on the coordinator. Under incremental
+// reopen the complex is considered reopened as soon as the fences are
+// armed — which is already the case on entry — and a transaction
+// hitting an unredone fence triggers an on-demand single-page repair
+// that jumps the replay queue (see noteFenceConflict).
+func (s *System) runReplay(p *sim.Proc, coordID int, coord *Node, crashed int, losers []lock.Owner, redo []redoPage, logPages int64, workers int, incremental bool, fs *FailoverStats, traceArg string) {
 	params := &s.params
 	replayStart := s.env.Now()
 	pages := make([]model.PageID, len(redo))
@@ -659,49 +613,51 @@ func (s *System) runParallelReplay(p *sim.Proc, coordID int, coord *Node, crashe
 	}
 
 	logPage := model.PageID{File: -1, Page: int32(crashed)}
-	for w := 0; w < workers; w++ {
-		w := w
+	work := func(wp *sim.Proc, w int) {
 		// Split the log span evenly; the first workers take the
 		// remainder.
 		share := logPages / int64(workers)
 		if int64(w) < logPages%int64(workers) {
 			share++
 		}
-		mine := perWorker[w]
-		s.env.Spawn("replay"+itoa(w), func(wp *sim.Proc) {
-			scanStart := s.env.Now()
-			for i := int64(0); i < share; i++ {
-				s.readCrashedLog(wp, coord, crashed, logPage)
-			}
-			scanEnd := s.env.Now()
-			if tr := s.tracer; tr.Enabled() && share > 0 {
-				tr.Span("failover", int64(w+1), "recovery", "log-scan", scanStart, scanEnd, traceArg)
-			}
-			for _, idx := range mine {
-				r := &redo[idx]
-				if !rec.replay.Claim(r.page) {
-					continue // repaired on demand (or by a racing claim)
-				}
-				s.redoOnePage(wp, coordID, coord, crashed, r)
-				rec.replay.Done(r.page)
-				s.recPageDone(rec)
-			}
-			replayEnd := s.env.Now()
-			if tr := s.tracer; tr.Enabled() && len(mine) > 0 {
-				tr.Span("failover", int64(w+1), "recovery", "replay", scanEnd, replayEnd, traceArg)
-			}
-			s.recWorkerDone(rec, scanEnd-scanStart, replayEnd-scanEnd)
-		})
-	}
-
-	// The loser undo scan is serial coordinator work, concurrent with
-	// the workers.
-	for range losers {
-		s.readCrashedLog(p, coord, crashed, logPage)
-		if params.RecoveryApplyInstr > 0 {
-			coord.cpu.Exec(p, params.RecoveryApplyInstr)
+		// Log placement decides this phase: GEM-resident logs read at
+		// ~50 µs per page, log disks at ~6 ms.
+		scanStart := s.env.Now()
+		for i := int64(0); i < share; i++ {
+			s.readCrashedLog(wp, coord, crashed, logPage)
 		}
+		if w == 0 {
+			// The loser undo scan is serial coordinator work.
+			for range losers {
+				s.readCrashedLog(wp, coord, crashed, logPage)
+				if params.RecoveryApplyInstr > 0 {
+					coord.cpu.Exec(wp, params.RecoveryApplyInstr)
+				}
+			}
+		}
+		scanEnd := s.env.Now()
+		if tr := s.tracer; tr.Enabled() && scanEnd > scanStart {
+			tr.Span("failover", int64(w), "recovery", "log-scan", scanStart, scanEnd, traceArg)
+		}
+		for _, idx := range perWorker[w] {
+			r := &redo[idx]
+			if !rec.replay.Claim(r.page) {
+				continue // repaired on demand (or by a racing claim)
+			}
+			s.redoOnePage(wp, coordID, coord, crashed, r)
+			rec.replay.Done(r.page)
+			s.recPageDone(rec)
+		}
+		replayEnd := s.env.Now()
+		if tr := s.tracer; tr.Enabled() && len(perWorker[w]) > 0 {
+			tr.Span("failover", int64(w), "recovery", "replay", scanEnd, replayEnd, traceArg)
+		}
+		s.recWorkerDone(rec, scanEnd-scanStart, replayEnd-scanEnd)
 	}
+	for w := 1; w < workers; w++ {
+		s.env.Spawn("replay"+itoa(w), func(wp *sim.Proc) { work(wp, w) })
+	}
+	work(p, 0)
 	if rec.pagesLeft > 0 || rec.workersLeft > 0 {
 		rec.waiting = true
 		p.Park()

@@ -207,10 +207,10 @@ type Params struct {
 	// versions); recovery.ReopenIncremental reopens as soon as the lock
 	// state is recovered and repairs unredone pages on first touch.
 	Reopen recovery.ReopenPolicy
-	// RecoveryWorkers is the number of parallel replay workers; the
-	// REDO backlog is partitioned by GLA partition across them
-	// (longest-backlog-first). 0 or 1 replays serially on the recovery
-	// coordinator exactly as earlier versions did.
+	// RecoveryWorkers is the number of replay workers; the REDO
+	// backlog is partitioned by GLA partition across them
+	// (longest-backlog-first). The recovery coordinator is worker 0,
+	// so 0 or 1 means it replays alone.
 	RecoveryWorkers int
 	// AvailabilityWindow is the sampling window of the availability
 	// tracker measuring time-to-full-throughput and per-window

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -20,9 +21,30 @@ func reopenParams(nodes int, coupling Coupling, policy recovery.ReopenPolicy, wo
 	return p
 }
 
+// replayCase is one coupling mode and replay width of the engine tests.
+type replayCase struct {
+	coupling Coupling
+	workers  int
+}
+
+func (c replayCase) String() string { return fmt.Sprintf("%v/workers=%d", c.coupling, c.workers) }
+
+// replayCases covers both coupling modes with the coordinator replaying
+// alone and with the given number of parallel workers.
+func replayCases(workers int) []replayCase {
+	var cases []replayCase
+	for _, coupling := range []Coupling{CouplingGEM, CouplingPCL} {
+		for _, w := range []int{1, workers} {
+			cases = append(cases, replayCase{coupling, w})
+		}
+	}
+	return cases
+}
+
 // TestIncrementalReopenInvariants crashes a node under incremental
-// reopen with parallel replay workers and checks the two safety
-// invariants of the engine, for both coupling modes:
+// reopen, with the coordinator replaying alone and with parallel
+// replay workers, and checks the two safety invariants of the engine
+// for both coupling modes:
 //
 //  1. no transaction ever observes an unredone page — every page
 //     access behind a released fence must find the page replayed
@@ -30,13 +52,13 @@ func reopenParams(nodes int, coupling Coupling, policy recovery.ReopenPolicy, wo
 //  2. replay completes exactly once per page even when replay workers
 //     and on-demand repairs race for the same backlog.
 func TestIncrementalReopenInvariants(t *testing.T) {
-	for _, coupling := range []Coupling{CouplingGEM, CouplingPCL} {
+	for _, tc := range replayCases(4) {
 		gen := &scriptGen{db: testDB(), txns: []model.Txn{
 			{Type: 0, Refs: []model.Ref{{Page: pgID(1), Write: true}, {Page: pgID(2)}}},
 			{Type: 1, Refs: []model.Ref{{Page: pgID(1), Write: true}, {Page: pgID(3), Write: true}}},
 			{Type: 2, Refs: []model.Ref{{Page: pgID(2), Write: true}, {Page: pgID(4), Write: true}}},
 		}}
-		params := reopenParams(2, coupling, recovery.ReopenIncremental, 4)
+		params := reopenParams(2, tc.coupling, recovery.ReopenIncremental, tc.workers)
 		var buf strings.Builder
 		params.Tracer = trace.New(&buf, trace.JSONL)
 		env := sim.NewEnv()
@@ -67,21 +89,21 @@ func TestIncrementalReopenInvariants(t *testing.T) {
 		env.Stop()
 
 		if violations > 0 {
-			t.Fatalf("%v: %d transaction accesses observed an unredone page", coupling, violations)
+			t.Fatalf("%s: %d transaction accesses observed an unredone page", tc, violations)
 		}
 		if len(m.Failovers) != 1 {
-			t.Fatalf("%v: failovers %d, want 1", coupling, len(m.Failovers))
+			t.Fatalf("%s: failovers %d, want 1", tc, len(m.Failovers))
 		}
 		fs := m.Failovers[0]
-		if fs.Workers != 4 {
-			t.Fatalf("%v: workers %d, want 4", coupling, fs.Workers)
+		if fs.Workers != tc.workers {
+			t.Fatalf("%s: workers %d, want %d", tc, fs.Workers, tc.workers)
 		}
 		// Incremental reopen readmits before replay completes.
 		if fs.ReopenAt >= fs.RecoveredAt {
-			t.Fatalf("%v: reopen at %v not before recovery end %v", coupling, fs.ReopenAt, fs.RecoveredAt)
+			t.Fatalf("%s: reopen at %v not before recovery end %v", tc, fs.ReopenAt, fs.RecoveredAt)
 		}
 		if m.Commits < 100 {
-			t.Fatalf("%v: commits %d, want >= 100 across the outage", coupling, m.Commits)
+			t.Fatalf("%s: commits %d, want >= 100 across the outage", tc, m.Commits)
 		}
 
 		// Invariant 2, trace form: every repaired page shows exactly one
@@ -89,7 +111,7 @@ func TestIncrementalReopenInvariants(t *testing.T) {
 		tr := buf.String()
 		repairs := strings.Count(tr, `"page-repair"`)
 		if int64(repairs) != fs.PagesRepairedOnDemand {
-			t.Fatalf("%v: %d page-repair spans, stats say %d", coupling, repairs, fs.PagesRepairedOnDemand)
+			t.Fatalf("%s: %d page-repair spans, stats say %d", tc, repairs, fs.PagesRepairedOnDemand)
 		}
 		seen := map[string]int{}
 		for _, line := range strings.Split(tr, "\n") {
@@ -98,33 +120,33 @@ func TestIncrementalReopenInvariants(t *testing.T) {
 			}
 			i := strings.Index(line, "page=")
 			if i < 0 {
-				t.Fatalf("%v: page-repair span without page arg: %s", coupling, line)
+				t.Fatalf("%s: page-repair span without page arg: %s", tc, line)
 			}
 			page := strings.TrimSuffix(line[i:], `"}`)
 			seen[page]++
 		}
 		for page, count := range seen {
 			if count != 1 {
-				t.Fatalf("%v: page %s repaired %d times, want exactly once", coupling, page, count)
+				t.Fatalf("%s: page %s repaired %d times, want exactly once", tc, page, count)
 			}
 		}
 		if !strings.Contains(tr, `"reopen"`) {
-			t.Fatalf("%v: no reopen span emitted", coupling)
+			t.Fatalf("%s: no reopen span emitted", tc)
 		}
 	}
 }
 
-// TestParallelReplayExactlyOnce runs the engine with offline reopen
-// and several workers: the backlog must replay exactly once per page
+// TestParallelReplayExactlyOnce runs the engine with offline reopen,
+// one worker and several: the backlog must replay exactly once per page
 // (PagesRedone matches the recorded backlog; no on-demand repairs in
 // offline mode) and recovery must still complete.
 func TestParallelReplayExactlyOnce(t *testing.T) {
-	for _, coupling := range []Coupling{CouplingGEM, CouplingPCL} {
+	for _, tc := range replayCases(3) {
 		gen := &scriptGen{db: testDB(), txns: []model.Txn{
 			{Type: 0, Refs: []model.Ref{{Page: pgID(1), Write: true}, {Page: pgID(2)}}},
 			{Type: 1, Refs: []model.Ref{{Page: pgID(1), Write: true}, {Page: pgID(3), Write: true}}},
 		}}
-		params := reopenParams(2, coupling, recovery.ReopenOffline, 3)
+		params := reopenParams(2, tc.coupling, recovery.ReopenOffline, tc.workers)
 		env := sim.NewEnv()
 		sys, err := NewSystem(env, params, gen, typeRouter{2}, modGLA{2})
 		if err != nil {
@@ -141,20 +163,20 @@ func TestParallelReplayExactlyOnce(t *testing.T) {
 		env.Stop()
 
 		if len(m.Failovers) != 1 {
-			t.Fatalf("%v: failovers %d, want 1", coupling, len(m.Failovers))
+			t.Fatalf("%s: failovers %d, want 1", tc, len(m.Failovers))
 		}
 		fs := m.Failovers[0]
 		if fs.PagesRepairedOnDemand != 0 {
-			t.Fatalf("%v: %d on-demand repairs under offline reopen, want 0", coupling, fs.PagesRepairedOnDemand)
+			t.Fatalf("%s: %d on-demand repairs under offline reopen, want 0", tc, fs.PagesRepairedOnDemand)
 		}
 		if fs.ReopenAt != fs.RecoveredAt {
-			t.Fatalf("%v: offline reopen at %v must equal recovery end %v", coupling, fs.ReopenAt, fs.RecoveredAt)
+			t.Fatalf("%s: offline reopen at %v must equal recovery end %v", tc, fs.ReopenAt, fs.RecoveredAt)
 		}
 		if fs.RecoveryDuration <= 0 {
-			t.Fatalf("%v: recovery never completed: %+v", coupling, fs)
+			t.Fatalf("%s: recovery never completed: %+v", tc, fs)
 		}
 		if m.Commits < 100 {
-			t.Fatalf("%v: commits %d, want >= 100", coupling, m.Commits)
+			t.Fatalf("%s: commits %d, want >= 100", tc, m.Commits)
 		}
 	}
 }
