@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"gemsim/internal/fault"
+	"gemsim/internal/node"
 	"gemsim/internal/recovery"
 	"gemsim/internal/report"
 	"gemsim/internal/rng"
@@ -117,14 +118,16 @@ func AvailabilityConfig(coupling Coupling, reopen recovery.ReopenPolicy, crashes
 	}
 	cfg.Faults = &FaultConfig{
 		Crashes: crashes,
-		// Tight fuzzy checkpoints bound the per-crash REDO backlog, so
-		// every recovery fits between two spaced crashes.
-		CheckpointInterval: 2 * time.Second,
-		Reopen:             reopen,
-		RecoveryWorkers:    availabilityWorkers,
-		// Fine sampling windows resolve TTFT differences well below the
-		// default 250ms quantum.
-		AvailabilityWindow: 100 * time.Millisecond,
+		RecoveryKnobs: node.RecoveryKnobs{
+			// Tight fuzzy checkpoints bound the per-crash REDO backlog,
+			// so every recovery fits between two spaced crashes.
+			CheckpointInterval: 2 * time.Second,
+			Reopen:             reopen,
+			RecoveryWorkers:    availabilityWorkers,
+			// Fine sampling windows resolve TTFT differences well below
+			// the default quantum.
+			AvailabilityWindow: 100 * time.Millisecond,
+		},
 	}
 	return cfg
 }

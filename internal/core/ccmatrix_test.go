@@ -96,8 +96,8 @@ func ccMatrixCells() []ccMatrixCell {
 	crash.Faults = &FaultConfig{
 		Crashes:         []fault.NodeCrash{{Node: 0, At: 700 * time.Millisecond, Repair: time.Second}},
 		MessageLossProb: 0.02,
-		LockWaitTimeout: 50 * time.Millisecond,
 	}
+	crash.Faults.LockWaitTimeout = 50 * time.Millisecond
 	cells = append(cells, ccMatrixCell{"pcl/occ/force=false/crash", crash})
 
 	// The failover preset's scenarios at its -quick windows: GEM and PCL

@@ -11,11 +11,9 @@ import (
 	"io"
 	"time"
 
-	"gemsim/internal/cc"
 	"gemsim/internal/fault"
 	"gemsim/internal/model"
 	"gemsim/internal/node"
-	"gemsim/internal/recovery"
 	"gemsim/internal/trace"
 	"gemsim/internal/workload"
 )
@@ -110,29 +108,12 @@ type FaultConfig struct {
 	// DiskStalls freezes disk groups (file name, or "logN" for node N's
 	// log disks) for a while.
 	DiskStalls []fault.DiskStall
-	// LockWaitTimeout bounds every lock wait and remote reply wait;
-	// a timed-out transaction aborts and is retried with exponential
-	// backoff. Default 2s.
-	LockWaitTimeout time.Duration
-	// CheckpointInterval is the fuzzy checkpoint period; it bounds the
-	// log that must be scanned when a node is recovered. Default 10s.
-	CheckpointInterval time.Duration
-	// DetectDelay is the failure detection latency between a crash and
-	// the start of recovery on the survivors. Default 50ms.
-	DetectDelay time.Duration
-	// Reopen selects when transactions are readmitted after a crash:
-	// recovery.ReopenOffline (default) completes the whole REDO replay
-	// first; recovery.ReopenIncremental admits transactions while
-	// replay is in flight, repairing unredone pages on first touch.
-	Reopen recovery.ReopenPolicy
-	// RecoveryWorkers is the number of replay workers, the recovery
-	// coordinator included; the REDO backlog is partitioned by GLA
-	// across them. 0 or 1 means the coordinator replays alone.
-	RecoveryWorkers int
-	// AvailabilityWindow is the sampling window of the availability
-	// tracker (time-to-full-throughput, per-window unavailability, SLO
-	// attainment). Default 250ms.
-	AvailabilityWindow time.Duration
+	// RecoveryKnobs holds the lock-wait timeout, checkpoint interval,
+	// detection delay, reopen policy, replay workers and availability
+	// window; zero fields take their defaults (node.Params.ArmFaults).
+	// It stays the last field: the sweep digest marshals FaultConfig,
+	// and embedded fields marshal in place.
+	node.RecoveryKnobs
 }
 
 // TraceConfig enables the observability layer: a per-transaction event
@@ -155,20 +136,9 @@ type TraceConfig struct {
 	SampleInterval time.Duration
 }
 
-// AttributionConfig tunes the bottleneck attribution engine: per-
-// transaction critical-path accounting, per-station operational-law
-// self-validation, and lock wait-for snapshots on the event trace. The
-// zero value is the default: attribution ON with the default law
-// tolerance. Attribution is pure accounting — it schedules no events
-// and draws no random numbers — so enabling it never changes any
-// simulated result.
-type AttributionConfig struct {
-	// Off disables all attribution accounting (benchmark ablations).
-	Off bool
-	// Tolerance is the relative residual above which a Little's-law or
-	// utilization-law self-check warns; 0 means attrib.DefaultTolerance.
-	Tolerance float64
-}
+// AttributionConfig tunes the bottleneck attribution engine; the zero
+// value keeps it on with default settings.
+type AttributionConfig = node.AttributionConfig
 
 // Config describes one simulated configuration.
 type Config struct {
@@ -177,20 +147,12 @@ type Config struct {
 	// ArrivalRatePerNode is the transaction arrival rate per node in
 	// TPS (100 for debit-credit, 50 for the trace experiments).
 	ArrivalRatePerNode float64
-	// Coupling selects GEM locking or primary copy locking.
-	Coupling Coupling
-	// Force selects the FORCE update strategy; otherwise NOFORCE.
-	Force bool
+	// ModelKnobs holds the settings node.Params shares: Coupling, Force,
+	// CC, BufferPages, LogInGEM, GEMMessaging, GlobalLogMerge, Seed
+	// (default 1), CheckInvariants and Attribution.
+	node.ModelKnobs
 	// Routing selects random or affinity-based transaction routing.
 	Routing Routing
-	// CC selects the concurrency-control engine: cc.KindDefault (the
-	// coupling mode's native two-phase locking protocol), cc.KindMVTO
-	// (multiversion timestamp ordering), cc.KindOCC (backward-validation
-	// optimistic), or cc.KindHAD (hot/cold hybrid: the workload's
-	// hot-spot pages through locking, the cold tail through OCC).
-	CC cc.Kind
-	// BufferPages is the database buffer size per node (200 or 1000).
-	BufferPages int
 	// MPL, when positive, overrides the multiprogramming level per
 	// node (the workload defaults are 64 for debit-credit and 256 for
 	// traces). Exposed here so sweeps can use it as an axis.
@@ -205,14 +167,6 @@ type Config struct {
 	// DiskCachePages sizes shared disk caches per file name; by
 	// default a cache holds the whole file.
 	DiskCachePages map[string]int
-	// LogInGEM allocates the log files to GEM.
-	LogInGEM bool
-	// GEMMessaging exchanges all messages across GEM instead of the
-	// interconnection network (section 2's "general application").
-	GEMMessaging bool
-	// GlobalLogMerge adds the background global log merge process
-	// (requires LogInGEM).
-	GlobalLogMerge bool
 
 	// ClosedLoop, if non-nil, replaces the open Poisson source with a
 	// closed terminal model: Terminals per node, each thinking for an
@@ -225,11 +179,6 @@ type Config struct {
 	Warmup  time.Duration
 	Measure time.Duration
 
-	// Seed drives all stochastic components (default 1).
-	Seed int64
-	// CheckInvariants enables the coherency oracle.
-	CheckInvariants bool
-
 	// Faults, if non-nil, enables fault injection (node crashes with
 	// measured failover, message loss, disk stalls).
 	Faults *FaultConfig
@@ -238,11 +187,6 @@ type Config struct {
 	// trace, time-series sampling, and per-transaction phase
 	// accounting (Report.Metrics.Phases).
 	Tracing *TraceConfig
-
-	// Attribution tunes the bottleneck attribution engine; the zero
-	// value keeps it on with default settings (Metrics.Attribution,
-	// Metrics.StationLaws, Metrics.DominantBottleneck).
-	Attribution AttributionConfig
 
 	// Control, if non-nil, enables the adaptive load-control subsystem:
 	// feedback-driven admission control per node (the effective MPL
@@ -265,13 +209,10 @@ func DefaultDebitCreditConfig(nodes int) Config {
 	return Config{
 		Nodes:              nodes,
 		ArrivalRatePerNode: 100,
-		Coupling:           CouplingGEM,
-		Force:              false,
+		ModelKnobs:         node.ModelKnobs{Coupling: CouplingGEM, BufferPages: 200, Seed: 1},
 		Routing:            RoutingAffinity,
-		BufferPages:        200,
 		Warmup:             5 * time.Second,
 		Measure:            20 * time.Second,
-		Seed:               1,
 	}
 }
 
@@ -281,32 +222,41 @@ func DefaultTraceConfig(nodes int, trace *workload.Trace) Config {
 	return Config{
 		Nodes:              nodes,
 		ArrivalRatePerNode: 50,
-		Coupling:           CouplingGEM,
-		Force:              false,
+		ModelKnobs:         node.ModelKnobs{Coupling: CouplingGEM, BufferPages: 1000, Seed: 1},
 		Routing:            RoutingAffinity,
-		BufferPages:        1000,
 		Workload:           WorkloadConfig{Trace: trace},
 		Warmup:             5 * time.Second,
 		Measure:            20 * time.Second,
-		Seed:               1,
 	}
 }
 
-// validate checks the configuration.
+// params derives the node parameters the configuration fixes before
+// its workload is built: the Table 4.1 defaults, the shared model
+// knobs and, when faults are armed, the recovery settings and message
+// loss.
+func (c *Config) params() node.Params {
+	p := node.DefaultParams(c.Nodes)
+	p.ModelKnobs = c.ModelKnobs
+	if f := c.Faults; f != nil {
+		p.RecoveryKnobs = f.RecoveryKnobs
+		p.Net.LossProb = f.MessageLossProb
+		p.ArmFaults()
+	}
+	return p
+}
+
+// validate checks the configuration. The model rules live in
+// node.Params.Validate; the rules here concern what only Config has.
 func (c *Config) validate() error {
+	p := c.params()
+	if err := p.Validate(); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
 	switch {
-	case c.Nodes <= 0:
-		return fmt.Errorf("core: Nodes must be positive, got %d", c.Nodes)
 	case c.ArrivalRatePerNode <= 0:
 		return fmt.Errorf("core: ArrivalRatePerNode must be positive, got %v", c.ArrivalRatePerNode)
-	case c.Coupling != CouplingGEM && c.Coupling != CouplingPCL && c.Coupling != CouplingLockEngine:
-		return fmt.Errorf("core: invalid coupling %v", c.Coupling)
-	case c.Coupling == CouplingLockEngine && !c.Force:
-		return fmt.Errorf("core: the lock engine baseline uses FORCE update propagation")
 	case c.Routing != RoutingRandom && c.Routing != RoutingAffinity && c.Routing != RoutingLoadAware:
 		return fmt.Errorf("core: invalid routing %v", c.Routing)
-	case c.BufferPages <= 0:
-		return fmt.Errorf("core: BufferPages must be positive, got %d", c.BufferPages)
 	case c.MPL < 0:
 		return fmt.Errorf("core: MPL must be non-negative, got %d", c.MPL)
 	case c.Measure <= 0:
@@ -319,19 +269,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("core: ClosedLoop.TerminalsPerNode must be positive")
 	case c.ClosedLoop != nil && c.ClosedLoop.ThinkTime < 0:
 		return fmt.Errorf("core: ClosedLoop.ThinkTime must be non-negative, got %v", c.ClosedLoop.ThinkTime)
-	case c.GlobalLogMerge && !c.LogInGEM:
-		return fmt.Errorf("core: GlobalLogMerge requires LogInGEM")
-	case !cc.Valid(c.CC):
-		return fmt.Errorf("core: invalid CC engine %v", c.CC)
-	case c.CC != cc.KindDefault && c.Coupling == CouplingLockEngine:
-		return fmt.Errorf("core: the lock engine baseline is hard-wired to its native 2PL protocol (use GEM or PCL coupling with an alternative engine)")
-	case c.CC == cc.KindMVTO && c.Force:
-		return fmt.Errorf("core: MV-TO serves reads from its version store; FORCE update propagation does not apply (use NOFORCE)")
-	case c.CC != cc.KindDefault && c.CheckInvariants:
-		return fmt.Errorf("core: the coherency oracle assumes two-phase locking; optimistic engines legitimately observe versions it would reject")
-	}
-	if c.Attribution.Tolerance < 0 {
-		return fmt.Errorf("core: Attribution.Tolerance must be non-negative, got %v", c.Attribution.Tolerance)
 	}
 	if tc := c.Tracing; tc != nil {
 		if tc.SampleInterval < 0 {
@@ -353,12 +290,7 @@ func (c *Config) validate() error {
 		}
 	}
 	if f := c.Faults; f != nil {
-		switch {
-		case c.Coupling == CouplingLockEngine:
-			return fmt.Errorf("core: fault injection is not supported for the lock engine baseline")
-		case c.CheckInvariants:
-			return fmt.Errorf("core: CheckInvariants cannot be combined with Faults (crashes legitimately lose uncommitted state)")
-		case c.Nodes < 2 && (len(f.Crashes) > 0 || f.MTBF > 0):
+		if c.Nodes < 2 && (len(f.Crashes) > 0 || f.MTBF > 0) {
 			return fmt.Errorf("core: node crashes need at least 2 nodes (no survivor to recover)")
 		}
 		return f.validate()
@@ -367,23 +299,17 @@ func (c *Config) validate() error {
 }
 
 // validate checks the fault block on its own, independent of the rest
-// of the configuration.
+// of the configuration (message loss is checked with the node
+// parameters it feeds).
 func (f *FaultConfig) validate() error {
 	switch {
-	case f.MessageLossProb < 0 || f.MessageLossProb >= 1:
-		return fmt.Errorf("core: Faults.MessageLossProb must be in [0,1), got %v", f.MessageLossProb)
 	case f.MTBF < 0 || f.MTTR < 0:
 		return fmt.Errorf("core: Faults.MTBF and Faults.MTTR must be positive, got %v and %v", f.MTBF, f.MTTR)
 	case (f.MTBF > 0) != (f.MTTR > 0):
 		return fmt.Errorf("core: Faults.MTBF and Faults.MTTR must be set together")
-	case f.LockWaitTimeout < 0 || f.CheckpointInterval < 0 || f.DetectDelay < 0:
-		return fmt.Errorf("core: Faults timings must be non-negative")
-	case f.Reopen != recovery.ReopenOffline && f.Reopen != recovery.ReopenIncremental:
-		return fmt.Errorf("core: invalid Faults.Reopen policy %d", f.Reopen)
-	case f.RecoveryWorkers < 0:
-		return fmt.Errorf("core: Faults.RecoveryWorkers must be non-negative, got %d", f.RecoveryWorkers)
-	case f.AvailabilityWindow < 0:
-		return fmt.Errorf("core: Faults.AvailabilityWindow must be non-negative, got %v", f.AvailabilityWindow)
+	}
+	if err := f.ValidateRecovery(); err != nil {
+		return fmt.Errorf("core: Faults: %w", err)
 	}
 	return nil
 }

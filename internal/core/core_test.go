@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"gemsim/internal/cc"
 	"gemsim/internal/model"
 	"gemsim/internal/node"
 	"gemsim/internal/workload"
@@ -62,24 +63,38 @@ func TestConfigValidation(t *testing.T) {
 	if err := good.validate(); err != nil {
 		t.Fatal(err)
 	}
-	cases := []func(*Config){
-		func(c *Config) { c.Nodes = 0 },
-		func(c *Config) { c.ArrivalRatePerNode = 0 },
-		func(c *Config) { c.Coupling = 0 },
-		func(c *Config) { c.Routing = 0 },
-		func(c *Config) { c.BufferPages = 0 },
-		func(c *Config) { c.Measure = 0 },
-		func(c *Config) { c.Warmup = -time.Second },
-		func(c *Config) {
+	cases := []struct {
+		mutate func(*Config)
+		want   string // expected error substring, if pinned
+	}{
+		{func(c *Config) { c.Nodes = 0 }, ""},
+		{func(c *Config) { c.ArrivalRatePerNode = 0 }, ""},
+		{func(c *Config) { c.Coupling = 0 }, ""},
+		{func(c *Config) { c.Routing = 0 }, ""},
+		{func(c *Config) { c.BufferPages = 0 }, ""},
+		{func(c *Config) { c.Measure = 0 }, ""},
+		{func(c *Config) { c.Warmup = -time.Second }, ""},
+		{func(c *Config) {
 			c.Workload.DebitCredit = &workload.DebitCreditParams{}
 			c.Workload.Trace = &workload.Trace{}
-		},
+		}, ""},
+		// Model rules, declared in node.Params.Validate.
+		{func(c *Config) { c.Coupling = CouplingLockEngine }, "uses FORCE update propagation"},
+		{func(c *Config) { c.Coupling, c.Force, c.CC = CouplingLockEngine, true, cc.KindOCC }, "native 2PL protocol"},
+		{func(c *Config) { c.CC, c.Force = cc.KindMVTO, true }, "MV-TO serves reads"},
+		{func(c *Config) { c.CC, c.CheckInvariants = cc.KindOCC, true }, "assumes two-phase locking"},
+		{func(c *Config) { c.GlobalLogMerge = true }, "GlobalLogMerge requires LogInGEM"},
+		{func(c *Config) { c.Coupling, c.Force, c.Faults = CouplingLockEngine, true, &FaultConfig{} }, "fault injection is not supported"},
+		{func(c *Config) { c.CheckInvariants, c.Faults = true, &FaultConfig{} }, "incompatible with CheckInvariants"},
+		{func(c *Config) { c.Attribution.Tolerance = -0.1 }, "Attribution.Tolerance"},
 	}
-	for i, mutate := range cases {
+	for i, tc := range cases {
 		cfg := DefaultDebitCreditConfig(2)
-		mutate(&cfg)
+		tc.mutate(&cfg)
 		if err := cfg.validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("case %d: error %q does not mention %q", i, err, tc.want)
 		}
 	}
 }

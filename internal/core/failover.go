@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"gemsim/internal/fault"
+	"gemsim/internal/node"
 	"gemsim/internal/report"
 )
 
@@ -61,7 +62,7 @@ func FailoverConfig(coupling Coupling, logInGEM bool, opts FailoverOptions) Conf
 		}},
 		// Frequent fuzzy checkpoints bound the log scanned at recovery
 		// (and keep the scan phase off the checkpoint instant itself).
-		CheckpointInterval: 4 * time.Second,
+		RecoveryKnobs: node.RecoveryKnobs{CheckpointInterval: 4 * time.Second},
 	}
 	return cfg
 }

@@ -158,43 +158,11 @@ func stalledCheck(env *sim.Env, cfg *Config) error {
 		env.Now(), env.LiveCount(), strings.Join(env.LiveNames(8), ", "), hint)
 }
 
-// assemble builds generator, routing, GLA assignment and node
-// parameters from the configuration.
+// assemble builds generator, routing and GLA assignment from the
+// configuration, and completes its node parameters with what depends
+// on the workload.
 func assemble(cfg *Config) (workload.Generator, routing.Router, routing.GLAMap, node.Params, error) {
-	params := node.DefaultParams(cfg.Nodes)
-	params.BufferPages = cfg.BufferPages
-	params.Force = cfg.Force
-	params.Coupling = cfg.Coupling
-	params.Seed = cfg.Seed
-	params.LogInGEM = cfg.LogInGEM
-	params.GlobalLogMerge = cfg.GlobalLogMerge
-	params.GEMMessaging = cfg.GEMMessaging
-	params.CheckInvariants = cfg.CheckInvariants
-	params.CC = cfg.CC
-	params.AttribOff = cfg.Attribution.Off
-	params.AttribTolerance = cfg.Attribution.Tolerance
-	if f := cfg.Faults; f != nil {
-		params.FaultsEnabled = true
-		params.Net.LossProb = f.MessageLossProb
-		params.LockWaitTimeout = 2 * time.Second
-		if f.LockWaitTimeout > 0 {
-			params.LockWaitTimeout = f.LockWaitTimeout
-		}
-		params.CheckpointInterval = 10 * time.Second
-		if f.CheckpointInterval > 0 {
-			params.CheckpointInterval = f.CheckpointInterval
-		}
-		params.FailureDetectDelay = 50 * time.Millisecond
-		if f.DetectDelay > 0 {
-			params.FailureDetectDelay = f.DetectDelay
-		}
-		params.RetryBackoffCap = 2 * time.Second
-		params.RecoveryApplyInstr = 5000
-		params.RecoveryEntryInstr = 100
-		params.Reopen = f.Reopen
-		params.RecoveryWorkers = f.RecoveryWorkers
-		params.AvailabilityWindow = f.AvailabilityWindow
-	}
+	params := cfg.params()
 
 	var (
 		gen    workload.Generator
@@ -279,7 +247,6 @@ func assemble(cfg *Config) (workload.Generator, routing.Router, routing.GLAMap, 
 			params.DiskCachePages[f.ID] = pages
 		}
 	}
-	params.DefaultDisksPerFile = 6 * cfg.Nodes
 	if cfg.MPL > 0 {
 		params.MPL = cfg.MPL
 	}

@@ -89,9 +89,6 @@ func (s *System) startAvailability() {
 		return
 	}
 	w := s.params.AvailabilityWindow
-	if w <= 0 {
-		w = 250 * time.Millisecond
-	}
 	av := &availTracker{sys: s, window: w}
 	s.avail = av
 	var tick func()

@@ -357,8 +357,8 @@ func (s *System) startCheckpoints() {
 // simulation itself.
 func (s *System) runRecovery(p *sim.Proc, crashed int, crashAt sim.Time, losers []lock.Owner, dirty []dirtyPage, logPages int64, w *failWindow) {
 	params := &s.params
-	if params.FailureDetectDelay > 0 {
-		p.Wait(params.FailureDetectDelay)
+	if params.DetectDelay > 0 {
+		p.Wait(params.DetectDelay)
 	}
 	detectAt := s.env.Now()
 	traceArg := "node=" + itoa(crashed)

@@ -15,13 +15,11 @@ import (
 func faultParams(nodes int, coupling Coupling) Params {
 	p := testParams(nodes, coupling, false)
 	p.CheckInvariants = false
-	p.FaultsEnabled = true
 	p.LockWaitTimeout = 200 * time.Millisecond
 	p.RetryBackoffCap = 200 * time.Millisecond
 	p.CheckpointInterval = 500 * time.Millisecond
-	p.FailureDetectDelay = 20 * time.Millisecond
-	p.RecoveryApplyInstr = 5000
-	p.RecoveryEntryInstr = 100
+	p.DetectDelay = 20 * time.Millisecond
+	p.ArmFaults()
 	return p
 }
 
@@ -90,9 +88,9 @@ func TestOrphanedLockStallsWithoutTimeout(t *testing.T) {
 		params := testParams(1, CouplingGEM, false)
 		params.CheckInvariants = false
 		if armTimeout {
-			params.FaultsEnabled = true
 			params.LockWaitTimeout = 50 * time.Millisecond
 			params.RetryBackoffCap = 100 * time.Millisecond
+			params.ArmFaults()
 		}
 		env := sim.NewEnv()
 		t.Cleanup(env.Stop)
@@ -145,7 +143,7 @@ func TestFaultParamsValidate(t *testing.T) {
 		func(p *Params) { p.LockWaitTimeout = -time.Second },
 		func(p *Params) { p.RetryBackoffCap = -time.Second },
 		func(p *Params) { p.CheckpointInterval = -time.Second },
-		func(p *Params) { p.FailureDetectDelay = -time.Second },
+		func(p *Params) { p.DetectDelay = -time.Second },
 		func(p *Params) { p.RecoveryApplyInstr = -1 },
 		func(p *Params) { p.Net.LossProb = 1 },
 	}

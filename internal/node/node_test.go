@@ -344,7 +344,7 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.BufferPages = 0 },
 		func(p *Params) { p.Coupling = 0 },
 		func(p *Params) { p.BOTInstr = -1 },
-		func(p *Params) { p.DefaultDisksPerFile = 0 },
+		func(p *Params) { p.DisksPerFile = 0 },
 	}
 	for i, mutate := range cases {
 		p := DefaultParams(2)

@@ -9,6 +9,7 @@
 package node
 
 import (
+	"fmt"
 	"time"
 
 	"gemsim/internal/cc"
@@ -58,9 +59,100 @@ type LockEngineParams struct {
 	ServiceTime time.Duration
 }
 
+// ModelKnobs are the model settings core.Config and Params share. Both
+// embed this struct, so each knob is declared here once and core
+// derives Params by copying it whole.
+type ModelKnobs struct {
+	// Coupling selects GEM locking, primary copy locking or the lock
+	// engine baseline.
+	Coupling Coupling
+	// Force selects the FORCE update strategy (write all modified
+	// pages at commit); otherwise NOFORCE.
+	Force bool
+	// CC selects the concurrency-control engine: cc.KindDefault (the
+	// coupling mode's native two-phase locking protocol), cc.KindMVTO
+	// (multiversion timestamp ordering), cc.KindOCC (backward-validation
+	// optimistic), or cc.KindHAD (hot/cold hybrid: the workload's
+	// hot-spot pages through locking, the cold tail through OCC).
+	CC cc.Kind
+	// BufferPages is the main memory database buffer size per node
+	// (200 or 1000 in the paper).
+	BufferPages int
+	// LogInGEM allocates the log files to GEM instead of log disks.
+	LogInGEM bool
+	// GEMMessaging exchanges all messages across GEM instead of the
+	// interconnection network (the "general application" of GEM in
+	// section 2 of the paper).
+	GEMMessaging bool
+	// GlobalLogMerge runs a background merge process (at node 0) that
+	// builds a global log from the GEM-resident local logs, one of the
+	// GEM usage forms of section 2 ("to efficiently construct a global
+	// log by merging local log data"). Requires LogInGEM.
+	GlobalLogMerge bool
+	// Seed drives all stochastic model components.
+	Seed int64
+	// CheckInvariants enables the coherency oracle: every page access
+	// is validated against a global view of committed versions.
+	CheckInvariants bool
+	// Attribution tunes the bottleneck attribution engine; the zero
+	// value keeps it on with default settings.
+	Attribution AttributionConfig
+}
+
+// AttributionConfig tunes the bottleneck attribution engine (package
+// attrib): per-transaction critical-path accounting, per-station
+// operational-law self-validation, and lock wait-for snapshots on the
+// event trace. The zero value is the default: attribution ON with the
+// default law tolerance. Attribution is pure accounting — it schedules
+// no events and draws no random numbers — so enabling it never changes
+// any simulated result, and its per-commit cost is a handful of
+// additions.
+type AttributionConfig struct {
+	// Off disables all attribution accounting (benchmark ablations).
+	Off bool
+	// Tolerance is the relative residual above which a Little's-law or
+	// utilization-law self-check warns; 0 means attrib.DefaultTolerance.
+	Tolerance float64
+}
+
+// RecoveryKnobs are the recovery settings core.FaultConfig and Params
+// share. They take effect only once faults are armed (ArmFaults), which
+// fills every one left zero with its default.
+type RecoveryKnobs struct {
+	// LockWaitTimeout aborts (and retries) a transaction whose lock
+	// wait or remote reply wait exceeds it; this is what lets the
+	// system degrade instead of hanging when a lock holder dies or a
+	// grant message is lost. Default 2s.
+	LockWaitTimeout time.Duration
+	// CheckpointInterval is the fuzzy checkpoint period per node; the
+	// redo log scan after a crash covers the log written since the last
+	// checkpoint. Default 10s.
+	CheckpointInterval time.Duration
+	// DetectDelay is the failure detection latency between a crash and
+	// the start of recovery on the survivors. Default 50ms.
+	DetectDelay time.Duration
+	// Reopen selects when transactions are readmitted after a crash:
+	// recovery.ReopenOffline (default) holds new work on the fences
+	// until the whole REDO backlog is replayed;
+	// recovery.ReopenIncremental reopens as soon as the lock state is
+	// recovered and repairs unredone pages on first touch.
+	Reopen recovery.ReopenPolicy
+	// RecoveryWorkers is the number of replay workers; the REDO
+	// backlog is partitioned by GLA partition across them
+	// (longest-backlog-first). The recovery coordinator is worker 0,
+	// so 0 or 1 means it replays alone.
+	RecoveryWorkers int
+	// AvailabilityWindow is the sampling window of the availability
+	// tracker measuring time-to-full-throughput, per-window
+	// unavailability and SLO attainment. Default 250ms.
+	AvailabilityWindow time.Duration
+}
+
 // Params configures the processing node complex (Table 4.1 defaults are
 // provided by DefaultParams).
 type Params struct {
+	ModelKnobs
+
 	// Nodes is the number of processing nodes.
 	Nodes int
 	// CPUsPerNode and MIPSPerCPU describe the CPU complex (4 x 10
@@ -70,17 +162,6 @@ type Params struct {
 	// MPL is the multiprogramming level per node (paper: high enough
 	// to avoid input queueing).
 	MPL int
-	// BufferPages is the main memory database buffer size per node.
-	BufferPages int
-	// Force selects the FORCE update strategy (write all modified
-	// pages at commit); otherwise NOFORCE.
-	Force bool
-	// Coupling selects GEM locking or primary copy locking.
-	Coupling Coupling
-	// CC selects the concurrency-control engine; the zero value keeps
-	// the coupling mode's native two-phase locking protocol, so default
-	// runs are unchanged.
-	CC cc.Kind
 	// HotPage classifies a page as part of the workload's current hot
 	// set at simulated time at (the HAD engine's hot/cold routing).
 	// Wired from the workload's skew model; nil means no hot set and
@@ -96,16 +177,6 @@ type Params struct {
 	// accounting (trace.Breakdown). Enabled automatically whenever
 	// tracing or time-series sampling is configured through core.
 	PhaseBreakdown bool
-
-	// AttribOff disables the bottleneck attribution engine (package
-	// attrib). Attribution is on by default: it is pure accounting —
-	// no events, no random draws — so it never changes simulation
-	// results, and its per-commit cost is a handful of additions.
-	AttribOff bool
-	// AttribTolerance is the relative residual above which the
-	// operational-law self-checks (Little's law, utilization law) emit
-	// a warning; zero means attrib.DefaultTolerance.
-	AttribTolerance float64
 
 	// BOTInstr, RefInstr and EOTInstr are the mean instruction counts
 	// charged at begin-of-transaction, per record access, and at
@@ -132,14 +203,7 @@ type Params struct {
 	// CouplingLockEngine.
 	LockEngine LockEngineParams
 
-	// LogInGEM allocates the log files to GEM instead of log disks.
-	LogInGEM bool
-	// GlobalLogMerge runs a background merge process (at node 0) that
-	// builds a global log from the GEM-resident local logs, one of the
-	// GEM usage forms of section 2 ("to efficiently construct a global
-	// log by merging local log data"). Requires LogInGEM.
-	GlobalLogMerge bool
-	// LogMergeInterval is the merge process wake-up interval.
+	// LogMergeInterval is the GlobalLogMerge process wake-up interval.
 	LogMergeInterval time.Duration
 	// LogMergeInstr is the CPU cost of merging one log page.
 	LogMergeInstr float64
@@ -150,75 +214,40 @@ type Params struct {
 	// through GEM (two page accesses) instead of the communication
 	// system (extension discussed in the paper's conclusions).
 	GEMPageTransfer bool
-	// GEMMessaging exchanges all messages across GEM instead of the
-	// interconnection network (the "general application" of GEM in
-	// section 2 of the paper). GEMMsgShortInstr/GEMMsgLongInstr are
-	// the per-operation CPU overheads of the storage-based protocol.
-	GEMMessaging     bool
+	// GEMMsgShortInstr/GEMMsgLongInstr are the per-operation CPU
+	// overheads of the storage-based GEMMessaging protocol.
 	GEMMsgShortInstr float64
 	GEMMsgLongInstr  float64
 
-	// DisksPerFile overrides the number of disks in a file's disk
-	// group; files absent from the map get DefaultDisksPerFile.
-	DisksPerFile map[model.FileID]int
-	// DefaultDisksPerFile sizes disk groups so that no I/O bottleneck
-	// occurs (the paper allocates "a sufficient number of disks").
-	DefaultDisksPerFile int
+	// DisksPerFile sizes every file's disk group so that no I/O
+	// bottleneck occurs (the paper allocates "a sufficient number of
+	// disks"); the default is six per node.
+	DisksPerFile int
 	// DiskCachePages sizes the shared disk cache of files allocated
 	// to a cached medium.
 	DiskCachePages map[model.FileID]int
 
-	// CheckInvariants enables the coherency oracle: every page access
-	// is validated against a global view of committed versions.
-	CheckInvariants bool
-
 	// FaultsEnabled arms the failure machinery: lock-wait timeouts,
 	// down-node routing, checkpointing and crash recovery. With it off
 	// (the default) none of the fault paths is ever taken and fault-free
-	// runs are bit-identical to earlier versions.
+	// runs are bit-identical to earlier versions. ArmFaults sets it
+	// together with the recovery defaults.
 	FaultsEnabled bool
-	// LockWaitTimeout aborts (and retries) a transaction whose lock
-	// wait exceeds it; this is what lets the system degrade instead of
-	// hanging when a lock holder dies or a grant message is lost. 0
-	// disables timeouts.
-	LockWaitTimeout time.Duration
+	// RecoveryKnobs are read only with FaultsEnabled.
+	RecoveryKnobs
 	// RetryBackoffCap bounds the exponential back-off applied to
-	// timeout retries (the back-off doubles per consecutive timeout,
-	// starting from RestartDelayMean).
+	// timeout and conflict retries (the back-off doubles per
+	// consecutive retry, starting from RestartDelayMean); 0 leaves it
+	// unbounded.
 	RetryBackoffCap time.Duration
-	// CheckpointInterval is the fuzzy checkpoint period per node; the
-	// redo log scan after a crash covers the log written since the last
-	// checkpoint. 0 disables checkpointing (the scan covers the whole
-	// run).
-	CheckpointInterval time.Duration
-	// FailureDetectDelay is the time until the survivors notice a crash
-	// and start recovery.
-	FailureDetectDelay time.Duration
 	// RecoveryApplyInstr is the CPU demand of applying the log records
 	// of one redone page (5000 instr = 0.5 ms at 10 MIPS, matching
 	// recovery.Params.RedoApplyPerPage).
 	RecoveryApplyInstr float64
 	// RecoveryEntryInstr is the CPU demand per lock entry read or
-	// re-registered during lock state recovery.
+	// re-registered during lock state recovery, and per entry moved by
+	// a GLA partition migration.
 	RecoveryEntryInstr float64
-	// Reopen selects when transactions are readmitted after a crash:
-	// recovery.ReopenOffline holds new work on the fences until the
-	// whole REDO backlog is replayed (the behavior of earlier
-	// versions); recovery.ReopenIncremental reopens as soon as the lock
-	// state is recovered and repairs unredone pages on first touch.
-	Reopen recovery.ReopenPolicy
-	// RecoveryWorkers is the number of replay workers; the REDO
-	// backlog is partitioned by GLA partition across them
-	// (longest-backlog-first). The recovery coordinator is worker 0,
-	// so 0 or 1 means it replays alone.
-	RecoveryWorkers int
-	// AvailabilityWindow is the sampling window of the availability
-	// tracker measuring time-to-full-throughput and per-window
-	// unavailability (fault runs only; default 250ms).
-	AvailabilityWindow time.Duration
-
-	// Seed drives all stochastic model components.
-	Seed int64
 }
 
 // DefaultParams returns the Table 4.1 settings for the given node
@@ -226,29 +255,54 @@ type Params struct {
 // 50,000 per record access (four accesses) and 20,000 at EOT.
 func DefaultParams(nodes int) Params {
 	return Params{
-		Nodes:               nodes,
-		CPUsPerNode:         4,
-		MIPSPerCPU:          10,
-		MPL:                 64,
-		BufferPages:         200,
-		Force:               false,
-		Coupling:            CouplingGEM,
-		BOTInstr:            30000,
-		RefInstr:            50000,
-		EOTInstr:            20000,
-		IOInstr:             3000,
-		GEMIOInstr:          300,
-		LockInstr:           0,
-		RestartDelayMean:    10 * time.Millisecond,
-		GEM:                 gem.DefaultParams(),
-		Net:                 netsim.DefaultParams(),
-		LockEngine:          LockEngineParams{ServiceTime: 200 * time.Microsecond},
-		GEMMsgShortInstr:    1000,
-		GEMMsgLongInstr:     1500,
-		LogMergeInterval:    100 * time.Millisecond,
-		LogMergeInstr:       1000,
-		DefaultDisksPerFile: 4 * nodes,
-		Seed:                1,
+		ModelKnobs: ModelKnobs{
+			Coupling:    CouplingGEM,
+			BufferPages: 200,
+			Seed:        1,
+		},
+		Nodes:            nodes,
+		CPUsPerNode:      4,
+		MIPSPerCPU:       10,
+		MPL:              64,
+		BOTInstr:         30000,
+		RefInstr:         50000,
+		EOTInstr:         20000,
+		IOInstr:          3000,
+		GEMIOInstr:       300,
+		LockInstr:        0,
+		RestartDelayMean: 10 * time.Millisecond,
+		GEM:              gem.DefaultParams(),
+		Net:              netsim.DefaultParams(),
+		LockEngine:       LockEngineParams{ServiceTime: 200 * time.Microsecond},
+		GEMMsgShortInstr: 1000,
+		GEMMsgLongInstr:  1500,
+		LogMergeInterval: 100 * time.Millisecond,
+		LogMergeInstr:    1000,
+		DisksPerFile:     6 * nodes,
+	}
+}
+
+// ArmFaults enables the failure machinery and gives every recovery
+// setting left zero its default. Fault-free runs never call it, so the
+// settings fault-free code also reads (RetryBackoffCap for conflict
+// back-off, RecoveryEntryInstr for GLA migration) stay zero there.
+func (p *Params) ArmFaults() {
+	p.FaultsEnabled = true
+	orDefault(&p.LockWaitTimeout, 2*time.Second)
+	orDefault(&p.CheckpointInterval, 10*time.Second)
+	orDefault(&p.DetectDelay, 50*time.Millisecond)
+	orDefault(&p.AvailabilityWindow, 250*time.Millisecond)
+	orDefault(&p.RetryBackoffCap, 2*time.Second)
+	orDefault(&p.RecoveryApplyInstr, 5000)
+	orDefault(&p.RecoveryEntryInstr, 100)
+}
+
+// orDefault sets *v to def when it is zero. Negative values are kept so
+// that validation rejects them.
+func orDefault[T comparable](v *T, def T) {
+	var zero T
+	if *v == zero {
+		*v = def
 	}
 }
 
@@ -269,6 +323,8 @@ func (p *Params) Validate() error {
 		return errParam("the lock engine architecture [Yu87] uses FORCE update propagation")
 	case p.Coupling == CouplingLockEngine && p.LockEngine.ServiceTime <= 0:
 		return errParam("LockEngine.ServiceTime must be positive")
+	case !cc.Valid(p.CC):
+		return errParam(fmt.Sprintf("invalid CC engine %d", p.CC))
 	case p.CC != cc.KindDefault && p.Coupling == CouplingLockEngine:
 		return errParam("the lock engine baseline is hard-wired to its native 2PL protocol (use GEM or PCL coupling with an alternative engine)")
 	case p.CC == cc.KindMVTO && p.Force:
@@ -277,28 +333,39 @@ func (p *Params) Validate() error {
 		return errParam("the coherency oracle assumes two-phase locking; optimistic engines legitimately observe versions it would reject")
 	case p.BOTInstr < 0 || p.RefInstr < 0 || p.EOTInstr < 0:
 		return errParam("instruction demands must be non-negative")
-	case p.DefaultDisksPerFile <= 0:
-		return errParam("DefaultDisksPerFile must be positive")
+	case p.DisksPerFile <= 0:
+		return errParam("DisksPerFile must be positive")
 	case p.GlobalLogMerge && !p.LogInGEM:
 		return errParam("GlobalLogMerge requires LogInGEM (the merge reads the GEM-resident local logs)")
 	case p.FaultsEnabled && p.Coupling == CouplingLockEngine:
 		return errParam("fault injection is not supported for the lock engine baseline (its broadcast protocol has no timeout recovery)")
 	case p.FaultsEnabled && p.CheckInvariants:
 		return errParam("fault injection is incompatible with CheckInvariants (recovery approximations violate the oracle's strict coherency view)")
-	case p.LockWaitTimeout < 0 || p.RetryBackoffCap < 0 || p.CheckpointInterval < 0 || p.FailureDetectDelay < 0:
-		return errParam("fault timing parameters must be non-negative")
+	case p.FaultsEnabled && p.AvailabilityWindow == 0:
+		return errParam("AvailabilityWindow must be positive once faults are armed")
+	case p.RetryBackoffCap < 0:
+		return errParam("RetryBackoffCap must be non-negative")
 	case p.RecoveryApplyInstr < 0 || p.RecoveryEntryInstr < 0:
 		return errParam("recovery instruction demands must be non-negative")
-	case p.Reopen != recovery.ReopenOffline && p.Reopen != recovery.ReopenIncremental:
-		return errParam("Reopen must be offline or incremental")
-	case p.RecoveryWorkers < 0:
-		return errParam("RecoveryWorkers must be non-negative")
-	case p.AvailabilityWindow < 0:
-		return errParam("AvailabilityWindow must be non-negative")
 	case p.Net.LossProb < 0 || p.Net.LossProb >= 1:
-		return errParam("Net.LossProb must be in [0,1)")
-	case p.AttribTolerance < 0:
-		return errParam("AttribTolerance must be non-negative")
+		return errParam("message loss probability (Net.LossProb) must be in [0,1)")
+	case p.Attribution.Tolerance < 0:
+		return errParam("Attribution.Tolerance must be non-negative")
+	}
+	return p.RecoveryKnobs.ValidateRecovery()
+}
+
+// ValidateRecovery checks the recovery settings on their own.
+func (r *RecoveryKnobs) ValidateRecovery() error {
+	switch {
+	case r.LockWaitTimeout < 0 || r.CheckpointInterval < 0 || r.DetectDelay < 0:
+		return errParam("fault timing parameters must be non-negative")
+	case r.Reopen != recovery.ReopenOffline && r.Reopen != recovery.ReopenIncremental:
+		return errParam(fmt.Sprintf("Reopen must be offline or incremental, got %d", r.Reopen))
+	case r.RecoveryWorkers < 0:
+		return errParam(fmt.Sprintf("RecoveryWorkers must be non-negative, got %d", r.RecoveryWorkers))
+	case r.AvailabilityWindow < 0:
+		return errParam(fmt.Sprintf("AvailabilityWindow must be non-negative, got %v", r.AvailabilityWindow))
 	}
 	return nil
 }

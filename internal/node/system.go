@@ -205,11 +205,7 @@ func NewSystem(env *sim.Env, params Params, gen workload.Generator, router routi
 			s.gemDev.AllocateFile(f.ID)
 			continue
 		}
-		disks := params.DefaultDisksPerFile
-		if d, ok := params.DisksPerFile[f.ID]; ok {
-			disks = d
-		}
-		sp := storage.DefaultDBParams(disks)
+		sp := storage.DefaultDBParams(params.DisksPerFile)
 		switch f.Medium {
 		case model.MediumGEMCache:
 			size := params.DiskCachePages[f.ID]
@@ -287,9 +283,9 @@ func NewSystem(env *sim.Env, params Params, gen workload.Generator, router routi
 	if s.tracer.Enabled() || params.PhaseBreakdown {
 		s.breakdown = &trace.Breakdown{}
 	}
-	if !params.AttribOff {
+	if !params.Attribution.Off {
 		s.attribBD = &attrib.Breakdown{}
-		s.attribTol = params.AttribTolerance
+		s.attribTol = params.Attribution.Tolerance
 		if s.attribTol <= 0 {
 			s.attribTol = attrib.DefaultTolerance
 		}

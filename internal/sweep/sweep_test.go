@@ -255,7 +255,7 @@ var fingerprintExcluded = map[string]string{
 }
 
 // TestFingerprintCoversEveryResultField changes each result-affecting
-// Config field in turn and requires a different fingerprint, so a
+// Config field, promoted fields of embedded structs included, in turn and requires a different fingerprint, so a
 // resumed sweep never reuses a result of a different configuration. A
 // new Config field fails the test until it gets a mutation here or an
 // entry in fingerprintExcluded.
@@ -299,11 +299,14 @@ func TestFingerprintCoversEveryResultField(t *testing.T) {
 		"Control nil":                 func(c *core.Config) { c.Control = nil },
 		"Tune":                        func(c *core.Config) { c.Tune = func(*node.Params) {} },
 	}
-	fields := reflect.TypeOf(core.Config{})
-	for i := 0; i < fields.NumField(); i++ {
-		name := fields.Field(i).Name
-		if _, ok := mutations[name]; !ok && fingerprintExcluded[name] == "" {
-			t.Errorf("Config.%s has no fingerprint mutation and no exclusion", name)
+	// VisibleFields includes the fields promoted from embedded structs
+	// (node.ModelKnobs), so each shared knob needs its own mutation.
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(core.Config{})) {
+		if f.Anonymous {
+			continue
+		}
+		if _, ok := mutations[f.Name]; !ok && fingerprintExcluded[f.Name] == "" {
+			t.Errorf("Config.%s has no fingerprint mutation and no exclusion", f.Name)
 		}
 	}
 	fp := func(cfg core.Config) string {
