@@ -10,8 +10,6 @@
 package buffer
 
 import (
-	"container/list"
-
 	"gemsim/internal/model"
 	"gemsim/internal/stats"
 )
@@ -22,8 +20,8 @@ type Frame struct {
 	SeqNo uint64
 	Dirty bool
 
-	fixCount int
-	elem     *list.Element
+	fixCount   int
+	prev, next *Frame // LRU neighbours: prev is more recently used
 }
 
 // Fixed reports whether the frame is pinned against replacement.
@@ -47,10 +45,13 @@ type Victim struct {
 	Dirty bool
 }
 
-// Pool is one node's LRU database buffer.
+// Pool is one node's LRU database buffer. The LRU chain is intrusive
+// (links in Frame), so promoting, inserting and evicting a frame
+// allocate nothing beyond the new frame itself.
 type Pool struct {
 	capacity int
-	lru      *list.List // front = MRU
+	mru, lru *Frame // chain ends; nil when empty
+	frames   int
 	index    map[model.PageID]*Frame
 
 	hitsByFile map[model.FileID]*stats.Ratio
@@ -64,7 +65,6 @@ func NewPool(capacity int) *Pool {
 	}
 	return &Pool{
 		capacity:   capacity,
-		lru:        list.New(),
 		index:      make(map[model.PageID]*Frame, capacity),
 		hitsByFile: make(map[model.FileID]*stats.Ratio),
 	}
@@ -74,7 +74,44 @@ func NewPool(capacity int) *Pool {
 func (b *Pool) Capacity() int { return b.capacity }
 
 // Len returns the number of buffered pages.
-func (b *Pool) Len() int { return b.lru.Len() }
+func (b *Pool) Len() int { return b.frames }
+
+// pushFront links f in as the most recently used frame.
+func (b *Pool) pushFront(f *Frame) {
+	f.prev, f.next = nil, b.mru
+	if b.mru != nil {
+		b.mru.prev = f
+	} else {
+		b.lru = f
+	}
+	b.mru = f
+	b.frames++
+}
+
+// unlink removes f from the LRU chain.
+func (b *Pool) unlink(f *Frame) {
+	if f.prev != nil {
+		f.prev.next = f.next
+	} else {
+		b.mru = f.next
+	}
+	if f.next != nil {
+		f.next.prev = f.prev
+	} else {
+		b.lru = f.prev
+	}
+	f.prev, f.next = nil, nil
+	b.frames--
+}
+
+// moveToFront promotes f to most recently used.
+func (b *Pool) moveToFront(f *Frame) {
+	if b.mru == f {
+		return
+	}
+	b.unlink(f)
+	b.pushFront(f)
+}
 
 // Get returns the frame for page and promotes it to MRU, or nil.
 func (b *Pool) Get(page model.PageID) *Frame {
@@ -82,7 +119,7 @@ func (b *Pool) Get(page model.PageID) *Frame {
 	if !ok {
 		return nil
 	}
-	b.lru.MoveToFront(f.elem)
+	b.moveToFront(f)
 	return f
 }
 
@@ -118,42 +155,41 @@ func (b *Pool) HitCounts(file model.FileID) (int64, int64) {
 
 // Insert places a page at the MRU position with the given sequence
 // number and dirty state, evicting the least recently used unfixed
-// frame when full. The returned victim, if any, must be written back by
-// the caller when dirty. Inserting an already buffered page refreshes
-// its state instead.
+// frame when full. When evicted is true, victim describes the evicted
+// page, which the caller must write back when dirty. Inserting an
+// already buffered page refreshes its state instead.
 //
 // When every frame is fixed the pool grows past capacity rather than
 // failing (the overflow count is reported); with realistic MPL settings
 // this does not occur.
-func (b *Pool) Insert(page model.PageID, seqno uint64, dirty bool) (*Frame, *Victim) {
+func (b *Pool) Insert(page model.PageID, seqno uint64, dirty bool) (f *Frame, victim Victim, evicted bool) {
 	if f, ok := b.index[page]; ok {
 		if seqno > f.SeqNo {
 			f.SeqNo = seqno
 		}
 		f.Dirty = f.Dirty || dirty
-		b.lru.MoveToFront(f.elem)
-		return f, nil
+		b.moveToFront(f)
+		return f, Victim{}, false
 	}
-	var victim *Victim
-	if b.lru.Len() >= b.capacity {
-		for el := b.lru.Back(); el != nil; el = el.Prev() {
-			vf, ok := el.Value.(*Frame)
-			if !ok || vf.Fixed() {
+	if b.frames >= b.capacity {
+		for vf := b.lru; vf != nil; vf = vf.prev {
+			if vf.Fixed() {
 				continue
 			}
-			victim = &Victim{Page: vf.Page, SeqNo: vf.SeqNo, Dirty: vf.Dirty}
-			b.lru.Remove(el)
+			victim = Victim{Page: vf.Page, SeqNo: vf.SeqNo, Dirty: vf.Dirty}
+			evicted = true
+			b.unlink(vf)
 			delete(b.index, vf.Page)
 			break
 		}
-		if victim == nil {
+		if !evicted {
 			b.overflow++
 		}
 	}
-	f := &Frame{Page: page, SeqNo: seqno, Dirty: dirty}
-	f.elem = b.lru.PushFront(f)
+	f = &Frame{Page: page, SeqNo: seqno, Dirty: dirty}
+	b.pushFront(f)
 	b.index[page] = f
-	return f, victim
+	return f, victim, evicted
 }
 
 // Drop removes a page (buffer invalidation discard); fixed frames must
@@ -166,7 +202,7 @@ func (b *Pool) Drop(page model.PageID) {
 	if f.Fixed() {
 		panic("buffer: dropping fixed frame " + page.String())
 	}
-	b.lru.Remove(f.elem)
+	b.unlink(f)
 	delete(b.index, page)
 }
 
@@ -183,10 +219,8 @@ func (b *Pool) ResetStats() {
 
 // Pages calls fn for every buffered page (diagnostics and tests).
 func (b *Pool) Pages(fn func(*Frame)) {
-	for el := b.lru.Front(); el != nil; el = el.Next() {
-		if f, ok := el.Value.(*Frame); ok {
-			fn(f)
-		}
+	for f := b.mru; f != nil; f = f.next {
+		fn(f)
 	}
 }
 
@@ -195,6 +229,11 @@ func (b *Pool) Pages(fn func(*Frame)) {
 // in-flight transactions keep their fix counts, so a later Unfix on a
 // stale pointer is harmless; the pool itself starts empty.
 func (b *Pool) DropAll() {
-	b.lru.Init()
+	for f := b.mru; f != nil; {
+		next := f.next
+		f.prev, f.next = nil, nil
+		f = next
+	}
+	b.mru, b.lru, b.frames = nil, nil, 0
 	b.index = make(map[model.PageID]*Frame, b.capacity)
 }

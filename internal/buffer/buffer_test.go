@@ -11,8 +11,8 @@ func pg(n int32) model.PageID { return model.PageID{File: 1, Page: n} }
 
 func TestInsertAndGet(t *testing.T) {
 	b := NewPool(4)
-	f, victim := b.Insert(pg(1), 5, false)
-	if victim != nil {
+	f, _, evicted := b.Insert(pg(1), 5, false)
+	if evicted {
 		t.Fatal("unexpected victim")
 	}
 	if f.SeqNo != 5 || f.Dirty {
@@ -31,8 +31,8 @@ func TestLRUEviction(t *testing.T) {
 	b.Insert(pg(1), 1, false)
 	b.Insert(pg(2), 1, true)
 	b.Get(pg(1)) // promote 1
-	_, victim := b.Insert(pg(3), 1, false)
-	if victim == nil || victim.Page != pg(2) || !victim.Dirty || victim.SeqNo != 1 {
+	_, victim, evicted := b.Insert(pg(3), 1, false)
+	if !evicted || victim.Page != pg(2) || !victim.Dirty || victim.SeqNo != 1 {
 		t.Fatalf("victim %+v, want dirty page 2", victim)
 	}
 	if b.Peek(pg(2)) != nil {
@@ -42,11 +42,11 @@ func TestLRUEviction(t *testing.T) {
 
 func TestFixedFramesSkipped(t *testing.T) {
 	b := NewPool(2)
-	f1, _ := b.Insert(pg(1), 1, false)
+	f1, _, _ := b.Insert(pg(1), 1, false)
 	b.Insert(pg(2), 1, false)
 	f1.Fix()
-	_, victim := b.Insert(pg(3), 1, false)
-	if victim == nil || victim.Page != pg(2) {
+	_, victim, evicted := b.Insert(pg(3), 1, false)
+	if !evicted || victim.Page != pg(2) {
 		t.Fatalf("victim %+v, want page 2 (page 1 is fixed)", victim)
 	}
 	f1.Unfix()
@@ -54,12 +54,11 @@ func TestFixedFramesSkipped(t *testing.T) {
 
 func TestAllFixedOverflows(t *testing.T) {
 	b := NewPool(2)
-	f1, _ := b.Insert(pg(1), 1, false)
-	f2, _ := b.Insert(pg(2), 1, false)
+	f1, _, _ := b.Insert(pg(1), 1, false)
+	f2, _, _ := b.Insert(pg(2), 1, false)
 	f1.Fix()
 	f2.Fix()
-	_, victim := b.Insert(pg(3), 1, false)
-	if victim != nil {
+	if _, _, evicted := b.Insert(pg(3), 1, false); evicted {
 		t.Fatal("no evictable frame, yet a victim was returned")
 	}
 	if b.Len() != 3 {
@@ -75,15 +74,15 @@ func TestAllFixedOverflows(t *testing.T) {
 func TestReinsertRefreshes(t *testing.T) {
 	b := NewPool(2)
 	b.Insert(pg(1), 3, false)
-	f, victim := b.Insert(pg(1), 5, true)
-	if victim != nil {
+	f, _, evicted := b.Insert(pg(1), 5, true)
+	if evicted {
 		t.Fatal("re-insert must not evict")
 	}
 	if f.SeqNo != 5 || !f.Dirty {
 		t.Fatalf("frame %+v", f)
 	}
 	// Lower seqno must not regress the frame.
-	f2, _ := b.Insert(pg(1), 4, false)
+	f2, _, _ := b.Insert(pg(1), 4, false)
 	if f2.SeqNo != 5 || !f2.Dirty {
 		t.Fatalf("frame regressed: %+v", f2)
 	}
@@ -101,7 +100,7 @@ func TestDrop(t *testing.T) {
 
 func TestDropFixedPanics(t *testing.T) {
 	b := NewPool(2)
-	f, _ := b.Insert(pg(1), 1, false)
+	f, _, _ := b.Insert(pg(1), 1, false)
 	f.Fix()
 	defer func() {
 		if recover() == nil {
@@ -113,7 +112,7 @@ func TestDropFixedPanics(t *testing.T) {
 
 func TestUnfixUnfixedPanics(t *testing.T) {
 	b := NewPool(2)
-	f, _ := b.Insert(pg(1), 1, false)
+	f, _, _ := b.Insert(pg(1), 1, false)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -190,9 +189,9 @@ func TestVictimConservationProperty(t *testing.T) {
 		evicted := make(map[model.PageID]bool)
 		for _, raw := range pages {
 			p := pg(int32(raw % 32))
-			_, victim := b.Insert(p, 1, false)
+			_, victim, ok := b.Insert(p, 1, false)
 			inserted[p] = true
-			if victim != nil {
+			if ok {
 				evicted[victim.Page] = true
 				delete(inserted, victim.Page)
 			}
@@ -208,4 +207,97 @@ func TestVictimConservationProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestLRUOrderMatchesReference drives random inserts, hits, drops and
+// fixes through the pool and through a plain slice-ordered LRU model,
+// and requires the same victims and the same MRU-to-LRU page order
+// after every operation.
+func TestLRUOrderMatchesReference(t *testing.T) {
+	err := quick.Check(func(ops []uint16) bool {
+		const capacity = 5
+		b := NewPool(capacity)
+		var ref []model.PageID // ref[0] is the MRU page
+		fixed := make(map[model.PageID]bool)
+		promote := func(p model.PageID) {
+			for i, q := range ref {
+				if q == p {
+					ref = append(ref[:i], ref[i+1:]...)
+					break
+				}
+			}
+			ref = append([]model.PageID{p}, ref...)
+		}
+		for _, op := range ops {
+			p := pg(int32(op % 12))
+			switch op % 5 {
+			case 0, 1:
+				_, victim, evicted := b.Insert(p, 1, false)
+				var want model.PageID
+				wantEvicted := false
+				if b.Peek(p) != nil && !contains(ref, p) && len(ref) >= capacity {
+					for i := len(ref) - 1; i >= 0; i-- {
+						if !fixed[ref[i]] {
+							want, wantEvicted = ref[i], true
+							ref = append(ref[:i], ref[i+1:]...)
+							break
+						}
+					}
+				}
+				if evicted != wantEvicted || (evicted && victim.Page != want) {
+					return false
+				}
+				promote(p)
+			case 2:
+				if (b.Get(p) != nil) != contains(ref, p) {
+					return false
+				}
+				if contains(ref, p) {
+					promote(p)
+				}
+			case 3:
+				if !fixed[p] && contains(ref, p) {
+					b.Drop(p)
+					for i, q := range ref {
+						if q == p {
+							ref = append(ref[:i], ref[i+1:]...)
+							break
+						}
+					}
+				}
+			case 4:
+				if f := b.Peek(p); f != nil {
+					if fixed[p] {
+						f.Unfix()
+					} else {
+						f.Fix()
+					}
+					fixed[p] = !fixed[p]
+				}
+			}
+			var order []model.PageID
+			b.Pages(func(f *Frame) { order = append(order, f.Page) })
+			if len(order) != len(ref) || b.Len() != len(ref) {
+				return false
+			}
+			for i := range order {
+				if order[i] != ref[i] {
+					return false
+				}
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func contains(pages []model.PageID, p model.PageID) bool {
+	for _, q := range pages {
+		if q == p {
+			return true
+		}
+	}
+	return false
 }

@@ -113,12 +113,13 @@ type Txn struct {
 }
 
 // Begin resets the attempt state; the hosting transaction manager
-// calls it before every (re-)execution.
+// calls it before every (re-)execution. The sets are emptied, not
+// dropped, so a reused record records without allocating.
 func (t *Txn) Begin(id int64) {
 	t.ID = id
 	t.TS = uint64(id)
-	t.Reads = nil
-	t.Writes = nil
+	clear(t.Reads)
+	clear(t.Writes)
 }
 
 // Touched reports whether the attempt already accessed the page

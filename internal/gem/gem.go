@@ -47,6 +47,20 @@ type GEM struct {
 
 	resident map[model.FileID]bool
 	tracer   *trace.Tracer
+
+	chains sim.FreeList[entryChain] // idle batch records
+}
+
+// entryChain is one in-flight AccessEntriesFn batch: each completion
+// starts the next access, the last one carries the combined
+// release+fin+resume event. Records are pooled on the device and their
+// step method value is bound once, so a batch allocates nothing.
+type entryChain struct {
+	g    *GEM
+	c    sim.Continuation
+	left int
+	fin  func()
+	step func() // bound to next
 }
 
 // New creates a GEM device in the given environment.
@@ -159,18 +173,37 @@ func (g *GEM) AccessEntriesFn(c sim.Continuation, n int, fin func()) {
 	g.entryChain(c, n, fin)
 }
 
-// entryChain runs the remaining accesses of an AccessEntriesFn batch:
-// each completion starts the next access, the last one carries the
-// combined release+fin+resume event.
+// entryChain runs the remaining accesses of an AccessEntriesFn batch.
 func (g *GEM) entryChain(c sim.Continuation, left int, fin func()) {
 	g.entryAccesses++
 	if left <= 1 {
 		g.server.RequestResume(c, g.params.EntryAccess, fin)
 		return
 	}
-	g.server.Request(g.params.EntryAccess, func() {
-		g.entryChain(c, left-1, fin)
-	})
+	ch := g.chains.Get()
+	if ch == nil {
+		ch = &entryChain{g: g}
+		ch.step = ch.next
+	}
+	ch.c, ch.left, ch.fin = c, left-1, fin
+	g.server.Request(g.params.EntryAccess, ch.step)
+}
+
+// next starts the batch's next access. The record goes back to the
+// pool before the last access is issued: from then on only that
+// access's completion event refers to fin and the continuation.
+func (ch *entryChain) next() {
+	g := ch.g
+	g.entryAccesses++
+	if ch.left <= 1 {
+		c, fin := ch.c, ch.fin
+		ch.c, ch.fin = sim.Continuation{}, nil
+		g.chains.Put(ch)
+		g.server.RequestResume(c, g.params.EntryAccess, fin)
+		return
+	}
+	ch.left--
+	g.server.Request(g.params.EntryAccess, ch.step)
 }
 
 // RequestEntry performs one entry access entirely on the callback tier

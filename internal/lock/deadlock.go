@@ -8,11 +8,25 @@ package lock
 type Detector struct {
 	tables []*Table
 	cycles int64
+
+	// Search scratch, reused so that a search allocates nothing: the
+	// blocker lists of every frame pushed so far, the DFS stack, and
+	// the visited set.
+	edges   []Owner
+	stack   []dfsFrame
+	visited map[Owner]bool
+}
+
+// dfsFrame is one owner on the search path; edges[next:end] are the
+// blockers it still has to explore.
+type dfsFrame struct {
+	owner     Owner
+	next, end int
 }
 
 // NewDetector creates a detector over the given tables.
 func NewDetector(tables ...*Table) *Detector {
-	return &Detector{tables: tables}
+	return &Detector{tables: tables, visited: make(map[Owner]bool)}
 }
 
 // AddTable registers an additional table.
@@ -21,55 +35,48 @@ func (d *Detector) AddTable(t *Table) { d.tables = append(d.tables, t) }
 // Cycles returns the number of deadlocks found.
 func (d *Detector) Cycles() int64 { return d.cycles }
 
-// blockersOf collects the owners o waits for across all tables.
-func (d *Detector) blockersOf(o Owner) []Owner {
-	var out []Owner
+// appendBlockers appends the owners o waits for across all tables.
+func (d *Detector) appendBlockers(dst []Owner, o Owner) []Owner {
 	for _, t := range d.tables {
 		if w := t.waiting[o]; w != nil {
-			out = append(out, t.blockers(w)...)
+			dst = t.appendBlockers(dst, w)
 		}
 	}
-	return out
+	return dst
 }
 
 // FindCycle performs a depth-first search of the waits-for graph from
 // start and returns the owners on a cycle through start, or nil when
-// start is not deadlocked.
+// start is not deadlocked. An owner already visited is not expanded
+// again: a cycle through it that does not pass start is detected by
+// its own members.
 func (d *Detector) FindCycle(start Owner) []Owner {
-	// Iterative DFS with a path stack; the graph is tiny (one waiting
-	// edge set per blocked transaction).
-	type frame struct {
-		owner Owner
-		next  []Owner
-	}
-	onPath := map[Owner]bool{start: true}
-	stack := []frame{{owner: start, next: d.blockersOf(start)}}
-	visited := map[Owner]bool{start: true}
-	for len(stack) > 0 {
-		top := &stack[len(stack)-1]
-		if len(top.next) == 0 {
-			onPath[top.owner] = false
-			stack = stack[:len(stack)-1]
+	clear(d.visited)
+	d.visited[start] = true
+	d.edges = d.appendBlockers(d.edges[:0], start)
+	d.stack = append(d.stack[:0], dfsFrame{owner: start, end: len(d.edges)})
+	for len(d.stack) > 0 {
+		top := &d.stack[len(d.stack)-1]
+		if top.next == top.end {
+			d.stack = d.stack[:len(d.stack)-1]
 			continue
 		}
-		n := top.next[0]
-		top.next = top.next[1:]
+		n := d.edges[top.next]
+		top.next++
 		if n == start {
 			// Cycle found: the current path.
-			cycle := make([]Owner, 0, len(stack))
-			for _, f := range stack {
-				cycle = append(cycle, f.owner)
+			cycle := make([]Owner, len(d.stack))
+			for i, f := range d.stack {
+				cycle[i] = f.owner
 			}
 			d.cycles++
 			return cycle
 		}
-		if visited[n] && onPath[n] {
-			continue // inner cycle not through start; its members detect it
-		}
-		if !visited[n] {
-			visited[n] = true
-			onPath[n] = true
-			stack = append(stack, frame{owner: n, next: d.blockersOf(n)})
+		if !d.visited[n] {
+			d.visited[n] = true
+			lo := len(d.edges)
+			d.edges = d.appendBlockers(d.edges, n)
+			d.stack = append(d.stack, dfsFrame{owner: n, next: lo, end: len(d.edges)})
 		}
 	}
 	return nil

@@ -120,7 +120,7 @@ func TestSelfUpgradeIsNotACycle(t *testing.T) {
 	tb.Request(pg(2), owner(0, 1), model.LockRead, nil)
 	tb.Request(pg(2), owner(1, 2), model.LockRead, nil)
 	tb.Request(pg(2), owner(0, 1), model.LockWrite, nil) // blocked upgrade
-	for _, b := range d.blockersOf(owner(0, 1)) {
+	for _, b := range d.appendBlockers(nil, owner(0, 1)) {
 		if b == owner(0, 1) {
 			t.Fatal("blocked upgrade lists its own owner as a blocker")
 		}

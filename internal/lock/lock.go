@@ -380,13 +380,8 @@ func (t *Table) removeHeld(o Owner, r *Request) {
 	}
 }
 
-// Held returns the pages o currently holds locks on, with their modes.
-func (t *Table) Held(o Owner) []*Request {
-	hs := t.held[o]
-	out := make([]*Request, len(hs))
-	copy(out, hs)
-	return out
-}
+// HeldCount returns the number of locks o currently holds.
+func (t *Table) HeldCount(o Owner) int { return len(t.held[o]) }
 
 // HoldsLock reports whether o holds a lock on page in at least mode m.
 func (t *Table) HoldsLock(page model.PageID, o Owner, m model.LockMode) bool {
@@ -425,8 +420,10 @@ func (t *Table) WaitEdges() []WaitEdge {
 	}
 	sortOwners(waiters)
 	var out []WaitEdge
+	var hs []Owner
 	for _, o := range waiters {
-		for _, h := range t.blockers(t.waiting[o]) {
+		hs = t.appendBlockers(hs[:0], t.waiting[o])
+		for _, h := range hs {
 			out = append(out, WaitEdge{Waiter: o, Holder: h})
 		}
 	}
@@ -443,14 +440,13 @@ func sortOwners(os []Owner) {
 	})
 }
 
-// blockers returns the owners a waiting request waits for: all
+// appendBlockers appends the owners a waiting request waits for: all
 // incompatible granted holders plus incompatible requests queued ahead.
-func (t *Table) blockers(w *Request) []Owner {
+func (t *Table) appendBlockers(out []Owner, w *Request) []Owner {
 	e := t.entryOf(w.Page)
 	if e == nil {
-		return nil
+		return out
 	}
-	var out []Owner
 	for _, g := range e.granted {
 		if g.Owner == w.Owner {
 			continue

@@ -81,7 +81,7 @@ func TestRerequestIdempotent(t *testing.T) {
 	if tb.Requests() != 3 {
 		t.Fatalf("requests %d", tb.Requests())
 	}
-	if got := len(tb.Held(owner(0, 1))); got != 1 {
+	if got := tb.HeldCount(owner(0, 1)); got != 1 {
 		t.Fatalf("held %d, want 1", got)
 	}
 }
@@ -134,7 +134,7 @@ func TestReleaseAllGrantsWaiters(t *testing.T) {
 	if len(granted) != 2 {
 		t.Fatalf("granted %d, want 2", len(granted))
 	}
-	if len(tb.Held(owner(0, 1))) != 0 {
+	if tb.HeldCount(owner(0, 1)) != 0 {
 		t.Fatal("locks remain after ReleaseAll")
 	}
 }

@@ -131,6 +131,8 @@ type Network struct {
 	shortSent int64
 	longSent  int64
 	dropped   int64
+
+	deliveries sim.FreeList[delivery] // idle in-transit records
 }
 
 // New creates a network for the given number of nodes. Each node must
@@ -236,41 +238,94 @@ func (n *Network) send(p *sim.Proc, from, to int, c Class, msg any, reliable boo
 		}
 		return
 	}
-	ep := n.endpoints[to]
-	traced := n.tracer.Enabled()
-	var sentAt sim.Time
-	var tid int64
-	if traced {
-		sentAt = n.env.Now()
-		tid = p.TraceID()
+	d := n.deliveries.Get()
+	if d == nil {
+		d = &delivery{n: n}
+		d.arriveFn = d.arrive
+		d.receiveFn = d.receive
+		d.handleFn = d.handle
+		d.recvProc = d.recv
 	}
-	n.env.After(n.transit(c), func() {
-		if traced {
-			n.tracer.Span("net", tid, "net", c.String(), sentAt, n.env.Now(), route(from, to))
+	d.from, d.to, d.c, d.msg = from, to, c, msg
+	d.traced = n.tracer.Enabled()
+	if d.traced {
+		d.sentAt = n.env.Now()
+		d.tid = p.TraceID()
+	}
+	n.env.After(n.transit(c), d.arriveFn)
+}
+
+// delivery is one message in transit on the wire, from the end of the
+// send to the start of its handler. Records are pooled on the network
+// and their steps are method values bound once, so a delivery
+// allocates nothing beyond the receive process a blocking handler
+// needs.
+type delivery struct {
+	n      *Network
+	from   int
+	to     int
+	c      Class
+	msg    any
+	traced bool
+	sentAt sim.Time
+	tid    int64
+
+	arriveFn  func()            // bound to arrive
+	receiveFn func()            // bound to receive
+	handleFn  func()            // bound to handle
+	recvProc  func(q *sim.Proc) // bound to recv
+}
+
+// arrive runs when the transmission delay has passed: drop the message
+// at a down receiver, else start its receive overhead and handler on
+// the callback tier (inline messages) or in a fresh process.
+func (d *delivery) arrive() {
+	n := d.n
+	if d.traced {
+		n.tracer.Span("net", d.tid, "net", d.c.String(), d.sentAt, n.env.Now(), route(d.from, d.to))
+	}
+	if n.downCheck != nil && n.downCheck(d.to) {
+		n.dropped++
+		if d.traced {
+			n.tracer.Instant("net", d.tid, "net", "drop-down", n.env.Now(), route(d.from, d.to))
 		}
-		if n.downCheck != nil && n.downCheck(to) {
-			n.dropped++
-			if traced {
-				n.tracer.Instant("net", tid, "net", "drop-down", n.env.Now(), route(from, to))
-			}
-			return
-		}
-		if ep.inline != nil && ep.inline(msg) {
-			// Callback-tier delivery: the extra hop takes the calendar
-			// slot the receive process used to start in, then the
-			// receive overhead and the handler run without a process.
-			n.env.After(0, func() {
-				ep.cpu.RequestExec(n.sendInstr(c), func() {
-					ep.handler(nil, from, msg)
-				})
-			})
-			return
-		}
-		n.env.Spawn("recv", func(q *sim.Proc) {
-			ep.cpu.Exec(q, n.sendInstr(c))
-			ep.handler(q, from, msg)
-		})
-	})
+		d.free()
+		return
+	}
+	if ep := &n.endpoints[d.to]; ep.inline != nil && ep.inline(d.msg) {
+		// Callback-tier delivery: the extra hop takes the calendar
+		// slot the receive process used to start in, then the receive
+		// overhead and the handler run without a process.
+		n.env.After(0, d.receiveFn)
+		return
+	}
+	n.env.Spawn("recv", d.recvProc)
+}
+
+// receive charges the receive overhead of an inline message.
+func (d *delivery) receive() {
+	d.n.endpoints[d.to].cpu.RequestExec(d.n.sendInstr(d.c), d.handleFn)
+}
+
+// handle runs an inline message's handler in kernel context.
+func (d *delivery) handle() {
+	ep, from, msg := &d.n.endpoints[d.to], d.from, d.msg
+	d.free()
+	ep.handler(nil, from, msg)
+}
+
+// recv is the receive process of a message whose handler blocks.
+func (d *delivery) recv(q *sim.Proc) {
+	n, ep, from, c, msg := d.n, &d.n.endpoints[d.to], d.from, d.c, d.msg
+	d.free()
+	ep.cpu.Exec(q, n.sendInstr(c))
+	ep.handler(q, from, msg)
+}
+
+// free returns the record to the network's pool.
+func (d *delivery) free() {
+	d.msg = nil
+	d.n.deliveries.Put(d)
 }
 
 // sendViaStore exchanges the message across the shared store: the

@@ -32,8 +32,8 @@ type ccEngine interface {
 // lockCovers reports whether held, the transaction's lock on a page (if
 // any), already covers an access in mode: only a read lock asked for
 // writing needs an upgrade.
-func lockCovers(held *heldLock, mode model.LockMode) bool {
-	return held != nil && !(held.mode == model.LockRead && mode == model.LockWrite)
+func lockCovers(held heldLock, mode model.LockMode) bool {
+	return held.kind != 0 && !(held.mode == model.LockRead && mode == model.LockWrite)
 }
 
 // buffered is the outcome of a repeated access that needs no
@@ -140,7 +140,7 @@ func (e *optEngine) hot(page model.PageID) bool {
 }
 
 func (e *optEngine) access(t *txn, page model.PageID, mode model.LockMode) (cc.Outcome, bool, error) {
-	if e.native != nil && (t.locked[page] != nil || e.hot(page)) {
+	if e.native != nil && (t.locked[page].kind != 0 || e.hot(page)) {
 		return e.native.access(t, page, mode)
 	}
 	if t.killed {
@@ -338,7 +338,8 @@ func (e *optEngine) validate(t *txn) error {
 	}
 	n.ccValidations++
 	start := sys.env.Now()
-	pages := sortedPages(set)
+	t.pages = sortedPages(t.pages, set)
+	pages := t.pages
 	var conflict error
 	if sys.params.Coupling == CouplingPCL {
 		conflict = e.validatePCL(t, pages, set)
@@ -438,7 +439,8 @@ func (e *optEngine) publish(t *txn) {
 	if len(t.cct.Writes) == 0 {
 		return
 	}
-	pages := sortedPages(t.cct.Writes)
+	t.pages = sortedPages(t.pages, t.cct.Writes)
+	pages := t.pages
 	if sys.params.Coupling == CouplingPCL {
 		e.publishPCL(t, pages)
 		return
@@ -449,7 +451,7 @@ func (e *optEngine) publish(t *txn) {
 		owner = -1
 	}
 	for _, page := range pages {
-		if mod := t.modified[page]; mod != nil {
+		if mod, ok := t.modified[page]; ok {
 			e.install(t, page, mod.frame.SeqNo, owner)
 		}
 	}
@@ -478,8 +480,8 @@ func (e *optEngine) publishPCL(t *txn, pages []model.PageID) {
 	sys := n.sys
 	perGLA := make(map[int][]releasedPage)
 	for _, page := range pages {
-		mod := t.modified[page]
-		if mod == nil {
+		mod, ok := t.modified[page]
+		if !ok {
 			continue
 		}
 		gla := sys.gla.GLA(page)

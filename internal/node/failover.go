@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -156,7 +157,7 @@ func (s *System) CrashNode(node int) {
 			dirty = append(dirty, dirtyPage{page: f.Page, seq: f.SeqNo})
 		}
 	})
-	sort.Slice(dirty, func(i, j int) bool { return pageLess(dirty[i].page, dirty[j].page) })
+	slices.SortFunc(dirty, func(a, b dirtyPage) int { return pageCmp(a.page, b.page) })
 	n.pool.DropAll()
 	n.inflight = make(map[model.PageID]uint64)
 	n.raHeld = make(map[model.PageID]bool)
@@ -278,13 +279,21 @@ func (s *System) runWithRetry(p *sim.Proc, n *Node, spec model.Txn, arrive sim.T
 	if s.breakdown != nil {
 		// One accumulator for the whole transaction: the breakdown must
 		// cover the response time, which spans crash resubmissions.
-		ph = &trace.Phases{}
+		if ph = s.phases.Get(); ph == nil {
+			ph = &trace.Phases{}
+		}
+		*ph = trace.Phases{}
+		defer s.phases.Put(ph)
 	}
 	var cp *attrib.Vector
 	if s.attribBD != nil {
 		// Likewise for the critical-path vector: its per-resource sums
 		// must cover the same resubmission-spanning response time.
-		cp = &attrib.Vector{}
+		if cp = s.vectors.Get(); cp == nil {
+			cp = &attrib.Vector{}
+		}
+		*cp = attrib.Vector{}
+		defer s.vectors.Put(cp)
 	}
 	for {
 		if n.runTxnCounted(p, spec, arrive, ph, cp) {
@@ -396,7 +405,7 @@ func (s *System) runRecovery(p *sim.Proc, crashed int, crashAt sim.Time, losers 
 		// entries (losers' locks and owned pages) — no rebuild needed.
 		entries := 0
 		for _, o := range losers {
-			entries += len(s.tables[0].Held(o))
+			entries += s.tables[0].HeldCount(o)
 		}
 		owned := s.gemOwnedPages(crashed)
 		entries += len(owned)
@@ -440,7 +449,7 @@ func (s *System) runRecovery(p *sim.Proc, crashed int, crashAt sim.Time, losers 
 	// Release the losers' locks and wake unblocked waiters.
 	for _, o := range losers {
 		for i, tbl := range s.tables {
-			held := len(tbl.Held(o))
+			held := tbl.HeldCount(o)
 			if held == 0 && tbl.Waiting(o) == nil {
 				continue
 			}
@@ -746,7 +755,7 @@ func (s *System) gemOwnedPages(node int) []model.PageID {
 			pages = append(pages, pg)
 		}
 	})
-	sort.Slice(pages, func(i, j int) bool { return pageLess(pages[i], pages[j]) })
+	slices.SortFunc(pages, pageCmp)
 	return pages
 }
 
@@ -815,9 +824,13 @@ func (s *System) rebuildFromNode(n *Node, parts map[int]bool) int64 {
 	}
 	sort.Slice(owners, func(i, j int) bool { return owners[i].Tx < owners[j].Tx })
 	var count int64
+	// The owners are parked mid-attempt, possibly iterating their own
+	// sort buffers, so the rebuild sorts into a buffer of its own.
+	var pages []model.PageID
 	for _, o := range owners {
 		t := s.active[o]
-		for _, page := range sortedPages(t.locked) {
+		pages = sortedPages(pages, t.locked)
+		for _, page := range pages {
 			g := s.gla.GLA(page)
 			if !parts[g] {
 				continue
@@ -835,7 +848,7 @@ func (s *System) rebuildFromNode(n *Node, parts map[int]bool) int64 {
 			// Unmodified copies seed the rebuilt coherency metadata;
 			// modified (uncommitted) versions do not — their sequence
 			// number becomes authoritative only at commit.
-			if t.modified[page] == nil {
+			if _, modified := t.modified[page]; !modified {
 				var copySeq uint64
 				if fr := n.pool.Peek(page); fr != nil {
 					copySeq = fr.SeqNo

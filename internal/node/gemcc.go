@@ -96,14 +96,14 @@ func (c *gemCC) access(t *txn, page model.PageID, mode model.LockMode) (cc.Outco
 		c.gltAccessAttr(t, 2)
 		t.phases.Add(trace.PhaseLockSvc, n.sys.env.Now()-svcStart)
 	}
-	t.locked[page] = &heldLock{mode: mode, kind: kindLocal}
+	t.locked[page] = heldLock{mode: mode, kind: kindLocal}
 
 	meta := n.sys.gltMetaOf(page)
 	out := cc.Outcome{Seq: meta.Seq, Owner: -1}
 	if !n.sys.params.Force {
 		out.Owner = meta.Owner
 	}
-	return out, held == nil, nil
+	return out, held.kind == 0, nil
 }
 
 // releaseAll performs commit phase 2 (or abort): every held GLT entry
@@ -113,12 +113,12 @@ func (c *gemCC) access(t *txn, page model.PageID, mode model.LockMode) (cc.Outco
 // short message when they run on another node.
 func (c *gemCC) releaseAll(t *txn, commit bool) {
 	n := c.n
-	held := c.glt().Held(t.owner)
-	if len(held) > 0 {
-		c.gltAccessAttr(t, 2*len(held))
+	if held := c.glt().HeldCount(t.owner); held > 0 {
+		c.gltAccessAttr(t, 2*held)
 	}
 	if commit {
-		for _, page := range sortedPages(t.modified) {
+		t.pages = sortedPages(t.pages, t.modified)
+		for _, page := range t.pages {
 			mod := t.modified[page]
 			file := n.sys.db.File(page.File)
 			if !file.Locking {
@@ -136,9 +136,7 @@ func (c *gemCC) releaseAll(t *txn, commit bool) {
 	}
 	granted := c.glt().ReleaseAll(t.owner)
 	n.sys.wakeGEMGranted(granted, execCtx{node: n.id, proc: t.proc})
-	for page := range t.locked {
-		delete(t.locked, page)
-	}
+	clear(t.locked)
 }
 
 // wakeGEMGranted notifies the owners of newly granted GLT requests: a

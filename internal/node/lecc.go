@@ -27,7 +27,8 @@ import (
 // aggregate transaction rates — the effect the paper contrasts GEM
 // locking against.
 type leCC struct {
-	n *Node
+	n   *Node
+	ops sim.FreeList[engineOp] // idle engineAccess records
 }
 
 // invalidateMsg is the commit-time broadcast of [Yu87]-style coherency
@@ -49,12 +50,23 @@ func (c *leCC) table() *lock.Table { return c.n.sys.tables[0] }
 // is held while the requests queue at and are served by the engine.
 // The whole composite runs as a callback chain; the process parks once.
 func (c *leCC) engineAccess(p *sim.Proc, ops int) {
-	n := c.n
-	cont := p.Continuation()
-	n.cpu.AcquireFn(func() {
-		c.engineChain(cont, ops)
-	})
+	op := c.ops.Get()
+	if op == nil {
+		op = &engineOp{c: c}
+		op.step = op.next
+	}
+	op.cont, op.left = p.Continuation(), ops
+	c.n.cpu.AcquireFn(op.step)
 	p.Park()
+}
+
+// engineOp is one in-flight engineAccess composite, pooled per node
+// like gemOpRec.
+type engineOp struct {
+	c    *leCC
+	cont sim.Continuation
+	left int    // engine operations still to issue
+	step func() // bound to next
 }
 
 // engineAccessAttr runs engineAccess and attributes the window to
@@ -73,19 +85,21 @@ func (c *leCC) engineAccessAttr(t *txn, ops int) {
 	t.cp.AddWindow(attrib.ResLock, n.sys.env.Now()-start, svc)
 }
 
-// engineChain runs the remaining engine operations of an engineAccess
-// composite; the last one releases the CPU and resumes the process in
-// its completion slot.
-func (c *leCC) engineChain(cont sim.Continuation, left int) {
-	n := c.n
+// next issues the composite's next engine operation once the CPU is
+// held; the last one releases the CPU and resumes the process in its
+// completion slot.
+func (op *engineOp) next() {
+	n := op.c.n
 	svc := n.sys.params.LockEngine.ServiceTime
-	if left <= 1 {
-		n.sys.engine.RequestResume(cont, svc, n.cpu.Release)
+	if op.left <= 1 {
+		cont := op.cont
+		op.cont = sim.Continuation{}
+		op.c.ops.Put(op)
+		n.sys.engine.RequestResume(cont, svc, n.cpuRelease)
 		return
 	}
-	n.sys.engine.Request(svc, func() {
-		c.engineChain(cont, left-1)
-	})
+	op.left--
+	n.sys.engine.Request(svc, op.step)
 }
 
 // access processes one lock request at the central lock engine,
@@ -116,13 +130,13 @@ func (c *leCC) access(t *txn, page model.PageID, mode model.LockMode) (cc.Outcom
 		n.lockWaitTime.AddDuration(n.sys.env.Now() - start)
 		n.lockWaitDone(t, page, start)
 	}
-	t.locked[page] = &heldLock{mode: mode, kind: kindLocal}
+	t.locked[page] = heldLock{mode: mode, kind: kindLocal}
 
 	// With broadcast invalidation stale copies are discarded eagerly;
 	// the sequence number still travels for the coherency oracle (a
 	// cached copy that survived all broadcasts is current).
 	meta := n.sys.gltMetaOf(page)
-	return cc.Outcome{Seq: meta.Seq, Owner: -1}, held == nil, nil
+	return cc.Outcome{Seq: meta.Seq, Owner: -1}, held.kind == 0, nil
 }
 
 // releaseAll performs commit phase 2 at the lock engine. For update
@@ -135,7 +149,8 @@ func (c *leCC) releaseAll(t *txn, commit bool) {
 
 	if commit && len(t.modified) > 0 {
 		pages := make([]model.PageID, 0, len(t.modified))
-		for _, page := range sortedPages(t.modified) {
+		t.pages = sortedPages(t.pages, t.modified)
+		for _, page := range t.pages {
 			file := sys.db.File(page.File)
 			if !file.Locking {
 				continue
@@ -152,15 +167,12 @@ func (c *leCC) releaseAll(t *txn, commit bool) {
 		}
 	}
 
-	held := c.table().Held(t.owner)
-	if len(held) > 0 {
-		c.engineAccessAttr(t, len(held))
+	if held := c.table().HeldCount(t.owner); held > 0 {
+		c.engineAccessAttr(t, held)
 	}
 	granted := c.table().ReleaseAll(t.owner)
 	sys.wakeGEMGranted(granted, execCtx{node: n.id, proc: t.proc})
-	for page := range t.locked {
-		delete(t.locked, page)
-	}
+	clear(t.locked)
 }
 
 // broadcastInvalidations sends the modified page list to every other

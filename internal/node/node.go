@@ -1,6 +1,8 @@
 package node
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -61,6 +63,14 @@ type Node struct {
 	// checkpoint: the redo log scan length if this node crashes now.
 	logSinceCkpt int64
 
+	// Recycled per-transaction and device-chain records, and the CPU
+	// release bound once as the GEM chains' completion callback.
+	txns       sim.FreeList[txn]
+	subs       sim.FreeList[submission]
+	writeBacks sim.FreeList[writeBackRec]
+	gemOps     sim.FreeList[gemOpRec]
+	cpuRelease func()
+
 	// Statistics (reset at the end of warm-up).
 	commits       int64
 	aborts        int64
@@ -102,7 +112,8 @@ const (
 	kindShadowRA                     // locally processed read lock under read authorization
 )
 
-// heldLock is a transaction's record of one acquired page lock.
+// heldLock is a transaction's record of one acquired page lock. The
+// zero value (kind 0) means no lock is held.
 type heldLock struct {
 	mode model.LockMode
 	kind lockKind
@@ -116,7 +127,13 @@ type modRecord struct {
 	preDirty bool
 }
 
-// txn is a transaction instance under execution.
+// txn is a transaction instance under execution. Records are pooled per
+// node (Node.txns): runTxn takes one for a transaction, reuses it for
+// every restart attempt and returns it when the transaction ends, with
+// its maps and buffers emptied but kept. Nothing outside the running
+// process refers to a record once its attempt has left System.active:
+// lock queues and messages hold the attempt's remoteWait records, which
+// are never pooled.
 type txn struct {
 	id     lock.TxID
 	owner  lock.Owner
@@ -125,12 +142,16 @@ type txn struct {
 	proc   *sim.Proc
 	arrive sim.Time
 
-	locked   map[model.PageID]*heldLock
-	modified map[model.PageID]*modRecord
+	locked   map[model.PageID]heldLock
+	modified map[model.PageID]modRecord
 
-	// cct records the optimistic engines' observations. The record is
-	// shared across restart attempts; runTxn resets it for each one.
-	cct *cc.Txn
+	// cct records the optimistic engines' observations; runTxn resets
+	// it for each attempt.
+	cct cc.Txn
+
+	// pages is the attempt's buffer for sortedPages. It is per
+	// transaction, not per node: commit parks while iterating it.
+	pages []model.PageID
 
 	waiting  *remoteWait
 	deadlock bool
@@ -150,22 +171,46 @@ type txn struct {
 	cp *attrib.Vector
 }
 
-// pageLess orders page ids for deterministic iteration.
-func pageLess(a, b model.PageID) bool {
-	if a.File != b.File {
-		return a.File < b.File
+// txnKeepRefs bounds the transactions whose maps and buffers a pooled
+// record keeps: a record that served a larger one (trace transactions
+// reach thousands of references) drops them, so the pool does not pin
+// the largest transaction ever seen once per record.
+const txnKeepRefs = 128
+
+// newTxn takes a pooled transaction record, or makes one.
+func (n *Node) newTxn() *txn {
+	if t := n.txns.Get(); t != nil {
+		return t
 	}
-	return a.Page < b.Page
+	return &txn{node: n}
+}
+
+// freeTxn returns t to the pool, keeping its maps and buffers (each
+// attempt clears them when it starts).
+func (n *Node) freeTxn(t *txn) {
+	if len(t.spec.Refs) > txnKeepRefs {
+		t.locked, t.modified, t.pages, t.cct = nil, nil, nil, cc.Txn{}
+	}
+	*t = txn{node: n, locked: t.locked, modified: t.modified, cct: t.cct, pages: t.pages[:0]}
+	n.txns.Put(t)
+}
+
+// pageCmp orders page ids for deterministic iteration.
+func pageCmp(a, b model.PageID) int {
+	if a.File != b.File {
+		return cmp.Compare(a.File, b.File)
+	}
+	return cmp.Compare(a.Page, b.Page)
 }
 
 // sortedPages returns the pages of a page-keyed map in a stable order
-// (map iteration order would make runs nondeterministic).
-func sortedPages[V any](m map[model.PageID]V) []model.PageID {
-	pages := make([]model.PageID, 0, len(m))
+// (map iteration order would make runs nondeterministic), reusing buf.
+func sortedPages[V any](buf []model.PageID, m map[model.PageID]V) []model.PageID {
+	pages := buf[:0]
 	for p := range m {
 		pages = append(pages, p)
 	}
-	sort.Slice(pages, func(i, j int) bool { return pageLess(pages[i], pages[j]) })
+	slices.SortFunc(pages, pageCmp)
 	return pages
 }
 
@@ -195,6 +240,7 @@ func newNode(s *System, id int) *Node {
 		historyPage:  historyBase(id),
 	}
 	n.cpu = cpusrv.New(s.env, "cpu"+itoa(id), s.params.CPUsPerNode, s.params.MIPSPerCPU)
+	n.cpuRelease = n.cpu.Release
 	n.mpl = sim.NewSemaphore(s.env, "mpl"+itoa(id), s.params.MPL)
 	n.logGroup = storage.NewGroup(s.env, "log"+itoa(id), storage.DefaultLogParams())
 	switch s.params.Coupling {
@@ -222,10 +268,32 @@ func itoa(i int) string { return strconv.Itoa(i) }
 
 // submit spawns a process executing one transaction at this node.
 func (n *Node) submit(spec model.Txn) {
-	arrive := n.sys.env.Now()
-	n.sys.env.Spawn("txn", func(p *sim.Proc) {
-		n.sys.runWithRetry(p, n, spec, arrive)
-	})
+	sb := n.subs.Get()
+	if sb == nil {
+		sb = &submission{n: n}
+		sb.run = sb.start
+	}
+	sb.spec, sb.arrive = spec, n.sys.env.Now()
+	n.sys.env.Spawn("txn", sb.run)
+}
+
+// submission hands one arriving transaction to its process. Records
+// are pooled per node with the process body bound once, so a submit
+// allocates only the process record.
+type submission struct {
+	n      *Node
+	spec   model.Txn
+	arrive sim.Time
+	run    func(p *sim.Proc) // bound to start
+}
+
+// start runs the transaction; the record is recycled first, as the
+// process no longer needs it.
+func (sb *submission) start(p *sim.Proc) {
+	n, spec, arrive := sb.n, sb.spec, sb.arrive
+	sb.spec = model.Txn{}
+	n.subs.Put(sb)
+	n.sys.runWithRetry(p, n, spec, arrive)
 }
 
 // runTxnCounted wraps runTxn with the activation accounting used by
@@ -257,27 +325,26 @@ func (n *Node) runTxn(p *sim.Proc, spec model.Txn, arrive sim.Time, ph *trace.Ph
 	cp.Add(attrib.ResOther, sys.env.Now()-entered, 0)
 	timeouts := 0
 	conflicts := 0
-	cct := &cc.Txn{}
-	var t *txn
+	t := n.newTxn()
+	defer n.freeTxn(t)
+	t.spec, t.proc, t.arrive, t.phases, t.cp = spec, p, arrive, ph, cp
+	if t.locked == nil {
+		t.locked = make(map[model.PageID]heldLock, len(spec.Refs))
+		t.modified = make(map[model.PageID]modRecord, 4)
+	}
 	for {
 		if sys.faultsOn && sys.down[n.id] {
 			n.mpl.Release()
 			return false
 		}
-		t = &txn{
-			id:       sys.nextTxID(),
-			node:     n,
-			spec:     spec,
-			proc:     p,
-			arrive:   arrive,
-			locked:   make(map[model.PageID]*heldLock, len(spec.Refs)),
-			modified: make(map[model.PageID]*modRecord, 4),
-			phases:   ph,
-			cp:       cp,
-			cct:      cct,
-		}
+		t.id = sys.nextTxID()
 		t.owner = lock.Owner{Node: n.id, Tx: t.id}
-		cct.Begin(int64(t.id))
+		t.waiting, t.deadlock, t.killed = nil, false, false
+		// A killed attempt skips releaseAll, and no attempt clears its
+		// modified set.
+		clear(t.locked)
+		clear(t.modified)
+		t.cct.Begin(int64(t.id))
 		p.SetTraceID(int64(t.id))
 		sys.active[t.owner] = t
 		n.admitted++
@@ -403,7 +470,7 @@ func (n *Node) attempt(t *txn) error {
 				return err
 			}
 		}
-		preModified := t.modified[ref.Page] != nil
+		_, preModified := t.modified[ref.Page]
 		if obs := n.sys.pageObserver; obs != nil {
 			obs(ref.Page)
 		}
@@ -461,10 +528,10 @@ func (n *Node) resolveRef(ref model.Ref) model.Ref {
 // markModified pins the frame until commit, bumps its page sequence
 // number and remembers the pre-image for undo.
 func (n *Node) markModified(t *txn, frame *buffer.Frame) {
-	if t.modified[frame.Page] != nil {
+	if _, ok := t.modified[frame.Page]; ok {
 		return
 	}
-	t.modified[frame.Page] = &modRecord{frame: frame, preSeq: frame.SeqNo, preDirty: frame.Dirty}
+	t.modified[frame.Page] = modRecord{frame: frame, preSeq: frame.SeqNo, preDirty: frame.Dirty}
 	frame.SeqNo++
 	frame.Dirty = true
 }
@@ -481,7 +548,8 @@ func (n *Node) commit(t *txn) {
 		t.phases.Add(trace.PhaseLog, n.sys.env.Now()-logStart)
 		if params.Force {
 			forceStart := n.sys.env.Now()
-			for _, page := range sortedPages(t.modified) {
+			t.pages = sortedPages(t.pages, t.modified)
+			for _, page := range t.pages {
 				mod := t.modified[page]
 				file := n.sys.db.File(page.File)
 				n.writeStorage(t.proc, t.cp, file, page, mod.frame.SeqNo)
@@ -602,9 +670,9 @@ func (n *Node) fetchMiss(t *txn, file *model.File, page model.PageID, write bool
 // install puts a page into the pool, scheduling a background write for
 // a dirty replacement victim.
 func (n *Node) install(page model.PageID, seq uint64, dirty bool) *buffer.Frame {
-	fr, victim := n.pool.Insert(page, seq, dirty)
-	if victim != nil && victim.Dirty {
-		n.writeBack(*victim)
+	fr, victim, evicted := n.pool.Insert(page, seq, dirty)
+	if evicted && victim.Dirty {
+		n.writeBack(victim)
 	}
 	return fr
 }
@@ -615,34 +683,58 @@ func (n *Node) install(page model.PageID, seq uint64, dirty bool) *buffer.Frame 
 // this node.
 func (n *Node) writeBack(v buffer.Victim) {
 	n.inflight[v.Page] = v.SeqNo
+	wb := n.writeBacks.Get()
+	if wb == nil {
+		wb = &writeBackRec{n: n}
+		wb.run = wb.start
+	}
+	wb.v = v
+	n.sys.env.Spawn("writeback", wb.run)
+}
+
+// writeBackRec hands one replaced dirty page to its write-back
+// process, pooled like submission.
+type writeBackRec struct {
+	n   *Node
+	v   buffer.Victim
+	run func(p *sim.Proc) // bound to start
+}
+
+// start runs the write-back; the record is recycled first.
+func (wb *writeBackRec) start(p *sim.Proc) {
+	n, v := wb.n, wb.v
+	n.writeBacks.Put(wb)
+	n.writeBackPage(p, v)
+}
+
+// writeBackPage is the body of a write-back process.
+func (n *Node) writeBackPage(p *sim.Proc, v buffer.Victim) {
 	file := n.sys.db.File(v.Page.File)
-	n.sys.env.Spawn("writeback", func(p *sim.Proc) {
-		if n.sys.params.Coupling == CouplingGEM && !n.sys.params.Force && file.Locking {
-			// Check ownership with the GLT (one entry read): if a
-			// newer version exists elsewhere the stale copy must not
-			// reach the disk.
-			n.gemEntryOp(p, 0, 1)
-			meta := n.sys.gltMetaOf(v.Page)
-			if meta.Owner != n.id || meta.Seq != v.SeqNo {
-				if cur, ok := n.inflight[v.Page]; ok && cur == v.SeqNo {
-					delete(n.inflight, v.Page)
-				}
-				return
+	if n.sys.params.Coupling == CouplingGEM && !n.sys.params.Force && file.Locking {
+		// Check ownership with the GLT (one entry read): if a newer
+		// version exists elsewhere the stale copy must not reach the
+		// disk.
+		n.gemEntryOp(p, 0, 1)
+		meta := n.sys.gltMetaOf(v.Page)
+		if meta.Owner != n.id || meta.Seq != v.SeqNo {
+			if cur, ok := n.inflight[v.Page]; ok && cur == v.SeqNo {
+				delete(n.inflight, v.Page)
 			}
-			n.writeStorage(p, nil, file, v.Page, v.SeqNo)
-			// Adapt the entry with one Compare&Swap write so future
-			// misses read from the permanent database.
-			n.gemEntryOp(p, 0, 1)
-			if meta.Owner == n.id && meta.Seq == v.SeqNo {
-				meta.Owner = -1
-			}
-		} else {
-			n.writeStorage(p, nil, file, v.Page, v.SeqNo)
+			return
 		}
-		if cur, ok := n.inflight[v.Page]; ok && cur == v.SeqNo {
-			delete(n.inflight, v.Page)
+		n.writeStorage(p, nil, file, v.Page, v.SeqNo)
+		// Adapt the entry with one Compare&Swap write so future misses
+		// read from the permanent database.
+		n.gemEntryOp(p, 0, 1)
+		if meta.Owner == n.id && meta.Seq == v.SeqNo {
+			meta.Owner = -1
 		}
-	})
+	} else {
+		n.writeStorage(p, nil, file, v.Page, v.SeqNo)
+	}
+	if cur, ok := n.inflight[v.Page]; ok && cur == v.SeqNo {
+		delete(n.inflight, v.Page)
+	}
 }
 
 // gemPageIO performs one synchronous GEM page access (the CPU stays
@@ -650,12 +742,7 @@ func (n *Node) writeBack(v buffer.Victim) {
 // whole composite — CPU grant, held instruction burst, GEM access, CPU
 // release — runs as a callback chain; the process parks once.
 func (n *Node) gemPageIO(p *sim.Proc) {
-	cont := p.Continuation()
-	n.cpu.AcquireFn(func() {
-		n.cpu.HoldFn(n.sys.params.GEMIOInstr, func() {
-			n.sys.gemDev.AccessPageFn(cont, n.cpu.Release)
-		})
-	})
+	n.gemOp(p, n.sys.params.GEMIOInstr, true, 0)
 	p.Park()
 }
 
@@ -665,13 +752,52 @@ func (n *Node) gemPageIO(p *sim.Proc) {
 // queue at the GEM device, and the CPU is released. The process parks
 // once for the whole composite.
 func (n *Node) gemEntryOp(p *sim.Proc, instr float64, entries int) {
-	cont := p.Continuation()
-	n.cpu.AcquireFn(func() {
-		n.cpu.HoldFn(instr, func() {
-			n.sys.gemDev.AccessEntriesFn(cont, entries, n.cpu.Release)
-		})
-	})
+	n.gemOp(p, instr, false, entries)
 	p.Park()
+}
+
+// gemOpRec is one in-flight CPU-held GEM composite: the page access of
+// gemPageIO or the entry batch of gemEntryOp. Records are pooled per
+// node and their chain steps are method values bound once, so a
+// composite allocates nothing.
+type gemOpRec struct {
+	n       *Node
+	cont    sim.Continuation
+	instr   float64
+	page    bool // a page access; otherwise entries entry accesses
+	entries int
+	granted func() // bound to grant
+	held    func() // bound to access
+}
+
+// gemOp starts the composite for p's continuation; the caller parks.
+func (n *Node) gemOp(p *sim.Proc, instr float64, page bool, entries int) {
+	op := n.gemOps.Get()
+	if op == nil {
+		op = &gemOpRec{n: n}
+		op.granted = op.grant
+		op.held = op.access
+	}
+	op.cont, op.instr, op.page, op.entries = p.Continuation(), instr, page, entries
+	n.cpu.AcquireFn(op.granted)
+}
+
+// grant charges the held instruction burst once a CPU is granted.
+func (op *gemOpRec) grant() { op.n.cpu.HoldFn(op.instr, op.held) }
+
+// access queues the GEM access; its completion releases the CPU and
+// resumes the process. The record is recycled first: nothing refers to
+// it once the access is issued.
+func (op *gemOpRec) access() {
+	n := op.n
+	cont, page, entries := op.cont, op.page, op.entries
+	op.cont = sim.Continuation{}
+	n.gemOps.Put(op)
+	if page {
+		n.sys.gemDev.AccessPageFn(cont, n.cpuRelease)
+		return
+	}
+	n.sys.gemDev.AccessEntriesFn(cont, entries, n.cpuRelease)
 }
 
 // gemPageSvc returns the service demand of one gemPageIO composite:

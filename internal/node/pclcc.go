@@ -39,7 +39,7 @@ func (c *pclCC) access(t *txn, page model.PageID, mode model.LockMode) (cc.Outco
 		return c.n.buffered(page), false, nil
 	}
 	out, err := c.lock(t, page, mode)
-	return out, held == nil, err
+	return out, held.kind == 0, err
 }
 
 // lock routes a lock request to the page's partition.
@@ -108,7 +108,7 @@ func (c *pclCC) lockLocal(t *txn, page model.PageID, mode model.LockMode, gla in
 	if mode == model.LockWrite {
 		sys.revokeRAs(page, n.id, execCtx{node: n.id, proc: t.proc})
 	}
-	t.locked[page] = &heldLock{mode: mode, kind: kindLocal}
+	t.locked[page] = heldLock{mode: mode, kind: kindLocal}
 	meta := sys.pclMetaOf(gla, page)
 	return cc.Outcome{Seq: meta.Seq, Owner: -1}, nil
 }
@@ -147,14 +147,14 @@ func (c *pclCC) lockShadowRA(t *txn, page model.PageID, gla int, copySeq uint64)
 		// the authoritative sequence number and direct refetches to
 		// the GLA node, which owns the current version under NOFORCE.
 		meta := sys.pclMetaOf(gla, page)
-		t.locked[page] = &heldLock{mode: model.LockRead, kind: kindShadowRA}
+		t.locked[page] = heldLock{mode: model.LockRead, kind: kindShadowRA}
 		out := cc.Outcome{Seq: meta.Seq, Owner: -1}
 		if !sys.params.Force {
 			out.Owner = sys.glaHomeOf(gla)
 		}
 		return out, nil
 	}
-	t.locked[page] = &heldLock{mode: model.LockRead, kind: kindShadowRA}
+	t.locked[page] = heldLock{mode: model.LockRead, kind: kindShadowRA}
 	return cc.Outcome{Seq: copySeq, Owner: -1}, nil
 }
 
@@ -189,7 +189,7 @@ func (c *pclCC) lockRemote(t *txn, page model.PageID, mode model.LockMode, gla, 
 	if wait.grantRA {
 		n.raHeld[page] = true
 	}
-	t.locked[page] = &heldLock{mode: mode, kind: kindRemote}
+	t.locked[page] = heldLock{mode: mode, kind: kindRemote}
 	out := cc.Outcome{Seq: wait.seq, Owner: -1, Carried: wait.carried}
 	if wait.ownerHasCopy && !sys.params.Force {
 		// Should the local copy disappear before the access (it can be
@@ -336,20 +336,19 @@ func (c *pclCC) releaseAll(t *txn, commit bool) {
 				sys.wakeGrantedAsync(granted, g, home)
 			}
 		}
-		for page := range t.locked {
-			delete(t.locked, page)
-		}
+		clear(t.locked)
 		return
 	}
 
 	perGLA := make(map[int][]releasedPage)
-	for _, page := range sortedPages(t.locked) {
+	t.pages = sortedPages(t.pages, t.locked)
+	for _, page := range t.pages {
 		hl := t.locked[page]
 		gla := sys.gla.GLA(page)
-		mod := t.modified[page]
+		mod, modified := t.modified[page]
 		switch hl.kind {
 		case kindLocal:
-			if mod != nil {
+			if modified {
 				meta := sys.pclMetaOf(gla, page)
 				meta.Seq = mod.frame.SeqNo
 				sys.oracle.commit(page, mod.frame.SeqNo)
@@ -365,7 +364,7 @@ func (c *pclCC) releaseAll(t *txn, commit bool) {
 			}
 		case kindRemote:
 			rp := releasedPage{Page: page}
-			if mod != nil {
+			if modified {
 				rp.NewSeq = mod.frame.SeqNo
 				if !sys.params.Force {
 					rp.Carried = true

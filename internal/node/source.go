@@ -38,6 +38,27 @@ type pooledTerminals struct {
 
 	ready   []readyQ // per node, FIFO
 	running []int    // per node, admitted transactions in flight
+	runs    sim.FreeList[pooledRun]
+}
+
+// pooledRun hands one admitted transaction to its process, pooled like
+// submission: the process body is bound once per record.
+type pooledRun struct {
+	pt   *pooledTerminals
+	n    *Node
+	home int
+	it   readyItem
+	run  func(p *sim.Proc) // bound to start
+}
+
+// start runs the transaction and frees its slot; the record is
+// recycled first.
+func (r *pooledRun) start(p *sim.Proc) {
+	pt, n, home, it := r.pt, r.n, r.home, r.it
+	r.n, r.it = nil, readyItem{}
+	pt.runs.Put(r)
+	pt.s.runWithRetry(p, n, it.spec, it.arrive)
+	pt.done(home)
 }
 
 // readyItem is one drawn transaction waiting for a free slot at its
@@ -119,13 +140,7 @@ func (pt *pooledTerminals) terminalWake() {
 	} else {
 		spec = s.gen.Next(pt.gen)
 	}
-	target := s.router.Route(&spec)
-	if s.faultsOn {
-		target = s.aliveTarget(target)
-	}
-	if s.ctl != nil {
-		s.ctl.observeRoute(spec.Branch)
-	}
+	target := s.route(spec)
 	it := readyItem{spec: spec, arrive: s.env.Now()}
 	if pt.running[target] >= s.nodes[target].mpl.Limit() {
 		pt.ready[target].push(it)
@@ -144,11 +159,13 @@ func (pt *pooledTerminals) begin(home int, it readyItem) {
 	if s.faultsOn {
 		exec = s.aliveTarget(home)
 	}
-	n := s.nodes[exec]
-	s.env.Spawn("txn", func(p *sim.Proc) {
-		s.runWithRetry(p, n, it.spec, it.arrive)
-		pt.done(home)
-	})
+	r := pt.runs.Get()
+	if r == nil {
+		r = &pooledRun{pt: pt}
+		r.run = r.start
+	}
+	r.n, r.home, r.it = s.nodes[exec], home, it
+	s.env.Spawn("txn", r.run)
 }
 
 // done returns a slot at home, admits the next ready transaction if

@@ -68,6 +68,11 @@ type System struct {
 	split  *rng.Splitter
 	txSeq  lock.TxID
 	active map[lock.Owner]*txn
+	// routed is the router's argument (route).
+	routed model.Txn
+	// Recycled per-transaction accumulators (runWithRetry).
+	phases  sim.FreeList[trace.Phases]
+	vectors sim.FreeList[attrib.Vector]
 
 	// rtBatches feeds the batch-means confidence interval on the mean
 	// response time (all model code runs one-process-at-a-time, so the
@@ -343,14 +348,7 @@ func (s *System) Start(ratePerNode float64) {
 			} else {
 				spec = s.gen.Next(gen)
 			}
-			target := s.router.Route(&spec)
-			if s.faultsOn {
-				target = s.aliveTarget(target)
-			}
-			if s.ctl != nil {
-				s.ctl.observeRoute(spec.Branch)
-			}
-			s.nodes[target].submit(spec)
+			s.nodes[s.route(spec)].submit(spec)
 		}
 	})
 	s.startLogMerge()
@@ -416,14 +414,7 @@ func (s *System) StartClosed(terminals int, thinkTime time.Duration) error {
 					} else {
 						spec = s.gen.Next(gen)
 					}
-					target := s.router.Route(&spec)
-					if s.faultsOn {
-						target = s.aliveTarget(target)
-					}
-					if s.ctl != nil {
-						s.ctl.observeRoute(spec.Branch)
-					}
-					s.runWithRetry(p, s.nodes[target], spec, s.env.Now())
+					s.runWithRetry(p, s.nodes[s.route(spec)], spec, s.env.Now())
 				}
 			})
 		}
@@ -431,6 +422,24 @@ func (s *System) StartClosed(terminals int, thinkTime time.Duration) error {
 	s.startCheckpoints()
 	s.startAvailability()
 	return nil
+}
+
+// route picks the node a new transaction runs at: the router's
+// choice, redirected away from a down node, and observed by the
+// adaptive controller. The router takes a pointer, which escapes
+// through the interface call, so it is handed a copy kept in the
+// System rather than the caller's spec.
+func (s *System) route(spec model.Txn) int {
+	s.routed = spec
+	target := s.router.Route(&s.routed)
+	s.routed = model.Txn{}
+	if s.faultsOn {
+		target = s.aliveTarget(target)
+	}
+	if s.ctl != nil {
+		s.ctl.observeRoute(spec.Branch)
+	}
+	return target
 }
 
 // nextTxID allocates a transaction identifier; larger ids are younger.

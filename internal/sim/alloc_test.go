@@ -83,3 +83,22 @@ func TestTier2Allocs(t *testing.T) {
 		t.Fatalf("park/resume cycle allocates %.1f/op, want 0", n)
 	}
 }
+
+// TestFreeListReuse checks that a FreeList hands records back LIFO and
+// that a warm get/put cycle allocates nothing.
+func TestFreeListReuse(t *testing.T) {
+	var l FreeList[int]
+	if l.Get() != nil {
+		t.Fatal("empty list returned a record")
+	}
+	a, b := new(int), new(int)
+	l.Put(a)
+	l.Put(b)
+	if l.Get() != b || l.Get() != a || l.Get() != nil {
+		t.Fatal("records not returned LIFO")
+	}
+	l.Put(a)
+	if n := testing.AllocsPerRun(100, func() { l.Put(l.Get()) }); n != 0 {
+		t.Fatalf("warm get/put allocates %.1f/op, want 0", n)
+	}
+}

@@ -14,10 +14,20 @@ import (
 // common append-at-end insert (new events carry the largest seq for
 // their timestamp) is O(1). Events beyond the window land in an
 // unsorted overflow tier and are redistributed when the window rotates
-// past them. The bucket count doubles when occupancy exceeds 2x and
-// shrinks at 1/8 occupancy, with the width re-derived from the mean
-// event spacing, so both same-instant bursts and sparse far-future
-// schedules stay O(1) amortized.
+// past them. The bucket count doubles when bucket occupancy exceeds 2x
+// and shrinks when the total pending count (buckets plus overflow)
+// falls below 1/8 of it, with the width re-derived from the mean event
+// spacing, so both same-instant bursts and sparse far-future schedules
+// stay O(1) amortized. Shrinking on the total, the count a rebuild is
+// sized from, keeps a schedule with a few far-future events in
+// overflow from rebuilding the array at its own size over and over.
+//
+// Allocation: the steady state allocates nothing. A resize keeps the
+// bucket array (reslicing it when it shrinks) and every bucket's
+// backing slice, and gathers the live events into one reused scratch
+// slice; a full bucket with a consumed prefix is compacted in place
+// before it is grown. Only a new high-water mark (more buckets, or more
+// events in one bucket or in overflow than ever before) allocates.
 //
 // Determinism: every event has a globally unique seq, so the strict
 // total order (at, seq) has exactly one sorted sequence. Any correct
@@ -45,6 +55,9 @@ type calendar struct {
 
 	over    []*event // far-future tier: at >= horizon, unsorted
 	overMin Time     // min at in over; undefined when over is empty
+
+	scratch []*event // resize's gathering buffer, empty between resizes
+	resizes int      // rebuilds so far (tests bound the thrash)
 }
 
 // calBucket is one sorted bucket with a consumed prefix.
@@ -125,6 +138,14 @@ func (c *calendar) place(ev *event) {
 // forces a mid-slice insert.
 func (c *calendar) bucketInsert(idx int, ev *event) {
 	b := &c.buckets[idx]
+	if b.head > 0 && len(b.evs) == cap(b.evs) {
+		// Full, with a consumed prefix: slide the live events down
+		// instead of growing the slice.
+		live := copy(b.evs, b.evs[b.head:])
+		clear(b.evs[live:])
+		b.evs = b.evs[:live]
+		b.head = 0
+	}
 	n := len(b.evs)
 	if n == b.head || evLess(b.evs[n-1], ev) {
 		b.evs = append(b.evs, ev)
@@ -172,7 +193,7 @@ func (c *calendar) pop(limit Time, bounded bool) *event {
 		b.head = 0
 	}
 	c.count--
-	if len(c.buckets) > calMinBuckets && 8*c.count < len(c.buckets) {
+	if len(c.buckets) > calMinBuckets && 8*c.total() < len(c.buckets) {
 		c.resize()
 	}
 	return ev
@@ -209,14 +230,24 @@ func (c *calendar) rotate() {
 // resize rebuilds the bucket array sized to the live event count, with
 // the width re-derived from the mean event spacing (clamped so the
 // horizon cannot overflow). Doubling up and shrinking at 1/8 keeps the
-// rebuild cost O(1) amortized per operation.
+// rebuild cost O(1) amortized per operation. The bucket array and the
+// bucket slices are reused; only growing past the array's capacity
+// allocates a larger one, which inherits the old buckets' slices.
 func (c *calendar) resize() {
-	evs := make([]*event, 0, c.total())
-	for i := c.cur; i < len(c.buckets); i++ {
+	c.resizes++
+	evs := c.scratch[:0]
+	for i := range c.buckets {
 		b := &c.buckets[i]
-		evs = append(evs, b.evs[b.head:]...)
+		if i >= c.cur {
+			evs = append(evs, b.evs[b.head:]...)
+		}
+		clear(b.evs)
+		b.evs = b.evs[:0]
+		b.head = 0
 	}
 	evs = append(evs, c.over...)
+	clear(c.over)
+	c.over = c.over[:0]
 	n := pow2ceil(len(evs))
 	if n < calMinBuckets {
 		n = calMinBuckets
@@ -241,20 +272,26 @@ func (c *calendar) resize() {
 	if width < 1 {
 		width = 1
 	}
-	c.buckets = make([]calBucket, n)
+	if n <= cap(c.buckets) {
+		c.buckets = c.buckets[:n]
+	} else {
+		grown := make([]calBucket, n)
+		copy(grown, c.buckets[:cap(c.buckets)])
+		c.buckets = grown
+	}
 	c.width = width
 	c.start = minAt - minAt%width
 	c.cur = 0
 	c.count = 0
-	c.over = c.over[:0]
 	c.overMin = maxTime
 	if len(evs) == 0 {
 		c.start = 0
-		return
 	}
 	for _, ev := range evs {
 		c.place(ev)
 	}
+	clear(evs)
+	c.scratch = evs[:0]
 }
 
 // pow2ceil returns the smallest power of two >= n.

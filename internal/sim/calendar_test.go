@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -148,5 +149,74 @@ func TestTimerCancelAfterRotation(t *testing.T) {
 	}
 	if fired != 1 {
 		t.Fatalf("re-armed timer fired %d times, want 1", fired)
+	}
+}
+
+// TestCalendarSteadyFarFutureAllocFree is the regression test for
+// resize thrash: a handful of dense near-term events plus a few dozen
+// far-future ones parked in overflow, the shape of a debit-credit run.
+// Shrinking on the bucket count alone rebuilt the array at its own
+// size on almost every pop, allocating a fresh array and scratch slice
+// each time. After warm-up a pop/insert cycle must allocate nothing
+// and resizes must stay rare.
+func TestCalendarSteadyFarFutureAllocFree(t *testing.T) {
+	const (
+		near = 3  // steady near-term population
+		far  = 24 // far-future population, mostly in overflow
+	)
+	rng := rand.New(rand.NewSource(7))
+	var cal calendar
+	var seq int64
+	var now Time
+	push := func(ev *event, at Time) {
+		seq++
+		ev.at, ev.seq = at, seq
+		cal.insert(ev)
+	}
+	nearDelay := func() Time { return Time(rng.Int63n(int64(2 * time.Millisecond))) }
+	farDelay := func() Time { return 30*time.Millisecond + Time(rng.Int63n(int64(30*time.Millisecond))) }
+	// A start-up burst grows the array past the minimum, so the
+	// steady state runs on a shrinkable array.
+	for i := 0; i < 40; i++ {
+		push(&event{}, now+nearDelay())
+	}
+	// kind tags the far-future events, so each is rescheduled far out.
+	for i := 0; i < far; i++ {
+		push(&event{kind: evTimer}, now+farDelay())
+	}
+	cycle := func() {
+		ev := cal.pop(0, false)
+		now = ev.at
+		if ev.kind == evTimer {
+			push(ev, now+farDelay())
+			return
+		}
+		if cal.total() < near+far {
+			push(ev, now+nearDelay())
+		}
+	}
+	for i := 0; i < 200000; i++ {
+		cycle()
+	}
+	if got := cal.total(); got != near+far-1 && got != near+far {
+		t.Fatalf("steady state holds %d events, want about %d", got, near+far)
+	}
+	// Count allocations over the whole window: an occasional rebuild
+	// must show, not round down to zero per cycle.
+	const cycles = 20000
+	base := cal.resizes
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	resizes := cal.resizes - base
+	t.Logf("%d resizes, %d allocations over %d cycles", resizes, after.Mallocs-before.Mallocs, cycles)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("%d steady pop/insert cycles allocate %d times, want 0", cycles, n)
+	}
+	if resizes > 20 {
+		t.Errorf("%d resizes over %d steady cycles, want at most 20", resizes, cycles)
 	}
 }

@@ -217,19 +217,6 @@ func (p *Proc) Join(other *Proc) {
 	p.park()
 }
 
-// Fork runs each fn as a child process and blocks until all have
-// finished. It models parallel sub-operations such as the parallel
-// force-writes at commit.
-func (p *Proc) Fork(name string, fns ...func(p *Proc)) {
-	children := make([]*Proc, len(fns))
-	for i, fn := range fns {
-		children[i] = p.env.Spawn(fmt.Sprintf("%s/%d", name, i), fn)
-	}
-	for _, c := range children {
-		p.Join(c)
-	}
-}
-
 // Stop terminates all live processes by unwinding them, then retires
 // the idle workers, so that no goroutines leak after a run. The
 // environment must not be used again.

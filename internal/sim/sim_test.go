@@ -119,28 +119,19 @@ func TestStaleWakeIsDropped(t *testing.T) {
 	env.Stop()
 }
 
-func TestJoinAndFork(t *testing.T) {
+func TestJoinWaitsForChild(t *testing.T) {
 	env := NewEnv()
-	var joined, forked Time
+	var joined Time
 	env.Spawn("parent", func(p *Proc) {
 		child := env.Spawn("child", func(c *Proc) { c.Wait(3 * time.Millisecond) })
 		p.Join(child)
 		joined = env.Now()
-		p.Fork("writes",
-			func(c *Proc) { c.Wait(5 * time.Millisecond) },
-			func(c *Proc) { c.Wait(9 * time.Millisecond) },
-			func(c *Proc) { c.Wait(2 * time.Millisecond) },
-		)
-		forked = env.Now()
 	})
 	if err := env.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
 	if joined != 3*time.Millisecond {
 		t.Fatalf("join at %v", joined)
-	}
-	if forked != 12*time.Millisecond {
-		t.Fatalf("fork done at %v, want 12ms (3+max(5,9,2))", forked)
 	}
 	env.Stop()
 }

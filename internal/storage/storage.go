@@ -97,6 +97,9 @@ type Group struct {
 	readLatency  stats.Series
 	writeLatency stats.Series
 	tracer       *trace.Tracer
+
+	ioOps      sim.FreeList[ioOp] // idle device-chain records
+	destageOps sim.FreeList[destageOp]
 }
 
 // NewGroup creates a disk group.
@@ -161,35 +164,12 @@ func (g *Group) waitStall(p *sim.Proc) {
 // once and resumes when the page has been transferred.
 func (g *Group) Read(p *sim.Proc, page model.PageID) (cacheHit bool) {
 	g.waitStall(p)
-	start := g.env.Now()
 	g.reads++
-	cont := p.Continuation()
 	hit := g.cache != nil && g.cache.Touch(page)
 	if hit {
 		g.readHits++
-		g.controllers.Request(g.params.ControllerTime, func() {
-			cont.ResumeAfter(g.params.TransferTime, func() {
-				g.readLatency.AddDuration(g.env.Now() - start)
-				if g.tracer.Enabled() {
-					g.traceIO(p, "read", start, page, true)
-				}
-			})
-		})
-	} else {
-		g.controllers.Request(g.params.ControllerTime, func() {
-			g.disks.Request(g.params.DiskTime, func() {
-				cont.ResumeAfter(g.params.TransferTime, func() {
-					if g.cache != nil {
-						g.insert(page, false)
-					}
-					g.readLatency.AddDuration(g.env.Now() - start)
-					if g.tracer.Enabled() {
-						g.traceIO(p, "read", start, page, false)
-					}
-				})
-			})
-		})
 	}
+	g.startIO(p, page, false, hit)
 	p.Park()
 	return hit
 }
@@ -200,43 +180,87 @@ func (g *Group) Read(p *sim.Proc, page model.PageID) (cacheHit bool) {
 // park.
 func (g *Group) Write(p *sim.Proc, page model.PageID) (absorbed bool) {
 	g.waitStall(p)
-	start := g.env.Now()
-	cont := p.Continuation()
 	g.writes++
+	// Write-behind: a non-volatile cache absorbs the write; the disk
+	// copy is updated lazily when the dirty entry reaches the LRU end
+	// (asynchronous destage, so requesters never see disk delay).
 	absorbed = g.cache != nil && !g.cache.Volatile()
-	if absorbed {
-		// Write-behind: the cache absorbs the write; the disk copy is
-		// updated lazily when the dirty entry reaches the LRU end
-		// (asynchronous destage, so requesters never see disk delay).
-		g.controllers.Request(g.params.ControllerTime, func() {
-			cont.ResumeAfter(g.params.TransferTime, func() {
-				g.insert(page, true)
-				g.writesAbsorb++
-				g.writeLatency.AddDuration(g.env.Now() - start)
-				if g.tracer.Enabled() {
-					g.traceIO(p, "write", start, page, true)
-				}
-			})
-		})
-	} else {
-		g.controllers.Request(g.params.ControllerTime, func() {
-			g.disks.Request(g.params.DiskTime, func() {
-				cont.ResumeAfter(g.params.TransferTime, func() {
-					if g.cache != nil {
-						// Volatile cache: write-through, keep the copy
-						// readable.
-						g.insert(page, false)
-					}
-					g.writeLatency.AddDuration(g.env.Now() - start)
-					if g.tracer.Enabled() {
-						g.traceIO(p, "write", start, page, false)
-					}
-				})
-			})
-		})
-	}
+	g.startIO(p, page, true, absorbed)
 	p.Park()
 	return absorbed
+}
+
+// ioOp is one in-flight Read or Write device chain: controller, then
+// disk unless the cache serves it (a read hit or an absorbed write),
+// then the transfer, whose completion resumes the process. Records are
+// pooled per group and their chain steps are method values bound once,
+// so a request allocates nothing.
+type ioOp struct {
+	g        *Group
+	p        *sim.Proc
+	cont     sim.Continuation
+	page     model.PageID
+	start    sim.Time
+	write    bool
+	cached   bool   // read hit or absorbed write: the disk is skipped
+	ctlDone  func() // bound to afterController
+	diskDone func() // bound to transfer
+	done     func() // bound to finish
+}
+
+// startIO issues p's device chain for page; the caller parks.
+func (g *Group) startIO(p *sim.Proc, page model.PageID, write, cached bool) {
+	op := g.ioOps.Get()
+	if op == nil {
+		op = &ioOp{g: g}
+		op.ctlDone = op.afterController
+		op.diskDone = op.transfer
+		op.done = op.finish
+	}
+	op.p, op.cont, op.page, op.start = p, p.Continuation(), page, g.env.Now()
+	op.write, op.cached = write, cached
+	g.controllers.Request(g.params.ControllerTime, op.ctlDone)
+}
+
+// afterController moves the request on to the disk servers, or
+// straight to the transfer when the cache serves it.
+func (op *ioOp) afterController() {
+	if op.cached {
+		op.transfer()
+		return
+	}
+	op.g.disks.Request(op.g.params.DiskTime, op.diskDone)
+}
+
+// transfer schedules the page transfer, whose event resumes the
+// process after finish ran.
+func (op *ioOp) transfer() { op.cont.ResumeAfter(op.g.params.TransferTime, op.done) }
+
+// finish does the request's cache and latency bookkeeping and recycles
+// the record.
+func (op *ioOp) finish() {
+	g := op.g
+	switch {
+	case op.write && op.cached:
+		g.insert(op.page, true)
+		g.writesAbsorb++
+	case !op.cached && g.cache != nil:
+		// A read miss fills the cache; a write through a volatile
+		// cache keeps the copy readable.
+		g.insert(op.page, false)
+	}
+	name := "read"
+	if op.write {
+		name = "write"
+		g.writeLatency.AddDuration(g.env.Now() - op.start)
+	} else {
+		g.readLatency.AddDuration(g.env.Now() - op.start)
+	}
+	if g.tracer.Enabled() {
+		g.traceIO(op.p, name, op.start, op.page, op.cached)
+	}
+	op.p, op.cont = nil, sim.Continuation{}
+	g.ioOps.Put(op)
 }
 
 // insert adds a page to the cache, destaging a dirty LRU victim in the
@@ -249,17 +273,37 @@ func (g *Group) insert(page model.PageID, dirty bool) {
 	}
 }
 
+// destageOp is one background destage, pooled like ioOp.
+type destageOp struct {
+	g     *Group
+	page  model.PageID
+	begin func() // bound to request
+	clean func() // bound to finish
+}
+
 // scheduleDestage writes a cached dirty page back to disk in the
 // background and cleans the cache entry afterwards (unless it was
 // re-dirtied, in which case its own destage has been scheduled). Pure
 // callback-tier work: no process is involved.
 func (g *Group) scheduleDestage(page model.PageID) {
 	g.destages++
-	g.env.After(0, func() {
-		g.disks.Request(g.params.DiskTime, func() {
-			g.cache.Clean(page)
-		})
-	})
+	op := g.destageOps.Get()
+	if op == nil {
+		op = &destageOp{g: g}
+		op.begin = op.request
+		op.clean = op.finish
+	}
+	op.page = page
+	g.env.After(0, op.begin)
+}
+
+// request queues the destage write at the disk servers.
+func (op *destageOp) request() { op.g.disks.Request(op.g.params.DiskTime, op.clean) }
+
+// finish cleans the cache entry and recycles the record.
+func (op *destageOp) finish() {
+	op.g.cache.Clean(op.page)
+	op.g.destageOps.Put(op)
 }
 
 // DiskUtilization returns the utilization of the disk servers.
