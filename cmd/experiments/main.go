@@ -1,7 +1,9 @@
 // Command experiments regenerates the tables and figures of the
-// paper's evaluation section (section 4). Every figure is a sweep:
-// its runs expand into one list and execute on a multi-core worker
-// pool (-jobs); results are byte-identical for any worker count.
+// paper's evaluation section (section 4) and of the extension presets
+// (failover, adaptive, availability, engines, hyperscale). Every figure
+// and preset is a sweep: its runs expand into one list and execute on
+// a multi-core worker pool (-jobs); results are byte-identical for any
+// worker count.
 //
 // Examples:
 //
@@ -9,6 +11,7 @@
 //	experiments -anchors              # paper's in-text anchors vs measured
 //	experiments -table 4.1            # print the parameter settings
 //	experiments -fig 4.1              # regenerate one figure
+//	experiments -fig failover         # run one preset
 //	experiments -all                  # regenerate every figure
 //	experiments -fig 4.5-NOFORCE-buf200 -csv -plot
 //	experiments -all -quick -jobs 8   # short windows, eight workers
@@ -145,20 +148,19 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	presets, err := core.Presets(*seed, *quick)
+	if err != nil {
+		return err
+	}
 	if *list {
 		for i := range exps {
 			e := &exps[i]
 			fmt.Printf("%-20s %s (%d series x %d node counts; %s)\n",
 				e.ID, e.Title, len(e.Series), len(e.Nodes), e.Metric)
 		}
-		fmt.Printf("%-20s %s\n", "failover",
-			"node crash mid-run: disk-log vs GEM-log recovery (4 configs; recovery time and degradation)")
-		fmt.Printf("%-20s %s\n", "adaptive",
-			"skewed drifting workload: static allocation vs closed-loop load control (4 configs; throughput, RT, controller actions)")
-		fmt.Printf("%-20s %s\n", "availability",
-			"stochastic MTBF/MTTR crashes: offline replay vs incremental reopen (8 configs; TTFT, p99 unavailability, SLO attainment)")
-		fmt.Printf("%-20s %s\n", "engines",
-			"concurrency-control engines: 2PL vs MV-TO vs OCC vs HAD across contention levels (12 configs; throughput, restarts, validation work)")
+		for _, p := range presets {
+			fmt.Printf("%-20s %s (%d configs; %s)\n", p.ID, p.Summary, len(p.Rows), p.Measures)
+		}
 		fmt.Printf("%-20s %s\n", "",
 			"(the engine is also a sweep axis: \"cc\" with values 2pl, mvto, occ, had)")
 		fmt.Printf("%-20s %s\n", "hyperscale",
@@ -174,82 +176,44 @@ func run(args []string) error {
 		opts.Measure = 5 * time.Second
 	}
 
-	var selected []core.Experiment
+	// One combined run list: figures and presets share the worker
+	// pool, so small tables never serialize behind large ones.
+	var runs []sweep.Run
 	switch {
 	case *all:
-		selected = exps
-	case *fig == "failover":
-		return runFailoverPreset(*seed, *quick, *verbose, *csvOut, *mdOut, sink)
-	case *fig == "adaptive":
-		return runAdaptivePreset(*seed, *quick, *verbose, *csvOut, *mdOut, sink)
-	case *fig == "availability":
-		return runAvailabilityPreset(*seed, *quick, *verbose, *csvOut, *mdOut, sink)
-	case *fig == "engines":
-		return runEnginesPreset(*seed, *quick, *verbose, *csvOut, *mdOut, sink)
+		for i := range exps {
+			runs = append(runs, sweep.ExperimentRuns(&exps[i], opts)...)
+		}
+		for i := range presets {
+			if presets[i].Suite {
+				runs = append(runs, sweep.PresetRuns(&presets[i])...)
+			}
+		}
 	case *fig == "hyperscale":
-		// The hyperscale preset goes through the regular sweep engine
-		// (worker pool, stores, byte-identical tables for any -jobs),
-		// but is not part of -all: its full-size runs are deliberately
+		// Not part of -all: its full-size runs are deliberately
 		// enormous. -quick shrinks the complex instead of only the
 		// windows, so the node axis comes from the preset itself.
-		selected = append(selected, core.HyperscaleExperiment(*quick))
+		e := core.HyperscaleExperiment(*quick)
+		runs = sweep.ExperimentRuns(&e, opts)
 	case *fig != "":
 		for i := range exps {
 			if exps[i].ID == *fig {
-				selected = append(selected, exps[i])
+				runs = append(runs, sweep.ExperimentRuns(&exps[i], opts)...)
 			}
 		}
-		if len(selected) == 0 {
+		for i := range presets {
+			if presets[i].ID == *fig {
+				runs = append(runs, sweep.PresetRuns(&presets[i])...)
+			}
+		}
+		if len(runs) == 0 {
 			return fmt.Errorf("unknown experiment %q (use -list)", *fig)
 		}
 	default:
 		fs.Usage()
 		return fmt.Errorf("nothing to do: pass -list, -table, -fig, -sweep or -all")
 	}
-
-	// One combined run list: all figures share the worker pool, so
-	// small figures never serialize behind large ones.
-	var runs []sweep.Run
-	for i := range selected {
-		runs = append(runs, sweep.ExperimentRuns(&selected[i], opts)...)
-	}
-	figErr := executeAndPrint(runs, eng, sink, *csvOut, *mdOut, *plotOut, *storePath)
-	if figErr != nil && !isRunFailure(figErr) {
-		return figErr
-	}
-	// -all keeps going after per-run failures (figErr carries the
-	// summary) and appends the failover and adaptive presets before
-	// reporting.
-	if *all {
-		if err := runFailoverPreset(*seed, *quick, *verbose, *csvOut, *mdOut, sink); err != nil {
-			if figErr != nil {
-				return fmt.Errorf("%w; failover preset: %v", figErr, err)
-			}
-			return fmt.Errorf("failover preset: %w", err)
-		}
-		if err := runAdaptivePreset(*seed, *quick, *verbose, *csvOut, *mdOut, sink); err != nil {
-			if figErr != nil {
-				return fmt.Errorf("%w; adaptive preset: %v", figErr, err)
-			}
-			return fmt.Errorf("adaptive preset: %w", err)
-		}
-		if err := runAvailabilityPreset(*seed, *quick, *verbose, *csvOut, *mdOut, sink); err != nil {
-			if figErr != nil {
-				return fmt.Errorf("%w; availability preset: %v", figErr, err)
-			}
-			return fmt.Errorf("availability preset: %w", err)
-		}
-	}
-	return figErr
-}
-
-// runFailure marks errors that summarize per-run failures (as opposed
-// to engine-level problems that abort the sweep).
-type runFailure struct{ error }
-
-func isRunFailure(err error) bool {
-	_, ok := err.(runFailure)
-	return ok
+	return executeAndPrint(runs, eng, sink, *csvOut, *mdOut, *plotOut, *storePath)
 }
 
 // executeAndPrint attaches tracing, executes the run list and prints
@@ -299,7 +263,7 @@ func executeAndPrint(runs []sweep.Run, eng sweep.Engine, sink *traceSink, csvOut
 		for _, f := range sum.Failures {
 			fmt.Fprintf(os.Stderr, "  %s: %s\n", f.Key, firstLine(f.Err))
 		}
-		return runFailure{fmt.Errorf("%d of %d runs failed (see stderr for details)", sum.Failed, sum.Total)}
+		return fmt.Errorf("%d of %d runs failed (see stderr for details)", sum.Failed, sum.Total)
 	}
 	return nil
 }
@@ -426,165 +390,6 @@ func (s *traceSink) closeAll() error {
 	}
 	s.files = nil
 	return s.err
-}
-
-// runFailoverPreset runs the fault-injection comparison (not part of
-// the paper's figure catalog): the same mid-run node crash under GEM
-// and PCL, recovered from a disk-resident versus a GEM-resident log.
-// Failover runs are coupled through shared recovery state, so they
-// stay sequential rather than going through the sweep engine.
-func runFailoverPreset(seed int64, quick, verbose, csvOut, mdOut bool, sink *traceSink) error {
-	opts := core.FailoverOptions{Seed: seed}
-	if sink.enabled() {
-		opts.Configure = func(label string, cfg *core.Config) {
-			sink.attach(cfg, "failover-"+label)
-		}
-	}
-	if quick {
-		// The window must still contain a complete disk-log recovery
-		// (several simulated seconds of log scan and redo), so quick
-		// mode only trims the warm-up and the post-recovery tail.
-		opts.Warmup = 2 * time.Second
-		opts.Measure = 20 * time.Second
-	}
-	if verbose {
-		opts.Progress = func(label string, rep *core.Report) {
-			fmt.Fprintf(os.Stderr, "  [failover] %s: %v\n", label, rep)
-		}
-	}
-	start := time.Now()
-	tbl, _, err := core.RunFailover(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println(tbl.Render())
-	if csvOut {
-		fmt.Println(tbl.CSV())
-	}
-	if mdOut {
-		fmt.Println(tbl.Markdown())
-	}
-	fmt.Fprintf(os.Stderr, "(failover completed in %v)\n", time.Since(start).Round(time.Millisecond))
-	return sink.closeAll()
-}
-
-// runAdaptivePreset runs the adaptive load control comparison: the same
-// skewed, drifting debit-credit workload under static allocation versus
-// the closed-loop controller, for GEM and PCL. The scenarios stay
-// sequential (a four-row preset gains nothing from the worker pool and
-// keeps stdout deterministic trivially).
-func runAdaptivePreset(seed int64, quick, verbose, csvOut, mdOut bool, sink *traceSink) error {
-	opts := core.AdaptiveOptions{Seed: seed}
-	if sink.enabled() {
-		opts.Configure = func(label string, cfg *core.Config) {
-			sink.attach(cfg, "adaptive-"+label)
-		}
-	}
-	if quick {
-		// The window must still contain the mid-run drift step plus a
-		// few controller periods on either side of it.
-		opts.Warmup = 2 * time.Second
-		opts.Measure = 10 * time.Second
-	}
-	if verbose {
-		opts.Progress = func(label string, rep *core.Report) {
-			fmt.Fprintf(os.Stderr, "  [adaptive] %s: %v\n", label, rep)
-		}
-	}
-	start := time.Now()
-	tbl, _, err := core.RunAdaptive(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println(tbl.Render())
-	if csvOut {
-		fmt.Println(tbl.CSV())
-	}
-	if mdOut {
-		fmt.Println(tbl.Markdown())
-	}
-	fmt.Fprintf(os.Stderr, "(adaptive completed in %v)\n", time.Since(start).Round(time.Millisecond))
-	return sink.closeAll()
-}
-
-// runAvailabilityPreset runs the availability comparison: stochastic
-// MTBF/MTTR crash schedules under GEM and PCL, with the REDO replay
-// either completing offline before transactions are readmitted or
-// running concurrently with them (incremental reopen, on-demand page
-// repair). The scenarios stay sequential (shared recovery state, and
-// an eight-row preset keeps stdout deterministic trivially).
-func runAvailabilityPreset(seed int64, quick, verbose, csvOut, mdOut bool, sink *traceSink) error {
-	opts := core.AvailabilityOptions{Seed: seed}
-	if sink.enabled() {
-		opts.Configure = func(label string, cfg *core.Config) {
-			sink.attach(cfg, "availability-"+label)
-		}
-	}
-	if quick {
-		// The window must still contain at least one full crash and
-		// disk-log recovery cycle per regime, so quick mode only trims
-		// the warm-up and part of the tail.
-		opts.Warmup = 2 * time.Second
-		opts.Measure = 16 * time.Second
-	}
-	if verbose {
-		opts.Progress = func(label string, rep *core.Report) {
-			fmt.Fprintf(os.Stderr, "  [availability] %s: %v\n", label, rep)
-		}
-	}
-	start := time.Now()
-	tbl, _, err := core.RunAvailability(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println(tbl.Render())
-	if csvOut {
-		fmt.Println(tbl.CSV())
-	}
-	if mdOut {
-		fmt.Println(tbl.Markdown())
-	}
-	fmt.Fprintf(os.Stderr, "(availability completed in %v)\n", time.Since(start).Round(time.Millisecond))
-	return sink.closeAll()
-}
-
-// runEnginesPreset runs the concurrency-control engine comparison (not
-// part of the paper's figure catalog): the four engines against three
-// contention levels of the closed-loop debit-credit workload. The runs
-// stay sequential (a twelve-row preset keeps stdout deterministic
-// trivially and finishes in seconds).
-func runEnginesPreset(seed int64, quick, verbose, csvOut, mdOut bool, sink *traceSink) error {
-	opts := core.EnginesOptions{Seed: seed}
-	if sink.enabled() {
-		opts.Configure = func(label string, cfg *core.Config) {
-			sink.attach(cfg, "engines-"+label)
-		}
-	}
-	if quick {
-		// The window must still accumulate enough restarts per cell for
-		// the crossover to be visible above run-to-run noise.
-		opts.Warmup = 2 * time.Second
-		opts.Measure = 8 * time.Second
-	}
-	if verbose {
-		opts.Progress = func(label string, rep *core.Report) {
-			fmt.Fprintf(os.Stderr, "  [engines] %s: %v\n", label, rep)
-		}
-	}
-	start := time.Now()
-	tbl, _, err := core.RunEngines(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println(tbl.Render())
-	if csvOut {
-		fmt.Println(tbl.CSV())
-	}
-	if mdOut {
-		fmt.Println(tbl.Markdown())
-	}
-	fmt.Fprintf(os.Stderr, "(engines completed in %v)\n", time.Since(start).Round(time.Millisecond))
-	return sink.closeAll()
 }
 
 func printTable41() {

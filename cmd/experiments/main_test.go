@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,9 +12,51 @@ import (
 	"gemsim/internal/core"
 )
 
+// capture runs the command with os.Stdout and os.Stderr redirected and
+// returns what it wrote to each.
+func capture(t *testing.T, args ...string) (stdout, stderr string, err error) {
+	t.Helper()
+	read := func(f *os.File, out *string, done chan<- struct{}) {
+		b, _ := io.ReadAll(f)
+		*out = string(b)
+		close(done)
+	}
+	outR, outW, perr := os.Pipe()
+	if perr != nil {
+		t.Fatal(perr)
+	}
+	errR, errW, perr := os.Pipe()
+	if perr != nil {
+		t.Fatal(perr)
+	}
+	outDone, errDone := make(chan struct{}), make(chan struct{})
+	go read(outR, &stdout, outDone)
+	go read(errR, &stderr, errDone)
+	saved, savedErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = outW, errW
+	err = run(args)
+	os.Stdout, os.Stderr = saved, savedErr
+	outW.Close()
+	errW.Close()
+	<-outDone
+	<-errDone
+	return stdout, stderr, err
+}
+
 func TestListAndTable(t *testing.T) {
-	if err := run([]string{"-list"}); err != nil {
+	out, _, err := capture(t, "-list")
+	if err != nil {
 		t.Fatal(err)
+	}
+	presets, err := core.Presets(1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range presets {
+		want := fmt.Sprintf("%-20s %s (%d configs;", p.ID, p.Summary, len(p.Rows))
+		if !strings.Contains(out, want) {
+			t.Errorf("-list lacks the %s preset line %q:\n%s", p.ID, want, out)
+		}
 	}
 	if err := run([]string{"-table", "4.1"}); err != nil {
 		t.Fatal(err)
@@ -118,6 +162,27 @@ func TestTraceSinkCollision(t *testing.T) {
 	}
 	if err := sink.closeAll(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPresetRowFailure: a preset row whose sanity check fails is a
+// failed run. The table still prints, with "-" for that row, the
+// failure names the row on stderr, and the command fails. Seed 3 draws
+// a calm-regime crash whose disk-log recovery does not finish inside
+// the quick availability window.
+func TestPresetRowFailure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real simulation runs; skipped with -short")
+	}
+	out, errOut, err := capture(t, "-fig", "availability", "-quick", "-seed", "3")
+	if err == nil || !strings.Contains(err.Error(), "runs failed") {
+		t.Fatalf("want a failed-runs error, got %v", err)
+	}
+	if !strings.Contains(errOut, "availability/calm/") || !strings.Contains(errOut, "crashes recovered in the window") {
+		t.Fatalf("stderr does not name the failed row:\n%s", errOut)
+	}
+	if !strings.Contains(out, "Availability: stochastic crashes") || !strings.Contains(out, "  -  ") {
+		t.Fatalf("table with failed rows missing from stdout:\n%s", out)
 	}
 }
 

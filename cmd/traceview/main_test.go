@@ -83,7 +83,7 @@ func TestValidateRecoveryTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	crashes := []fault.NodeCrash{{Node: 1, At: 2 * time.Second, Repair: 1500 * time.Millisecond}}
-	cfg := core.AvailabilityConfig(core.CouplingGEM, recovery.ReopenIncremental, crashes, core.AvailabilityOptions{
+	cfg := core.AvailabilityConfig(core.CouplingGEM, recovery.ReopenIncremental, crashes, core.PresetOptions{
 		Nodes:   2,
 		Warmup:  time.Second,
 		Measure: 11 * time.Second,
@@ -137,7 +137,7 @@ func TestValidateControllerTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.AdaptiveConfig(core.CouplingGEM, true, core.AdaptiveOptions{
+	cfg := core.AdaptiveConfig(core.CouplingGEM, true, core.PresetOptions{
 		Warmup:  time.Second,
 		Measure: 6 * time.Second,
 	})

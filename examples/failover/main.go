@@ -5,10 +5,11 @@
 // committed updates from the log — either from disk or from
 // non-volatile GEM, which is where closely coupled systems shine.
 //
-// The program prints the comparison table (recovery duration and phase
-// breakdown, killed/retried transactions, response time before, during
-// and after the outage) and then walks through one GEM-log run in
-// detail.
+// The program runs the failover preset through the sweep engine (its
+// four runs execute in parallel), prints the comparison table (recovery
+// duration and phase breakdown, killed/retried transactions, response
+// time before, during and after the outage) and then walks through one
+// GEM-log run in detail.
 package main
 
 import (
@@ -17,17 +18,33 @@ import (
 	"time"
 
 	"gemsim/internal/core"
+	"gemsim/internal/sweep"
 )
 
 func main() {
-	opts := core.FailoverOptions{Nodes: 4, Seed: 1}
-
-	tbl, reports, err := core.RunFailover(opts)
+	presets, err := core.Presets(1, false)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(tbl.Render())
+	var runs []sweep.Run
+	for i := range presets {
+		if presets[i].ID == "failover" {
+			runs = sweep.PresetRuns(&presets[i])
+		}
+	}
+	results, sum, err := sweep.Execute(runs, sweep.Engine{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if sum.Failed > 0 {
+		log.Fatalf("%d of %d runs failed: %v", sum.Failed, sum.Total, sum.Failures)
+	}
+	fmt.Println(sweep.Tables(runs, results)[0].Table.Render())
 
+	reports := make(map[string]*core.Report, len(runs))
+	for _, r := range runs {
+		reports[r.Row] = results[r.Key].Report
+	}
 	rep := reports["GEM/GEM-log"]
 	m := &rep.Metrics
 	fs := m.Failovers[0]

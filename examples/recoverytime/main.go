@@ -89,7 +89,7 @@ func main() {
 // complex, and returns the measured failover alongside the analytic
 // estimate for the crash-time workload the simulation recorded.
 func simulatedRecovery(workers int) (node.FailoverStats, recovery.Estimate, error) {
-	cfg := core.FailoverConfig(core.CouplingGEM, false, core.FailoverOptions{
+	cfg := core.FailoverConfig(core.CouplingGEM, false, core.PresetOptions{
 		Warmup:  2 * time.Second,
 		Measure: 16 * time.Second,
 	})

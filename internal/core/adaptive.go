@@ -1,60 +1,24 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"gemsim/internal/node"
-	"gemsim/internal/report"
 	"gemsim/internal/workload"
 )
 
-// AdaptiveOptions scales the adaptive load control experiment.
-type AdaptiveOptions struct {
-	// Nodes is the complex size (default 4).
-	Nodes int
-	// Warmup and Measure override the simulation windows (defaults 4s
-	// and 24s). The drift step rotates the branch popularity ranking
-	// halfway into the measurement window.
-	Warmup  time.Duration
-	Measure time.Duration
-	// Seed overrides the run seed (default 1).
-	Seed int64
-	// Progress, if non-nil, is called after each completed run.
-	Progress func(label string, rep *Report)
-	// Configure, if non-nil, adjusts each scenario's configuration just
-	// before it runs (e.g. to attach per-run tracing outputs).
-	Configure func(label string, cfg *Config)
-}
-
 // AdaptiveConfig builds one scenario of the adaptive load control
-// experiment: a debit-credit complex under a strongly skewed branch
-// popularity (Zipf theta 0.8) whose hot spot rotates to the far side of
-// the branch space halfway into the measurement window. With adaptive
-// set, the closed-loop controller (feedback admission plus periodic
-// re-routing, and GLA migration under PCL) manages the complex;
-// otherwise the static Table 4.1 allocation faces the same workload.
-func AdaptiveConfig(coupling Coupling, adaptive bool, opts AdaptiveOptions) Config {
-	nodes := opts.Nodes
-	if nodes < 2 {
-		nodes = 4
-	}
-	cfg := DefaultDebitCreditConfig(nodes)
+// experiment: a debit-credit complex (default 4 nodes, windows 4s and
+// 24s) under a strongly skewed branch popularity (Zipf theta 0.8) whose
+// hot spot rotates to the far side of the branch space halfway into the
+// measurement window. With adaptive set, the closed-loop controller
+// (feedback admission plus periodic re-routing, and GLA migration under
+// PCL) manages the complex; otherwise the static Table 4.1 allocation
+// faces the same workload.
+func AdaptiveConfig(coupling Coupling, adaptive bool, opts PresetOptions) Config {
+	cfg := opts.config(4, 24*time.Second)
 	cfg.Coupling = coupling
-	if opts.Warmup > 0 {
-		cfg.Warmup = opts.Warmup
-	} else {
-		cfg.Warmup = 4 * time.Second
-	}
-	if opts.Measure > 0 {
-		cfg.Measure = opts.Measure
-	} else {
-		cfg.Measure = 24 * time.Second
-	}
-	if opts.Seed != 0 {
-		cfg.Seed = opts.Seed
-	}
-	dc := workload.DefaultDebitCreditParams(cfg.ArrivalRatePerNode * float64(nodes))
+	dc := workload.DefaultDebitCreditParams(cfg.ArrivalRatePerNode * float64(cfg.Nodes))
 	dc.Skew = &workload.Skew{
 		BranchTheta:  0.8,
 		AccountTheta: 0.4,
@@ -68,6 +32,11 @@ func AdaptiveConfig(coupling Coupling, adaptive bool, opts AdaptiveOptions) Conf
 	}
 	return cfg
 }
+
+// adaptiveQuick are the adaptive preset's short windows. They must
+// still contain the mid-run drift step plus a few controller periods on
+// either side of it.
+var adaptiveQuick = PresetOptions{Warmup: 2 * time.Second, Measure: 10 * time.Second}
 
 // adaptiveScenarios are the compared configurations: static allocation
 // versus the closed-loop controller, for both coupling modes, under the
@@ -83,42 +52,38 @@ var adaptiveScenarios = []struct {
 	{"PCL/adaptive", CouplingPCL, true},
 }
 
-// RunAdaptive executes the adaptive load control experiment: a skewed
+// adaptivePreset is the adaptive load control experiment: a skewed
 // debit-credit workload whose hot spot drifts mid-run, handled by the
 // static allocation versus the closed-loop controller, under GEM
 // locking and PCL. Each row reports throughput, response time (mean and
-// p95), aborts, and the controller's action counts. The per-label
-// reports are returned alongside the table.
-func RunAdaptive(opts AdaptiveOptions) (*report.Table, map[string]*Report, error) {
-	tbl := report.NewTable(
-		"Adaptive load control: skewed drifting workload, static vs controlled",
-		"config", "throughput and response time under skew and drift", nil,
-		[]string{
+// p95), aborts, and the controller's action counts.
+func adaptivePreset(opts PresetOptions) Preset {
+	p := Preset{
+		ID:        "adaptive",
+		Title:     "Adaptive load control: skewed drifting workload, static vs controlled",
+		Summary:   "skewed drifting workload: static allocation vs closed-loop load control",
+		Measures:  "throughput, RT, controller actions",
+		RowHeader: "config",
+		ValueLine: "throughput and response time under skew and drift",
+		Columns: []string{
 			"tput [tps]", "RT [ms]", "p95 RT [ms]", "aborts",
 			"throttle", "probe", "reroute", "migrate",
 		},
-	)
-	reports := make(map[string]*Report, len(adaptiveScenarios))
-	for _, sc := range adaptiveScenarios {
-		cfg := AdaptiveConfig(sc.coupling, sc.adaptive, opts)
-		if opts.Configure != nil {
-			opts.Configure(sc.label, &cfg)
-		}
-		rep, err := Run(cfg)
-		if err != nil {
-			return nil, nil, fmt.Errorf("adaptive %s: %w", sc.label, err)
-		}
-		m := &rep.Metrics
-		tbl.AddRow(sc.label,
-			m.Throughput, ms(m.MeanResponseTime), ms(m.P95ResponseTime),
-			float64(m.Aborts),
-			float64(m.CtlThrottles), float64(m.CtlProbes),
-			float64(m.CtlReroutes), float64(m.CtlMigrations),
-		)
-		reports[sc.label] = rep
-		if opts.Progress != nil {
-			opts.Progress(sc.label, rep)
-		}
+		Extract: adaptiveRow,
+		Suite:   true,
 	}
-	return tbl, reports, nil
+	for _, sc := range adaptiveScenarios {
+		p.Rows = append(p.Rows, PresetRow{sc.label, AdaptiveConfig(sc.coupling, sc.adaptive, opts)})
+	}
+	return p
+}
+
+func adaptiveRow(rep *Report) ([]float64, error) {
+	m := &rep.Metrics
+	return []float64{
+		m.Throughput, ms(m.MeanResponseTime), ms(m.P95ResponseTime),
+		float64(m.Aborts),
+		float64(m.CtlThrottles), float64(m.CtlProbes),
+		float64(m.CtlReroutes), float64(m.CtlMigrations),
+	}, nil
 }

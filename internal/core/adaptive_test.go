@@ -9,10 +9,6 @@ import (
 	"gemsim/internal/node"
 )
 
-func quickAdaptiveOpts() AdaptiveOptions {
-	return AdaptiveOptions{Warmup: 2 * time.Second, Measure: 10 * time.Second}
-}
-
 // TestAdaptiveBeatsStatic is the acceptance gate of the load-control
 // subsystem: under the skewed, drifting preset workload the controller
 // must improve BOTH throughput and tail response time over the static
@@ -22,11 +18,11 @@ func TestAdaptiveBeatsStatic(t *testing.T) {
 		t.Skip("real simulation runs; skipped with -short")
 	}
 	for _, coupling := range []Coupling{CouplingGEM, CouplingPCL} {
-		static, err := Run(AdaptiveConfig(coupling, false, quickAdaptiveOpts()))
+		static, err := Run(AdaptiveConfig(coupling, false, adaptiveQuick))
 		if err != nil {
 			t.Fatalf("%v static: %v", coupling, err)
 		}
-		adaptive, err := Run(AdaptiveConfig(coupling, true, quickAdaptiveOpts()))
+		adaptive, err := Run(AdaptiveConfig(coupling, true, adaptiveQuick))
 		if err != nil {
 			t.Fatalf("%v adaptive: %v", coupling, err)
 		}
@@ -54,7 +50,7 @@ func TestAdaptiveDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real simulation runs; skipped with -short")
 	}
-	opts := AdaptiveOptions{Warmup: time.Second, Measure: 5 * time.Second}
+	opts := PresetOptions{Warmup: time.Second, Measure: 5 * time.Second}
 	a, err := Run(AdaptiveConfig(CouplingPCL, true, opts))
 	if err != nil {
 		t.Fatal(err)

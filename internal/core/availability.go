@@ -7,30 +7,8 @@ import (
 	"gemsim/internal/fault"
 	"gemsim/internal/node"
 	"gemsim/internal/recovery"
-	"gemsim/internal/report"
 	"gemsim/internal/rng"
 )
-
-// AvailabilityOptions scales the availability experiment.
-type AvailabilityOptions struct {
-	// Nodes is the complex size (default 4).
-	Nodes int
-	// Warmup and Measure override the simulation windows (defaults 4s
-	// and 24s). Crashes are drawn stochastically from the regime's
-	// MTBF/MTTR over the whole horizon, so shrinking Measure thins the
-	// crash sample.
-	Warmup  time.Duration
-	Measure time.Duration
-	// Seed overrides the run seed (default 1). The same seed produces
-	// the same crash schedule in every scenario of a regime, so reopen
-	// policies are compared against identical fault timelines.
-	Seed int64
-	// Progress, if non-nil, is called after each completed run.
-	Progress func(label string, rep *Report)
-	// Configure, if non-nil, adjusts each scenario's configuration
-	// just before it runs (e.g. to attach per-run tracing outputs).
-	Configure func(label string, cfg *Config)
-}
 
 // availabilityRegimes are the compared fault environments: a calm
 // regime with rare failures and quick repair, and a harsh one failing
@@ -83,39 +61,16 @@ func availabilitySchedule(base int64, regime string, nodes int, warmup, measure,
 		regime, base, lo, hi, mtbf)
 }
 
-// availabilityDims resolves the experiment dimensions with their
-// defaults applied.
-func availabilityDims(opts AvailabilityOptions) (nodes int, warmup, measure time.Duration) {
-	nodes = opts.Nodes
-	if nodes < 2 {
-		nodes = 4
-	}
-	warmup = opts.Warmup
-	if warmup <= 0 {
-		warmup = 4 * time.Second
-	}
-	measure = opts.Measure
-	if measure <= 0 {
-		measure = 24 * time.Second
-	}
-	return nodes, warmup, measure
-}
-
 // AvailabilityConfig builds one scenario of the availability
-// experiment: a debit-credit complex under a crash schedule drawn from
-// an MTBF/MTTR regime, recovering from a disk-resident log (the
-// painful case, where the reopen policy matters most) with parallel
-// replay workers and the given reopen policy.
-func AvailabilityConfig(coupling Coupling, reopen recovery.ReopenPolicy, crashes []fault.NodeCrash, opts AvailabilityOptions) Config {
-	nodes, warmup, measure := availabilityDims(opts)
-	cfg := DefaultDebitCreditConfig(nodes)
+// experiment: a debit-credit complex (default 4 nodes, windows 4s and
+// 24s) under a crash schedule drawn from an MTBF/MTTR regime,
+// recovering from a disk-resident log (the painful case, where the
+// reopen policy matters most) with parallel replay workers and the
+// given reopen policy.
+func AvailabilityConfig(coupling Coupling, reopen recovery.ReopenPolicy, crashes []fault.NodeCrash, opts PresetOptions) Config {
+	cfg := opts.config(4, 24*time.Second)
 	cfg.Coupling = coupling
 	cfg.LogInGEM = false
-	cfg.Warmup = warmup
-	cfg.Measure = measure
-	if opts.Seed != 0 {
-		cfg.Seed = opts.Seed
-	}
 	cfg.Faults = &FaultConfig{
 		Crashes: crashes,
 		RecoveryKnobs: node.RecoveryKnobs{
@@ -132,111 +87,86 @@ func AvailabilityConfig(coupling Coupling, reopen recovery.ReopenPolicy, crashes
 	return cfg
 }
 
-// availabilityScenario is one table row: a fault regime, a coupling
-// mode and a reopen policy.
-type availabilityScenario struct {
-	label    string
-	regime   int
-	coupling Coupling
-	reopen   recovery.ReopenPolicy
-}
+// availabilityQuick are the availability preset's short windows. They
+// must still contain at least one full crash and disk-log recovery
+// cycle per regime, so they only trim the warm-up and part of the tail.
+var availabilityQuick = PresetOptions{Warmup: 2 * time.Second, Measure: 16 * time.Second}
 
-// availabilityScenarios enumerates the table rows: for each fault
-// regime and coupling mode, offline replay versus incremental reopen.
-var availabilityScenarios = func() []availabilityScenario {
-	var out []availabilityScenario
-	for ri := range availabilityRegimes {
-		for _, coupling := range []Coupling{CouplingGEM, CouplingPCL} {
-			for _, reopen := range []recovery.ReopenPolicy{recovery.ReopenOffline, recovery.ReopenIncremental} {
-				out = append(out, availabilityScenario{
-					label:    fmt.Sprintf("%s/%v/%s", availabilityRegimes[ri].label, coupling, reopen),
-					regime:   ri,
-					coupling: coupling,
-					reopen:   reopen,
-				})
-			}
-		}
-	}
-	return out
-}()
-
-// RunAvailability executes the availability experiment: stochastic
-// node crashes under two MTBF/MTTR regimes, for GEM locking and PCL,
-// with the REDO replay either completing offline before reopen or
-// running concurrently with readmitted transactions (incremental
-// reopen with on-demand page repair). Each row reports throughput,
-// the time until windowed throughput recrosses 95% of the pre-crash
-// baseline (TTFT), the p99 per-window unavailability, SLO attainment,
-// and the replay volume. The per-label reports are returned alongside
-// the table.
-func RunAvailability(opts AvailabilityOptions) (*report.Table, map[string]*Report, error) {
-	tbl := report.NewTable(
-		"Availability: stochastic crashes, offline replay vs incremental reopen",
-		"config", "availability and recovery metrics", nil,
-		[]string{
+// availabilityPreset is the availability experiment: stochastic node
+// crashes under two MTBF/MTTR regimes, for GEM locking and PCL, with
+// the REDO replay either completing offline before reopen or running
+// concurrently with readmitted transactions (incremental reopen with
+// on-demand page repair). Each row reports throughput, the time until
+// windowed throughput recrosses 95% of the pre-crash baseline (TTFT),
+// the p99 per-window unavailability, SLO attainment, and the replay
+// volume. The options' seed (default 1) is the base from which each
+// regime draws its crash schedule and run seed, so the same seed
+// produces the same crash schedule in every row of a regime.
+func availabilityPreset(opts PresetOptions) (Preset, error) {
+	p := Preset{
+		ID:        "availability",
+		Title:     "Availability: stochastic crashes, offline replay vs incremental reopen",
+		Summary:   "stochastic MTBF/MTTR crashes: offline replay vs incremental reopen",
+		Measures:  "TTFT, p99 unavailability, SLO attainment",
+		RowHeader: "config",
+		ValueLine: "availability and recovery metrics",
+		Columns: []string{
 			"tput [tps]", "crashes", "TTFT [ms]", "p99 unavail",
 			"SLO [%]", "recovery [ms]", "redo pages", "demand repairs",
 		},
-	)
+		Extract: availabilityRow,
+		Suite:   true,
+	}
 	base := opts.Seed
 	if base == 0 {
 		base = 1
 	}
-	nodes, warmup, measure := availabilityDims(opts)
-	regimeSeeds := make([]int64, len(availabilityRegimes))
-	regimeCrashes := make([][]fault.NodeCrash, len(availabilityRegimes))
-	for ri, rg := range availabilityRegimes {
+	nodes, warmup, measure := opts.resolve(4, 24*time.Second)
+	for _, rg := range availabilityRegimes {
 		seed, crashes, err := availabilitySchedule(base, rg.label, nodes, warmup, measure, rg.mtbf, rg.mttr)
 		if err != nil {
-			return nil, nil, err
+			return Preset{}, err
 		}
-		regimeSeeds[ri] = seed
-		regimeCrashes[ri] = crashes
-	}
-	reports := make(map[string]*Report, len(availabilityScenarios))
-	for _, sc := range availabilityScenarios {
-		scOpts := opts
-		scOpts.Seed = regimeSeeds[sc.regime]
-		cfg := AvailabilityConfig(sc.coupling, sc.reopen, regimeCrashes[sc.regime], scOpts)
-		if opts.Configure != nil {
-			opts.Configure(sc.label, &cfg)
-		}
-		rep, err := Run(cfg)
-		if err != nil {
-			return nil, nil, fmt.Errorf("availability %s: %w", sc.label, err)
-		}
-		m := &rep.Metrics
-		if len(m.Failovers) != len(regimeCrashes[sc.regime]) {
-			return nil, nil, fmt.Errorf("availability %s: %d of %d crashes recovered in the window",
-				sc.label, len(m.Failovers), len(regimeCrashes[sc.regime]))
-		}
-		var recMean, ttftMean time.Duration
-		var redoPages, repairs int64
-		ttftN := 0
-		for _, fs := range m.Failovers {
-			recMean += fs.RecoveryDuration
-			redoPages += fs.PagesRedone
-			repairs += fs.PagesRepairedOnDemand
-			if fs.TimeToFullThroughput > 0 {
-				ttftMean += fs.TimeToFullThroughput
-				ttftN++
+		rgOpts := opts
+		rgOpts.Seed = seed
+		for _, coupling := range []Coupling{CouplingGEM, CouplingPCL} {
+			for _, reopen := range []recovery.ReopenPolicy{recovery.ReopenOffline, recovery.ReopenIncremental} {
+				p.Rows = append(p.Rows, PresetRow{
+					fmt.Sprintf("%s/%v/%s", rg.label, coupling, reopen),
+					AvailabilityConfig(coupling, reopen, crashes, rgOpts),
+				})
 			}
 		}
-		recMean /= time.Duration(len(m.Failovers))
-		if ttftN == 0 {
-			return nil, nil, fmt.Errorf("availability %s: throughput never recrossed the pre-crash baseline", sc.label)
-		}
-		ttftMean /= time.Duration(ttftN)
-		tbl.AddRow(sc.label,
-			m.Throughput, float64(len(m.Failovers)),
-			ms(ttftMean), m.P99Unavailability,
-			100*m.SLOAttainment, ms(recMean),
-			float64(redoPages), float64(repairs),
-		)
-		reports[sc.label] = rep
-		if opts.Progress != nil {
-			opts.Progress(sc.label, rep)
+	}
+	return p, nil
+}
+
+func availabilityRow(rep *Report) ([]float64, error) {
+	m := &rep.Metrics
+	if crashes := len(rep.Config.Faults.Crashes); len(m.Failovers) != crashes {
+		return nil, fmt.Errorf("%d of %d crashes recovered in the window", len(m.Failovers), crashes)
+	}
+	var recMean, ttftMean time.Duration
+	var redoPages, repairs int64
+	ttftN := 0
+	for _, fs := range m.Failovers {
+		recMean += fs.RecoveryDuration
+		redoPages += fs.PagesRedone
+		repairs += fs.PagesRepairedOnDemand
+		if fs.TimeToFullThroughput > 0 {
+			ttftMean += fs.TimeToFullThroughput
+			ttftN++
 		}
 	}
-	return tbl, reports, nil
+	recMean /= time.Duration(len(m.Failovers))
+	if ttftN == 0 {
+		return nil, fmt.Errorf("throughput never recrossed the pre-crash baseline")
+	}
+	ttftMean /= time.Duration(ttftN)
+	return []float64{
+		m.Throughput, float64(len(m.Failovers)),
+		ms(ttftMean), m.P99Unavailability,
+		100 * m.SLOAttainment, ms(recMean),
+		float64(redoPages), float64(repairs),
+	}, nil
 }

@@ -1,19 +1,12 @@
 package core
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
 
-// quickAvailabilityOptions mirrors the -quick preset windows.
-func quickAvailabilityOptions() AvailabilityOptions {
-	return AvailabilityOptions{Warmup: 2 * time.Second, Measure: 16 * time.Second}
-}
-
 func TestAvailabilityScheduleDeterministic(t *testing.T) {
-	opts := quickAvailabilityOptions()
-	nodes, warmup, measure := availabilityDims(opts)
+	nodes, warmup, measure := availabilityQuick.resolve(4, 24*time.Second)
 	for _, rg := range availabilityRegimes {
 		s1, c1, err := availabilitySchedule(1, rg.label, nodes, warmup, measure, rg.mtbf, rg.mttr)
 		if err != nil {
@@ -29,61 +22,6 @@ func TestAvailabilityScheduleDeterministic(t *testing.T) {
 		lo, hi := warmup+2*time.Second, warmup+measure-availabilitySpacing
 		if c1[0].At < lo || c1[0].At > hi {
 			t.Fatalf("%s: crash %v outside the measurable window [%v,%v]", rg.label, c1[0].At, lo, hi)
-		}
-	}
-}
-
-// TestRunAvailabilityIncrementalImprovesTTFT is the acceptance check
-// of the availability experiment: for every regime and coupling mode,
-// incremental reopen must strictly improve time-to-full-throughput
-// over offline replay against the identical crash schedule.
-func TestRunAvailabilityIncrementalImprovesTTFT(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full 8-scenario availability preset")
-	}
-	tbl, reports, err := RunAvailability(quickAvailabilityOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl == nil || len(reports) != len(availabilityScenarios) {
-		t.Fatalf("got %d reports, want %d", len(reports), len(availabilityScenarios))
-	}
-	ttft := func(label string) time.Duration {
-		rep, ok := reports[label]
-		if !ok {
-			t.Fatalf("missing report %q", label)
-		}
-		m := &rep.Metrics
-		if len(m.Failovers) != 1 {
-			t.Fatalf("%s: %d failovers, want 1", label, len(m.Failovers))
-		}
-		fs := m.Failovers[0]
-		if fs.TimeToFullThroughput <= 0 {
-			t.Fatalf("%s: throughput never recovered: %+v", label, fs)
-		}
-		if m.P99Unavailability <= 0 {
-			t.Fatalf("%s: no p99 unavailability measured", label)
-		}
-		return fs.TimeToFullThroughput
-	}
-	for _, rg := range availabilityRegimes {
-		for _, coupling := range []Coupling{CouplingGEM, CouplingPCL} {
-			off := ttft(rg.label + "/" + coupling.String() + "/offline")
-			inc := ttft(rg.label + "/" + coupling.String() + "/incremental")
-			if inc >= off {
-				t.Errorf("%s/%v: incremental TTFT %v not strictly below offline %v",
-					rg.label, coupling, inc, off)
-			}
-			incRep := reports[rg.label+"/"+coupling.String()+"/incremental"]
-			if incRep.Metrics.Failovers[0].PagesRepairedOnDemand == 0 {
-				t.Errorf("%s/%v: incremental reopen performed no on-demand repairs", rg.label, coupling)
-			}
-		}
-	}
-	rendered := tbl.Render()
-	for _, want := range []string{"TTFT [ms]", "p99 unavail", "SLO [%]", "demand repairs"} {
-		if !strings.Contains(rendered, want) {
-			t.Errorf("table missing column %q", want)
 		}
 	}
 }

@@ -103,9 +103,8 @@ func ccMatrixCells() []ccMatrixCell {
 	// The failover preset's scenarios at its -quick windows: GEM and PCL
 	// coupling, each recovering from a disk-resident and a GEM-resident
 	// log.
-	quick := FailoverOptions{Warmup: 2 * time.Second, Measure: 20 * time.Second}
-	for _, sc := range failoverScenarios {
-		cells = append(cells, ccMatrixCell{"failover/" + sc.label, FailoverConfig(sc.coupling, sc.logInGEM, quick)})
+	for _, row := range failoverPreset(failoverQuick).Rows {
+		cells = append(cells, ccMatrixCell{"failover/" + row.Label, row.Config})
 	}
 	return cells
 }

@@ -1,32 +1,13 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"gemsim/internal/attrib"
 	"gemsim/internal/cc"
 	"gemsim/internal/node"
-	"gemsim/internal/report"
 	"gemsim/internal/workload"
 )
-
-// EnginesOptions scales the concurrency-control engine comparison.
-type EnginesOptions struct {
-	// Nodes is the complex size (default 2).
-	Nodes int
-	// Warmup and Measure override the simulation windows (defaults 4s
-	// and 16s).
-	Warmup  time.Duration
-	Measure time.Duration
-	// Seed overrides the run seed (default 1).
-	Seed int64
-	// Progress, if non-nil, is called after each completed run.
-	Progress func(label string, rep *Report)
-	// Configure, if non-nil, adjusts each scenario's configuration just
-	// before it runs (e.g. to attach per-run tracing outputs).
-	Configure func(label string, cfg *Config)
-}
 
 // EngineScenario names one contention level of the engine comparison.
 type EngineScenario string
@@ -53,36 +34,20 @@ var engineScenarios = []EngineScenario{ScenarioLow, ScenarioHigh, ScenarioZipf}
 // engineKinds is the engine order within each scenario.
 var engineKinds = []cc.Kind{cc.KindDefault, cc.KindMVTO, cc.KindOCC, cc.KindHAD}
 
-// EnginesConfig builds one cell of the engine comparison: a two-node
-// closed-loop debit-credit complex under GEM coupling and NOFORCE,
+// EnginesConfig builds one cell of the engine comparison: a closed-loop
+// debit-credit complex (default 2 nodes, windows 4s and 16s) under GEM
+// coupling and NOFORCE,
 // running the given engine against the given contention scenario. The
 // lock-handling pathlength is raised to 40000 instructions per request
 // (a heavyweight lock manager) so the protocols' different metadata
 // footprints — three lock-service bursts per transaction under 2PL
 // versus one validation plus one publish burst under OCC — are visible
 // in the CPU-bound closed-loop throughput.
-func EnginesConfig(engine cc.Kind, scenario EngineScenario, opts EnginesOptions) Config {
-	nodes := opts.Nodes
-	if nodes < 2 {
-		nodes = 2
-	}
-	cfg := DefaultDebitCreditConfig(nodes)
+func EnginesConfig(engine cc.Kind, scenario EngineScenario, opts PresetOptions) Config {
+	cfg := opts.config(2, 16*time.Second)
 	cfg.CC = engine
 	cfg.ClosedLoop = &ClosedLoopConfig{TerminalsPerNode: 40, ThinkTime: 150 * time.Millisecond}
-	if opts.Warmup > 0 {
-		cfg.Warmup = opts.Warmup
-	} else {
-		cfg.Warmup = 4 * time.Second
-	}
-	if opts.Measure > 0 {
-		cfg.Measure = opts.Measure
-	} else {
-		cfg.Measure = 16 * time.Second
-	}
-	if opts.Seed != 0 {
-		cfg.Seed = opts.Seed
-	}
-	dc := workload.DefaultDebitCreditParams(cfg.ArrivalRatePerNode * float64(nodes))
+	dc := workload.DefaultDebitCreditParams(cfg.ArrivalRatePerNode * float64(cfg.Nodes))
 	switch scenario {
 	case ScenarioHigh:
 		dc.Skew = &workload.Skew{HotFraction: 0.02, HotProb: 0.95}
@@ -99,57 +64,56 @@ func EnginesConfig(engine cc.Kind, scenario EngineScenario, opts EnginesOptions)
 	return cfg
 }
 
-// RunEngines executes the concurrency-control engine comparison: the
-// four engines (coupling-native 2PL, MV-TO, OCC, HAD) against three
+// enginesQuick are the engine comparison's short windows. They must
+// still accumulate enough restarts per cell for the crossover to be
+// visible above run-to-run noise.
+var enginesQuick = PresetOptions{Warmup: 2 * time.Second, Measure: 8 * time.Second}
+
+// enginesPreset is the concurrency-control engine comparison: the four
+// engines (coupling-native 2PL, MV-TO, OCC, HAD) against three
 // contention levels of the closed-loop debit-credit workload. The
 // expected crossover: OCC leads under low contention (least metadata
 // work per transaction), 2PL leads under a concentrated hot spot
 // (waits are cheaper than whole-transaction restarts), and the hybrid
 // engine matches the best of both under the Zipf-skewed heterogeneous
 // pattern. Each row reports throughput, response time, the restart
-// share of admitted attempts, and the engine's validation counts; the
-// per-label reports are returned alongside the table.
-func RunEngines(opts EnginesOptions) (*report.Table, map[string]*Report, error) {
-	tbl := report.NewTable(
-		"Concurrency-control engines: 2PL vs MV-TO vs OCC vs HAD across contention levels",
-		"scenario/engine", "throughput and restart work by engine and contention", nil,
-		[]string{
+// share of admitted attempts, and the engine's validation counts.
+func enginesPreset(opts PresetOptions) Preset {
+	p := Preset{
+		ID:        "engines",
+		Title:     "Concurrency-control engines: 2PL vs MV-TO vs OCC vs HAD across contention levels",
+		Summary:   "concurrency-control engines: 2PL vs MV-TO vs OCC vs HAD across contention levels",
+		Measures:  "throughput, restarts, validation work",
+		RowHeader: "scenario/engine",
+		ValueLine: "throughput and restart work by engine and contention",
+		Columns: []string{
 			"tput [tps]", "RT [ms]", "p95 RT [ms]", "restart%",
 			"cc aborts", "validations", "val fails", "cc RT%",
 		},
-	)
-	reports := make(map[string]*Report, len(engineScenarios)*len(engineKinds))
+		Extract: enginesRow,
+	}
 	for _, sc := range engineScenarios {
 		for _, eng := range engineKinds {
-			label := string(sc) + "/" + eng.String()
-			cfg := EnginesConfig(eng, sc, opts)
-			if opts.Configure != nil {
-				opts.Configure(label, &cfg)
-			}
-			rep, err := Run(cfg)
-			if err != nil {
-				return nil, nil, fmt.Errorf("engines %s: %w", label, err)
-			}
-			m := &rep.Metrics
-			restartShare := 0.0
-			if m.Admitted > 0 {
-				restartShare = 100 * float64(m.Restarts) / float64(m.Admitted)
-			}
-			ccShare := 0.0
-			if m.Attribution != nil {
-				ccShare = 100 * m.Attribution.Share(attrib.ResCC)
-			}
-			tbl.AddRow(label,
-				m.Throughput, ms(m.MeanResponseTime), ms(m.P95ResponseTime),
-				restartShare, float64(m.CCAborts),
-				float64(m.CCValidations), float64(m.CCValidationFails),
-				ccShare,
-			)
-			reports[label] = rep
-			if opts.Progress != nil {
-				opts.Progress(label, rep)
-			}
+			p.Rows = append(p.Rows, PresetRow{string(sc) + "/" + eng.String(), EnginesConfig(eng, sc, opts)})
 		}
 	}
-	return tbl, reports, nil
+	return p
+}
+
+func enginesRow(rep *Report) ([]float64, error) {
+	m := &rep.Metrics
+	restartShare := 0.0
+	if m.Admitted > 0 {
+		restartShare = 100 * float64(m.Restarts) / float64(m.Admitted)
+	}
+	ccShare := 0.0
+	if m.Attribution != nil {
+		ccShare = 100 * m.Attribution.Share(attrib.ResCC)
+	}
+	return []float64{
+		m.Throughput, ms(m.MeanResponseTime), ms(m.P95ResponseTime),
+		restartShare, float64(m.CCAborts),
+		float64(m.CCValidations), float64(m.CCValidationFails),
+		ccShare,
+	}, nil
 }

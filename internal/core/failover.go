@@ -6,54 +6,19 @@ import (
 
 	"gemsim/internal/fault"
 	"gemsim/internal/node"
-	"gemsim/internal/report"
 )
 
-// FailoverOptions scales the failover experiment.
-type FailoverOptions struct {
-	// Nodes is the complex size (default 4).
-	Nodes int
-	// Warmup and Measure override the simulation windows (defaults 4s
-	// and 24s). The crash is placed a quarter into the measurement
-	// window and the node rejoins at the half; a disk-log recovery of
-	// a full dirty buffer takes several simulated seconds, so shrink
-	// Measure only together with the buffer or checkpoint interval.
-	Warmup  time.Duration
-	Measure time.Duration
-	// Seed overrides the run seed (default 1).
-	Seed int64
-	// Progress, if non-nil, is called after each completed run.
-	Progress func(label string, rep *Report)
-	// Configure, if non-nil, adjusts each scenario's configuration
-	// just before it runs (e.g. to attach per-run tracing outputs).
-	Configure func(label string, cfg *Config)
-}
-
 // FailoverConfig builds one crash scenario of the failover experiment:
-// a debit-credit complex at 100 TPS per node in which node 1 fails a
-// quarter into the measurement window and rejoins at the half, with
-// the log either on disk or in non-volatile GEM.
-func FailoverConfig(coupling Coupling, logInGEM bool, opts FailoverOptions) Config {
-	nodes := opts.Nodes
-	if nodes < 2 {
-		nodes = 4
-	}
-	cfg := DefaultDebitCreditConfig(nodes)
+// a debit-credit complex at 100 TPS per node (default 4 nodes, windows
+// 4s and 24s) in which node 1 fails a quarter into the measurement
+// window and rejoins at the half, with the log either on disk or in
+// non-volatile GEM. A disk-log recovery of a full dirty buffer takes
+// several simulated seconds, so shrink Measure only together with the
+// buffer or checkpoint interval.
+func FailoverConfig(coupling Coupling, logInGEM bool, opts PresetOptions) Config {
+	cfg := opts.config(4, 24*time.Second)
 	cfg.Coupling = coupling
 	cfg.LogInGEM = logInGEM
-	if opts.Warmup > 0 {
-		cfg.Warmup = opts.Warmup
-	} else {
-		cfg.Warmup = 4 * time.Second
-	}
-	if opts.Measure > 0 {
-		cfg.Measure = opts.Measure
-	} else {
-		cfg.Measure = 24 * time.Second
-	}
-	if opts.Seed != 0 {
-		cfg.Seed = opts.Seed
-	}
 	cfg.Faults = &FaultConfig{
 		Crashes: []fault.NodeCrash{{
 			Node:   1,
@@ -66,6 +31,12 @@ func FailoverConfig(coupling Coupling, logInGEM bool, opts FailoverOptions) Conf
 	}
 	return cfg
 }
+
+// failoverQuick are the failover preset's short windows. They must
+// still contain a complete disk-log recovery (several simulated seconds
+// of log scan and redo), so they only trim the warm-up and the
+// post-recovery tail.
+var failoverQuick = PresetOptions{Warmup: 2 * time.Second, Measure: 20 * time.Second}
 
 // failoverScenarios are the compared configurations: for both coupling
 // modes, recovery driven by a disk-resident log versus a log kept in
@@ -81,51 +52,45 @@ var failoverScenarios = []struct {
 	{"PCL/GEM-log", CouplingPCL, true},
 }
 
-// RunFailover executes the failover experiment: the same mid-run node
+// failoverPreset is the failover experiment: the same mid-run node
 // crash under GEM locking and PCL, with the log on disk versus in
 // non-volatile GEM. Each row reports the measured recovery (duration
 // and phase breakdown), the disturbance (killed/retried transactions,
 // lock timeouts) and the response time before, during and after the
-// outage. The per-label reports are returned alongside the table.
-func RunFailover(opts FailoverOptions) (*report.Table, map[string]*Report, error) {
-	tbl := report.NewTable(
-		"Failover: node crash mid-run, disk log vs GEM log recovery",
-		"config", "recovery and degradation metrics", nil,
-		[]string{
+// outage.
+func failoverPreset(opts PresetOptions) Preset {
+	p := Preset{
+		ID:        "failover",
+		Title:     "Failover: node crash mid-run, disk log vs GEM log recovery",
+		Summary:   "node crash mid-run: disk-log vs GEM-log recovery",
+		Measures:  "recovery time and degradation",
+		RowHeader: "config",
+		ValueLine: "recovery and degradation metrics",
+		Columns: []string{
 			"recovery [ms]", "logscan [ms]", "redo [ms]",
 			"log pages", "redo pages",
 			"killed", "retried", "timeouts",
 			"RT pre [ms]", "RT crash [ms]", "RT post [ms]",
 		},
-	)
-	reports := make(map[string]*Report, len(failoverScenarios))
-	for _, sc := range failoverScenarios {
-		cfg := FailoverConfig(sc.coupling, sc.logInGEM, opts)
-		if opts.Configure != nil {
-			opts.Configure(sc.label, &cfg)
-		}
-		rep, err := Run(cfg)
-		if err != nil {
-			return nil, nil, fmt.Errorf("failover %s: %w", sc.label, err)
-		}
-		m := &rep.Metrics
-		if len(m.Failovers) != 1 {
-			return nil, nil, fmt.Errorf("failover %s: expected 1 recovered crash, got %d", sc.label, len(m.Failovers))
-		}
-		fs := m.Failovers[0]
-		tbl.AddRow(sc.label,
-			ms(fs.RecoveryDuration), ms(fs.LogScan), ms(fs.Redo),
-			float64(fs.LogPagesScanned), float64(fs.PagesRedone),
-			float64(m.TxnsKilled), float64(m.TxnsRetried), float64(m.LockTimeouts),
-			ms(m.MeanRTPreFailure), ms(m.MeanRTDuringRecovery), ms(m.MeanRTPostRecovery),
-		)
-		reports[sc.label] = rep
-		if opts.Progress != nil {
-			opts.Progress(sc.label, rep)
-		}
+		Extract: failoverRow,
+		Suite:   true,
 	}
-	return tbl, reports, nil
+	for _, sc := range failoverScenarios {
+		p.Rows = append(p.Rows, PresetRow{sc.label, FailoverConfig(sc.coupling, sc.logInGEM, opts)})
+	}
+	return p
 }
 
-// ms converts a duration to float milliseconds for table cells.
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+func failoverRow(rep *Report) ([]float64, error) {
+	m := &rep.Metrics
+	if len(m.Failovers) != 1 {
+		return nil, fmt.Errorf("expected 1 recovered crash, got %d", len(m.Failovers))
+	}
+	fs := m.Failovers[0]
+	return []float64{
+		ms(fs.RecoveryDuration), ms(fs.LogScan), ms(fs.Redo),
+		float64(fs.LogPagesScanned), float64(fs.PagesRedone),
+		float64(m.TxnsKilled), float64(m.TxnsRetried), float64(m.LockTimeouts),
+		ms(m.MeanRTPreFailure), ms(m.MeanRTDuringRecovery), ms(m.MeanRTPostRecovery),
+	}, nil
+}

@@ -19,7 +19,7 @@ import (
 // carries the whole complex: at the default 100 TPS per node it would
 // saturate and queueing delays would swamp the recovery phase times.
 func smallFailoverConfig(coupling Coupling, logInGEM bool) Config {
-	cfg := FailoverConfig(coupling, logInGEM, FailoverOptions{
+	cfg := FailoverConfig(coupling, logInGEM, PresetOptions{
 		Nodes:   2,
 		Warmup:  2 * time.Second,
 		Measure: 12 * time.Second,
@@ -213,5 +213,53 @@ func TestStalledCheckDiagnoses(t *testing.T) {
 	defer healthy.Stop()
 	if err := stalledCheck(healthy, &cfg); err != nil {
 		t.Fatalf("healthy env flagged as stalled: %v", err)
+	}
+}
+
+// TestOverlappingRecoveriesRepairOnDemand crashes a second node while
+// the first node's disk-log recovery is still replaying under
+// incremental reopen. Each recovery keeps its own state, so the second
+// must not cut the first one's on-demand page repairs short: node 1
+// repairs about as many pages as when it fails alone. A first recovery
+// whose state the second displaced would repair only the pages
+// conflicted on before the second crash, under a quarter of them here.
+func TestOverlappingRecoveriesRepairOnDemand(t *testing.T) {
+	first := fault.NodeCrash{Node: 1, At: 4 * time.Second, Repair: 50 * time.Millisecond}
+	second := fault.NodeCrash{Node: 2, At: 4100 * time.Millisecond, Repair: 50 * time.Millisecond}
+	node1Repairs := func(coupling Coupling, crashes ...fault.NodeCrash) int64 {
+		t.Helper()
+		cfg := DefaultDebitCreditConfig(4)
+		cfg.Coupling = coupling
+		cfg.ArrivalRatePerNode = 50
+		cfg.Warmup = 2 * time.Second
+		cfg.Measure = 14 * time.Second
+		cfg.Faults = &FaultConfig{Crashes: crashes}
+		cfg.Faults.CheckpointInterval = 4 * time.Second
+		cfg.Faults.Reopen = recovery.ReopenIncremental
+		rep, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Metrics.Failovers) != len(crashes) {
+			t.Fatalf("%v: %d of %d crashes recovered", coupling, len(rep.Metrics.Failovers), len(crashes))
+		}
+		for _, fs := range rep.Metrics.Failovers {
+			if fs.Node == 1 {
+				return fs.PagesRepairedOnDemand
+			}
+		}
+		t.Fatalf("%v: no failover of node 1", coupling)
+		return 0
+	}
+	for _, coupling := range []Coupling{CouplingGEM, CouplingPCL} {
+		alone := node1Repairs(coupling, first)
+		overlapped := node1Repairs(coupling, first, second)
+		if alone == 0 {
+			t.Fatalf("%v: node 1 alone repaired no page on demand", coupling)
+		}
+		if 4*overlapped < 3*alone {
+			t.Errorf("%v: node 1 repaired %d pages on demand beside a second recovery, %d alone",
+				coupling, overlapped, alone)
+		}
 	}
 }

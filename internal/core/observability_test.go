@@ -195,7 +195,7 @@ func TestPerfettoDocument(t *testing.T) {
 // the whole measured window (so the failover dip is visible).
 func TestFaultTraceAndTimeSeries(t *testing.T) {
 	var events, ts bytes.Buffer
-	opts := FailoverOptions{Nodes: 2, Warmup: time.Second, Measure: 16 * time.Second}
+	opts := PresetOptions{Nodes: 2, Warmup: time.Second, Measure: 16 * time.Second}
 	cfg := FailoverConfig(CouplingGEM, true, opts)
 	cfg.Tracing = &TraceConfig{Events: &events, TimeSeries: &ts, SampleInterval: 500 * time.Millisecond}
 	rep, err := Run(cfg)

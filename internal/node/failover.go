@@ -106,8 +106,8 @@ type FailoverStats struct {
 }
 
 // recoveryRun is the live state of one in-flight recovery under the
-// replay engine. It is nil outside recovery, so fault-free runs take
-// no new branches.
+// replay engine. System.recs lists the runs in flight, so fault-free
+// runs take no new branches.
 type recoveryRun struct {
 	crashed     int
 	coordID     int
@@ -585,7 +585,7 @@ func (s *System) runReplay(p *sim.Proc, coordID int, coord *Node, crashed int, l
 		workersLeft: workers,
 		coordProc:   p,
 	}
-	s.rec = rec
+	s.recs = append(s.recs, rec)
 	if incremental {
 		fs.ReopenAt = replayStart
 		if tr := s.tracer; tr.Enabled() {
@@ -671,7 +671,7 @@ func (s *System) runReplay(p *sim.Proc, coordID int, coord *Node, crashed int, l
 		rec.waiting = true
 		p.Park()
 	}
-	s.rec = nil
+	s.recs = slices.DeleteFunc(s.recs, func(r *recoveryRun) bool { return r == rec })
 	fs.LogScan = rec.maxScan
 	fs.Redo = rec.maxReplay
 	fs.PagesRepairedOnDemand = rec.repairs
@@ -704,15 +704,23 @@ func (s *System) recWorkerDone(rec *recoveryRun, scan, replay time.Duration) {
 // noteFenceConflict is called from the lock paths when a request is
 // not granted: under incremental reopen, a conflict on an unredone
 // fenced page triggers an on-demand single-page repair that jumps the
-// replay queue [Sauer & Härder]. The repair carries its own log
-// lookup cost (one log page read) on top of the normal per-page redo,
-// so queue-jumping is costed, traced and counted. Outside incremental
-// recovery this is a nil check and one map probe at most.
+// replay queue [Sauer & Härder]. Recoveries of different failed nodes
+// may overlap; each repairs the page if it is in its own backlog. The
+// repair carries its own log lookup cost (one log page read) on top of
+// the normal per-page redo, so queue-jumping is costed, traced and
+// counted. Outside recovery this is an empty loop.
 func (s *System) noteFenceConflict(page model.PageID) {
-	rec := s.rec
-	if rec == nil || !rec.incremental {
-		return
+	for _, rec := range s.recs {
+		if rec.incremental {
+			s.repairOnDemand(rec, page)
+		}
 	}
+}
+
+// repairOnDemand spawns the on-demand repair of one page of rec's
+// backlog, unless the page is not in the backlog or is already claimed
+// by a replay worker or an earlier repair.
+func (s *System) repairOnDemand(rec *recoveryRun, page model.PageID) {
 	r, ok := rec.byPage[page]
 	if !ok || !rec.replay.ClaimDemand(page) {
 		return

@@ -71,8 +71,10 @@ func TestIncrementalReopenInvariants(t *testing.T) {
 		// it replayed (the fence releases only after redoOnePage).
 		violations := 0
 		sys.pageObserver = func(pg model.PageID) {
-			if rec := sys.rec; rec != nil && rec.replay.Unredone(pg) {
-				violations++
+			for _, rec := range sys.recs {
+				if rec.replay.Unredone(pg) {
+					violations++
+				}
 			}
 		}
 		env.After(time.Second, func() { sys.CrashNode(1) })

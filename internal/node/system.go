@@ -113,9 +113,10 @@ type System struct {
 	respPre     stats.Series
 	respDuring  stats.Series
 	respPost    stats.Series
-	// rec is the live state of an in-flight recovery under the replay
-	// engine (parallel workers / incremental reopen); nil otherwise.
-	rec *recoveryRun
+	// recs holds the live state of every in-flight recovery under the
+	// replay engine, in start order: recoveries of different failed
+	// nodes may overlap.
+	recs []*recoveryRun
 	// avail is the windowed availability tracker (fault runs only);
 	// it measures time-to-full-throughput and per-window
 	// unavailability against a pre-crash baseline.

@@ -6,7 +6,9 @@ import (
 )
 
 // Tables aggregates executed (and resumed) results into one table per
-// run group, in the groups' first-appearance order. Each cell is the
+// run group, in the groups' first-appearance order. A run fills the
+// cells of its row from ColIdx on, one per column: one cell for a
+// figure or spec run, the whole row for a preset run. Each cell is the
 // mean over its successful replicas; with two or more replicas per
 // point the table also carries the 95% confidence half-width
 // (stats.ReplicateCI over the replica values). Cells whose every
@@ -14,14 +16,14 @@ import (
 // walks the run list, not the result map, so its output is
 // deterministic regardless of completion order.
 func Tables(runs []Run, results map[string]Result) []Figure {
-	type cellKey struct{ row, col int }
+	type cell struct{ row, col int }
 	type group struct {
 		fig       Figure
 		rows      map[int]string
 		cols      map[int]string
 		maxRow    int
 		maxCol    int
-		cells     map[cellKey][]float64
+		cells     map[cell][]float64
 		replicate bool
 		title     string
 		xl, yl    string
@@ -36,7 +38,7 @@ func Tables(runs []Run, results map[string]Result) []Figure {
 			g = &group{
 				rows:  make(map[int]string),
 				cols:  make(map[int]string),
-				cells: make(map[cellKey][]float64),
+				cells: make(map[cell][]float64),
 				title: r.Title, xl: r.XLabel, yl: r.YLabel,
 			}
 			g.fig.ID = r.Group
@@ -44,12 +46,14 @@ func Tables(runs []Run, results map[string]Result) []Figure {
 			order = append(order, r.Group)
 		}
 		g.rows[r.RowIdx] = r.Row
-		g.cols[r.ColIdx] = r.Col
+		for j, c := range r.Cols {
+			g.cols[r.ColIdx+j] = c
+		}
 		if r.RowIdx > g.maxRow {
 			g.maxRow = r.RowIdx
 		}
-		if r.ColIdx > g.maxCol {
-			g.maxCol = r.ColIdx
+		if last := r.ColIdx + len(r.Cols) - 1; last > g.maxCol {
+			g.maxCol = last
 		}
 		if r.Replica > 0 {
 			g.replicate = true
@@ -62,15 +66,17 @@ func Tables(runs []Run, results map[string]Result) []Figure {
 			g.fig.Failed++
 			continue
 		}
-		v, ok := res.Values["value"]
-		if r.Metric != "" {
-			if mv, mok := res.Values[r.Metric]; mok {
-				v, ok = mv, true
+		for j := range r.Cols {
+			v, ok := res.Values[cellKey(j)]
+			if r.Metric != "" {
+				if mv, mok := res.Values[r.Metric]; mok {
+					v, ok = mv, true
+				}
 			}
-		}
-		if ok {
-			k := cellKey{r.RowIdx, r.ColIdx}
-			g.cells[k] = append(g.cells[k], v)
+			if ok {
+				k := cell{r.RowIdx, r.ColIdx + j}
+				g.cells[k] = append(g.cells[k], v)
+			}
 		}
 	}
 

@@ -215,14 +215,9 @@ func (eng *Engine) runOne(r *Run) Result {
 	defer func() { res.WallMS = float64(time.Since(start).Microseconds()) / 1000 }()
 	for attempt := 1; ; attempt++ {
 		res.Attempts = attempt
-		rep, err := eng.guarded(r)
+		rep, vals, err := eng.guarded(r)
 		if err == nil {
-			res.Report = rep
-			res.Err = ""
-			res.Values = Extract(rep)
-			if r.Value != nil {
-				res.Values["value"] = r.Value(rep)
-			}
+			res.Report, res.Values, res.Err = rep, vals, ""
 			return res
 		}
 		res.Err = err.Error()
@@ -236,36 +231,55 @@ func (eng *Engine) runOne(r *Run) Result {
 // wall-clock watchdog. A timed-out attempt's goroutine is abandoned
 // (it parks on an unread buffered channel and exits when the simulation
 // eventually finishes).
-func (eng *Engine) guarded(r *Run) (*core.Report, error) {
+func (eng *Engine) guarded(r *Run) (*core.Report, map[string]float64, error) {
 	if eng.Timeout <= 0 {
-		return runProtected(eng.exec, r.Config)
+		return runProtected(eng.exec, r)
 	}
 	type outcome struct {
-		rep *core.Report
-		err error
+		rep  *core.Report
+		vals map[string]float64
+		err  error
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		rep, err := runProtected(eng.exec, r.Config)
-		ch <- outcome{rep, err}
+		rep, vals, err := runProtected(eng.exec, r)
+		ch <- outcome{rep, vals, err}
 	}()
 	timer := time.NewTimer(eng.Timeout)
 	defer timer.Stop()
 	select {
 	case o := <-ch:
-		return o.rep, o.err
+		return o.rep, o.vals, o.err
 	case <-timer.C:
-		return nil, fmt.Errorf("sweep: run exceeded the %v wall-clock timeout (attempt abandoned)", eng.Timeout)
+		return nil, nil, fmt.Errorf("sweep: run exceeded the %v wall-clock timeout (attempt abandoned)", eng.Timeout)
 	}
 }
 
-// runProtected converts a panicking simulation into an error carrying
-// the stack, so one broken configuration cannot take the sweep down.
-func runProtected(exec func(core.Config) (*core.Report, error), cfg core.Config) (rep *core.Report, err error) {
+// runProtected executes one attempt and extracts the values to store:
+// the standard metric set plus the run's cells. A panicking simulation
+// or extractor becomes an error carrying the stack, so one broken
+// configuration cannot take the sweep down. A cell extractor's error
+// (a failed sanity check on the result) fails the attempt like a
+// simulation error.
+func runProtected(exec func(core.Config) (*core.Report, error), r *Run) (rep *core.Report, vals map[string]float64, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("sweep: run panicked: %v\n%s", p, debug.Stack())
+			rep, vals, err = nil, nil, fmt.Errorf("sweep: run panicked: %v\n%s", p, debug.Stack())
 		}
 	}()
-	return exec(cfg)
+	if rep, err = exec(r.Config); err != nil {
+		return nil, nil, err
+	}
+	vals = Extract(rep)
+	if r.Cells == nil {
+		return rep, vals, nil
+	}
+	cells, err := r.Cells(rep)
+	if err != nil {
+		return nil, nil, err
+	}
+	for j, v := range cells {
+		vals[cellKey(j)] = v
+	}
+	return rep, vals, nil
 }

@@ -9,7 +9,7 @@ import (
 
 // Figure is one aggregated result table of a sweep.
 type Figure struct {
-	// ID is the table's group key (figure id or sweep name).
+	// ID is the table's group key (figure or preset id, or sweep name).
 	ID string
 	// Table is the aggregated result matrix (replica means, plus 95%
 	// confidence half-widths when the sweep was replicated).
@@ -29,7 +29,9 @@ func ExperimentRuns(e *core.Experiment, opts core.ExperimentOptions) []Run {
 		reps = 1
 	}
 	runs := make([]Run, 0, len(e.Series)*len(nodes)*reps)
+	cells := func(r *core.Report) ([]float64, error) { return []float64{e.Value(r)}, nil }
 	for j, s := range e.Series {
+		cols := []string{s.Label}
 		for i, n := range nodes {
 			for k := 0; k < reps; k++ {
 				key := fmt.Sprintf("fig/%s/%s/n=%d/r%d", e.ID, s.Label, n, k)
@@ -45,14 +47,37 @@ func ExperimentRuns(e *core.Experiment, opts core.ExperimentOptions) []Run {
 					XLabel:  "nodes",
 					YLabel:  e.Metric,
 					Row:     fmt.Sprintf("%d", n),
-					Col:     s.Label,
+					Cols:    cols,
 					RowIdx:  i,
 					ColIdx:  j,
 					Replica: k,
 					Config:  cfg,
-					Value:   e.Value,
+					Cells:   cells,
 				})
 			}
+		}
+	}
+	return runs
+}
+
+// PresetRuns expands a preset into its run list, one run per table
+// row. Run keys have the form "<preset>/<row label>"; each run keeps
+// the seed its preset row set, and its cells are the preset's row
+// values.
+func PresetRuns(p *core.Preset) []Run {
+	runs := make([]Run, len(p.Rows))
+	for i, row := range p.Rows {
+		runs[i] = Run{
+			Key:    p.ID + "/" + row.Label,
+			Group:  p.ID,
+			Title:  p.Title,
+			XLabel: p.RowHeader,
+			YLabel: p.ValueLine,
+			Row:    row.Label,
+			Cols:   p.Columns,
+			RowIdx: i,
+			Config: row.Config,
+			Cells:  p.Extract,
 		}
 	}
 	return runs
@@ -82,7 +107,7 @@ func RunFigures(exps []core.Experiment, opts core.ExperimentOptions, eng Engine)
 	if eng.Progress == nil && opts.Progress != nil {
 		eng.Progress = func(run *Run, res Result, done, total int) {
 			if res.Report != nil {
-				opts.Progress(run.Group, run.Col, run.Config.Nodes, res.Report)
+				opts.Progress(run.Group, run.Cols[0], run.Config.Nodes, res.Report)
 			}
 		}
 	}

@@ -155,6 +155,7 @@ func (s *Spec) Runs() ([]Run, error) {
 	if !ok {
 		return nil, unknownMetricError(metric)
 	}
+	cells := func(r *core.Report) ([]float64, error) { return []float64{value(r)}, nil }
 	reps := s.Replications
 	if reps < 1 {
 		reps = 1
@@ -217,6 +218,7 @@ func (s *Spec) Runs() ([]Run, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sweep: point %s: %w", strings.Join(labels, "/"), err)
 		}
+		cols := []string{col}
 		for k := 0; k < reps; k++ {
 			key := s.Name + "/" + strings.Join(labels, "/") + fmt.Sprintf("/r%d", k)
 			cfg := cfg
@@ -228,13 +230,13 @@ func (s *Spec) Runs() ([]Run, error) {
 				XLabel:  s.Axes[rowAxis].Field,
 				YLabel:  MetricLabel(metric),
 				Row:     row,
-				Col:     col,
+				Cols:    cols,
 				RowIdx:  rowIdx[row],
 				ColIdx:  colIdx[col],
 				Replica: k,
 				Metric:  metric,
 				Config:  cfg,
-				Value:   value,
+				Cells:   cells,
 			})
 		}
 

@@ -52,8 +52,8 @@ func TestSpecExpansion(t *testing.T) {
 	}
 	// "nodes" becomes the row axis even though it is declared second.
 	first := runs[0]
-	if first.Row != "n=1" || first.Col != "gem" {
-		t.Fatalf("first run row=%q col=%q", first.Row, first.Col)
+	if first.Row != "n=1" || first.Cols[0] != "gem" {
+		t.Fatalf("first run row=%q col=%q", first.Row, first.Cols[0])
 	}
 	if first.Key != "m/gem/n=1/r0" {
 		t.Fatalf("key %q", first.Key)

@@ -1,14 +1,17 @@
-// Package sweep is the parallel experiment engine of the simulator: a
-// declarative experiment matrix (a Spec, loadable from JSON, or the
-// paper's Experiment presets) expands into a list of independent
-// simulation runs; a worker pool executes them on all cores with
-// per-run panic capture, an optional wall-clock timeout and bounded
-// retry; a persistent JSONL result store keyed by run fingerprint
-// makes half-finished sweeps resumable; and an aggregation layer merges
-// replicated runs into mean ± 95% confidence tables.
+// Package sweep is the simulator's one run driver: a declarative
+// experiment matrix (a Spec, loadable from JSON), a paper figure
+// (core.Experiment) or an extension preset (core.Preset) expands into
+// a list of independent simulation runs; a worker pool executes them
+// on all cores with per-run panic capture, an optional wall-clock
+// timeout and bounded retry; a persistent JSONL result store keyed by
+// run fingerprint makes half-finished sweeps resumable; and an
+// aggregation layer renders every kind as tables, merging replicated
+// runs into mean ± 95% confidence cells. A figure or spec run fills
+// one table cell, a preset run one whole row.
 //
-// Determinism: every run's seed is derived from the sweep's base seed
-// and the run key (rng.DeriveSeed), never from execution order, so a
+// Determinism: every figure and spec run's seed is derived from the
+// base seed and the run key (rng.DeriveSeed), and every preset run
+// keeps the seed its preset set, never one from execution order, so a
 // sweep produces byte-identical tables whether it executes on one
 // worker or sixteen, freshly or resumed from a partial store.
 package sweep
@@ -18,6 +21,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"time"
 
 	"gemsim/internal/core"
@@ -29,30 +33,43 @@ import (
 // configuration plus the coordinates of the table cell it feeds.
 type Run struct {
 	// Key is the run's unique, stable identity within the sweep; the
-	// per-run seed and the store fingerprint derive from it.
+	// store fingerprint derives from it, and so does the seed of a
+	// figure or spec run.
 	Key string
-	// Group identifies the table the run belongs to (figure id or
-	// sweep name); Title, XLabel and YLabel label that table.
+	// Group identifies the table the run belongs to (figure or preset
+	// id, or sweep name); Title, XLabel and YLabel label that table.
 	Group  string
 	Title  string
 	XLabel string
 	YLabel string
-	// Row/Col name the table cell, RowIdx/ColIdx place it.
-	Row, Col       string
+	// Row names the run's table row and Cols the columns it fills;
+	// RowIdx places the row and ColIdx the first of those columns. A
+	// figure or spec run fills one cell, a preset run a whole row.
+	Row            string
+	Cols           []string
 	RowIdx, ColIdx int
 	// Replica numbers the independently seeded repetition (0-based).
 	Replica int
-	// Metric optionally names the cell metric in the standard metric
-	// set (see metrics.go). Aggregation prefers it over the stored
-	// "value" entry, so a resumed sweep whose spec switched metrics
-	// still reads the right number out of old store lines.
+	// Metric optionally names a one-cell run's metric in the standard
+	// metric set (see metrics.go). Aggregation prefers it over the
+	// stored "value" entry, so a resumed sweep whose spec switched
+	// metrics still reads the right number out of old store lines.
 	Metric string
-	// Config is the resolved configuration, including the derived
-	// per-run seed.
+	// Config is the resolved configuration, including the run's seed.
 	Config core.Config
-	// Value extracts the cell metric from a finished run; when nil the
-	// run contributes no "value" entry (only the standard metric set).
-	Value func(*core.Report) float64
+	// Cells extracts the run's table cells from a finished run, one per
+	// entry of Cols; an error fails the run. When nil the run stores
+	// only the standard metric set.
+	Cells func(*core.Report) ([]float64, error)
+}
+
+// cellKey names the Result.Values entry of a run's j-th cell: "value"
+// for the first, "value<j>" for the rest of a preset row.
+func cellKey(j int) string {
+	if j == 0 {
+		return "value"
+	}
+	return "value" + strconv.Itoa(j)
 }
 
 // DeriveSeed returns the per-run seed for a base seed and run key (a

@@ -89,9 +89,11 @@ func fakeRuns(points, reps int) []Run {
 			cfg.Seed = DeriveSeed(5, key)
 			runs = append(runs, Run{
 				Key: key, Group: "t", Title: "fake sweep", XLabel: "point", YLabel: "rt",
-				Row: fmt.Sprintf("p%d", i), Col: "series", RowIdx: i, ColIdx: 0, Replica: k,
+				Row: fmt.Sprintf("p%d", i), Cols: []string{"series"}, RowIdx: i, ColIdx: 0, Replica: k,
 				Config: cfg,
-				Value:  func(r *core.Report) float64 { return float64(r.Metrics.MeanResponseTime) / 1e6 },
+				Cells: func(r *core.Report) ([]float64, error) {
+					return []float64{float64(r.Metrics.MeanResponseTime) / 1e6}, nil
+				},
 			})
 		}
 	}
