@@ -24,7 +24,7 @@
 package main
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -32,11 +32,10 @@ import (
 	"math"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"gemsim/internal/attrib"
+	"gemsim/internal/trace"
 )
 
 func main() {
@@ -143,24 +142,15 @@ func parse(r io.Reader) (*traceData, error) {
 		return t, nil
 	}
 	t := &traceData{format: "jsonl"}
-	sc := bufio.NewScanner(strings.NewReader(string(data)))
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		s := strings.TrimSpace(sc.Text())
-		if s == "" {
+	for i, s := range bytes.Split(data, []byte("\n")) {
+		if s = bytes.TrimSpace(s); len(s) == 0 {
 			continue
 		}
-		var e event
-		if err := json.Unmarshal([]byte(s), &e); err != nil {
-			return nil, fmt.Errorf("line %d: %w", line, err)
+		e := event{line: i + 1}
+		if err := json.Unmarshal(s, &e); err != nil {
+			return nil, fmt.Errorf("line %d: %w", e.line, err)
 		}
-		e.line = line
 		t.events = append(t.events, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	return t, nil
 }
@@ -190,9 +180,9 @@ func (t *traceData) detail(e *event) string {
 }
 
 // validate checks every event against the trace_event schema: known
-// phase letters, required timestamps, non-negative durations, the
-// per-encoding identification fields, and the closed category /
-// per-category name vocabularies the downstream tooling keys on. It
+// phase letters, required timestamps, non-negative durations and the
+// per-encoding identification fields; spans and instants are checked
+// against the simulator's declared event schema (trace.Schema). It
 // returns one message per violation (capped at 20), each prefixed
 // with the source line for JSONL traces so violations are directly
 // addressable.
@@ -241,75 +231,11 @@ func (t *traceData) validate() []string {
 		} else if e.Track == "" {
 			add(i, "%s event without track", e.Ph)
 		}
-		// Spans and instants carry one of the simulator's known
-		// categories; an unknown category means the producer and this
-		// tool have diverged.
-		if (e.Ph == "X" || e.Ph == "i") && !knownCats[e.Cat] {
-			add(i, "unknown category %q (want one of %s)", e.Cat, knownCatList)
-		}
-		// The recovery track has a closed vocabulary: the restart
-		// decomposition and downstream tooling key on these names.
-		if e.Cat == "recovery" {
-			switch e.Ph {
-			case "X":
-				if !recoverySpanNames[e.Name] {
-					add(i, "unknown recovery span %q (want detect, lock-recovery, log-scan, replay, reopen or page-repair)", e.Name)
-				}
-			case "i":
-				if e.Name != "recovered" {
-					add(i, "unknown recovery instant %q (want recovered)", e.Name)
-				}
-			}
-		}
-		if e.Cat == "fault" && e.Ph == "i" && e.Name != "crash" && e.Name != "repair" {
-			add(i, "unknown fault instant %q (want crash or repair)", e.Name)
-		}
-		// The cc track (optimistic concurrency-control engines) has a
-		// closed vocabulary: costed validation spans, remote mediation
-		// round trips, and abort instants carrying the conflict reason.
-		if e.Cat == "cc" {
-			switch e.Ph {
-			case "X":
-				switch e.Name {
-				case "cc-validate":
-					if d := t.detail(e); d != "ok" && d != "conflict" {
-						add(i, "cc-validate span with arg %q (want ok or conflict)", d)
-					}
-				case "cc-remote":
-				default:
-					add(i, "unknown cc span %q (want cc-validate or cc-remote)", e.Name)
-				}
-			case "i":
-				if e.Name != "cc-abort" {
-					add(i, "unknown cc instant %q (want cc-abort)", e.Name)
-				} else if d := t.detail(e); !ccAbortReasons[d] {
-					add(i, "cc-abort instant with reason %q (want validation, late-write or ww-conflict)", d)
-				}
-			}
-		}
-		// Attribution events are instants with a closed name
-		// vocabulary and machine-readable arguments; -report and
-		// -folded key on both.
-		if e.Cat == "attrib" {
-			if e.Ph != "i" {
-				add(i, "attrib event with phase %q (attrib events are instants)", e.Ph)
-				continue
-			}
-			switch e.Name {
-			case "txnpath":
-				if _, err := attrib.DecodeArg(t.detail(e)); err != nil {
-					add(i, "txnpath instant with undecodable arg: %v", err)
-				}
-			case "station":
-				if _, err := parseStationArg(t.detail(e)); err != nil {
-					add(i, "station instant with undecodable arg: %v", err)
-				}
-			case "waitfor":
-				if !strings.HasPrefix(t.detail(e), "edges=") {
-					add(i, "waitfor instant arg %q does not start with edges=", t.detail(e))
-				}
-			default:
-				add(i, "unknown attrib instant %q (want txnpath, station or waitfor)", e.Name)
+		// Spans and instants must be rows of the simulator's trace
+		// schema, with the row's phase and argument format.
+		if (e.Ph == "X" || e.Ph == "i") && e.Name != "" {
+			if err := trace.Check(e.Ph, e.Cat, e.Name, t.detail(e)); err != nil {
+				add(i, "%v", err)
 			}
 		}
 	}
@@ -323,52 +249,6 @@ func (t *traceData) loc(i int) string {
 		return fmt.Sprintf("line %d", e.line)
 	}
 	return fmt.Sprintf("event %d", i)
-}
-
-// knownCats is the complete span/instant category vocabulary the
-// simulator emits. knownCatList spells it out for error messages.
-var knownCats = map[string]bool{
-	"attrib":   true,
-	"cc":       true,
-	"control":  true,
-	"cpu":      true,
-	"fault":    true,
-	"gem":      true,
-	"io":       true,
-	"lock":     true,
-	"net":      true,
-	"recovery": true,
-	"txn":      true,
-}
-
-var knownCatList = func() string {
-	names := make([]string, 0, len(knownCats))
-	for c := range knownCats {
-		names = append(names, c)
-	}
-	sort.Strings(names)
-	return strings.Join(names, ", ")
-}()
-
-// ccAbortReasons is the closed conflict-reason vocabulary of cc-abort
-// instants (and of engine-initiated txn abort instants).
-var ccAbortReasons = map[string]bool{
-	"validation":  true,
-	"late-write":  true,
-	"ww-conflict": true,
-}
-
-// recoverySpanNames is the complete recovery-phase vocabulary: the
-// coordinator emits detect and lock-recovery, every replay worker
-// (the coordinator is worker 0) its log-scan and replay spans, and
-// incremental reopen adds reopen plus per-page page-repair spans.
-var recoverySpanNames = map[string]bool{
-	"detect":        true,
-	"lock-recovery": true,
-	"log-scan":      true,
-	"replay":        true,
-	"reopen":        true,
-	"page-repair":   true,
 }
 
 // keyTotal accumulates count and total duration per grouping key.
@@ -523,65 +403,6 @@ func (t *traceData) summarize(w io.Writer, top int) {
 	}
 }
 
-// stationSample is one decoded "station" attrib instant: a windowed
-// operational-law sample of one queueing station (attrib.Laws encoded
-// by its EncodeArg).
-type stationSample struct {
-	station  string
-	servers  int
-	tput     float64
-	util     float64
-	wqMicros float64
-	lq       float64
-	little   float64
-	utilRes  float64
-}
-
-// parseStationArg decodes the fixed "station=...;servers=...;..."
-// field list of a station instant, rejecting unknown or missing
-// fields so schema drift is caught by -validate.
-func parseStationArg(s string) (stationSample, error) {
-	var out stationSample
-	seen := map[string]bool{}
-	for _, part := range strings.Split(s, ";") {
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return out, fmt.Errorf("entry %q has no '='", part)
-		}
-		seen[key] = true
-		var err error
-		switch key {
-		case "station":
-			out.station = val
-		case "servers":
-			out.servers, err = strconv.Atoi(val)
-		case "tput":
-			out.tput, err = strconv.ParseFloat(val, 64)
-		case "util":
-			out.util, err = strconv.ParseFloat(val, 64)
-		case "wq":
-			out.wqMicros, err = strconv.ParseFloat(val, 64)
-		case "lq":
-			out.lq, err = strconv.ParseFloat(val, 64)
-		case "little":
-			out.little, err = strconv.ParseFloat(val, 64)
-		case "utilresid":
-			out.utilRes, err = strconv.ParseFloat(val, 64)
-		default:
-			return out, fmt.Errorf("unknown field %q", key)
-		}
-		if err != nil {
-			return out, fmt.Errorf("field %q has bad value %q", key, val)
-		}
-	}
-	for _, req := range []string{"station", "servers", "tput", "util", "wq", "lq", "little", "utilresid"} {
-		if !seen[req] {
-			return out, fmt.Errorf("missing field %q", req)
-		}
-	}
-	return out, nil
-}
-
 // pathSample is one decoded txnpath instant: a committed transaction's
 // critical-path vector, with the response time joined from the
 // matching txn span (same track and tid).
@@ -596,7 +417,7 @@ type pathSample struct {
 // law samples, and wait-for snapshots. unmatched counts txnpath
 // instants without a txn span — their vectors still contribute to
 // folded stacks but carry no residual.
-func (t *traceData) collectAttrib() (paths []pathSample, stations []stationSample, waitfors []string, unmatched int, err error) {
+func (t *traceData) collectAttrib() (paths []pathSample, stations []attrib.Laws, waitfors []attrib.WaitForReport, unmatched int, err error) {
 	rt := map[string]float64{} // track|tid -> txn span dur (µs)
 	for i := range t.events {
 		e := &t.events[i]
@@ -609,13 +430,11 @@ func (t *traceData) collectAttrib() (paths []pathSample, stations []stationSampl
 		if e.Ph != "i" || e.Cat != "attrib" {
 			continue
 		}
+		var derr error
 		switch e.Name {
 		case "txnpath":
-			v, derr := attrib.DecodeArg(t.detail(e))
-			if derr != nil {
-				return nil, nil, nil, 0, fmt.Errorf("%s: %v", t.loc(i), derr)
-			}
-			p := pathSample{vec: v}
+			var p pathSample
+			p.vec, derr = attrib.DecodeArg(t.detail(e))
 			if e.TS != nil {
 				p.ts = *e.TS
 			}
@@ -626,17 +445,20 @@ func (t *traceData) collectAttrib() (paths []pathSample, stations []stationSampl
 			}
 			if p.rt == 0 {
 				unmatched++
-				p.rt = v.Sum()
+				p.rt = p.vec.Sum()
 			}
 			paths = append(paths, p)
 		case "station":
-			s, derr := parseStationArg(t.detail(e))
-			if derr != nil {
-				return nil, nil, nil, 0, fmt.Errorf("%s: %v", t.loc(i), derr)
-			}
-			stations = append(stations, s)
+			var l attrib.Laws
+			l, derr = attrib.DecodeLaws(t.detail(e))
+			stations = append(stations, l)
 		case "waitfor":
-			waitfors = append(waitfors, t.detail(e))
+			var rep attrib.WaitForReport
+			rep, derr = attrib.DecodeWaitFor(t.detail(e))
+			waitfors = append(waitfors, rep)
+		}
+		if derr != nil {
+			return nil, nil, nil, 0, fmt.Errorf("%s: %v", t.loc(i), derr)
 		}
 	}
 	return paths, stations, waitfors, unmatched, nil
@@ -668,26 +490,22 @@ func (t *traceData) report(w io.Writer, top int) error {
 		fmt.Fprintf(w, "  (%d txnpath instants without a matching txn span: residual unknown, vector sum used as RT)\n", unmatched)
 	}
 
-	type row struct {
-		res   attrib.Res
-		share float64
-	}
-	var rows []row
+	var rows []attrib.Res
 	for r := attrib.Res(0); r < attrib.NumRes; r++ {
-		rows = append(rows, row{r, bd.Share(r)})
+		rows = append(rows, r)
 	}
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i].share > rows[j].share })
+	sort.SliceStable(rows, func(i, j int) bool { return bd.Share(rows[i]) > bd.Share(rows[j]) })
 	fmt.Fprintf(w, "\nresources by attributed share of response time:\n")
 	fmt.Fprintf(w, "  %-8s %8s %12s %12s\n", "resource", "share", "wait ms", "service ms")
 	var shareSum float64
 	for _, r := range rows {
-		wait, svc := bd.Mean(r.res)
+		wait, svc := bd.Mean(r)
 		if wait == 0 && svc == 0 {
 			continue
 		}
-		shareSum += r.share
-		fmt.Fprintf(w, "  %-8s %7.1f%% %12.3f %12.3f\n", r.res,
-			100*r.share, float64(wait)/float64(time.Millisecond), float64(svc)/float64(time.Millisecond))
+		shareSum += bd.Share(r)
+		fmt.Fprintf(w, "  %-8s %7.1f%% %12.3f %12.3f\n", r,
+			100*bd.Share(r), float64(wait)/float64(time.Millisecond), float64(svc)/float64(time.Millisecond))
 	}
 	fmt.Fprintf(w, "  %-8s %7.1f%% of measured mean RT\n", "total", 100*shareSum)
 
@@ -714,58 +532,43 @@ func (t *traceData) reportTimeline(w io.Writer, paths []pathSample) {
 	if width <= 0 {
 		return
 	}
-	type window struct {
-		txns  int
-		total [attrib.NumRes]time.Duration
-		sum   time.Duration
-	}
-	wins := make([]window, buckets)
-	for _, p := range paths {
+	wins := make([]attrib.Breakdown, buckets)
+	for i := range paths {
+		p := &paths[i]
 		b := int((p.ts - tsMin) / width)
 		if b >= buckets {
 			b = buckets - 1
 		}
-		wins[b].txns++
-		var vecSum time.Duration
-		for r := attrib.Res(0); r < attrib.NumRes; r++ {
-			d := p.vec.Wait[r] + p.vec.Svc[r]
-			wins[b].total[r] += d
-			vecSum += d
-		}
-		// The unattributed residual belongs to "other", exactly as in
-		// Breakdown.Observe, so windowed shares stay consistent with
-		// the whole-run ranking.
-		if resid := p.rt - vecSum; resid > 0 {
-			wins[b].total[attrib.ResOther] += resid
-			vecSum += resid
-		}
-		wins[b].sum += vecSum
+		wins[b].Observe(&p.vec, p.rt)
 	}
 	fmt.Fprintf(w, "\nbottleneck timeline (%d windows of %.1f ms):\n", buckets, width/1e3)
 	for i, win := range wins {
 		t0 := (tsMin + float64(i)*width) / 1e3
-		if win.txns == 0 {
+		if win.N == 0 {
 			fmt.Fprintf(w, "  %10.1f ms  %4d txns  -\n", t0, 0)
 			continue
 		}
-		dom, domT := attrib.ResOther, time.Duration(0)
+		// Shares are of the window's attributed time, residual
+		// included, so they stay consistent with the whole-run ranking.
+		dom, domT, sum := attrib.ResOther, time.Duration(0), time.Duration(0)
 		for r := attrib.Res(0); r < attrib.NumRes; r++ {
-			if win.total[r] > domT {
-				dom, domT = r, win.total[r]
+			if d := win.Wait[r] + win.Svc[r]; d > domT {
+				dom, domT = r, d
 			}
+			sum += win.Wait[r] + win.Svc[r]
 		}
 		share := 0.0
-		if win.sum > 0 {
-			share = 100 * float64(domT) / float64(win.sum)
+		if sum > 0 {
+			share = 100 * float64(domT) / float64(sum)
 		}
-		fmt.Fprintf(w, "  %10.1f ms  %4d txns  %-8s %5.1f%%\n", t0, win.txns, dom, share)
+		fmt.Fprintf(w, "  %10.1f ms  %4d txns  %-8s %5.1f%%\n", t0, win.N, dom, share)
 	}
 }
 
 // reportStations aggregates the windowed station-law samples per
 // station: mean utilization and throughput over the run, and the worst
 // observed residual of each law.
-func (t *traceData) reportStations(w io.Writer, stations []stationSample) {
+func (t *traceData) reportStations(w io.Writer, stations []attrib.Laws) {
 	if len(stations) == 0 {
 		return
 	}
@@ -777,19 +580,19 @@ func (t *traceData) reportStations(w io.Writer, stations []stationSample) {
 	}
 	byName := map[string]*agg{}
 	for _, s := range stations {
-		a := byName[s.station]
+		a := byName[s.Name]
 		if a == nil {
-			a = &agg{name: s.station, servers: s.servers}
-			byName[s.station] = a
+			a = &agg{name: s.Name, servers: s.Servers}
+			byName[s.Name] = a
 		}
 		a.n++
-		a.tput += s.tput
-		a.util += s.util
-		if s.little > a.maxLittle {
-			a.maxLittle = s.little
+		a.tput += s.Throughput
+		a.util += s.Utilization
+		if s.LittleResid > a.maxLittle {
+			a.maxLittle = s.LittleResid
 		}
-		if s.utilRes > a.maxUtilRe {
-			a.maxUtilRe = s.utilRes
+		if s.UtilResid > a.maxUtilRe {
+			a.maxUtilRe = s.UtilResid
 		}
 	}
 	aggs := make([]*agg, 0, len(byName))
@@ -813,36 +616,26 @@ func (t *traceData) reportStations(w io.Writer, stations []stationSample) {
 
 // reportWaitFor summarizes the wait-for graph snapshots: how often the
 // graph was non-empty, its peak, and the peak snapshot's detail.
-func (t *traceData) reportWaitFor(w io.Writer, waitfors []string, top int) {
+func (t *traceData) reportWaitFor(w io.Writer, waitfors []attrib.WaitForReport, top int) {
 	if len(waitfors) == 0 {
 		return
 	}
-	intField := func(s, key string) int {
-		for _, part := range strings.Split(s, ";") {
-			if v, ok := strings.CutPrefix(part, key+"="); ok {
-				n, _ := strconv.Atoi(v)
-				return n
-			}
-		}
-		return 0
-	}
-	nonEmpty, convoys, peak, peakEdges := 0, 0, "", -1
-	for _, s := range waitfors {
-		edges := intField(s, "edges")
-		if edges > 0 {
+	nonEmpty, convoys, peak := 0, 0, -1
+	for i, rep := range waitfors {
+		if rep.Edges > 0 {
 			nonEmpty++
 		}
-		if strings.Contains(s, ";convoy=true") {
+		if rep.Convoy {
 			convoys++
 		}
-		if edges > peakEdges {
-			peakEdges, peak = edges, s
+		if peak < 0 || rep.Edges > waitfors[peak].Edges {
+			peak = i
 		}
 	}
 	fmt.Fprintf(w, "\nlock wait-for graph: %d/%d snapshots with waiters, %d with a convoy\n",
 		nonEmpty, len(waitfors), convoys)
-	if peakEdges > 0 {
-		fmt.Fprintf(w, "  peak snapshot: %s\n", peak)
+	if waitfors[peak].Edges > 0 {
+		fmt.Fprintf(w, "  peak snapshot: %s\n", waitfors[peak].EncodeArg())
 	}
 }
 
@@ -856,18 +649,9 @@ func (t *traceData) folded(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var total attrib.Vector
+	var total attrib.Breakdown
 	for i := range paths {
-		p := &paths[i]
-		var vecSum time.Duration
-		for r := attrib.Res(0); r < attrib.NumRes; r++ {
-			total.Wait[r] += p.vec.Wait[r]
-			total.Svc[r] += p.vec.Svc[r]
-			vecSum += p.vec.Wait[r] + p.vec.Svc[r]
-		}
-		if resid := p.rt - vecSum; resid > 0 {
-			total.Wait[attrib.ResOther] += resid
-		}
+		total.Observe(&paths[i].vec, paths[i].rt)
 	}
 	for r := attrib.Res(0); r < attrib.NumRes; r++ {
 		if us := total.Wait[r].Microseconds(); us > 0 {

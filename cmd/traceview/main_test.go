@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +12,7 @@ import (
 	"gemsim/internal/core"
 	"gemsim/internal/fault"
 	"gemsim/internal/recovery"
+	"gemsim/internal/trace"
 )
 
 // goldenTrace is the JSONL event trace checked into the core package's
@@ -33,8 +36,8 @@ func TestValidateRejectsSchemaViolations(t *testing.T) {
 	// one span with a category outside the emitted vocabulary: four
 	// violations the validator must report, each with its line number.
 	bad := strings.Join([]string{
-		`{"ph":"Z","ts":1,"name":"x","track":"t"}`,
-		`{"ph":"X","dur":5,"name":"x","cat":"txn","track":"t"}`,
+		`{"ph":"Z","ts":1,"name":"txn","cat":"txn","track":"t"}`,
+		`{"ph":"X","dur":5,"name":"txn","cat":"txn","track":"t","arg":"type=0"}`,
 		`{"ph":"X","ts":1,"dur":5,"cat":"txn","track":"t"}`,
 		`{"ph":"X","ts":1,"dur":5,"name":"x","cat":"bogus","track":"t"}`,
 	}, "\n")
@@ -48,6 +51,32 @@ func TestValidateRejectsSchemaViolations(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "4 schema violation(s)") {
 		t.Fatalf("error %q, want 4 schema violations reported", err)
+	}
+}
+
+// TestValidateRejectsUndeclaredEvents checks one event per case that
+// is well formed apart from its schema row: an undeclared name in each
+// category, a declared name with the wrong phase, and arguments
+// outside a row's closed format.
+func TestValidateRejectsUndeclaredEvents(t *testing.T) {
+	cases := map[string]string{
+		"wrong phase":       `{"ph":"i","ts":1,"name":"txn","cat":"txn","track":"t","arg":"type=0"}`,
+		"bad waitfor":       `{"ph":"i","ts":1,"name":"waitfor","cat":"attrib","track":"attrib","arg":"edges=x;waiters=?"}`,
+		"bad abort reason":  `{"ph":"i","ts":1,"name":"abort","cat":"txn","track":"t","arg":"bored"}`,
+		"bad cc reason":     `{"ph":"i","ts":1,"name":"cc-abort","cat":"cc","track":"t","arg":"deadlock"}`,
+		"bad station field": `{"ph":"i","ts":1,"name":"station","cat":"attrib","track":"attrib","arg":"station=cpu0;servers=x"}`,
+	}
+	for _, e := range trace.Schema {
+		cases["unknown "+e.Cat+" name"] = fmt.Sprintf(`{"ph":"%c","ts":1,"dur":1,"name":"bogus","cat":"%s","track":"t"}`, e.Ph, e.Cat)
+	}
+	for name, line := range cases {
+		path := filepath.Join(t.TempDir(), "bad.jsonl")
+		if err := os.WriteFile(path, []byte(line+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := run([]string{"-validate", path}); err == nil || !strings.Contains(err.Error(), "1 schema violation(s)") {
+			t.Errorf("%s: validate returned %v, want 1 schema violation", name, err)
+		}
 	}
 }
 
@@ -71,34 +100,73 @@ func TestMissingFileIsAnError(t *testing.T) {
 	}
 }
 
+// tracedConfigs are the simulations whose JSONL traces the tests
+// below validate: a crash with incremental-reopen recovery, the
+// adaptive controller, and the optimistic engines under GEM (OCC) and
+// PCL (MV-TO) coupling.
+var tracedConfigs = map[string]func() (core.Config, error){
+	"recovery": func() (core.Config, error) {
+		crashes := []fault.NodeCrash{{Node: 1, At: 2 * time.Second, Repair: 1500 * time.Millisecond}}
+		return core.AvailabilityConfig(core.CouplingGEM, recovery.ReopenIncremental, crashes, core.PresetOptions{
+			Nodes:   2,
+			Warmup:  time.Second,
+			Measure: 11 * time.Second,
+		}), nil
+	},
+	"controller": func() (core.Config, error) {
+		return core.AdaptiveConfig(core.CouplingGEM, true, core.PresetOptions{
+			Warmup:  time.Second,
+			Measure: 6 * time.Second,
+		}), nil
+	},
+	"occ": func() (core.Config, error) {
+		return core.LoadConfigFile("../../examples/config/occ-skew.json")
+	},
+	"pcl-mvto": func() (core.Config, error) {
+		f := core.ConfigFile{Nodes: 3, Coupling: "pcl", CC: "mvto",
+			Skew: &core.SkewFile{BranchTheta: 0.6}, Warmup: "1s", Measure: "6s"}
+		return f.ToConfig()
+	},
+}
+
+var tracedRuns = map[string][]byte{} // name -> JSONL trace, simulated once per test binary
+
+// tracedRun writes the trace of the named configuration into t's
+// temporary directory, simulating it on first use, and checks that the
+// file passes -validate.
+func tracedRun(t *testing.T, name string) string {
+	t.Helper()
+	data, ok := tracedRuns[name]
+	if !ok {
+		cfg, err := tracedConfigs[name]()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		cfg.Tracing = &core.TraceConfig{Events: &buf}
+		if _, err := core.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		data = buf.Bytes()
+		tracedRuns[name] = data
+	}
+	path := filepath.Join(t.TempDir(), name+".jsonl")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-validate", path}); err != nil {
+		t.Fatalf("%s trace failed schema validation: %v", name, err)
+	}
+	return path
+}
+
 // TestValidateRecoveryTrace runs a small crash/recovery simulation
 // with incremental reopen and checks that the recovery track (phase
 // spans, crash/repair/recovered instants, per-worker replay spans,
 // on-demand page repairs) conforms to the schema, and that the
 // validator rejects names outside the recovery vocabulary.
 func TestValidateRecoveryTrace(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "recovery.jsonl")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crashes := []fault.NodeCrash{{Node: 1, At: 2 * time.Second, Repair: 1500 * time.Millisecond}}
-	cfg := core.AvailabilityConfig(core.CouplingGEM, recovery.ReopenIncremental, crashes, core.PresetOptions{
-		Nodes:   2,
-		Warmup:  time.Second,
-		Measure: 11 * time.Second,
-	})
-	cfg.Tracing = &core.TraceConfig{Events: f}
-	if _, err := core.Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-validate", path}); err != nil {
-		t.Fatalf("recovery trace failed schema validation: %v", err)
-	}
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(tracedRun(t, "recovery"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,26 +200,7 @@ func TestValidateRecoveryTrace(t *testing.T) {
 // instants, MPL counters, all on the "control" track) conforms to the
 // trace_event schema the validator enforces.
 func TestValidateControllerTrace(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "adaptive.jsonl")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.AdaptiveConfig(core.CouplingGEM, true, core.PresetOptions{
-		Warmup:  time.Second,
-		Measure: 6 * time.Second,
-	})
-	cfg.Tracing = &core.TraceConfig{Events: f}
-	if _, err := core.Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-validate", path}); err != nil {
-		t.Fatalf("controller trace failed schema validation: %v", err)
-	}
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(tracedRun(t, "controller"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,5 +219,47 @@ func TestValidateControllerTrace(t *testing.T) {
 	}
 	if !strings.Contains(trace, `"name":"mpl`) && !strings.Contains(trace, `"name":"overrides"`) {
 		t.Error("trace records no controller counters")
+	}
+}
+
+// TestSchemaRowsEmitted checks that every trace.Schema row is emitted
+// by the golden trace or one of the traced runs above, so the schema
+// declares no event the simulator never writes. The rows in unreached
+// need configurations these runs do not have.
+func TestSchemaRowsEmitted(t *testing.T) {
+	unreached := map[string]string{
+		"lock/remote":         "remote lock requests are PCL 2PL; the PCL run uses MV-TO, which takes no locks",
+		"gem/page":            "needs a file or log in GEM, or GEM page transfer; these runs keep pages on disk",
+		"io/read-hit":         "needs a disk cache (diskCachePages or a cache medium)",
+		"io/write-hit":        "needs a disk cache (diskCachePages or a cache medium)",
+		"net/drop":            "needs message loss (MessageLossProb)",
+		"net/drop-down":       "needs a message addressed to a crashed node; the only crash run is GEM-coupled",
+		"control/gla-migrate": "GLA migration is PCL under the controller; the controller run is GEM",
+		"control/migrate":     "GLA migration is PCL under the controller; the controller run is GEM",
+	}
+	paths := []string{goldenTrace}
+	for name := range tracedConfigs {
+		paths = append(paths, tracedRun(t, name))
+	}
+	seen := map[string]bool{}
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := parse(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range tr.events {
+			seen[e.Cat+"/"+e.Name] = true
+		}
+	}
+	for _, e := range trace.Schema {
+		key := e.Cat + "/" + e.Name
+		if _, skip := unreached[key]; seen[key] == skip {
+			t.Errorf("%s: emitted %v, listed as unreached %v", key, seen[key], skip)
+		}
 	}
 }

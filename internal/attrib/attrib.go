@@ -74,17 +74,6 @@ func (r Res) String() string {
 	return resNames[r]
 }
 
-// ParseRes maps a resource name back to its Res; ok is false for
-// unknown names.
-func ParseRes(name string) (Res, bool) {
-	for i, n := range resNames {
-		if n == name {
-			return Res(i), true
-		}
-	}
-	return 0, false
-}
-
 // Vector is the critical-path decomposition of a single transaction:
 // per resource, how long the transaction waited in queue and how long
 // it was served. A nil *Vector is a valid no-op sink, so callers
@@ -169,38 +158,20 @@ func (v *Vector) EncodeArg() string {
 	return b.String()
 }
 
-// DecodeArg parses an EncodeArg string back into a vector. It returns
-// an error naming the first malformed entry.
+// DecodeArg parses an EncodeArg string back into a vector. Unknown
+// and malformed entries are errors.
 func DecodeArg(s string) (Vector, error) {
 	var v Vector
 	if s == "" {
 		return v, nil
 	}
-	for _, part := range strings.Split(s, ";") {
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return v, fmt.Errorf("attrib: entry %q has no '='", part)
-		}
-		name, kind, ok := strings.Cut(key, ".")
-		if !ok || (kind != "w" && kind != "s") {
-			return v, fmt.Errorf("attrib: entry %q is not res.w or res.s", part)
-		}
-		r, ok := ParseRes(name)
-		if !ok {
-			return v, fmt.Errorf("attrib: unknown resource %q", name)
-		}
-		us, err := strconv.ParseFloat(val, 64)
-		if err != nil || us < 0 {
-			return v, fmt.Errorf("attrib: entry %q has a bad duration", part)
-		}
-		d := time.Duration(us * float64(time.Microsecond))
-		if kind == "w" {
-			v.Wait[r] += d
-		} else {
-			v.Svc[r] += d
-		}
+	fields := make(map[string]func(string) error, 2*NumRes)
+	for r := Res(0); r < NumRes; r++ {
+		fields[resNames[r]+".w"] = microsTo(&v.Wait[r])
+		fields[resNames[r]+".s"] = microsTo(&v.Svc[r])
 	}
-	return v, nil
+	err := decodeFields(s, fields)
+	return v, err
 }
 
 // Breakdown aggregates critical-path vectors over completed

@@ -2,6 +2,7 @@ package attrib
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -89,6 +90,42 @@ func TestVectorArgRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeArg("cpu.x=1"); err == nil {
 		t.Fatal("unknown kind must error")
+	}
+
+	// Station laws: the encoding rounds, so the round trip is checked
+	// on the encoded form.
+	laws := Derive(StationCounters{Name: "disk0", Servers: 2, Elapsed: 3 * time.Second,
+		BusySeconds: 2.5, QSeconds: 0.7, Requests: 321, WaitSum: 700 * time.Millisecond})
+	l, err := DecodeLaws(laws.EncodeArg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Name != "disk0" || l.Servers != 2 || l.EncodeArg() != laws.EncodeArg() {
+		t.Fatalf("laws round trip %q != %q", l.EncodeArg(), laws.EncodeArg())
+	}
+	for _, bad := range []string{"station=disk0", "station=disk0;servers=2;tput=1;util=1;wq=1;lq=1;little=1;utilresid=1;extra=1", "station=disk0;servers=x;tput=1;util=1;wq=1;lq=1;little=1;utilresid=1"} {
+		if _, err := DecodeLaws(bad); err == nil {
+			t.Errorf("DecodeLaws(%q) accepted a missing, unknown or malformed field", bad)
+		}
+	}
+
+	// Wait-for reports, with and without the optional top and chain.
+	for _, rep := range []WaitForReport{
+		AnalyzeWaitFor([]WaitEdge{{"n0/t2", "n0/t1"}, {"n1/t3", "n0/t2"}, {"n0/t4", "n0/t1"}}, 5),
+		AnalyzeWaitFor(nil, 5),
+	} {
+		got, err := DecodeWaitFor(rep.EncodeArg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, rep) {
+			t.Fatalf("wait-for round trip %+v != %+v", got, rep)
+		}
+	}
+	for _, bad := range []string{"edges=x;waiters=?", "edges=1;waiters=1", "edges=1;waiters=1;convoy=yes", "edges=1;waiters=1;convoy=false;top=n0/t1"} {
+		if _, err := DecodeWaitFor(bad); err == nil {
+			t.Errorf("DecodeWaitFor(%q) accepted a malformed report", bad)
+		}
 	}
 }
 

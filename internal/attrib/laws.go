@@ -1,7 +1,10 @@
 package attrib
 
 import (
+	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -134,4 +137,71 @@ func (l Laws) EncodeArg() string {
 	return fmt.Sprintf("station=%s;servers=%d;tput=%.3f;util=%.4f;wq=%.3f;lq=%.4f;little=%.4f;utilresid=%.4f",
 		l.Name, l.Servers, l.Throughput, l.Utilization,
 		float64(l.MeanWait)/float64(time.Microsecond), l.MeanQueue, l.LittleResid, l.UtilResid)
+}
+
+// DecodeLaws parses an EncodeArg string back into a law report;
+// MeanSvc and SvcTracked are not encoded and stay zero. Unknown,
+// missing and malformed fields are errors.
+func DecodeLaws(s string) (Laws, error) {
+	var l Laws
+	err := decodeFields(s, map[string]func(string) error{
+		"station":   func(v string) error { l.Name = v; return nil },
+		"servers":   intTo(&l.Servers),
+		"tput":      floatTo(&l.Throughput),
+		"util":      floatTo(&l.Utilization),
+		"wq":        microsTo(&l.MeanWait),
+		"lq":        floatTo(&l.MeanQueue),
+		"little":    floatTo(&l.LittleResid),
+		"utilresid": floatTo(&l.UtilResid),
+	}, "station", "servers", "tput", "util", "wq", "lq", "little", "utilresid")
+	return l, err
+}
+
+// decodeFields parses a "key=value;key=value" argument: every key must
+// have a parser in fields, and every required key must appear.
+func decodeFields(s string, fields map[string]func(string) error, required ...string) error {
+	seen := map[string]bool{}
+	for _, part := range strings.Split(s, ";") {
+		key, val, ok := strings.Cut(part, "=")
+		parse := fields[key]
+		if !ok || parse == nil {
+			return fmt.Errorf("attrib: unknown entry %q", part)
+		}
+		if err := parse(val); err != nil {
+			return fmt.Errorf("attrib: field %q has bad value %q", key, val)
+		}
+		seen[key] = true
+	}
+	for _, key := range required {
+		if !seen[key] {
+			return fmt.Errorf("attrib: missing field %q", key)
+		}
+	}
+	return nil
+}
+
+func intTo(p *int) func(string) error {
+	return func(s string) (err error) {
+		*p, err = strconv.Atoi(s)
+		return err
+	}
+}
+
+func floatTo(p *float64) func(string) error {
+	return func(s string) (err error) {
+		*p, err = strconv.ParseFloat(s, 64)
+		return err
+	}
+}
+
+// microsTo parses a non-negative duration in microseconds.
+func microsTo(p *time.Duration) func(string) error {
+	return func(s string) error {
+		us, err := strconv.ParseFloat(s, 64)
+		if err == nil && us < 0 {
+			err = errors.New("negative duration")
+		}
+		*p = time.Duration(us * float64(time.Microsecond))
+		return err
+	}
 }

@@ -1,8 +1,10 @@
 package attrib
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -150,4 +152,34 @@ func (rep WaitForReport) EncodeArg() string {
 		b.WriteString(strings.Join(rep.LongestChain, ">"))
 	}
 	return b.String()
+}
+
+// DecodeWaitFor parses an EncodeArg string back into a report. Unknown,
+// missing and malformed fields are errors; top and chain are optional.
+func DecodeWaitFor(s string) (WaitForReport, error) {
+	var rep WaitForReport
+	err := decodeFields(s, map[string]func(string) error{
+		"edges":   intTo(&rep.Edges),
+		"waiters": intTo(&rep.Waiters),
+		"convoy": func(v string) (err error) {
+			rep.Convoy, err = strconv.ParseBool(v)
+			return err
+		},
+		"top": func(v string) error {
+			for _, e := range strings.Split(v, ",") {
+				i := strings.LastIndexByte(e, ':')
+				if i < 0 {
+					return errors.New("blocker without ':'")
+				}
+				n, err := strconv.Atoi(e[i+1:])
+				if err != nil {
+					return err
+				}
+				rep.TopBlockers = append(rep.TopBlockers, Blocker{Holder: e[:i], Waiters: n})
+			}
+			return nil
+		},
+		"chain": func(v string) error { rep.LongestChain = strings.Split(v, ">"); return nil },
+	}, "edges", "waiters", "convoy")
+	return rep, err
 }

@@ -149,7 +149,7 @@ func (t *Txn) RecordWrite(page model.PageID) {
 }
 
 // Reason classifies engine-initiated aborts; it is the trace argument
-// of the cc-abort instant.
+// of the cc-abort and txn/abort instants.
 type Reason string
 
 const (
@@ -163,6 +163,10 @@ const (
 	// committed write on a page of the publish set.
 	ReasonWW Reason = "ww-conflict"
 )
+
+// Reasons lists every Reason; the trace schema checks cc-abort and
+// txn/abort arguments against it.
+var Reasons = []Reason{ReasonValidation, ReasonLateWrite, ReasonWW}
 
 // Conflict is the abort error of the optimistic engines; the hosting
 // transaction manager rolls the attempt back and restarts it with

@@ -32,18 +32,6 @@ const (
 	Probe
 )
 
-// String names the action for trace events.
-func (a Action) String() string {
-	switch a {
-	case Throttle:
-		return "throttle"
-	case Probe:
-		return "probe"
-	default:
-		return "hold"
-	}
-}
-
 // AdmissionParams configures the per-node admission controller.
 type AdmissionParams struct {
 	// MaxMPL is the configured multiprogramming ceiling (the static

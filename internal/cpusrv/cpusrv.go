@@ -47,7 +47,7 @@ func (c *CPU) Exec(p *sim.Proc, instructions float64) {
 	if c.tracer.Enabled() {
 		start := p.Env().Now()
 		c.res.Use(p, c.ServiceTime(instructions))
-		c.tracer.Span(c.res.Name(), p.TraceID(), "cpu", "exec", start, p.Env().Now(), "")
+		c.tracer.Span(c.res.Name(), p.TraceID(), trace.CPUExec, start, p.Env().Now(), "")
 		return
 	}
 	c.res.Use(p, c.ServiceTime(instructions))
@@ -68,7 +68,7 @@ func (c *CPU) RequestExec(instructions float64, done func()) {
 		start := env.Now()
 		inner := done
 		done = func() {
-			c.tracer.Span(c.res.Name(), 0, "cpu", "exec", start, env.Now(), "")
+			c.tracer.Span(c.res.Name(), 0, trace.CPUExec, start, env.Now(), "")
 			inner()
 		}
 	}

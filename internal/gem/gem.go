@@ -93,7 +93,7 @@ func (g *GEM) AccessPage(p *sim.Proc) {
 	if g.tracer.Enabled() {
 		start := p.Env().Now()
 		g.server.Use(p, g.params.PageAccess)
-		g.tracer.Span(g.server.Name(), p.TraceID(), "gem", "page", start, p.Env().Now(), "")
+		g.tracer.Span(g.server.Name(), p.TraceID(), trace.GEMPage, start, p.Env().Now(), "")
 		return
 	}
 	g.server.Use(p, g.params.PageAccess)
@@ -114,7 +114,7 @@ func (g *GEM) AccessEntries(p *sim.Proc, n int) {
 		for i := 0; i < n; i++ {
 			g.AccessEntry(p)
 		}
-		g.tracer.Span(g.server.Name(), p.TraceID(), "gem", "entries", start, p.Env().Now(), "n="+strconv.Itoa(n))
+		g.tracer.Span(g.server.Name(), p.TraceID(), trace.GEMEntries, start, p.Env().Now(), "n="+strconv.Itoa(n))
 		return
 	}
 	for i := 0; i < n; i++ {
@@ -134,7 +134,7 @@ func (g *GEM) AccessPageFn(c sim.Continuation, fin func()) {
 		tid := c.TraceID()
 		inner := fin
 		fin = func() {
-			g.tracer.Span(g.server.Name(), tid, "gem", "page", start, env.Now(), "")
+			g.tracer.Span(g.server.Name(), tid, trace.GEMPage, start, env.Now(), "")
 			if inner != nil {
 				inner()
 			}
@@ -164,7 +164,7 @@ func (g *GEM) AccessEntriesFn(c sim.Continuation, n int, fin func()) {
 		count := n
 		inner := fin
 		fin = func() {
-			g.tracer.Span(g.server.Name(), tid, "gem", "entries", start, env.Now(), "n="+strconv.Itoa(count))
+			g.tracer.Span(g.server.Name(), tid, trace.GEMEntries, start, env.Now(), "n="+strconv.Itoa(count))
 			if inner != nil {
 				inner()
 			}
@@ -222,7 +222,7 @@ func (g *GEM) RequestPage(done func()) {
 		start := env.Now()
 		inner := done
 		done = func() {
-			g.tracer.Span(g.server.Name(), 0, "gem", "page", start, env.Now(), "")
+			g.tracer.Span(g.server.Name(), 0, trace.GEMPage, start, env.Now(), "")
 			if inner != nil {
 				inner()
 			}

@@ -27,13 +27,16 @@ const (
 	Long
 )
 
-// String returns "short" or "long".
-func (c Class) String() string {
+// traceKind is the declared span of a message of class c on the wire.
+func (c Class) traceKind() trace.Kind {
 	if c == Short {
-		return "short"
+		return trace.NetShort
 	}
-	return "long"
+	return trace.NetLong
 }
+
+// String returns the class's trace name, "short" or "long".
+func (c Class) String() string { return trace.Schema[c.traceKind()].Name }
 
 // Params configures the network.
 type Params struct {
@@ -234,7 +237,7 @@ func (n *Network) send(p *sim.Proc, from, to int, c Class, msg any, reliable boo
 	if lost {
 		n.dropped++
 		if n.tracer.Enabled() {
-			n.tracer.Instant("net", p.TraceID(), "net", "drop", n.env.Now(), route(from, to))
+			n.tracer.Instant("net", p.TraceID(), trace.NetDrop, n.env.Now(), route(from, to))
 		}
 		return
 	}
@@ -282,12 +285,12 @@ type delivery struct {
 func (d *delivery) arrive() {
 	n := d.n
 	if d.traced {
-		n.tracer.Span("net", d.tid, "net", d.c.String(), d.sentAt, n.env.Now(), route(d.from, d.to))
+		n.tracer.Span("net", d.tid, d.c.traceKind(), d.sentAt, n.env.Now(), route(d.from, d.to))
 	}
 	if n.downCheck != nil && n.downCheck(d.to) {
 		n.dropped++
 		if d.traced {
-			n.tracer.Instant("net", d.tid, "net", "drop-down", n.env.Now(), route(d.from, d.to))
+			n.tracer.Instant("net", d.tid, trace.NetDropDown, n.env.Now(), route(d.from, d.to))
 		}
 		d.free()
 		return

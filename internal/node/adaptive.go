@@ -8,6 +8,7 @@ import (
 	"gemsim/internal/netsim"
 	"gemsim/internal/routing"
 	"gemsim/internal/sim"
+	"gemsim/internal/trace"
 )
 
 // This file is the actuator half of the adaptive load control
@@ -268,14 +269,17 @@ func (c *controller) tick() {
 			continue
 		}
 		n.mpl.SetLimit(dec.Limit)
+		// Only a throttle or a probe changes the limit.
+		kind := trace.ControlThrottle
 		switch dec.Action {
 		case control.Throttle:
 			c.throttles++
 		case control.Probe:
 			c.probes++
+			kind = trace.ControlProbe
 		}
 		if tr := s.tracer; tr.Enabled() {
-			tr.Instant("control", int64(i), "control", dec.Action.String(), now,
+			tr.Instant("control", int64(i), kind, now,
 				fmt.Sprintf("node=%d mpl=%d", i, dec.Limit))
 			tr.Counter("control", "mpl"+itoa(i), now, float64(dec.Limit))
 		}
@@ -320,7 +324,7 @@ func (c *controller) rebalance() {
 			c.adaptive.SetOverride(mv.ID, mv.To)
 			c.reroutes++
 			if tr := s.tracer; tr.Enabled() {
-				tr.Instant("control", int64(mv.ID), "control", "reroute", now,
+				tr.Instant("control", int64(mv.ID), trace.ControlReroute, now,
 					fmt.Sprintf("branch=%d %d->%d", mv.ID, mv.From, mv.To))
 			}
 		}
@@ -409,9 +413,9 @@ func (c *controller) startMigration(g, from, to int) {
 		s.glaHome[g] = to
 		c.migrations++
 		if tr := s.tracer; tr.Enabled() {
-			tr.Span("control", int64(g), "control", "gla-migrate", start, s.env.Now(),
+			tr.Span("control", int64(g), trace.ControlGLAMigrate, start, s.env.Now(),
 				fmt.Sprintf("g=%d %d->%d entries=%d", g, from, to, entries))
-			tr.Instant("control", int64(g), "control", "migrate", s.env.Now(),
+			tr.Instant("control", int64(g), trace.ControlMigrate, s.env.Now(),
 				fmt.Sprintf("g=%d %d->%d", g, from, to))
 		}
 	})

@@ -58,7 +58,7 @@ func (n *Node) buffered(page model.PageID) cc.Outcome {
 // a survivor. The whole round trip counts as lock-message time and is
 // charged to res on the critical path — the requester has no view of
 // the remote service split — and traced as span cat/name.
-func (n *Node) remoteRoundTrip(t *txn, home int, msg any, wait *remoteWait, res attrib.Res, cat, name string, page model.PageID) error {
+func (n *Node) remoteRoundTrip(t *txn, home int, msg any, wait *remoteWait, res attrib.Res, kind trace.Kind, page model.PageID) error {
 	sys := n.sys
 	if sys.faultsOn && sys.down[home] {
 		return errTimeout
@@ -80,7 +80,7 @@ func (n *Node) remoteRoundTrip(t *txn, home int, msg any, wait *remoteWait, res 
 	t.phases.Add(trace.PhaseLockMsg, sys.env.Now()-start)
 	t.cp.Add(res, sys.env.Now()-start, 0)
 	if tr := sys.tracer; tr.Enabled() {
-		tr.Span(n.track, int64(t.id), cat, name, start, sys.env.Now(), page.String())
+		tr.Span(n.track, int64(t.id), kind, start, sys.env.Now(), page.String())
 	}
 	if t.killed {
 		wait.abandoned = true
@@ -303,7 +303,7 @@ func (e *optEngine) remoteOp(t *txn, gla, home int, op ccOp, pages []ccOpPage) (
 	n := e.n
 	wait := &remoteWait{proc: t.proc}
 	msg := ccOpMsg{Owner: t.owner, Op: op, GLA: gla, TS: t.cct.TS, MVTO: e.mvto, Pages: pages, Wait: wait}
-	if err := n.remoteRoundTrip(t, home, msg, wait, attrib.ResCC, "cc", "cc-remote", pages[0].Page); err != nil {
+	if err := n.remoteRoundTrip(t, home, msg, wait, attrib.ResCC, trace.CCRemote, pages[0].Page); err != nil {
 		return nil, err
 	}
 	if !wait.ccOK {
@@ -352,11 +352,11 @@ func (e *optEngine) validate(t *txn) error {
 		}
 	}
 	if tr := sys.tracer; tr.Enabled() {
-		arg := "ok"
+		arg := trace.ValidateOK
 		if conflict != nil {
-			arg = "conflict"
+			arg = trace.ValidateConflict
 		}
-		tr.Span(n.track, int64(t.id), "cc", "cc-validate", start, sys.env.Now(), arg)
+		tr.Span(n.track, int64(t.id), trace.CCValidate, start, sys.env.Now(), arg)
 	}
 	if _, isCC := conflict.(*cc.Conflict); isCC {
 		n.ccValidationFails++
@@ -548,7 +548,7 @@ func (n *Node) ccCPUOp(t *txn, instr float64) {
 // conflict error that restarts the transaction with backoff.
 func (n *Node) ccConflict(t *txn, page model.PageID, reason cc.Reason) error {
 	if tr := n.sys.tracer; tr.Enabled() {
-		tr.Instant(n.track, int64(t.id), "cc", "cc-abort", n.sys.env.Now(), string(reason))
+		tr.Instant(n.track, int64(t.id), trace.CCAbort, n.sys.env.Now(), string(reason))
 	}
 	return &cc.Conflict{Reason: reason, Page: page}
 }

@@ -199,7 +199,7 @@ func (s *System) CrashNode(node int) {
 	s.txnsKilled += int64(len(losers))
 
 	if tr := s.tracer; tr.Enabled() {
-		tr.Instant("failover", 0, "fault", "crash", crashAt, "node="+itoa(node))
+		tr.Instant("failover", 0, trace.FaultCrash, crashAt, "node="+itoa(node))
 	}
 	if s.avail != nil {
 		s.avail.noteCrash(crashAt)
@@ -225,7 +225,7 @@ func (s *System) RepairNode(node int) {
 	n.logSinceCkpt = 0
 	s.down[node] = false
 	if tr := s.tracer; tr.Enabled() {
-		tr.Instant("failover", 0, "fault", "repair", s.env.Now(), "node="+itoa(node))
+		tr.Instant("failover", 0, trace.FaultRepair, s.env.Now(), "node="+itoa(node))
 	}
 }
 
@@ -372,7 +372,7 @@ func (s *System) runRecovery(p *sim.Proc, crashed int, crashAt sim.Time, losers 
 	detectAt := s.env.Now()
 	traceArg := "node=" + itoa(crashed)
 	if tr := s.tracer; tr.Enabled() {
-		tr.Span("failover", 0, "recovery", "detect", crashAt, detectAt, traceArg)
+		tr.Span("failover", 0, trace.RecoveryDetect, crashAt, detectAt, traceArg)
 	}
 	coordID := s.coordinator()
 	coord := s.nodes[coordID]
@@ -474,7 +474,7 @@ func (s *System) runRecovery(p *sim.Proc, crashed int, crashAt sim.Time, losers 
 	}
 	fs.LockRecovery = s.env.Now() - lockStart
 	if tr := s.tracer; tr.Enabled() {
-		tr.Span("failover", 0, "recovery", "lock-recovery", lockStart, s.env.Now(), traceArg)
+		tr.Span("failover", 0, trace.RecoveryLockRecovery, lockStart, s.env.Now(), traceArg)
 	}
 
 	workers := max(params.RecoveryWorkers, 1)
@@ -483,7 +483,7 @@ func (s *System) runRecovery(p *sim.Proc, crashed int, crashAt sim.Time, losers 
 	fs.PagesRedone = int64(len(redo))
 	fs.Workers = workers
 	if tr := s.tracer; tr.Enabled() {
-		tr.Instant("failover", 0, "recovery", "recovered", s.env.Now(), traceArg)
+		tr.Instant("failover", 0, trace.RecoveryRecovered, s.env.Now(), traceArg)
 	}
 
 	end := s.env.Now()
@@ -589,7 +589,7 @@ func (s *System) runReplay(p *sim.Proc, coordID int, coord *Node, crashed int, l
 	if incremental {
 		fs.ReopenAt = replayStart
 		if tr := s.tracer; tr.Enabled() {
-			tr.Span("failover", 0, "recovery", "reopen", fs.CrashAt, replayStart, traceArg)
+			tr.Span("failover", 0, trace.RecoveryReopen, fs.CrashAt, replayStart, traceArg)
 		}
 	}
 
@@ -646,7 +646,7 @@ func (s *System) runReplay(p *sim.Proc, coordID int, coord *Node, crashed int, l
 		}
 		scanEnd := s.env.Now()
 		if tr := s.tracer; tr.Enabled() && scanEnd > scanStart {
-			tr.Span("failover", int64(w), "recovery", "log-scan", scanStart, scanEnd, traceArg)
+			tr.Span("failover", int64(w), trace.RecoveryLogScan, scanStart, scanEnd, traceArg)
 		}
 		for _, idx := range perWorker[w] {
 			r := &redo[idx]
@@ -659,7 +659,7 @@ func (s *System) runReplay(p *sim.Proc, coordID int, coord *Node, crashed int, l
 		}
 		replayEnd := s.env.Now()
 		if tr := s.tracer; tr.Enabled() && len(perWorker[w]) > 0 {
-			tr.Span("failover", int64(w), "recovery", "replay", scanEnd, replayEnd, traceArg)
+			tr.Span("failover", int64(w), trace.RecoveryReplay, scanEnd, replayEnd, traceArg)
 		}
 		s.recWorkerDone(rec, scanEnd-scanStart, replayEnd-scanEnd)
 	}
@@ -736,7 +736,7 @@ func (s *System) repairOnDemand(rec *recoveryRun, page model.PageID) {
 		s.redoOnePage(p, rec.coordID, rec.coord, rec.crashed, r)
 		rec.replay.Done(page)
 		if tr := s.tracer; tr.Enabled() {
-			tr.Span("failover", 0, "recovery", "page-repair", start, s.env.Now(), "page="+page.String())
+			tr.Span("failover", 0, trace.RecoveryPageRepair, start, s.env.Now(), "page="+page.String())
 		}
 		s.recPageDone(rec)
 	})

@@ -367,13 +367,13 @@ func (n *Node) runTxn(p *sim.Proc, spec model.Txn, arrive sim.Time, ph *trace.Ph
 		n.restarts++
 		ph.Add(trace.PhaseCommit, sys.env.Now()-abortStart)
 		if tr := sys.tracer; tr.Enabled() {
-			reason := "deadlock"
+			reason := trace.AbortDeadlock
 			if err == errTimeout {
-				reason = "timeout"
+				reason = trace.AbortTimeout
 			} else if cf, ok := err.(*cc.Conflict); ok {
 				reason = string(cf.Reason)
 			}
-			tr.Instant(n.track, int64(t.id), "txn", "abort", sys.env.Now(), reason)
+			tr.Instant(n.track, int64(t.id), trace.TxnAbort, sys.env.Now(), reason)
 		}
 		delay := sys.params.RestartDelayMean
 		if err == errTimeout {
@@ -411,7 +411,7 @@ func (n *Node) runTxn(p *sim.Proc, spec model.Txn, arrive sim.Time, ph *trace.Ph
 	rt := sys.env.Now() - arrive
 	sys.observeCommit(n, int64(t.id), ph, cp, rt)
 	if tr := sys.tracer; tr.Enabled() {
-		tr.Span(n.track, int64(t.id), "txn", "txn", arrive, sys.env.Now(), "type="+strconv.Itoa(spec.Type))
+		tr.Span(n.track, int64(t.id), trace.TxnSpan, arrive, sys.env.Now(), "type="+strconv.Itoa(spec.Type))
 	}
 	n.commits++
 	n.respRefs += int64(len(spec.Refs))

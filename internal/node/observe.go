@@ -93,7 +93,7 @@ func (s *System) traceAttrib(at sim.Time) {
 			w.SvcN = c.SvcN - p.SvcN
 		}
 		laws := attrib.Derive(toStationCounters(w))
-		s.tracer.Instant("attrib", 0, "attrib", "station", at, laws.EncodeArg())
+		s.tracer.Instant("attrib", 0, trace.AttribStation, at, laws.EncodeArg())
 	}
 	var edges []attrib.WaitEdge
 	for _, tbl := range s.tables {
@@ -105,7 +105,7 @@ func (s *System) traceAttrib(at sim.Time) {
 		}
 	}
 	rep := attrib.AnalyzeWaitFor(edges, 5)
-	s.tracer.Instant("attrib", 0, "attrib", "waitfor", at, rep.EncodeArg())
+	s.tracer.Instant("attrib", 0, trace.AttribWaitFor, at, rep.EncodeArg())
 }
 
 // observeCommit feeds a committed transaction into the phase
@@ -121,7 +121,7 @@ func (s *System) observeCommit(n *Node, tid int64, ph *trace.Phases, cp *attrib.
 	}
 	if cp != nil {
 		if tr := s.tracer; tr.Enabled() {
-			tr.Instant(n.track, tid, "attrib", "txnpath", s.env.Now(), cp.EncodeArg())
+			tr.Instant(n.track, tid, trace.AttribTxnPath, s.env.Now(), cp.EncodeArg())
 		}
 	}
 	if s.sampling {
@@ -294,6 +294,6 @@ func (n *Node) lockWaitDone(t *txn, page model.PageID, start sim.Time) {
 	t.phases.Add(trace.PhaseLockWait, n.sys.env.Now()-start)
 	t.cp.Add(attrib.ResLock, n.sys.env.Now()-start, 0)
 	if tr := n.sys.tracer; tr.Enabled() {
-		tr.Span(n.track, int64(t.id), "lock", "wait", start, n.sys.env.Now(), page.String())
+		tr.Span(n.track, int64(t.id), trace.LockWait, start, n.sys.env.Now(), page.String())
 	}
 }

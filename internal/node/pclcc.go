@@ -174,7 +174,7 @@ func (c *pclCC) lockRemote(t *txn, page model.PageID, mode model.LockMode, gla, 
 		msg.CachedSeq = seq
 	}
 	start := sys.env.Now()
-	if err := n.remoteRoundTrip(t, home, msg, wait, attrib.ResNet, "lock", "remote", page); err != nil {
+	if err := n.remoteRoundTrip(t, home, msg, wait, attrib.ResNet, trace.LockRemote, page); err != nil {
 		if err == errTimeout {
 			// Withdraw the request unless the serving node is down (the
 			// abort path clears this owner's table state directly; the

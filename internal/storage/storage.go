@@ -129,16 +129,6 @@ func (g *Group) Name() string { return g.name }
 // SetTracer attaches a span tracer (nil disables tracing).
 func (g *Group) SetTracer(t *trace.Tracer) { g.tracer = t }
 
-// traceIO emits one read/write span, with the cache-hit flag folded
-// into the event name so timeline rows distinguish hits from disk
-// accesses.
-func (g *Group) traceIO(p *sim.Proc, name string, start sim.Time, page model.PageID, hit bool) {
-	if hit {
-		name += "-hit"
-	}
-	g.tracer.Span(g.name, p.TraceID(), "io", name, start, g.env.Now(), page.String())
-}
-
 // Cache returns the attached shared disk cache, or nil.
 func (g *Group) Cache() *Cache { return g.cache }
 
@@ -249,15 +239,20 @@ func (op *ioOp) finish() {
 		// cache keeps the copy readable.
 		g.insert(op.page, false)
 	}
-	name := "read"
+	// Cache hits are their own events, so timeline rows distinguish
+	// them from disk accesses.
+	kind, hitKind := trace.IORead, trace.IOReadHit
 	if op.write {
-		name = "write"
+		kind, hitKind = trace.IOWrite, trace.IOWriteHit
 		g.writeLatency.AddDuration(g.env.Now() - op.start)
 	} else {
 		g.readLatency.AddDuration(g.env.Now() - op.start)
 	}
 	if g.tracer.Enabled() {
-		g.traceIO(op.p, name, op.start, op.page, op.cached)
+		if op.cached {
+			kind = hitKind
+		}
+		g.tracer.Span(g.name, op.p.TraceID(), kind, op.start, g.env.Now(), op.page.String())
 	}
 	op.p, op.cont = nil, sim.Continuation{}
 	g.ioOps.Put(op)

@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"io"
-	"math"
 	"strconv"
 	"time"
 )
@@ -96,19 +95,18 @@ func (t *TimeSeriesWriter) Close() error {
 	return t.err
 }
 
-func appendIntField(b []byte, name string, v int64) []byte {
+// appendKey appends `,"name":`.
+func appendKey(b []byte, name string) []byte {
 	b = append(b, ',', '"')
 	b = append(b, name...)
-	b = append(b, '"', ':')
-	return strconv.AppendInt(b, v, 10)
+	return append(b, '"', ':')
 }
 
+func appendIntField(b []byte, name string, v int64) []byte {
+	return strconv.AppendInt(appendKey(b, name), v, 10)
+}
+
+// appendNumField appends a float field, NaN as null.
 func appendNumField(b []byte, name string, v float64) []byte {
-	b = append(b, ',', '"')
-	b = append(b, name...)
-	b = append(b, '"', ':')
-	if math.IsNaN(v) {
-		return append(b, "null"...)
-	}
-	return strconv.AppendFloat(b, v, 'g', -1, 64)
+	return appendFloat(appendKey(b, name), v)
 }

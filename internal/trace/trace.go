@@ -1,6 +1,7 @@
-// Package trace is the simulator's observability layer: per-transaction
-// spans emitted by the device models, windowed time-series samples, and
-// a per-phase response-time decomposition.
+// Package trace is the simulator's observability layer: spans and
+// instants emitted by the device models and the transaction path (each
+// a row of Schema), windowed time-series samples, and a per-phase
+// response-time decomposition.
 //
 // Events carry simulated time only, so a trace is a pure function of
 // the configuration and seed: two runs with identical inputs produce
@@ -87,22 +88,29 @@ func (t *Tracer) Err() error {
 }
 
 // Span records a completed interval [start, end) on the given track.
-// tid identifies the transaction (0 for non-transaction work), cat is
-// the event category (e.g. "lock", "io"), name the specific operation,
-// and arg an optional free-form detail such as "page=1234".
-func (t *Tracer) Span(track string, tid int64, cat, name string, start, end time.Duration, arg string) {
-	if !t.Enabled() {
-		return
+// tid identifies the transaction (0 for non-transaction work), k the
+// declared span, and arg an optional detail such as "page=1234".
+func (t *Tracer) Span(track string, tid int64, k Kind, start, end time.Duration, arg string) {
+	if t.Enabled() {
+		t.emitRow('X', k, track, tid, start, end-start, arg)
 	}
-	t.emit('X', track, tid, cat, name, start, end-start, arg, 0, false)
 }
 
-// Instant records a point event (crash, message drop, abort).
-func (t *Tracer) Instant(track string, tid int64, cat, name string, at time.Duration, arg string) {
-	if !t.Enabled() {
-		return
+// Instant records a declared point event (crash, message drop, abort).
+func (t *Tracer) Instant(track string, tid int64, k Kind, at time.Duration, arg string) {
+	if t.Enabled() {
+		t.emitRow('i', k, track, tid, at, 0, arg)
 	}
-	t.emit('i', track, tid, cat, name, at, 0, arg, 0, false)
+}
+
+// emitRow writes schema row k; a span of an instant row (or the
+// reverse) is a programming error.
+func (t *Tracer) emitRow(ph byte, k Kind, track string, tid int64, ts, dur time.Duration, arg string) {
+	e := &Schema[k]
+	if e.Ph != ph {
+		panic("trace: " + e.Cat + "/" + e.Name + " emitted with phase " + string(ph))
+	}
+	t.emit(ph, track, tid, e.Cat, e.Name, ts, dur, arg, 0, false)
 }
 
 // Counter records a sampled numeric value on a track, rendered by
@@ -195,28 +203,20 @@ func (t *Tracer) emit(ph byte, track string, tid int64, cat, name string, ts, du
 		pid := t.pid(track) // may emit metadata, invalidating t.buf
 		b := t.sep()
 		b = append(b, `{"ph":"`...)
-		b = append(b, ph)
-		b = append(b, `","pid":`...)
-		b = strconv.AppendInt(b, int64(pid), 10)
-		b = append(b, `,"tid":`...)
-		b = strconv.AppendInt(b, tid, 10)
-		b = append(b, `,"ts":`...)
-		b = appendMicros(b, ts)
+		b = append(b, ph, '"')
+		b = appendIntField(b, "pid", int64(pid))
+		b = appendIntField(b, "tid", tid)
+		b = appendMicros(appendKey(b, "ts"), ts)
 		if ph == 'X' {
-			b = append(b, `,"dur":`...)
-			b = appendMicros(b, dur)
+			b = appendMicros(appendKey(b, "dur"), dur)
 		}
 		if ph == 'i' {
 			b = append(b, `,"s":"t"`...)
 		}
 		if cat != "" {
-			b = append(b, `,"cat":"`...)
-			b = appendEscaped(b, cat)
-			b = append(b, '"')
+			b = appendField(b, "cat", cat)
 		}
-		b = append(b, `,"name":"`...)
-		b = appendEscaped(b, name)
-		b = append(b, '"')
+		b = appendField(b, "name", name)
 		switch {
 		case hasValue:
 			b = append(b, `,"args":{"`...)
@@ -236,36 +236,24 @@ func (t *Tracer) emit(ph byte, track string, tid int64, cat, name string, ts, du
 	}
 	b := t.sep()
 	b = append(b, `{"ph":"`...)
-	b = append(b, ph)
-	b = append(b, `","ts":`...)
-	b = appendMicros(b, ts)
+	b = append(b, ph, '"')
+	b = appendMicros(appendKey(b, "ts"), ts)
 	if ph == 'X' {
-		b = append(b, `,"dur":`...)
-		b = appendMicros(b, dur)
+		b = appendMicros(appendKey(b, "dur"), dur)
 	}
-	b = append(b, `,"track":"`...)
-	b = appendEscaped(b, track)
-	b = append(b, '"')
+	b = appendField(b, "track", track)
 	if tid != 0 {
-		b = append(b, `,"tid":`...)
-		b = strconv.AppendInt(b, tid, 10)
+		b = appendIntField(b, "tid", tid)
 	}
 	if cat != "" {
-		b = append(b, `,"cat":"`...)
-		b = appendEscaped(b, cat)
-		b = append(b, '"')
+		b = appendField(b, "cat", cat)
 	}
-	b = append(b, `,"name":"`...)
-	b = appendEscaped(b, name)
-	b = append(b, '"')
+	b = appendField(b, "name", name)
 	if hasValue {
-		b = append(b, `,"value":`...)
-		b = appendFloat(b, value)
+		b = appendNumField(b, "value", value)
 	}
 	if arg != "" {
-		b = append(b, `,"arg":"`...)
-		b = appendEscaped(b, arg)
-		b = append(b, '"')
+		b = appendField(b, "arg", arg)
 	}
 	b = append(b, '}')
 	t.buf = b
@@ -297,6 +285,11 @@ func appendFloat(b []byte, v float64) []byte {
 		return append(b, "null"...)
 	}
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
+}
+
+// appendField appends `,"key":"s"` with s escaped.
+func appendField(b []byte, key, s string) []byte {
+	return append(appendEscaped(append(appendKey(b, key), '"'), s), '"')
 }
 
 // appendEscaped appends s as JSON string content.

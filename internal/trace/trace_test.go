@@ -15,9 +15,9 @@ import (
 func TestJSONLGolden(t *testing.T) {
 	var buf bytes.Buffer
 	tr := New(&buf, JSONL)
-	tr.Span("cpu0", 7, "cpu", "exec", time.Millisecond, time.Millisecond+1500*time.Microsecond, "")
-	tr.Span("gem", 0, "gem", "entries", 2*time.Millisecond+100*time.Nanosecond, 2*time.Millisecond+4100*time.Nanosecond, "n=2")
-	tr.Instant("net", 3, "fault", "drop", 2*time.Millisecond, `sz="big"`)
+	tr.Span("cpu0", 7, CPUExec, time.Millisecond, time.Millisecond+1500*time.Microsecond, "")
+	tr.Span("gem", 0, GEMEntries, 2*time.Millisecond+100*time.Nanosecond, 2*time.Millisecond+4100*time.Nanosecond, "n=2")
+	tr.Instant("net", 3, NetDrop, 2*time.Millisecond, `sz="big"`)
 	tr.Counter("metrics", "tput", 3*time.Millisecond, 123.5)
 	tr.Counter("metrics", "rt_mean_ms", 3*time.Millisecond, math.NaN())
 	if err := tr.Close(); err != nil {
@@ -25,7 +25,7 @@ func TestJSONLGolden(t *testing.T) {
 	}
 	want := `{"ph":"X","ts":1000,"dur":1500,"track":"cpu0","tid":7,"cat":"cpu","name":"exec"}
 {"ph":"X","ts":2000.100,"dur":4,"track":"gem","cat":"gem","name":"entries","arg":"n=2"}
-{"ph":"i","ts":2000,"track":"net","tid":3,"cat":"fault","name":"drop","arg":"sz=\"big\""}
+{"ph":"i","ts":2000,"track":"net","tid":3,"cat":"net","name":"drop","arg":"sz=\"big\""}
 {"ph":"C","ts":3000,"track":"metrics","name":"tput","value":123.5}
 {"ph":"C","ts":3000,"track":"metrics","name":"rt_mean_ms","value":null}
 `
@@ -42,8 +42,8 @@ func TestJSONLGolden(t *testing.T) {
 func TestPerfettoGolden(t *testing.T) {
 	var buf bytes.Buffer
 	tr := New(&buf, Perfetto)
-	tr.Span("cpu0", 7, "cpu", "exec", time.Millisecond, 2500*time.Microsecond, "")
-	tr.Instant("cpu0", 0, "fault", "crash", 3*time.Millisecond, "node=1")
+	tr.Span("cpu0", 7, CPUExec, time.Millisecond, 2500*time.Microsecond, "")
+	tr.Instant("cpu0", 0, FaultCrash, 3*time.Millisecond, "node=1")
 	tr.Counter("metrics", "tput", 4*time.Millisecond, 200)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -92,8 +92,8 @@ func TestNilTracer(t *testing.T) {
 	if tr.Enabled() {
 		t.Error("nil tracer reports Enabled")
 	}
-	tr.Span("x", 1, "c", "n", 0, time.Second, "")
-	tr.Instant("x", 1, "c", "n", 0, "")
+	tr.Span("x", 1, TxnSpan, 0, time.Second, "")
+	tr.Instant("x", 1, TxnAbort, 0, "")
 	tr.Counter("x", "n", 0, 1)
 	if err := tr.Close(); err != nil {
 		t.Errorf("nil Close: %v", err)
@@ -226,4 +226,29 @@ func TestTimeSeriesWriter(t *testing.T) {
 	if err := nw.Close(); err != nil {
 		t.Errorf("nil Close: %v", err)
 	}
+}
+
+// TestSchemaRows checks that every row is a span or an instant with a
+// unique category/name, and that emitting a row with the other phase
+// panics.
+func TestSchemaRows(t *testing.T) {
+	for k, e := range Schema {
+		if (e.Ph != 'X' && e.Ph != 'i') || e.Cat == "" || e.Name == "" {
+			t.Errorf("row %d is incomplete: %+v", k, e)
+		}
+		for _, o := range Schema[:k] {
+			if o.Cat == e.Cat && o.Name == e.Name {
+				t.Errorf("%s/%s is declared twice", e.Cat, e.Name)
+			}
+		}
+	}
+	if err := Check("i", "txn", "abort", "late-write"); err != nil {
+		t.Errorf("a cc.Reason abort: %v", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Span of an instant row did not panic")
+		}
+	}()
+	New(&bytes.Buffer{}, JSONL).Span("t", 1, TxnAbort, 0, 1, "")
 }
