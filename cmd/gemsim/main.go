@@ -78,7 +78,7 @@ func parseArgs(args []string) (core.Config, outputs, error) {
 	fs.StringVar(&out.traceFmt, "trace-format", "jsonl", "event trace encoding: jsonl or perfetto")
 	fs.StringVar(&out.tsOut, "timeseries", "", "write windowed time-series samples (JSONL) to this file")
 	fs.DurationVar(&out.sampleIv, "sample-interval", 500*time.Millisecond, "time-series window length")
-	fs.BoolVar(&out.phases, "phases", false, "collect and print the per-phase response time breakdown")
+	fs.BoolVar(&out.phases, "phases", false, "print the per-phase response time breakdown")
 	fs.BoolVar(&out.attrTbl, "attrib", false, "print the per-resource bottleneck attribution tables")
 	fs.BoolVar(&out.verbose, "v", false, "print detailed metrics")
 	fs.BoolVar(&out.quiet, "quiet", false, "suppress the summary line (useful with -trace-out/-timeseries)")
@@ -113,8 +113,8 @@ func parseArgs(args []string) (core.Config, outputs, error) {
 	if err != nil {
 		return core.Config{}, out, err
 	}
-	if out.attrTbl && cfg.Attribution.Off {
-		return core.Config{}, out, fmt.Errorf("-attrib needs attribution on (drop -attrib-off or the file's attribution.off)")
+	if (out.attrTbl || out.phases) && cfg.Attribution.Off {
+		return core.Config{}, out, fmt.Errorf("-attrib and -phases need attribution on (drop -attrib-off or the file's attribution.off)")
 	}
 	return cfg, out, nil
 }
@@ -122,7 +122,7 @@ func parseArgs(args []string) (core.Config, outputs, error) {
 // execute attaches the requested tracing outputs, runs the
 // configuration and prints the results.
 func execute(cfg core.Config, out outputs) error {
-	if out.traceOut != "" || out.tsOut != "" || out.phases {
+	if out.traceOut != "" || out.tsOut != "" {
 		tc := &core.TraceConfig{SampleInterval: out.sampleIv}
 		if out.traceOut != "" {
 			format, ok := trace.ParseFormat(out.traceFmt)

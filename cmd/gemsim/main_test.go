@@ -100,6 +100,8 @@ func TestRunRejectsContradictoryFlags(t *testing.T) {
 		{"-pooled-terminals"},
 		{"-terminals", "4", "-think", "-1s"},
 		{"-recovery-workers", "-1"},
+		{"-attrib", "-attrib-off"},
+		{"-phases", "-attrib-off"},
 		{"-config", writeConfig(t, `{"nodes":2}`), "-coupling", "warp"},
 	} {
 		if err := run(append(args, "-warmup", "100ms", "-measure", "200ms")); err == nil {
@@ -172,6 +174,8 @@ var flagLines = []struct {
 	{"-nodes 2 -warmup 1s -measure 4s -trace-out smoke.json -trace-format perfetto -timeseries smoke-ts.jsonl -phases",
 		`{"nodes":2,"warmup":"1s","measure":"4s"}`},
 	{"-nodes 2 -warmup 1s -measure 4s -quiet -trace-out smoke.jsonl",
+		`{"nodes":2,"warmup":"1s","measure":"4s"}`},
+	{"-nodes 2 -warmup 1s -measure 4s -quiet -phases",
 		`{"nodes":2,"warmup":"1s","measure":"4s"}`},
 }
 

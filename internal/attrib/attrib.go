@@ -2,9 +2,10 @@
 // Tier-1-cheap accounting that explains where transaction response
 // time goes. It has three parts:
 //
-//   - critical-path vectors: every transaction carries a per-resource
-//     (wait, service) decomposition of its lifetime, extending the
-//     per-phase means of package trace into queueing-aware pairs;
+//   - critical-path vectors: every transaction carries one record of
+//     its response time with two views, the protocol phase each
+//     interval was spent in (Phase) and the resource it waited for or
+//     was served by, as a (wait, service) pair (Res);
 //   - operational-law self-validation: per-station counters (busy-time
 //     integral, queue-length integral, wait and service sums) are
 //     checked against Little's law and the utilization law, so a run
@@ -74,13 +75,59 @@ func (r Res) String() string {
 	return resNames[r]
 }
 
-// Vector is the critical-path decomposition of a single transaction:
-// per resource, how long the transaction waited in queue and how long
-// it was served. A nil *Vector is a valid no-op sink, so callers
-// instrument unconditionally and pass nil when attribution is off.
+// Phase identifies the protocol step a transaction's response time was
+// spent in. The decomposition follows the contention analyses of
+// Thomasian and the STAR breakdowns: every phase is a wall-clock
+// interval measured on the transaction's own process around a
+// top-level blocking call, so the intervals are disjoint and their sum
+// never exceeds the response time. PhaseOther is the residual
+// Breakdown.Observe adds, which makes the per-phase sums add up to the
+// measured response time exactly.
+type Phase int
+
+const (
+	PhaseInput    Phase = iota // input queue and MPL admission wait
+	PhaseCPU                   // BOT/REF/EOT application path length
+	PhaseLockSvc               // lock service: lock-manager path, GEM entry accesses
+	PhaseLockWait              // blocked waiting for a local lock grant
+	PhaseLockMsg               // remote lock round trips (PCL) incl. remote wait
+	PhasePageXfer              // GEM page accesses and node-to-node page transfers
+	PhaseIORead                // database disk reads on a buffer miss
+	PhaseIOWrite               // force writes at commit
+	PhaseLog                   // log writes
+	PhaseCommit                // commit processing: lock release, waiter wakeup
+	PhaseBackoff               // restart and backoff delay between attempts
+	PhaseOther                 // residual response time not in any phase above
+	NumPhases
+
+	// NoPhase charges a window to its resource only: the window lies
+	// inside an enclosing phase window that is recorded on its own
+	// (the lock release of commit or abort).
+	NoPhase Phase = -1
+)
+
+var phaseNames = [NumPhases]string{
+	"input", "cpu", "lock-svc", "lock-wait", "lock-msg", "page-xfer",
+	"io-read", "io-write", "log", "commit", "backoff", "other",
+}
+
+// String returns the short phase label used in reports.
+func (p Phase) String() string {
+	if p < 0 || p >= NumPhases {
+		return "unknown"
+	}
+	return phaseNames[p]
+}
+
+// Vector is the response-time record of a single transaction: per
+// phase, how long it spent there, and per resource, how long it
+// waited in queue and how long it was served. A nil *Vector is a valid
+// no-op sink, so callers instrument unconditionally and pass nil when
+// attribution is off.
 type Vector struct {
-	Wait [NumRes]time.Duration
-	Svc  [NumRes]time.Duration
+	Wait  [NumRes]time.Duration
+	Svc   [NumRes]time.Duration
+	Phase [NumPhases]time.Duration
 }
 
 // Add charges wait and service time to resource r. Negative components
@@ -112,7 +159,24 @@ func (v *Vector) AddWindow(r Res, elapsed, svc time.Duration) {
 	v.Add(r, elapsed-svc, svc)
 }
 
-// Sum returns the total attributed time across all resources.
+// AddPhase records d spent in phase p; NoPhase and empty windows are
+// ignored.
+func (v *Vector) AddPhase(p Phase, d time.Duration) {
+	if v == nil || p == NoPhase || d <= 0 {
+		return
+	}
+	v.Phase[p] += d
+}
+
+// Charge records one blocking call whose phase window and resource
+// window coincide: elapsed goes to phase p, and to resource r split as
+// in AddWindow.
+func (v *Vector) Charge(p Phase, r Res, elapsed, svc time.Duration) {
+	v.AddPhase(p, elapsed)
+	v.AddWindow(r, elapsed, svc)
+}
+
+// Sum returns the total time attributed across all resources.
 func (v *Vector) Sum() time.Duration {
 	if v == nil {
 		return 0
@@ -122,14 +186,6 @@ func (v *Vector) Sum() time.Duration {
 		t += v.Wait[r] + v.Svc[r]
 	}
 	return t
-}
-
-// Reset zeroes the vector for reuse across transaction retries.
-func (v *Vector) Reset() {
-	if v == nil {
-		return
-	}
-	*v = Vector{}
 }
 
 // EncodeArg renders the vector as a compact trace-instant argument:
@@ -174,20 +230,23 @@ func DecodeArg(s string) (Vector, error) {
 	return v, err
 }
 
-// Breakdown aggregates critical-path vectors over completed
-// transactions. Observe adds the unattributed residual of each
-// transaction to ResOther, so the per-resource means always sum to
-// exactly the measured mean response time — shares sum to 100%.
+// Breakdown aggregates response-time vectors over completed
+// transactions. Observe adds each transaction's unattributed residual
+// to PhaseOther and to ResOther, so the per-phase means and the
+// per-resource means each sum to exactly the measured mean response
+// time: shares sum to 100% in both views.
 type Breakdown struct {
-	N    int64
-	RT   time.Duration
-	Wait [NumRes]time.Duration
-	Svc  [NumRes]time.Duration
+	N     int64
+	RT    time.Duration
+	Wait  [NumRes]time.Duration
+	Svc   [NumRes]time.Duration
+	Phase [NumPhases]time.Duration
 }
 
 // Observe accumulates one transaction's vector against its measured
-// response time rt. Time in rt not covered by the vector (clamped at
-// zero) is credited to ResOther wait as the residual. A nil receiver
+// response time rt. Time in rt not covered by the phases, and time not
+// covered by the resources (each clamped at zero), is credited to
+// PhaseOther and to ResOther wait as the residual. A nil receiver
 // ignores the call.
 func (b *Breakdown) Observe(v *Vector, rt time.Duration) {
 	if b == nil || v == nil {
@@ -204,6 +263,14 @@ func (b *Breakdown) Observe(v *Vector, rt time.Duration) {
 	if resid := rt - sum; resid > 0 {
 		b.Wait[ResOther] += resid
 	}
+	sum = 0
+	for p := Phase(0); p < PhaseOther; p++ {
+		b.Phase[p] += v.Phase[p]
+		sum += v.Phase[p]
+	}
+	if resid := rt - sum; resid > 0 {
+		b.Phase[PhaseOther] += resid
+	}
 }
 
 // Merge folds another breakdown into b.
@@ -216,6 +283,9 @@ func (b *Breakdown) Merge(o *Breakdown) {
 	for r := Res(0); r < NumRes; r++ {
 		b.Wait[r] += o.Wait[r]
 		b.Svc[r] += o.Svc[r]
+	}
+	for p := range b.Phase {
+		b.Phase[p] += o.Phase[p]
 	}
 }
 
@@ -243,6 +313,22 @@ func (b *Breakdown) Share(r Res) float64 {
 		return 0
 	}
 	return float64(b.Wait[r]+b.Svc[r]) / float64(b.RT)
+}
+
+// PhaseMean returns the mean time per transaction spent in phase p.
+func (b *Breakdown) PhaseMean(p Phase) time.Duration {
+	if b == nil || b.N == 0 {
+		return 0
+	}
+	return b.Phase[p] / time.Duration(b.N)
+}
+
+// PhaseShare returns phase p's fraction of total response time.
+func (b *Breakdown) PhaseShare(p Phase) float64 {
+	if b == nil || b.RT <= 0 {
+		return 0
+	}
+	return float64(b.Phase[p]) / float64(b.RT)
 }
 
 // Dominant returns the resource with the largest attributed share and

@@ -43,6 +43,66 @@ func TestBreakdownOverAttributedClamps(t *testing.T) {
 	}
 }
 
+// TestPhasesBreakdown checks the invariant the phase table relies on:
+// per-phase means plus the residual sum exactly to the mean response
+// time, independently of the resource view of the same vectors.
+func TestPhasesBreakdown(t *testing.T) {
+	var b Breakdown
+	v1 := &Vector{}
+	v1.Charge(PhaseCPU, ResCPU, 10*time.Millisecond, 8*time.Millisecond)
+	v1.AddPhase(PhaseIORead, 5*time.Millisecond)
+	b.Observe(v1, 20*time.Millisecond) // 5ms phase residual
+	v2 := &Vector{}
+	v2.AddPhase(PhaseCPU, 30*time.Millisecond)
+	v2.AddPhase(NoPhase, time.Second)  // nested window: no phase of its own
+	b.Observe(v2, 30*time.Millisecond) // no phase residual
+
+	if b.N != 2 {
+		t.Fatalf("N = %d, want 2", b.N)
+	}
+	if got, want := b.MeanRT(), 25*time.Millisecond; got != want {
+		t.Errorf("MeanRT = %v, want %v", got, want)
+	}
+	var sum time.Duration
+	var share float64
+	for p := Phase(0); p < NumPhases; p++ {
+		sum += b.PhaseMean(p)
+		share += b.PhaseShare(p)
+	}
+	if sum != b.MeanRT() {
+		t.Errorf("phase means sum to %v, want MeanRT %v", sum, b.MeanRT())
+	}
+	if math.Abs(share-1) > 1e-12 {
+		t.Errorf("phase shares sum to %v, want 1", share)
+	}
+	if got, want := b.PhaseMean(PhaseOther), 2500*time.Microsecond; got != want {
+		t.Errorf("PhaseMean(other) = %v, want %v", got, want)
+	}
+	// The resource view closes its own residual: 10ms of CPU window
+	// against 50ms of response time leaves 40ms to ResOther.
+	if w, s := b.Mean(ResCPU); w != time.Millisecond || s != 4*time.Millisecond {
+		t.Errorf("cpu mean (wait, svc) = (%v, %v), want (1ms, 4ms)", w, s)
+	}
+	if w, _ := b.Mean(ResOther); w != 20*time.Millisecond {
+		t.Errorf("resource residual mean %v, want 20ms", w)
+	}
+
+	// Residuals are clamped: over-attributed phases never go negative.
+	var c Breakdown
+	v3 := &Vector{}
+	v3.AddPhase(PhaseCPU, 10*time.Millisecond)
+	c.Observe(v3, 5*time.Millisecond)
+	if c.Phase[PhaseOther] != 0 {
+		t.Errorf("negative residual not clamped: %v", c.Phase[PhaseOther])
+	}
+
+	// Merge adds the phase sums.
+	c.Merge(&b)
+	if c.N != 3 || c.Phase[PhaseCPU] != 50*time.Millisecond {
+		t.Errorf("merged N %d, cpu %v; want 3, 50ms", c.N, c.Phase[PhaseCPU])
+	}
+}
+
 func TestDominant(t *testing.T) {
 	var b Breakdown
 	v := &Vector{}
@@ -59,6 +119,7 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	var v *Vector
 	v.Add(ResCPU, time.Second, time.Second)
 	v.AddWindow(ResDisk, time.Second, time.Millisecond)
+	v.Charge(PhaseCPU, ResCPU, time.Second, time.Millisecond)
 	if v.Sum() != 0 || v.EncodeArg() != "" {
 		t.Fatal("nil vector must be inert")
 	}

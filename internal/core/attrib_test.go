@@ -71,7 +71,7 @@ func TestAttributionOffMatchesDefaultTables(t *testing.T) {
 	if on.String() != off.String() {
 		t.Fatal("report differs between attribution on and off")
 	}
-	if off.Metrics.Attribution != nil {
+	if off.Metrics.Attribution != nil || off.Metrics.Phases != nil {
 		t.Fatal("attribution off still produced a breakdown")
 	}
 }

@@ -110,17 +110,15 @@ func ccMatrixCells() []ccMatrixCell {
 }
 
 // formatCCMatrixMetrics renders a report's metrics deterministically:
-// the pointer-valued breakdowns are printed by value, not by address.
+// the pointer-valued breakdown is printed by value, not by address,
+// in its resource view.
 func formatCCMatrixMetrics(rep *Report) string {
 	m := rep.Metrics
-	phases, attribution := m.Phases, m.Attribution
+	b := m.Attribution
 	m.Phases, m.Attribution = nil, nil
 	s := fmt.Sprintf("%+v", m)
-	if phases != nil {
-		s += fmt.Sprintf(" phases=%+v", *phases)
-	}
-	if attribution != nil {
-		s += fmt.Sprintf(" attribution=%+v", *attribution)
+	if b != nil {
+		s += fmt.Sprintf(" attribution={N:%d RT:%v Wait:%v Svc:%v}", b.N, b.RT, b.Wait, b.Svc)
 	}
 	return s
 }

@@ -116,11 +116,12 @@ type FaultConfig struct {
 	node.RecoveryKnobs
 }
 
-// TraceConfig enables the observability layer: a per-transaction event
-// trace, a windowed time-series of system metrics, and per-transaction
-// phase accounting. All output is keyed on simulated time and fully
-// deterministic for a given configuration and seed. When Events and
-// TimeSeries are both nil, only phase accounting is enabled.
+// TraceConfig enables the observability outputs: a per-transaction
+// event trace and a windowed time-series of system metrics. All output
+// is keyed on simulated time and fully deterministic for a given
+// configuration and seed. Per-phase response-time accounting needs no
+// tracing: it is part of the attribution record (Report.Metrics.Phases),
+// which is on unless Attribution.Off is set.
 type TraceConfig struct {
 	// Events, if non-nil, receives the event trace: transaction spans,
 	// lock waits, device service intervals, fault/recovery phases.
@@ -183,9 +184,8 @@ type Config struct {
 	// measured failover, message loss, disk stalls).
 	Faults *FaultConfig
 
-	// Tracing, if non-nil, enables the observability layer: event
-	// trace, time-series sampling, and per-transaction phase
-	// accounting (Report.Metrics.Phases).
+	// Tracing, if non-nil, enables the observability outputs: event
+	// trace and time-series sampling.
 	Tracing *TraceConfig
 
 	// Control, if non-nil, enables the adaptive load-control subsystem:

@@ -111,26 +111,27 @@ type DriftFile struct {
 	Rotate float64 `json:"rotate"`
 }
 
-// ControlFile is the JSON representation of a node.ControlConfig. Zero
-// fields fall back to the DefaultControlConfig tuning; admission and
-// reroute default to enabled.
+// ControlFile is the JSON representation of a node.ControlConfig. A
+// field the file sets reaches ControlConfig.Validate as written, zero
+// included; absent fields keep the DefaultControlConfig tuning
+// (admission and reroute enabled).
 type ControlFile struct {
-	Admission            *bool   `json:"admission,omitempty"`
-	Reroute              *bool   `json:"reroute,omitempty"`
-	Interval             string  `json:"interval,omitempty"`
-	MinMPL               int     `json:"minMPL,omitempty"`
-	HighConflict         float64 `json:"highConflict,omitempty"`
-	LowConflict          float64 `json:"lowConflict,omitempty"`
-	Backoff              float64 `json:"backoff,omitempty"`
-	ProbeStep            int     `json:"probeStep,omitempty"`
-	Cooldown             int     `json:"cooldown,omitempty"`
-	RTFactor             float64 `json:"rtFactor,omitempty"`
-	RebalanceEvery       int     `json:"rebalanceEvery,omitempty"`
-	Imbalance            float64 `json:"imbalance,omitempty"`
-	MaxMoves             int     `json:"maxMoves,omitempty"`
-	MigrateShare         float64 `json:"migrateShare,omitempty"`
-	MigrateMinLocks      float64 `json:"migrateMinLocks,omitempty"`
-	HandoffEntriesPerMsg int     `json:"handoffEntriesPerMsg,omitempty"`
+	Admission            *bool    `json:"admission,omitempty"`
+	Reroute              *bool    `json:"reroute,omitempty"`
+	Interval             string   `json:"interval,omitempty"`
+	MinMPL               *int     `json:"minMPL,omitempty"`
+	HighConflict         *float64 `json:"highConflict,omitempty"`
+	LowConflict          *float64 `json:"lowConflict,omitempty"`
+	Backoff              *float64 `json:"backoff,omitempty"`
+	ProbeStep            *int     `json:"probeStep,omitempty"`
+	Cooldown             *int     `json:"cooldown,omitempty"`
+	RTFactor             *float64 `json:"rtFactor,omitempty"`
+	RebalanceEvery       *int     `json:"rebalanceEvery,omitempty"`
+	Imbalance            *float64 `json:"imbalance,omitempty"`
+	MaxMoves             *int     `json:"maxMoves,omitempty"`
+	MigrateShare         *float64 `json:"migrateShare,omitempty"`
+	MigrateMinLocks      *float64 `json:"migrateMinLocks,omitempty"`
+	HandoffEntriesPerMsg *int     `json:"handoffEntriesPerMsg,omitempty"`
 }
 
 // CrashFile schedules one node crash.
@@ -359,12 +360,6 @@ func (f *SkewFile) toSkew() (*workload.Skew, error) {
 
 func (f *ControlFile) toControlConfig() (*node.ControlConfig, error) {
 	ctl := node.DefaultControlConfig()
-	if f.Admission != nil {
-		ctl.Admission = *f.Admission
-	}
-	if f.Reroute != nil {
-		ctl.Reroute = *f.Reroute
-	}
 	if f.Interval != "" {
 		d, err := parseOptDuration("control.interval", f.Interval)
 		if err != nil {
@@ -372,49 +367,32 @@ func (f *ControlFile) toControlConfig() (*node.ControlConfig, error) {
 		}
 		ctl.Interval = d
 	}
-	if f.MinMPL > 0 {
-		ctl.MinMPL = f.MinMPL
-	}
-	if f.HighConflict > 0 {
-		ctl.HighConflict = f.HighConflict
-	}
-	if f.LowConflict > 0 {
-		ctl.LowConflict = f.LowConflict
-	}
-	if f.Backoff > 0 {
-		ctl.Backoff = f.Backoff
-	}
-	if f.ProbeStep > 0 {
-		ctl.ProbeStep = f.ProbeStep
-	}
-	if f.Cooldown > 0 {
-		ctl.Cooldown = f.Cooldown
-	}
-	if f.RTFactor > 0 {
-		ctl.RTFactor = f.RTFactor
-	}
-	if f.RebalanceEvery > 0 {
-		ctl.RebalanceEvery = f.RebalanceEvery
-	}
-	if f.Imbalance > 0 {
-		ctl.Imbalance = f.Imbalance
-	}
-	if f.MaxMoves > 0 {
-		ctl.MaxMoves = f.MaxMoves
-	}
-	if f.MigrateShare > 0 {
-		ctl.MigrateShare = f.MigrateShare
-	}
-	if f.MigrateMinLocks > 0 {
-		ctl.MigrateMinLocks = f.MigrateMinLocks
-	}
-	if f.HandoffEntriesPerMsg > 0 {
-		ctl.HandoffEntriesPerMsg = f.HandoffEntriesPerMsg
-	}
+	setIfGiven(&ctl.Admission, f.Admission)
+	setIfGiven(&ctl.Reroute, f.Reroute)
+	setIfGiven(&ctl.MinMPL, f.MinMPL)
+	setIfGiven(&ctl.HighConflict, f.HighConflict)
+	setIfGiven(&ctl.LowConflict, f.LowConflict)
+	setIfGiven(&ctl.Backoff, f.Backoff)
+	setIfGiven(&ctl.ProbeStep, f.ProbeStep)
+	setIfGiven(&ctl.Cooldown, f.Cooldown)
+	setIfGiven(&ctl.RTFactor, f.RTFactor)
+	setIfGiven(&ctl.RebalanceEvery, f.RebalanceEvery)
+	setIfGiven(&ctl.Imbalance, f.Imbalance)
+	setIfGiven(&ctl.MaxMoves, f.MaxMoves)
+	setIfGiven(&ctl.MigrateShare, f.MigrateShare)
+	setIfGiven(&ctl.MigrateMinLocks, f.MigrateMinLocks)
+	setIfGiven(&ctl.HandoffEntriesPerMsg, f.HandoffEntriesPerMsg)
 	if err := ctl.Validate(); err != nil {
 		return nil, err
 	}
 	return ctl, nil
+}
+
+// setIfGiven copies a value the file set over the default in *dst.
+func setIfGiven[T any](dst, v *T) {
+	if v != nil {
+		*dst = *v
+	}
 }
 
 func (f *FaultsFile) toFaultConfig() (*FaultConfig, error) {

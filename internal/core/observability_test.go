@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"gemsim/internal/attrib"
 	"gemsim/internal/trace"
 )
 
@@ -30,12 +31,16 @@ func tinyConfig() Config {
 
 // TestTracingDisabledUnchanged checks the zero-cost property at the
 // metrics level: enabling the full observability stack (event trace,
-// time series, phase accounting) leaves every measured metric exactly
-// as in an untraced run of the same configuration.
+// time series) leaves every measured metric exactly as in an untraced
+// run of the same configuration. Tracing adds nothing to the metrics:
+// the phase breakdown is collected either way.
 func TestTracingDisabledUnchanged(t *testing.T) {
 	plain, err := Run(tinyConfig())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if plain.Metrics.Phases == nil || plain.Metrics.Phases.N == 0 {
+		t.Fatal("untraced run collected no phase breakdown")
 	}
 
 	var events, ts bytes.Buffer
@@ -48,24 +53,17 @@ func TestTracingDisabledUnchanged(t *testing.T) {
 	if events.Len() == 0 || ts.Len() == 0 {
 		t.Fatal("traced run produced no output")
 	}
-	if traced.Metrics.Phases == nil || traced.Metrics.Phases.N == 0 {
-		t.Fatal("traced run collected no phase breakdown")
-	}
-
-	got := traced.Metrics
-	got.Phases = nil // the only field tracing is allowed to add
-	if !reflect.DeepEqual(got, plain.Metrics) {
-		t.Errorf("tracing changed the measured metrics:\ntraced: %+v\nplain:  %+v", got, plain.Metrics)
+	if !reflect.DeepEqual(traced.Metrics, plain.Metrics) {
+		t.Errorf("tracing changed the measured metrics:\ntraced: %+v\nplain:  %+v", traced.Metrics, plain.Metrics)
 	}
 }
 
 // TestPhaseSumsMatchMeanRT checks the acceptance criterion for the
-// response time decomposition: the per-phase means (including the
-// residual) sum to the measured mean response time within 1%.
+// response time decomposition on an untraced run: the per-phase means
+// (including the residual) sum to the measured mean response time
+// within 1%.
 func TestPhaseSumsMatchMeanRT(t *testing.T) {
-	cfg := DefaultDebitCreditConfig(2)
-	cfg.Tracing = &TraceConfig{} // phase accounting only
-	rep, err := Run(cfg)
+	rep, err := Run(DefaultDebitCreditConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +72,8 @@ func TestPhaseSumsMatchMeanRT(t *testing.T) {
 		t.Fatal("no phase breakdown collected")
 	}
 	var sum time.Duration
-	for p := trace.Phase(0); p < trace.NumPhases; p++ {
-		sum += b.Mean(p)
+	for p := attrib.Phase(0); p < attrib.NumPhases; p++ {
+		sum += b.PhaseMean(p)
 	}
 	mean := rep.Metrics.MeanResponseTime
 	if rel := math.Abs(float64(sum-mean)) / float64(mean); rel > 0.01 {
@@ -87,11 +85,44 @@ func TestPhaseSumsMatchMeanRT(t *testing.T) {
 	}
 	// Phases other than the residual must carry signal: CPU service and
 	// I/O dominate debit-credit on disk-resident files.
-	if b.Share(trace.PhaseCPU) <= 0 || b.Share(trace.PhaseIORead) <= 0 {
-		t.Errorf("cpu/io-read shares are zero: cpu=%v io=%v", b.Share(trace.PhaseCPU), b.Share(trace.PhaseIORead))
+	if b.PhaseShare(attrib.PhaseCPU) <= 0 || b.PhaseShare(attrib.PhaseIORead) <= 0 {
+		t.Errorf("cpu/io-read shares are zero: cpu=%v io=%v", b.PhaseShare(attrib.PhaseCPU), b.PhaseShare(attrib.PhaseIORead))
 	}
-	if b.Share(trace.PhaseOther) > 0.25 {
-		t.Errorf("unattributed residual share %.3f exceeds 25%%", b.Share(trace.PhaseOther))
+	if b.PhaseShare(attrib.PhaseOther) > 0.25 {
+		t.Errorf("unattributed residual share %.3f exceeds 25%%", b.PhaseShare(attrib.PhaseOther))
+	}
+}
+
+// TestFaultRunBreakdownSumsToRT checks both views of the one
+// response-time record across crash resubmissions: a transaction
+// killed by a node crash is resubmitted with the same record, so the
+// per-phase sums and the per-resource sums each still add up to the
+// summed response time exactly.
+func TestFaultRunBreakdownSumsToRT(t *testing.T) {
+	rep, err := Run(smallFailoverConfig(CouplingGEM, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &rep.Metrics
+	if m.TxnsRetried == 0 {
+		t.Fatal("no crash resubmissions: the case does not exercise runWithRetry")
+	}
+	b := m.Phases
+	if b == nil || b != m.Attribution || b.N != m.Commits {
+		t.Fatalf("phases %p and attribution %p must be one breakdown of the %d commits", b, m.Attribution, m.Commits)
+	}
+	var phases, resources time.Duration
+	for p := range b.Phase {
+		phases += b.Phase[p]
+	}
+	for r := range b.Wait {
+		resources += b.Wait[r] + b.Svc[r]
+	}
+	if phases != b.RT || resources != b.RT {
+		t.Errorf("phase sums %v and resource sums %v, want both equal to the summed RT %v", phases, resources, b.RT)
+	}
+	if d := (b.MeanRT() - m.MeanResponseTime).Abs(); d > time.Microsecond {
+		t.Errorf("breakdown mean RT %v, measured mean RT %v", b.MeanRT(), m.MeanResponseTime)
 	}
 }
 

@@ -60,7 +60,6 @@ func Run(cfg Config) (*Report, error) {
 			tsw = trace.NewTimeSeriesWriter(tc.TimeSeries)
 		}
 		params.Tracer = tracer
-		params.PhaseBreakdown = true
 	}
 
 	env := sim.NewEnv()

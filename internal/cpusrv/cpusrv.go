@@ -6,6 +6,7 @@ package cpusrv
 import (
 	"time"
 
+	"gemsim/internal/attrib"
 	"gemsim/internal/sim"
 	"gemsim/internal/trace"
 )
@@ -128,7 +129,7 @@ func (c *CPU) Instructions() float64 { return c.instructions }
 // carry tracked service demand; hold-style Acquire/ExecHolding
 // composites (GEM accesses) do not, so SvcN < Requests under GEM
 // coupling and the utilization law is gated off there.
-func (c *CPU) Counters() sim.Counters { return c.res.Counters() }
+func (c *CPU) Counters() attrib.StationCounters { return c.res.Counters() }
 
 // ResetStats discards accumulated statistics.
 func (c *CPU) ResetStats() {

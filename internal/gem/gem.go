@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"time"
 
+	"gemsim/internal/attrib"
 	"gemsim/internal/model"
 	"gemsim/internal/sim"
 	"gemsim/internal/trace"
@@ -251,7 +252,7 @@ func (g *GEM) EntryAccesses() int64 { return g.entryAccesses }
 
 // Counters returns the GEM device's raw station counters for
 // operational-law validation.
-func (g *GEM) Counters() sim.Counters { return g.server.Counters() }
+func (g *GEM) Counters() attrib.StationCounters { return g.server.Counters() }
 
 // PageAccessTime returns the configured page access time, the service
 // part of one synchronous page transfer.

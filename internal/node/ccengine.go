@@ -77,8 +77,7 @@ func (n *Node) remoteRoundTrip(t *txn, home int, msg any, wait *remoteWait, res 
 	}
 	t.proc.Park()
 	t.waiting = nil
-	t.phases.Add(trace.PhaseLockMsg, sys.env.Now()-start)
-	t.cp.Add(res, sys.env.Now()-start, 0)
+	t.cp.Charge(attrib.PhaseLockMsg, res, sys.env.Now()-start, 0)
 	if tr := sys.tracer; tr.Enabled() {
 		tr.Span(n.track, int64(t.id), kind, start, sys.env.Now(), page.String())
 	}
@@ -187,7 +186,7 @@ func (e *optEngine) meta(page model.PageID) *pageMeta {
 // lock operation's path length.
 func (e *optEngine) lookup(t *txn) {
 	if e.n.sys.params.Coupling == CouplingPCL {
-		e.n.ccCPUOp(t, e.n.sys.params.LockInstr/2)
+		e.n.lockCPUOp(t, e.n.sys.params.LockInstr/2, attrib.ResCC)
 		return
 	}
 	e.n.ccGEMOp(t, 0, 1)
@@ -407,7 +406,7 @@ func (e *optEngine) validatePCL(t *txn, pages []model.PageID, set map[model.Page
 			}
 			continue
 		}
-		n.ccCPUOp(t, sys.params.LockInstr)
+		n.lockCPUOp(t, sys.params.LockInstr, attrib.ResCC)
 		for _, op := range batch {
 			if err := e.check(t, op.Page, op.Recorded); err != nil {
 				return err
@@ -498,7 +497,7 @@ func (e *optEngine) publishPCL(t *txn, pages []model.PageID) {
 		}
 		perGLA[gla] = append(perGLA[gla], rp)
 	}
-	n.ccCPUOp(t, sys.params.LockInstr)
+	n.lockCPUOp(t, sys.params.LockInstr, attrib.ResCC)
 	for _, gla := range sortedKeys(perGLA) {
 		batch := perGLA[gla]
 		class := netsim.Short
@@ -523,25 +522,19 @@ func (e *optEngine) publishPCL(t *txn, pages []model.PageID) {
 func (n *Node) ccGEMOp(t *txn, instr float64, entries int) {
 	svcStart := n.sys.env.Now()
 	n.gemEntryOp(t.proc, instr, entries)
-	t.phases.Add(trace.PhaseLockSvc, n.sys.env.Now()-svcStart)
-	if t.cp != nil {
-		svc := time.Duration(entries) * n.sys.gemDev.EntryAccessTime()
-		if instr > 0 {
-			svc += n.cpu.ServiceTime(instr)
-		}
-		t.cp.AddWindow(attrib.ResCC, n.sys.env.Now()-svcStart, svc)
-	}
+	svc := time.Duration(entries)*n.sys.gemDev.EntryAccessTime() + n.cpu.ServiceTime(instr)
+	t.cp.Charge(attrib.PhaseLockSvc, attrib.ResCC, n.sys.env.Now()-svcStart, svc)
 }
 
-// ccCPUOp charges a PCL-side metadata CPU burst, attributed to ResCC.
-func (n *Node) ccCPUOp(t *txn, instr float64) {
+// lockCPUOp charges a PCL-side lock or metadata CPU burst to the
+// lock-service phase and to resource res.
+func (n *Node) lockCPUOp(t *txn, instr float64, res attrib.Res) {
 	if instr <= 0 {
 		return
 	}
 	svcStart := n.sys.env.Now()
 	n.cpu.Exec(t.proc, instr)
-	t.phases.Add(trace.PhaseLockSvc, n.sys.env.Now()-svcStart)
-	t.cp.AddWindow(attrib.ResCC, n.sys.env.Now()-svcStart, n.cpu.ServiceTime(instr))
+	t.cp.Charge(attrib.PhaseLockSvc, res, n.sys.env.Now()-svcStart, n.cpu.ServiceTime(instr))
 }
 
 // ccConflict emits the cc-abort trace instant and builds the typed

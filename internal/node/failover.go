@@ -275,20 +275,10 @@ func (s *System) coordinator() int {
 // — preserving the original arrival time, so the availability cost
 // shows up in the measured response time.
 func (s *System) runWithRetry(p *sim.Proc, n *Node, spec model.Txn, arrive sim.Time) {
-	var ph *trace.Phases
-	if s.breakdown != nil {
-		// One accumulator for the whole transaction: the breakdown must
-		// cover the response time, which spans crash resubmissions.
-		if ph = s.phases.Get(); ph == nil {
-			ph = &trace.Phases{}
-		}
-		*ph = trace.Phases{}
-		defer s.phases.Put(ph)
-	}
 	var cp *attrib.Vector
 	if s.attribBD != nil {
-		// Likewise for the critical-path vector: its per-resource sums
-		// must cover the same resubmission-spanning response time.
+		// One record for the whole transaction: its sums must cover the
+		// response time, which spans crash resubmissions.
 		if cp = s.vectors.Get(); cp == nil {
 			cp = &attrib.Vector{}
 		}
@@ -296,7 +286,7 @@ func (s *System) runWithRetry(p *sim.Proc, n *Node, spec model.Txn, arrive sim.T
 		defer s.vectors.Put(cp)
 	}
 	for {
-		if n.runTxnCounted(p, spec, arrive, ph, cp) {
+		if n.runTxnCounted(p, spec, arrive, cp) {
 			return
 		}
 		if !s.faultsOn {
@@ -306,8 +296,7 @@ func (s *System) runWithRetry(p *sim.Proc, n *Node, spec model.Txn, arrive sim.T
 		if d := s.params.RestartDelayMean; d > 0 {
 			waitStart := s.env.Now()
 			p.Wait(time.Duration(n.src.Exp(d.Seconds()) * float64(time.Second)))
-			ph.Add(trace.PhaseBackoff, s.env.Now()-waitStart)
-			cp.Add(attrib.ResOther, s.env.Now()-waitStart, 0)
+			cp.Charge(attrib.PhaseBackoff, attrib.ResOther, s.env.Now()-waitStart, 0)
 		}
 		n = s.nodes[s.aliveTarget(n.id)]
 	}

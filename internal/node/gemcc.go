@@ -9,7 +9,6 @@ import (
 	"gemsim/internal/model"
 	"gemsim/internal/netsim"
 	"gemsim/internal/sim"
-	"gemsim/internal/trace"
 )
 
 // debugLockWaits, when non-nil, observes every completed lock wait
@@ -41,20 +40,16 @@ func (c *gemCC) gltAccess(p *sim.Proc, entries int) {
 	c.n.gemEntryOp(p, c.n.sys.params.LockInstr, entries)
 }
 
-// gltAccessAttr runs gltAccess and attributes the window to ResLock on
-// the transaction's critical path (service = lock-instruction burst
-// plus entry accesses; the remainder is CPU or GEM queueing).
-func (c *gemCC) gltAccessAttr(t *txn, entries int) {
+// gltAccessAttr runs gltAccess and charges the window to phase ph and
+// to ResLock on the transaction's record (service = lock-instruction
+// burst plus entry accesses; the remainder is CPU or GEM queueing).
+func (c *gemCC) gltAccessAttr(t *txn, entries int, ph attrib.Phase) {
 	n := c.n
-	if t.cp == nil {
-		c.gltAccess(t.proc, entries)
-		return
-	}
 	start := n.sys.env.Now()
 	c.gltAccess(t.proc, entries)
 	svc := n.cpu.ServiceTime(n.sys.params.LockInstr) +
 		time.Duration(entries)*n.sys.gemDev.EntryAccessTime()
-	t.cp.AddWindow(attrib.ResLock, n.sys.env.Now()-start, svc)
+	t.cp.Charge(ph, attrib.ResLock, n.sys.env.Now()-start, svc)
 }
 
 // access processes one lock request against the GLT, unless a held
@@ -69,9 +64,7 @@ func (c *gemCC) access(t *txn, page model.PageID, mode model.LockMode) (cc.Outco
 		return cc.Outcome{}, false, errKilled
 	}
 	n.localLocks++ // GLT locking is routing-independent; no messages
-	svcStart := n.sys.env.Now()
-	c.gltAccessAttr(t, 2)
-	t.phases.Add(trace.PhaseLockSvc, n.sys.env.Now()-svcStart)
+	c.gltAccessAttr(t, 2, attrib.PhaseLockSvc)
 
 	wait := &remoteWait{proc: t.proc}
 	_, granted := c.glt().Request(page, t.owner, mode, wait)
@@ -92,9 +85,7 @@ func (c *gemCC) access(t *txn, page model.PageID, mode model.LockMode) (cc.Outco
 			debugLockWaits(page, n.sys.env.Now()-start)
 		}
 		// Re-read the entry after the wakeup notification.
-		svcStart = n.sys.env.Now()
-		c.gltAccessAttr(t, 2)
-		t.phases.Add(trace.PhaseLockSvc, n.sys.env.Now()-svcStart)
+		c.gltAccessAttr(t, 2, attrib.PhaseLockSvc)
 	}
 	t.locked[page] = heldLock{mode: mode, kind: kindLocal}
 
@@ -114,7 +105,7 @@ func (c *gemCC) access(t *txn, page model.PageID, mode model.LockMode) (cc.Outco
 func (c *gemCC) releaseAll(t *txn, commit bool) {
 	n := c.n
 	if held := c.glt().HeldCount(t.owner); held > 0 {
-		c.gltAccessAttr(t, 2*held)
+		c.gltAccessAttr(t, 2*held, attrib.NoPhase)
 	}
 	if commit {
 		t.pages = sortedPages(t.pages, t.modified)

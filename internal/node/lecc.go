@@ -9,7 +9,6 @@ import (
 	"gemsim/internal/model"
 	"gemsim/internal/netsim"
 	"gemsim/internal/sim"
-	"gemsim/internal/trace"
 )
 
 // leCC implements the centralized lock engine architecture of [Yu87],
@@ -69,20 +68,16 @@ type engineOp struct {
 	step func() // bound to next
 }
 
-// engineAccessAttr runs engineAccess and attributes the window to
-// ResLock on the transaction's critical path (service = the engine's
-// per-operation service time; the remainder is CPU or engine
+// engineAccessAttr runs engineAccess and charges the window to phase
+// ph and to ResLock on the transaction's record (service = the
+// engine's per-operation service time; the remainder is CPU or engine
 // queueing).
-func (c *leCC) engineAccessAttr(t *txn, ops int) {
+func (c *leCC) engineAccessAttr(t *txn, ops int, ph attrib.Phase) {
 	n := c.n
-	if t.cp == nil {
-		c.engineAccess(t.proc, ops)
-		return
-	}
 	start := n.sys.env.Now()
 	c.engineAccess(t.proc, ops)
 	svc := time.Duration(ops) * n.sys.params.LockEngine.ServiceTime
-	t.cp.AddWindow(attrib.ResLock, n.sys.env.Now()-start, svc)
+	t.cp.Charge(ph, attrib.ResLock, n.sys.env.Now()-start, svc)
 }
 
 // next issues the composite's next engine operation once the CPU is
@@ -111,9 +106,7 @@ func (c *leCC) access(t *txn, page model.PageID, mode model.LockMode) (cc.Outcom
 		return n.buffered(page), false, nil
 	}
 	n.localLocks++ // engine access, no inter-node messages
-	svcStart := n.sys.env.Now()
-	c.engineAccessAttr(t, 1)
-	t.phases.Add(trace.PhaseLockSvc, n.sys.env.Now()-svcStart)
+	c.engineAccessAttr(t, 1, attrib.PhaseLockSvc)
 
 	wait := &remoteWait{proc: t.proc}
 	_, granted := c.table().Request(page, t.owner, mode, wait)
@@ -168,7 +161,7 @@ func (c *leCC) releaseAll(t *txn, commit bool) {
 	}
 
 	if held := c.table().HeldCount(t.owner); held > 0 {
-		c.engineAccessAttr(t, held)
+		c.engineAccessAttr(t, held, attrib.NoPhase)
 	}
 	granted := c.table().ReleaseAll(t.owner)
 	sys.wakeGEMGranted(granted, execCtx{node: n.id, proc: t.proc})

@@ -160,14 +160,10 @@ type txn struct {
 	// locks (recovery does that).
 	killed bool
 
-	// phases accumulates where this transaction's response time is
-	// spent. It is shared across restart attempts (the response time
-	// spans them all) and nil when phase accounting is off.
-	phases *trace.Phases
-
-	// cp is the critical-path vector: per-resource (wait, service)
-	// attribution of the response time. Like phases it spans restart
-	// attempts and resubmissions, and is nil when attribution is off.
+	// cp is the response-time record: per-phase time and per-resource
+	// (wait, service) attribution. It spans restart attempts and
+	// resubmissions (the response time spans them all), and is nil
+	// when attribution is off.
 	cp *attrib.Vector
 }
 
@@ -299,9 +295,9 @@ func (sb *submission) start(p *sim.Proc) {
 // runTxnCounted wraps runTxn with the activation accounting used by
 // load-aware routing. It reports whether the transaction committed
 // (false only when its node crashed under it).
-func (n *Node) runTxnCounted(p *sim.Proc, spec model.Txn, arrive sim.Time, ph *trace.Phases, cp *attrib.Vector) bool {
+func (n *Node) runTxnCounted(p *sim.Proc, spec model.Txn, arrive sim.Time, cp *attrib.Vector) bool {
 	n.active++
-	committed := n.runTxn(p, spec, arrive, ph, cp)
+	committed := n.runTxn(p, spec, arrive, cp)
 	n.active--
 	return committed
 }
@@ -309,9 +305,9 @@ func (n *Node) runTxnCounted(p *sim.Proc, spec model.Txn, arrive sim.Time, ph *t
 // runTxn is the transaction manager's main loop: admission, execution,
 // restart on deadlock or timeout, statistics. It returns false when
 // the transaction was killed by a node crash (the caller resubmits).
-// ph, when non-nil, accumulates the per-phase response time breakdown
-// across all attempts (and across resubmissions after a crash).
-func (n *Node) runTxn(p *sim.Proc, spec model.Txn, arrive sim.Time, ph *trace.Phases, cp *attrib.Vector) bool {
+// cp, when non-nil, accumulates the response-time record across all
+// attempts (and across resubmissions after a crash).
+func (n *Node) runTxn(p *sim.Proc, spec model.Txn, arrive sim.Time, cp *attrib.Vector) bool {
 	sys := n.sys
 	entered := sys.env.Now()
 	n.mpl.Acquire(p)
@@ -321,13 +317,12 @@ func (n *Node) runTxn(p *sim.Proc, spec model.Txn, arrive sim.Time, ph *trace.Ph
 		return false
 	}
 	n.inputWait.AddDuration(sys.env.Now() - arrive)
-	ph.Add(trace.PhaseInput, sys.env.Now()-entered)
-	cp.Add(attrib.ResOther, sys.env.Now()-entered, 0)
+	cp.Charge(attrib.PhaseInput, attrib.ResOther, sys.env.Now()-entered, 0)
 	timeouts := 0
 	conflicts := 0
 	t := n.newTxn()
 	defer n.freeTxn(t)
-	t.spec, t.proc, t.arrive, t.phases, t.cp = spec, p, arrive, ph, cp
+	t.spec, t.proc, t.arrive, t.cp = spec, p, arrive, cp
 	if t.locked == nil {
 		t.locked = make(map[model.PageID]heldLock, len(spec.Refs))
 		t.modified = make(map[model.PageID]modRecord, 4)
@@ -365,7 +360,7 @@ func (n *Node) runTxn(p *sim.Proc, spec model.Txn, arrive sim.Time, ph *trace.Ph
 		abortStart := sys.env.Now()
 		n.abortTxn(t)
 		n.restarts++
-		ph.Add(trace.PhaseCommit, sys.env.Now()-abortStart)
+		cp.AddPhase(attrib.PhaseCommit, sys.env.Now()-abortStart)
 		if tr := sys.tracer; tr.Enabled() {
 			reason := trace.AbortDeadlock
 			if err == errTimeout {
@@ -379,37 +374,26 @@ func (n *Node) runTxn(p *sim.Proc, spec model.Txn, arrive sim.Time, ph *trace.Ph
 		if err == errTimeout {
 			// Exponential back-off against repeated timeouts (the
 			// conflict that caused them needs time to clear).
-			for i := 0; i < timeouts && (sys.params.RetryBackoffCap <= 0 || delay < sys.params.RetryBackoffCap); i++ {
-				delay *= 2
-			}
-			if cap := sys.params.RetryBackoffCap; cap > 0 && delay > cap {
-				delay = cap
-			}
+			delay = sys.params.retryDelay(timeouts)
 			timeouts++
 		} else if _, ok := err.(*cc.Conflict); ok {
 			// Optimistic conflict: the same back-off discipline, so
 			// repeated restarts on a hot page spread out instead of
 			// colliding again (bounded at six doublings).
 			n.ccAborts++
-			for i := 0; i < conflicts && (sys.params.RetryBackoffCap <= 0 || delay < sys.params.RetryBackoffCap); i++ {
-				delay *= 2
-			}
-			if cap := sys.params.RetryBackoffCap; cap > 0 && delay > cap {
-				delay = cap
-			}
+			delay = sys.params.retryDelay(conflicts)
 			if conflicts < 6 {
 				conflicts++
 			}
 		}
 		backoffStart := sys.env.Now()
 		p.Wait(time.Duration(n.src.Exp(delay.Seconds()) * float64(time.Second)))
-		ph.Add(trace.PhaseBackoff, sys.env.Now()-backoffStart)
-		cp.Add(attrib.ResOther, sys.env.Now()-backoffStart, 0)
+		cp.Charge(attrib.PhaseBackoff, attrib.ResOther, sys.env.Now()-backoffStart, 0)
 	}
 	p.SetTraceID(0)
 	n.mpl.Release()
 	rt := sys.env.Now() - arrive
-	sys.observeCommit(n, int64(t.id), ph, cp, rt)
+	sys.observeCommit(n, int64(t.id), cp, rt)
 	if tr := sys.tracer; tr.Enabled() {
 		tr.Span(n.track, int64(t.id), trace.TxnSpan, arrive, sys.env.Now(), "type="+strconv.Itoa(spec.Type))
 	}
@@ -433,6 +417,20 @@ func (n *Node) runTxn(p *sim.Proc, spec model.Txn, arrive sim.Time, ph *trace.Ph
 	return true
 }
 
+// retryDelay is the mean back-off before a restart that follows
+// retries earlier restarts of the same kind: RestartDelayMean doubled
+// once per retry, capped at RetryBackoffCap when a cap is set.
+func (p *Params) retryDelay(retries int) time.Duration {
+	delay := p.RestartDelayMean
+	for i := 0; i < retries && (p.RetryBackoffCap <= 0 || delay < p.RetryBackoffCap); i++ {
+		delay *= 2
+	}
+	if cap := p.RetryBackoffCap; cap > 0 && delay > cap {
+		delay = cap
+	}
+	return delay
+}
+
 // attempt executes the transaction once; it returns errDeadlock when
 // the transaction must be rolled back and restarted.
 func (n *Node) attempt(t *txn) error {
@@ -441,8 +439,7 @@ func (n *Node) attempt(t *txn) error {
 	cpuStart := n.sys.env.Now()
 	instr := n.src.Exp(params.BOTInstr)
 	n.cpu.Exec(t.proc, instr)
-	t.phases.Add(trace.PhaseCPU, n.sys.env.Now()-cpuStart)
-	t.cp.AddWindow(attrib.ResCPU, n.sys.env.Now()-cpuStart, n.cpu.ServiceTime(instr))
+	t.cp.Charge(attrib.PhaseCPU, attrib.ResCPU, n.sys.env.Now()-cpuStart, n.cpu.ServiceTime(instr))
 
 	for _, ref := range t.spec.Refs {
 		if t.killed {
@@ -454,8 +451,7 @@ func (n *Node) attempt(t *txn) error {
 		cpuStart = n.sys.env.Now()
 		instr = n.src.Exp(params.RefInstr)
 		n.cpu.Exec(t.proc, instr)
-		t.phases.Add(trace.PhaseCPU, n.sys.env.Now()-cpuStart)
-		t.cp.AddWindow(attrib.ResCPU, n.sys.env.Now()-cpuStart, n.cpu.ServiceTime(instr))
+		t.cp.Charge(attrib.PhaseCPU, attrib.ResCPU, n.sys.env.Now()-cpuStart, n.cpu.ServiceTime(instr))
 
 		out := cc.Outcome{Owner: -1}
 		firstTouch := true
@@ -490,8 +486,7 @@ func (n *Node) attempt(t *txn) error {
 	cpuStart = n.sys.env.Now()
 	instr = n.src.Exp(params.EOTInstr)
 	n.cpu.Exec(t.proc, instr)
-	t.phases.Add(trace.PhaseCPU, n.sys.env.Now()-cpuStart)
-	t.cp.AddWindow(attrib.ResCPU, n.sys.env.Now()-cpuStart, n.cpu.ServiceTime(instr))
+	t.cp.Charge(attrib.PhaseCPU, attrib.ResCPU, n.sys.env.Now()-cpuStart, n.cpu.ServiceTime(instr))
 	if t.killed {
 		return errKilled
 	}
@@ -545,7 +540,7 @@ func (n *Node) commit(t *txn) {
 	if len(t.modified) > 0 {
 		logStart := n.sys.env.Now()
 		n.writeLog(t.proc, t.cp)
-		t.phases.Add(trace.PhaseLog, n.sys.env.Now()-logStart)
+		t.cp.AddPhase(attrib.PhaseLog, n.sys.env.Now()-logStart)
 		if params.Force {
 			forceStart := n.sys.env.Now()
 			t.pages = sortedPages(t.pages, t.modified)
@@ -556,12 +551,12 @@ func (n *Node) commit(t *txn) {
 				n.forceWrites++
 				mod.frame.Dirty = false
 			}
-			t.phases.Add(trace.PhaseIOWrite, n.sys.env.Now()-forceStart)
+			t.cp.AddPhase(attrib.PhaseIOWrite, n.sys.env.Now()-forceStart)
 		}
 	}
 	relStart := n.sys.env.Now()
 	n.cc.releaseAll(t, true)
-	t.phases.Add(trace.PhaseCommit, n.sys.env.Now()-relStart)
+	t.cp.AddPhase(attrib.PhaseCommit, n.sys.env.Now()-relStart)
 	for _, mod := range t.modified {
 		mod.frame.Unfix()
 	}
@@ -622,8 +617,7 @@ func (n *Node) getPage(t *txn, file *model.File, page model.PageID, write bool, 
 			n.pendingReads[page] = append(waiters, t.proc)
 			waitStart := n.sys.env.Now()
 			t.proc.Park()
-			t.phases.Add(readPhase(file), n.sys.env.Now()-waitStart)
-			t.cp.Add(attrib.ResBuf, n.sys.env.Now()-waitStart, 0)
+			t.cp.Charge(readPhase(file), attrib.ResBuf, n.sys.env.Now()-waitStart, 0)
 			continue
 		}
 		if firstTouch {
@@ -651,12 +645,12 @@ func (n *Node) fetchMiss(t *txn, file *model.File, page model.PageID, write bool
 		if s, ok := n.requestPage(t, page, out.Owner, write); ok {
 			seq, got = s, true
 		}
-		t.phases.Add(trace.PhasePageXfer, n.sys.env.Now()-reqStart)
+		t.cp.AddPhase(attrib.PhasePageXfer, n.sys.env.Now()-reqStart)
 	}
 	if !got {
 		ioStart := n.sys.env.Now()
 		n.readStorage(t.proc, t.cp, file, page, out.Seq)
-		t.phases.Add(readPhase(file), n.sys.env.Now()-ioStart)
+		t.cp.AddPhase(readPhase(file), n.sys.env.Now()-ioStart)
 	}
 	fr := n.install(page, seq, false)
 	// Wake coalesced waiters.

@@ -15,11 +15,12 @@ import (
 // This file is the node-level half of the observability layer: the
 // windowed time-series sampler (throughput, response time, resource
 // utilization, queue depths over fixed intervals of simulated time) and
-// the helpers that feed per-transaction phase accounting and lock-wait
-// spans. The device-level spans live in the device packages; here the
-// transaction path is measured as disjoint wall-clock intervals on the
-// transaction's own process, which makes the per-phase sums add up to
-// the response time exactly (see trace.Phases).
+// the helpers that feed the per-transaction response-time record and
+// lock-wait spans. The device-level spans live in the device packages;
+// here the transaction path is measured as disjoint wall-clock
+// intervals on the transaction's own process, which makes the
+// per-phase sums add up to the response time exactly (see
+// attrib.Vector).
 
 // winCounters are cumulative counter values captured at the previous
 // sample, used to form per-window deltas. All sources reset at
@@ -34,10 +35,6 @@ type winCounters struct {
 	bufHits  int64
 	bufTotal int64
 }
-
-// PhaseBreakdown returns the per-phase response time aggregate
-// collected since the last ResetStats, or nil when disabled.
-func (s *System) PhaseBreakdown() *trace.Breakdown { return s.breakdown }
 
 // StartSampler starts the windowed metrics sampler: every interval it
 // emits one Sample covering the window that just ended — to w as a
@@ -92,7 +89,7 @@ func (s *System) traceAttrib(at sim.Time) {
 			w.SvcSum = c.SvcSum - p.SvcSum
 			w.SvcN = c.SvcN - p.SvcN
 		}
-		laws := attrib.Derive(toStationCounters(w))
+		laws := attrib.Derive(w)
 		s.tracer.Instant("attrib", 0, trace.AttribStation, at, laws.EncodeArg())
 	}
 	var edges []attrib.WaitEdge
@@ -108,17 +105,12 @@ func (s *System) traceAttrib(at sim.Time) {
 	s.tracer.Instant("attrib", 0, trace.AttribWaitFor, at, rep.EncodeArg())
 }
 
-// observeCommit feeds a committed transaction into the phase
-// breakdown, the attribution breakdown and the current sampling
-// window; with event tracing on, the transaction's critical-path
-// vector is emitted as a txnpath instant on the node's track.
-func (s *System) observeCommit(n *Node, tid int64, ph *trace.Phases, cp *attrib.Vector, rt time.Duration) {
-	if s.breakdown != nil {
-		s.breakdown.Observe(ph, rt)
-	}
-	if s.attribBD != nil {
-		s.attribBD.Observe(cp, rt)
-	}
+// observeCommit feeds a committed transaction into the response-time
+// breakdown and the current sampling window; with event tracing on,
+// the transaction's critical-path vector is emitted as a txnpath
+// instant on the node's track.
+func (s *System) observeCommit(n *Node, tid int64, cp *attrib.Vector, rt time.Duration) {
+	s.attribBD.Observe(cp, rt)
 	if cp != nil {
 		if tr := s.tracer; tr.Enabled() {
 			tr.Instant(n.track, tid, trace.AttribTxnPath, s.env.Now(), cp.EncodeArg())
@@ -280,19 +272,19 @@ func maxI64(a, b int64) int64 {
 // readPhase classifies a demand page read for phase accounting:
 // GEM-resident files count as page transfers, everything else as
 // storage reads (disk, cached or write-buffered).
-func readPhase(f *model.File) trace.Phase {
+func readPhase(f *model.File) attrib.Phase {
 	if f.Medium == model.MediumGEM {
-		return trace.PhasePageXfer
+		return attrib.PhasePageXfer
 	}
-	return trace.PhaseIORead
+	return attrib.PhaseIORead
 }
 
 // lockWaitDone records a completed (or aborted) lock wait that started
-// at start: into the transaction's phase accounting and, when tracing,
-// as one wait span on the node's track keyed by the contended page.
+// at start: into the transaction's response-time record and, when
+// tracing, as one wait span on the node's track keyed by the contended
+// page.
 func (n *Node) lockWaitDone(t *txn, page model.PageID, start sim.Time) {
-	t.phases.Add(trace.PhaseLockWait, n.sys.env.Now()-start)
-	t.cp.Add(attrib.ResLock, n.sys.env.Now()-start, 0)
+	t.cp.Charge(attrib.PhaseLockWait, attrib.ResLock, n.sys.env.Now()-start, 0)
 	if tr := n.sys.tracer; tr.Enabled() {
 		tr.Span(n.track, int64(t.id), trace.LockWait, start, n.sys.env.Now(), page.String())
 	}

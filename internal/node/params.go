@@ -173,10 +173,6 @@ type Params struct {
 	// nil tracer disables event tracing at zero cost; timestamps carry
 	// simulated time only, so traced runs stay deterministic.
 	Tracer *trace.Tracer
-	// PhaseBreakdown enables per-transaction response time phase
-	// accounting (trace.Breakdown). Enabled automatically whenever
-	// tracing or time-series sampling is configured through core.
-	PhaseBreakdown bool
 
 	// BOTInstr, RefInstr and EOTInstr are the mean instruction counts
 	// charged at begin-of-transaction, per record access, and at

@@ -83,12 +83,7 @@ func (c *pclCC) lockLocal(t *txn, page model.PageID, mode model.LockMode, gla in
 	n := c.n
 	sys := n.sys
 	n.localLocks++
-	if sys.params.LockInstr > 0 {
-		svcStart := sys.env.Now()
-		n.cpu.Exec(t.proc, sys.params.LockInstr)
-		t.phases.Add(trace.PhaseLockSvc, sys.env.Now()-svcStart)
-		t.cp.AddWindow(attrib.ResLock, sys.env.Now()-svcStart, n.cpu.ServiceTime(sys.params.LockInstr))
-	}
+	n.lockCPUOp(t, sys.params.LockInstr, attrib.ResLock)
 	wait := &remoteWait{proc: t.proc}
 	_, granted := c.table(gla).Request(page, t.owner, mode, wait)
 	if !granted {
@@ -120,12 +115,7 @@ func (c *pclCC) lockShadowRA(t *txn, page model.PageID, gla int, copySeq uint64)
 	n := c.n
 	sys := n.sys
 	n.localLocks++
-	if sys.params.LockInstr > 0 {
-		svcStart := sys.env.Now()
-		n.cpu.Exec(t.proc, sys.params.LockInstr)
-		t.phases.Add(trace.PhaseLockSvc, sys.env.Now()-svcStart)
-		t.cp.AddWindow(attrib.ResLock, sys.env.Now()-svcStart, n.cpu.ServiceTime(sys.params.LockInstr))
-	}
+	n.lockCPUOp(t, sys.params.LockInstr, attrib.ResLock)
 	wait := &remoteWait{proc: t.proc, ra: true}
 	_, granted := c.table(gla).Request(page, t.owner, model.LockRead, wait)
 	if !granted {

@@ -70,8 +70,7 @@ type System struct {
 	active map[lock.Owner]*txn
 	// routed is the router's argument (route).
 	routed model.Txn
-	// Recycled per-transaction accumulators (runWithRetry).
-	phases  sim.FreeList[trace.Phases]
+	// Recycled per-transaction records (runWithRetry).
 	vectors sim.FreeList[attrib.Vector]
 
 	// rtBatches feeds the batch-means confidence interval on the mean
@@ -127,24 +126,22 @@ type System struct {
 	pageObserver func(model.PageID)
 
 	// Observability (see observe.go). tracer fans spans out to the
-	// configured sink (nil when tracing is off); breakdown aggregates
-	// per-phase response time; the remaining fields are the windowed
-	// time-series sampler state.
-	tracer    *trace.Tracer
-	breakdown *trace.Breakdown
-	sampling  bool
-	winRT     stats.Series
-	winHist   *stats.Histogram
-	prevWin   winCounters
+	// configured sink (nil when tracing is off); the remaining fields
+	// are the windowed time-series sampler state.
+	tracer   *trace.Tracer
+	sampling bool
+	winRT    stats.Series
+	winHist  *stats.Histogram
+	prevWin  winCounters
 
 	// Bottleneck attribution (package attrib): attribBD aggregates
-	// per-transaction critical-path vectors and is nil when
+	// the per-transaction response-time records and is nil when
 	// attribution is off; attribTol is the operational-law tolerance;
 	// prevStations re-bases the per-station counters between sampler
 	// ticks for windowed law instants.
 	attribBD     *attrib.Breakdown
 	attribTol    float64
-	prevStations []sim.Counters
+	prevStations []attrib.StationCounters
 
 	// ctl is the adaptive load controller (StartControl); nil for
 	// static allocation, in which case no controller code runs at all.
@@ -286,9 +283,6 @@ func NewSystem(env *sim.Env, params Params, gen workload.Generator, router routi
 		})
 	}
 	s.tracer = params.Tracer
-	if s.tracer.Enabled() || params.PhaseBreakdown {
-		s.breakdown = &trace.Breakdown{}
-	}
 	if !params.Attribution.Off {
 		s.attribBD = &attrib.Breakdown{}
 		s.attribTol = params.Attribution.Tolerance
@@ -636,7 +630,6 @@ func (s *System) ResetStats() {
 	if s.avail != nil {
 		s.avail.resetMeasure(s.totalCommits())
 	}
-	s.breakdown.Reset()
 	s.attribBD.Reset()
 	if s.attribBD != nil && s.sampling {
 		// Re-base the windowed station counters: the per-station
@@ -659,8 +652,8 @@ func (s *System) ResetStats() {
 // file order, per-node log groups, per-node MPL semaphores). The order
 // is load-bearing: windowed sampler deltas pair entries by index, and
 // the emitted law instants must be byte-identical across -jobs levels.
-func (s *System) stationCounters() []sim.Counters {
-	out := make([]sim.Counters, 0, 4*len(s.nodes)+2+len(s.groups))
+func (s *System) stationCounters() []attrib.StationCounters {
+	out := make([]attrib.StationCounters, 0, 4*len(s.nodes)+2+len(s.groups))
 	for _, n := range s.nodes {
 		out = append(out, n.cpu.Counters())
 	}
@@ -689,26 +682,9 @@ func (s *System) StationLaws() []attrib.Laws {
 	cs := s.stationCounters()
 	out := make([]attrib.Laws, len(cs))
 	for i, c := range cs {
-		out[i] = attrib.Derive(toStationCounters(c))
+		out[i] = attrib.Derive(c)
 	}
 	return out
-}
-
-// toStationCounters converts the kernel-level counter snapshot into the
-// attrib package's representation (sim must not import attrib, so the
-// two structs are distinct by design).
-func toStationCounters(c sim.Counters) attrib.StationCounters {
-	return attrib.StationCounters{
-		Name:        c.Name,
-		Servers:     c.Servers,
-		Elapsed:     time.Duration(c.Elapsed),
-		BusySeconds: c.BusySeconds,
-		QSeconds:    c.QSeconds,
-		Requests:    c.Requests,
-		WaitSum:     time.Duration(c.WaitSum),
-		SvcSum:      time.Duration(c.SvcSum),
-		SvcN:        c.SvcN,
-	}
 }
 
 // Metrics is the measurement snapshot of one simulation run.
@@ -839,19 +815,17 @@ type Metrics struct {
 	// computed over.
 	AvailabilityWindows int64
 
-	// Phases is the per-phase response time breakdown of committed
-	// transactions; nil unless tracing or PhaseBreakdown was enabled.
-	// The phase means sum to MeanResponseTime by construction.
-	Phases *trace.Breakdown
-
-	// Attribution is the per-resource critical-path breakdown of
-	// committed transactions (nil when attribution is off). The
-	// per-resource means sum to MeanResponseTime by construction, so
-	// Share values sum to one. DominantBottleneck names the resource
-	// with the largest attributed share; StationLaws carries the
-	// operational-law view of every queueing station over the measured
-	// interval, and LawWarnings lists stations whose Little's-law or
-	// utilization-law residual exceeded the configured tolerance.
+	// Phases and Attribution point to one snapshot: the response-time
+	// breakdown of committed transactions, nil when attribution is
+	// off. Its per-phase means (Phases) and its per-resource means
+	// (Attribution) each sum to MeanResponseTime by construction, so
+	// each view's shares sum to one. DominantBottleneck names the
+	// resource with the largest attributed share; StationLaws carries
+	// the operational-law view of every queueing station over the
+	// measured interval, and LawWarnings lists stations whose
+	// Little's-law or utilization-law residual exceeded the configured
+	// tolerance.
+	Phases             *attrib.Breakdown
 	Attribution        *attrib.Breakdown
 	DominantBottleneck string
 	DominantShare      float64
@@ -1021,13 +995,9 @@ func (s *System) Snapshot() Metrics {
 	if s.avail != nil {
 		s.avail.fill(&m)
 	}
-	if s.breakdown != nil {
-		b := *s.breakdown
-		m.Phases = &b
-	}
 	if s.attribBD != nil {
 		b := *s.attribBD
-		m.Attribution = &b
+		m.Attribution, m.Phases = &b, &b
 		dom, share := b.Dominant()
 		m.DominantBottleneck = dom.String()
 		m.DominantShare = share

@@ -3,7 +3,7 @@ package report
 import (
 	"time"
 
-	"gemsim/internal/trace"
+	"gemsim/internal/attrib"
 )
 
 // PhaseTable renders a per-phase response-time decomposition as a
@@ -11,20 +11,20 @@ import (
 // row. The phase means sum to the mean response time by construction
 // (the residual not attributed to any instrumented phase is reported
 // as "other"), so the total row equals the run's mean response time.
-func PhaseTable(b *trace.Breakdown) *Table {
+func PhaseTable(b *attrib.Breakdown) *Table {
 	t := NewTable("Response time by phase", "phase", "per committed transaction", nil,
 		[]string{"mean ms", "share %"})
 	if b == nil || b.N == 0 {
 		return t
 	}
-	for p := trace.Phase(0); p < trace.NumPhases; p++ {
-		mean := b.Mean(p)
+	for p := attrib.Phase(0); p < attrib.NumPhases; p++ {
+		mean := b.PhaseMean(p)
 		if mean == 0 {
 			continue
 		}
 		t.AddRow(p.String(),
 			float64(mean)/float64(time.Millisecond),
-			100*b.Share(p))
+			100*b.PhaseShare(p))
 	}
 	t.AddRow("total",
 		float64(b.MeanRT())/float64(time.Millisecond),

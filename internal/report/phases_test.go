@@ -5,15 +5,15 @@ import (
 	"testing"
 	"time"
 
-	"gemsim/internal/trace"
+	"gemsim/internal/attrib"
 )
 
 func TestPhaseTable(t *testing.T) {
-	var b trace.Breakdown
-	p := &trace.Phases{}
-	p.Add(trace.PhaseCPU, 30*time.Millisecond)
-	p.Add(trace.PhaseIORead, 15*time.Millisecond)
-	b.Observe(p, 50*time.Millisecond) // 5ms residual -> "other"
+	var b attrib.Breakdown
+	v := &attrib.Vector{}
+	v.AddPhase(attrib.PhaseCPU, 30*time.Millisecond)
+	v.AddPhase(attrib.PhaseIORead, 15*time.Millisecond)
+	b.Observe(v, 50*time.Millisecond) // 5ms residual -> "other"
 
 	out := PhaseTable(&b).Render()
 	for _, want := range []string{"cpu", "io-read", "other", "total"} {

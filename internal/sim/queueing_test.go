@@ -18,7 +18,7 @@ import (
 // driveStation runs Poisson arrivals with exponential service through a
 // c-server station and returns the measured mean wait in queue (Wq)
 // plus the raw accounting counters for the operational-law checks.
-func driveStation(t *testing.T, servers int, lambda, mu float64, jobs int) (float64, Counters) {
+func driveStation(t *testing.T, servers int, lambda, mu float64, jobs int) (float64, attrib.StationCounters) {
 	t.Helper()
 	env := NewEnv()
 	defer env.Stop()
@@ -42,22 +42,6 @@ func driveStation(t *testing.T, servers int, lambda, mu float64, jobs int) (floa
 	return r.MeanWait().Seconds(), r.Counters()
 }
 
-// lawsOf derives the operational-law report from a kernel counter
-// snapshot (the sim-level twin of node.toStationCounters).
-func lawsOf(c Counters) attrib.Laws {
-	return attrib.Derive(attrib.StationCounters{
-		Name:        c.Name,
-		Servers:     c.Servers,
-		Elapsed:     time.Duration(c.Elapsed),
-		BusySeconds: c.BusySeconds,
-		QSeconds:    c.QSeconds,
-		Requests:    c.Requests,
-		WaitSum:     time.Duration(c.WaitSum),
-		SvcSum:      time.Duration(c.SvcSum),
-		SvcN:        c.SvcN,
-	})
-}
-
 func TestMM1MeanWait(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical validation")
@@ -78,7 +62,7 @@ func TestMM1MeanWait(t *testing.T) {
 // chain — no process is ever spawned. Validates that the Tier-1 queue
 // discipline reproduces the same queueing behaviour as parked
 // processes.
-func driveStationFn(t *testing.T, servers int, lambda, mu float64, jobs int) (float64, Counters) {
+func driveStationFn(t *testing.T, servers int, lambda, mu float64, jobs int) (float64, attrib.StationCounters) {
 	t.Helper()
 	env := NewEnv()
 	defer env.Stop()
@@ -235,7 +219,7 @@ func TestOperationalLawsMM1(t *testing.T) {
 	}
 	const lambda, mu = 50.0, 100.0
 	_, c := driveStation(t, 1, lambda, mu, 200000)
-	l := lawsOf(c)
+	l := attrib.Derive(c)
 	t.Logf("M/M/1 laws: util %.4f, Lq %.4f, little %.5f, utilresid %.5f",
 		l.Utilization, l.MeanQueue, l.LittleResid, l.UtilResid)
 	if warns := l.Check(attrib.DefaultTolerance); len(warns) > 0 {
@@ -262,7 +246,7 @@ func TestOperationalLawsMMc(t *testing.T) {
 	const c = 4
 	const lambda, mu = 280.0, 100.0
 	_, cnt := driveStationFn(t, c, lambda, mu, 300000)
-	l := lawsOf(cnt)
+	l := attrib.Derive(cnt)
 	t.Logf("M/M/%d laws: util %.4f, Lq %.4f, little %.5f, utilresid %.5f",
 		c, l.Utilization, l.MeanQueue, l.LittleResid, l.UtilResid)
 	if warns := l.Check(attrib.DefaultTolerance); len(warns) > 0 {

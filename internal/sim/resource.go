@@ -1,5 +1,7 @@
 package sim
 
+import "gemsim/internal/attrib"
+
 // rwaiter is one queued request for a server: a parked process
 // (process tier), a grant continuation (callback tier, AcquireFn), or
 // a full service cycle (Request / RequestResume / Use) described by
@@ -262,26 +264,12 @@ func (r *Resource) ResetStats() {
 	r.svcN = 0
 }
 
-// Counters is a raw statistics snapshot of a queueing station since
-// the last ResetStats, with the busy and queue integrals extended to
-// the current instant. It feeds the operational-law checks in package
-// attrib.
-type Counters struct {
-	Name        string
-	Servers     int
-	Elapsed     Time    // observation interval
-	BusySeconds float64 // server-busy time integral
-	QSeconds    float64 // waiting-jobs time integral
-	Requests    int64
-	WaitSum     Time // total queueing delay of dequeued requests
-	SvcSum      Time // summed demand of cycles with known service time
-	SvcN        int64
-}
-
-// Counters returns the current statistics snapshot.
-func (r *Resource) Counters() Counters {
+// Counters returns a raw statistics snapshot of the station since the
+// last ResetStats, with the busy and queue integrals extended to the
+// current instant, for the operational-law checks of package attrib.
+func (r *Resource) Counters() attrib.StationCounters {
 	now := r.env.Now()
-	return Counters{
+	return attrib.StationCounters{
 		Name:        r.name,
 		Servers:     r.servers,
 		Elapsed:     now - r.statStart,
@@ -464,9 +452,9 @@ func (s *Semaphore) ResetStats() {
 // Counters returns the admission gate's statistics snapshot. Service
 // demand is never tracked for a semaphore (holders run arbitrary
 // work), so only Little's law is checkable on it.
-func (s *Semaphore) Counters() Counters {
+func (s *Semaphore) Counters() attrib.StationCounters {
 	now := s.env.Now()
-	return Counters{
+	return attrib.StationCounters{
 		Name:     s.name,
 		Servers:  s.limit,
 		Elapsed:  now - s.statStart,
@@ -474,46 +462,4 @@ func (s *Semaphore) Counters() Counters {
 		Requests: s.entries,
 		WaitSum:  s.waitSum,
 	}
-}
-
-// Mailbox is an unbounded FIFO queue of values for process
-// communication; Get blocks while the mailbox is empty.
-type Mailbox struct {
-	env     *Env
-	name    string
-	items   []any
-	getters []*Proc
-}
-
-// NewMailbox creates an empty mailbox.
-func NewMailbox(env *Env, name string) *Mailbox {
-	return &Mailbox{env: env, name: name}
-}
-
-// Len returns the number of queued items.
-func (m *Mailbox) Len() int { return len(m.items) }
-
-// Put appends v and wakes the longest-waiting getter, if any. It never
-// blocks and may be called from kernel callbacks.
-func (m *Mailbox) Put(v any) {
-	m.items = append(m.items, v)
-	if len(m.getters) > 0 {
-		g := m.getters[0]
-		copy(m.getters, m.getters[1:])
-		m.getters[len(m.getters)-1] = nil
-		m.getters = m.getters[:len(m.getters)-1]
-		g.Unpark()
-	}
-}
-
-// Get removes and returns the oldest item, blocking while empty.
-func (m *Mailbox) Get(p *Proc) any {
-	for len(m.items) == 0 {
-		m.getters = append(m.getters, p)
-		p.park()
-	}
-	v := m.items[0]
-	m.items[0] = nil
-	m.items = m.items[1:]
-	return v
 }

@@ -28,9 +28,8 @@
 // The process-tier primitives are the classic DES set: Spawn to create
 // a process, Proc.Wait to let simulated time pass, Resource for
 // k-server FCFS queueing stations with utilization accounting,
-// Semaphore for counted admission control, Mailbox for process
-// communication, and Park/Unpark for building condition-style waits
-// (lock tables, page transfers).
+// Semaphore for counted admission control, and Park/Unpark for
+// building condition-style waits (lock tables, page transfers).
 package sim
 
 import (

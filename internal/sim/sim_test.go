@@ -379,62 +379,6 @@ func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	env.Stop()
 }
 
-func TestMailboxFIFO(t *testing.T) {
-	env := NewEnv()
-	m := NewMailbox(env, "m")
-	var got []int
-	env.Spawn("consumer", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			v, ok := m.Get(p).(int)
-			if !ok {
-				t.Error("non-int in mailbox")
-				return
-			}
-			got = append(got, v)
-		}
-	})
-	env.Spawn("producer", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			p.Wait(time.Millisecond)
-			m.Put(i)
-		}
-	})
-	if err := env.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("got %v", got)
-		}
-	}
-	env.Stop()
-}
-
-func TestMailboxBuffersWithoutConsumer(t *testing.T) {
-	env := NewEnv()
-	m := NewMailbox(env, "m")
-	env.Spawn("producer", func(p *Proc) {
-		m.Put(1)
-		m.Put(2)
-	})
-	env.Spawn("late", func(p *Proc) {
-		p.Wait(time.Millisecond)
-		if v := m.Get(p); v != 1 {
-			t.Errorf("got %v want 1", v)
-		}
-		if v := m.Get(p); v != 2 {
-			t.Errorf("got %v want 2", v)
-		}
-	})
-	if err := env.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if m.Len() != 0 {
-		t.Fatalf("mailbox len %d", m.Len())
-	}
-	env.Stop()
-}
-
 func TestDeterminismAcrossRuns(t *testing.T) {
 	trace := func() []Time {
 		env := NewEnv()

@@ -9,7 +9,7 @@ import (
 // TestStopLeaksNoGoroutines is the leak regression test for Env.Stop:
 // after stopping an environment whose processes are blocked in every
 // way the kernel supports — plain Park, pending Wait timers, resource
-// queues, semaphore admission, mailbox receives — the process goroutine
+// queues, semaphore admission — the process goroutine
 // count must return to its pre-run level. Processes that finished
 // before Stop leave idle pooled workers, and one process is spawned but
 // never started; Stop must retire both kinds of worker. A leak here
@@ -21,7 +21,6 @@ func TestStopLeaksNoGoroutines(t *testing.T) {
 	env := NewEnv()
 	r := NewResource(env, "r", 1)
 	sem := NewSemaphore(env, "mpl", 1)
-	m := NewMailbox(env, "m")
 
 	// Holders pin the resource and the semaphore so later arrivals
 	// stay queued when the run horizon is reached.
@@ -36,7 +35,6 @@ func TestStopLeaksNoGoroutines(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		env.Spawn("rwait", func(p *Proc) { r.Use(p, time.Millisecond) })
 		env.Spawn("swait", func(p *Proc) { sem.Acquire(p); sem.Release() })
-		env.Spawn("mwait", func(p *Proc) { m.Get(p) })
 		env.Spawn("parked", func(p *Proc) { p.Park() })
 		env.Spawn("sleeper", func(p *Proc) { p.Wait(time.Hour) })
 		env.Spawn("finished", func(p *Proc) { p.Wait(time.Millisecond) })

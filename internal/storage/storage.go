@@ -12,6 +12,7 @@ package storage
 import (
 	"time"
 
+	"gemsim/internal/attrib"
 	"gemsim/internal/model"
 	"gemsim/internal/sim"
 	"gemsim/internal/stats"
@@ -313,7 +314,7 @@ func (g *Group) Disks() int { return g.params.Disks }
 
 // DiskCounters returns the disk servers' raw station counters for
 // operational-law validation.
-func (g *Group) DiskCounters() sim.Counters { return g.disks.Counters() }
+func (g *Group) DiskCounters() attrib.StationCounters { return g.disks.Counters() }
 
 // ReadServiceTime returns the deterministic device service demand of
 // one read (controller, disk unless a cache hit skipped it, transfer) —
@@ -338,7 +339,7 @@ func (g *Group) WriteServiceTime(absorbed bool) time.Duration {
 }
 
 // ControllerCounters returns the controllers' raw station counters.
-func (g *Group) ControllerCounters() sim.Counters { return g.controllers.Counters() }
+func (g *Group) ControllerCounters() attrib.StationCounters { return g.controllers.Counters() }
 
 // ControllerUtilization returns the utilization of the controllers.
 func (g *Group) ControllerUtilization() float64 { return g.controllers.Utilization() }

@@ -269,7 +269,8 @@ func TestSpecRunsLeaveBaseUnchanged(t *testing.T) {
 	}
 	s.Base.Faults = &core.FaultsFile{LockWaitTimeout: "1s"}
 	s.Base.FileMedium = map[string]string{"ACCOUNT": "disk"}
-	s.Base.Control = &core.ControlFile{MinMPL: 2}
+	minMPL := 2
+	s.Base.Control = &core.ControlFile{MinMPL: &minMPL}
 	before, _ := json.Marshal(s.Base)
 	runs, err := s.Runs()
 	if err != nil {

@@ -1,7 +1,7 @@
 // Package trace is the simulator's observability layer: spans and
 // instants emitted by the device models and the transaction path (each
-// a row of Schema), windowed time-series samples, and a per-phase
-// response-time decomposition.
+// a row of Schema) and windowed time-series samples. The per-phase
+// response-time decomposition is a view of package attrib's record.
 //
 // Events carry simulated time only, so a trace is a pure function of
 // the configuration and seed: two runs with identical inputs produce

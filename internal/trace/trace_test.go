@@ -122,63 +122,6 @@ func TestParseFormat(t *testing.T) {
 	}
 }
 
-// TestPhasesBreakdown checks the invariant the report table relies on:
-// per-phase means plus the residual sum exactly to the mean response
-// time.
-func TestPhasesBreakdown(t *testing.T) {
-	var b Breakdown
-	p1 := &Phases{}
-	p1.Add(PhaseCPU, 10*time.Millisecond)
-	p1.Add(PhaseIORead, 5*time.Millisecond)
-	b.Observe(p1, 20*time.Millisecond) // 5ms residual
-	p2 := &Phases{}
-	p2.Add(PhaseCPU, 30*time.Millisecond)
-	b.Observe(p2, 30*time.Millisecond) // no residual
-
-	if b.N != 2 {
-		t.Fatalf("N = %d, want 2", b.N)
-	}
-	if got, want := b.MeanRT(), 25*time.Millisecond; got != want {
-		t.Errorf("MeanRT = %v, want %v", got, want)
-	}
-	var sum time.Duration
-	var share float64
-	for p := Phase(0); p < NumPhases; p++ {
-		sum += b.Mean(p)
-		share += b.Share(p)
-	}
-	if sum != b.MeanRT() {
-		t.Errorf("phase means sum to %v, want MeanRT %v", sum, b.MeanRT())
-	}
-	if math.Abs(share-1) > 1e-12 {
-		t.Errorf("phase shares sum to %v, want 1", share)
-	}
-	if got, want := b.Mean(PhaseOther), 2500*time.Microsecond; got != want {
-		t.Errorf("Mean(other) = %v, want %v", got, want)
-	}
-
-	// Residuals are clamped: over-attributed phases never go negative.
-	var c Breakdown
-	p3 := &Phases{}
-	p3.Add(PhaseCPU, 10*time.Millisecond)
-	c.Observe(p3, 5*time.Millisecond)
-	if c.Sum[PhaseOther] != 0 {
-		t.Errorf("negative residual not clamped: %v", c.Sum[PhaseOther])
-	}
-
-	// Nil receivers and nil phases are safe no-ops.
-	var nb *Breakdown
-	nb.Observe(p1, time.Second)
-	nb.Merge(&b)
-	nb.Reset()
-	b.Observe(nil, time.Second)
-	var np *Phases
-	np.Add(PhaseCPU, time.Second)
-	if np.Sum() != 0 {
-		t.Error("nil Phases accumulated time")
-	}
-}
-
 // TestTimeSeriesWriter pins the JSONL sample encoding, including NaN
 // gauges emitted as null.
 func TestTimeSeriesWriter(t *testing.T) {
