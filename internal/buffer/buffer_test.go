@@ -110,6 +110,15 @@ func TestDropFixedPanics(t *testing.T) {
 	b.Drop(pg(1))
 }
 
+func TestZeroCapacityPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	NewPool(0)
+}
+
 func TestUnfixUnfixedPanics(t *testing.T) {
 	b := NewPool(2)
 	f, _, _ := b.Insert(pg(1), 1, false)

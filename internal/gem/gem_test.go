@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"gemsim/internal/model"
 	"gemsim/internal/sim"
 )
 
@@ -110,5 +111,22 @@ func TestDefaultServerFallback(t *testing.T) {
 	env.Spawn("u", func(p *sim.Proc) { g.AccessPage(p) })
 	if err := env.RunUntilIdle(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMetaPeekDoesNotCreate: Peek reads metadata without creating it
+// (GLA migration is charged by the number of present entries).
+func TestMetaPeekDoesNotCreate(t *testing.T) {
+	mt := NewMetaTable()
+	pg := model.PageID{File: 1, Page: 7}
+	if m := mt.Peek(pg); m.Seq != 0 || m.Owner != -1 || mt.Len() != 0 {
+		t.Fatalf("absent page: %+v, len %d; want a fresh slot and no entry", m, mt.Len())
+	}
+	mt.Of(pg).Seq = 3
+	if m := mt.Peek(pg); m.Seq != 3 {
+		t.Fatalf("present page: seq %d, want 3", m.Seq)
+	}
+	if m := mt.Peek(model.PageID{File: 1, Page: 8}); m.Seq != 0 || mt.Len() != 1 {
+		t.Fatalf("absent page in a present chunk: %+v, len %d", m, mt.Len())
 	}
 }

@@ -75,6 +75,17 @@ func (t *MetaTable) Of(page model.PageID) *PageMeta {
 	return &c.metas[off]
 }
 
+// Peek returns a copy of the page's metadata without creating it; an
+// absent page reads as a fresh slot (Seq 0, Owner -1).
+func (t *MetaTable) Peek(page model.PageID) PageMeta {
+	off := uint32(page.Page) & chunkMask
+	c := t.chunks[chunkKey{file: page.File, base: page.Page >> chunkShift}]
+	if c == nil || c.bits[off>>6]&(1<<(off&63)) == 0 {
+		return PageMeta{Owner: -1}
+	}
+	return c.metas[off]
+}
+
 // Range calls fn for every present page in deterministic order: chunks
 // sorted by (file, base), pages ascending within each chunk.
 func (t *MetaTable) Range(fn func(model.PageID, *PageMeta)) {

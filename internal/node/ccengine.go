@@ -470,8 +470,8 @@ func (e *optEngine) install(t *txn, page model.PageID, seq uint64, owner int) {
 	if seq > pm.Seq {
 		pm.Seq = seq
 		pm.Owner = owner
+		sys.oracle.commit(page, seq)
 	}
-	sys.oracle.commit(page, seq)
 }
 
 func (e *optEngine) publishPCL(t *txn, pages []model.PageID) {

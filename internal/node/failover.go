@@ -377,16 +377,25 @@ func (s *System) runRecovery(p *sim.Proc, crashed int, crashAt sim.Time, losers 
 	lockStart := s.env.Now()
 	var redo []redoPage
 	if params.Coupling == CouplingPCL {
+		// Only committed versions are redone; pages dirtied solely by
+		// losers roll back to the storage version. The committed
+		// sequence number is the GLA metadata: the larger of a lost
+		// partition's table as it stood before adoption and the adopted
+		// table after the rebuild, which lock releases can reach while
+		// recovery waits for the rebuild replies.
+		committed := make([]uint64, len(dirty))
+		for i, d := range dirty {
+			committed[i] = s.pclMeta[s.gla.GLA(d.page)].Peek(d.page).Seq
+		}
 		fs.LocksRecovered = s.recoverPCLLocks(p, coord, crashed)
-		for _, d := range dirty {
+		for i, d := range dirty {
 			if !s.db.File(d.page.File).Locking {
 				redo = append(redo, redoPage{page: d.page, tbl: -1, seq: d.seq})
 				continue
 			}
-			// Only committed versions are redone; pages dirtied solely
-			// by losers roll back to the storage version.
-			if seq := s.oracle.latest[d.page]; seq > 0 {
-				redo = append(redo, redoPage{page: d.page, tbl: s.gla.GLA(d.page), seq: seq})
+			g := s.gla.GLA(d.page)
+			if seq := max(committed[i], s.pclMeta[g].Peek(d.page).Seq); seq > 0 {
+				redo = append(redo, redoPage{page: d.page, tbl: g, seq: seq})
 			}
 		}
 	} else {

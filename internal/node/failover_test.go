@@ -6,6 +6,7 @@ import (
 
 	"gemsim/internal/lock"
 	"gemsim/internal/model"
+	"gemsim/internal/netsim"
 	"gemsim/internal/sim"
 )
 
@@ -153,5 +154,100 @@ func TestFaultParamsValidate(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
 		}
+	}
+}
+
+// TestPCLRedoSeesReleaseDuringRebuild: node 2 crashes holding page 2
+// (GLA partition 2, served by node 2) dirty, and the commit of that
+// version is recorded only by a lock release that reaches the adopted
+// partition while the coordinator is parked in the lock-table rebuild.
+// The partition's table as it stood before adoption has no committed
+// version, so recovery must also read the adopted table after the
+// rebuild to redo the page.
+func TestPCLRedoSeesReleaseDuringRebuild(t *testing.T) {
+	params := faultParams(3, CouplingPCL)
+	env := sim.NewEnv()
+	t.Cleanup(env.Stop)
+	sys, err := NewSystem(env, params, &scriptGen{db: testDB()}, typeRouter{3}, modGLA{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := pgID(2)
+	sys.nodes[2].pool.Insert(page, 1, true)
+	const crashAt = time.Second
+	env.After(crashAt, func() { sys.CrashNode(2) })
+	// The coordinator (node 0) adopts partition 2 at detection and then
+	// waits for the survivors' rebuild replies; node 1's release,
+	// sent right after adoption, arrives first.
+	env.After(crashAt+params.DetectDelay+time.Microsecond, func() {
+		if sys.glaHome[2] != 0 {
+			t.Error("partition 2 must be adopted by node 0 before the release is sent")
+		}
+		env.Spawn("release", func(p *sim.Proc) {
+			sys.net.SendReliable(p, 1, 0, netsim.Short, lockReleaseMsg{
+				Owner: lock.Owner{Node: 1, Tx: 1},
+				GLA:   2,
+				Pages: []releasedPage{{Page: page, NewSeq: 1}},
+			})
+		})
+	})
+	if err := env.Run(3 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	m := sys.Snapshot()
+	if len(m.Failovers) != 1 {
+		t.Fatalf("failovers %d, want 1", len(m.Failovers))
+	}
+	if got := m.Failovers[0].PagesRedone; got != 1 {
+		t.Fatalf("pages redone %d, want 1: the commit that landed during the rebuild must be redone", got)
+	}
+}
+
+// TestPCLRedoSkipsLoserPageAfterAdoption: page 2 is committed (FORCE)
+// at node 2 while node 2 serves its partition; node 2 then crashes and
+// node 0 adopts the partition, whose rebuilt table starts without the
+// page's metadata. At node 0's later crash a killed transaction has
+// the page dirty. The only committed version predates the adoption and
+// is on storage, so recovery must not redo the page.
+func TestPCLRedoSkipsLoserPageAfterAdoption(t *testing.T) {
+	params := faultParams(3, CouplingPCL)
+	params.Force = true
+	env := sim.NewEnv()
+	t.Cleanup(env.Stop)
+	sys, err := NewSystem(env, params, &scriptGen{db: testDB()}, typeRouter{3}, modGLA{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := pgID(2)
+	run := func(node int, refs ...model.Ref) {
+		env.Spawn("txn", func(p *sim.Proc) {
+			sys.nodes[node].runTxnCounted(p, model.Txn{Type: node, Refs: refs}, env.Now(), nil)
+		})
+	}
+	env.After(100*time.Millisecond, func() { run(2, model.Ref{Page: page, Write: true}) })
+	env.After(time.Second, func() { sys.CrashNode(2) })
+	// The loser writes page 2 first, then stalls on disk reads.
+	const loserAt = 2 * time.Second
+	env.After(loserAt, func() {
+		run(0, model.Ref{Page: page, Write: true}, model.Ref{Page: pgID(4)}, model.Ref{Page: pgID(7)}, model.Ref{Page: pgID(10)})
+	})
+	env.After(loserAt+30*time.Millisecond, func() {
+		if fr := sys.nodes[0].pool.Peek(page); fr == nil || !fr.Dirty {
+			t.Error("the loser must hold page 2 dirty at the crash")
+		}
+		sys.CrashNode(0)
+	})
+	if err := env.Run(4 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	m := sys.Snapshot()
+	if m.Commits != 1 {
+		t.Fatalf("commits %d, want the one committed write of page 2", m.Commits)
+	}
+	if len(m.Failovers) != 2 {
+		t.Fatalf("failovers %d, want 2", len(m.Failovers))
+	}
+	if fs := m.Failovers[1]; fs.Node != 0 || fs.TxnsKilled != 1 || fs.PagesRedone != 0 {
+		t.Fatalf("second failover %+v: want node 0, one loser, no page redone", fs)
 	}
 }

@@ -633,9 +633,11 @@ func (n *Node) getPage(t *txn, file *model.File, page model.PageID, write bool, 
 // carried pages (PCL) are installed directly, otherwise the page comes
 // from the owning node (GEM locking, NOFORCE) or from storage.
 func (n *Node) fetchMiss(t *txn, file *model.File, page model.PageID, write bool, out cc.Outcome) *buffer.Frame {
-	if file.AppendOnly && out.Seq == 0 && n.sys.oracle.neverWritten(page) {
-		// First insert into a fresh page: no I/O, allocate in place.
-		return n.install(page, 1, true)
+	if file.AppendOnly && out.Seq == 0 {
+		if _, stored := n.sys.appendStored[page]; !stored {
+			// First insert into a fresh page: no I/O, allocate in place.
+			return n.install(page, 1, true)
+		}
 	}
 	n.pendingReads[page] = nil
 	seq := out.Seq
@@ -850,7 +852,7 @@ func (n *Node) readStorage(p *sim.Proc, cp *attrib.Vector, file *model.File, pag
 		// GEM cache (one additional page write).
 		cache := n.sys.gemCaches[file.ID]
 		n.sys.gemCacheReqs++
-		if cache.Touch(page) {
+		if cache.Get(page) != nil {
 			n.sys.gemCacheHits++
 			n.gemPageIOAttr(p, cp)
 		} else {
@@ -903,21 +905,23 @@ func (n *Node) writeStorage(p *sim.Proc, cp *attrib.Vector, file *model.File, pa
 			cp.AddWindow(attrib.ResDisk, n.sys.env.Now()-start, svc)
 		}
 	}
+	if file.AppendOnly {
+		n.sys.appendStored[page] = struct{}{}
+	}
 	n.sys.oracle.storageWrite(page, seq)
 }
 
 // gemCacheInsert places a page into the file's GEM cache, destaging a
 // replaced dirty entry to disk in the background.
 func (n *Node) gemCacheInsert(file *model.File, page model.PageID, dirty bool) {
-	cache := n.sys.gemCaches[file.ID]
-	victim, victimDirty, evicted := cache.Insert(page, dirty)
-	if evicted && victimDirty {
+	_, victim, evicted := n.sys.gemCaches[file.ID].Insert(page, 0, dirty)
+	if evicted && victim.Dirty {
 		sys := n.sys
 		sys.env.Spawn("gemcache-destage", func(q *sim.Proc) {
 			// Read the page out of GEM and write it to disk.
 			n.gemPageIO(q)
 			n.cpu.Exec(q, sys.params.IOInstr)
-			sys.groups[file.ID].Write(q, victim)
+			sys.groups[file.ID].Write(q, victim.Page)
 		})
 	}
 }

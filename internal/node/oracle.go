@@ -2,26 +2,14 @@ package node
 
 import (
 	"fmt"
-	"os"
 
 	"gemsim/internal/model"
 )
 
-// debugPage, when set via GEMSIM_DEBUG_PAGE (file:page), traces every
-// oracle event touching that page to stderr.
-var debugPage = os.Getenv("GEMSIM_DEBUG_PAGE")
-
-func tracePage(page model.PageID, format string, args ...any) {
-	if debugPage == "" || page.String() != debugPage {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "[page %v] "+format+"\n", append([]any{page}, args...)...)
-}
-
-// oracle is a global, zero-cost observer of the true page version
-// state. It always tracks which pages have reached permanent storage
-// (needed to recognize fresh append-only pages); with checking enabled
-// it additionally asserts the coherency protocol invariants:
+// oracle is the CheckInvariants observer of the true page version
+// state. It only observes: no model decision reads it, and without
+// CheckInvariants no oracle exists (every method is a no-op on a nil
+// receiver). It asserts the coherency protocol invariants:
 //
 //   - a transaction holding a lock always accesses the current
 //     committed version of the page;
@@ -29,7 +17,6 @@ func tracePage(page model.PageID, format string, args ...any) {
 //     storage copy is current;
 //   - the storage copy never regresses to an older version.
 type oracle struct {
-	enabled bool
 	// latest is the committed sequence number per page.
 	latest map[model.PageID]uint64
 	// storageSeq is the version on permanent storage (disk, disk
@@ -37,45 +24,33 @@ type oracle struct {
 	storageSeq map[model.PageID]uint64
 }
 
-func newOracle(enabled bool) *oracle {
+func newOracle() *oracle {
 	return &oracle{
-		enabled:    enabled,
 		latest:     make(map[model.PageID]uint64),
 		storageSeq: make(map[model.PageID]uint64),
 	}
 }
 
-// neverWritten reports whether the page has never reached permanent
-// storage (fresh append-only pages need no read I/O).
-func (o *oracle) neverWritten(page model.PageID) bool {
-	_, ok := o.storageSeq[page]
-	return !ok
-}
-
 // commit records a new committed version.
 func (o *oracle) commit(page model.PageID, seq uint64) {
-	tracePage(page, "commit seq=%d (prev %d)", seq, o.latest[page])
-	if o.enabled {
-		if cur := o.latest[page]; seq <= cur {
-			panic(fmt.Sprintf("oracle: commit of page %v regresses seq %d -> %d", page, cur, seq))
-		}
+	if o == nil {
+		return
+	}
+	if cur := o.latest[page]; seq <= cur {
+		panic(fmt.Sprintf("oracle: commit of page %v regresses seq %d -> %d", page, cur, seq))
 	}
 	o.latest[page] = seq
 }
 
 // storageWrite records that a version reached permanent storage.
 func (o *oracle) storageWrite(page model.PageID, seq uint64) {
-	tracePage(page, "storage write seq=%d (prev %d)", seq, o.storageSeq[page])
-	if o.enabled {
-		if cur := o.storageSeq[page]; seq < cur {
-			panic(fmt.Sprintf("oracle: storage copy of page %v regresses seq %d -> %d", page, cur, seq))
-		}
+	if o == nil {
+		return
 	}
-	if seq > o.storageSeq[page] {
-		o.storageSeq[page] = seq
-	} else if _, ok := o.storageSeq[page]; !ok {
-		o.storageSeq[page] = seq
+	if cur := o.storageSeq[page]; seq < cur {
+		panic(fmt.Sprintf("oracle: storage copy of page %v regresses seq %d -> %d", page, cur, seq))
 	}
+	o.storageSeq[page] = seq
 }
 
 // checkStorageRead asserts that reading the page from permanent storage
@@ -83,10 +58,9 @@ func (o *oracle) storageWrite(page model.PageID, seq uint64) {
 // (their coherency is managed by the application, e.g. per-node
 // HISTORY pages).
 func (o *oracle) checkStorageRead(page model.PageID, expectSeq uint64, locked bool) {
-	if !o.enabled || !locked {
+	if o == nil || !locked {
 		return
 	}
-	tracePage(page, "storage read expect=%d have=%d", expectSeq, o.storageSeq[page])
 	if got := o.storageSeq[page]; got < expectSeq {
 		panic(fmt.Sprintf("oracle: stale storage read of page %v: storage has %d, protocol promised %d", page, got, expectSeq))
 	}
@@ -96,7 +70,7 @@ func (o *oracle) checkStorageRead(page model.PageID, expectSeq uint64, locked bo
 // the current committed version (or a version being created by the
 // accessing transaction itself, which is strictly newer).
 func (o *oracle) checkAccess(page model.PageID, seq uint64, locked bool) {
-	if !o.enabled || !locked {
+	if o == nil || !locked {
 		return
 	}
 	if cur := o.latest[page]; seq < cur {

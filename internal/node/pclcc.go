@@ -235,7 +235,6 @@ func (n *Node) pclReply(p *sim.Proc, m lockRequestMsg) {
 				class = netsim.Long
 			}
 		}
-		tracePage(m.Page, "pclReply to n%d seq=%d carried=%v hasCopy=%v cached=%d", m.Owner.Node, meta.Seq, grant.Carried, m.HasCopy, m.CachedSeq)
 	}
 	switch m.Mode {
 	case model.LockRead:
@@ -389,7 +388,6 @@ func (c *pclCC) releaseAll(t *txn, commit bool) {
 func (n *Node) handleLockRelease(p *sim.Proc, m lockReleaseMsg) {
 	sys := n.sys
 	for _, rp := range m.Pages {
-		tracePage(rp.Page, "release from %v newSeq=%d carried=%v", m.Owner, rp.NewSeq, rp.Carried)
 		if rp.NewSeq > 0 {
 			meta := sys.pclMetaOf(m.GLA, rp.Page)
 			if rp.NewSeq > meta.Seq {

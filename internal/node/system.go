@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"gemsim/internal/attrib"
+	"gemsim/internal/buffer"
 	"gemsim/internal/cc"
 	"gemsim/internal/gem"
 	"gemsim/internal/lock"
@@ -60,9 +61,13 @@ type System struct {
 	wbReadHits  int64
 	// gemCaches are the non-volatile LRU page caches in GEM fronting
 	// the disk groups of MediumGEMCache files.
-	gemCaches    map[model.FileID]*storage.Cache
+	gemCaches    map[model.FileID]*buffer.Pool
 	gemCacheHits int64
 	gemCacheReqs int64
+	// appendStored holds the append-only pages that have reached
+	// permanent storage; any other append-only page is fresh and is
+	// allocated in place without a read.
+	appendStored map[model.PageID]struct{}
 
 	oracle *oracle
 	split  *rng.Splitter
@@ -178,24 +183,27 @@ func NewSystem(env *sim.Env, params Params, gen workload.Generator, router routi
 		return nil, errParam("PCL coupling needs a GLA map")
 	}
 	s := &System{
-		env:         env,
-		params:      params,
-		db:          db,
-		gen:         gen,
-		router:      router,
-		gla:         gla,
-		gemDev:      gem.New(env, params.GEM),
-		net:         netsim.New(env, params.Net, params.Nodes),
-		groups:      make(map[model.FileID]*storage.Group, len(db.Files)),
-		gltMeta:     gem.NewMetaTable(),
-		ra:          make(map[model.PageID]map[int]bool),
-		writeBuffer: make(map[model.PageID]uint64),
-		gemCaches:   make(map[model.FileID]*storage.Cache),
-		split:       rng.NewSplitter(params.Seed),
-		active:      make(map[lock.Owner]*txn),
-		rtBatches:   stats.NewBatchMeans(100),
+		env:          env,
+		params:       params,
+		db:           db,
+		gen:          gen,
+		router:       router,
+		gla:          gla,
+		gemDev:       gem.New(env, params.GEM),
+		net:          netsim.New(env, params.Net, params.Nodes),
+		groups:       make(map[model.FileID]*storage.Group, len(db.Files)),
+		gltMeta:      gem.NewMetaTable(),
+		ra:           make(map[model.PageID]map[int]bool),
+		writeBuffer:  make(map[model.PageID]uint64),
+		appendStored: make(map[model.PageID]struct{}),
+		gemCaches:    make(map[model.FileID]*buffer.Pool),
+		split:        rng.NewSplitter(params.Seed),
+		active:       make(map[lock.Owner]*txn),
+		rtBatches:    stats.NewBatchMeans(100),
 	}
-	s.oracle = newOracle(params.CheckInvariants)
+	if params.CheckInvariants {
+		s.oracle = newOracle()
+	}
 	if params.CC == cc.KindMVTO {
 		s.ccVersions = cc.NewVersionStore(8)
 	}
@@ -218,7 +226,7 @@ func NewSystem(env *sim.Env, params Params, gen workload.Generator, router routi
 					size = 1024
 				}
 			}
-			s.gemCaches[f.ID] = storage.NewCache(size, false)
+			s.gemCaches[f.ID] = buffer.NewPool(size)
 		case model.MediumDiskCacheVolatile, model.MediumDiskCacheNV:
 			size := params.DiskCachePages[f.ID]
 			if size <= 0 {

@@ -2,7 +2,10 @@
 // disk complex: disk groups (controller + disk servers + page transfer
 // delay), sequential log disks, and shared disk caches in their volatile
 // and non-volatile variants, managed LRU after the commercial (IBM)
-// disk caches referenced by the paper.
+// disk caches referenced by the paper. A cache is a buffer.Pool whose
+// frames are never fixed, so its replacement is plain LRU; a volatile
+// cache only serves read hits, a non-volatile one also absorbs writes
+// and destages dirty victims to disk in the background.
 //
 // Because the architecture is "shared disk", every disk group and its
 // cache is a single system-wide instance reachable by all nodes; the
@@ -13,6 +16,7 @@ import (
 	"time"
 
 	"gemsim/internal/attrib"
+	"gemsim/internal/buffer"
 	"gemsim/internal/model"
 	"gemsim/internal/sim"
 	"gemsim/internal/stats"
@@ -84,7 +88,10 @@ type Group struct {
 	params      Params
 	controllers *sim.Resource
 	disks       *sim.Resource
-	cache       *Cache
+	cache       *buffer.Pool
+	// volatile marks a cache that loses its content on power failure
+	// and therefore cannot absorb writes.
+	volatile bool
 
 	// stallUntil freezes the group until the given time (fault
 	// injection): requests arriving earlier first wait it out.
@@ -119,7 +126,8 @@ func NewGroup(env *sim.Env, name string, params Params) *Group {
 		disks:       sim.NewResource(env, name+"/disk", params.Disks),
 	}
 	if params.Cache != nil && params.Cache.SizePages > 0 {
-		g.cache = NewCache(params.Cache.SizePages, params.Cache.Volatile)
+		g.cache = buffer.NewPool(params.Cache.SizePages)
+		g.volatile = params.Cache.Volatile
 	}
 	return g
 }
@@ -131,7 +139,7 @@ func (g *Group) Name() string { return g.name }
 func (g *Group) SetTracer(t *trace.Tracer) { g.tracer = t }
 
 // Cache returns the attached shared disk cache, or nil.
-func (g *Group) Cache() *Cache { return g.cache }
+func (g *Group) Cache() *buffer.Pool { return g.cache }
 
 // StallFor freezes the group for d from now (fault injection: a
 // controller hiccup or path failure). Requests issued while the stall
@@ -156,7 +164,7 @@ func (g *Group) waitStall(p *sim.Proc) {
 func (g *Group) Read(p *sim.Proc, page model.PageID) (cacheHit bool) {
 	g.waitStall(p)
 	g.reads++
-	hit := g.cache != nil && g.cache.Touch(page)
+	hit := g.cache != nil && g.cache.Get(page) != nil
 	if hit {
 		g.readHits++
 	}
@@ -175,7 +183,7 @@ func (g *Group) Write(p *sim.Proc, page model.PageID) (absorbed bool) {
 	// Write-behind: a non-volatile cache absorbs the write; the disk
 	// copy is updated lazily when the dirty entry reaches the LRU end
 	// (asynchronous destage, so requesters never see disk delay).
-	absorbed = g.cache != nil && !g.cache.Volatile()
+	absorbed = g.cache != nil && !g.volatile
 	g.startIO(p, page, true, absorbed)
 	p.Park()
 	return absorbed
@@ -263,9 +271,8 @@ func (op *ioOp) finish() {
 // background (the cache keeps enough headroom that requesters never wait
 // for destage, matching commercial write-behind caches).
 func (g *Group) insert(page model.PageID, dirty bool) {
-	victim, victimDirty, evicted := g.cache.Insert(page, dirty)
-	if evicted && victimDirty {
-		g.scheduleDestage(victim)
+	if _, victim, evicted := g.cache.Insert(page, 0, dirty); evicted && victim.Dirty {
+		g.scheduleDestage(victim.Page)
 	}
 }
 
@@ -278,9 +285,9 @@ type destageOp struct {
 }
 
 // scheduleDestage writes a cached dirty page back to disk in the
-// background and cleans the cache entry afterwards (unless it was
-// re-dirtied, in which case its own destage has been scheduled). Pure
-// callback-tier work: no process is involved.
+// background and cleans the cache entry afterwards, if the page is
+// cached again by then. Pure callback-tier work: no process is
+// involved.
 func (g *Group) scheduleDestage(page model.PageID) {
 	g.destages++
 	op := g.destageOps.Get()
@@ -296,9 +303,12 @@ func (g *Group) scheduleDestage(page model.PageID) {
 // request queues the destage write at the disk servers.
 func (op *destageOp) request() { op.g.disks.Request(op.g.params.DiskTime, op.clean) }
 
-// finish cleans the cache entry and recycles the record.
+// finish cleans the cache entry, unless it was evicted meanwhile, and
+// recycles the record.
 func (op *destageOp) finish() {
-	op.g.cache.Clean(op.page)
+	if f := op.g.cache.Peek(op.page); f != nil {
+		f.Dirty = false
+	}
 	op.g.destageOps.Put(op)
 }
 

@@ -143,7 +143,7 @@ func TestNonVolatileCacheDestagesOnEviction(t *testing.T) {
 	if g.Destages() != 1 {
 		t.Fatalf("destages %d, want 1", g.Destages())
 	}
-	if g.Cache().Contains(page(1)) {
+	if g.Cache().Peek(page(1)) != nil {
 		t.Fatal("evicted page still cached")
 	}
 }
@@ -164,7 +164,7 @@ func TestRewriteCoalescesDirtyState(t *testing.T) {
 	if g.Destages() != 0 {
 		t.Fatalf("destages %d, want 0 (lazy destage on eviction only)", g.Destages())
 	}
-	if !g.Cache().Dirty(page(1)) {
+	if f := g.Cache().Peek(page(1)); f == nil || !f.Dirty {
 		t.Fatal("page must be dirty in cache")
 	}
 }
