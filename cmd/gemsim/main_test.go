@@ -98,6 +98,7 @@ func TestRunRejectsContradictoryFlags(t *testing.T) {
 		{"-cc", "occ", "-check"},
 		{"-terminals", "-3"},
 		{"-pooled-terminals"},
+		{"-think", "5s"},
 		{"-terminals", "4", "-think", "-1s"},
 		{"-recovery-workers", "-1"},
 		{"-attrib", "-attrib-off"},

@@ -270,6 +270,8 @@ func (f *ConfigFile) ToConfig() (Config, error) {
 		return Config{}, fmt.Errorf("core: closedLoopTerminals must be non-negative, got %d (0 = open model)", f.ClosedLoopTerminals)
 	case f.ClosedLoopPooled && f.ClosedLoopTerminals == 0:
 		return Config{}, fmt.Errorf("core: closedLoopPooled needs closedLoopTerminals (the open model has no terminal population)")
+	case f.ClosedLoopThinkTime != "" && f.ClosedLoopTerminals == 0:
+		return Config{}, fmt.Errorf("core: closedLoopThinkTime needs closedLoopTerminals (the open model has no terminals to think)")
 	case f.ClosedLoopTerminals > 0:
 		think := time.Second
 		if f.ClosedLoopThinkTime != "" {

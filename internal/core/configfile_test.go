@@ -124,6 +124,8 @@ func TestLoadConfigFileErrors(t *testing.T) {
 		`{"nodes": 1, "unknownField": true}`,
 		`{"nodes": 1, "closedLoopTerminals": -3}`,
 		`{"nodes": 1, "closedLoopPooled": true}`,
+		`{"nodes": 1, "closedLoopThinkTime": "abc"}`,
+		`{"nodes": 1, "closedLoopThinkTime": "5s"}`,
 		`{"nodes": 1, "closedLoopTerminals": 2, "closedLoopThinkTime": "-1s"}`,
 		`{"nodes": 2, "faults": {"recoveryWorkers": -1}}`,
 		`{"nodes": 2, "faults": {"mtbf": "-5s", "mttr": "-1s"}}`,

@@ -18,6 +18,8 @@ type CPU struct {
 
 	instructions float64
 	tracer       *trace.Tracer
+
+	holds sim.FreeList[holdOp] // idle Hold records
 }
 
 // New creates a CPU pool with the given number of processors and MIPS
@@ -76,38 +78,97 @@ func (c *CPU) RequestExec(instructions float64, done func()) {
 	c.res.Request(c.ServiceTime(instructions), done)
 }
 
-// Acquire claims one processor without releasing it; used for
-// synchronous GEM accesses during which the CPU stays busy.
-func (c *CPU) Acquire(p *sim.Proc) { c.res.Acquire(p) }
-
-// AcquireFn claims one processor on the callback tier: granted runs
-// once a processor is free (synchronously if one is free now). Pair
-// with Release from the continuation.
-func (c *CPU) AcquireFn(granted func()) { c.res.AcquireFn(granted) }
-
-// Release frees a processor claimed with Acquire or AcquireFn.
-func (c *CPU) Release() { c.res.Release() }
-
-// ExecHolding charges instructions while a processor is already held
-// via Acquire.
-func (c *CPU) ExecHolding(p *sim.Proc, instructions float64) {
-	if instructions <= 0 {
-		return
-	}
-	c.instructions += instructions
-	p.Wait(c.ServiceTime(instructions))
+// Device is the station side of a CPU-held access (a GEM access kind,
+// the lock engine): each cycle queues for Res and holds it for Svc.
+// Count, when set, is bumped as each cycle is issued. Span, when set,
+// runs at the composite's completion with the trace id and start of its
+// first cycle and the number of cycles, so the device emits its own
+// trace span.
+type Device struct {
+	Res   *sim.Resource
+	Svc   time.Duration
+	Count *int64
+	Span  func(tid int64, start sim.Time, n int)
 }
 
-// HoldFn charges instructions while a processor is already held — the
-// callback-tier analog of ExecHolding. done fires after the service
-// time elapses, or synchronously for a non-positive demand.
-func (c *CPU) HoldFn(instructions float64, done func()) {
-	if instructions <= 0 {
-		done()
+// Hold runs one synchronous device access during which the processor
+// stays busy: claim a processor (queueing FCFS), charge instr
+// instructions on it (none when non-positive), run n cycles at dev's
+// station back to back (one when n < 1), then release the processor,
+// run done (if non-nil) and resume cont's process (if any) — the last
+// three in the final cycle's completion slot. A process parks right
+// after the call; a callback chain passes the zero continuation.
+func (c *CPU) Hold(cont sim.Continuation, instr float64, dev *Device, n int, done func()) {
+	op := c.holds.Get()
+	if op == nil {
+		op = &holdOp{c: c}
+		op.grantFn, op.issueFn, op.finishFn = op.grant, op.issue, op.finish
+	}
+	op.cont, op.instr, op.dev, op.n, op.left, op.done = cont, instr, dev, n, n, done
+	c.res.AcquireFn(op.grantFn)
+}
+
+// holdOp is one in-flight Hold composite. Records are pooled per CPU
+// and their steps are method values bound once, so a composite
+// allocates nothing.
+type holdOp struct {
+	c     *CPU
+	cont  sim.Continuation
+	instr float64
+	dev   *Device
+	n     int // cycles in the composite
+	left  int // cycles still to issue
+	start sim.Time
+	tid   int64
+	done  func()
+
+	grantFn, issueFn, finishFn func() // bound to grant, issue, finish
+}
+
+// grant charges the held instruction burst once a processor is free.
+func (op *holdOp) grant() {
+	if op.instr <= 0 {
+		op.issue()
 		return
 	}
-	c.instructions += instructions
-	c.res.Env().After(c.ServiceTime(instructions), done)
+	op.c.instructions += op.instr
+	op.c.res.Env().After(op.c.ServiceTime(op.instr), op.issueFn)
+}
+
+// issue queues the next cycle at the device; the last cycle's
+// completion finishes the composite.
+func (op *holdOp) issue() {
+	d := op.dev
+	if d.Count != nil {
+		*d.Count++
+	}
+	if op.left == op.n {
+		op.start, op.tid = d.Res.Env().Now(), op.cont.TraceID()
+	}
+	op.left--
+	if op.left <= 0 {
+		d.Res.RequestResume(op.cont, d.Svc, op.finishFn)
+		return
+	}
+	d.Res.Request(d.Svc, op.issueFn)
+}
+
+// finish runs after the device released its server for the last time:
+// the record goes back to the pool first (the completion event holds
+// its own copy of the continuation), then the span, the processor
+// release and done follow.
+func (op *holdOp) finish() {
+	c, dev, done := op.c, op.dev, op.done
+	tid, start, n := op.tid, op.start, op.n
+	op.cont, op.dev, op.done = sim.Continuation{}, nil, nil
+	c.holds.Put(op)
+	if dev.Span != nil {
+		dev.Span(tid, start, n)
+	}
+	c.res.Release()
+	if done != nil {
+		done()
+	}
 }
 
 // Utilization returns mean processor utilization since the last
@@ -126,9 +187,9 @@ func (c *CPU) Instructions() float64 { return c.instructions }
 
 // Counters returns the processor pool's raw station counters for
 // operational-law validation. Bursts run through Exec/RequestExec
-// carry tracked service demand; hold-style Acquire/ExecHolding
-// composites (GEM accesses) do not, so SvcN < Requests under GEM
-// coupling and the utilization law is gated off there.
+// carry tracked service demand; Hold composites (GEM accesses) do not,
+// so SvcN < Requests under GEM coupling and the utilization law is
+// gated off there.
 func (c *CPU) Counters() attrib.StationCounters { return c.res.Counters() }
 
 // ResetStats discards accumulated statistics.

@@ -66,12 +66,20 @@ func TestAcquireHoldKeepsCPUBusy(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Stop()
 	c := New(env, "cpu", 1, 10)
-	var blockedUntil sim.Time
+	var count int64
+	var spanStart sim.Time
+	var spanN int
+	dev := &Device{
+		Res:   sim.NewResource(env, "dev", 1),
+		Svc:   450 * time.Microsecond,
+		Count: &count,
+		Span:  func(_ int64, start sim.Time, n int) { spanStart, spanN = start, n },
+	}
+	var heldUntil, blockedUntil sim.Time
 	env.Spawn("holder", func(p *sim.Proc) {
-		c.Acquire(p)
-		c.ExecHolding(p, 1000) // 100 µs
-		p.Wait(900 * time.Microsecond)
-		c.Release()
+		c.Hold(p.Continuation(), 1000, dev, 2, nil) // 100 µs + 2 x 450 µs
+		p.Park()
+		heldUntil = env.Now()
 	})
 	env.Spawn("second", func(p *sim.Proc) {
 		c.Exec(p, 1000)
@@ -80,6 +88,9 @@ func TestAcquireHoldKeepsCPUBusy(t *testing.T) {
 	if err := env.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
+	if heldUntil != time.Millisecond {
+		t.Fatalf("holder resumed at %v, want 1ms", heldUntil)
+	}
 	// Second must wait for the holder's full 1 ms occupancy then run
 	// its own 100 µs.
 	if blockedUntil != 1100*time.Microsecond {
@@ -87,6 +98,32 @@ func TestAcquireHoldKeepsCPUBusy(t *testing.T) {
 	}
 	if u := c.Utilization(); u < 0.99 {
 		t.Fatalf("utilization %v, want ~1 (synchronous hold counts as busy)", u)
+	}
+	if count != 2 || spanN != 2 || spanStart != 100*time.Microsecond {
+		t.Fatalf("count %d, span n=%d from %v; want 2 cycles from 100µs", count, spanN, spanStart)
+	}
+	if c.Instructions() != 2000 {
+		t.Fatalf("instructions %v, want 2000", c.Instructions())
+	}
+}
+
+// TestHoldCallbackTier runs the composite with no process: done fires
+// in the final cycle's completion slot, after the processor is free.
+func TestHoldCallbackTier(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Stop()
+	c := New(env, "cpu", 1, 10)
+	dev := &Device{Res: sim.NewResource(env, "dev", 1), Svc: 50 * time.Microsecond}
+	var doneAt sim.Time
+	c.Hold(sim.Continuation{}, 0, dev, 1, func() {
+		doneAt = env.Now()
+		c.Hold(sim.Continuation{}, 1000, dev, 1, nil) // the processor is free again
+	})
+	if err := env.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if doneAt != 50*time.Microsecond || env.Now() != 200*time.Microsecond {
+		t.Fatalf("done at %v, idle at %v; want 50µs, 200µs", doneAt, env.Now())
 	}
 }
 

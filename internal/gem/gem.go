@@ -5,8 +5,9 @@
 // lock table, exchange pages and keep whole database files resident.
 //
 // GEM accesses are synchronous: the accessing CPU stays busy for the
-// queueing plus access time. The caller therefore holds its CPU server
-// around the Access* calls; this package only models the GEM device
+// queueing plus access time. Callers run them through the CPU-held
+// composite (cpusrv.CPU.Hold) on one of the device's access kinds
+// (Page, Entries, Entry); this package only models the GEM device
 // itself (a single FCFS server by default, as in the paper).
 package gem
 
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"gemsim/internal/attrib"
+	"gemsim/internal/cpusrv"
 	"gemsim/internal/model"
 	"gemsim/internal/sim"
 	"gemsim/internal/trace"
@@ -49,19 +51,7 @@ type GEM struct {
 	resident map[model.FileID]bool
 	tracer   *trace.Tracer
 
-	chains sim.FreeList[entryChain] // idle batch records
-}
-
-// entryChain is one in-flight AccessEntriesFn batch: each completion
-// starts the next access, the last one carries the combined
-// release+fin+resume event. Records are pooled on the device and their
-// step method value is bound once, so a batch allocates nothing.
-type entryChain struct {
-	g    *GEM
-	c    sim.Continuation
-	left int
-	fin  func()
-	step func() // bound to next
+	page, entries, entry cpusrv.Device
 }
 
 // New creates a GEM device in the given environment.
@@ -69,11 +59,15 @@ func New(env *sim.Env, params Params) *GEM {
 	if params.Servers <= 0 {
 		params.Servers = 1
 	}
-	return &GEM{
+	g := &GEM{
 		params:   params,
 		server:   sim.NewResource(env, "gem", params.Servers),
 		resident: make(map[model.FileID]bool),
 	}
+	g.page = cpusrv.Device{Res: g.server, Svc: params.PageAccess, Count: &g.pageAccesses, Span: g.pageSpan}
+	g.entries = cpusrv.Device{Res: g.server, Svc: params.EntryAccess, Count: &g.entryAccesses, Span: g.entriesSpan}
+	g.entry = cpusrv.Device{Res: g.server, Svc: params.EntryAccess, Count: &g.entryAccesses}
+	return g
 }
 
 // AllocateFile marks a database file as GEM-resident.
@@ -87,149 +81,37 @@ func (g *GEM) Resident(id model.FileID) bool { return g.resident[id] }
 // too short-lived to be worth an event each.
 func (g *GEM) SetTracer(t *trace.Tracer) { g.tracer = t }
 
-// AccessPage performs one synchronous page read or write. The calling
-// process is delayed by queueing plus the page access time.
-func (g *GEM) AccessPage(p *sim.Proc) {
-	g.pageAccesses++
+// Page is the page-transfer access kind, traced as one span per
+// transfer.
+func (g *GEM) Page() *cpusrv.Device { return &g.page }
+
+// Entries is an entry-access batch (e.g. read a lock entry, then write
+// it back with Compare&Swap), traced as one span per batch.
+func (g *GEM) Entries() *cpusrv.Device { return &g.entries }
+
+// Entry is a lone, untraced entry access (a message deposit or pickup).
+func (g *GEM) Entry() *cpusrv.Device { return &g.entry }
+
+// pageSpan traces one completed page transfer.
+func (g *GEM) pageSpan(tid int64, start sim.Time, _ int) {
 	if g.tracer.Enabled() {
-		start := p.Env().Now()
-		g.server.Use(p, g.params.PageAccess)
-		g.tracer.Span(g.server.Name(), p.TraceID(), trace.GEMPage, start, p.Env().Now(), "")
-		return
-	}
-	g.server.Use(p, g.params.PageAccess)
-}
-
-// AccessEntry performs one synchronous entry read or Compare&Swap
-// write.
-func (g *GEM) AccessEntry(p *sim.Proc) {
-	g.entryAccesses++
-	g.server.Use(p, g.params.EntryAccess)
-}
-
-// AccessEntries performs n consecutive entry accesses (e.g., read the
-// lock entry, then write it back with Compare&Swap).
-func (g *GEM) AccessEntries(p *sim.Proc, n int) {
-	if g.tracer.Enabled() && n > 0 {
-		start := p.Env().Now()
-		for i := 0; i < n; i++ {
-			g.AccessEntry(p)
-		}
-		g.tracer.Span(g.server.Name(), p.TraceID(), trace.GEMEntries, start, p.Env().Now(), "n="+strconv.Itoa(n))
-		return
-	}
-	for i := 0; i < n; i++ {
-		g.AccessEntry(p)
+		g.tracer.Span(g.server.Name(), tid, trace.GEMPage, start, g.server.Env().Now(), "")
 	}
 }
 
-// AccessPageFn performs one page access on the callback tier for a
-// parked process: when the access completes, the server is released,
-// fin runs in kernel context and the process resumes — all in one
-// calendar slot. The caller parks after setting up the chain.
-func (g *GEM) AccessPageFn(c sim.Continuation, fin func()) {
-	g.pageAccesses++
+// entriesSpan traces one completed batch of n entry accesses.
+func (g *GEM) entriesSpan(tid int64, start sim.Time, n int) {
 	if g.tracer.Enabled() {
-		env := g.server.Env()
-		start := env.Now()
-		tid := c.TraceID()
-		inner := fin
-		fin = func() {
-			g.tracer.Span(g.server.Name(), tid, trace.GEMPage, start, env.Now(), "")
-			if inner != nil {
-				inner()
-			}
-		}
+		g.tracer.Span(g.server.Name(), tid, trace.GEMEntries, start, g.server.Env().Now(), "n="+strconv.Itoa(n))
 	}
-	g.server.RequestResume(c, g.params.PageAccess, fin)
 }
 
-// AccessEntryFn performs one entry access on the callback tier for a
-// parked process (untraced, like AccessEntry): when it completes, fin
-// runs and the process resumes in the same calendar slot.
-func (g *GEM) AccessEntryFn(c sim.Continuation, fin func()) {
+// AccessEntryFn performs one entry access for a parked process that
+// holds no CPU (untraced, like Entry): when it completes, the process
+// resumes. The caller parks right after the call.
+func (g *GEM) AccessEntryFn(c sim.Continuation) {
 	g.entryAccesses++
-	g.server.RequestResume(c, g.params.EntryAccess, fin)
-}
-
-// AccessEntriesFn performs n consecutive entry accesses on the callback
-// tier for a parked process; after the last one completes (and its
-// server is released), fin runs and the process resumes, in the same
-// calendar slot. n must be at least 1; the caller parks after setting
-// up the chain.
-func (g *GEM) AccessEntriesFn(c sim.Continuation, n int, fin func()) {
-	if g.tracer.Enabled() {
-		env := g.server.Env()
-		start := env.Now()
-		tid := c.TraceID()
-		count := n
-		inner := fin
-		fin = func() {
-			g.tracer.Span(g.server.Name(), tid, trace.GEMEntries, start, env.Now(), "n="+strconv.Itoa(count))
-			if inner != nil {
-				inner()
-			}
-		}
-	}
-	g.entryChain(c, n, fin)
-}
-
-// entryChain runs the remaining accesses of an AccessEntriesFn batch.
-func (g *GEM) entryChain(c sim.Continuation, left int, fin func()) {
-	g.entryAccesses++
-	if left <= 1 {
-		g.server.RequestResume(c, g.params.EntryAccess, fin)
-		return
-	}
-	ch := g.chains.Get()
-	if ch == nil {
-		ch = &entryChain{g: g}
-		ch.step = ch.next
-	}
-	ch.c, ch.left, ch.fin = c, left-1, fin
-	g.server.Request(g.params.EntryAccess, ch.step)
-}
-
-// next starts the batch's next access. The record goes back to the
-// pool before the last access is issued: from then on only that
-// access's completion event refers to fin and the continuation.
-func (ch *entryChain) next() {
-	g := ch.g
-	g.entryAccesses++
-	if ch.left <= 1 {
-		c, fin := ch.c, ch.fin
-		ch.c, ch.fin = sim.Continuation{}, nil
-		g.chains.Put(ch)
-		g.server.RequestResume(c, g.params.EntryAccess, fin)
-		return
-	}
-	ch.left--
-	g.server.Request(g.params.EntryAccess, ch.step)
-}
-
-// RequestEntry performs one entry access entirely on the callback tier
-// (no process involved); done fires when it completes.
-func (g *GEM) RequestEntry(done func()) {
-	g.entryAccesses++
-	g.server.Request(g.params.EntryAccess, done)
-}
-
-// RequestPage performs one page access entirely on the callback tier;
-// done fires when it completes.
-func (g *GEM) RequestPage(done func()) {
-	g.pageAccesses++
-	if g.tracer.Enabled() {
-		env := g.server.Env()
-		start := env.Now()
-		inner := done
-		done = func() {
-			g.tracer.Span(g.server.Name(), 0, trace.GEMPage, start, env.Now(), "")
-			if inner != nil {
-				inner()
-			}
-		}
-	}
-	g.server.Request(g.params.PageAccess, done)
+	g.server.RequestResume(c, g.params.EntryAccess, nil)
 }
 
 // BusySeconds returns accumulated server-busy seconds since the last

@@ -4,19 +4,29 @@ import (
 	"testing"
 	"time"
 
+	"gemsim/internal/cpusrv"
 	"gemsim/internal/model"
 	"gemsim/internal/sim"
 )
+
+// access runs n cycles of dev for p through a CPU-held composite with
+// no instruction burst, so only the device's time passes.
+func access(cpu *cpusrv.CPU, p *sim.Proc, dev *cpusrv.Device, n int) {
+	cpu.Hold(p.Continuation(), 0, dev, n, nil)
+	p.Park()
+}
 
 func TestAccessTimes(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Stop()
 	g := New(env, DefaultParams())
+	cpu := cpusrv.New(env, "cpu", 1, 10)
 	var pageAt, entryAt sim.Time
 	env.Spawn("u", func(p *sim.Proc) {
-		g.AccessPage(p)
+		access(cpu, p, g.Page(), 1)
 		pageAt = env.Now()
-		g.AccessEntry(p)
+		g.AccessEntryFn(p.Continuation())
+		p.Park()
 		entryAt = env.Now()
 	})
 	if err := env.RunUntilIdle(); err != nil {
@@ -37,10 +47,11 @@ func TestSingleServerQueueing(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Stop()
 	g := New(env, DefaultParams())
+	cpu := cpusrv.New(env, "cpu", 3, 10)
 	var ends []sim.Time
 	for i := 0; i < 3; i++ {
 		env.Spawn("u", func(p *sim.Proc) {
-			g.AccessPage(p)
+			access(cpu, p, g.Page(), 1)
 			ends = append(ends, env.Now())
 		})
 	}
@@ -59,7 +70,8 @@ func TestAccessEntriesCount(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Stop()
 	g := New(env, DefaultParams())
-	env.Spawn("u", func(p *sim.Proc) { g.AccessEntries(p, 4) })
+	cpu := cpusrv.New(env, "cpu", 1, 10)
+	env.Spawn("u", func(p *sim.Proc) { access(cpu, p, g.Entries(), 4) })
 	if err := env.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +100,9 @@ func TestResetStats(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Stop()
 	g := New(env, DefaultParams())
+	cpu := cpusrv.New(env, "cpu", 1, 10)
 	env.Spawn("u", func(p *sim.Proc) {
-		g.AccessPage(p)
+		access(cpu, p, g.Page(), 1)
 		g.ResetStats()
 		p.Wait(time.Millisecond)
 	})
@@ -108,7 +121,8 @@ func TestDefaultServerFallback(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Stop()
 	g := New(env, Params{PageAccess: time.Microsecond, EntryAccess: time.Microsecond})
-	env.Spawn("u", func(p *sim.Proc) { g.AccessPage(p) })
+	cpu := cpusrv.New(env, "cpu", 1, 10)
+	env.Spawn("u", func(p *sim.Proc) { access(cpu, p, g.Page(), 1) })
 	if err := env.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"gemsim/internal/cpusrv"
+	"gemsim/internal/gem"
 	"gemsim/internal/rng"
 	"gemsim/internal/sim"
 	"gemsim/internal/trace"
@@ -79,31 +80,13 @@ func DefaultParams() Params {
 // dedicated process.
 type Handler func(p *sim.Proc, from int, msg any)
 
-// SyncStore is a synchronously accessible shared store (GEM) through
-// which messages can be exchanged instead of the interconnection
-// network ("all messages are exchanged across the GEM", section 2 of
-// the paper). The CPU stays busy for the store access.
-type SyncStore interface {
-	AccessEntry(p *sim.Proc)
-	AccessPage(p *sim.Proc)
-}
-
-// ChainStore is optionally implemented by a SyncStore whose accesses
-// can run on the kernel's callback tier: the Fn forms serve a parked
-// process through a continuation, the Request forms need no process at
-// all. When the store supports it, store-based message exchange runs
-// without helper processes.
-type ChainStore interface {
-	AccessEntryFn(c sim.Continuation, fin func())
-	AccessPageFn(c sim.Continuation, fin func())
-	RequestEntry(done func())
-	RequestPage(done func())
-}
-
-// StoreTransport configures storage-based message exchange.
+// StoreTransport configures storage-based message exchange: messages
+// travel through GEM instead of the interconnection network ("all
+// messages are exchanged across the GEM", section 2 of the paper). The
+// CPU stays busy for the store access.
 type StoreTransport struct {
 	// Store is the shared memory the messages travel through.
-	Store SyncStore
+	Store *gem.GEM
 	// ShortInstr and LongInstr are the CPU overheads per send or
 	// receive operation; storage-based communication avoids the
 	// network protocol stack, so they are far below the 5000/8000
@@ -228,8 +211,13 @@ func (n *Network) send(p *sim.Proc, from, to int, c Class, msg any, reliable boo
 	}
 	if n.transport != nil {
 		// Store-based exchange rides on reliable shared memory: no
-		// random loss, but a down receiver still never picks it up.
-		n.sendViaStore(p, from, to, c, msg)
+		// random loss and no wire delay; the store's queueing is the
+		// only serialization. The sender deposits the message with its
+		// CPU held, and the receiver reads it out the same way one
+		// slot later; a down receiver still never picks it up.
+		n.storeHold(n.endpoints[from].cpu, p.Continuation(), c, nil)
+		p.Park()
+		n.deliver(p, from, to, c, msg, 0, false)
 		return
 	}
 	lost := !reliable && n.lossSrc != nil && n.params.LossProb > 0 && n.lossSrc.Float64() < n.params.LossProb
@@ -241,6 +229,12 @@ func (n *Network) send(p *sim.Proc, from, to int, c Class, msg any, reliable boo
 		}
 		return
 	}
+	n.deliver(p, from, to, c, msg, n.transit(c), n.tracer.Enabled())
+}
+
+// deliver puts msg in transit from p's node: it arrives at the
+// receiver after delay, traced as a wire span when traced is set.
+func (n *Network) deliver(p *sim.Proc, from, to int, c Class, msg any, delay time.Duration, traced bool) {
 	d := n.deliveries.Get()
 	if d == nil {
 		d = &delivery{n: n}
@@ -250,19 +244,31 @@ func (n *Network) send(p *sim.Proc, from, to int, c Class, msg any, reliable boo
 		d.recvProc = d.recv
 	}
 	d.from, d.to, d.c, d.msg = from, to, c, msg
-	d.traced = n.tracer.Enabled()
-	if d.traced {
+	d.traced = traced
+	if traced {
 		d.sentAt = n.env.Now()
 		d.tid = p.TraceID()
 	}
-	n.env.After(n.transit(c), d.arriveFn)
+	n.env.After(delay, d.arriveFn)
 }
 
-// delivery is one message in transit on the wire, from the end of the
-// send to the start of its handler. Records are pooled on the network
-// and their steps are method values bound once, so a delivery
-// allocates nothing beyond the receive process a blocking handler
-// needs.
+// storeHold runs one CPU-held store access for a message of class c
+// on cpu: a page access for a long message, a lone entry access for a
+// short one.
+func (n *Network) storeHold(cpu *cpusrv.CPU, cont sim.Continuation, c Class, done func()) {
+	t := n.transport
+	if c == Long {
+		cpu.Hold(cont, t.LongInstr, t.Store.Page(), 1, done)
+		return
+	}
+	cpu.Hold(cont, t.ShortInstr, t.Store.Entry(), 1, done)
+}
+
+// delivery is one message in transit on the wire or through the store,
+// from the end of the send to the start of its handler. Records are
+// pooled on the network and their steps are method values bound once,
+// so a delivery allocates nothing beyond the receive process a
+// blocking handler needs.
 type delivery struct {
 	n      *Network
 	from   int
@@ -279,9 +285,10 @@ type delivery struct {
 	recvProc  func(q *sim.Proc) // bound to recv
 }
 
-// arrive runs when the transmission delay has passed: drop the message
-// at a down receiver, else start its receive overhead and handler on
-// the callback tier (inline messages) or in a fresh process.
+// arrive runs when the transmission delay has passed (one slot after a
+// store deposit): drop the message at a down receiver, else start its
+// receive overhead and handler on the callback tier (inline messages)
+// or in a fresh process.
 func (d *delivery) arrive() {
 	n := d.n
 	if d.traced {
@@ -307,7 +314,12 @@ func (d *delivery) arrive() {
 
 // receive charges the receive overhead of an inline message.
 func (d *delivery) receive() {
-	d.n.endpoints[d.to].cpu.RequestExec(d.n.sendInstr(d.c), d.handleFn)
+	n, cpu := d.n, d.n.endpoints[d.to].cpu
+	if n.transport != nil {
+		n.storeHold(cpu, sim.Continuation{}, d.c, d.handleFn)
+		return
+	}
+	cpu.RequestExec(n.sendInstr(d.c), d.handleFn)
 }
 
 // handle runs an inline message's handler in kernel context.
@@ -321,7 +333,12 @@ func (d *delivery) handle() {
 func (d *delivery) recv(q *sim.Proc) {
 	n, ep, from, c, msg := d.n, &d.n.endpoints[d.to], d.from, d.c, d.msg
 	d.free()
-	ep.cpu.Exec(q, n.sendInstr(c))
+	if n.transport != nil {
+		n.storeHold(ep.cpu, q.Continuation(), c, nil)
+		q.Park()
+	} else {
+		ep.cpu.Exec(q, n.sendInstr(c))
+	}
 	ep.handler(q, from, msg)
 }
 
@@ -329,83 +346,6 @@ func (d *delivery) recv(q *sim.Proc) {
 func (d *delivery) free() {
 	d.msg = nil
 	d.n.deliveries.Put(d)
-}
-
-// sendViaStore exchanges the message across the shared store: the
-// sender deposits it (entry access for short messages, page access for
-// long ones) with the CPU held, and the receiver reads it out the same
-// way. There is no wire delay; the store's queueing is the only
-// serialization.
-func (n *Network) sendViaStore(p *sim.Proc, from, to int, c Class, msg any) {
-	t := n.transport
-	instr := t.ShortInstr
-	if c == Long {
-		instr = t.LongInstr
-	}
-	cs, chained := t.Store.(ChainStore)
-	sender := n.endpoints[from].cpu
-	if chained {
-		// Deposit as one callback chain: cpu, held burst, store access,
-		// release — the sender parks once for the whole composite.
-		cont := p.Continuation()
-		sender.AcquireFn(func() {
-			sender.HoldFn(instr, func() {
-				if c == Long {
-					cs.AccessPageFn(cont, sender.Release)
-				} else {
-					cs.AccessEntryFn(cont, sender.Release)
-				}
-			})
-		})
-		p.Park()
-	} else {
-		sender.Acquire(p)
-		sender.ExecHolding(p, instr)
-		n.storeAccess(p, c)
-		sender.Release()
-	}
-	ep := n.endpoints[to]
-	n.env.After(0, func() {
-		if n.downCheck != nil && n.downCheck(to) {
-			n.dropped++
-			return
-		}
-		if chained && ep.inline != nil && ep.inline(msg) {
-			// Callback-tier pickup: the extra hop takes the slot the
-			// receive process used to start in.
-			n.env.After(0, func() {
-				ep.cpu.AcquireFn(func() {
-					ep.cpu.HoldFn(instr, func() {
-						access := cs.RequestEntry
-						if c == Long {
-							access = cs.RequestPage
-						}
-						access(func() {
-							ep.cpu.Release()
-							ep.handler(nil, from, msg)
-						})
-					})
-				})
-			})
-			return
-		}
-		n.env.Spawn("recv", func(q *sim.Proc) {
-			ep.cpu.Acquire(q)
-			ep.cpu.ExecHolding(q, instr)
-			n.storeAccess(q, c)
-			ep.cpu.Release()
-			ep.handler(q, from, msg)
-		})
-	})
-}
-
-// storeAccess performs the store operation matching the message class.
-func (n *Network) storeAccess(p *sim.Proc, c Class) {
-	if c == Long {
-		n.transport.Store.AccessPage(p)
-		return
-	}
-	n.transport.Store.AccessEntry(p)
 }
 
 // ShortSent returns the number of short messages sent since ResetStats.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"gemsim/internal/cpusrv"
+	"gemsim/internal/gem"
 	"gemsim/internal/rng"
 	"gemsim/internal/sim"
 )
@@ -219,22 +220,11 @@ func TestDownReceiverDropsAtDelivery(t *testing.T) {
 	}
 }
 
-// fakeStore counts synchronous store accesses and advances time like a
-// GEM device would.
-type fakeStore struct {
-	env     *sim.Env
-	entries int
-	pages   int
-}
-
-func (f *fakeStore) AccessEntry(p *sim.Proc) { f.entries++; p.Wait(2 * time.Microsecond) }
-func (f *fakeStore) AccessPage(p *sim.Proc)  { f.pages++; p.Wait(50 * time.Microsecond) }
-
 func TestStoreTransportShort(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Stop()
 	n := New(env, DefaultParams(), 2)
-	store := &fakeStore{env: env}
+	store := gem.New(env, gem.DefaultParams())
 	n.UseStore(&StoreTransport{Store: store, ShortInstr: 1000, LongInstr: 1500})
 	cpu0 := cpusrv.New(env, "cpu0", 1, 10)
 	cpu1 := cpusrv.New(env, "cpu1", 1, 10)
@@ -251,11 +241,40 @@ func TestStoreTransportShort(t *testing.T) {
 	if handlerAt != want {
 		t.Fatalf("handler at %v, want %v", handlerAt, want)
 	}
-	if store.entries != 2 {
-		t.Fatalf("entry accesses %d, want 2", store.entries)
+	if store.EntryAccesses() != 2 {
+		t.Fatalf("entry accesses %d, want 2", store.EntryAccesses())
 	}
 	if n.ShortSent() != 1 {
 		t.Fatalf("short count %d", n.ShortSent())
+	}
+}
+
+// TestStoreTransportInline reads an inline message out of the store on
+// the callback tier: the handler runs without a process, at the same
+// instant a receive process would have reached it.
+func TestStoreTransportInline(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Stop()
+	n := New(env, DefaultParams(), 2)
+	store := gem.New(env, gem.DefaultParams())
+	n.UseStore(&StoreTransport{Store: store, ShortInstr: 1000, LongInstr: 1500})
+	n.Register(0, cpusrv.New(env, "cpu0", 1, 10), func(p *sim.Proc, from int, msg any) {})
+	var handlerAt sim.Time
+	var handlerProc *sim.Proc
+	n.Register(1, cpusrv.New(env, "cpu1", 1, 10), func(p *sim.Proc, from int, msg any) {
+		handlerAt, handlerProc = env.Now(), p
+	})
+	n.RegisterInline(1, func(any) bool { return true })
+	env.Spawn("sender", func(p *sim.Proc) { n.Send(p, 0, 1, Long, 1) })
+	if err := env.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	// Sender: 150 µs CPU + 50 µs page; receiver the same.
+	if want := 2 * (150 + 50) * time.Microsecond; handlerAt != want || handlerProc != nil {
+		t.Fatalf("handler at %v (proc %v), want %v on the callback tier", handlerAt, handlerProc, want)
+	}
+	if store.PageAccesses() != 2 {
+		t.Fatalf("page accesses %d, want 2", store.PageAccesses())
 	}
 }
 
@@ -263,7 +282,7 @@ func TestStoreTransportLongUsesPageAccess(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Stop()
 	n := New(env, DefaultParams(), 2)
-	store := &fakeStore{env: env}
+	store := gem.New(env, gem.DefaultParams())
 	n.UseStore(&StoreTransport{Store: store, ShortInstr: 1000, LongInstr: 1500})
 	cpu0 := cpusrv.New(env, "cpu0", 1, 10)
 	cpu1 := cpusrv.New(env, "cpu1", 1, 10)
@@ -273,8 +292,8 @@ func TestStoreTransportLongUsesPageAccess(t *testing.T) {
 	if err := env.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if store.pages != 2 {
-		t.Fatalf("page accesses %d, want 2", store.pages)
+	if store.PageAccesses() != 2 {
+		t.Fatalf("page accesses %d, want 2", store.PageAccesses())
 	}
 }
 
@@ -284,7 +303,7 @@ func TestStoreTransportFasterThanNetwork(t *testing.T) {
 		defer env.Stop()
 		n := New(env, DefaultParams(), 2)
 		if useStore {
-			n.UseStore(&StoreTransport{Store: &fakeStore{env: env}, ShortInstr: 1000, LongInstr: 1500})
+			n.UseStore(&StoreTransport{Store: gem.New(env, gem.DefaultParams()), ShortInstr: 1000, LongInstr: 1500})
 		}
 		cpu0 := cpusrv.New(env, "cpu0", 1, 10)
 		cpu1 := cpusrv.New(env, "cpu1", 1, 10)

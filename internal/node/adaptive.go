@@ -209,9 +209,6 @@ func (s *System) StartControl(cfg *ControlConfig) error {
 	return nil
 }
 
-// Controller statistics accessors (diagnostics and tests).
-func (s *System) ControlActive() bool { return s.ctl != nil }
-
 // observeRoute counts one submitted transaction against its branch.
 func (c *controller) observeRoute(branch int) {
 	if c.cfg.Reroute {

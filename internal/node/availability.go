@@ -62,15 +62,6 @@ type availTracker struct {
 	pending []*pendingTTFT
 }
 
-// debugAvailWindows, when non-nil, observes every closed availability
-// window (now, commits, rolling baseline); used by diagnostic tests.
-var debugAvailWindows func(now time.Duration, cur, baseline float64)
-
-// DebugHookAvailWindows installs (or clears) the window observer.
-func DebugHookAvailWindows(fn func(now time.Duration, cur, baseline float64)) {
-	debugAvailWindows = fn
-}
-
 // pendingTTFT tracks one crash until its throughput recovers. ttft
 // stays zero while unresolved (and for crashes whose throughput never
 // recrossed the baseline inside the run).
@@ -139,9 +130,6 @@ func (av *availTracker) tick() {
 	commits := av.sys.totalCommits()
 	cur := float64(commits - av.lastCommits)
 	av.lastCommits = commits
-	if debugAvailWindows != nil {
-		debugAvailWindows(time.Duration(av.sys.env.Now()), cur, av.baseline())
-	}
 
 	av.recent[av.recentIdx] = cur
 	av.recentIdx = (av.recentIdx + 1) % availRecrossWindows

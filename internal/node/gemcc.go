@@ -11,13 +11,6 @@ import (
 	"gemsim/internal/sim"
 )
 
-// debugLockWaits, when non-nil, observes every completed lock wait
-// (page, duration); used by diagnostic tests.
-var debugLockWaits func(page model.PageID, wait sim.Time)
-
-// DebugHookLockWaits installs (or clears) the lock wait observer.
-func DebugHookLockWaits(fn func(page model.PageID, wait sim.Time)) { debugLockWaits = fn }
-
 // gemCC implements concurrency and coherency control with a global lock
 // table (GLT) in Global Extended Memory: every lock request and release
 // is processed against GLT entries with synchronous GEM accesses (one
@@ -81,9 +74,6 @@ func (c *gemCC) access(t *txn, page model.PageID, mode model.LockMode) (cc.Outco
 		}
 		n.lockWaitTime.AddDuration(n.sys.env.Now() - start)
 		n.lockWaitDone(t, page, start)
-		if debugLockWaits != nil {
-			debugLockWaits(page, n.sys.env.Now()-start)
-		}
 		// Re-read the entry after the wakeup notification.
 		c.gltAccessAttr(t, 2, attrib.PhaseLockSvc)
 	}

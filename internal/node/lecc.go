@@ -26,8 +26,7 @@ import (
 // aggregate transaction rates — the effect the paper contrasts GEM
 // locking against.
 type leCC struct {
-	n   *Node
-	ops sim.FreeList[engineOp] // idle engineAccess records
+	n *Node
 }
 
 // invalidateMsg is the commit-time broadcast of [Yu87]-style coherency
@@ -47,25 +46,11 @@ func (c *leCC) table() *lock.Table { return c.n.sys.tables[0] }
 
 // engineAccess charges ops synchronous lock engine operations: the CPU
 // is held while the requests queue at and are served by the engine.
-// The whole composite runs as a callback chain; the process parks once.
+// The whole composite runs as one CPU-held chain; the process parks
+// once.
 func (c *leCC) engineAccess(p *sim.Proc, ops int) {
-	op := c.ops.Get()
-	if op == nil {
-		op = &engineOp{c: c}
-		op.step = op.next
-	}
-	op.cont, op.left = p.Continuation(), ops
-	c.n.cpu.AcquireFn(op.step)
+	c.n.cpu.Hold(p.Continuation(), 0, c.n.sys.engine, ops, nil)
 	p.Park()
-}
-
-// engineOp is one in-flight engineAccess composite, pooled per node
-// like gemOpRec.
-type engineOp struct {
-	c    *leCC
-	cont sim.Continuation
-	left int    // engine operations still to issue
-	step func() // bound to next
 }
 
 // engineAccessAttr runs engineAccess and charges the window to phase
@@ -76,25 +61,8 @@ func (c *leCC) engineAccessAttr(t *txn, ops int, ph attrib.Phase) {
 	n := c.n
 	start := n.sys.env.Now()
 	c.engineAccess(t.proc, ops)
-	svc := time.Duration(ops) * n.sys.params.LockEngine.ServiceTime
+	svc := time.Duration(ops) * n.sys.engine.Svc
 	t.cp.Charge(ph, attrib.ResLock, n.sys.env.Now()-start, svc)
-}
-
-// next issues the composite's next engine operation once the CPU is
-// held; the last one releases the CPU and resumes the process in its
-// completion slot.
-func (op *engineOp) next() {
-	n := op.c.n
-	svc := n.sys.params.LockEngine.ServiceTime
-	if op.left <= 1 {
-		cont := op.cont
-		op.cont = sim.Continuation{}
-		op.c.ops.Put(op)
-		n.sys.engine.RequestResume(cont, svc, n.cpuRelease)
-		return
-	}
-	op.left--
-	n.sys.engine.Request(svc, op.step)
 }
 
 // access processes one lock request at the central lock engine,

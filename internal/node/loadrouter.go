@@ -35,7 +35,8 @@ func (r *LoadAwareRouter) Route(*model.Txn) int {
 	// Reading the status entries costs one GEM entry access; the
 	// source process occupies the GEM server but no node CPU.
 	if p := r.sys.sourceProc; p != nil {
-		r.sys.gemDev.AccessEntry(p)
+		r.sys.gemDev.AccessEntryFn(p.Continuation())
+		p.Park()
 	}
 	best, bestActive := 0, int(^uint(0)>>1)
 	for i, n := range r.sys.nodes {

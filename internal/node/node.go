@@ -63,13 +63,10 @@ type Node struct {
 	// checkpoint: the redo log scan length if this node crashes now.
 	logSinceCkpt int64
 
-	// Recycled per-transaction and device-chain records, and the CPU
-	// release bound once as the GEM chains' completion callback.
+	// Recycled per-transaction and write-back records.
 	txns       sim.FreeList[txn]
 	subs       sim.FreeList[submission]
 	writeBacks sim.FreeList[writeBackRec]
-	gemOps     sim.FreeList[gemOpRec]
-	cpuRelease func()
 
 	// Statistics (reset at the end of warm-up).
 	commits       int64
@@ -236,7 +233,6 @@ func newNode(s *System, id int) *Node {
 		historyPage:  historyBase(id),
 	}
 	n.cpu = cpusrv.New(s.env, "cpu"+itoa(id), s.params.CPUsPerNode, s.params.MIPSPerCPU)
-	n.cpuRelease = n.cpu.Release
 	n.mpl = sim.NewSemaphore(s.env, "mpl"+itoa(id), s.params.MPL)
 	n.logGroup = storage.NewGroup(s.env, "log"+itoa(id), storage.DefaultLogParams())
 	switch s.params.Coupling {
@@ -734,66 +730,20 @@ func (n *Node) writeBackPage(p *sim.Proc, v buffer.Victim) {
 }
 
 // gemPageIO performs one synchronous GEM page access (the CPU stays
-// busy throughout) including the reduced initialization overhead. The
-// whole composite — CPU grant, held instruction burst, GEM access, CPU
-// release — runs as a callback chain; the process parks once.
+// busy throughout) including the reduced initialization overhead, as
+// one CPU-held composite; the process parks once.
 func (n *Node) gemPageIO(p *sim.Proc) {
-	n.gemOp(p, n.sys.params.GEMIOInstr, true, 0)
+	n.cpu.Hold(p.Continuation(), n.sys.params.GEMIOInstr, n.sys.gemDev.Page(), 1, nil)
 	p.Park()
 }
 
-// gemEntryOp charges one CPU-held GEM entry-access composite on the
-// callback tier: the CPU is acquired, instr instructions are charged
-// while holding it (skipped when non-positive), the entries accesses
-// queue at the GEM device, and the CPU is released. The process parks
-// once for the whole composite.
+// gemEntryOp charges one CPU-held GEM entry-access composite: the CPU
+// is acquired, instr instructions are charged while holding it
+// (skipped when non-positive), the entries accesses queue at the GEM
+// device, and the CPU is released. The process parks once.
 func (n *Node) gemEntryOp(p *sim.Proc, instr float64, entries int) {
-	n.gemOp(p, instr, false, entries)
+	n.cpu.Hold(p.Continuation(), instr, n.sys.gemDev.Entries(), entries, nil)
 	p.Park()
-}
-
-// gemOpRec is one in-flight CPU-held GEM composite: the page access of
-// gemPageIO or the entry batch of gemEntryOp. Records are pooled per
-// node and their chain steps are method values bound once, so a
-// composite allocates nothing.
-type gemOpRec struct {
-	n       *Node
-	cont    sim.Continuation
-	instr   float64
-	page    bool // a page access; otherwise entries entry accesses
-	entries int
-	granted func() // bound to grant
-	held    func() // bound to access
-}
-
-// gemOp starts the composite for p's continuation; the caller parks.
-func (n *Node) gemOp(p *sim.Proc, instr float64, page bool, entries int) {
-	op := n.gemOps.Get()
-	if op == nil {
-		op = &gemOpRec{n: n}
-		op.granted = op.grant
-		op.held = op.access
-	}
-	op.cont, op.instr, op.page, op.entries = p.Continuation(), instr, page, entries
-	n.cpu.AcquireFn(op.granted)
-}
-
-// grant charges the held instruction burst once a CPU is granted.
-func (op *gemOpRec) grant() { op.n.cpu.HoldFn(op.instr, op.held) }
-
-// access queues the GEM access; its completion releases the CPU and
-// resumes the process. The record is recycled first: nothing refers to
-// it once the access is issued.
-func (op *gemOpRec) access() {
-	n := op.n
-	cont, page, entries := op.cont, op.page, op.entries
-	op.cont = sim.Continuation{}
-	n.gemOps.Put(op)
-	if page {
-		n.sys.gemDev.AccessPageFn(cont, n.cpuRelease)
-		return
-	}
-	n.sys.gemDev.AccessEntriesFn(cont, entries, n.cpuRelease)
 }
 
 // gemPageSvc returns the service demand of one gemPageIO composite:

@@ -7,6 +7,7 @@ import (
 	"gemsim/internal/attrib"
 	"gemsim/internal/buffer"
 	"gemsim/internal/cc"
+	"gemsim/internal/cpusrv"
 	"gemsim/internal/gem"
 	"gemsim/internal/lock"
 	"gemsim/internal/model"
@@ -35,8 +36,9 @@ type System struct {
 	net    *netsim.Network
 	groups map[model.FileID]*storage.Group
 	nodes  []*Node
-	// engine is the centralized lock engine (CouplingLockEngine only).
-	engine *sim.Resource
+	// engine is the centralized lock engine (CouplingLockEngine only),
+	// a station the CPU is held on like a GEM access.
+	engine *cpusrv.Device
 
 	// Concurrency control state. GEM locking uses tables[0] as the
 	// global lock table; PCL uses one table per GLA node.
@@ -248,7 +250,7 @@ func NewSystem(env *sim.Env, params Params, gen workload.Generator, router routi
 	if params.Coupling != CouplingPCL {
 		s.tables = []*lock.Table{lock.NewTable("GLT")}
 		if params.Coupling == CouplingLockEngine {
-			s.engine = sim.NewResource(env, "lockengine", 1)
+			s.engine = &cpusrv.Device{Res: sim.NewResource(env, "lockengine", 1), Svc: params.LockEngine.ServiceTime}
 		}
 	} else {
 		s.tables = make([]*lock.Table, params.Nodes)
@@ -625,7 +627,7 @@ func (s *System) ResetStats() {
 		n.resetStats()
 	}
 	if s.engine != nil {
-		s.engine.ResetStats()
+		s.engine.Res.ResetStats()
 	}
 	s.wbWrites, s.wbReadHits = 0, 0
 	s.gemCacheHits, s.gemCacheReqs = 0, 0
@@ -667,7 +669,7 @@ func (s *System) stationCounters() []attrib.StationCounters {
 	}
 	out = append(out, s.gemDev.Counters())
 	if s.engine != nil {
-		out = append(out, s.engine.Counters())
+		out = append(out, s.engine.Res.Counters())
 	}
 	for _, id := range s.sortedGroupIDs() {
 		out = append(out, s.groups[id].DiskCounters())
@@ -936,8 +938,8 @@ func (s *System) Snapshot() Metrics {
 	m.MeanPageReqDelay = pageDelay.MeanDuration()
 
 	if s.engine != nil {
-		m.LockEngineUtilization = s.engine.Utilization()
-		m.MeanLockEngineWait = s.engine.MeanWait()
+		m.LockEngineUtilization = s.engine.Res.Utilization()
+		m.MeanLockEngineWait = s.engine.Res.MeanWait()
 	}
 	m.GEMUtilization = s.gemDev.Utilization()
 	m.GEMPageAcc = s.gemDev.PageAccesses()

@@ -12,10 +12,11 @@ import (
 
 // txnAllocsPerCommit runs the Table 4.1 debit-credit configuration
 // (100 TPS per node, NOFORCE, affinity routing) on the given coupling,
-// warms it up so every pool, map and calendar bucket reaches its steady
+// with messages exchanged across GEM when gemMessaging is set, warms it
+// up so every pool, map and calendar bucket reaches its steady
 // size, and returns the heap allocations per committed transaction over
 // the following window.
-func txnAllocsPerCommit(t *testing.T, coupling Coupling, nodes int) float64 {
+func txnAllocsPerCommit(t *testing.T, coupling Coupling, gemMessaging bool, nodes int) float64 {
 	t.Helper()
 	const rate = 100
 	dcParams := workload.DefaultDebitCreditParams(rate * float64(nodes))
@@ -26,6 +27,7 @@ func txnAllocsPerCommit(t *testing.T, coupling Coupling, nodes int) float64 {
 	aff := routing.NewDebitCreditAffinity(nodes, dcParams)
 	params := DefaultParams(nodes)
 	params.Coupling = coupling
+	params.GEMMessaging = gemMessaging
 	params.HotPage = dc.HotPage
 	env := sim.NewEnv()
 	defer env.Stop()
@@ -58,23 +60,28 @@ func txnAllocsPerCommit(t *testing.T, coupling Coupling, nodes int) float64 {
 // queues and messages may still hold it after the wait, so it is never
 // pooled), a frame per buffer miss and the messages themselves. The
 // ceilings sit just above the measured values (7.8 under GEM, 9.1 under
-// PCL), so a change that puts an allocation back on the transaction
-// path fails here.
+// PCL, 8.9 under PCL with GEM messaging), so a change that puts an
+// allocation back on the transaction path fails here. The GEM-messaging
+// row pins the store transport: its deposits and pickups run through
+// pooled records like the network's deliveries.
 func TestTxnAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
 	}
 	for _, tc := range []struct {
-		coupling Coupling
-		max      float64
+		name         string
+		coupling     Coupling
+		gemMessaging bool
+		max          float64
 	}{
-		{CouplingGEM, 8.5},
-		{CouplingPCL, 10},
+		{"GEM", CouplingGEM, false, 8.5},
+		{"PCL", CouplingPCL, false, 10},
+		{"PCL+GEM messaging", CouplingPCL, true, 10},
 	} {
-		got := txnAllocsPerCommit(t, tc.coupling, 4)
-		t.Logf("%v: %.2f allocs per commit", tc.coupling, got)
+		got := txnAllocsPerCommit(t, tc.coupling, tc.gemMessaging, 4)
+		t.Logf("%s: %.2f allocs per commit", tc.name, got)
 		if got > tc.max {
-			t.Errorf("%v: %.2f allocs per commit, want <= %.1f", tc.coupling, got, tc.max)
+			t.Errorf("%s: %.2f allocs per commit, want <= %.1f", tc.name, got, tc.max)
 		}
 	}
 }

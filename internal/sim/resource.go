@@ -2,13 +2,11 @@ package sim
 
 import "gemsim/internal/attrib"
 
-// rwaiter is one queued request for a server: a parked process
-// (process tier), a grant continuation (callback tier, AcquireFn), or
-// a full service cycle (Request / RequestResume / Use) described by
-// plain fields so granting it allocates no closure. All kinds share
-// one FCFS queue in arrival order.
+// rwaiter is one queued request for a server: a grant callback
+// (AcquireFn) or a full service cycle (Request / RequestResume / Use)
+// described by plain fields so granting it allocates no closure. Both
+// kinds share one FCFS queue in arrival order.
 type rwaiter struct {
-	proc  *Proc
 	grant func()
 	at    Time // enqueue time, for waiting-time accounting
 
@@ -24,11 +22,11 @@ type rwaiter struct {
 // waiting-time accounting. It models CPUs, disks, controllers and the
 // GEM server.
 //
-// The station serves both execution tiers: processes use Acquire /
-// Release / Use, kernel callbacks use AcquireFn / Request /
-// RequestResume. Requests of either kind queue in one FCFS line with
-// identical hand-off timing, so mixing tiers does not change the
-// served order or the statistics.
+// Every request queues in one FCFS line of callback-tier waiters:
+// AcquireFn grants a server to a callback (paired with Release),
+// Request / RequestResume run a full service cycle, and Use is the
+// process-tier shorthand for RequestResume plus a park. A released
+// server passes to the head waiter one calendar slot later.
 type Resource struct {
 	env     *Env
 	name    string
@@ -50,7 +48,7 @@ type Resource struct {
 	// needs updating when the queue length changes, so the
 	// uncontended fast paths stay untouched. svcSum covers cycles
 	// whose demand is known up front (Use/Request/RequestResume);
-	// hold-style Acquire/Release composites cannot be tracked.
+	// hold-style AcquireFn/Release composites cannot be tracked.
 	lastQT Time
 	qArea  float64 // waiting-jobs time integral, in seconds
 	svcSum Time
@@ -96,25 +94,6 @@ func (r *Resource) qAccumulate() {
 	r.lastQT = now
 }
 
-// Acquire obtains one server for the calling process, queueing FCFS if
-// all servers are busy. It must be paired with Release.
-func (r *Resource) Acquire(p *Proc) {
-	r.requests++
-	if r.busy < r.servers {
-		r.accumulate()
-		r.busy++
-		return
-	}
-	r.queued++
-	r.qAccumulate()
-	enqueuedAt := r.env.Now()
-	r.queue = append(r.queue, rwaiter{proc: p, at: enqueuedAt})
-	p.park()
-	r.waitSum += r.env.Now() - enqueuedAt
-	// The releasing caller transferred its server to us; busy stays
-	// unchanged across the hand-off.
-}
-
 // AcquireFn obtains one server on the callback tier: granted runs
 // synchronously when a server is free, or in a later calendar slot (at
 // the hand-off) after queueing FCFS. It must be paired with Release,
@@ -141,15 +120,9 @@ func (r *Resource) Release() {
 		copy(r.queue, r.queue[1:])
 		r.queue[len(r.queue)-1] = rwaiter{}
 		r.queue = r.queue[:len(r.queue)-1]
-		if w.proc != nil {
-			w.proc.Unpark()
-			return
-		}
-		// Callback-tier waiter: the hand-off happens one calendar slot
-		// later, exactly where an unparked process would have resumed,
-		// so both waiter kinds leave the queue with identical timing.
-		// The waiter parks on handq and a pooled evHandoff event
-		// serves it, so the hop allocates nothing.
+		// The hand-off happens one calendar slot later: the waiter
+		// parks on handq and a pooled evHandoff event serves it, so
+		// the hop allocates nothing.
 		r.handq = append(r.handq, w)
 		ev := r.env.schedule(r.env.now, nil, nil)
 		ev.kind = evHandoff
@@ -196,7 +169,7 @@ func (r *Resource) scheduleComplete(at Time, c Continuation, fn func()) {
 // the completion event, in the same calendar slot the process resumes
 // in.
 func (r *Resource) Use(p *Proc, d Time) {
-	r.serveResume(p.Continuation(), d, nil)
+	r.RequestResume(p.Continuation(), d, nil)
 	p.park()
 }
 
@@ -206,47 +179,30 @@ func (r *Resource) Use(p *Proc, d Time) {
 // event's calendar slot. The whole cycle uses pooled events and the
 // plain-field waiter record, so steady state allocates nothing.
 func (r *Resource) Request(d Time, done func()) {
-	r.requests++
-	r.svcSum += d
-	r.svcN++
-	if r.busy < r.servers {
-		r.accumulate()
-		r.busy++
-		r.scheduleComplete(r.env.now+d, Continuation{}, done)
-		return
-	}
-	r.queued++
-	r.qAccumulate()
-	r.queue = append(r.queue, rwaiter{at: r.env.Now(), svc: true, d: d, fn: done})
+	r.RequestResume(Continuation{}, d, done)
 }
 
 // RequestResume runs one service cycle for a parked process: when the
 // service completes, the server is released, fin (if non-nil) runs in
 // kernel context, and the process resumes — all within one calendar
 // slot. It is the terminator of a service chain executed on the
-// process's behalf. If the process was killed and moved on while the
-// request was queued, the cycle still completes and releases the
-// server, but the final resume is dropped as stale.
+// process's behalf; with a zero continuation it is Request. If the
+// process was killed and moved on while the request was queued, the
+// cycle still completes and releases the server, but the final resume
+// is dropped as stale.
 func (r *Resource) RequestResume(c Continuation, d Time, fin func()) {
-	r.serveResume(c, d, fin)
-}
-
-// serveResume claims a server (or queues for one) and schedules the
-// combined completion event: release, then fn in kernel context, then
-// the continuation's process resumes, in the same slot.
-func (r *Resource) serveResume(c Continuation, d Time, fn func()) {
 	r.requests++
 	r.svcSum += d
 	r.svcN++
 	if r.busy < r.servers {
 		r.accumulate()
 		r.busy++
-		r.scheduleComplete(r.env.now+d, c, fn)
+		r.scheduleComplete(r.env.now+d, c, fin)
 		return
 	}
 	r.queued++
 	r.qAccumulate()
-	r.queue = append(r.queue, rwaiter{at: r.env.Now(), svc: true, d: d, fn: fn, c: c})
+	r.queue = append(r.queue, rwaiter{at: r.env.Now(), svc: true, d: d, fn: fin, c: c})
 }
 
 // ResetStats discards accumulated statistics (typically at the end of a
@@ -293,7 +249,7 @@ func (r *Resource) Utilization() float64 {
 	return area / (float64(r.servers) * elapsed)
 }
 
-// Requests returns the number of Acquire calls since the last ResetStats.
+// Requests returns the number of requests since the last ResetStats.
 func (r *Resource) Requests() int64 { return r.requests }
 
 // BusySeconds returns the accumulated server-busy time in seconds since

@@ -6,8 +6,8 @@
 // function fires at its calendar slot and must not block. Memoryless
 // work (service completions, queue hand-offs, message deliveries) lives
 // here; it costs one pooled calendar entry and a function call. The
-// entry points are Env.After/Env.At, Timer, and the callback side of
-// Resource (AcquireFn, Request, RequestResume).
+// entry points are Env.After and the callback side of Resource
+// (AcquireFn, Request, RequestResume).
 //
 // Tier 2 — processes — are runtime coroutines (iter.Pull) for model
 // code that genuinely blocks with state (transaction logic, recovery
@@ -41,30 +41,28 @@ import (
 // Time is a point in simulated time, measured from the start of the run.
 type Time = time.Duration
 
-// event kinds. Hot Tier-1 paths (service completions, queue hand-offs,
-// timer fires) are encoded as kinds on the pooled event record instead
-// of per-call closures, so a steady-state service cycle allocates
-// nothing: the record carries the target Resource or Timer directly
-// and dispatch switches on the kind.
+// event kinds. Hot Tier-1 paths (service completions, queue hand-offs)
+// are encoded as kinds on the pooled event record instead of per-call
+// closures, so a steady-state service cycle allocates nothing: the
+// record carries the target Resource directly and dispatch switches on
+// the kind.
 const (
 	evFn       uint8 = iota // run fn, then resume proc (the general event)
 	evComplete              // service completion: res.Release(), then fn, then proc
 	evHandoff               // server hand-off: serve the head of res.handq
-	evTimer                 // timer fire: run timer.fn if still armed at gen
 )
 
 // event is a scheduled occurrence: run a kernel-context callback (which
 // must not block), resume a parked process, or both — the callback
 // first, then the resume, within one calendar slot.
 type event struct {
-	at    Time
-	seq   int64
-	proc  *Proc
-	gen   int64 // proc generation (or timer generation for evTimer)
-	fn    func()
-	res   *Resource // evComplete / evHandoff target
-	timer *Timer    // evTimer target
-	kind  uint8
+	at   Time
+	seq  int64
+	proc *Proc
+	gen  int64 // proc generation
+	fn   func()
+	res  *Resource // evComplete / evHandoff target
+	kind uint8
 }
 
 // Env is a simulation environment: an event calendar, a clock and the
@@ -171,7 +169,6 @@ func (e *Env) recycle(ev *event) {
 	ev.proc = nil
 	ev.fn = nil
 	ev.res = nil
-	ev.timer = nil
 	ev.kind = evFn
 	e.free = append(e.free, ev)
 }
@@ -180,13 +177,6 @@ func (e *Env) recycle(ev *event) {
 // call blocking process primitives.
 func (e *Env) After(d Time, fn func()) {
 	e.schedule(e.now+d, nil, fn)
-}
-
-// At schedules fn to run in kernel context at absolute time at (clamped
-// to now when in the past). fn must not call blocking process
-// primitives.
-func (e *Env) At(at Time, fn func()) {
-	e.schedule(at, nil, fn)
 }
 
 // Run advances the simulation until the event calendar is empty or the
@@ -242,13 +232,6 @@ func (e *Env) dispatch(ev *event) {
 		ev.res.Release()
 	case evHandoff:
 		ev.res.handoff()
-		return
-	case evTimer:
-		t := ev.timer
-		if t.armed && t.gen == ev.gen {
-			t.armed = false
-			t.fn()
-		}
 		return
 	}
 	if ev.fn != nil {

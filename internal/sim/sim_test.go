@@ -45,7 +45,10 @@ func TestEventOrderingIsFIFOAtSameInstant(t *testing.T) {
 func TestRunStopsAtHorizon(t *testing.T) {
 	env := NewEnv()
 	fired := false
-	env.SpawnAfter(2*time.Second, "late", func(p *Proc) { fired = true })
+	env.Spawn("late", func(p *Proc) {
+		p.Wait(2 * time.Second)
+		fired = true
+	})
 	if err := env.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -119,45 +122,10 @@ func TestStaleWakeIsDropped(t *testing.T) {
 	env.Stop()
 }
 
-func TestJoinWaitsForChild(t *testing.T) {
-	env := NewEnv()
-	var joined Time
-	env.Spawn("parent", func(p *Proc) {
-		child := env.Spawn("child", func(c *Proc) { c.Wait(3 * time.Millisecond) })
-		p.Join(child)
-		joined = env.Now()
-	})
-	if err := env.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if joined != 3*time.Millisecond {
-		t.Fatalf("join at %v", joined)
-	}
-	env.Stop()
-}
-
-func TestJoinFinishedChildReturnsImmediately(t *testing.T) {
-	env := NewEnv()
-	var at Time
-	env.Spawn("parent", func(p *Proc) {
-		child := env.Spawn("child", func(c *Proc) {})
-		p.Wait(time.Millisecond) // let the child finish first
-		p.Join(child)
-		at = env.Now()
-	})
-	if err := env.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if at != time.Millisecond {
-		t.Fatalf("join returned at %v", at)
-	}
-	env.Stop()
-}
-
 // TestStaleWakesAcrossWorkerReuse checks that wake events still queued
 // for a finished process are dropped even when the next process runs on
-// the same pooled worker: the new process starts exactly at its
-// scheduled time and is not woken early by the old one's events.
+// the same pooled worker: the new process's wait ends exactly at its
+// scheduled time and is not cut short by the old one's events.
 func TestStaleWakesAcrossWorkerReuse(t *testing.T) {
 	env := NewEnv()
 	var (
@@ -171,10 +139,10 @@ func TestStaleWakesAcrossWorkerReuse(t *testing.T) {
 		cont = p.Continuation()
 		p.Park()
 		// Scheduled at a's final generation: a recycled Proc record
-		// would match it and start b at 4ms.
+		// would match it and wake b at 4ms.
 		p.UnparkAfter(3 * time.Millisecond)
 	})
-	env.At(time.Millisecond, func() {
+	env.After(time.Millisecond, func() {
 		a.Unpark()                                                       // wakes a, which finishes
 		a.Unpark()                                                       // stale at 1ms
 		a.UnparkAfter(4 * time.Millisecond)                              // stale at 5ms
@@ -183,8 +151,9 @@ func TestStaleWakesAcrossWorkerReuse(t *testing.T) {
 			if !a.Done() {
 				t.Error("a not finished before b is spawned")
 			}
-			env.SpawnAfter(5*time.Millisecond, "b", func(p *Proc) {
+			env.Spawn("b", func(p *Proc) {
 				wb = p.w
+				p.Wait(5 * time.Millisecond)
 				start = env.Now()
 				p.Wait(10 * time.Millisecond)
 				stop = env.Now()
@@ -305,7 +274,8 @@ func TestResourceFCFSAndWaitStats(t *testing.T) {
 	var order []int
 	for i := 0; i < 3; i++ {
 		i := i
-		env.SpawnAfter(Time(i)*time.Millisecond, "u", func(p *Proc) {
+		env.Spawn("u", func(p *Proc) {
+			p.Wait(Time(i) * time.Millisecond)
 			r.Use(p, 10*time.Millisecond)
 			order = append(order, i)
 		})
@@ -387,7 +357,8 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		var events []Time
 		for i := 0; i < 20; i++ {
 			i := i
-			env.SpawnAfter(Time(i%7)*time.Millisecond, "p", func(p *Proc) {
+			env.Spawn("p", func(p *Proc) {
+				p.Wait(Time(i%7) * time.Millisecond)
 				r.Use(p, Time(1+i%3)*time.Millisecond)
 				events = append(events, env.Now())
 			})
@@ -423,7 +394,8 @@ func TestRandomResourceNetworkConservation(t *testing.T) {
 		finished := 0
 		for i := 0; i < jobs; i++ {
 			i := i
-			env.SpawnAfter(Time(i%17)*time.Millisecond, "job", func(p *Proc) {
+			env.Spawn("job", func(p *Proc) {
+				p.Wait(Time(i%17) * time.Millisecond)
 				// Visit resources in a job-dependent order with
 				// job-dependent service times.
 				for k := 0; k < 3; k++ {
@@ -465,7 +437,8 @@ func TestSemaphoreConservation(t *testing.T) {
 	active, violations := 0, 0
 	for i := 0; i < 100; i++ {
 		i := i
-		env.SpawnAfter(Time(i%11)*time.Millisecond, "t", func(p *Proc) {
+		env.Spawn("t", func(p *Proc) {
+			p.Wait(Time(i%11) * time.Millisecond)
 			s.Acquire(p)
 			active++
 			if active > tokens {

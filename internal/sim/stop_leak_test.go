@@ -11,8 +11,9 @@ import (
 // way the kernel supports — plain Park, pending Wait timers, resource
 // queues, semaphore admission — the process goroutine
 // count must return to its pre-run level. Processes that finished
-// before Stop leave idle pooled workers, and one process is spawned but
-// never started; Stop must retire both kinds of worker. A leak here
+// before Stop leave idle pooled workers, and one process is spawned
+// after the run and never started; Stop must retire both kinds of
+// worker. A leak here
 // would accumulate across the thousands of environments a parameter
 // sweep creates.
 func TestStopLeaksNoGoroutines(t *testing.T) {
@@ -24,10 +25,7 @@ func TestStopLeaksNoGoroutines(t *testing.T) {
 
 	// Holders pin the resource and the semaphore so later arrivals
 	// stay queued when the run horizon is reached.
-	env.Spawn("rholder", func(p *Proc) {
-		r.Acquire(p)
-		p.Park()
-	})
+	env.Spawn("rholder", func(p *Proc) { r.Use(p, time.Hour) })
 	env.Spawn("sholder", func(p *Proc) {
 		sem.Acquire(p)
 		p.Park()
@@ -39,11 +37,11 @@ func TestStopLeaksNoGoroutines(t *testing.T) {
 		env.Spawn("sleeper", func(p *Proc) { p.Wait(time.Hour) })
 		env.Spawn("finished", func(p *Proc) { p.Wait(time.Millisecond) })
 	}
-	started := false
-	unstarted := env.SpawnAfter(time.Hour, "unstarted", func(p *Proc) { started = true })
 	if err := env.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
+	started := false
+	unstarted := env.Spawn("unstarted", func(p *Proc) { started = true })
 	if len(env.idle) == 0 {
 		t.Fatal("expected idle pooled workers before Stop")
 	}
