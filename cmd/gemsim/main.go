@@ -17,6 +17,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"time"
 
@@ -43,6 +45,7 @@ func run(args []string) error {
 // outputs holds the flags that select what a run writes and prints.
 type outputs struct {
 	traceOut, traceFmt, tsOut       string
+	cpuProfile, memProfile          string
 	sampleIv                        time.Duration
 	phases, attrTbl, quiet, verbose bool
 }
@@ -77,6 +80,8 @@ func parseArgs(args []string) (core.Config, outputs, error) {
 	fs.StringVar(&out.traceOut, "trace-out", "", "write an event trace to this file (see -trace-format)")
 	fs.StringVar(&out.traceFmt, "trace-format", "jsonl", "event trace encoding: jsonl or perfetto")
 	fs.StringVar(&out.tsOut, "timeseries", "", "write windowed time-series samples (JSONL) to this file")
+	fs.StringVar(&out.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&out.memProfile, "memprofile", "", "write the heap allocation profile to this file at run end (one sample per 4 KB allocated)")
 	fs.DurationVar(&out.sampleIv, "sample-interval", 500*time.Millisecond, "time-series window length")
 	fs.BoolVar(&out.phases, "phases", false, "print the per-phase response time breakdown")
 	fs.BoolVar(&out.attrTbl, "attrib", false, "print the per-resource bottleneck attribution tables")
@@ -88,8 +93,16 @@ func parseArgs(args []string) (core.Config, outputs, error) {
 	if out.quiet && out.verbose {
 		return core.Config{}, out, fmt.Errorf("-quiet and -v are mutually exclusive")
 	}
-	if out.traceOut != "" && out.traceOut == out.tsOut {
-		return core.Config{}, out, fmt.Errorf("-trace-out and -timeseries both write to %q; give them distinct paths", out.traceOut)
+	files := []struct{ flag, path string }{
+		{"-trace-out", out.traceOut}, {"-timeseries", out.tsOut},
+		{"-cpuprofile", out.cpuProfile}, {"-memprofile", out.memProfile},
+	}
+	for i, a := range files {
+		for _, b := range files[i+1:] {
+			if a.path != "" && a.path == b.path {
+				return core.Config{}, out, fmt.Errorf("%s and %s both write to %q; give them distinct paths", a.flag, b.flag, a.path)
+			}
+		}
 	}
 
 	cf := core.ConfigFile{Nodes: 1, Warmup: "4s", Measure: "16s"}
@@ -119,7 +132,7 @@ func parseArgs(args []string) (core.Config, outputs, error) {
 	return cfg, out, nil
 }
 
-// execute attaches the requested tracing outputs, runs the
+// execute attaches the requested tracing outputs and profiles, runs the
 // configuration and prints the results.
 func execute(cfg core.Config, out outputs) error {
 	if out.traceOut != "" || out.tsOut != "" {
@@ -147,10 +160,30 @@ func execute(cfg core.Config, out outputs) error {
 		}
 		cfg.Tracing = tc
 	}
+	if out.memProfile != "" {
+		// One sample per 4 KB allocated: the default, one per 512 KB,
+		// leaves a short run with a handful of samples.
+		runtime.MemProfileRate = 4096
+	}
+	stopCPU := func() error { return nil }
+	if out.cpuProfile != "" {
+		var err error
+		if stopCPU, err = startCPUProfile(out.cpuProfile); err != nil {
+			return err
+		}
+	}
 
 	rep, err := core.Run(cfg)
+	if e := stopCPU(); err == nil {
+		err = e
+	}
 	if err != nil {
 		return err
+	}
+	if out.memProfile != "" {
+		if err := writeAllocProfile(out.memProfile); err != nil {
+			return err
+		}
 	}
 	if !out.quiet {
 		fmt.Println(rep)
@@ -171,6 +204,38 @@ func execute(cfg core.Config, out outputs) error {
 		}
 	}
 	return nil
+}
+
+// startCPUProfile starts writing a CPU profile to path; the returned
+// function stops it and closes the file.
+func startCPUProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
+}
+
+// writeAllocProfile writes the heap profile of every allocation since
+// the program started (pprof's "allocs" profile) to path.
+func writeAllocProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // the profile reports allocations as of the last GC
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func printDetails(rep *core.Report) {

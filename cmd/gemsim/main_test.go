@@ -90,6 +90,9 @@ func TestRunRejectsContradictoryFlags(t *testing.T) {
 		{"-mpl", "0"},
 		{"-mpl", "-8"},
 		{"-trace-out", "out.jsonl", "-timeseries", "out.jsonl"},
+		{"-trace-out", "p.out", "-memprofile", "p.out"},
+		{"-timeseries", "p.out", "-cpuprofile", "p.out"},
+		{"-cpuprofile", "p.out", "-memprofile", "p.out"},
 		{"-skew", "0.8", "-trace", "/nonexistent.trc"},
 		{"-skew", "1.5"},
 		{"-quiet", "-v"},
@@ -107,6 +110,27 @@ func TestRunRejectsContradictoryFlags(t *testing.T) {
 	} {
 		if err := run(append(args, "-warmup", "100ms", "-measure", "200ms")); err == nil {
 			t.Errorf("args %v: expected error", args)
+		}
+	}
+}
+
+// TestRunWritesProfiles checks that -cpuprofile and -memprofile each
+// write a gzip-compressed pprof file.
+func TestRunWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	args := []string{"-nodes", "1", "-warmup", "200ms", "-measure", "500ms", "-quiet",
+		"-cpuprofile", cpu, "-memprofile", mem}
+	if err := run(args); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+			t.Errorf("%s: %d bytes, want a non-empty gzip file", filepath.Base(path), len(b))
 		}
 	}
 }
@@ -178,6 +202,10 @@ var flagLines = []struct {
 		`{"nodes":2,"warmup":"1s","measure":"4s"}`},
 	{"-nodes 2 -warmup 1s -measure 4s -quiet -phases",
 		`{"nodes":2,"warmup":"1s","measure":"4s"}`},
+	{"-nodes 1 -warmup 200ms -measure 500ms -quiet -cpuprofile cpu.pprof -memprofile mem.pprof",
+		`{"nodes":1,"warmup":"200ms","measure":"500ms"}`},
+	{"-nodes 4 -warmup 1s -measure 4s -quiet -memprofile mem.pprof",
+		`{"nodes":4,"warmup":"1s","measure":"4s"}`},
 }
 
 // TestFlagLinesMatchConfigFiles checks that each flag line builds the

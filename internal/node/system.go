@@ -155,8 +155,9 @@ type System struct {
 	ctl *controller
 }
 
-// pageMeta is the per-page coherency control information, stored
-// densely in gem.MetaTable chunks instead of one heap object per page.
+// pageMeta is the per-page coherency control information, stored in
+// gem.MetaTable's fixed slabs behind a pointer-free page index instead
+// of one heap object per page.
 type pageMeta = gem.PageMeta
 
 // errDeadlock aborts a transaction chosen as deadlock victim.
