@@ -29,6 +29,17 @@ func tinyConfig() Config {
 	return cfg
 }
 
+// tinyLockEngineConfig is the two-node [Yu87] lock-engine variant of
+// tinyConfig: FORCE, so the engine runs, and two nodes, so commits run
+// the invalidation broadcast.
+func tinyLockEngineConfig() Config {
+	cfg := tinyConfig()
+	cfg.Nodes = 2
+	cfg.Coupling = CouplingLockEngine
+	cfg.Force = true
+	return cfg
+}
+
 // TestTracingDisabledUnchanged checks the zero-cost property at the
 // metrics level: enabling the full observability stack (event trace,
 // time series) leaves every measured metric exactly as in an untraced
@@ -126,12 +137,11 @@ func TestFaultRunBreakdownSumsToRT(t *testing.T) {
 	}
 }
 
-// runTinyTraced runs the tiny configuration with a JSONL event trace
-// and time series attached and returns both outputs.
-func runTinyTraced(t *testing.T) (events, ts []byte) {
+// runTraced runs cfg with a JSONL event trace and time series attached
+// and returns both outputs.
+func runTraced(t *testing.T, cfg Config) (events, ts []byte) {
 	t.Helper()
 	var eb, tb bytes.Buffer
-	cfg := tinyConfig()
 	cfg.Tracing = &TraceConfig{Events: &eb, TimeSeries: &tb, SampleInterval: 200 * time.Millisecond}
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
@@ -141,16 +151,19 @@ func runTinyTraced(t *testing.T) (events, ts []byte) {
 
 // TestTraceGolden replays the tiny run against checked-in golden
 // outputs: the event trace and the time series are byte-for-byte
-// reproducible functions of the configuration and seed. Regenerate
-// with: go test ./internal/core -run TestTraceGolden -update
+// reproducible functions of the configuration and seed. The lock-engine
+// variant pins the [Yu87] engine's trace. Regenerate with:
+// go test ./internal/core -run TestTraceGolden -update
 func TestTraceGolden(t *testing.T) {
-	events, ts := runTinyTraced(t)
+	events, ts := runTraced(t, tinyConfig())
+	leEvents, _ := runTraced(t, tinyLockEngineConfig())
 	for _, g := range []struct {
 		file string
 		got  []byte
 	}{
 		{filepath.Join("testdata", "tiny_trace.jsonl"), events},
 		{filepath.Join("testdata", "tiny_timeseries.jsonl"), ts},
+		{filepath.Join("testdata", "tiny_trace_le.jsonl"), leEvents},
 	} {
 		if *updateGolden {
 			if err := os.WriteFile(g.file, g.got, 0o644); err != nil {
@@ -168,24 +181,26 @@ func TestTraceGolden(t *testing.T) {
 	}
 
 	// Determinism: a second identical run reproduces the same bytes.
-	events2, ts2 := runTinyTraced(t)
+	events2, ts2 := runTraced(t, tinyConfig())
 	if !bytes.Equal(events, events2) || !bytes.Equal(ts, ts2) {
 		t.Error("two identical runs produced different trace bytes")
 	}
 
 	// Every emitted line must be valid JSON with the mandatory fields.
-	for i, line := range strings.Split(strings.TrimSuffix(string(events), "\n"), "\n") {
-		var e struct {
-			Ph    string   `json:"ph"`
-			TS    *float64 `json:"ts"`
-			Track string   `json:"track"`
-			Name  string   `json:"name"`
-		}
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			t.Fatalf("trace line %d invalid JSON: %v", i+1, err)
-		}
-		if e.Ph == "" || e.TS == nil || e.Track == "" || e.Name == "" {
-			t.Fatalf("trace line %d missing mandatory fields: %s", i+1, line)
+	for _, tr := range [][]byte{events, leEvents} {
+		for i, line := range strings.Split(strings.TrimSuffix(string(tr), "\n"), "\n") {
+			var e struct {
+				Ph    string   `json:"ph"`
+				TS    *float64 `json:"ts"`
+				Track string   `json:"track"`
+				Name  string   `json:"name"`
+			}
+			if err := json.Unmarshal([]byte(line), &e); err != nil {
+				t.Fatalf("trace line %d invalid JSON: %v", i+1, err)
+			}
+			if e.Ph == "" || e.TS == nil || e.Track == "" || e.Name == "" {
+				t.Fatalf("trace line %d missing mandatory fields: %s", i+1, line)
+			}
 		}
 	}
 }

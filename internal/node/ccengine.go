@@ -13,10 +13,11 @@ import (
 
 // ccEngine is a node's concurrency-control engine: it mediates every
 // page access of a transaction attempt and ends the attempt. The
-// coupling modes' native two-phase locking protocols — GEM locking
-// (gemCC), primary copy locking (pclCC) and the central lock engine
-// (leCC) — implement it directly; optEngine implements the optimistic
-// engines (OCC, MV-TO) and the hot/cold hybrid (HAD) on top of them.
+// coupling modes' native two-phase locking protocols implement it
+// directly: centralCC runs GEM locking and the central lock engine
+// against the one global table, pclCC primary copy locking. optEngine
+// implements the optimistic engines (OCC, MV-TO) and the hot/cold
+// hybrid (HAD) on top of them.
 type ccEngine interface {
 	// access mediates one page access in the given mode and reports the
 	// Outcome the buffer manager must observe. first reports the

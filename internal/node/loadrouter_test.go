@@ -43,7 +43,7 @@ type mixGen struct {
 
 func (g *mixGen) Database() *model.Database { return &g.db }
 
-func (g *mixGen) Next(_ *rng.Source) model.Txn {
+func (g *mixGen) Next(_ *rng.Source, _ time.Duration) model.Txn {
 	g.next++
 	if g.next%4 == 0 {
 		refs := make([]model.Ref, 12)

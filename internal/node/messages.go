@@ -190,6 +190,19 @@ type ccPublishMsg struct {
 	Pages []releasedPage
 }
 
+// invalidateMsg is the commit-time broadcast of [Yu87]-style coherency
+// control (lock engine): the receiver discards its copies of the listed
+// pages and acknowledges.
+type invalidateMsg struct {
+	Pages []model.PageID
+	Wait  *remoteWait
+}
+
+// invalidateAckMsg acknowledges an invalidation broadcast.
+type invalidateAckMsg struct {
+	Wait *remoteWait
+}
+
 // remoteWait is the continuation of a process waiting for a reply
 // message or a lock grant.
 type remoteWait struct {

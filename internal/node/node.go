@@ -237,11 +237,11 @@ func newNode(s *System, id int) *Node {
 	n.logGroup = storage.NewGroup(s.env, "log"+itoa(id), storage.DefaultLogParams())
 	switch s.params.Coupling {
 	case CouplingGEM:
-		n.cc = &gemCC{n: n}
+		n.cc = &centralCC{n: n, instr: s.params.LockInstr, dev: s.gemDev.Entries(), cycles: 2, reread: true}
 	case CouplingPCL:
 		n.cc = &pclCC{n: n}
 	case CouplingLockEngine:
-		n.cc = &leCC{n: n}
+		n.cc = &centralCC{n: n, dev: s.engine, cycles: 1, broadcast: true}
 	}
 	if s.params.CC != cc.KindDefault {
 		n.opt = &optEngine{n: n, mvto: s.params.CC == cc.KindMVTO}
@@ -525,6 +525,32 @@ func (n *Node) markModified(t *txn, frame *buffer.Frame) {
 	t.modified[frame.Page] = modRecord{frame: frame, preSeq: frame.SeqNo, preDirty: frame.Dirty}
 	frame.SeqNo++
 	frame.Dirty = true
+}
+
+// requestLock registers t's request for page in mode at tbl, a lock
+// table this node processes itself (the central table, or a PCL
+// partition it serves); ra marks a shadow read lock under read
+// authorization. An ungranted request blocks t until the grant
+// (blockForLock), and the wait is counted, timed, charged to t's record
+// and traced. waited reports a wait; err is blockForLock's abort
+// sentinel.
+func (n *Node) requestLock(t *txn, tbl *lock.Table, page model.PageID, mode model.LockMode, ra bool) (waited bool, err error) {
+	wait := &remoteWait{proc: t.proc, ra: ra}
+	if _, granted := tbl.Request(page, t.owner, mode, wait); granted {
+		return false, nil
+	}
+	sys := n.sys
+	n.lockWaits++
+	sys.noteFenceConflict(page)
+	start := sys.env.Now()
+	t.waiting = wait
+	err = sys.blockForLock(t)
+	t.waiting = nil
+	if err == nil {
+		n.lockWaitTime.AddDuration(sys.env.Now() - start)
+	}
+	n.lockWaitDone(t, page, start)
+	return true, err
 }
 
 // commit performs two-phase commit processing: phase 1 writes the log

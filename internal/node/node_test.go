@@ -21,7 +21,7 @@ var _ workload.Generator = (*scriptGen)(nil)
 
 func (g *scriptGen) Database() *model.Database { return &g.db }
 
-func (g *scriptGen) Next(_ *rng.Source) model.Txn {
+func (g *scriptGen) Next(_ *rng.Source, _ time.Duration) model.Txn {
 	tx := g.txns[g.next%len(g.txns)]
 	g.next++
 	return tx

@@ -84,21 +84,8 @@ func (c *pclCC) lockLocal(t *txn, page model.PageID, mode model.LockMode, gla in
 	sys := n.sys
 	n.localLocks++
 	n.lockCPUOp(t, sys.params.LockInstr, attrib.ResLock)
-	wait := &remoteWait{proc: t.proc}
-	_, granted := c.table(gla).Request(page, t.owner, mode, wait)
-	if !granted {
-		n.lockWaits++
-		sys.noteFenceConflict(page)
-		start := sys.env.Now()
-		t.waiting = wait
-		err := sys.blockForLock(t)
-		t.waiting = nil
-		if err != nil {
-			n.lockWaitDone(t, page, start)
-			return cc.Outcome{}, err
-		}
-		n.lockWaitTime.AddDuration(sys.env.Now() - start)
-		n.lockWaitDone(t, page, start)
+	if _, err := n.requestLock(t, c.table(gla), page, mode, false); err != nil {
+		return cc.Outcome{}, err
 	}
 	if mode == model.LockWrite {
 		sys.revokeRAs(page, n.id, execCtx{node: n.id, proc: t.proc})
@@ -116,36 +103,25 @@ func (c *pclCC) lockShadowRA(t *txn, page model.PageID, gla int, copySeq uint64)
 	sys := n.sys
 	n.localLocks++
 	n.lockCPUOp(t, sys.params.LockInstr, attrib.ResLock)
-	wait := &remoteWait{proc: t.proc, ra: true}
-	_, granted := c.table(gla).Request(page, t.owner, model.LockRead, wait)
-	if !granted {
-		// The RA is being revoked by a writer; wait like a regular
-		// conflict.
-		n.lockWaits++
-		sys.noteFenceConflict(page)
-		start := sys.env.Now()
-		t.waiting = wait
-		err := sys.blockForLock(t)
-		t.waiting = nil
-		if err != nil {
-			n.lockWaitDone(t, page, start)
-			return cc.Outcome{}, err
-		}
-		n.lockWaitTime.AddDuration(sys.env.Now() - start)
-		n.lockWaitDone(t, page, start)
-		// After the writer committed the copy may be obsolete; report
-		// the authoritative sequence number and direct refetches to
-		// the GLA node, which owns the current version under NOFORCE.
-		meta := sys.pclMetaOf(gla, page)
-		t.locked[page] = heldLock{mode: model.LockRead, kind: kindShadowRA}
-		out := cc.Outcome{Seq: meta.Seq, Owner: -1}
-		if !sys.params.Force {
-			out.Owner = sys.glaHomeOf(gla)
-		}
-		return out, nil
+	// An ungranted request means the RA is being revoked by a writer; it
+	// waits like a regular conflict.
+	waited, err := n.requestLock(t, c.table(gla), page, model.LockRead, true)
+	if err != nil {
+		return cc.Outcome{}, err
 	}
 	t.locked[page] = heldLock{mode: model.LockRead, kind: kindShadowRA}
-	return cc.Outcome{Seq: copySeq, Owner: -1}, nil
+	if !waited {
+		return cc.Outcome{Seq: copySeq, Owner: -1}, nil
+	}
+	// After the writer committed the copy may be obsolete; report the
+	// authoritative sequence number and direct refetches to the GLA
+	// node, which owns the current version under NOFORCE.
+	meta := sys.pclMetaOf(gla, page)
+	out := cc.Outcome{Seq: meta.Seq, Owner: -1}
+	if !sys.params.Force {
+		out.Owner = sys.glaHomeOf(gla)
+	}
+	return out, nil
 }
 
 // lockRemote sends the request to the partition's serving node (its

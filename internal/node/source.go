@@ -7,7 +7,6 @@ import (
 	"gemsim/internal/model"
 	"gemsim/internal/rng"
 	"gemsim/internal/sim"
-	"gemsim/internal/workload"
 )
 
 // pooledTerminals is the hyperscale closed-loop source: it models
@@ -32,8 +31,6 @@ type pooledTerminals struct {
 	thinkTime time.Duration
 	think     *rng.Source
 	gen       *rng.Source
-	tgen      workload.TimedGenerator
-	timed     bool
 	wake      func() // hoisted think-expiry callback: one closure total
 
 	ready   []readyQ // per node, FIFO
@@ -110,7 +107,6 @@ func (s *System) StartClosedPooled(terminals int, thinkTime time.Duration) error
 		ready:     make([]readyQ, s.params.Nodes),
 		running:   make([]int, s.params.Nodes),
 	}
-	pt.tgen, pt.timed = s.gen.(workload.TimedGenerator)
 	pt.wake = pt.terminalWake
 	total := terminals * s.params.Nodes
 	for i := 0; i < total; i++ {
@@ -134,12 +130,7 @@ func (pt *pooledTerminals) scheduleThink() {
 // transaction, route it, and admit or enqueue it at the target node.
 func (pt *pooledTerminals) terminalWake() {
 	s := pt.s
-	var spec model.Txn
-	if pt.timed {
-		spec = pt.tgen.NextAt(pt.gen, s.env.Now())
-	} else {
-		spec = s.gen.Next(pt.gen)
-	}
+	spec := s.gen.Next(pt.gen, s.env.Now())
 	target := s.route(spec)
 	it := readyItem{spec: spec, arrive: s.env.Now()}
 	if pt.running[target] >= s.nodes[target].mpl.Limit() {

@@ -343,17 +343,11 @@ func (s *System) Start(ratePerNode float64) {
 	totalRate := ratePerNode * float64(s.params.Nodes)
 	arrivals := s.split.Stream("arrivals")
 	gen := s.split.Stream("workload")
-	tgen, timed := s.gen.(workload.TimedGenerator)
 	s.env.Spawn("source", func(p *sim.Proc) {
 		s.sourceProc = p
 		for {
 			p.Wait(time.Duration(arrivals.Exp(1/totalRate) * float64(time.Second)))
-			var spec model.Txn
-			if timed {
-				spec = tgen.NextAt(gen, s.env.Now())
-			} else {
-				spec = s.gen.Next(gen)
-			}
+			spec := s.gen.Next(gen, s.env.Now())
 			s.nodes[s.route(spec)].submit(spec)
 		}
 	})
@@ -405,7 +399,6 @@ func (s *System) StartClosed(terminals int, thinkTime time.Duration) error {
 		return fmt.Errorf("node: need at least one terminal per node, got %d", terminals)
 	}
 	gen := s.split.Stream("workload")
-	tgen, timed := s.gen.(workload.TimedGenerator)
 	for nd := 0; nd < s.params.Nodes; nd++ {
 		for term := 0; term < terminals; term++ {
 			think := s.split.Stream(fmt.Sprintf("think-%d-%d", nd, term))
@@ -414,12 +407,7 @@ func (s *System) StartClosed(terminals int, thinkTime time.Duration) error {
 					if thinkTime > 0 {
 						p.Wait(time.Duration(think.Exp(thinkTime.Seconds()) * float64(time.Second)))
 					}
-					var spec model.Txn
-					if timed {
-						spec = tgen.NextAt(gen, s.env.Now())
-					} else {
-						spec = s.gen.Next(gen)
-					}
+					spec := s.gen.Next(gen, s.env.Now())
 					s.runWithRetry(p, s.nodes[s.route(spec)], spec, s.env.Now())
 				}
 			})
@@ -596,7 +584,7 @@ func (s *System) wakeGranted(granted []*lock.Request, tableIdx int, ctx execCtx)
 		return
 	}
 	if s.params.Coupling != CouplingPCL {
-		s.wakeGEMGranted(granted, ctx)
+		s.wakeCentralGranted(granted, ctx)
 		return
 	}
 	s.wakePCLGranted(granted, tableIdx, ctx)

@@ -91,10 +91,11 @@ func (r *Run) Fingerprint() string {
 // cfgDigest is the hashable shadow of core.Config: every field that
 // influences simulation results, in a canonically marshalable form
 // (map keys sort during JSON encoding). Two Config fields are left
-// out on purpose: Tracing only observes a run, and Tune is covered by
-// the Tuned flag. Fields added after the first digests are omitted
-// when zero, so stored fingerprints of runs that leave them unset stay
-// valid.
+// out on purpose: Tracing only observes a run, and Tune, a function, is
+// recorded only as the Tuned flag, so a change to a hook's body does
+// not change the digest. Fields added after the first digests are
+// omitted when zero, so stored fingerprints of runs that leave them
+// unset stay valid.
 type cfgDigest struct {
 	Nodes       int
 	Rate        float64
@@ -125,8 +126,11 @@ type cfgDigest struct {
 	Control  string `json:",omitempty"`
 	// Attribution changes the stored attribution metrics (bn_*).
 	Attribution *core.AttributionConfig `json:",omitempty"`
-	// Tuned flags a Tune hook; its effect is not hashable, so tuned
-	// configurations only ever match themselves within one process.
+	// Tuned records only that a Tune hook is set, not what the hook
+	// does: -resume in another process trusts the stored rows of a tuned
+	// configuration even after the hook's body changed. CI's preset
+	// resume smoke run relies on exactly that for the engines preset.
+	// ROADMAP item 7 replaces Config.Tune with a model knob.
 	Tuned bool
 }
 

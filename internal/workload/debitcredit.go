@@ -62,10 +62,7 @@ type DebitCredit struct {
 	skew   *skewState // nil when the reference string is uniform
 }
 
-var (
-	_ Generator      = (*DebitCredit)(nil)
-	_ TimedGenerator = (*DebitCredit)(nil)
-)
+var _ Generator = (*DebitCredit)(nil)
 
 // NewDebitCredit builds a generator for the given parameters.
 func NewDebitCredit(params DebitCreditParams) (*DebitCredit, error) {
@@ -188,18 +185,14 @@ func (g *DebitCredit) HotPage(page model.PageID, at time.Duration) bool {
 	return rank < g.skew.hotN
 }
 
-// Next generates one debit-credit transaction. The reference order is
-// fixed (ACCOUNT, HISTORY, TELLER, BRANCH) so that no deadlocks can
-// occur and locks on the small hot records are held shortest.
-func (g *DebitCredit) Next(src *rng.Source) model.Txn {
-	return g.NextAt(src, 0)
-}
-
-// NextAt generates one transaction submitted at simulated time at. The
-// time only matters under a drift schedule, which rotates the hot
-// branch set as the run progresses; without skew the draw sequence is
-// identical to the uniform generator's.
-func (g *DebitCredit) NextAt(src *rng.Source, at time.Duration) model.Txn {
+// Next generates one debit-credit transaction submitted at simulated
+// time at. The reference order is fixed (ACCOUNT, HISTORY, TELLER,
+// BRANCH) so that no deadlocks can occur and locks on the small hot
+// records are held shortest. The time only matters under a drift
+// schedule, which rotates the hot branch set as the run progresses;
+// without skew the draw sequence is identical to the uniform
+// generator's.
+func (g *DebitCredit) Next(src *rng.Source, at time.Duration) model.Txn {
 	var branch int
 	if g.skew != nil {
 		branch = g.skew.branchAt(src, at)

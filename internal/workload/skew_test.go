@@ -57,8 +57,8 @@ func TestSkewValidate(t *testing.T) {
 
 // TestSkewNilDrawParity checks the byte-identical guarantee behind the
 // pre-existing figure tables: a generator without skew produces exactly
-// the same transaction sequence through Next and through NextAt at any
-// time, drawing the same number of values from the stream.
+// the same transaction sequence whatever the submission time, drawing
+// the same number of values from the stream.
 func TestSkewNilDrawParity(t *testing.T) {
 	p := DefaultDebitCreditParams(400)
 	a, err := NewDebitCredit(p)
@@ -71,10 +71,10 @@ func TestSkewNilDrawParity(t *testing.T) {
 	}
 	srcA, srcB := rng.New(99), rng.New(99)
 	for i := 0; i < 2000; i++ {
-		ta := a.Next(srcA)
-		tb := b.NextAt(srcB, time.Duration(i)*time.Second)
+		ta := a.Next(srcA, 0)
+		tb := b.Next(srcB, time.Duration(i)*time.Second)
 		if ta.Branch != tb.Branch || len(ta.Refs) != len(tb.Refs) {
-			t.Fatalf("txn %d diverged: Next branch %d, NextAt branch %d", i, ta.Branch, tb.Branch)
+			t.Fatalf("txn %d diverged: branch %d at time 0, %d later", i, ta.Branch, tb.Branch)
 		}
 		for j := range ta.Refs {
 			if ta.Refs[j] != tb.Refs[j] {
@@ -96,7 +96,7 @@ func TestSkewBranchDistribution(t *testing.T) {
 	counts := make(map[int]int)
 	const draws = 50000
 	for i := 0; i < draws; i++ {
-		counts[g.NextAt(src, 0).Branch]++
+		counts[g.Next(src, 0).Branch]++
 	}
 	uniform := float64(draws) / float64(g.Params().Branches)
 	if top := float64(counts[0]); top < 5*uniform {
@@ -120,7 +120,7 @@ func TestSkewDrift(t *testing.T) {
 		src := rng.New(5)
 		counts := make(map[int]int)
 		for i := 0; i < 20000; i++ {
-			counts[g.NextAt(src, at).Branch]++
+			counts[g.Next(src, at).Branch]++
 		}
 		best, bestN := 0, -1
 		for b, n := range counts {
@@ -155,7 +155,7 @@ func TestSkewHotSet(t *testing.T) {
 	const draws = 50000
 	hot := 0
 	for i := 0; i < draws; i++ {
-		if g.NextAt(src, 0).Branch < hotN {
+		if g.Next(src, 0).Branch < hotN {
 			hot++
 		}
 	}
@@ -182,11 +182,11 @@ func TestSkewDeterminism(t *testing.T) {
 	diverged := false
 	for i := 0; i < 2000; i++ {
 		at := time.Duration(i) * 10 * time.Millisecond
-		ta, tb := a.NextAt(srcA, at), b.NextAt(srcB, at)
+		ta, tb := a.Next(srcA, at), b.Next(srcB, at)
 		if ta.Branch != tb.Branch {
 			t.Fatalf("txn %d: same seed diverged (%d vs %d)", i, ta.Branch, tb.Branch)
 		}
-		if ta.Branch != a.NextAt(srcC, at).Branch {
+		if ta.Branch != a.Next(srcC, at).Branch {
 			diverged = true
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"time"
 
 	"gemsim/internal/model"
 	"gemsim/internal/rng"
@@ -109,7 +110,7 @@ func NewTraceReplayer(t *Trace) *TraceReplayer { return &TraceReplayer{trace: t}
 func (r *TraceReplayer) Database() *model.Database { return r.trace.Database() }
 
 // Next returns the next transaction, wrapping at the trace end.
-func (r *TraceReplayer) Next(_ *rng.Source) model.Txn {
+func (r *TraceReplayer) Next(_ *rng.Source, _ time.Duration) model.Txn {
 	tx := r.trace.Txns[r.next]
 	r.next++
 	if r.next == len(r.trace.Txns) {

@@ -200,11 +200,11 @@ func TestTraceReplayerWraps(t *testing.T) {
 	}
 	r := NewTraceReplayer(trace)
 	src := rng.New(1)
-	first := r.Next(src)
+	first := r.Next(src, 0)
 	for i := 1; i < len(trace.Txns); i++ {
-		r.Next(src)
+		r.Next(src, 0)
 	}
-	again := r.Next(src)
+	again := r.Next(src, 0)
 	if first.Type != again.Type || len(first.Refs) != len(again.Refs) {
 		t.Fatal("replayer must wrap to the first transaction")
 	}

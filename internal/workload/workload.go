@@ -13,20 +13,13 @@ import (
 
 // Generator produces the transaction stream of a workload.
 type Generator interface {
-	// Next returns the next transaction to submit.
-	Next(src *rng.Source) model.Txn
+	// Next returns the next transaction to submit at simulated time at.
+	// The time matters only to generators whose reference behaviour
+	// drifts (debit-credit hot sets under a drift schedule); others
+	// ignore it.
+	Next(src *rng.Source, at time.Duration) model.Txn
 	// Database describes the files the workload references.
 	Database() *model.Database
-}
-
-// TimedGenerator is a Generator whose reference behaviour may depend on
-// the simulated submission time (drifting hot sets). Sources that know
-// the clock should prefer NextAt; Next is equivalent to NextAt at time
-// zero.
-type TimedGenerator interface {
-	Generator
-	// NextAt returns the next transaction as of simulated time at.
-	NextAt(src *rng.Source, at time.Duration) model.Txn
 }
 
 // File identifiers of the debit-credit database. The clustered layout

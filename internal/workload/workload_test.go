@@ -55,7 +55,7 @@ func TestDebitCreditTxnShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := rng.New(1)
-	tx := g.Next(src)
+	tx := g.Next(src, 0)
 	if len(tx.Refs) != 4 {
 		t.Fatalf("refs %d, want 4 record accesses", len(tx.Refs))
 	}
@@ -88,7 +88,7 @@ func TestDebitCredit85PercentRule(t *testing.T) {
 	local := 0
 	const n = 100000
 	for i := 0; i < n; i++ {
-		tx := g.Next(src)
+		tx := g.Next(src, 0)
 		accountBranch := int(tx.Refs[0].Page.Page) * 10 / 100000
 		if accountBranch == tx.Branch {
 			local++
@@ -129,7 +129,7 @@ func TestDebitCreditUnclustered(t *testing.T) {
 		t.Fatal("unclustered layout must have separate BRANCH and TELLER files")
 	}
 	src := rng.New(3)
-	tx := g.Next(src)
+	tx := g.Next(src, 0)
 	if tx.Refs[2].Page == tx.Refs[3].Page {
 		t.Fatal("unclustered teller and branch must hit different pages")
 	}
@@ -156,7 +156,7 @@ func TestSingleBranchNoForeignAccess(t *testing.T) {
 	}
 	src := rng.New(4)
 	for i := 0; i < 100; i++ {
-		tx := g.Next(src)
+		tx := g.Next(src, 0)
 		if tx.Branch != 0 {
 			t.Fatal("only branch 0 exists")
 		}
@@ -168,7 +168,7 @@ func TestDeterministicGeneration(t *testing.T) {
 	g2, _ := NewDebitCredit(DefaultDebitCreditParams(100))
 	a, b := rng.New(9), rng.New(9)
 	for i := 0; i < 100; i++ {
-		ta, tb := g1.Next(a), g2.Next(b)
+		ta, tb := g1.Next(a, 0), g2.Next(b, 0)
 		if ta.Branch != tb.Branch || ta.Refs[0].Page != tb.Refs[0].Page {
 			t.Fatal("generation must be deterministic")
 		}
@@ -195,7 +195,7 @@ func TestDebitCreditPagesInBoundsProperty(t *testing.T) {
 		}
 		db := g.Database()
 		for i := 0; i < 200; i++ {
-			tx := g.Next(src)
+			tx := g.Next(src, 0)
 			if tx.Branch < 0 || tx.Branch >= p.Branches {
 				t.Fatalf("branch %d out of range", tx.Branch)
 			}
