@@ -186,7 +186,7 @@ func run(args []string) error {
 		}
 		for i := range presets {
 			if presets[i].Suite {
-				runs = append(runs, sweep.PresetRuns(&presets[i])...)
+				runs = append(runs, sweep.PresetRuns(&presets[i], *reps)...)
 			}
 		}
 	case *fig == "hyperscale":
@@ -203,7 +203,7 @@ func run(args []string) error {
 		}
 		for i := range presets {
 			if presets[i].ID == *fig {
-				runs = append(runs, sweep.PresetRuns(&presets[i])...)
+				runs = append(runs, sweep.PresetRuns(&presets[i], *reps)...)
 			}
 		}
 		if len(runs) == 0 {

@@ -38,7 +38,6 @@ var knobCases = map[string]struct {
 	"adaptive":         {"-adaptive", `"control":{}`, "control", `true`, ``},
 	"terminals":        {"-terminals 4", `"closedLoopTerminals":4`, "terminals", `4`, ``},
 	"think":            {"-terminals 4 -think 200ms", `"closedLoopTerminals":4,"closedLoopThinkTime":"200ms"`, "think", `"200ms"`, `"closedLoopTerminals":4`},
-	"pooled-terminals": {"-terminals 4 -pooled-terminals", `"closedLoopTerminals":4,"closedLoopPooled":true`, "pooled", `true`, `"closedLoopTerminals":4`},
 	"mtbf":             {"-nodes 2 -mttr 1s -mtbf 5s", `"nodes":2,"faults":{"mtbf":"5s","mttr":"1s"}`, "mtbf", `"5s"`, `"nodes":2,"faults":{"mttr":"1s"}`},
 	"mttr":             {"-nodes 2 -mtbf 5s -mttr 1s", `"nodes":2,"faults":{"mtbf":"5s","mttr":"1s"}`, "mttr", `"1s"`, `"nodes":2,"faults":{"mtbf":"5s"}`},
 	"reopen":           {"-reopen incremental", `"faults":{"reopen":"incremental"}`, "reopen", `"incremental"`, ``},

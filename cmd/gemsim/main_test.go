@@ -100,7 +100,6 @@ func TestRunRejectsContradictoryFlags(t *testing.T) {
 		{"-cc", "mvto", "-force"},
 		{"-cc", "occ", "-check"},
 		{"-terminals", "-3"},
-		{"-pooled-terminals"},
 		{"-think", "5s"},
 		{"-terminals", "4", "-think", "-1s"},
 		{"-recovery-workers", "-1"},
@@ -192,8 +191,8 @@ var flagLines = []struct {
 		`{"nodes":2,"warmup":"1s","measure":"6s","cc":"occ","skew":{"branchTheta":0.6}}`},
 	{"-nodes 3 -coupling pcl -cc mvto -skew 0.6 -warmup 1s -measure 6s -quiet -trace-out ccpcl.jsonl",
 		`{"nodes":3,"coupling":"pcl","cc":"mvto","skew":{"branchTheta":0.6},"warmup":"1s","measure":"6s"}`},
-	{"-nodes 4 -terminals 500 -think 5s -pooled-terminals -warmup 1s -measure 4s -v",
-		`{"nodes":4,"closedLoopTerminals":500,"closedLoopThinkTime":"5s","closedLoopPooled":true,"warmup":"1s","measure":"4s"}`},
+	{"-nodes 4 -terminals 500 -think 5s -warmup 1s -measure 4s -v",
+		`{"nodes":4,"closedLoopTerminals":500,"closedLoopThinkTime":"5s","warmup":"1s","measure":"4s"}`},
 	{"-nodes 4 -warmup 1s -measure 8s -quiet -skew 0.8 -adaptive -trace-out ctl.jsonl",
 		`{"nodes":4,"warmup":"1s","measure":"8s","skew":{"branchTheta":0.8},"control":{}}`},
 	{"-nodes 2 -warmup 1s -measure 4s -trace-out smoke.json -trace-format perfetto -timeseries smoke-ts.jsonl -phases",

@@ -19,6 +19,9 @@ import (
 // golden-output tests; it doubles here as a known-valid input.
 const goldenTrace = "../../internal/core/testdata/tiny_trace.jsonl"
 
+// goldenTraceLE is the golden trace of a lock-engine run.
+const goldenTraceLE = "../../internal/core/testdata/tiny_trace_le.jsonl"
+
 func TestValidateGoldenTrace(t *testing.T) {
 	if err := run([]string{"-validate", goldenTrace}); err != nil {
 		t.Fatalf("golden trace failed validation: %v", err)
@@ -223,7 +226,7 @@ func TestValidateControllerTrace(t *testing.T) {
 }
 
 // TestSchemaRowsEmitted checks that every trace.Schema row is emitted
-// by the golden trace or one of the traced runs above, so the schema
+// by a golden trace or one of the traced runs above, so the schema
 // declares no event the simulator never writes. The rows in unreached
 // need configurations these runs do not have.
 func TestSchemaRowsEmitted(t *testing.T) {
@@ -237,7 +240,7 @@ func TestSchemaRowsEmitted(t *testing.T) {
 		"control/gla-migrate": "GLA migration is PCL under the controller; the controller run is GEM",
 		"control/migrate":     "GLA migration is PCL under the controller; the controller run is GEM",
 	}
-	paths := []string{goldenTrace}
+	paths := []string{goldenTrace, goldenTraceLE}
 	for name := range tracedConfigs {
 		paths = append(paths, tracedRun(t, name))
 	}

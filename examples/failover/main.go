@@ -29,7 +29,7 @@ func main() {
 	var runs []sweep.Run
 	for i := range presets {
 		if presets[i].ID == "failover" {
-			runs = sweep.PresetRuns(&presets[i])
+			runs = sweep.PresetRuns(&presets[i], 1)
 		}
 	}
 	results, sum, err := sweep.Execute(runs, sweep.Engine{})

@@ -79,12 +79,8 @@ type ClosedLoopConfig struct {
 	// ThinkTime is the mean think time between a response and the
 	// next request.
 	ThinkTime time.Duration
-	// Pooled selects the hyperscale terminal source: idle terminals are
-	// calendar events instead of goroutines, so terminal populations in
-	// the millions cost one pending event each. Pooled runs are
-	// deterministic but draw random numbers differently from the
-	// per-terminal source, so results are not byte-comparable with
-	// Pooled off.
+	// Deprecated: ignored; every closed loop is pooled (idle terminals
+	// are calendar events, not goroutines).
 	Pooled bool
 }
 

@@ -53,7 +53,6 @@ type ConfigFile struct {
 
 	ClosedLoopTerminals int    `json:"closedLoopTerminals,omitempty"`
 	ClosedLoopThinkTime string `json:"closedLoopThinkTime,omitempty"`
-	ClosedLoopPooled    bool   `json:"closedLoopPooled,omitempty"`
 
 	Warmup  string `json:"warmup,omitempty"`
 	Measure string `json:"measure,omitempty"`
@@ -268,8 +267,6 @@ func (f *ConfigFile) ToConfig() (Config, error) {
 	switch {
 	case f.ClosedLoopTerminals < 0:
 		return Config{}, fmt.Errorf("core: closedLoopTerminals must be non-negative, got %d (0 = open model)", f.ClosedLoopTerminals)
-	case f.ClosedLoopPooled && f.ClosedLoopTerminals == 0:
-		return Config{}, fmt.Errorf("core: closedLoopPooled needs closedLoopTerminals (the open model has no terminal population)")
 	case f.ClosedLoopThinkTime != "" && f.ClosedLoopTerminals == 0:
 		return Config{}, fmt.Errorf("core: closedLoopThinkTime needs closedLoopTerminals (the open model has no terminals to think)")
 	case f.ClosedLoopTerminals > 0:
@@ -284,7 +281,6 @@ func (f *ConfigFile) ToConfig() (Config, error) {
 		cfg.ClosedLoop = &ClosedLoopConfig{
 			TerminalsPerNode: f.ClosedLoopTerminals,
 			ThinkTime:        think,
-			Pooled:           f.ClosedLoopPooled,
 		}
 	}
 	if f.Warmup != "" {

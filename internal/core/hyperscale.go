@@ -7,10 +7,10 @@ import (
 
 // HyperscaleExperiment is the kernel-scaling preset (not a paper
 // figure): hundreds of nodes driven by a closed-loop terminal
-// population reaching into the millions, using the pooled terminal
-// source so every idle terminal is one pending calendar event instead
-// of a goroutine. The series hold the offered load constant at 100 TPS
-// per node by scaling the think time with the terminal count, so the
+// population reaching into the millions. The closed-loop source holds
+// every idle terminal as one pending calendar event, not a goroutine.
+// The series hold the offered load constant at 100 TPS per node by
+// scaling the think time with the terminal count, so the
 // rows isolate what the experiment is about: the kernel's cost of
 // carrying a 4x larger pending-event population at identical
 // transaction load. MPL 64 bounds the live goroutines per node
@@ -45,7 +45,6 @@ func HyperscaleExperiment(quick bool) Experiment {
 				cfg.ClosedLoop = &ClosedLoopConfig{
 					TerminalsPerNode: t,
 					ThinkTime:        time.Duration(t) * time.Second / 100,
-					Pooled:           true,
 				}
 				return cfg
 			},

@@ -12,7 +12,6 @@ func pooledConfig() Config {
 	cfg.ClosedLoop = &ClosedLoopConfig{
 		TerminalsPerNode: 64,
 		ThinkTime:        500 * time.Millisecond,
-		Pooled:           true,
 	}
 	cfg.Warmup = time.Second
 	cfg.Measure = 4 * time.Second
@@ -21,8 +20,7 @@ func pooledConfig() Config {
 
 // TestPooledClosedLoop checks the pooled terminal source against the
 // closed-loop response time law: throughput must be close to
-// terminals/(think+RT), the same stationary behavior StartClosed
-// produces.
+// terminals/(think+RT).
 func TestPooledClosedLoop(t *testing.T) {
 	rep, err := Run(pooledConfig())
 	if err != nil {
@@ -65,7 +63,7 @@ func TestPooledClosedLoopDeterministic(t *testing.T) {
 
 // TestHyperscaleExperimentShape pins the preset's catalog shape: both
 // scales expose the same two series, quick mode shrinks the node axis,
-// and every point config uses the pooled source at constant offered
+// and every point config is a closed loop at constant offered
 // load (terminals/think = 100 TPS per node).
 func TestHyperscaleExperimentShape(t *testing.T) {
 	for _, quick := range []bool{false, true} {
@@ -77,8 +75,8 @@ func TestHyperscaleExperimentShape(t *testing.T) {
 		for _, s := range e.Series {
 			cfg := s.Make(e.Nodes[0])
 			cl := cfg.ClosedLoop
-			if cl == nil || !cl.Pooled {
-				t.Fatalf("quick=%v series %q: not a pooled closed-loop config", quick, s.Label)
+			if cl == nil {
+				t.Fatalf("quick=%v series %q: not a closed-loop config", quick, s.Label)
 			}
 			if got := float64(cl.TerminalsPerNode) / cl.ThinkTime.Seconds(); got != 100 {
 				t.Fatalf("quick=%v series %q: offered load %.1f TPS per node, want 100",

@@ -155,10 +155,6 @@ var knobs = []Knob{
 		Usage: "closed-loop mean think time (default 1s)",
 		Label: func(f *ConfigFile) string { return "think=" + f.ClosedLoopThinkTime },
 		set:   field(func(f *ConfigFile) *string { return &f.ClosedLoopThinkTime })},
-	{Axes: []string{"pooled", "closedLoopPooled"}, Flag: "pooled-terminals", Kind: KnobBool,
-		Usage: "hyperscale closed-loop source: idle terminals are calendar events, not goroutines (needs -terminals)",
-		Label: func(f *ConfigFile) string { return pick(f.ClosedLoopPooled, "pooled", "perterm") },
-		set:   field(func(f *ConfigFile) *bool { return &f.ClosedLoopPooled })},
 	{Axes: []string{"mtbf"}, Flag: "mtbf", Kind: KnobDuration,
 		Usage: "mean time between node crashes (stochastic fault injection; set with -mttr)",
 		Label: func(f *ConfigFile) string { return "mtbf=" + f.Faults.MTBF },

@@ -25,7 +25,7 @@ func executePreset(t *testing.T, id string) (*report.Table, map[string]*core.Rep
 		if presets[i].ID != id {
 			continue
 		}
-		runs := sweep.PresetRuns(&presets[i])
+		runs := sweep.PresetRuns(&presets[i], 1)
 		results, sum, err := sweep.Execute(runs, sweep.Engine{})
 		if err != nil {
 			t.Fatal(err)

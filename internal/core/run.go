@@ -92,11 +92,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 	if cl := cfg.ClosedLoop; cl != nil {
-		start := sys.StartClosed
-		if cl.Pooled {
-			start = sys.StartClosedPooled
-		}
-		if err := start(cl.TerminalsPerNode, cl.ThinkTime); err != nil {
+		if err := sys.StartClosed(cl.TerminalsPerNode, cl.ThinkTime); err != nil {
 			return nil, err
 		}
 	} else {

@@ -535,10 +535,14 @@ func (n *Node) markModified(t *txn, frame *buffer.Frame) {
 // and traced. waited reports a wait; err is blockForLock's abort
 // sentinel.
 func (n *Node) requestLock(t *txn, tbl *lock.Table, page model.PageID, mode model.LockMode, ra bool) (waited bool, err error) {
-	wait := &remoteWait{proc: t.proc, ra: ra}
-	if _, granted := tbl.Request(page, t.owner, mode, wait); granted {
+	req, granted := tbl.Request(page, t.owner, mode, nil)
+	if granted {
 		return false, nil
 	}
+	// Only a queued request needs its continuation: the grant wakes
+	// the waiter through req.Data.
+	wait := &remoteWait{proc: t.proc, ra: ra}
+	req.Data = wait
 	sys := n.sys
 	n.lockWaits++
 	sys.noteFenceConflict(page)

@@ -3,6 +3,7 @@ package node
 import (
 	"math"
 	"sort"
+	"strconv"
 	"time"
 
 	"gemsim/internal/attrib"
@@ -287,5 +288,13 @@ func (n *Node) lockWaitDone(t *txn, page model.PageID, start sim.Time) {
 	t.cp.Charge(attrib.PhaseLockWait, attrib.ResLock, n.sys.env.Now()-start, 0)
 	if tr := n.sys.tracer; tr.Enabled() {
 		tr.Span(n.track, int64(t.id), trace.LockWait, start, n.sys.env.Now(), page.String())
+	}
+}
+
+// engineSpan traces one completed batch of n lock-engine operations
+// (the engine device's Span hook) on the engine's track.
+func (s *System) engineSpan(tid int64, start sim.Time, n int) {
+	if tr := s.tracer; tr.Enabled() {
+		tr.Span(s.engine.Res.Name(), tid, trace.LockEngineOps, start, s.env.Now(), "n="+strconv.Itoa(n))
 	}
 }

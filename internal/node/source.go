@@ -9,23 +9,15 @@ import (
 	"gemsim/internal/sim"
 )
 
-// pooledTerminals is the hyperscale closed-loop source: it models
+// pooledTerminals is the closed-loop source: it models
 // terminals*nodes closed-loop terminals without a goroutine per
 // terminal. An idle (thinking) terminal is one pooled Tier-1 calendar
-// event; a drawn transaction becomes a goroutine only when its target
-// node has a free multiprogramming slot, and queues in a per-node
-// ready ring otherwise. Live goroutines are therefore bounded by
-// nodes*MPL regardless of the terminal population, which is what lets
-// the hyperscale preset simulate millions of terminals.
-//
-// Compared to StartClosed (one goroutine and one private think stream
-// per terminal), the pooled source draws think times from a single
-// shared stream and admission is capped at the MPL limit up front
-// instead of queueing inside the node's semaphore. The stationary
-// behavior is the same closed queueing network, but the random-number
-// consumption differs, so pooled runs are deterministic among
-// themselves yet not byte-comparable with StartClosed runs — which is
-// why the classic presets stay on StartClosed.
+// event, and every think time comes from one shared stream; a drawn
+// transaction becomes a goroutine only when its target node has a free
+// multiprogramming slot, and queues in a per-node ready ring otherwise.
+// Live goroutines are therefore bounded by nodes*MPL regardless of the
+// terminal population, which is what lets the hyperscale preset
+// simulate millions of terminals.
 type pooledTerminals struct {
 	s         *System
 	thinkTime time.Duration
@@ -60,8 +52,8 @@ func (r *pooledRun) start(p *sim.Proc) {
 
 // readyItem is one drawn transaction waiting for a free slot at its
 // target node. arrive is the draw time, so time spent in the ready
-// ring lands in the input-queue wait metric exactly like semaphore
-// admission wait does for StartClosed.
+// ring lands in the input-queue wait metric, as admission wait at a
+// node's semaphore does for the open source.
 type readyItem struct {
 	spec   model.Txn
 	arrive sim.Time
@@ -89,13 +81,13 @@ func (q *readyQ) pop() readyItem {
 	return it
 }
 
-// StartClosedPooled starts the pooled closed-loop source: terminals
-// per node, each thinking for an exponentially distributed time
-// between transactions, with idle terminals held as calendar events
-// instead of goroutines. Use for hyperscale terminal populations; see
-// the pooledTerminals doc for how it differs from StartClosed. It fails
-// for a non-positive terminal count.
-func (s *System) StartClosedPooled(terminals int, thinkTime time.Duration) error {
+// StartClosed starts the closed-loop source: terminals per node, each
+// submitting a transaction, waiting for its completion and then
+// thinking for an exponentially distributed time (the TPC-A style
+// closed model; the paper's evaluation uses the open model started with
+// Start). Idle terminals are held as calendar events, not goroutines.
+// It fails for a non-positive terminal count.
+func (s *System) StartClosed(terminals int, thinkTime time.Duration) error {
 	if terminals <= 0 {
 		return fmt.Errorf("node: need at least one terminal per node, got %d", terminals)
 	}

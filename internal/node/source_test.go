@@ -27,8 +27,8 @@ func runClosed(t *testing.T, params Params, gen *scriptGen, terminals int, think
 	return sys, sys.Snapshot()
 }
 
-// TestStartClosedRejectsNoTerminals checks that both closed-loop
-// sources report a non-positive terminal count as an error.
+// TestStartClosedRejectsNoTerminals checks that the closed-loop source
+// reports a non-positive terminal count as an error.
 func TestStartClosedRejectsNoTerminals(t *testing.T) {
 	params := testParams(1, CouplingGEM, false)
 	gen := &scriptGen{db: testDB(), txns: []model.Txn{{Type: 0, Refs: []model.Ref{{Page: pgID(1)}}}}}
@@ -40,9 +40,6 @@ func TestStartClosedRejectsNoTerminals(t *testing.T) {
 		}
 		if err := sys.StartClosed(terminals, time.Second); err == nil {
 			t.Errorf("StartClosed(%d) accepted", terminals)
-		}
-		if err := sys.StartClosedPooled(terminals, time.Second); err == nil {
-			t.Errorf("StartClosedPooled(%d) accepted", terminals)
 		}
 		env.Stop()
 	}

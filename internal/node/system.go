@@ -251,7 +251,7 @@ func NewSystem(env *sim.Env, params Params, gen workload.Generator, router routi
 	if params.Coupling != CouplingPCL {
 		s.tables = []*lock.Table{lock.NewTable("GLT")}
 		if params.Coupling == CouplingLockEngine {
-			s.engine = &cpusrv.Device{Res: sim.NewResource(env, "lockengine", 1), Svc: params.LockEngine.ServiceTime}
+			s.engine = &cpusrv.Device{Res: sim.NewResource(env, "lockengine", 1), Svc: params.LockEngine.ServiceTime, Span: s.engineSpan}
 		}
 	} else {
 		s.tables = make([]*lock.Table, params.Nodes)
@@ -387,36 +387,6 @@ func (s *System) startLogMerge() {
 // MergedLogPages returns the number of log pages merged into the
 // global log.
 func (s *System) MergedLogPages() int64 { return s.mergedLogPages }
-
-// StartClosed launches a closed-loop workload source: terminals
-// terminals per node, each submitting a transaction, waiting for its
-// completion and then thinking for an exponentially distributed time
-// (the TPC-A style closed model; the paper's evaluation uses the open
-// model started with Start). It fails for a non-positive terminal
-// count.
-func (s *System) StartClosed(terminals int, thinkTime time.Duration) error {
-	if terminals <= 0 {
-		return fmt.Errorf("node: need at least one terminal per node, got %d", terminals)
-	}
-	gen := s.split.Stream("workload")
-	for nd := 0; nd < s.params.Nodes; nd++ {
-		for term := 0; term < terminals; term++ {
-			think := s.split.Stream(fmt.Sprintf("think-%d-%d", nd, term))
-			s.env.Spawn("terminal", func(p *sim.Proc) {
-				for {
-					if thinkTime > 0 {
-						p.Wait(time.Duration(think.Exp(thinkTime.Seconds()) * float64(time.Second)))
-					}
-					spec := s.gen.Next(gen, s.env.Now())
-					s.runWithRetry(p, s.nodes[s.route(spec)], spec, s.env.Now())
-				}
-			})
-		}
-	}
-	s.startCheckpoints()
-	s.startAvailability()
-	return nil
-}
 
 // route picks the node a new transaction runs at: the router's
 // choice, redirected away from a down node, and observed by the

@@ -60,16 +60,17 @@ func txnAllocsPerCommit(t *testing.T, coupling Coupling, force, gemMessaging boo
 // TestTxnAllocs pins the heap allocations and bytes per committed
 // debit-credit transaction on four nodes. What remains is the
 // transaction's process record, its reference list, one wait record per
-// lock request (lock queues and messages may still hold it after the
-// wait, so it is never pooled), a frame per buffer miss and the messages
-// themselves. The allocation ceilings sit just above the measured values
-// (7.1 under GEM, 8.2 under PCL, 8.2 under PCL with GEM messaging, 14.9
-// under the lock engine with FORCE, whose commit broadcast adds a page
-// list, a wait record and the invalidations and acknowledgements), so a
+// lock request that queues or goes to a remote node (lock queues and
+// messages may still hold it after the wait, so it is never pooled), a
+// frame per buffer miss and the messages themselves. The allocation
+// ceilings sit just above the measured values (5.1 under GEM, 6.4 under
+// PCL, 6.3 under PCL with GEM messaging, 13.0 under the lock engine with
+// FORCE, whose commit broadcast adds a page list, a wait record and the
+// invalidations and acknowledgements), so a
 // change that puts an allocation back on the transaction path fails
 // here. The GEM-messaging row pins the store transport: its deposits and
 // pickups run through pooled records like the network's deliveries.
-// Bytes per commit (about 590 under GEM, 640 under PCL, 990 under the
+// Bytes per commit (about 400 under GEM, 460 under PCL, 810 under the
 // lock engine) must stay under maxBytesPerCommit: the first touch of an
 // ACCOUNT page adds one slot to the GEM page metadata, not a block of
 // slots for pages never touched.
@@ -85,10 +86,10 @@ func TestTxnAllocs(t *testing.T) {
 		gemMessaging bool
 		max          float64
 	}{
-		{"GEM", CouplingGEM, false, false, 7.5},
-		{"PCL", CouplingPCL, false, false, 8.75},
-		{"PCL+GEM messaging", CouplingPCL, false, true, 8.75},
-		{"lock engine", CouplingLockEngine, true, false, 15.25},
+		{"GEM", CouplingGEM, false, false, 5.5},
+		{"PCL", CouplingPCL, false, false, 6.75},
+		{"PCL+GEM messaging", CouplingPCL, false, true, 6.75},
+		{"lock engine", CouplingLockEngine, true, false, 13.4},
 	} {
 		allocs, bytes := txnAllocsPerCommit(t, tc.coupling, tc.force, tc.gemMessaging, 4)
 		t.Logf("%s: %.2f allocs, %.0f B per commit", tc.name, allocs, bytes)

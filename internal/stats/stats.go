@@ -1,7 +1,8 @@
 // Package stats provides the statistics collectors used by the
 // simulator: streaming mean/variance, fixed-resolution histograms with
 // percentile queries, ratio counters, and batch-means confidence
-// intervals for steady-state simulation output analysis.
+// intervals for steady-state simulation output analysis, and an
+// equivalence test on replicate means.
 package stats
 
 import (
@@ -327,6 +328,107 @@ func ReplicateCI(values []float64) (mean, halfWidth float64) {
 		bm.Add(v)
 	}
 	return bm.Mean(), bm.HalfWidth95()
+}
+
+// Equivalent is a two-one-sided-tests (TOST) equivalence check on
+// independent replicate measurements of one experiment point under a
+// reference and a changed model: it reports whether the 90% Welch
+// confidence interval [lo, hi] of mean(got)-mean(ref) lies inside
+// (-margin, +margin), which rejects both "got is lower by margin or
+// more" and "got is higher by margin or more" at the 5% level. With
+// fewer than two values in either sample the interval is unbounded and
+// the check fails; when neither sample varies, the interval is the
+// difference of the means.
+func Equivalent(ref, got []float64, margin float64) (lo, hi float64, ok bool) {
+	if len(ref) < 2 || len(got) < 2 {
+		return math.Inf(-1), math.Inf(1), false
+	}
+	var r, g Series
+	for _, v := range ref {
+		r.Add(v)
+	}
+	for _, v := range got {
+		g.Add(v)
+	}
+	diff := g.Mean() - r.Mean()
+	vr, vg := r.Variance()/float64(r.Count()), g.Variance()/float64(g.Count())
+	if se2 := vr + vg; se2 > 0 {
+		// Welch-Satterthwaite degrees of freedom.
+		df := se2 * se2 / (vr*vr/float64(r.Count()-1) + vg*vg/float64(g.Count()-1))
+		hw := studentTQuantile(0.95, df) * math.Sqrt(se2)
+		lo, hi = diff-hw, diff+hw
+	} else {
+		lo, hi = diff, diff
+	}
+	return lo, hi, lo > -margin && hi < margin
+}
+
+// studentTQuantile returns the p-quantile, p in [0.5, 1), of Student's
+// t distribution with df > 0 (not necessarily integral) degrees of
+// freedom, by bisection on the distribution function.
+func studentTQuantile(p, df float64) float64 {
+	lo, hi := 0.0, 1.0
+	for studentTCDF(hi, df) < p {
+		lo, hi = hi, 2*hi
+	}
+	for i := 0; i < 100; i++ {
+		mid := (lo + hi) / 2
+		if studentTCDF(mid, df) < p {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// studentTCDF is P(T <= t) for t >= 0 under Student's t distribution
+// with df degrees of freedom.
+func studentTCDF(t, df float64) float64 {
+	return 1 - 0.5*regIncBeta(df/2, 0.5, df/(df+t*t))
+}
+
+// regIncBeta is the regularized incomplete beta function I_x(a, b),
+// from its continued fraction (modified Lentz), which converges fast
+// for x < (a+1)/(a+b+2); above that it uses I_x(a,b) = 1-I_{1-x}(b,a).
+func regIncBeta(a, b, x float64) float64 {
+	switch {
+	case x <= 0:
+		return 0
+	case x >= 1:
+		return 1
+	case x > (a+1)/(a+b+2):
+		return 1 - regIncBeta(b, a, 1-x)
+	}
+	lga, _ := math.Lgamma(a)
+	lgb, _ := math.Lgamma(b)
+	lgab, _ := math.Lgamma(a + b)
+	front := math.Exp(lgab - lga - lgb + a*math.Log(x) + b*math.Log1p(-x))
+	const tiny = 1e-300
+	clamp := func(v float64) float64 {
+		if math.Abs(v) < tiny {
+			return tiny
+		}
+		return v
+	}
+	c, d := 1.0, 1/clamp(1-(a+b)*x/(a+1))
+	f := d
+	for m := 1.0; m <= 300; m++ {
+		// Even and odd terms of the continued fraction.
+		num := m * (b - m) * x / ((a + 2*m - 1) * (a + 2*m))
+		d = 1 / clamp(1+num*d)
+		c = clamp(1 + num/c)
+		f *= d * c
+		num = -(a + m) * (a + b + m) * x / ((a + 2*m) * (a + 2*m + 1))
+		d = 1 / clamp(1+num*d)
+		c = clamp(1 + num/c)
+		step := d * c
+		f *= step
+		if math.Abs(step-1) < 1e-15 {
+			break
+		}
+	}
+	return front * f / a
 }
 
 // Quantiles computes exact quantiles of a sample slice (used by tests

@@ -255,6 +255,59 @@ func TestMSERCutoffShortSeries(t *testing.T) {
 	}
 }
 
+// TestStudentTQuantile checks the t quantiles Equivalent uses against
+// tabulated values, integral and not, and the normal limit.
+func TestStudentTQuantile(t *testing.T) {
+	for _, c := range []struct{ p, df, want float64 }{
+		{0.95, 1, 6.313752},
+		{0.95, 2, 2.919986},
+		{0.95, 3, 2.353363},
+		{0.95, 10, 1.812461},
+		{0.95, 58, 1.671553},
+		{0.975, 30, 2.042272},
+		{0.95, 1e7, 1.644854},
+	} {
+		if got := studentTQuantile(c.p, c.df); math.Abs(got-c.want) > 1e-5 {
+			t.Errorf("t(%v, df %v) = %.6f, want %.6f", c.p, c.df, got, c.want)
+		}
+	}
+	// Welch degrees of freedom are not integral: df 2.5 lies between
+	// its neighbours.
+	if q := studentTQuantile(0.95, 2.5); q <= 2.353363 || q >= 2.919986 {
+		t.Errorf("t(0.95, df 2.5) = %v, not between df 3 and df 2", q)
+	}
+}
+
+// TestEquivalent checks the TOST verdict and its Welch interval.
+func TestEquivalent(t *testing.T) {
+	ref := []float64{10, 12, 14, 11, 13}
+	// Equal samples: the interval is centred on 0, half-width
+	// t(0.95, 8) * sqrt(2.5/5 + 2.5/5) = 1.859548.
+	lo, hi, ok := Equivalent(ref, ref, 2)
+	if !ok || math.Abs(hi-1.859548) > 1e-5 || math.Abs(lo+hi) > 1e-12 {
+		t.Fatalf("equal samples: [%v, %v] ok=%v", lo, hi, ok)
+	}
+	if _, _, ok := Equivalent(ref, ref, 1.8); ok {
+		t.Fatal("a margin inside the half-width must not show equivalence")
+	}
+	// A shifted sample moves the interval by the shift.
+	shifted := []float64{13, 15, 17, 14, 16}
+	lo, hi, ok = Equivalent(ref, shifted, 4)
+	if ok || math.Abs(lo-(3-1.859548)) > 1e-5 || math.Abs(hi-(3+1.859548)) > 1e-5 {
+		t.Fatalf("shifted by 3: [%v, %v] ok=%v", lo, hi, ok)
+	}
+	if _, _, ok := Equivalent(ref, shifted, 5); !ok {
+		t.Fatal("shift 3 with half-width 1.86 is inside a margin of 5")
+	}
+	// Constant samples: the interval is the difference of the means.
+	if lo, hi, ok := Equivalent([]float64{0, 0}, []float64{1, 1}, 2); !ok || lo != 1 || hi != 1 {
+		t.Fatalf("constant samples: [%v, %v] ok=%v", lo, hi, ok)
+	}
+	if _, _, ok := Equivalent([]float64{1}, ref, 100); ok {
+		t.Fatal("one reference value cannot show equivalence")
+	}
+}
+
 func TestReplicateCI(t *testing.T) {
 	mean, hw := ReplicateCI([]float64{10, 12, 14})
 	if math.Abs(mean-12) > 1e-9 {

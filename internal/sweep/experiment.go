@@ -60,24 +60,36 @@ func ExperimentRuns(e *core.Experiment, opts core.ExperimentOptions) []Run {
 	return runs
 }
 
-// PresetRuns expands a preset into its run list, one run per table
-// row. Run keys have the form "<preset>/<row label>"; each run keeps
-// the seed its preset row set, and its cells are the preset's row
-// values.
-func PresetRuns(p *core.Preset) []Run {
-	runs := make([]Run, len(p.Rows))
+// PresetRuns expands a preset into its run list: one run per table
+// row and replica. Replica 0 keeps the key "<preset>/<row label>" and
+// the seed its preset row set; replica k >= 1 is keyed
+// "<preset>/<row label>/r<k>" and seeded from the row's seed and that
+// key. A run's cells are the preset's row values.
+func PresetRuns(p *core.Preset, reps int) []Run {
+	if reps < 1 {
+		reps = 1
+	}
+	runs := make([]Run, 0, len(p.Rows)*reps)
 	for i, row := range p.Rows {
-		runs[i] = Run{
-			Key:    p.ID + "/" + row.Label,
-			Group:  p.ID,
-			Title:  p.Title,
-			XLabel: p.RowHeader,
-			YLabel: p.ValueLine,
-			Row:    row.Label,
-			Cols:   p.Columns,
-			RowIdx: i,
-			Config: row.Config,
-			Cells:  p.Extract,
+		for k := 0; k < reps; k++ {
+			key, cfg := p.ID+"/"+row.Label, row.Config
+			if k > 0 {
+				key = fmt.Sprintf("%s/r%d", key, k)
+				cfg.Seed = DeriveSeed(cfg.Seed, key)
+			}
+			runs = append(runs, Run{
+				Key:     key,
+				Group:   p.ID,
+				Title:   p.Title,
+				XLabel:  p.RowHeader,
+				YLabel:  p.ValueLine,
+				Row:     row.Label,
+				Cols:    p.Columns,
+				RowIdx:  i,
+				Replica: k,
+				Config:  cfg,
+				Cells:   p.Extract,
+			})
 		}
 	}
 	return runs

@@ -3,6 +3,7 @@ package sweep
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -39,7 +40,7 @@ func fakePreset() core.Preset {
 // "<preset>/<label>", filling the whole row and keeping the row's seed.
 func TestPresetRuns(t *testing.T) {
 	p := fakePreset()
-	runs := PresetRuns(&p)
+	runs := PresetRuns(&p, 1)
 	if len(runs) != 3 {
 		t.Fatalf("%d runs, want 3", len(runs))
 	}
@@ -54,6 +55,30 @@ func TestPresetRuns(t *testing.T) {
 			t.Errorf("%s: placed at row %d col %d over %d columns", r.Key, r.RowIdx, r.ColIdx, len(r.Cols))
 		}
 	}
+
+	// Replicated: replica 0 is the unreplicated run, replica k >= 1 is
+	// keyed "<preset>/<label>/r<k>" with a seed of its own.
+	reps := PresetRuns(&p, 3)
+	if len(reps) != 3*len(runs) {
+		t.Fatalf("%d replicated runs, want %d", len(reps), 3*len(runs))
+	}
+	seeds := make(map[int64]string)
+	for _, r := range reps {
+		want := "fake/" + r.Row
+		if r.Replica > 0 {
+			want = fmt.Sprintf("%s/r%d", want, r.Replica)
+		}
+		if r.Key != want {
+			t.Errorf("replica %d of %s: key %q, want %q", r.Replica, r.Row, r.Key, want)
+		}
+		if r.Replica == 0 && !reflect.DeepEqual(r.Config, runs[r.RowIdx].Config) {
+			t.Errorf("%s: replica 0 differs from the unreplicated run", r.Key)
+		}
+		if other, dup := seeds[r.Config.Seed]; dup {
+			t.Errorf("%s and %s share seed %d", r.Key, other, r.Config.Seed)
+		}
+		seeds[r.Config.Seed] = r.Key
+	}
 }
 
 // TestPresetRowErrorFailsRun: a row extractor's error makes its run a
@@ -61,7 +86,7 @@ func TestPresetRuns(t *testing.T) {
 // stay intact.
 func TestPresetRowErrorFailsRun(t *testing.T) {
 	p := fakePreset()
-	runs := PresetRuns(&p)
+	runs := PresetRuns(&p, 1)
 	results, sum, err := Execute(runs, Engine{Jobs: 2, exec: fakeExec})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +118,7 @@ func TestPresetRowErrorFailsRun(t *testing.T) {
 func TestPresetResumeRebuildsRows(t *testing.T) {
 	p := fakePreset()
 	p.Rows = append(p.Rows[:1], p.Rows[2:]...) // no failing row
-	runs := PresetRuns(&p)
+	runs := PresetRuns(&p, 1)
 	st, err := OpenStore(tmpStore(t))
 	if err != nil {
 		t.Fatal(err)

@@ -114,7 +114,6 @@ type cfgDigest struct {
 
 	ClosedTerminals int
 	ClosedThinkNS   int64
-	ClosedPooled    bool `json:",omitempty"`
 
 	WarmupNS  int64
 	MeasureNS int64
@@ -172,7 +171,6 @@ func ConfigDigest(cfg *core.Config) string {
 	if cl := cfg.ClosedLoop; cl != nil {
 		d.ClosedTerminals = cl.TerminalsPerNode
 		d.ClosedThinkNS = int64(cl.ThinkTime)
-		d.ClosedPooled = cl.Pooled
 	}
 	if cfg.Faults != nil {
 		fb, _ := json.Marshal(cfg.Faults)

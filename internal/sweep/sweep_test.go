@@ -289,7 +289,6 @@ func TestFingerprintCoversEveryResultField(t *testing.T) {
 		"ClosedLoop":                  func(c *core.Config) { c.ClosedLoop = nil },
 		"ClosedLoop.TerminalsPerNode": func(c *core.Config) { c.ClosedLoop.TerminalsPerNode = 5 },
 		"ClosedLoop.ThinkTime":        func(c *core.Config) { c.ClosedLoop.ThinkTime = 2 * time.Second },
-		"ClosedLoop.Pooled":           func(c *core.Config) { c.ClosedLoop.Pooled = true },
 		"Warmup":                      func(c *core.Config) { c.Warmup += time.Second },
 		"Measure":                     func(c *core.Config) { c.Measure += time.Second },
 		"Seed":                        func(c *core.Config) { c.Seed = 8 },

@@ -52,15 +52,17 @@ var (
 	CCValidate = declare('X', "cc", "cc-validate", oneOf(ValidateOK, ValidateConflict))
 	CCRemote   = declare('X', "cc", "cc-remote", nil)
 	CCAbort    = declare('i', "cc", "cc-abort", oneOf(cc.Reasons...))
-	// Service stations: a CPU burst, GEM page and entry accesses, disk
-	// reads and writes (the -hit rows are served by a disk cache).
-	CPUExec    = declare('X', "cpu", "exec", nil)
-	GEMPage    = declare('X', "gem", "page", nil)
-	GEMEntries = declare('X', "gem", "entries", intArg("n"))
-	IORead     = declare('X', "io", "read", nil)
-	IOWrite    = declare('X', "io", "write", nil)
-	IOReadHit  = declare('X', "io", "read-hit", nil)
-	IOWriteHit = declare('X', "io", "write-hit", nil)
+	// Service stations: a CPU burst, GEM page and entry accesses, a
+	// batch of lock-engine operations, disk reads and writes (the -hit
+	// rows are served by a disk cache).
+	CPUExec       = declare('X', "cpu", "exec", nil)
+	GEMPage       = declare('X', "gem", "page", nil)
+	GEMEntries    = declare('X', "gem", "entries", intArg("n"))
+	LockEngineOps = declare('X', "lockengine", "ops", intArg("n"))
+	IORead        = declare('X', "io", "read", nil)
+	IOWrite       = declare('X', "io", "write", nil)
+	IOReadHit     = declare('X', "io", "read-hit", nil)
+	IOWriteHit    = declare('X', "io", "write-hit", nil)
 	// Messages on the wire, lost on the wire, dropped at a down node.
 	NetShort    = declare('X', "net", "short", nil)
 	NetLong     = declare('X', "net", "long", nil)
