@@ -46,13 +46,14 @@ type Victim struct {
 }
 
 // Pool is one node's LRU database buffer. The LRU chain is intrusive
-// (links in Frame), so promoting, inserting and evicting a frame
-// allocate nothing beyond the new frame itself.
+// (links in Frame), and Insert reuses the frame it evicts or one that
+// Drop freed, so a full pool allocates no frames at all.
 type Pool struct {
 	capacity int
 	mru, lru *Frame // chain ends; nil when empty
 	frames   int
 	index    map[model.PageID]*Frame
+	free     []*Frame // frames removed by Drop, unfixed and unlinked
 
 	hitsByFile map[model.FileID]*stats.Ratio
 	overflow   int64
@@ -180,20 +181,26 @@ func (b *Pool) Insert(page model.PageID, seqno uint64, dirty bool) (f *Frame, vi
 			evicted = true
 			b.unlink(vf)
 			delete(b.index, vf.Page)
+			f = vf
 			break
 		}
 		if !evicted {
 			b.overflow++
 		}
 	}
-	f = &Frame{Page: page, SeqNo: seqno, Dirty: dirty}
+	if n := len(b.free); f == nil && n > 0 {
+		f, b.free = b.free[n-1], b.free[:n-1]
+	} else if f == nil {
+		f = new(Frame)
+	}
+	f.Page, f.SeqNo, f.Dirty = page, seqno, dirty
 	b.pushFront(f)
 	b.index[page] = f
 	return f, victim, evicted
 }
 
-// Drop removes a page (buffer invalidation discard); fixed frames must
-// not be dropped.
+// Drop removes a page (buffer invalidation discard) and keeps its frame
+// for the next Insert; fixed frames must not be dropped.
 func (b *Pool) Drop(page model.PageID) {
 	f, ok := b.index[page]
 	if !ok {
@@ -204,6 +211,7 @@ func (b *Pool) Drop(page model.PageID) {
 	}
 	b.unlink(f)
 	delete(b.index, page)
+	b.free = append(b.free, f)
 }
 
 // Overflows returns how often an insert found no evictable frame.
@@ -225,9 +233,9 @@ func (b *Pool) Pages(fn func(*Frame)) {
 }
 
 // DropAll discards every frame, fixed or not, modelling the loss of a
-// node's main memory buffer at a crash. Detached frames held by
-// in-flight transactions keep their fix counts, so a later Unfix on a
-// stale pointer is harmless; the pool itself starts empty.
+// node's main memory buffer at a crash. Detached frames, which in-flight
+// transactions may still hold, keep their fix counts and are never
+// reused, so a later Unfix on a stale pointer is harmless.
 func (b *Pool) DropAll() {
 	for f := b.mru; f != nil; {
 		next := f.next

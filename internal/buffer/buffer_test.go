@@ -310,3 +310,54 @@ func contains(pages []model.PageID, p model.PageID) bool {
 	}
 	return false
 }
+
+// TestFramesAreReused checks that a full pool allocates no frames: an
+// insert refills the frame it evicts, and a dropped frame serves the
+// next insert.
+func TestFramesAreReused(t *testing.T) {
+	b := NewPool(2)
+	f1, _, _ := b.Insert(pg(1), 1, false)
+	b.Insert(pg(2), 1, false)
+	f3, victim, evicted := b.Insert(pg(3), 4, true)
+	if !evicted || victim.Page != pg(1) || f3 != f1 {
+		t.Fatalf("insert into a full pool must refill the evicted frame (victim %+v)", victim)
+	}
+	if f3.Page != pg(3) || f3.SeqNo != 4 || !f3.Dirty || f3.Fixed() {
+		t.Fatalf("refilled frame %+v", f3)
+	}
+	f2 := b.Peek(pg(2))
+	b.Drop(pg(2))
+	if f4, _, evicted := b.Insert(pg(4), 1, false); evicted || f4 != f2 {
+		t.Fatal("insert after a drop must reuse the dropped frame without evicting")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		b.Insert(pg(5), 1, false)
+		b.Drop(pg(5))
+		b.Insert(pg(6), 1, false)
+	}); allocs != 0 {
+		t.Fatalf("%v allocations per insert/drop cycle, want 0", allocs)
+	}
+}
+
+// TestDropAllFramesNeverReused checks that the frames DropAll detaches,
+// which in-flight transactions of a crashed node may still hold, are
+// never handed out again, while frames dropped afterwards are.
+func TestDropAllFramesNeverReused(t *testing.T) {
+	b := NewPool(2)
+	f1, _, _ := b.Insert(pg(1), 1, false)
+	f2, _, _ := b.Insert(pg(2), 1, false)
+	f1.Fix()
+	b.DropAll()
+	f1.Unfix() // a stale pointer stays harmless
+	seen := map[*Frame]bool{}
+	for i := int32(10); i < 20; i++ {
+		f, _, _ := b.Insert(pg(i), 1, false)
+		if f == f1 || f == f2 {
+			t.Fatalf("insert %d handed out a frame detached by DropAll", i)
+		}
+		seen[f] = true
+	}
+	if len(seen) != 2 {
+		t.Fatalf("%d distinct frames for a 2-page pool after DropAll, want 2", len(seen))
+	}
+}

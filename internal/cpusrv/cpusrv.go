@@ -43,39 +43,38 @@ func (c *CPU) SetTracer(t *trace.Tracer) { c.tracer = t }
 // Exec runs the given number of instructions on one processor,
 // queueing FCFS if all processors are busy.
 func (c *CPU) Exec(p *sim.Proc, instructions float64) {
-	if instructions <= 0 {
-		return
+	if c.ExecFn(p.Continuation(), instructions, nil) {
+		p.Park()
 	}
-	c.instructions += instructions
-	if c.tracer.Enabled() {
-		start := p.Env().Now()
-		c.res.Use(p, c.ServiceTime(instructions))
-		c.tracer.Span(c.res.Name(), p.TraceID(), trace.CPUExec, start, p.Env().Now(), "")
-		return
-	}
-	c.res.Use(p, c.ServiceTime(instructions))
 }
 
-// RequestExec runs instructions on one processor on the callback tier:
-// done fires in kernel context when the burst completes (immediately
-// for a non-positive demand). Used for message handlers that need no
-// process.
-func (c *CPU) RequestExec(instructions float64, done func()) {
+// ExecFn runs instructions on one processor on the callback tier: done
+// (if non-nil) runs in kernel context when the burst completes, then
+// cont's process (if any) resumes, both in the completion's calendar
+// slot. A non-positive demand runs done at once. ExecFn reports whether
+// the burst is pending, that is whether a process that passed its
+// continuation must park. Used for message sends and handlers that need
+// no process.
+func (c *CPU) ExecFn(cont sim.Continuation, instructions float64, done func()) bool {
 	if instructions <= 0 {
-		done()
-		return
+		if done != nil {
+			done()
+		}
+		return false
 	}
 	c.instructions += instructions
 	if c.tracer.Enabled() {
 		env := c.res.Env()
-		start := env.Now()
-		inner := done
+		start, inner := env.Now(), done
 		done = func() {
-			c.tracer.Span(c.res.Name(), 0, trace.CPUExec, start, env.Now(), "")
-			inner()
+			c.tracer.Span(c.res.Name(), cont.TraceID(), trace.CPUExec, start, env.Now(), "")
+			if inner != nil {
+				inner()
+			}
 		}
 	}
-	c.res.Request(c.ServiceTime(instructions), done)
+	c.res.RequestResume(cont, c.ServiceTime(instructions), done)
+	return true
 }
 
 // Device is the station side of a CPU-held access (a GEM access kind,
@@ -186,7 +185,7 @@ func (c *CPU) MeanWait() time.Duration { return c.res.MeanWait() }
 func (c *CPU) Instructions() float64 { return c.instructions }
 
 // Counters returns the processor pool's raw station counters for
-// operational-law validation. Bursts run through Exec/RequestExec
+// operational-law validation. Bursts run through Exec/ExecFn
 // carry tracked service demand; Hold composites (GEM accesses) do not,
 // so SvcN < Requests under GEM coupling and the utilization law is
 // gated off there.

@@ -33,12 +33,16 @@ func (o Owner) String() string { return fmt.Sprintf("n%d/t%d", o.Node, o.Tx) }
 
 // Request is one lock request in a table. While waiting it carries an
 // opaque continuation (Data) that the protocol layer uses to resume or
-// notify the requester once the request is granted or aborted.
+// notify the requester once the request is granted or aborted, and the
+// continuation's generation (Epoch): a protocol layer that reuses its
+// continuation records compares it to drop a grant that reaches a
+// record already serving a later wait.
 type Request struct {
 	Owner Owner
 	Page  model.PageID
 	Mode  model.LockMode
 	Data  any
+	Epoch uint64
 
 	granted bool
 	upgrade bool // waiting R->W conversion of an already granted R lock

@@ -74,11 +74,10 @@ func DefaultParams() Params {
 }
 
 // Handler processes a delivered message at the receiving node, after
-// the receive CPU overhead was charged. For messages the receiver
-// classified as inline (RegisterInline) it runs in kernel context with
-// p == nil and must not block; for all other messages it runs in a
-// dedicated process.
-type Handler func(p *sim.Proc, from int, msg any)
+// the receive CPU overhead was charged. It runs in kernel context and
+// must not block: work that takes time goes on as a callback-tier chain
+// (cpusrv.CPU.Hold, cpusrv.CPU.ExecFn, Network.Post).
+type Handler func(from int, msg any)
 
 // StoreTransport configures storage-based message exchange: messages
 // travel through GEM instead of the interconnection network ("all
@@ -98,9 +97,6 @@ type StoreTransport struct {
 type endpoint struct {
 	cpu     *cpusrv.CPU
 	handler Handler
-	// inline classifies messages whose handler runs on the callback
-	// tier (nil: every message gets a handler process).
-	inline func(msg any) bool
 }
 
 // Network connects the nodes.
@@ -130,14 +126,6 @@ func New(env *sim.Env, params Params, nodes int) *Network {
 // Register attaches a node's CPU and message handler.
 func (n *Network) Register(node int, cpu *cpusrv.CPU, h Handler) {
 	n.endpoints[node] = endpoint{cpu: cpu, handler: h}
-}
-
-// RegisterInline installs a classifier for messages whose handler does
-// not block: those are delivered on the callback tier (the handler
-// receives p == nil) instead of spawning a receive process per
-// message.
-func (n *Network) RegisterInline(node int, classify func(msg any) bool) {
-	n.endpoints[node].inline = classify
 }
 
 // UseStore switches the network to storage-based message exchange
@@ -186,70 +174,65 @@ func (n *Network) sendInstr(c Class) float64 {
 
 // Send transmits msg from node `from` to node `to`. The calling process
 // is charged the send CPU overhead inline; delivery is asynchronous:
-// after the transmission delay, a fresh process at the receiver is
-// charged the receive overhead and then runs the receiver's handler.
+// after the transmission delay the receiver is charged the receive
+// overhead and then runs its handler, both on the callback tier.
 //
 // Send is subject to fault injection: the message is lost with
 // Params.LossProb, and it is dropped when the receiver is down at
 // delivery time. Callers must tolerate loss (timeout and retry).
 func (n *Network) Send(p *sim.Proc, from, to int, c Class, msg any) {
-	n.send(p, from, to, c, msg, false)
+	if n.post(p.Continuation(), from, to, c, msg, false, nil) {
+		p.Park()
+	}
 }
 
 // SendReliable transmits a message that a real system would retransmit
 // until acknowledged (lock releases, recovery traffic): it is exempt
 // from random loss, but still dropped when the receiver is down.
 func (n *Network) SendReliable(p *sim.Proc, from, to int, c Class, msg any) {
-	n.send(p, from, to, c, msg, true)
+	if n.post(p.Continuation(), from, to, c, msg, true, nil) {
+		p.Park()
+	}
 }
 
-func (n *Network) send(p *sim.Proc, from, to int, c Class, msg any, reliable bool) {
+// Post is Send (SendReliable when reliable is set) on the callback
+// tier: the send overhead is a CPU burst no process waits on, and done
+// (if non-nil) runs in kernel context once the message is on its way.
+func (n *Network) Post(from, to int, c Class, msg any, reliable bool, done func()) {
+	n.post(sim.Continuation{}, from, to, c, msg, reliable, done)
+}
+
+// post charges the send overhead at the sender, puts the message in
+// transit when the burst completes, runs done and resumes cont's
+// process. It reports whether the burst is pending (the process must
+// park).
+func (n *Network) post(cont sim.Continuation, from, to int, c Class, msg any, reliable bool, done func()) bool {
 	if c == Long {
 		n.longSent++
 	} else {
 		n.shortSent++
 	}
+	d := n.deliveries.Get()
+	if d == nil {
+		d = &delivery{n: n}
+		d.sentFn = d.sent
+		d.arriveFn = d.arrive
+		d.receiveFn = d.receive
+		d.handleFn = d.handle
+	}
+	d.from, d.to, d.c, d.msg, d.cont, d.done = from, to, c, msg, cont, done
+	cpu := n.endpoints[from].cpu
 	if n.transport != nil {
 		// Store-based exchange rides on reliable shared memory: no
 		// random loss and no wire delay; the store's queueing is the
 		// only serialization. The sender deposits the message with its
 		// CPU held, and the receiver reads it out the same way one
 		// slot later; a down receiver still never picks it up.
-		n.storeHold(n.endpoints[from].cpu, p.Continuation(), c, nil)
-		p.Park()
-		n.deliver(p, from, to, c, msg, 0, false)
-		return
+		n.storeHold(cpu, cont, c, d.sentFn)
+		return true
 	}
-	lost := !reliable && n.lossSrc != nil && n.params.LossProb > 0 && n.lossSrc.Float64() < n.params.LossProb
-	n.endpoints[from].cpu.Exec(p, n.sendInstr(c))
-	if lost {
-		n.dropped++
-		if n.tracer.Enabled() {
-			n.tracer.Instant("net", p.TraceID(), trace.NetDrop, n.env.Now(), route(from, to))
-		}
-		return
-	}
-	n.deliver(p, from, to, c, msg, n.transit(c), n.tracer.Enabled())
-}
-
-// deliver puts msg in transit from p's node: it arrives at the
-// receiver after delay, traced as a wire span when traced is set.
-func (n *Network) deliver(p *sim.Proc, from, to int, c Class, msg any, delay time.Duration, traced bool) {
-	d := n.deliveries.Get()
-	if d == nil {
-		d = &delivery{n: n}
-		d.arriveFn = d.arrive
-		d.receiveFn = d.receive
-		d.handleFn = d.handle
-		d.recvProc = d.recv
-	}
-	d.from, d.to, d.c, d.msg = from, to, c, msg
-	d.traced = traced
-	if traced {
-		d.sentAt = n.env.Now()
-		d.tid = p.TraceID()
-	}
-	n.env.After(delay, d.arriveFn)
+	d.lost = !reliable && n.lossSrc != nil && n.params.LossProb > 0 && n.lossSrc.Float64() < n.params.LossProb
+	return cpu.ExecFn(cont, n.sendInstr(c), d.sentFn)
 }
 
 // storeHold runs one CPU-held store access for a message of class c
@@ -264,31 +247,60 @@ func (n *Network) storeHold(cpu *cpusrv.CPU, cont sim.Continuation, c Class, don
 	cpu.Hold(cont, t.ShortInstr, t.Store.Entry(), 1, done)
 }
 
-// delivery is one message in transit on the wire or through the store,
-// from the end of the send to the start of its handler. Records are
-// pooled on the network and their steps are method values bound once,
-// so a delivery allocates nothing beyond the receive process a
-// blocking handler needs.
+// delivery is one message from the start of its send to the start of
+// its handler: the send overhead, then the wire or the store. Records
+// are pooled on the network and their steps are method values bound
+// once, so a delivery allocates nothing.
 type delivery struct {
 	n      *Network
 	from   int
 	to     int
 	c      Class
 	msg    any
+	cont   sim.Continuation // sender's process, resumed once the message is sent
+	done   func()           // sender's callback-tier continuation
+	lost   bool
 	traced bool
 	sentAt sim.Time
 	tid    int64
 
-	arriveFn  func()            // bound to arrive
-	receiveFn func()            // bound to receive
-	handleFn  func()            // bound to handle
-	recvProc  func(q *sim.Proc) // bound to recv
+	sentFn    func() // bound to sent
+	arriveFn  func() // bound to arrive
+	receiveFn func() // bound to receive
+	handleFn  func() // bound to handle
+}
+
+// sent runs when the send overhead has been charged: a lost message
+// is dropped, any other goes in transit and arrives after the
+// transmission delay (one slot after a store deposit), traced as a wire
+// span. Then the sender's continuation runs.
+func (d *delivery) sent() {
+	n, done := d.n, d.done
+	if d.lost {
+		n.dropped++
+		if n.tracer.Enabled() {
+			n.tracer.Instant("net", d.cont.TraceID(), trace.NetDrop, n.env.Now(), route(d.from, d.to))
+		}
+		d.free()
+	} else {
+		var delay time.Duration
+		if d.traced = n.transport == nil && n.tracer.Enabled(); d.traced {
+			d.sentAt, d.tid = n.env.Now(), d.cont.TraceID()
+		}
+		if n.transport == nil {
+			delay = n.transit(d.c)
+		}
+		n.env.After(delay, d.arriveFn)
+	}
+	if done != nil {
+		done()
+	}
 }
 
 // arrive runs when the transmission delay has passed (one slot after a
 // store deposit): drop the message at a down receiver, else start its
-// receive overhead and handler on the callback tier (inline messages)
-// or in a fresh process.
+// receive overhead one calendar slot later: the hop queues the receive
+// behind the events already due at this instant.
 func (d *delivery) arrive() {
 	n := d.n
 	if d.traced {
@@ -302,49 +314,29 @@ func (d *delivery) arrive() {
 		d.free()
 		return
 	}
-	if ep := &n.endpoints[d.to]; ep.inline != nil && ep.inline(d.msg) {
-		// Callback-tier delivery: the extra hop takes the calendar
-		// slot the receive process used to start in, then the receive
-		// overhead and the handler run without a process.
-		n.env.After(0, d.receiveFn)
-		return
-	}
-	n.env.Spawn("recv", d.recvProc)
+	n.env.After(0, d.receiveFn)
 }
 
-// receive charges the receive overhead of an inline message.
+// receive charges the receive overhead at the receiver's CPU.
 func (d *delivery) receive() {
 	n, cpu := d.n, d.n.endpoints[d.to].cpu
 	if n.transport != nil {
 		n.storeHold(cpu, sim.Continuation{}, d.c, d.handleFn)
 		return
 	}
-	cpu.RequestExec(n.sendInstr(d.c), d.handleFn)
+	cpu.ExecFn(sim.Continuation{}, n.sendInstr(d.c), d.handleFn)
 }
 
-// handle runs an inline message's handler in kernel context.
+// handle runs the receiver's handler in kernel context.
 func (d *delivery) handle() {
 	ep, from, msg := &d.n.endpoints[d.to], d.from, d.msg
 	d.free()
-	ep.handler(nil, from, msg)
-}
-
-// recv is the receive process of a message whose handler blocks.
-func (d *delivery) recv(q *sim.Proc) {
-	n, ep, from, c, msg := d.n, &d.n.endpoints[d.to], d.from, d.c, d.msg
-	d.free()
-	if n.transport != nil {
-		n.storeHold(ep.cpu, q.Continuation(), c, nil)
-		q.Park()
-	} else {
-		ep.cpu.Exec(q, n.sendInstr(c))
-	}
-	ep.handler(q, from, msg)
+	ep.handler(from, msg)
 }
 
 // free returns the record to the network's pool.
 func (d *delivery) free() {
-	d.msg = nil
+	d.msg, d.cont, d.done, d.lost = nil, sim.Continuation{}, nil, false
 	d.n.deliveries.Put(d)
 }
 

@@ -22,7 +22,7 @@ func harness(t *testing.T, params Params) (*sim.Env, *Network, []*cpusrv.CPU, *[
 	var delivered []string
 	for i := 0; i < 2; i++ {
 		i := i
-		n.Register(i, cpus[i], func(p *sim.Proc, from int, msg any) {
+		n.Register(i, cpus[i], func(from int, msg any) {
 			s, _ := msg.(string)
 			delivered = append(delivered, s)
 			_ = from
@@ -62,8 +62,8 @@ func TestMessageDeliveryDelay(t *testing.T) {
 	cpu0 := cpusrv.New(env, "cpu0", 1, 10)
 	cpu1 := cpusrv.New(env, "cpu1", 1, 10)
 	var handlerAt sim.Time
-	n.Register(0, cpu0, func(p *sim.Proc, from int, msg any) {})
-	n.Register(1, cpu1, func(p *sim.Proc, from int, msg any) { handlerAt = env.Now() })
+	n.Register(0, cpu0, func(from int, msg any) {})
+	n.Register(1, cpu1, func(from int, msg any) { handlerAt = env.Now() })
 	env.Spawn("sender", func(p *sim.Proc) { n.Send(p, 0, 1, Short, 1) })
 	if err := env.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -82,8 +82,8 @@ func TestLongMessageDelay(t *testing.T) {
 	cpu0 := cpusrv.New(env, "cpu0", 1, 10)
 	cpu1 := cpusrv.New(env, "cpu1", 1, 10)
 	var handlerAt sim.Time
-	n.Register(0, cpu0, func(p *sim.Proc, from int, msg any) {})
-	n.Register(1, cpu1, func(p *sim.Proc, from int, msg any) { handlerAt = env.Now() })
+	n.Register(0, cpu0, func(from int, msg any) {})
+	n.Register(1, cpu1, func(from int, msg any) { handlerAt = env.Now() })
 	env.Spawn("sender", func(p *sim.Proc) { n.Send(p, 0, 1, Long, 1) })
 	if err := env.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -104,8 +104,8 @@ func TestSenderChargedInline(t *testing.T) {
 	n := New(env, DefaultParams(), 2)
 	cpu0 := cpusrv.New(env, "cpu0", 1, 10)
 	cpu1 := cpusrv.New(env, "cpu1", 1, 10)
-	n.Register(0, cpu0, func(p *sim.Proc, from int, msg any) {})
-	n.Register(1, cpu1, func(p *sim.Proc, from int, msg any) {})
+	n.Register(0, cpu0, func(from int, msg any) {})
+	n.Register(1, cpu1, func(from int, msg any) {})
 	var sendDone sim.Time
 	env.Spawn("sender", func(p *sim.Proc) {
 		n.Send(p, 0, 1, Short, 1)
@@ -128,8 +128,8 @@ func TestWireLatencyAdds(t *testing.T) {
 	cpu0 := cpusrv.New(env, "cpu0", 1, 10)
 	cpu1 := cpusrv.New(env, "cpu1", 1, 10)
 	var handlerAt sim.Time
-	n.Register(0, cpu0, func(p *sim.Proc, from int, msg any) {})
-	n.Register(1, cpu1, func(p *sim.Proc, from int, msg any) { handlerAt = env.Now() })
+	n.Register(0, cpu0, func(from int, msg any) {})
+	n.Register(1, cpu1, func(from int, msg any) { handlerAt = env.Now() })
 	env.Spawn("sender", func(p *sim.Proc) { n.Send(p, 0, 1, Short, 1) })
 	if err := env.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -229,8 +229,8 @@ func TestStoreTransportShort(t *testing.T) {
 	cpu0 := cpusrv.New(env, "cpu0", 1, 10)
 	cpu1 := cpusrv.New(env, "cpu1", 1, 10)
 	var handlerAt sim.Time
-	n.Register(0, cpu0, func(p *sim.Proc, from int, msg any) {})
-	n.Register(1, cpu1, func(p *sim.Proc, from int, msg any) { handlerAt = env.Now() })
+	n.Register(0, cpu0, func(from int, msg any) {})
+	n.Register(1, cpu1, func(from int, msg any) { handlerAt = env.Now() })
 	env.Spawn("sender", func(p *sim.Proc) { n.Send(p, 0, 1, Short, 1) })
 	if err := env.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -249,29 +249,28 @@ func TestStoreTransportShort(t *testing.T) {
 	}
 }
 
-// TestStoreTransportInline reads an inline message out of the store on
-// the callback tier: the handler runs without a process, at the same
-// instant a receive process would have reached it.
+// TestStoreTransportInline reads a message out of the store on the
+// callback tier: the receive access and the handler run without a
+// process, at the same instant a receive process would have reached
+// the handler.
 func TestStoreTransportInline(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Stop()
 	n := New(env, DefaultParams(), 2)
 	store := gem.New(env, gem.DefaultParams())
 	n.UseStore(&StoreTransport{Store: store, ShortInstr: 1000, LongInstr: 1500})
-	n.Register(0, cpusrv.New(env, "cpu0", 1, 10), func(p *sim.Proc, from int, msg any) {})
+	n.Register(0, cpusrv.New(env, "cpu0", 1, 10), func(from int, msg any) {})
 	var handlerAt sim.Time
-	var handlerProc *sim.Proc
-	n.Register(1, cpusrv.New(env, "cpu1", 1, 10), func(p *sim.Proc, from int, msg any) {
-		handlerAt, handlerProc = env.Now(), p
+	n.Register(1, cpusrv.New(env, "cpu1", 1, 10), func(from int, msg any) {
+		handlerAt = env.Now()
 	})
-	n.RegisterInline(1, func(any) bool { return true })
 	env.Spawn("sender", func(p *sim.Proc) { n.Send(p, 0, 1, Long, 1) })
 	if err := env.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
 	// Sender: 150 µs CPU + 50 µs page; receiver the same.
-	if want := 2 * (150 + 50) * time.Microsecond; handlerAt != want || handlerProc != nil {
-		t.Fatalf("handler at %v (proc %v), want %v on the callback tier", handlerAt, handlerProc, want)
+	if want := 2 * (150 + 50) * time.Microsecond; handlerAt != want {
+		t.Fatalf("handler at %v, want %v", handlerAt, want)
 	}
 	if store.PageAccesses() != 2 {
 		t.Fatalf("page accesses %d, want 2", store.PageAccesses())
@@ -286,8 +285,8 @@ func TestStoreTransportLongUsesPageAccess(t *testing.T) {
 	n.UseStore(&StoreTransport{Store: store, ShortInstr: 1000, LongInstr: 1500})
 	cpu0 := cpusrv.New(env, "cpu0", 1, 10)
 	cpu1 := cpusrv.New(env, "cpu1", 1, 10)
-	n.Register(0, cpu0, func(p *sim.Proc, from int, msg any) {})
-	n.Register(1, cpu1, func(p *sim.Proc, from int, msg any) {})
+	n.Register(0, cpu0, func(from int, msg any) {})
+	n.Register(1, cpu1, func(from int, msg any) {})
 	env.Spawn("sender", func(p *sim.Proc) { n.Send(p, 0, 1, Long, 1) })
 	if err := env.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -308,8 +307,8 @@ func TestStoreTransportFasterThanNetwork(t *testing.T) {
 		cpu0 := cpusrv.New(env, "cpu0", 1, 10)
 		cpu1 := cpusrv.New(env, "cpu1", 1, 10)
 		var at sim.Time
-		n.Register(0, cpu0, func(p *sim.Proc, from int, msg any) {})
-		n.Register(1, cpu1, func(p *sim.Proc, from int, msg any) { at = env.Now() })
+		n.Register(0, cpu0, func(from int, msg any) {})
+		n.Register(1, cpu1, func(from int, msg any) { at = env.Now() })
 		env.Spawn("sender", func(p *sim.Proc) { n.Send(p, 0, 1, Short, 1) })
 		if err := env.RunUntilIdle(); err != nil {
 			t.Fatal(err)
@@ -319,5 +318,29 @@ func TestStoreTransportFasterThanNetwork(t *testing.T) {
 	net, store := run(false), run(true)
 	if store >= net {
 		t.Fatalf("store transport (%v) must beat the network (%v)", store, net)
+	}
+}
+
+// TestPostOnCallbackTier sends without a process: the send overhead is
+// held on the sender's CPU, done runs when it completes, and the
+// message arrives exactly when a process's Send would have delivered
+// it.
+func TestPostOnCallbackTier(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Stop()
+	n := New(env, DefaultParams(), 2)
+	n.Register(0, cpusrv.New(env, "cpu0", 1, 10), func(from int, msg any) {})
+	var doneAt, handlerAt sim.Time
+	n.Register(1, cpusrv.New(env, "cpu1", 1, 10), func(from int, msg any) { handlerAt = env.Now() })
+	n.Post(0, 1, Short, "x", true, func() { doneAt = env.Now() })
+	if err := env.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	// 500 µs send overhead; 10 µs transit; 500 µs receive overhead.
+	if doneAt != 500*time.Microsecond || handlerAt != 1010*time.Microsecond {
+		t.Fatalf("done at %v, handler at %v; want 500µs and 1.01ms", doneAt, handlerAt)
+	}
+	if n.ShortSent() != 1 {
+		t.Fatalf("short messages sent %d, want 1", n.ShortSent())
 	}
 }

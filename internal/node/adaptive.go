@@ -384,7 +384,7 @@ func (c *controller) startMigration(g, from, to int) {
 		if per < 1 {
 			per = 1
 		}
-		wait := &remoteWait{proc: p}
+		wait := s.newWait(p)
 		batches := (entries + per - 1) / per
 		aborted := false
 		for b := 0; b < batches; b++ {
@@ -396,15 +396,17 @@ func (c *controller) startMigration(g, from, to int) {
 			if b == batches-1 {
 				cnt = entries - per*(b)
 			}
-			s.net.SendReliable(p, from, to, netsim.Long,
-				glaHandoffMsg{GLA: g, From: from, Entries: cnt, Final: b == batches-1, Wait: wait})
+			m := s.newMsg(msgGLAHandoff)
+			m.gla, m.count, m.final, m.wait = g, cnt, b == batches-1, waitRef{w: wait, epoch: wait.epoch}
+			s.net.SendReliable(p, from, to, netsim.Long, m)
 		}
 		if !aborted {
 			p.Park() // until the new home acknowledged the final batch
 		}
 		delete(c.migrating, g)
-		wait.abandoned = true
-		if aborted || !wait.woken || s.glaHomeOf(g) != from || (s.faultsOn && s.down[to]) {
+		acked := wait.reply != nil
+		s.endWait(wait)
+		if aborted || !acked || s.glaHomeOf(g) != from || (s.faultsOn && s.down[to]) {
 			return
 		}
 		s.glaHome[g] = to
@@ -419,15 +421,17 @@ func (c *controller) startMigration(g, from, to int) {
 }
 
 // handleGLAHandoff unpacks one migration batch at the new home (CPU per
-// directory entry) and acknowledges the final one.
-func (n *Node) handleGLAHandoff(p *sim.Proc, from int, m glaHandoffMsg) {
-	sys := n.sys
-	if instr := sys.params.RecoveryEntryInstr; instr > 0 && m.Entries > 0 {
-		n.cpu.Exec(p, float64(m.Entries)*instr)
+// directory entry, on the callback tier) and returns the final one's
+// record as the acknowledgement.
+func (n *Node) handleGLAHandoff(m *message) {
+	instr := n.sys.params.RecoveryEntryInstr * float64(m.count)
+	if !m.final {
+		n.sys.freeMsg(m)
+		n.cpu.ExecFn(sim.Continuation{}, instr, nil)
+		return
 	}
-	if m.Final {
-		sys.net.SendReliable(p, n.id, from, netsim.Short, glaHandoffAckMsg{Wait: m.Wait})
-	}
+	m.kind, m.reliable = msgGLAHandoffAck, true
+	n.cpu.ExecFn(sim.Continuation{}, instr, m.sendFn)
 }
 
 // noteFailover is called when a recovery completes: the routing and

@@ -7,7 +7,6 @@ import (
 	"gemsim/internal/cc"
 	"gemsim/internal/model"
 	"gemsim/internal/netsim"
-	"gemsim/internal/sim"
 	"gemsim/internal/trace"
 )
 
@@ -49,24 +48,28 @@ func (n *Node) buffered(page model.PageID) cc.Outcome {
 	return out
 }
 
-// remoteRoundTrip sends msg to the partition's serving node home and
-// parks until the reply arrives, the node crashes under the attempt
-// (errKilled), the attempt is chosen as a deadlock victim
+// remoteRoundTrip sends the request m to the partition's serving node
+// home and parks until the reply arrives, the node crashes under the
+// attempt (errKilled), the attempt is chosen as a deadlock victim
 // (errDeadlock), or the lock-wait timer fires (errTimeout: the request
 // or the reply was lost, or the serving node died). A serving node
 // already known to be down aborts the attempt at once with errTimeout;
 // by the time the backoff expires the partition has been reassigned to
 // a survivor. The whole round trip counts as lock-message time and is
 // charged to res on the critical path — the requester has no view of
-// the remote service split — and traced as span cat/name.
-func (n *Node) remoteRoundTrip(t *txn, home int, msg any, wait *remoteWait, res attrib.Res, kind trace.Kind, page model.PageID) error {
+// the remote service split — and traced as span cat/name. On success
+// the caller reads the reply from the returned wait and ends it.
+func (n *Node) remoteRoundTrip(t *txn, home int, m *message, res attrib.Res, kind trace.Kind, page model.PageID) (*remoteWait, error) {
 	sys := n.sys
 	if sys.faultsOn && sys.down[home] {
-		return errTimeout
+		sys.freeMsg(m)
+		return nil, errTimeout
 	}
 	n.remoteLocks++
 	start := sys.env.Now()
-	sys.net.Send(t.proc, n.id, home, netsim.Short, msg)
+	wait := sys.newWait(t.proc)
+	m.wait = waitRef{w: wait, epoch: wait.epoch}
+	sys.net.Send(t.proc, n.id, home, netsim.Short, m)
 	// The wait becomes visible only after the send: until the request
 	// is registered at the serving node this transaction cannot be in
 	// a deadlock cycle, and a crash sweep must not unpark the process
@@ -82,19 +85,20 @@ func (n *Node) remoteRoundTrip(t *txn, home int, msg any, wait *remoteWait, res 
 	if tr := sys.tracer; tr.Enabled() {
 		tr.Span(n.track, int64(t.id), kind, start, sys.env.Now(), page.String())
 	}
-	if t.killed {
-		wait.abandoned = true
-		return errKilled
-	}
-	if wait.deadlock {
-		return errDeadlock
-	}
-	if armed && !wait.woken {
-		wait.abandoned = true
+	var err error
+	switch {
+	case t.killed:
+		err = errKilled
+	case t.deadlock:
+		err = errDeadlock
+	case armed && wait.reply == nil:
 		sys.lockTimeouts++
-		return errTimeout
+		err = errTimeout
+	default:
+		return wait, nil
 	}
-	return nil
+	sys.endWait(wait)
+	return nil, err
 }
 
 // optEngine is the optimistic engine family, costed as described in
@@ -252,17 +256,17 @@ func (e *optEngine) accessRemote(t *txn, page model.PageID, gla, home int, write
 			op = ccOpVersionWrite
 		}
 	}
-	wait, err := e.remoteOp(t, gla, home, op, []ccOpPage{{Page: page}})
+	seq, wts, ownerHasCopy, err := e.remoteOp(t, gla, home, op, msgPage{page: page})
 	if err != nil {
 		return cc.Outcome{}, err
 	}
-	out := cc.Outcome{Seq: wait.seq, Owner: -1}
-	if wait.ownerHasCopy && !e.n.sys.params.Force {
+	out := cc.Outcome{Seq: seq, Owner: -1}
+	if ownerHasCopy && !e.n.sys.params.Force {
 		out.Owner = home
 	}
-	observed := wait.seq
+	observed := seq
 	if e.mvto {
-		observed = wait.ccWTS
+		observed = wts
 	}
 	t.cct.RecordRead(page, observed)
 	if write {
@@ -283,11 +287,11 @@ func (e *optEngine) upgrade(t *txn, page model.PageID) error {
 	if sys.params.Coupling == CouplingPCL {
 		gla := sys.gla.GLA(page)
 		if home := sys.glaHomeOf(gla); home != e.n.id {
-			wait, err := e.remoteOp(t, gla, home, ccOpVersionWrite, []ccOpPage{{Page: page}})
+			_, wts, _, err := e.remoteOp(t, gla, home, ccOpVersionWrite, msgPage{page: page})
 			if err != nil {
 				return err
 			}
-			t.cct.Reads[page] = wait.ccWTS
+			t.cct.Reads[page] = wts
 			t.cct.RecordWrite(page)
 			return nil
 		}
@@ -297,23 +301,28 @@ func (e *optEngine) upgrade(t *txn, page model.PageID) error {
 }
 
 // remoteOp performs one optimistic metadata operation at a partition's
-// serving node; a rejected operation aborts the attempt with a
-// conflict.
-func (e *optEngine) remoteOp(t *txn, gla, home int, op ccOp, pages []ccOpPage) (*remoteWait, error) {
+// serving node on the given pages and returns the version read (seq,
+// and wts under MV-TO) and whether the serving node buffers it; a
+// rejected operation aborts the attempt with a conflict.
+func (e *optEngine) remoteOp(t *txn, gla, home int, op ccOp, pages ...msgPage) (seq, wts uint64, ownerHasCopy bool, err error) {
 	n := e.n
-	wait := &remoteWait{proc: t.proc}
-	msg := ccOpMsg{Owner: t.owner, Op: op, GLA: gla, TS: t.cct.TS, MVTO: e.mvto, Pages: pages, Wait: wait}
-	if err := n.remoteRoundTrip(t, home, msg, wait, attrib.ResCC, trace.CCRemote, pages[0].Page); err != nil {
-		return nil, err
+	sys := n.sys
+	m := sys.newMsg(msgCCOp)
+	m.owner, m.op, m.gla, m.ts, m.mvto = t.owner, op, gla, t.cct.TS, e.mvto
+	m.pages = append(m.pages, pages...)
+	wait, err := n.remoteRoundTrip(t, home, m, attrib.ResCC, trace.CCRemote, pages[0].page)
+	if err != nil {
+		return 0, 0, false, err
 	}
-	if !wait.ccOK {
-		reason := wait.ccReason
+	defer sys.endWait(wait)
+	if r := wait.reply; !r.ok {
+		reason := r.reason
 		if reason == "" {
-			reason = e.occReason(t, wait.ccPage)
+			reason = e.occReason(t, r.page)
 		}
-		return nil, n.ccConflict(t, wait.ccPage, reason)
+		return 0, 0, false, n.ccConflict(t, r.page, reason)
 	}
-	return wait, nil
+	return wait.reply.seq, wait.reply.wts, wait.reply.ownerHasCopy, nil
 }
 
 // validate runs backward validation at end-of-transaction, before the
@@ -394,22 +403,24 @@ func (e *optEngine) occReason(t *txn, page model.PageID) cc.Reason {
 func (e *optEngine) validatePCL(t *txn, pages []model.PageID, set map[model.PageID]uint64) error {
 	n := e.n
 	sys := n.sys
-	perGLA := make(map[int][]ccOpPage)
+	out := t.partitions(sys.params.Nodes)
 	for _, page := range pages {
 		gla := sys.gla.GLA(page)
-		perGLA[gla] = append(perGLA[gla], ccOpPage{Page: page, Recorded: set[page]})
+		out[gla] = append(out[gla], msgPage{page: page, seq: set[page]})
 	}
-	for _, gla := range sortedKeys(perGLA) {
-		batch := perGLA[gla]
+	for gla, batch := range out {
+		if len(batch) == 0 {
+			continue
+		}
 		if home := sys.glaHomeOf(gla); home != n.id {
-			if _, err := e.remoteOp(t, gla, home, ccOpValidate, batch); err != nil {
+			if _, _, _, err := e.remoteOp(t, gla, home, ccOpValidate, batch...); err != nil {
 				return err
 			}
 			continue
 		}
 		n.lockCPUOp(t, sys.params.LockInstr, attrib.ResCC)
 		for _, op := range batch {
-			if err := e.check(t, op.Page, op.Recorded); err != nil {
+			if err := e.check(t, op.page, op.seq); err != nil {
 				return err
 			}
 		}
@@ -478,7 +489,7 @@ func (e *optEngine) install(t *txn, page model.PageID, seq uint64, owner int) {
 func (e *optEngine) publishPCL(t *txn, pages []model.PageID) {
 	n := e.n
 	sys := n.sys
-	perGLA := make(map[int][]releasedPage)
+	out := t.partitions(sys.params.Nodes)
 	for _, page := range pages {
 		mod, ok := t.modified[page]
 		if !ok {
@@ -489,32 +500,17 @@ func (e *optEngine) publishPCL(t *txn, pages []model.PageID) {
 			e.install(t, page, mod.frame.SeqNo, -1)
 			continue
 		}
-		rp := releasedPage{Page: page, NewSeq: mod.frame.SeqNo}
+		rp := msgPage{page: page, seq: mod.frame.SeqNo}
 		if !sys.params.Force {
 			// Ownership moves to the serving node; the local copy stays
 			// readable but is no longer this node's to write back.
-			rp.Carried = true
+			rp.carried = true
 			mod.frame.Dirty = false
 		}
-		perGLA[gla] = append(perGLA[gla], rp)
+		out[gla] = append(out[gla], rp)
 	}
 	n.lockCPUOp(t, sys.params.LockInstr, attrib.ResCC)
-	for _, gla := range sortedKeys(perGLA) {
-		batch := perGLA[gla]
-		class := netsim.Short
-		for _, rp := range batch {
-			if rp.Carried {
-				class = netsim.Long
-				break
-			}
-		}
-		// Reliable: a lost publication would leave the partition's
-		// metadata stale and invalidate later validations.
-		sys.net.SendReliable(t.proc, n.id, sys.glaHomeOf(gla), class, ccPublishMsg{
-			Owner: t.owner, GLA: gla, TS: t.cct.TS,
-			MVTO: e.mvto, Pages: batch,
-		})
-	}
+	n.sendPartitions(t, msgCCPublish, e.mvto)
 }
 
 // ccGEMOp charges one optimistic metadata operation against GEM: instr
@@ -548,71 +544,73 @@ func (n *Node) ccConflict(t *txn, page model.PageID, reason cc.Reason) error {
 }
 
 // handleCCOp serves optimistic metadata operations at a partition's
-// serving node (PCL); the reply is a short message.
-func (n *Node) handleCCOp(p *sim.Proc, m ccOpMsg) {
+// serving node (PCL), on the callback tier; the request record returns
+// as the short reply.
+func (n *Node) handleCCOp(m *message) {
 	sys := n.sys
-	if sys.faultsOn && sys.down[m.Owner.Node] {
+	if sys.faultsOn && sys.down[m.owner.Node] {
 		// The requester crashed while the message was in flight.
+		sys.freeMsg(m)
 		return
 	}
-	ack := ccOpAckMsg{Wait: m.Wait, OK: true}
-	switch m.Op {
+	m.kind, m.ok = msgCCOpAck, true
+	switch m.op {
 	case ccOpLookup:
-		page := m.Pages[0].Page
-		meta := sys.pclMetaOf(m.GLA, page)
-		ack.Seq = meta.Seq
+		page := m.pages[0].page
+		meta := sys.pclMetaOf(m.gla, page)
+		m.seq = meta.Seq
 		if !sys.params.Force && n.hasCurrent(page, meta.Seq) {
-			ack.Owner = true
+			m.ownerHasCopy = true
 		}
 	case ccOpVersionRead:
-		page := m.Pages[0].Page
-		meta := sys.pclMetaOf(m.GLA, page)
-		v, _ := sys.ccVersions.Read(page, m.TS, meta.Seq)
-		ack.Seq, ack.WTS = v.Seq, v.WTS
+		page := m.pages[0].page
+		meta := sys.pclMetaOf(m.gla, page)
+		v, _ := sys.ccVersions.Read(page, m.ts, meta.Seq)
+		m.seq, m.wts = v.Seq, v.WTS
 		if !sys.params.Force && v.Seq == meta.Seq && n.hasCurrent(page, meta.Seq) {
-			ack.Owner = true
+			m.ownerHasCopy = true
 		}
 	case ccOpVersionWrite:
-		page := m.Pages[0].Page
-		meta := sys.pclMetaOf(m.GLA, page)
-		wts, ok, reason := sys.ccVersions.WriteObserve(page, m.TS, meta.Seq)
-		ack.Seq, ack.WTS, ack.OK, ack.Reason = meta.Seq, wts, ok, reason
+		page := m.pages[0].page
+		meta := sys.pclMetaOf(m.gla, page)
+		wts, ok, reason := sys.ccVersions.WriteObserve(page, m.ts, meta.Seq)
+		m.seq, m.wts, m.ok, m.reason = meta.Seq, wts, ok, reason
 		if !ok {
-			ack.Page = page
+			m.page = page
 		}
 	case ccOpValidate:
-		for _, op := range m.Pages {
-			meta := sys.pclMetaOf(m.GLA, op.Page)
-			if m.MVTO {
-				if ok, reason := sys.ccVersions.Recheck(op.Page, m.TS, op.Recorded, meta.Seq); !ok {
-					ack.OK, ack.Reason, ack.Page = false, reason, op.Page
+		for _, op := range m.pages {
+			meta := sys.pclMetaOf(m.gla, op.page)
+			if m.mvto {
+				if ok, reason := sys.ccVersions.Recheck(op.page, m.ts, op.seq, meta.Seq); !ok {
+					m.ok, m.reason, m.page = false, reason, op.page
 					break
 				}
-			} else if meta.Seq != op.Recorded {
-				ack.OK, ack.Page = false, op.Page
+			} else if meta.Seq != op.seq {
+				m.ok, m.page = false, op.page
 				break
 			}
 		}
 	}
-	sys.net.Send(p, n.id, m.Owner.Node, netsim.Short, ack)
+	m.send()
 }
 
 // handleCCPublish installs published versions at a partition's serving
 // node (PCL): metadata updated monotonically, carried pages installed
 // (the serving node becomes their owner), MV-TO versions committed.
-func (n *Node) handleCCPublish(p *sim.Proc, m ccPublishMsg) {
+func (n *Node) handleCCPublish(m *message) {
 	sys := n.sys
-	for _, rp := range m.Pages {
-		meta := sys.pclMetaOf(m.GLA, rp.Page)
-		if m.MVTO {
-			sys.ccVersions.Commit(rp.Page, m.TS, rp.NewSeq, meta.Seq)
+	for _, rp := range m.pages {
+		meta := sys.pclMetaOf(m.gla, rp.page)
+		if m.mvto {
+			sys.ccVersions.Commit(rp.page, m.ts, rp.seq, meta.Seq)
 		}
-		if rp.NewSeq > meta.Seq {
-			meta.Seq = rp.NewSeq
-			sys.oracle.commit(rp.Page, rp.NewSeq)
+		if rp.seq > meta.Seq {
+			meta.Seq = rp.seq
+			sys.oracle.commit(rp.page, rp.seq)
 		}
-		if rp.Carried {
-			n.install(rp.Page, rp.NewSeq, true)
+		if rp.carried {
+			n.install(rp.page, rp.seq, true)
 		}
 	}
 }

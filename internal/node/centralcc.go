@@ -9,7 +9,6 @@ import (
 	"gemsim/internal/lock"
 	"gemsim/internal/model"
 	"gemsim/internal/netsim"
-	"gemsim/internal/sim"
 )
 
 // centralCC is native two-phase locking against one lock table shared
@@ -80,7 +79,7 @@ func (c *centralCC) access(t *txn, page model.PageID, mode model.LockMode) (cc.O
 	}
 	n.localLocks++ // central locking is routing-independent; no messages
 	c.op(t, c.cycles, attrib.PhaseLockSvc)
-	waited, err := n.requestLock(t, c.table(), page, mode, false)
+	waited, err := n.requestLock(t, c.table(), page, mode)
 	if err != nil {
 		return cc.Outcome{}, false, err
 	}
@@ -131,10 +130,7 @@ func (c *centralCC) publish(t *txn) {
 	if !sys.params.Force {
 		owner = n.id
 	}
-	var pages []model.PageID
-	if c.broadcast && len(t.modified) > 0 {
-		pages = make([]model.PageID, 0, len(t.modified))
-	}
+	inv := t.partitions(1)
 	t.pages = sortedPages(t.pages, t.modified)
 	for _, page := range t.pages {
 		if !sys.db.File(page.File).Locking {
@@ -145,42 +141,49 @@ func (c *centralCC) publish(t *txn) {
 		meta.Seq, meta.Owner = seq, owner
 		sys.oracle.commit(page, seq)
 		if c.broadcast {
-			pages = append(pages, page)
+			inv[0] = append(inv[0], msgPage{page: page})
 		}
 	}
-	if len(pages) > 0 && sys.params.Nodes > 1 {
-		c.broadcastInvalidations(t, pages)
+	if len(inv[0]) > 0 && sys.params.Nodes > 1 {
+		c.broadcastInvalidations(t)
 	}
 }
 
-// broadcastInvalidations sends the modified page list to every other
-// node and waits for all acknowledgements.
-func (c *centralCC) broadcastInvalidations(t *txn, pages []model.PageID) {
+// broadcastInvalidations sends the modified pages collected in t.out[0]
+// to every other node and waits for all acknowledgements.
+func (c *centralCC) broadcastInvalidations(t *txn) {
 	n := c.n
 	sys := n.sys
-	wait := &remoteWait{proc: t.proc, needed: sys.params.Nodes - 1}
+	wait := sys.newWait(t.proc)
+	wait.needed = sys.params.Nodes - 1
 	for target := 0; target < sys.params.Nodes; target++ {
 		if target == n.id {
 			continue
 		}
-		sys.net.Send(t.proc, n.id, target, netsim.Short, invalidateMsg{Pages: pages, Wait: wait})
+		m := sys.newMsg(msgInvalidate)
+		m.wait = waitRef{w: wait, epoch: wait.epoch}
+		m.pages = append(m.pages, t.out[0]...)
+		sys.net.Send(t.proc, n.id, target, netsim.Short, m)
 	}
 	if wait.needed > 0 {
 		start := sys.env.Now()
 		t.proc.Park() // woken once all acknowledgements arrived
 		t.cp.Add(attrib.ResNet, sys.env.Now()-start, 0)
 	}
+	sys.endWait(wait)
 }
 
-// handleInvalidate discards stale copies and acknowledges.
-func (n *Node) handleInvalidate(p *sim.Proc, from int, m invalidateMsg) {
-	for _, page := range m.Pages {
-		if fr := n.pool.Peek(page); fr != nil && !fr.Fixed() {
+// handleInvalidate discards stale copies and returns the record as the
+// acknowledgement.
+func (n *Node) handleInvalidate(m *message) {
+	for _, pg := range m.pages {
+		if fr := n.pool.Peek(pg.page); fr != nil && !fr.Fixed() {
 			n.invalidations++
-			n.pool.Drop(page)
+			n.pool.Drop(pg.page)
 		}
 	}
-	n.sys.net.Send(p, n.id, from, netsim.Short, invalidateAckMsg{Wait: m.Wait})
+	m.kind = msgInvalidateAck
+	m.send()
 }
 
 // wakeCentralGranted notifies the owners of newly granted central-table
@@ -189,7 +192,7 @@ func (n *Node) handleInvalidate(p *sim.Proc, from int, m invalidateMsg) {
 func (s *System) wakeCentralGranted(granted []*lock.Request, ctx execCtx) {
 	for _, req := range granted {
 		wd, ok := req.Data.(*remoteWait)
-		if !ok {
+		if !ok || wd.epoch != req.Epoch {
 			continue
 		}
 		waiterNode := req.Owner.Node
@@ -197,6 +200,8 @@ func (s *System) wakeCentralGranted(granted []*lock.Request, ctx execCtx) {
 			wd.proc.Unpark()
 			continue
 		}
-		s.net.Send(ctx.proc, ctx.node, waiterNode, netsim.Short, wakeupMsg{Wait: wd})
+		m := s.newMsg(msgWakeup)
+		m.wait = waitRef{w: wd, epoch: req.Epoch}
+		s.net.Send(ctx.proc, ctx.node, waiterNode, netsim.Short, m)
 	}
 }

@@ -803,17 +803,20 @@ func (s *System) recoverPCLLocks(p *sim.Proc, coord *Node, crashed int) int64 {
 	}
 	// One reliable query/reply round trip per remote survivor models
 	// the rebuild communication.
-	wait := &remoteWait{proc: p}
+	wait := s.newWait(p)
 	for i := range s.nodes {
 		if i == coord.id || s.down[i] {
 			continue
 		}
 		wait.needed++
-		s.net.SendReliable(p, coord.id, i, netsim.Short, rebuildQueryMsg{Partitions: parts, Wait: wait})
+		m := s.newMsg(msgRebuildQuery)
+		m.wait = waitRef{w: wait, epoch: wait.epoch}
+		s.net.SendReliable(p, coord.id, i, netsim.Short, m)
 	}
 	if wait.needed > 0 {
 		p.Park()
 	}
+	s.endWait(wait)
 	return total
 }
 
@@ -855,13 +858,7 @@ func (s *System) rebuildFromNode(n *Node, parts map[int]bool) int64 {
 			// modified (uncommitted) versions do not — their sequence
 			// number becomes authoritative only at commit.
 			if _, modified := t.modified[page]; !modified {
-				var copySeq uint64
-				if fr := n.pool.Peek(page); fr != nil {
-					copySeq = fr.SeqNo
-				} else if seq, ok := n.inflight[page]; ok {
-					copySeq = seq
-				}
-				if copySeq > 0 {
+				if copySeq, _ := n.copySeq(page); copySeq > 0 {
 					meta := s.pclMetaOf(g, page)
 					if copySeq > meta.Seq {
 						meta.Seq = copySeq
@@ -893,12 +890,9 @@ func (s *System) rebuildFromNode(n *Node, parts map[int]bool) int64 {
 // dropNodeRAs clears a crashed node out of every read authorization
 // set.
 func (s *System) dropNodeRAs(node int) {
-	for page, set := range s.ra {
-		if set[node] {
-			delete(set, node)
-			if len(set) == 0 {
-				delete(s.ra, page)
-			}
+	for key := range s.ra {
+		if key.word == node/64 {
+			s.dropRA(key.page, node)
 		}
 	}
 }
@@ -907,9 +901,9 @@ func (s *System) dropNodeRAs(node int) {
 // partitions (their grant state died with the GLA; survivors' raHeld
 // views are cleared during rebuild).
 func (s *System) dropPartitionRAs(parts map[int]bool) {
-	for page := range s.ra {
-		if parts[s.gla.GLA(page)] {
-			delete(s.ra, page)
+	for key := range s.ra {
+		if parts[s.gla.GLA(key.page)] {
+			delete(s.ra, key)
 		}
 	}
 }

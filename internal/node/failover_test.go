@@ -184,11 +184,10 @@ func TestPCLRedoSeesReleaseDuringRebuild(t *testing.T) {
 			t.Error("partition 2 must be adopted by node 0 before the release is sent")
 		}
 		env.Spawn("release", func(p *sim.Proc) {
-			sys.net.SendReliable(p, 1, 0, netsim.Short, lockReleaseMsg{
-				Owner: lock.Owner{Node: 1, Tx: 1},
-				GLA:   2,
-				Pages: []releasedPage{{Page: page, NewSeq: 1}},
-			})
+			m := sys.newMsg(msgLockRelease)
+			m.owner, m.gla = lock.Owner{Node: 1, Tx: 1}, 2
+			m.pages = append(m.pages, msgPage{page: page, seq: 1})
+			sys.net.SendReliable(p, 1, 0, netsim.Short, m)
 		})
 	})
 	if err := env.Run(3 * time.Second); err != nil {

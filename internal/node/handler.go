@@ -7,128 +7,85 @@ import (
 	"gemsim/internal/sim"
 )
 
-// inlineMessage classifies the messages whose handlers only mutate
-// local state and unpark a waiter: the communication subsystem
-// delivers those on the kernel's callback tier (handleMessage then
-// runs with p == nil) instead of spawning a receive process. Every
-// other message type gets a handler process because its handler blocks
-// (device access or a reply send).
-func inlineMessage(msg any) bool {
-	switch msg.(type) {
-	case lockGrantMsg, pageReplyMsg, wakeupMsg, rebuildReplyMsg, revokeRAMsg, invalidateAckMsg, glaHandoffAckMsg, ccOpAckMsg:
-		return true
-	}
-	return false
-}
-
 // handleMessage dispatches an arriving message after the receive CPU
-// overhead was charged by the communication subsystem. For inline
-// message types (see inlineMessage) it runs in kernel context with
-// p == nil; for the rest it runs in a dedicated process at this node.
-func (n *Node) handleMessage(p *sim.Proc, from int, msg any) {
-	switch m := msg.(type) {
-	case lockRequestMsg:
-		n.handleLockRequest(p, m)
-	case lockGrantMsg:
-		if m.Wait.abandoned {
-			return
-		}
-		m.Wait.seq = m.Seq
-		m.Wait.carried = m.Carried
-		m.Wait.ownerHasCopy = m.OwnerHasCopy
-		m.Wait.grantRA = m.GrantRA
-		m.Wait.deadlock = m.Deadlock
-		m.Wait.woken = true
-		m.Wait.proc.Unpark()
-	case lockReleaseMsg:
-		n.handleLockRelease(p, m)
-	case ccOpMsg:
-		n.handleCCOp(p, m)
-	case ccOpAckMsg:
-		if m.Wait.abandoned {
-			return
-		}
-		m.Wait.seq = m.Seq
-		m.Wait.ccWTS = m.WTS
-		m.Wait.ownerHasCopy = m.Owner
-		m.Wait.ccOK = m.OK
-		m.Wait.ccReason = m.Reason
-		m.Wait.ccPage = m.Page
-		m.Wait.woken = true
-		m.Wait.proc.Unpark()
-	case ccPublishMsg:
-		n.handleCCPublish(p, m)
-	case lockCancelMsg:
-		n.handleLockCancel(p, m)
-	case pageRequestMsg:
-		n.handlePageRequest(p, m)
-	case pageReplyMsg:
-		if m.Wait.abandoned {
-			return
-		}
-		m.Wait.found = m.Found
-		m.Wait.seq = m.Seq
-		m.Wait.woken = true
-		m.Wait.proc.Unpark()
-	case wakeupMsg:
-		if m.Wait.abandoned {
-			return
-		}
-		m.Wait.woken = true
-		m.Wait.proc.Unpark()
-	case rebuildQueryMsg:
+// overhead was charged by the communication subsystem. It runs on the
+// kernel's callback tier: handlers mutate local state, wake a waiter,
+// or send on as a CPU-held chain (message.send, message.release). A
+// request's record is routed back to the sender as the short reply by
+// default. A reply whose wait has ended is dropped.
+func (n *Node) handleMessage(from int, msg any) {
+	m := msg.(*message)
+	m.at, m.to, m.class = n.id, from, netsim.Short
+	sys := n.sys
+	switch m.kind {
+	case msgLockRequest:
+		n.handleLockRequest(m)
+		return // the record lives on as the grant
+	case msgLockRelease:
+		m.release()
+		return // the chain frees the record
+	case msgCCOp:
+		n.handleCCOp(m)
+		return // the record lives on as the acknowledgement
+	case msgCCPublish:
+		n.handleCCPublish(m)
+	case msgLockCancel:
+		// Cost model only (see msgLockCancel).
+	case msgPageRequest:
+		n.handlePageRequest(m)
+		return // the record lives on as the reply
+	case msgRebuildQuery:
 		// Cost model only: the survivors' lock state was captured
 		// synchronously when the failure was detected; the round trip
 		// charges the communication work of the partition rebuild.
-		n.sys.net.SendReliable(p, n.id, from, netsim.Short, rebuildReplyMsg{Wait: m.Wait})
-	case rebuildReplyMsg:
-		m.Wait.acks++
-		m.Wait.woken = true
-		if m.Wait.acks >= m.Wait.needed {
-			m.Wait.proc.Unpark()
+		m.kind, m.reliable = msgRebuildReply, true
+		m.send()
+		return
+	case msgRevokeRA:
+		delete(n.raHeld, m.page)
+	case msgGLAHandoff:
+		n.handleGLAHandoff(m)
+		return // freed, or the record lives on as the acknowledgement
+	case msgInvalidate:
+		n.handleInvalidate(m)
+		return // the record lives on as the acknowledgement
+	case msgLockGrant, msgCCOpAck, msgPageReply, msgWakeup, msgGLAHandoffAck:
+		if w := m.wait.live(); w != nil {
+			w.reply = m
+			w.proc.Unpark()
+			return // the waiter frees the record with its wait
 		}
-	case revokeRAMsg:
-		delete(n.raHeld, m.Page)
-	case glaHandoffMsg:
-		n.handleGLAHandoff(p, m.From, m)
-	case glaHandoffAckMsg:
-		if m.Wait.abandoned {
-			return
-		}
-		m.Wait.woken = true
-		m.Wait.proc.Unpark()
-	case invalidateMsg:
-		n.handleInvalidate(p, from, m)
-	case invalidateAckMsg:
-		m.Wait.acks++
-		if m.Wait.acks >= m.Wait.needed {
-			m.Wait.proc.Unpark()
+	case msgRebuildReply, msgInvalidateAck:
+		if w := m.wait.live(); w != nil {
+			if w.acks++; w.acks >= w.needed {
+				w.proc.Unpark()
+			}
 		}
 	default:
-		panic(fmt.Sprintf("node %d: unknown message %T from %d", n.id, msg, from))
+		panic(fmt.Sprintf("node %d: unknown message kind %d from %d", n.id, m.kind, from))
 	}
+	sys.freeMsg(m)
 }
 
 // handlePageRequest serves a page request from another node: if this
 // node still buffers the page (possibly under replacement write-back),
 // the page is returned in a long message — or, with GEM page transfer
 // enabled, deposited in GEM and acknowledged with a short message.
-func (n *Node) handlePageRequest(p *sim.Proc, m pageRequestMsg) {
-	reply := pageReplyMsg{Wait: m.Wait}
-	if fr := n.pool.Get(m.Page); fr != nil {
-		reply.Found, reply.Seq = true, fr.SeqNo
-	} else if seq, ok := n.inflight[m.Page]; ok {
-		reply.Found, reply.Seq = true, seq
+func (n *Node) handlePageRequest(m *message) {
+	m.kind = msgPageReply
+	if fr := n.pool.Get(m.page); fr != nil {
+		m.found, m.seq = true, fr.SeqNo
+	} else if seq, ok := n.inflight[m.page]; ok {
+		m.found, m.seq = true, seq
 	}
-	class := netsim.Short
-	if reply.Found {
+	if m.found {
 		if n.sys.params.GEMPageTransfer {
 			// Deposit the page in GEM; the requester reads it from
 			// there (synchronous page accesses on both sides).
-			n.gemPageIO(p)
-		} else {
-			class = netsim.Long
+			n.cpu.Hold(sim.Continuation{}, n.sys.params.GEMIOInstr, n.sys.gemDev.Page(), 1, m.sendFn)
+			return
 		}
+		m.class = netsim.Long
 	}
-	n.sys.net.Send(p, n.id, m.Requester, class, reply)
+	m.send()
 }

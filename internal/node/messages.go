@@ -4,137 +4,40 @@ import (
 	"gemsim/internal/cc"
 	"gemsim/internal/lock"
 	"gemsim/internal/model"
+	"gemsim/internal/netsim"
 	"gemsim/internal/sim"
 )
 
-// Message types exchanged between nodes. All messages are delivered
-// through the netsim package, which charges send/receive CPU overhead
-// and the transmission delay.
+// Messages exchanged between nodes are records of one type, tagged by
+// kind and sent by pointer through the netsim package, which charges
+// send/receive CPU overhead and the transmission delay. Records are
+// pooled per system: the receiver frees a record once it has handled
+// it, and a request comes back as its own reply, so a message costs no
+// heap allocation in steady state. A record lost in transit or dropped
+// at a down node is simply never reused.
 
-// lockRequestMsg asks the GLA node for a lock (PCL). GLA names the
-// partition (table index); after a failover it can be served by a node
-// other than its original home.
-type lockRequestMsg struct {
-	Owner     lock.Owner
-	Page      model.PageID
-	Mode      model.LockMode
-	GLA       int
-	CachedSeq uint64 // requester's buffered version, 0 if none
-	HasCopy   bool
-	Wait      *remoteWait
-}
+// msgKind tags a message record. A reply reuses its request's record.
+type msgKind uint8
 
-// lockGrantMsg is the GLA's reply. For NOFORCE the current page version
-// travels with the grant when the requester's copy is obsolete (then
-// the reply is a long message).
-type lockGrantMsg struct {
-	Wait    *remoteWait
-	Seq     uint64
-	Carried bool // page attached (reply was a long message)
-	// OwnerHasCopy tells the requester that the GLA node buffers the
-	// current version: if the requester's own copy disappears before
-	// the page is accessed, it must be fetched from the GLA rather
-	// than from permanent storage.
-	OwnerHasCopy bool
-	GrantRA      bool // read authorization granted to the requester
-	Deadlock     bool // request aborted as deadlock victim
-}
-
-// lockReleaseMsg releases a transaction's locks at one GLA partition
-// (commit phase 2 or abort). Modified pages of the GLA's partition
-// travel with the release (NOFORCE), making the message long.
-type lockReleaseMsg struct {
-	Owner lock.Owner
-	GLA   int
-	Pages []releasedPage
-}
-
-// lockCancelMsg withdraws a timed-out remote lock request at its GLA
-// partition (fire-and-forget; the aborting transaction has already
-// cleaned up its table state directly, so this only carries the
-// message cost of a distributed cancel).
-type lockCancelMsg struct {
-	Owner lock.Owner
-	GLA   int
-}
-
-// rebuildQueryMsg asks a surviving node to report its granted locks on
-// the listed GLA partitions (PCL failover: the partitions of a crashed
-// node are rebuilt at their new home from the survivors).
-type rebuildQueryMsg struct {
-	Partitions []int
-	Wait       *remoteWait
-}
-
-// rebuildReplyMsg returns a survivor's lock entries for the queried
-// partitions.
-type rebuildReplyMsg struct {
-	Entries []rebuildEntry
-	Wait    *remoteWait
-}
-
-// rebuildEntry is one granted lock re-registered during GLA rebuild,
-// with the sequence number of the survivor's buffered copy (0 if
-// none), from which the partition's coherency metadata is re-derived.
-type rebuildEntry struct {
-	Page    model.PageID
-	Owner   lock.Owner
-	Mode    model.LockMode
-	CopySeq uint64
-}
-
-// releasedPage is one lock released at the GLA.
-type releasedPage struct {
-	Page    model.PageID
-	NewSeq  uint64 // 0 if not modified
-	Carried bool   // modified page travels with the message (NOFORCE)
-}
-
-// pageRequestMsg asks the owner node for the current version of a page
-// (GEM locking, NOFORCE).
-type pageRequestMsg struct {
-	Page      model.PageID
-	Requester int
-	Transfer  bool // write intent: ownership moves to the requester
-	Wait      *remoteWait
-}
-
-// pageReplyMsg returns the page (long message) or reports that the
-// owner no longer holds it.
-type pageReplyMsg struct {
-	Wait  *remoteWait
-	Found bool
-	Seq   uint64
-}
-
-// wakeupMsg notifies a waiting node that its GLT lock request was
-// granted (GEM locking).
-type wakeupMsg struct {
-	Wait *remoteWait
-}
-
-// revokeRAMsg withdraws a read authorization (PCL read optimization).
-type revokeRAMsg struct {
-	Page model.PageID
-}
-
-// glaHandoffMsg carries one batch of a GLA partition's directory during
-// a controller-initiated migration (long message: per-entry CPU is
-// charged on both sides). Final marks the last batch, which the new
-// home acknowledges.
-type glaHandoffMsg struct {
-	GLA     int
-	From    int
-	Entries int
-	Final   bool
-	Wait    *remoteWait
-}
-
-// glaHandoffAckMsg acknowledges the final handoff batch; the migration
-// process at the old home flips the partition's authority on receipt.
-type glaHandoffAckMsg struct {
-	Wait *remoteWait
-}
+const (
+	msgLockRequest   msgKind = iota + 1 // PCL lock request to the partition's serving node
+	msgLockGrant                        // its grant (long when it carries the page, NOFORCE)
+	msgLockRelease                      // commit release at one partition, new versions in pages
+	msgLockCancel                       // withdrawal of a timed-out request (cost only)
+	msgRevokeRA                         // withdrawal of the read authorization on page
+	msgCCOp                             // optimistic metadata operation op at a partition (PCL)
+	msgCCOpAck                          // its reply: ok, or reason and the failing page
+	msgCCPublish                        // optimistic commit publication to a partition
+	msgPageRequest                      // GEM locking, NOFORCE: ask the owner for page
+	msgPageReply                        // its reply: found (long) or not
+	msgWakeup                           // GEM locking: a GLT request was granted
+	msgInvalidate                       // lock engine: discard pages, then acknowledge
+	msgInvalidateAck                    // its acknowledgement
+	msgRebuildQuery                     // PCL failover: lock rebuild round trip (cost only)
+	msgRebuildReply                     // its reply
+	msgGLAHandoff                       // GLA migration: count directory entries of gla
+	msgGLAHandoffAck                    // acknowledgement of the final batch
+)
 
 // ccOp selects the optimistic-engine metadata operation performed at a
 // partition's serving node (PCL).
@@ -147,89 +50,165 @@ const (
 	ccOpValidate                     // batched end-of-transaction re-check
 )
 
-// ccOpPage is one page of an optimistic metadata operation, with the
-// version observation recorded at access time (validate batches only).
-type ccOpPage struct {
-	Page     model.PageID
-	Recorded uint64
+// msgPage is one page of a release, publication, validate batch or
+// invalidation, with a version: the new one (0 if the page was not
+// modified), or the one observed at access time.
+type msgPage struct {
+	page    model.PageID
+	seq     uint64
+	carried bool // the modified page travels with the message (NOFORCE)
 }
 
-// ccOpMsg asks a partition's serving node to perform an optimistic
-// metadata operation against its GLA-side state (PCL; the optimistic
-// engines' analogue of lockRequestMsg).
-type ccOpMsg struct {
-	Owner lock.Owner
-	Op    ccOp
-	GLA   int
-	TS    uint64
-	MVTO  bool // validate batches: re-check the version store, not raw seqs
-	Pages []ccOpPage
-	Wait  *remoteWait
+// partitions returns t's per-partition buffers of message pages for n
+// partitions, emptied (the central table is partition 0).
+func (t *txn) partitions(n int) [][]msgPage {
+	if len(t.out) < n {
+		t.out = make([][]msgPage, n)
+	}
+	for i := range t.out {
+		t.out[i] = t.out[i][:0]
+	}
+	return t.out
 }
 
-// ccOpAckMsg is the serving node's reply to a ccOpMsg.
-type ccOpAckMsg struct {
-	Wait   *remoteWait
-	Seq    uint64
-	WTS    uint64
-	Owner  bool // serving node buffers the current version
-	OK     bool
-	Reason cc.Reason
-	Page   model.PageID // first failing page of a validate batch
+// sendPartitions sends the pages in t.out from process t, one reliable
+// message of the given kind per partition in ascending partition
+// order, each listing its pages in page order (a long message when one
+// travels with it). Reliable: a lost release would strand every later
+// requester at the partition, a lost publication leave its metadata
+// stale.
+func (n *Node) sendPartitions(t *txn, kind msgKind, mvto bool) {
+	sys := n.sys
+	for gla, batch := range t.out {
+		if len(batch) == 0 {
+			continue
+		}
+		m := sys.newMsg(kind)
+		m.owner, m.gla, m.ts, m.mvto = t.owner, gla, t.cct.TS, mvto
+		class := netsim.Short
+		for _, pg := range batch {
+			m.pages = append(m.pages, pg)
+			if pg.carried {
+				class = netsim.Long
+			}
+		}
+		sys.net.SendReliable(t.proc, n.id, sys.glaHomeOf(gla), class, m)
+	}
 }
 
-// ccPublishMsg is the one-way commit publication of an optimistic
-// engine to a remote partition (PCL): new page versions installed at
-// the serving node, carried pages travelling with the message under
-// NOFORCE (the analogue of lockReleaseMsg propagation).
-type ccPublishMsg struct {
-	Owner lock.Owner
-	GLA   int
-	TS    uint64
-	MVTO  bool
-	Pages []releasedPage
+// message is one message between nodes; kind says which fields are
+// set. A lock request gives the requester's buffered version (hasCopy,
+// seq), its grant the current one, carried when the page travels with
+// it, ownerHasCopy when the serving node buffers it and grantRA with a
+// read authorization. A reply carries its request's wait back.
+type message struct {
+	kind   msgKind
+	wait   waitRef
+	owner  lock.Owner
+	gla    int
+	page   model.PageID
+	mode   model.LockMode
+	op     ccOp
+	seq    uint64
+	wts    uint64
+	ts     uint64
+	count  int // entries of a handoff batch; pages a release has released
+	reason cc.Reason
+	pages  []msgPage
+
+	hasCopy, carried, ownerHasCopy, grantRA, found, final, mvto, ok bool
+
+	// send routes the record from node at to node to, after the
+	// revocations under a write grant's cursor, then runs then. A
+	// release answers the grants of its last page from node to.
+	at, to   int
+	class    netsim.Class
+	reliable bool
+	revoking raCursor
+	then     func()
+	granted  []*lock.Request
+
+	sys       *System
+	sendFn    func() // bound to send
+	releaseFn func() // bound to release
 }
 
-// invalidateMsg is the commit-time broadcast of [Yu87]-style coherency
-// control (lock engine): the receiver discards its copies of the listed
-// pages and acknowledges.
-type invalidateMsg struct {
-	Pages []model.PageID
-	Wait  *remoteWait
+// newMsg takes a message record of the given kind from the pool.
+func (s *System) newMsg(kind msgKind) *message {
+	m := s.msgs.Get()
+	if m == nil {
+		m = &message{sys: s}
+		m.sendFn, m.releaseFn = m.send, m.release
+	}
+	m.kind = kind
+	return m
 }
 
-// invalidateAckMsg acknowledges an invalidation broadcast.
-type invalidateAckMsg struct {
-	Wait *remoteWait
+// freeMsg returns a handled message record to the pool.
+func (s *System) freeMsg(m *message) {
+	*m = message{sys: s, sendFn: m.sendFn, releaseFn: m.releaseFn, pages: m.pages[:0]}
+	s.msgs.Put(m)
+}
+
+// send puts m on its way on the callback tier, the send overhead held
+// on the sender's CPU with no process waiting. A write grant first
+// sends its revocations, one after another, each continuing the chain
+// when its own send completes.
+func (m *message) send() {
+	s := m.sys
+	if node := m.revoking.next(s); node >= 0 {
+		s.net.Post(m.at, node, netsim.Short, s.revocation(m.page), true, m.sendFn)
+		return
+	}
+	s.net.Post(m.at, m.to, m.class, m, m.reliable, m.then)
 }
 
 // remoteWait is the continuation of a process waiting for a reply
-// message or a lock grant.
+// message or a lock grant. Records are pooled per system; epoch counts
+// the waits a record has served, and a message or lock queue refers to
+// a wait only by a waitRef pinning its epoch, so a reply or wake that
+// comes after the waiter gave up (timeout, crash, deadlock) is dropped
+// instead of resuming whatever process holds the record now.
 type remoteWait struct {
-	proc *sim.Proc
-	// ra marks the continuation of a locally processed read lock
-	// under read authorization (no grant message on wake).
-	ra bool
-	// reply fields, set before Unpark.
-	seq          uint64
-	carried      bool
-	ownerHasCopy bool
-	grantRA      bool
-	found        bool
-	deadlock     bool
-	// optimistic-engine reply fields (ccOpAckMsg), set before Unpark.
-	ccWTS    uint64
-	ccOK     bool
-	ccReason cc.Reason
-	ccPage   model.PageID
-	// woken distinguishes a real reply from a timeout wake: every
-	// message-delivery path sets it before Unpark.
-	woken bool
-	// abandoned is set by a waiter that gave up (timeout or crash);
-	// message handlers drop the wait without unparking, so a late
-	// reply cannot resume the process at an unrelated park point.
-	abandoned bool
-	// broadcast acknowledgement counting (lock engine coherency).
-	acks   int
-	needed int
+	proc  *sim.Proc
+	epoch uint64
+	reply *message // handed over before Unpark; nil after a timeout wake
+	// acks counts the replies to a broadcast (lock engine coherency,
+	// failover rebuild); the waiter resumes once needed have arrived.
+	acks, needed int
+}
+
+// waitRef names one wait: a record and its epoch when the wait began.
+type waitRef struct {
+	w     *remoteWait
+	epoch uint64
+}
+
+// live returns the waiting record, or nil when the wait has ended.
+func (r waitRef) live() *remoteWait {
+	if r.w == nil || r.w.epoch != r.epoch {
+		return nil
+	}
+	return r.w
+}
+
+// newWait takes a wait record for process p from the pool.
+func (s *System) newWait(p *sim.Proc) *remoteWait {
+	w := s.waits.Get()
+	if w == nil {
+		w = &remoteWait{}
+	}
+	w.proc = p
+	return w
+}
+
+// endWait ends w's wait: the epoch moves on, so every outstanding
+// reference goes stale, and the record returns to the pool with its
+// reply.
+func (s *System) endWait(w *remoteWait) {
+	if w.reply != nil {
+		s.freeMsg(w.reply)
+	}
+	*w = remoteWait{epoch: w.epoch + 1}
+	s.waits.Put(w)
 }

@@ -129,8 +129,8 @@ type modRecord struct {
 // every restart attempt and returns it when the transaction ends, with
 // its maps and buffers emptied but kept. Nothing outside the running
 // process refers to a record once its attempt has left System.active:
-// lock queues and messages hold the attempt's remoteWait records, which
-// are never pooled.
+// lock queues and messages hold only generation-checked references to
+// the attempt's wait records.
 type txn struct {
 	id     lock.TxID
 	owner  lock.Owner
@@ -146,9 +146,12 @@ type txn struct {
 	// it for each attempt.
 	cct cc.Txn
 
-	// pages is the attempt's buffer for sortedPages. It is per
-	// transaction, not per node: commit parks while iterating it.
+	// pages is the attempt's buffer for sortedPages, and out (see
+	// partitions) the ones for pages bound for partitions' messages.
+	// They are per transaction, not per node: commit parks while
+	// iterating them.
 	pages []model.PageID
+	out   [][]msgPage
 
 	waiting  *remoteWait
 	deadlock bool
@@ -182,9 +185,9 @@ func (n *Node) newTxn() *txn {
 // attempt clears them when it starts).
 func (n *Node) freeTxn(t *txn) {
 	if len(t.spec.Refs) > txnKeepRefs {
-		t.locked, t.modified, t.pages, t.cct = nil, nil, nil, cc.Txn{}
+		t.locked, t.modified, t.pages, t.out, t.cct = nil, nil, nil, nil, cc.Txn{}
 	}
-	*t = txn{node: n, locked: t.locked, modified: t.modified, cct: t.cct, pages: t.pages[:0]}
+	*t = txn{node: n, locked: t.locked, modified: t.modified, cct: t.cct, pages: t.pages[:0], out: t.out}
 	n.txns.Put(t)
 }
 
@@ -466,7 +469,7 @@ func (n *Node) attempt(t *txn) error {
 		if obs := n.sys.pageObserver; obs != nil {
 			obs(ref.Page)
 		}
-		frame := n.getPage(t, file, ref.Page, ref.Write, out, firstTouch)
+		frame := n.getPage(t, file, ref.Page, out, firstTouch)
 		if ref.Write {
 			n.markModified(t, frame)
 		}
@@ -529,27 +532,27 @@ func (n *Node) markModified(t *txn, frame *buffer.Frame) {
 
 // requestLock registers t's request for page in mode at tbl, a lock
 // table this node processes itself (the central table, or a PCL
-// partition it serves); ra marks a shadow read lock under read
-// authorization. An ungranted request blocks t until the grant
+// partition it serves). An ungranted request blocks t until the grant
 // (blockForLock), and the wait is counted, timed, charged to t's record
 // and traced. waited reports a wait; err is blockForLock's abort
 // sentinel.
-func (n *Node) requestLock(t *txn, tbl *lock.Table, page model.PageID, mode model.LockMode, ra bool) (waited bool, err error) {
+func (n *Node) requestLock(t *txn, tbl *lock.Table, page model.PageID, mode model.LockMode) (waited bool, err error) {
 	req, granted := tbl.Request(page, t.owner, mode, nil)
 	if granted {
 		return false, nil
 	}
 	// Only a queued request needs its continuation: the grant wakes
 	// the waiter through req.Data.
-	wait := &remoteWait{proc: t.proc, ra: ra}
-	req.Data = wait
 	sys := n.sys
+	wait := sys.newWait(t.proc)
+	req.Data, req.Epoch = wait, wait.epoch
 	n.lockWaits++
 	sys.noteFenceConflict(page)
 	start := sys.env.Now()
 	t.waiting = wait
 	err = sys.blockForLock(t)
 	t.waiting = nil
+	sys.endWait(wait)
 	if err == nil {
 		n.lockWaitTime.AddDuration(sys.env.Now() - start)
 	}
@@ -603,7 +606,7 @@ func (n *Node) abortTxn(t *txn) {
 // getPage brings the page into the buffer (coherency controlled) and
 // returns its frame, fixed. The caller unfixes it after the record
 // access unless the page was modified.
-func (n *Node) getPage(t *txn, file *model.File, page model.PageID, write bool, out cc.Outcome, firstTouch bool) *buffer.Frame {
+func (n *Node) getPage(t *txn, file *model.File, page model.PageID, out cc.Outcome, firstTouch bool) *buffer.Frame {
 	for {
 		if fr := n.pool.Get(page); fr != nil {
 			if fr.SeqNo >= out.Seq {
@@ -624,7 +627,7 @@ func (n *Node) getPage(t *txn, file *model.File, page model.PageID, write bool, 
 			// copy fixed (impossible under 2PL, where the committer's
 			// write lock excludes readers until release): fetch the
 			// current version and refresh the frame in place.
-			fr = n.fetchMiss(t, file, page, write, out)
+			fr = n.fetchMiss(t, file, page, out)
 			fr.Fix()
 			n.sys.oracle.checkAccess(page, fr.SeqNo, file.Locking)
 			return fr
@@ -649,7 +652,7 @@ func (n *Node) getPage(t *txn, file *model.File, page model.PageID, write bool, 
 		if firstTouch {
 			n.pool.Observe(file.ID, false)
 		}
-		fr := n.fetchMiss(t, file, page, write, out)
+		fr := n.fetchMiss(t, file, page, out)
 		fr.Fix()
 		return fr
 	}
@@ -658,7 +661,7 @@ func (n *Node) getPage(t *txn, file *model.File, page model.PageID, write bool, 
 // fetchMiss obtains a missing page: fresh HISTORY pages are allocated,
 // carried pages (PCL) are installed directly, otherwise the page comes
 // from the owning node (GEM locking, NOFORCE) or from storage.
-func (n *Node) fetchMiss(t *txn, file *model.File, page model.PageID, write bool, out cc.Outcome) *buffer.Frame {
+func (n *Node) fetchMiss(t *txn, file *model.File, page model.PageID, out cc.Outcome) *buffer.Frame {
 	if file.AppendOnly && out.Seq == 0 {
 		if _, stored := n.sys.appendStored[page]; !stored {
 			// First insert into a fresh page: no I/O, allocate in place.
@@ -670,7 +673,7 @@ func (n *Node) fetchMiss(t *txn, file *model.File, page model.PageID, write bool
 	got := out.Carried
 	if !got && !n.sys.params.Force && out.Owner >= 0 && out.Owner != n.id {
 		reqStart := n.sys.env.Now()
-		if s, ok := n.requestPage(t, page, out.Owner, write); ok {
+		if s, ok := n.requestPage(t, page, out.Owner); ok {
 			seq, got = s, true
 		}
 		t.cp.AddPhase(attrib.PhasePageXfer, n.sys.env.Now()-reqStart)
@@ -931,7 +934,7 @@ func (n *Node) writeLog(p *sim.Proc, cp *attrib.Vector) {
 // locking, NOFORCE). It returns the received sequence number, or ok ==
 // false if the owner no longer buffers the page (then the permanent
 // database is current).
-func (n *Node) requestPage(t *txn, page model.PageID, owner int, write bool) (uint64, bool) {
+func (n *Node) requestPage(t *txn, page model.PageID, owner int) (uint64, bool) {
 	sys := n.sys
 	if sys.faultsOn && (sys.down[owner] || sys.down[n.id]) {
 		// The owner (or this node) is down: fall back to storage.
@@ -941,10 +944,11 @@ func (n *Node) requestPage(t *txn, page model.PageID, owner int, write bool) (ui
 	}
 	n.pageReqs++
 	start := sys.env.Now()
-	wait := &remoteWait{proc: t.proc}
-	sys.net.Send(t.proc, n.id, owner, netsim.Short, pageRequestMsg{
-		Page: page, Requester: n.id, Transfer: write, Wait: wait,
-	})
+	wait := sys.newWait(t.proc)
+	defer sys.endWait(wait)
+	m := sys.newMsg(msgPageRequest)
+	m.page, m.wait = page, waitRef{w: wait, epoch: wait.epoch}
+	sys.net.Send(t.proc, n.id, owner, netsim.Short, m)
 	if armed := sys.faultsOn && sys.params.LockWaitTimeout > 0; armed {
 		t.proc.UnparkAfter(sys.params.LockWaitTimeout)
 	}
@@ -954,23 +958,20 @@ func (n *Node) requestPage(t *txn, page model.PageID, owner int, write bool) (ui
 	// The round trip is message latency plus remote processing: pure
 	// network waiting from this transaction's point of view.
 	t.cp.Add(attrib.ResNet, sys.env.Now()-start, 0)
-	if t.killed || (sys.faultsOn && sys.params.LockWaitTimeout > 0 && !wait.woken) {
-		// Crash, lost request or lost reply: fall back to storage.
-		wait.abandoned = true
+	reply := wait.reply
+	if t.killed || reply == nil || !reply.found {
+		// Crash, lost request or lost reply, or the owner no longer
+		// buffers the page: fall back to storage.
 		n.pageReqMiss++
 		return 0, false
 	}
-	if n.sys.params.GEMPageTransfer && wait.found {
+	if n.sys.params.GEMPageTransfer {
 		// Exchange across GEM: the owner deposited the page in GEM
 		// (modelled at the owner); read it back synchronously.
 		n.gemPageIOAttr(t.proc, t.cp)
 	}
-	if !wait.found {
-		n.pageReqMiss++
-		return 0, false
-	}
 	n.pageReqDelay.AddDuration(n.sys.env.Now() - start)
-	return wait.seq, true
+	return reply.seq, true
 }
 
 // resetStats clears this node's measurement counters.

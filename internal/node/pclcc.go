@@ -1,6 +1,8 @@
 package node
 
 import (
+	mathbits "math/bits"
+
 	"gemsim/internal/attrib"
 	"gemsim/internal/cc"
 	"gemsim/internal/lock"
@@ -67,10 +69,7 @@ func (c *pclCC) lock(t *txn, page model.PageID, mode model.LockMode) (cc.Outcome
 	// GLA table (at zero cost) so that conflicting writers queue and
 	// deadlock detection stays sound.
 	if mode == model.LockRead && n.raHeld[page] {
-		if fr := n.pool.Peek(page); fr != nil {
-			return c.lockShadowRA(t, page, gla, fr.SeqNo)
-		}
-		if seq, ok := n.inflight[page]; ok {
+		if seq, ok := n.copySeq(page); ok {
 			return c.lockShadowRA(t, page, gla, seq)
 		}
 	}
@@ -84,11 +83,12 @@ func (c *pclCC) lockLocal(t *txn, page model.PageID, mode model.LockMode, gla in
 	sys := n.sys
 	n.localLocks++
 	n.lockCPUOp(t, sys.params.LockInstr, attrib.ResLock)
-	if _, err := n.requestLock(t, c.table(gla), page, mode, false); err != nil {
+	if _, err := n.requestLock(t, c.table(gla), page, mode); err != nil {
 		return cc.Outcome{}, err
 	}
 	if mode == model.LockWrite {
-		sys.revokeRAs(page, n.id, execCtx{node: n.id, proc: t.proc})
+		cur := sys.raCursor(page, n.id)
+		sys.revokeRAs(&cur, execCtx{node: n.id, proc: t.proc})
 	}
 	t.locked[page] = heldLock{mode: mode, kind: kindLocal}
 	meta := sys.pclMetaOf(gla, page)
@@ -105,7 +105,7 @@ func (c *pclCC) lockShadowRA(t *txn, page model.PageID, gla int, copySeq uint64)
 	n.lockCPUOp(t, sys.params.LockInstr, attrib.ResLock)
 	// An ungranted request means the RA is being revoked by a writer; it
 	// waits like a regular conflict.
-	waited, err := n.requestLock(t, c.table(gla), page, model.LockRead, true)
+	waited, err := n.requestLock(t, c.table(gla), page, model.LockRead)
 	if err != nil {
 		return cc.Outcome{}, err
 	}
@@ -130,101 +130,113 @@ func (c *pclCC) lockShadowRA(t *txn, page model.PageID, gla int, copySeq uint64)
 func (c *pclCC) lockRemote(t *txn, page model.PageID, mode model.LockMode, gla, home int) (cc.Outcome, error) {
 	n := c.n
 	sys := n.sys
-	wait := &remoteWait{proc: t.proc}
-	msg := lockRequestMsg{Owner: t.owner, Page: page, Mode: mode, GLA: gla, Wait: wait}
-	if fr := n.pool.Peek(page); fr != nil {
-		msg.HasCopy = true
-		msg.CachedSeq = fr.SeqNo
-	} else if seq, ok := n.inflight[page]; ok {
-		msg.HasCopy = true
-		msg.CachedSeq = seq
-	}
+	m := sys.newMsg(msgLockRequest)
+	m.owner, m.page, m.mode, m.gla = t.owner, page, mode, gla
+	m.seq, m.hasCopy = n.copySeq(page)
 	start := sys.env.Now()
-	if err := n.remoteRoundTrip(t, home, msg, wait, attrib.ResNet, trace.LockRemote, page); err != nil {
+	wait, err := n.remoteRoundTrip(t, home, m, attrib.ResNet, trace.LockRemote, page)
+	if err != nil {
 		if err == errTimeout {
 			// Withdraw the request unless the serving node is down (the
 			// abort path clears this owner's table state directly; the
 			// cancel message models the distributed withdrawal).
 			if home = sys.glaHomeOf(gla); !sys.down[home] {
-				sys.net.Send(t.proc, n.id, home, netsim.Short, lockCancelMsg{Owner: t.owner, GLA: gla})
+				cm := sys.newMsg(msgLockCancel)
+				cm.owner, cm.gla = t.owner, gla
+				sys.net.Send(t.proc, n.id, home, netsim.Short, cm)
 			}
 		}
 		return cc.Outcome{}, err
 	}
 	n.lockWaitTime.AddDuration(sys.env.Now() - start)
-	if wait.grantRA {
+	grant := wait.reply
+	if grant.grantRA {
 		n.raHeld[page] = true
 	}
 	t.locked[page] = heldLock{mode: mode, kind: kindRemote}
-	out := cc.Outcome{Seq: wait.seq, Owner: -1, Carried: wait.carried}
-	if wait.ownerHasCopy && !sys.params.Force {
+	out := cc.Outcome{Seq: grant.seq, Owner: -1, Carried: grant.carried}
+	if grant.ownerHasCopy && !sys.params.Force {
 		// Should the local copy disappear before the access (it can be
 		// replaced while the grant is in flight), fetch from the serving
 		// node, which buffers the current version.
 		out.Owner = home
 	}
+	sys.endWait(wait)
 	return out, nil
 }
 
 // handleLockRequest processes an arriving remote lock request at the
-// GLA node (runs in a message handler process at this node).
-func (n *Node) handleLockRequest(p *sim.Proc, m lockRequestMsg) {
+// GLA node, on the callback tier. A queued request keeps the message
+// record as its continuation.
+func (n *Node) handleLockRequest(m *message) {
 	sys := n.sys
-	if sys.faultsOn && sys.down[m.Owner.Node] {
+	if sys.faultsOn && sys.down[m.owner.Node] {
 		// The requester crashed while the message was in flight; its
 		// lock state was already swept by the failover.
+		sys.freeMsg(m)
 		return
 	}
-	_, granted := sys.tables[m.GLA].Request(m.Page, m.Owner, m.Mode, m)
+	req, granted := sys.tables[m.gla].Request(m.page, m.owner, m.mode, nil)
 	if granted {
-		n.pclReply(p, m)
+		n.pclReply(nil, m)
 		return
 	}
-	sys.noteFenceConflict(m.Page)
+	req.Data = m
+	sys.noteFenceConflict(m.page)
 	// The remote requester waits in the queue; check for deadlocks it
 	// may have closed.
-	if cycle := sys.detector.FindCycle(m.Owner); cycle != nil {
+	if cycle := sys.detector.FindCycle(m.owner); cycle != nil {
 		victim := lock.Victim(cycle)
 		sys.abortVictim(victim)
 	}
 }
 
-// pclReply processes a grant for a remote requester at the GLA node:
+// pclReply turns the lock request m into its grant at the GLA node:
 // attach coherency information, grant a read authorization, revoke
 // authorizations on write interest, and — under NOFORCE — supply the
 // current page version with the grant when the requester's copy is
-// obsolete (long reply).
-func (n *Node) pclReply(p *sim.Proc, m lockRequestMsg) {
+// obsolete (long reply). The revocations and the grant are sent by
+// process p, or as a callback-tier chain when p is nil.
+func (n *Node) pclReply(p *sim.Proc, m *message) {
 	sys := n.sys
-	meta := sys.pclMetaOf(m.GLA, m.Page)
-	grant := lockGrantMsg{Wait: m.Wait, Seq: meta.Seq}
-	class := netsim.Short
+	meta := sys.pclMetaOf(m.gla, m.page)
+	stale := !m.hasCopy || m.seq < meta.Seq
+	m.kind, m.at, m.to, m.class = msgLockGrant, n.id, m.owner.Node, netsim.Short
+	m.seq = meta.Seq
 	if !sys.params.Force {
 		// The GLA holds the current version of its partition's
 		// modified pages; ship it with the grant when useful.
-		stale := !m.HasCopy || m.CachedSeq < meta.Seq
-		if n.hasCurrent(m.Page, meta.Seq) {
-			grant.OwnerHasCopy = true
+		if n.hasCurrent(m.page, meta.Seq) {
+			m.ownerHasCopy = true
 			if stale {
-				n.pool.Get(m.Page) // LRU touch for the supplied page
-				grant.Carried = true
-				class = netsim.Long
+				n.pool.Get(m.page) // LRU touch for the supplied page
+				m.carried = true
+				m.class = netsim.Long
 			}
 		}
 	}
-	switch m.Mode {
-	case model.LockRead:
-		grant.GrantRA = true
-		set := sys.ra[m.Page]
-		if set == nil {
-			set = make(map[int]bool, 2)
-			sys.ra[m.Page] = set
-		}
-		set[m.Owner.Node] = true
-	case model.LockWrite:
-		sys.revokeRAs(m.Page, m.Owner.Node, execCtx{node: n.id, proc: p})
+	if m.mode == model.LockWrite {
+		m.revoking = sys.raCursor(m.page, m.owner.Node)
+	} else {
+		m.grantRA = true
+		sys.ra[raWord{page: m.page, word: m.owner.Node / 64}] |= 1 << (m.owner.Node % 64)
 	}
-	sys.net.Send(p, n.id, m.Owner.Node, class, grant)
+	if p == nil {
+		m.send()
+		return
+	}
+	sys.revokeRAs(&m.revoking, execCtx{node: n.id, proc: p})
+	sys.net.Send(p, n.id, m.to, m.class, m)
+}
+
+// copySeq returns the sequence number of this node's copy of page, in
+// the buffer or under replacement write-back, and whether it has one.
+func (n *Node) copySeq(page model.PageID) (uint64, bool) {
+	if fr := n.pool.Peek(page); fr != nil {
+		return fr.SeqNo, true
+	}
+	seq, ok := n.inflight[page]
+	return seq, ok
 }
 
 // hasCurrent reports whether this node buffers the current version of
@@ -239,27 +251,74 @@ func (n *Node) hasCurrent(page model.PageID, seq uint64) bool {
 	return false
 }
 
-// revokeRAs withdraws all read authorizations on page except the one of
-// keep, sending a short revocation message per holder node
-// (fire-and-forget; in-progress local read locks are covered by their
-// shadow registrations).
-func (s *System) revokeRAs(page model.PageID, keep int, ctx execCtx) {
-	set := s.ra[page]
-	if len(set) == 0 {
-		return
+// revokeRAs withdraws the read authorizations under cur in ascending
+// node order, sending a short revocation message per holder node from
+// process ctx (fire-and-forget; in-progress local read locks are
+// covered by their shadow registrations).
+func (s *System) revokeRAs(cur *raCursor, ctx execCtx) {
+	for node := cur.next(s); node >= 0; node = cur.next(s) {
+		s.net.SendReliable(ctx.proc, ctx.node, node, netsim.Short, s.revocation(cur.page))
 	}
-	for _, node := range sortedKeys(set) {
-		if node == keep {
+}
+
+// revocation is the message withdrawing a read authorization on page.
+// It is sent reliably: a lost revocation would leave a stale
+// authorization and silently break coherency.
+func (s *System) revocation(page model.PageID) *message {
+	m := s.newMsg(msgRevokeRA)
+	m.page = page
+	return m
+}
+
+// raWord keys one word of a page's read-authorization set (System.ra):
+// bit b stands for node 64*word+b.
+type raWord struct {
+	page model.PageID
+	word int
+}
+
+// dropRA withdraws node's read authorization on page.
+func (s *System) dropRA(page model.PageID, node int) {
+	key := raWord{page: page, word: node / 64}
+	if bits := s.ra[key] &^ (1 << (node % 64)); bits != 0 {
+		s.ra[key] = bits
+	} else {
+		delete(s.ra, key)
+	}
+}
+
+// raCursor walks the read authorizations on one page in ascending node
+// order, withdrawing each holder but keep as it reaches it; a word of
+// the set is read when the walk enters it. The zero cursor is done.
+type raCursor struct {
+	page             model.PageID
+	keep, word, left int    // left counts the words still to read
+	bits             uint64 // holders of word-1 not reached yet
+}
+
+// raCursor starts a walk of page's read authorizations.
+func (s *System) raCursor(page model.PageID, keep int) raCursor {
+	return raCursor{page: page, keep: keep, left: (s.params.Nodes + 63) / 64}
+}
+
+// next withdraws the next holder's authorization and returns the
+// holder, or -1 when the walk is over.
+func (c *raCursor) next(s *System) int {
+	for c.bits != 0 || c.left > 0 {
+		if c.bits == 0 {
+			c.bits = s.ra[raWord{page: c.page, word: c.word}]
+			c.word++
+			c.left--
 			continue
 		}
-		delete(set, node)
-		// Reliable: a lost revocation would leave a stale authorization
-		// and silently break coherency.
-		s.net.SendReliable(ctx.proc, ctx.node, node, netsim.Short, revokeRAMsg{Page: page})
+		node := (c.word-1)*64 + mathbits.TrailingZeros64(c.bits)
+		c.bits &= c.bits - 1
+		if node != c.keep {
+			s.dropRA(c.page, node)
+			return node
+		}
 	}
-	if len(set) == 0 {
-		delete(s.ra, page)
-	}
+	return -1
 }
 
 // wakePCLGranted dispatches newly granted requests of one GLA table:
@@ -270,13 +329,24 @@ func (s *System) revokeRAs(page model.PageID, keep int, ctx execCtx) {
 func (s *System) wakePCLGranted(granted []*lock.Request, gla int, ctx execCtx) {
 	g := s.nodes[s.glaHomeOf(gla)]
 	for _, req := range granted {
-		switch d := req.Data.(type) {
-		case *remoteWait:
-			d.proc.Unpark()
-		case lockRequestMsg:
+		if d := wakePCL(req); d != nil {
 			g.pclReply(ctx.proc, d)
 		}
 	}
+}
+
+// wakePCL resumes the local waiter of a granted PCL request, unless its
+// wait has ended, or returns the remote request the grant answers.
+func wakePCL(req *lock.Request) *message {
+	switch d := req.Data.(type) {
+	case *remoteWait:
+		if d.epoch == req.Epoch {
+			d.proc.Unpark()
+		}
+	case *message:
+		return d
+	}
+	return nil
 }
 
 // releaseAll performs commit phase 2 (or abort) under PCL: locks of the
@@ -305,8 +375,8 @@ func (c *pclCC) releaseAll(t *txn, commit bool) {
 		return
 	}
 
-	perGLA := make(map[int][]releasedPage)
 	t.pages = sortedPages(t.pages, t.locked)
+	out := t.partitions(sys.params.Nodes)
 	for _, page := range t.pages {
 		hl := t.locked[page]
 		gla := sys.gla.GLA(page)
@@ -328,62 +398,59 @@ func (c *pclCC) releaseAll(t *txn, commit bool) {
 				sys.wakeGrantedAsync(granted, gla, home)
 			}
 		case kindRemote:
-			rp := releasedPage{Page: page}
+			rp := msgPage{page: page}
 			if modified {
-				rp.NewSeq = mod.frame.SeqNo
+				rp.seq = mod.frame.SeqNo
 				if !sys.params.Force {
-					rp.Carried = true
+					rp.carried = true
 					// Ownership moves to the GLA node; the local copy
 					// stays readable but is no longer this node's to
 					// write back.
 					mod.frame.Dirty = false
 				}
 			}
-			perGLA[gla] = append(perGLA[gla], rp)
+			out[gla] = append(out[gla], rp)
 		}
 		delete(t.locked, page)
 	}
-	for _, gla := range sortedKeys(perGLA) {
-		pages := perGLA[gla]
-		class := netsim.Short
-		for _, rp := range pages {
-			if rp.Carried {
-				class = netsim.Long
-				break
-			}
-		}
-		// Reliable: a lost release would orphan committed locks at the
-		// partition and strand every later requester.
-		sys.net.SendReliable(t.proc, n.id, sys.glaHomeOf(gla), class, lockReleaseMsg{Owner: t.owner, GLA: gla, Pages: pages})
-	}
+	n.sendPartitions(t, msgLockRelease, false)
 }
 
-// handleLockRelease processes a release message at the GLA node:
-// record the new page versions, install carried pages (the GLA becomes
-// their owner), release the locks and grant waiting requests.
-func (n *Node) handleLockRelease(p *sim.Proc, m lockReleaseMsg) {
-	sys := n.sys
-	for _, rp := range m.Pages {
-		if rp.NewSeq > 0 {
-			meta := sys.pclMetaOf(m.GLA, rp.Page)
-			if rp.NewSeq > meta.Seq {
-				meta.Seq = rp.NewSeq
-				sys.oracle.commit(rp.Page, rp.NewSeq)
+// release runs a release message's chain at its serving node m.at, on
+// the callback tier: record the new page versions, install carried
+// pages (the node becomes their owner), and release the locks page by
+// page, answering the requests each release grants. A remote grant's
+// sends complete before the chain moves on.
+func (m *message) release() {
+	s := m.sys
+	n := s.nodes[m.at]
+	for {
+		for len(m.granted) > 0 {
+			d := wakePCL(m.granted[0])
+			m.granted = m.granted[1:]
+			if d != nil {
+				d.then = m.releaseFn
+				s.nodes[m.to].pclReply(nil, d)
+				return
 			}
 		}
-		if rp.Carried {
-			n.install(rp.Page, rp.NewSeq, true)
+		if m.count == len(m.pages) {
+			s.freeMsg(m)
+			return
 		}
-		granted := sys.tables[m.GLA].Release(rp.Page, m.Owner)
-		sys.wakeGranted(granted, m.GLA, execCtx{node: n.id, proc: p})
+		rp := m.pages[m.count]
+		m.count++
+		if rp.seq > 0 {
+			meta := s.pclMetaOf(m.gla, rp.page)
+			if rp.seq > meta.Seq {
+				meta.Seq = rp.seq
+				s.oracle.commit(rp.page, rp.seq)
+			}
+		}
+		if rp.carried {
+			n.install(rp.page, rp.seq, true)
+		}
+		m.granted = s.tables[m.gla].Release(rp.page, m.owner)
+		m.to = s.glaHomeOf(m.gla)
 	}
-}
-
-// handleLockCancel processes a timed-out requester's withdrawal at the
-// partition's serving node. The aborting transaction already cleared
-// its table state directly when it unwound (lock tables are shared
-// structures in the simulator), so the message only charges the
-// communication cost of a distributed cancel; mutating the table here
-// could race a fast retry of the same transaction.
-func (n *Node) handleLockCancel(p *sim.Proc, m lockCancelMsg) {
 }

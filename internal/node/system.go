@@ -54,8 +54,12 @@ type System struct {
 	// bounded per-page version histories and read timestamps backing
 	// timestamp-ordered reads and first-committer-wins writes.
 	ccVersions *cc.VersionStore
-	// ra tracks read authorizations per page (PCL read optimization).
-	ra map[model.PageID]map[int]bool
+	// ra tracks read authorizations per page (PCL read optimization),
+	// as node bitsets (raWord).
+	ra map[raWord]uint64
+	// Recycled message and wait records (messages.go).
+	msgs  sim.FreeList[message]
+	waits sim.FreeList[remoteWait]
 	// writeBuffer holds pages written to the GEM write buffer whose
 	// asynchronous disk update is still pending (MediumGEMWriteBuffer).
 	writeBuffer map[model.PageID]uint64
@@ -196,7 +200,7 @@ func NewSystem(env *sim.Env, params Params, gen workload.Generator, router routi
 		net:          netsim.New(env, params.Net, params.Nodes),
 		groups:       make(map[model.FileID]*storage.Group, len(db.Files)),
 		gltMeta:      gem.NewMetaTable(),
-		ra:           make(map[model.PageID]map[int]bool),
+		ra:           make(map[raWord]uint64),
 		writeBuffer:  make(map[model.PageID]uint64),
 		appendStored: make(map[model.PageID]struct{}),
 		gemCaches:    make(map[model.FileID]*buffer.Pool),
@@ -284,7 +288,6 @@ func NewSystem(env *sim.Env, params Params, gen workload.Generator, router routi
 	}
 	for i, n := range s.nodes {
 		s.net.Register(i, n.cpu, n.handleMessage)
-		s.net.RegisterInline(i, inlineMessage)
 	}
 	if params.GEMMessaging {
 		s.net.UseStore(&netsim.StoreTransport{
@@ -471,20 +474,14 @@ func (s *System) blockForLock(t *txn) error {
 	if armed && s.stillWaiting(t.owner) {
 		// Timer wake: the request was never granted.
 		s.lockTimeouts++
-		if t.waiting != nil {
-			t.waiting.abandoned = true
-		}
 		s.cancelWaiting(t.owner, ctx)
 		return errTimeout
 	}
-	if armed && t.waiting != nil && !t.waiting.woken {
-		// The lock was granted but the notification has not been
-		// consumed: either the timer raced a direct wake in the same
-		// instant (deduplicated by the park generation) or a wakeup
-		// message is still in flight — or was lost. The lock is held
-		// either way; mark the wait so a late message is dropped.
-		t.waiting.abandoned = true
-	}
+	// Otherwise the lock is held, even when the timer fired first: the
+	// timer may have raced a direct wake in the same instant
+	// (deduplicated by the park generation), or a wakeup message is
+	// still in flight or was lost. The caller ends the wait, so a late
+	// message is dropped.
 	return nil
 }
 
@@ -540,9 +537,6 @@ func (s *System) abortVictim(o lock.Owner) {
 			atNode = s.glaHomeOf(i)
 		}
 		s.wakeGrantedAsync(granted, i, atNode)
-	}
-	if vt.waiting != nil {
-		vt.waiting.deadlock = true
 	}
 	vt.proc.Unpark()
 }

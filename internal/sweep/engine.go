@@ -46,6 +46,7 @@ type Result struct {
 	Key         string             `json:"key"`
 	Group       string             `json:"group,omitempty"`
 	Fingerprint string             `json:"fp"`
+	Model       int                `json:"model"` // core.ModelVersion of the run
 	Seed        int64              `json:"seed"`
 	Replica     int                `json:"replica"`
 	Attempts    int                `json:"attempts"`
@@ -74,6 +75,9 @@ type Summary struct {
 	Executed int
 	// Resumed counts runs satisfied from the result store.
 	Resumed int
+	// Stale counts runs re-executed because the store holds them only
+	// from another model version (core.ModelVersion).
+	Stale int
 	// Failed counts runs whose final attempt errored.
 	Failed int
 	// Pending counts runs never started (only after an interrupt).
@@ -90,6 +94,9 @@ type Summary struct {
 func (s *Summary) String() string {
 	out := fmt.Sprintf("%d runs: %d executed, %d resumed, %d failed in %s",
 		s.Total, s.Executed, s.Resumed, s.Failed, fmtDuration(s.Wall))
+	if s.Stale > 0 {
+		out += fmt.Sprintf(" (%d stored from another model version, re-executed)", s.Stale)
+	}
 	if s.Interrupted {
 		out += fmt.Sprintf(" (interrupted, %d pending)", s.Pending)
 	}
@@ -114,11 +121,17 @@ func Execute(runs []Run, eng Engine) (map[string]Result, Summary, error) {
 	results := make(map[string]Result, len(runs))
 	var pending []int
 	var prior map[string]Result
+	staleKeys := make(map[string]bool)
 	if eng.Resume && eng.Store != nil {
 		var err error
 		prior, err = eng.Store.Load()
 		if err != nil {
 			return nil, sum, fmt.Errorf("sweep: resume: %w", err)
+		}
+		for _, p := range prior {
+			if p.Model != core.ModelVersion {
+				staleKeys[p.Key] = true
+			}
 		}
 	}
 	for i := range runs {
@@ -129,6 +142,9 @@ func Execute(runs []Run, eng Engine) (map[string]Result, Summary, error) {
 			results[runs[i].Key] = p
 			sum.Resumed++
 			continue
+		}
+		if staleKeys[runs[i].Key] {
+			sum.Stale++
 		}
 		pending = append(pending, i)
 	}
@@ -208,6 +224,7 @@ func (eng *Engine) runOne(r *Run) Result {
 		Key:         r.Key,
 		Group:       r.Group,
 		Fingerprint: r.Fingerprint(),
+		Model:       core.ModelVersion,
 		Seed:        r.Config.Seed,
 		Replica:     r.Replica,
 	}

@@ -63,8 +63,10 @@ func ExperimentRuns(e *core.Experiment, opts core.ExperimentOptions) []Run {
 // PresetRuns expands a preset into its run list: one run per table
 // row and replica. Replica 0 keeps the key "<preset>/<row label>" and
 // the seed its preset row set; replica k >= 1 is keyed
-// "<preset>/<row label>/r<k>" and seeded from the row's seed and that
-// key. A run's cells are the preset's row values.
+// "<preset>/<row label>/r<k>" and seeded from the row's seed and "r<k>"
+// only. So rows that share a seed in replica 0 share one in every
+// replica: a paired comparison of two rows sees common random numbers
+// in each replica. A run's cells are the preset's row values.
 func PresetRuns(p *core.Preset, reps int) []Run {
 	if reps < 1 {
 		reps = 1
@@ -75,7 +77,7 @@ func PresetRuns(p *core.Preset, reps int) []Run {
 			key, cfg := p.ID+"/"+row.Label, row.Config
 			if k > 0 {
 				key = fmt.Sprintf("%s/r%d", key, k)
-				cfg.Seed = DeriveSeed(cfg.Seed, key)
+				cfg.Seed = DeriveSeed(cfg.Seed, fmt.Sprintf("r%d", k))
 			}
 			runs = append(runs, Run{
 				Key:     key,

@@ -57,12 +57,21 @@ func TestPresetRuns(t *testing.T) {
 	}
 
 	// Replicated: replica 0 is the unreplicated run, replica k >= 1 is
-	// keyed "<preset>/<label>/r<k>" with a seed of its own.
-	reps := PresetRuns(&p, 3)
-	if len(reps) != 3*len(runs) {
-		t.Fatalf("%d replicated runs, want %d", len(reps), 3*len(runs))
+	// keyed "<preset>/<label>/r<k>". Within one replica, rows that share
+	// a seed in replica 0 share one (rows n1 and n3 here); across
+	// replicas, seeds differ.
+	p.Rows[2].Config.Seed = p.Rows[0].Config.Seed
+	runs = PresetRuns(&p, 1)
+	const nreps = 3
+	reps := PresetRuns(&p, nreps)
+	if len(reps) != nreps*len(runs) {
+		t.Fatalf("%d replicated runs, want %d", len(reps), nreps*len(runs))
 	}
-	seeds := make(map[int64]string)
+	seed := make([][]int64, nreps) // replica, row
+	for k := range seed {
+		seed[k] = make([]int64, len(p.Rows))
+	}
+	replicaOf := make(map[int64]int)
 	for _, r := range reps {
 		want := "fake/" + r.Row
 		if r.Replica > 0 {
@@ -74,10 +83,21 @@ func TestPresetRuns(t *testing.T) {
 		if r.Replica == 0 && !reflect.DeepEqual(r.Config, runs[r.RowIdx].Config) {
 			t.Errorf("%s: replica 0 differs from the unreplicated run", r.Key)
 		}
-		if other, dup := seeds[r.Config.Seed]; dup {
-			t.Errorf("%s and %s share seed %d", r.Key, other, r.Config.Seed)
+		if k, seen := replicaOf[r.Config.Seed]; seen && k != r.Replica {
+			t.Errorf("%s shares seed %d with replica %d", r.Key, r.Config.Seed, k)
 		}
-		seeds[r.Config.Seed] = r.Key
+		replicaOf[r.Config.Seed] = r.Replica
+		seed[r.Replica][r.RowIdx] = r.Config.Seed
+	}
+	for k := range seed {
+		for i := range p.Rows {
+			for j := range p.Rows {
+				if shared := seed[0][i] == seed[0][j]; (seed[k][i] == seed[k][j]) != shared {
+					t.Errorf("replica %d: rows %s and %s share a seed %v, in replica 0 %v",
+						k, p.Rows[i].Label, p.Rows[j].Label, !shared, shared)
+				}
+			}
+		}
 	}
 }
 

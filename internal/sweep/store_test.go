@@ -213,3 +213,55 @@ func TestResumeReattemptsFailures(t *testing.T) {
 		t.Fatal("re-attempted run must now succeed")
 	}
 }
+
+// TestResumeReexecutesOtherModelVersion: a stored row written by
+// another model version is not resumed, even for the same key, seed and
+// configuration; the summary counts it as stale.
+func TestResumeReexecutesOtherModelVersion(t *testing.T) {
+	runs := fakeRuns(3, 1)
+	path := tmpStore(t)
+	st, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Execute(runs, Engine{Jobs: 1, Store: st, exec: fakeExec}); err != nil {
+		t.Fatal(err)
+	}
+	// The first row as an older binary stored it: its own model version
+	// and the fingerprint that version computed.
+	old := Result{Key: runs[0].Key, Fingerprint: "0123456789abcdef", Model: core.ModelVersion - 1,
+		Seed: runs[0].Config.Seed, Values: map[string]float64{"value": -1}}
+	st.Close()
+	rows, err := LoadStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2, err := OpenStore(tmpStore(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	for _, r := range rows {
+		if r.Key != runs[0].Key {
+			if err := st2.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := st2.Append(old); err != nil {
+		t.Fatal(err)
+	}
+	results, sum, err := Execute(runs, Engine{Jobs: 1, Store: st2, Resume: true, exec: fakeExec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Resumed != 2 || sum.Executed != 1 || sum.Stale != 1 {
+		t.Fatalf("resume over a stale row: %s", sum.String())
+	}
+	if !strings.Contains(sum.String(), "1 stored from another model version") {
+		t.Fatalf("summary does not report the stale row: %s", sum.String())
+	}
+	if results[runs[0].Key].Values["value"] < 0 {
+		t.Fatal("the stale row was resumed")
+	}
+}

@@ -77,13 +77,13 @@ func cellKey(j int) string {
 func DeriveSeed(base int64, key string) int64 { return rng.DeriveSeed(base, key) }
 
 // Fingerprint identifies a run in the result store: a stable hash of
-// the run key, the derived seed and a digest of the configuration, so
-// a resumed sweep only trusts stored results produced by an identical
-// run.
+// the run key, the derived seed, the model version (core.ModelVersion)
+// and a digest of the configuration, so a resumed sweep only trusts
+// stored results produced by an identical run of the same model.
 func (r *Run) Fingerprint() string {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(r.Key))
-	fmt.Fprintf(h, "|seed=%d|", r.Config.Seed)
+	fmt.Fprintf(h, "|seed=%d|model=%d|", r.Config.Seed, core.ModelVersion)
 	_, _ = h.Write([]byte(ConfigDigest(&r.Config)))
 	return fmt.Sprintf("%016x", h.Sum64())
 }
