@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"gemsim/internal/attrib"
+	"gemsim/internal/fault"
 	"gemsim/internal/trace"
 )
 
@@ -37,6 +38,23 @@ func tinyLockEngineConfig() Config {
 	cfg.Nodes = 2
 	cfg.Coupling = CouplingLockEngine
 	cfg.Force = true
+	return cfg
+}
+
+// tinyPCLConfig is a three-node primary copy locking run of the
+// synthetic trace with random routing, a node crash and a lock-wait
+// timeout: remote grants, read-authorization revocations, deadlock
+// victims, timed-out waits and the recovery's lock releases all show in
+// its trace.
+func tinyPCLConfig() Config {
+	cfg := DefaultTraceConfig(3, ccMatrixTrace())
+	cfg.Coupling = CouplingPCL
+	cfg.Routing = RoutingRandom
+	cfg.ArrivalRatePerNode = 60
+	cfg.Warmup = 500 * time.Millisecond
+	cfg.Measure = 4 * time.Second
+	cfg.Faults = &FaultConfig{Crashes: []fault.NodeCrash{{Node: 1, At: 2 * time.Second, Repair: time.Second}}}
+	cfg.Faults.LockWaitTimeout = 300 * time.Millisecond
 	return cfg
 }
 
@@ -157,6 +175,7 @@ func runTraced(t *testing.T, cfg Config) (events, ts []byte) {
 func TestTraceGolden(t *testing.T) {
 	events, ts := runTraced(t, tinyConfig())
 	leEvents, _ := runTraced(t, tinyLockEngineConfig())
+	pclEvents, _ := runTraced(t, tinyPCLConfig())
 	for _, g := range []struct {
 		file string
 		got  []byte
@@ -164,6 +183,7 @@ func TestTraceGolden(t *testing.T) {
 		{filepath.Join("testdata", "tiny_trace.jsonl"), events},
 		{filepath.Join("testdata", "tiny_timeseries.jsonl"), ts},
 		{filepath.Join("testdata", "tiny_trace_le.jsonl"), leEvents},
+		{filepath.Join("testdata", "tiny_trace_pcl.jsonl"), pclEvents},
 	} {
 		if *updateGolden {
 			if err := os.WriteFile(g.file, g.got, 0o644); err != nil {
@@ -187,7 +207,7 @@ func TestTraceGolden(t *testing.T) {
 	}
 
 	// Every emitted line must be valid JSON with the mandatory fields.
-	for _, tr := range [][]byte{events, leEvents} {
+	for _, tr := range [][]byte{events, leEvents, pclEvents} {
 		for i, line := range strings.Split(strings.TrimSuffix(string(tr), "\n"), "\n") {
 			var e struct {
 				Ph    string   `json:"ph"`

@@ -18,6 +18,7 @@ var modelGoldens = []string{
 	"testdata/cc_matrix.golden",
 	"testdata/tiny_trace.jsonl",
 	"testdata/tiny_trace_le.jsonl",
+	"testdata/tiny_trace_pcl.jsonl",
 	"testdata/tiny_timeseries.jsonl",
 }
 
