@@ -262,8 +262,9 @@ func printDetails(rep *core.Report) {
 		m.InvalidationsPerTxn, m.PageRequestsPerTxn, m.MeanPageReqDelay)
 	fmt.Printf("storage                 reads %d  writes %d  force writes %d  log writes %d\n",
 		m.StorageReads, m.StorageWrites, m.ForceWrites, m.LogWrites)
-	fmt.Printf("kernel                  %d events dispatched (%.0f events/sec wall clock)\n",
-		rep.KernelEvents, rep.KernelEventsPerSec)
+	perCommit := func(n int64) float64 { return float64(n) / float64(max(m.Commits, 1)) }
+	fmt.Printf("kernel                  %d events dispatched (%.0f events/sec wall clock)  spawns/commit %.2f  parks/commit %.2f\n",
+		rep.KernelEvents, rep.KernelEventsPerSec, perCommit(rep.KernelSpawns), perCommit(rep.KernelParks))
 	if m.TxnsKilled > 0 || m.TxnsRetried > 0 || m.LockTimeouts > 0 ||
 		m.MessagesDropped > 0 || len(m.Failovers) > 0 {
 		fmt.Printf("faults                  killed %d  retried %d  lock timeouts %d  messages dropped %d\n",

@@ -27,6 +27,10 @@ type Report struct {
 	// events), so it may differ between runs whose measurements are
 	// identical.
 	KernelEvents int64
+	// KernelSpawns and KernelParks count the processes the kernel
+	// spawned and the times a process parked over the measured
+	// interval, outside Metrics for the same reason.
+	KernelSpawns, KernelParks int64
 	// KernelEventsPerSec is KernelEvents over the measured interval's
 	// wall-clock time — the kernel's simulation speed. Wall-clock
 	// derived, so never deterministic and never part of result tables.
@@ -112,7 +116,7 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	sys.ResetStats()
-	evBase := env.Dispatched()
+	evBase, spawnBase, parkBase := env.Dispatched(), env.Spawns(), env.Parks()
 	wallStart := time.Now()
 	if err := env.Run(cfg.Warmup + cfg.Measure); err != nil {
 		return nil, err
@@ -124,6 +128,7 @@ func Run(cfg Config) (*Report, error) {
 	metrics := sys.Snapshot()
 	rep := &Report{Config: cfg, Metrics: metrics}
 	rep.KernelEvents = env.Dispatched() - evBase
+	rep.KernelSpawns, rep.KernelParks = env.Spawns()-spawnBase, env.Parks()-parkBase
 	if wall > 0 {
 		rep.KernelEventsPerSec = float64(rep.KernelEvents) / wall.Seconds()
 	}

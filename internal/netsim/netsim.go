@@ -181,7 +181,7 @@ func (n *Network) sendInstr(c Class) float64 {
 // Params.LossProb, and it is dropped when the receiver is down at
 // delivery time. Callers must tolerate loss (timeout and retry).
 func (n *Network) Send(p *sim.Proc, from, to int, c Class, msg any) {
-	if n.post(p.Continuation(), from, to, c, msg, false, nil) {
+	if n.Post(p.Continuation(), from, to, c, msg, false, nil) {
 		p.Park()
 	}
 }
@@ -190,23 +190,19 @@ func (n *Network) Send(p *sim.Proc, from, to int, c Class, msg any) {
 // until acknowledged (lock releases, recovery traffic): it is exempt
 // from random loss, but still dropped when the receiver is down.
 func (n *Network) SendReliable(p *sim.Proc, from, to int, c Class, msg any) {
-	if n.post(p.Continuation(), from, to, c, msg, true, nil) {
+	if n.Post(p.Continuation(), from, to, c, msg, true, nil) {
 		p.Park()
 	}
 }
 
 // Post is Send (SendReliable when reliable is set) on the callback
-// tier: the send overhead is a CPU burst no process waits on, and done
-// (if non-nil) runs in kernel context once the message is on its way.
-func (n *Network) Post(from, to int, c Class, msg any, reliable bool, done func()) {
-	n.post(sim.Continuation{}, from, to, c, msg, reliable, done)
-}
-
-// post charges the send overhead at the sender, puts the message in
-// transit when the burst completes, runs done and resumes cont's
-// process. It reports whether the burst is pending (the process must
-// park).
-func (n *Network) post(cont sim.Continuation, from, to int, c Class, msg any, reliable bool, done func()) bool {
+// tier: the send overhead is charged at the sender, the message goes in
+// transit when the burst completes, then done (if non-nil) runs and
+// cont's process (if any) resumes, both in the completion slot. Spans
+// are traced for cont's process. Post reports whether the burst is
+// pending, that is whether a process that passed its continuation must
+// park.
+func (n *Network) Post(cont sim.Continuation, from, to int, c Class, msg any, reliable bool, done func()) bool {
 	if c == Long {
 		n.longSent++
 	} else {

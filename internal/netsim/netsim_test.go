@@ -332,7 +332,7 @@ func TestPostOnCallbackTier(t *testing.T) {
 	n.Register(0, cpusrv.New(env, "cpu0", 1, 10), func(from int, msg any) {})
 	var doneAt, handlerAt sim.Time
 	n.Register(1, cpusrv.New(env, "cpu1", 1, 10), func(from int, msg any) { handlerAt = env.Now() })
-	n.Post(0, 1, Short, "x", true, func() { doneAt = env.Now() })
+	n.Post(sim.Continuation{}, 0, 1, Short, "x", true, func() { doneAt = env.Now() })
 	if err := env.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}

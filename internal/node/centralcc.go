@@ -114,8 +114,9 @@ func (c *centralCC) releaseAll(t *txn, commit bool) {
 	if commit && !c.broadcast {
 		c.publish(t)
 	}
-	granted := c.table().ReleaseAll(t.owner)
-	n.sys.wakeCentralGranted(granted, execCtx{node: n.id, proc: t.proc})
+	if n.sys.answer(c.table().ReleaseAll(t.owner), 0, n.id, t.proc.Continuation()) {
+		t.proc.Park()
+	}
 	clear(t.locked)
 }
 
@@ -184,24 +185,4 @@ func (n *Node) handleInvalidate(m *message) {
 	}
 	m.kind = msgInvalidateAck
 	m.send()
-}
-
-// wakeCentralGranted notifies the owners of newly granted central-table
-// requests: a direct resume for waiters on the same node (and in
-// InstantWakeup ablation mode), a short message otherwise.
-func (s *System) wakeCentralGranted(granted []*lock.Request, ctx execCtx) {
-	for _, req := range granted {
-		wd, ok := req.Data.(*remoteWait)
-		if !ok || wd.epoch != req.Epoch {
-			continue
-		}
-		waiterNode := req.Owner.Node
-		if s.params.InstantWakeup || waiterNode == ctx.node {
-			wd.proc.Unpark()
-			continue
-		}
-		m := s.newMsg(msgWakeup)
-		m.wait = waitRef{w: wd, epoch: req.Epoch}
-		s.net.Send(ctx.proc, ctx.node, waiterNode, netsim.Short, m)
-	}
 }

@@ -184,15 +184,9 @@ func (s *System) CrashNode(node int) {
 			continue
 		}
 		for i, tbl := range s.tables {
-			if tbl.Waiting(o) == nil {
-				continue
+			if tbl.Waiting(o) != nil {
+				s.answer(tbl.CancelWaiting(o), i, s.aliveTarget(node), sim.Continuation{})
 			}
-			granted := tbl.CancelWaiting(o)
-			atNode := s.aliveTarget(node)
-			if s.params.Coupling == CouplingPCL {
-				atNode = s.glaHomeOf(i)
-			}
-			s.wakeGrantedAsync(granted, i, atNode)
 		}
 		t.proc.Unpark()
 	}
@@ -458,15 +452,8 @@ func (s *System) runRecovery(p *sim.Proc, crashed int, crashAt sim.Time, losers 
 			} else if held > 0 {
 				coord.gemEntryOp(p, 0, 2*held)
 			}
-			granted := tbl.ReleaseAll(o)
-			home := coordID
-			if params.Coupling == CouplingPCL {
-				home = s.glaHomeOf(i)
-			}
-			if home == coordID {
-				s.wakeGranted(granted, i, execCtx{node: coordID, proc: p})
-			} else {
-				s.wakeGrantedAsync(granted, i, home)
+			if s.answer(tbl.ReleaseAll(o), i, coordID, p.Continuation()) {
+				p.Park()
 			}
 		}
 	}
@@ -537,14 +524,8 @@ func (s *System) redoOnePage(p *sim.Proc, coordID int, coord *Node, crashed int,
 			// page); withdraw it, the holder's copy is current.
 			granted = tbl.CancelWaiting(r.fence)
 		}
-		home := coordID
-		if params.Coupling == CouplingPCL {
-			home = s.glaHomeOf(r.tbl)
-		}
-		if home == coordID {
-			s.wakeGranted(granted, r.tbl, execCtx{node: coordID, proc: p})
-		} else {
-			s.wakeGrantedAsync(granted, r.tbl, home)
+		if s.answer(granted, r.tbl, coordID, p.Continuation()) {
+			p.Park()
 		}
 	}
 }

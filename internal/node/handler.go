@@ -10,7 +10,7 @@ import (
 // handleMessage dispatches an arriving message after the receive CPU
 // overhead was charged by the communication subsystem. It runs on the
 // kernel's callback tier: handlers mutate local state, wake a waiter,
-// or send on as a CPU-held chain (message.send, message.release). A
+// or send on as a CPU-held chain (message.send, message.walk). A
 // request's record is routed back to the sender as the short reply by
 // default. A reply whose wait has ended is dropped.
 func (n *Node) handleMessage(from int, msg any) {
@@ -22,8 +22,8 @@ func (n *Node) handleMessage(from int, msg any) {
 		n.handleLockRequest(m)
 		return // the record lives on as the grant
 	case msgLockRelease:
-		m.release()
-		return // the chain frees the record
+		m.walk()
+		return // the walk frees the record
 	case msgCCOp:
 		n.handleCCOp(m)
 		return // the record lives on as the acknowledgement

@@ -1,6 +1,8 @@
 package node
 
 import (
+	"slices"
+
 	"gemsim/internal/cc"
 	"gemsim/internal/lock"
 	"gemsim/internal/model"
@@ -119,18 +121,20 @@ type message struct {
 	hasCopy, carried, ownerHasCopy, grantRA, found, final, mvto, ok bool
 
 	// send routes the record from node at to node to, after the
-	// revocations under a write grant's cursor, then runs then. A
-	// release answers the grants of its last page from node to.
+	// revocations under a write grant's cursor, then runs then and
+	// resumes cont's process. A grant walk (walk) answers the requests
+	// in granted from node to.
 	at, to   int
 	class    netsim.Class
 	reliable bool
 	revoking raCursor
 	then     func()
+	cont     sim.Continuation
 	granted  []*lock.Request
 
-	sys       *System
-	sendFn    func() // bound to send
-	releaseFn func() // bound to release
+	sys    *System
+	sendFn func() // bound to send
+	walkFn func() // bound to walkOn
 }
 
 // newMsg takes a message record of the given kind from the pool.
@@ -138,7 +142,7 @@ func (s *System) newMsg(kind msgKind) *message {
 	m := s.msgs.Get()
 	if m == nil {
 		m = &message{sys: s}
-		m.sendFn, m.releaseFn = m.send, m.release
+		m.sendFn, m.walkFn = m.send, m.walkOn
 	}
 	m.kind = kind
 	return m
@@ -146,21 +150,149 @@ func (s *System) newMsg(kind msgKind) *message {
 
 // freeMsg returns a handled message record to the pool.
 func (s *System) freeMsg(m *message) {
-	*m = message{sys: s, sendFn: m.sendFn, releaseFn: m.releaseFn, pages: m.pages[:0]}
+	*m = message{sys: s, sendFn: m.sendFn, walkFn: m.walkFn, pages: m.pages[:0]}
 	s.msgs.Put(m)
 }
 
 // send puts m on its way on the callback tier, the send overhead held
-// on the sender's CPU with no process waiting. A write grant first
-// sends its revocations, one after another, each continuing the chain
-// when its own send completes.
+// on the sender's CPU and traced for cont's process. A write grant
+// first sends its revocations, one after another, each continuing the
+// chain when its own send completes; a revocation walk (a record of
+// kind msgRevokeRA, see revoke) goes out as its own last revocation.
+// The last send runs then and resumes cont's process.
 func (m *message) send() {
 	s := m.sys
 	if node := m.revoking.next(s); node >= 0 {
-		s.net.Post(m.at, node, netsim.Short, s.revocation(m.page), true, m.sendFn)
-		return
+		if m.kind != msgRevokeRA || m.revoking.more(s) {
+			s.net.Post(m.cont.Detach(), m.at, node, netsim.Short, s.revocation(m.page), true, m.sendFn)
+			return
+		}
+		m.to = node
 	}
-	s.net.Post(m.at, m.to, m.class, m, m.reliable, m.then)
+	if cont := m.cont; !s.net.Post(cont, m.at, m.to, m.class, m, m.reliable, m.then) && cont.Proc() != nil {
+		cont.ResumeAfter(0, nil) // a free send completes at once: resume in the next slot
+	}
+}
+
+// answer answers granted, the requests table tbl just granted, for a
+// caller at node from, in a grant walk (walk). A caller at the serving
+// node passes its continuation: the walk starts at once on its behalf,
+// and answer reports whether the caller must park until the walk's last
+// send resumes it. Every other walk starts in the next calendar slot,
+// on nobody's behalf. Under PCL the serving node is the partition's;
+// under GEM locking and the lock engine it is the caller's.
+func (s *System) answer(granted []*lock.Request, tbl, from int, cont sim.Continuation) bool {
+	if len(granted) == 0 {
+		return false
+	}
+	m := s.newMsg(msgLockRelease)
+	m.gla, m.granted, m.to = tbl, granted, from
+	if s.params.Coupling == CouplingPCL {
+		if s.glaHomeOf(tbl) != from {
+			cont = sim.Continuation{}
+		}
+		m.to = -1 // the partition's node, looked up when the walk starts
+	}
+	if cont.Proc() == nil {
+		s.env.After(0, m.walkFn)
+		return false
+	}
+	m.cont = cont
+	return m.walk()
+}
+
+// walk answers m.granted, requests table m.gla granted, from the
+// serving node m.to, one after another: a waiter on that node (any PCL
+// waiter; every waiter under InstantWakeup) resumes in place, a PCL
+// remote requester gets its revocations and then its grant, a GEM
+// waiter on another node a wakeup, each send completing before the walk
+// goes on. A release message then releases its next page at its serving
+// node m.at and answers what that granted, until every page is
+// released. The walk's last send resumes m.cont's process; walk reports
+// whether a send is under way.
+func (m *message) walk() bool {
+	s := m.sys
+	for {
+		if m.to < 0 {
+			m.to = s.glaHomeOf(m.gla)
+		}
+		for len(m.granted) > 0 {
+			d := s.answerOne(m.granted[0], m.to)
+			m.granted = m.granted[1:]
+			if d == nil {
+				continue
+			}
+			d.then, d.cont = m.walkFn, m.cont.Detach()
+			if m.cont.Proc() != nil && !slices.ContainsFunc(m.granted, func(r *lock.Request) bool { return s.sends(r, m.to) }) {
+				d.cont, m.cont = m.cont, sim.Continuation{} // the last send
+			}
+			d.send()
+			return true
+		}
+		if m.count == len(m.pages) {
+			s.freeMsg(m)
+			return false
+		}
+		rp := m.pages[m.count]
+		m.count++
+		if rp.seq > 0 {
+			meta := s.pclMetaOf(m.gla, rp.page)
+			if rp.seq > meta.Seq {
+				meta.Seq = rp.seq
+				s.oracle.commit(rp.page, rp.seq)
+			}
+		}
+		if rp.carried {
+			s.nodes[m.at].install(rp.page, rp.seq, true)
+		}
+		m.granted = s.tables[m.gla].Release(rp.page, m.owner)
+		m.to = s.glaHomeOf(m.gla)
+	}
+}
+
+// walkOn goes on with a walk once one of its sends completed. A walk
+// that ends still holding its caller's continuation — the waiter it
+// meant to wake last gave up while an earlier send was under way —
+// resumes the caller in the next slot.
+func (m *message) walkOn() {
+	if cont := m.cont; !m.walk() && cont.Proc() != nil {
+		cont.ResumeAfter(0, nil)
+	}
+}
+
+// answerOne answers one granted request from node at: it resumes a
+// waiter in place and returns nil, or returns the message that answers
+// the request, ready to send. Recovery fences and rebuild registrations
+// carry tag data and are held silently.
+func (s *System) answerOne(req *lock.Request, at int) *message {
+	if !s.sends(req, at) {
+		if d, ok := req.Data.(*remoteWait); ok && d.epoch == req.Epoch {
+			d.proc.Unpark()
+		}
+		return nil
+	}
+	if d, ok := req.Data.(*message); ok {
+		s.nodes[at].pclReply(d)
+		return d
+	}
+	m := s.newMsg(msgWakeup)
+	m.wait = waitRef{w: req.Data.(*remoteWait), epoch: req.Epoch}
+	m.at, m.to, m.class = at, req.Owner.Node, netsim.Short
+	return m
+}
+
+// sends reports whether answering req from node at takes a message: a
+// PCL remote request's grant, or a GEM wakeup to a live waiter on
+// another node (a short message unless InstantWakeup).
+func (s *System) sends(req *lock.Request, at int) bool {
+	switch d := req.Data.(type) {
+	case *message:
+		return true
+	case *remoteWait:
+		return d.epoch == req.Epoch && s.params.Coupling != CouplingPCL &&
+			!s.params.InstantWakeup && req.Owner.Node != at
+	}
+	return false
 }
 
 // remoteWait is the continuation of a process waiting for a reply

@@ -115,7 +115,7 @@ func TestStaleLockWakeIsDropped(t *testing.T) {
 			}
 			// The holder releases: the queued request is granted late.
 			for _, g := range tbl.Release(page, holder) {
-				if d := wakePCL(g); d != nil {
+				if d := sys.answerOne(g, 0); d != nil {
 					t.Error("a local request answered as a remote one")
 				}
 			}

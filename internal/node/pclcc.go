@@ -86,9 +86,8 @@ func (c *pclCC) lockLocal(t *txn, page model.PageID, mode model.LockMode, gla in
 	if _, err := n.requestLock(t, c.table(gla), page, mode); err != nil {
 		return cc.Outcome{}, err
 	}
-	if mode == model.LockWrite {
-		cur := sys.raCursor(page, n.id)
-		sys.revokeRAs(&cur, execCtx{node: n.id, proc: t.proc})
+	if mode == model.LockWrite && sys.revoke(page, n.id, t.proc.Continuation()) {
+		t.proc.Park()
 	}
 	t.locked[page] = heldLock{mode: mode, kind: kindLocal}
 	meta := sys.pclMetaOf(gla, page)
@@ -178,7 +177,8 @@ func (n *Node) handleLockRequest(m *message) {
 	}
 	req, granted := sys.tables[m.gla].Request(m.page, m.owner, m.mode, nil)
 	if granted {
-		n.pclReply(nil, m)
+		n.pclReply(m)
+		m.send()
 		return
 	}
 	req.Data = m
@@ -191,13 +191,13 @@ func (n *Node) handleLockRequest(m *message) {
 	}
 }
 
-// pclReply turns the lock request m into its grant at the GLA node:
-// attach coherency information, grant a read authorization, revoke
-// authorizations on write interest, and — under NOFORCE — supply the
-// current page version with the grant when the requester's copy is
-// obsolete (long reply). The revocations and the grant are sent by
-// process p, or as a callback-tier chain when p is nil.
-func (n *Node) pclReply(p *sim.Proc, m *message) {
+// pclReply turns the lock request m into its grant at the GLA node,
+// ready to send: attach coherency information, grant a read
+// authorization, revoke authorizations on write interest (the
+// revocations go out first), and — under NOFORCE — supply the current
+// page version with the grant when the requester's copy is obsolete
+// (long reply).
+func (n *Node) pclReply(m *message) {
 	sys := n.sys
 	meta := sys.pclMetaOf(m.gla, m.page)
 	stale := !m.hasCopy || m.seq < meta.Seq
@@ -221,12 +221,6 @@ func (n *Node) pclReply(p *sim.Proc, m *message) {
 		m.grantRA = true
 		sys.ra[raWord{page: m.page, word: m.owner.Node / 64}] |= 1 << (m.owner.Node % 64)
 	}
-	if p == nil {
-		m.send()
-		return
-	}
-	sys.revokeRAs(&m.revoking, execCtx{node: n.id, proc: p})
-	sys.net.Send(p, n.id, m.to, m.class, m)
 }
 
 // copySeq returns the sequence number of this node's copy of page, in
@@ -251,14 +245,21 @@ func (n *Node) hasCurrent(page model.PageID, seq uint64) bool {
 	return false
 }
 
-// revokeRAs withdraws the read authorizations under cur in ascending
-// node order, sending a short revocation message per holder node from
-// process ctx (fire-and-forget; in-progress local read locks are
-// covered by their shadow registrations).
-func (s *System) revokeRAs(cur *raCursor, ctx execCtx) {
-	for node := cur.next(s); node >= 0; node = cur.next(s) {
-		s.net.SendReliable(ctx.proc, ctx.node, node, netsim.Short, s.revocation(cur.page))
+// revoke withdraws the read authorizations on page of every node but
+// at, in ascending node order: a short revocation message per holder
+// node, sent from at on the callback tier, one after another
+// (fire-and-forget; in-progress local read locks are covered by their
+// shadow registrations). The last revocation resumes cont's process;
+// revoke reports whether the process must park.
+func (s *System) revoke(page model.PageID, at int, cont sim.Continuation) bool {
+	cur := s.raCursor(page, at)
+	if !cur.more(s) {
+		return false
 	}
+	m := s.revocation(page)
+	m.revoking, m.at, m.class, m.reliable, m.cont = cur, at, netsim.Short, true, cont
+	m.send()
+	return true
 }
 
 // revocation is the message withdrawing a read authorization on page.
@@ -304,6 +305,20 @@ func (s *System) raCursor(page model.PageID, keep int) raCursor {
 // next withdraws the next holder's authorization and returns the
 // holder, or -1 when the walk is over.
 func (c *raCursor) next(s *System) int {
+	node := c.holder(s)
+	if node >= 0 {
+		s.dropRA(c.page, node)
+	}
+	return node
+}
+
+// more reports whether the walk has a holder left, as the
+// authorizations stand now.
+func (c raCursor) more(s *System) bool { return c.holder(s) >= 0 }
+
+// holder moves the cursor to the next holder and returns it, or -1
+// when the walk is over.
+func (c *raCursor) holder(s *System) int {
 	for c.bits != 0 || c.left > 0 {
 		if c.bits == 0 {
 			c.bits = s.ra[raWord{page: c.page, word: c.word}]
@@ -314,39 +329,10 @@ func (c *raCursor) next(s *System) int {
 		node := (c.word-1)*64 + mathbits.TrailingZeros64(c.bits)
 		c.bits &= c.bits - 1
 		if node != c.keep {
-			s.dropRA(c.page, node)
 			return node
 		}
 	}
 	return -1
-}
-
-// wakePCLGranted dispatches newly granted requests of one GLA table:
-// local waiters (including shadow RA readers) resume directly; remote
-// requesters get a grant reply message from the partition's serving
-// node. Recovery fences and rebuild registrations carry tag data and
-// are skipped — they are held silently.
-func (s *System) wakePCLGranted(granted []*lock.Request, gla int, ctx execCtx) {
-	g := s.nodes[s.glaHomeOf(gla)]
-	for _, req := range granted {
-		if d := wakePCL(req); d != nil {
-			g.pclReply(ctx.proc, d)
-		}
-	}
-}
-
-// wakePCL resumes the local waiter of a granted PCL request, unless its
-// wait has ended, or returns the remote request the grant answers.
-func wakePCL(req *lock.Request) *message {
-	switch d := req.Data.(type) {
-	case *remoteWait:
-		if d.epoch == req.Epoch {
-			d.proc.Unpark()
-		}
-	case *message:
-		return d
-	}
-	return nil
 }
 
 // releaseAll performs commit phase 2 (or abort) under PCL: locks of the
@@ -364,11 +350,8 @@ func (c *pclCC) releaseAll(t *txn, commit bool) {
 		// any table, including locks granted while the deadlock victim
 		// notice was in flight (they never made it into t.locked).
 		for g, tbl := range sys.tables {
-			granted := tbl.ReleaseAll(t.owner)
-			if home := sys.glaHomeOf(g); home == n.id {
-				sys.wakeGranted(granted, g, execCtx{node: n.id, proc: t.proc})
-			} else {
-				sys.wakeGrantedAsync(granted, g, home)
+			if sys.answer(tbl.ReleaseAll(t.owner), g, n.id, t.proc.Continuation()) {
+				t.proc.Park()
 			}
 		}
 		clear(t.locked)
@@ -388,14 +371,14 @@ func (c *pclCC) releaseAll(t *txn, commit bool) {
 				meta.Seq = mod.frame.SeqNo
 				sys.oracle.commit(page, mod.frame.SeqNo)
 			}
-			granted := sys.tables[gla].Release(page, t.owner)
-			sys.wakeGranted(granted, gla, execCtx{node: n.id, proc: t.proc})
+			// Answered in this process even after a GLA migration
+			// moved the partition away: the lock was granted here.
+			if sys.answer(sys.tables[gla].Release(page, t.owner), gla, sys.glaHomeOf(gla), t.proc.Continuation()) {
+				t.proc.Park()
+			}
 		case kindShadowRA:
-			granted := sys.tables[gla].Release(page, t.owner)
-			if home := sys.glaHomeOf(gla); home == n.id {
-				sys.wakeGranted(granted, gla, execCtx{node: n.id, proc: t.proc})
-			} else {
-				sys.wakeGrantedAsync(granted, gla, home)
+			if sys.answer(sys.tables[gla].Release(page, t.owner), gla, n.id, t.proc.Continuation()) {
+				t.proc.Park()
 			}
 		case kindRemote:
 			rp := msgPage{page: page}
@@ -414,43 +397,4 @@ func (c *pclCC) releaseAll(t *txn, commit bool) {
 		delete(t.locked, page)
 	}
 	n.sendPartitions(t, msgLockRelease, false)
-}
-
-// release runs a release message's chain at its serving node m.at, on
-// the callback tier: record the new page versions, install carried
-// pages (the node becomes their owner), and release the locks page by
-// page, answering the requests each release grants. A remote grant's
-// sends complete before the chain moves on.
-func (m *message) release() {
-	s := m.sys
-	n := s.nodes[m.at]
-	for {
-		for len(m.granted) > 0 {
-			d := wakePCL(m.granted[0])
-			m.granted = m.granted[1:]
-			if d != nil {
-				d.then = m.releaseFn
-				s.nodes[m.to].pclReply(nil, d)
-				return
-			}
-		}
-		if m.count == len(m.pages) {
-			s.freeMsg(m)
-			return
-		}
-		rp := m.pages[m.count]
-		m.count++
-		if rp.seq > 0 {
-			meta := s.pclMetaOf(m.gla, rp.page)
-			if rp.seq > meta.Seq {
-				meta.Seq = rp.seq
-				s.oracle.commit(rp.page, rp.seq)
-			}
-		}
-		if rp.carried {
-			n.install(rp.page, rp.seq, true)
-		}
-		m.granted = s.tables[m.gla].Release(rp.page, m.owner)
-		m.to = s.glaHomeOf(m.gla)
-	}
 }

@@ -435,13 +435,6 @@ func (s *System) glaHomeOf(g int) int {
 	return s.glaHome[g]
 }
 
-// execCtx identifies the node and process in whose context protocol
-// actions (message sends, CPU charges) happen.
-type execCtx struct {
-	node int
-	proc *sim.Proc
-}
-
 // blockForLock parks t until its pending lock request is granted,
 // running deadlock detection first. It returns errDeadlock if t was
 // chosen as (or became) a deadlock victim, errKilled if t's node
@@ -450,11 +443,10 @@ type execCtx struct {
 // the grant notification lost, so the transaction withdraws its
 // request and retries instead of hanging forever.
 func (s *System) blockForLock(t *txn) error {
-	ctx := execCtx{node: t.node.id, proc: t.proc}
 	if cycle := s.detector.FindCycle(t.owner); cycle != nil {
 		victim := lock.Victim(cycle)
 		if victim == t.owner {
-			s.cancelWaiting(t.owner, ctx)
+			s.cancelWaiting(t)
 			return errDeadlock
 		}
 		s.abortVictim(victim)
@@ -474,7 +466,7 @@ func (s *System) blockForLock(t *txn) error {
 	if armed && s.stillWaiting(t.owner) {
 		// Timer wake: the request was never granted.
 		s.lockTimeouts++
-		s.cancelWaiting(t.owner, ctx)
+		s.cancelWaiting(t)
 		return errTimeout
 	}
 	// Otherwise the lock is held, even when the timer fired first: the
@@ -496,30 +488,21 @@ func (s *System) stillWaiting(o lock.Owner) bool {
 	return false
 }
 
-// cancelWaiting removes the owner's queued lock requests from every
-// table and wakes requests that became grantable.
-func (s *System) cancelWaiting(o lock.Owner, ctx execCtx) {
+// cancelWaiting removes t's queued lock requests from every table and
+// answers the requests that became grantable.
+func (s *System) cancelWaiting(t *txn) {
 	for i, tbl := range s.tables {
-		if tbl.Waiting(o) == nil {
-			continue
-		}
-		granted := tbl.CancelWaiting(o)
-		if len(granted) == 0 {
-			continue
-		}
-		if s.params.Coupling != CouplingPCL || s.glaHomeOf(i) == ctx.node {
-			s.wakeGranted(granted, i, ctx)
-		} else {
-			s.wakeGrantedAsync(granted, i, s.glaHomeOf(i))
+		if tbl.Waiting(t.owner) != nil && s.answer(tbl.CancelWaiting(t.owner), i, t.node.id, t.proc.Continuation()) {
+			t.proc.Park()
 		}
 	}
 }
 
 // abortVictim marks another waiting transaction as deadlock victim,
 // cancels its queued request and wakes it so that it unwinds. The
-// caller runs in its own process, so grants unblocked by the
-// cancellation are processed in helper processes at the victim's node
-// (never through the victim's suspended process).
+// requests the cancellation granted are answered at the victim's node
+// (a PCL table's at its serving node) in the next calendar slot, never
+// through the victim's suspended process.
 func (s *System) abortVictim(o lock.Owner) {
 	vt := s.active[o]
 	if vt == nil {
@@ -527,44 +510,11 @@ func (s *System) abortVictim(o lock.Owner) {
 	}
 	vt.deadlock = true
 	for i, tbl := range s.tables {
-		if tbl.Waiting(o) == nil {
-			continue
+		if tbl.Waiting(o) != nil {
+			s.answer(tbl.CancelWaiting(o), i, vt.node.id, sim.Continuation{})
 		}
-		granted := tbl.CancelWaiting(o)
-		atNode := vt.node.id
-		if s.params.Coupling == CouplingPCL {
-			// Grants of a GLA table are processed at its serving node.
-			atNode = s.glaHomeOf(i)
-		}
-		s.wakeGrantedAsync(granted, i, atNode)
 	}
 	vt.proc.Unpark()
-}
-
-// wakeGranted resumes or notifies the owners of newly granted lock
-// requests of table tableIdx, in the given execution context.
-func (s *System) wakeGranted(granted []*lock.Request, tableIdx int, ctx execCtx) {
-	if len(granted) == 0 {
-		return
-	}
-	if s.params.Coupling != CouplingPCL {
-		s.wakeCentralGranted(granted, ctx)
-		return
-	}
-	s.wakePCLGranted(granted, tableIdx, ctx)
-}
-
-// wakeGrantedAsync processes grants of table tableIdx in a helper
-// process at node atNode. It is used whenever the triggering action did
-// not run in a process of the node that must do the work (deadlock
-// victim aborts, silent read-authorization releases).
-func (s *System) wakeGrantedAsync(granted []*lock.Request, tableIdx, atNode int) {
-	if len(granted) == 0 {
-		return
-	}
-	s.env.Spawn("grant", func(q *sim.Proc) {
-		s.wakeGranted(granted, tableIdx, execCtx{node: atNode, proc: q})
-	})
 }
 
 // ResetStats starts the measurement interval: all device, node and

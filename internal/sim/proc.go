@@ -69,6 +69,7 @@ func (p *Proc) TraceID() int64 { return p.traceID }
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{env: e, name: name, fn: fn, w: e.worker()}
 	p.w.p = p
+	e.spawns++
 	e.live[p] = struct{}{}
 	e.schedule(e.now, p, nil)
 	return p
@@ -125,6 +126,7 @@ func (p *Proc) resume() {
 // park switches from the process back to the kernel until the kernel
 // resumes it.
 func (p *Proc) park() {
+	p.env.parks++
 	p.w.yield(struct{}{})
 	p.gen++
 	if p.stopped {
@@ -185,6 +187,14 @@ func (c Continuation) TraceID() int64 {
 		return 0
 	}
 	return c.p.traceID
+}
+
+// Detach returns a continuation that carries c's trace id but never
+// resumes the process: for a step of a callback-tier chain that acts on
+// the process's behalf while the process waits for a later step.
+func (c Continuation) Detach() Continuation {
+	c.gen = -1
+	return c
 }
 
 // ResumeAfter schedules a combined event after delay d: fn runs in

@@ -74,6 +74,8 @@ type Env struct {
 	events     calendar
 	free       []*event // recycled event records
 	dispatched int64
+	spawns     int64 // processes spawned
+	parks      int64 // process parks: Park, Wait and every blocking primitive
 	live       map[*Proc]struct{}
 	idle       []*worker // process coroutines waiting for a Spawn
 	panicked   any
@@ -96,6 +98,15 @@ func (e *Env) Pending() int { return e.events.total() }
 // environment was created. It is a deterministic kernel-work measure:
 // identical runs dispatch identical event counts.
 func (e *Env) Dispatched() int64 { return e.dispatched }
+
+// Spawns reports the number of processes spawned since the
+// environment was created.
+func (e *Env) Spawns() int64 { return e.spawns }
+
+// Parks reports the number of times a process parked (each hand-off
+// back to the kernel that a later resume undoes) since the environment
+// was created.
+func (e *Env) Parks() int64 { return e.parks }
 
 // LiveCount reports the number of live (spawned, not yet finished)
 // processes.
