@@ -59,9 +59,6 @@ type ExperimentOptions struct {
 	// sweep engine serializes calls but not their order: under
 	// parallel execution runs complete in arbitrary sequence.
 	Progress func(expID, series string, nodes int, rep *Report)
-	// Configure, if non-nil, adjusts each run's configuration just
-	// before it executes (e.g. to attach per-run tracing outputs).
-	Configure func(cfg *Config, expID, series string, nodes int)
 }
 
 // DefaultExperimentOptions returns full-length settings: windows are
@@ -403,9 +400,7 @@ func (e *Experiment) PointNodes(opts ExperimentOptions) []int {
 // series' base configuration at the given node count, with the
 // experiment's default windows and the option overrides applied. The
 // seed is the base seed (opts.Seed, default 1); the sweep engine
-// derives the final per-run seed from it and the run key. The Configure
-// hook is NOT applied here — the engine applies it after the seed is
-// final.
+// derives the final per-run seed from it and the run key.
 func (e *Experiment) PointConfig(series, nodes int, opts ExperimentOptions) Config {
 	cfg := e.Series[series].Make(nodes)
 	if e.Windows != nil {

@@ -167,10 +167,11 @@ type txn struct {
 	cp *attrib.Vector
 }
 
-// txnKeepRefs bounds the transactions whose maps and buffers a pooled
-// record keeps: a record that served a larger one (trace transactions
-// reach thousands of references) drops them, so the pool does not pin
-// the largest transaction ever seen once per record.
+// txnKeepRefs bounds the transactions whose maps a pooled record
+// keeps, and the capacity of each page buffer it keeps: a record drops
+// the maps of a larger transaction (trace transactions reach thousands
+// of references) and any buffer that grew past the bound, so the pool
+// does not pin the largest transaction ever seen once per record.
 const txnKeepRefs = 128
 
 // newTxn takes a pooled transaction record, or makes one.
@@ -185,7 +186,15 @@ func (n *Node) newTxn() *txn {
 // attempt clears them when it starts).
 func (n *Node) freeTxn(t *txn) {
 	if len(t.spec.Refs) > txnKeepRefs {
-		t.locked, t.modified, t.pages, t.out, t.cct = nil, nil, nil, nil, cc.Txn{}
+		t.locked, t.modified, t.cct = nil, nil, cc.Txn{}
+	}
+	if cap(t.pages) > txnKeepRefs {
+		t.pages = nil
+	}
+	for i, buf := range t.out {
+		if cap(buf) > txnKeepRefs {
+			t.out[i] = nil
+		}
 	}
 	*t = txn{node: n, locked: t.locked, modified: t.modified, cct: t.cct, pages: t.pages[:0], out: t.out}
 	n.txns.Put(t)

@@ -37,9 +37,6 @@ func ExperimentRuns(e *core.Experiment, opts core.ExperimentOptions) []Run {
 				key := fmt.Sprintf("fig/%s/%s/n=%d/r%d", e.ID, s.Label, n, k)
 				cfg := e.PointConfig(j, n, opts)
 				cfg.Seed = DeriveSeed(cfg.Seed, key)
-				if opts.Configure != nil {
-					opts.Configure(&cfg, e.ID, s.Label, n)
-				}
 				runs = append(runs, Run{
 					Key:     key,
 					Group:   e.ID,
