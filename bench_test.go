@@ -221,7 +221,7 @@ func BenchmarkAblationGEMWakeup(b *testing.B) {
 				cfg.Routing = core.RoutingRandom
 				cfg.Warmup = time.Second
 				cfg.Measure = 4 * time.Second
-				cfg.Tune = func(p *node.Params) { p.InstantWakeup = instant }
+				cfg.InstantWakeup = instant
 				rep, err := core.Run(cfg)
 				if err != nil {
 					b.Fatal(err)
@@ -247,7 +247,7 @@ func BenchmarkAblationGEMPageTransfer(b *testing.B) {
 				cfg.BufferPages = 1000
 				cfg.Warmup = time.Second
 				cfg.Measure = 4 * time.Second
-				cfg.Tune = func(p *node.Params) { p.GEMPageTransfer = viaGEM }
+				cfg.GEMPageTransfer = viaGEM
 				rep, err := core.Run(cfg)
 				if err != nil {
 					b.Fatal(err)

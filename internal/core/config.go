@@ -146,7 +146,8 @@ type Config struct {
 	ArrivalRatePerNode float64
 	// ModelKnobs holds the settings node.Params shares: Coupling, Force,
 	// CC, BufferPages, LogInGEM, GEMMessaging, GlobalLogMerge, Seed
-	// (default 1), CheckInvariants and Attribution.
+	// (default 1), CheckInvariants, Attribution and the low-level
+	// LockInstr, InstantWakeup and GEMPageTransfer.
 	node.ModelKnobs
 	// Routing selects random or affinity-based transaction routing.
 	Routing Routing
@@ -192,10 +193,6 @@ type Config struct {
 	// static allocation; the results are then bit-identical to runs
 	// built before the controller existed.
 	Control *node.ControlConfig
-
-	// Tune, if set, adjusts the low-level node parameters after the
-	// defaults are applied (ablations, sensitivity studies).
-	Tune func(*node.Params)
 }
 
 // DefaultDebitCreditConfig returns the Table 4.1 configuration for the

@@ -222,23 +222,6 @@ func TestExperimentPointConfigs(t *testing.T) {
 	}
 }
 
-func TestTuneHook(t *testing.T) {
-	cfg := DefaultDebitCreditConfig(1)
-	cfg.Warmup = 100 * time.Millisecond
-	cfg.Measure = 500 * time.Millisecond
-	called := false
-	cfg.Tune = func(p *node.Params) {
-		called = true
-		p.MPL = 32
-	}
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !called {
-		t.Fatal("tune hook not invoked")
-	}
-}
-
 func TestReportString(t *testing.T) {
 	cfg := DefaultDebitCreditConfig(1)
 	cfg.Warmup = 100 * time.Millisecond

@@ -5,7 +5,6 @@ import (
 
 	"gemsim/internal/attrib"
 	"gemsim/internal/cc"
-	"gemsim/internal/node"
 	"gemsim/internal/workload"
 )
 
@@ -60,7 +59,7 @@ func EnginesConfig(engine cc.Kind, scenario EngineScenario, opts PresetOptions) 
 		}
 	}
 	cfg.Workload.DebitCredit = &dc
-	cfg.Tune = func(p *node.Params) { p.LockInstr = 40000 }
+	cfg.LockInstr = 40000
 	return cfg
 }
 

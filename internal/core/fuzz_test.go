@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"gemsim/internal/model"
-	"gemsim/internal/node"
 	"gemsim/internal/workload"
 )
 
@@ -108,9 +107,7 @@ func TestCoherencyFuzzExtensions(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"gem-messaging", func(c *Config) { c.Coupling = CouplingPCL; c.GEMMessaging = true }},
-		{"gem-page-transfer", func(c *Config) {
-			c.Tune = func(p *node.Params) { p.GEMPageTransfer = true }
-		}},
+		{"gem-page-transfer", func(c *Config) { c.GEMPageTransfer = true }},
 		{"log-merge", func(c *Config) { c.LogInGEM = true; c.GlobalLogMerge = true }},
 		{"closed-loop", func(c *Config) {
 			c.ClosedLoop = &ClosedLoopConfig{TerminalsPerNode: 16, ThinkTime: 50 * time.Millisecond}

@@ -250,10 +250,6 @@ func assemble(cfg *Config) (workload.Generator, routing.Router, routing.GLAMap, 
 	if cfg.MPL > 0 {
 		params.MPL = cfg.MPL
 	}
-
-	if cfg.Tune != nil {
-		cfg.Tune(&params)
-	}
 	return gen, router, gla, params, nil
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // modelGoldens are the goldens that hold simulated numbers, relative to
-// this package.
+// this package; ExampleRun pins one run in its Output block.
 var modelGoldens = []string{
 	"../../results/quick_all.golden",
 	"../../results/quick_engines.golden",
@@ -20,6 +20,8 @@ var modelGoldens = []string{
 	"testdata/tiny_trace_le.jsonl",
 	"testdata/tiny_trace_pcl.jsonl",
 	"testdata/tiny_timeseries.jsonl",
+	"../../results/closed_loop.golden",
+	"example_test.go",
 }
 
 // modelPins renders the pin file: the model version, then one

@@ -97,6 +97,18 @@ type ModelKnobs struct {
 	// Attribution tunes the bottleneck attribution engine; the zero
 	// value keeps it on with default settings.
 	Attribution AttributionConfig
+
+	// LockInstr is the local lock/unlock handling cost per request
+	// (0 in Table 4.1; the engines preset models a heavyweight lock
+	// manager with 40000).
+	LockInstr float64
+	// InstantWakeup makes GEM lock wakeups free instead of sending a
+	// short message to the waiting node (ablation switch).
+	InstantWakeup bool
+	// GEMPageTransfer routes NOFORCE page exchanges between nodes
+	// through GEM (two page accesses) instead of the communication
+	// system (extension discussed in the paper's conclusions).
+	GEMPageTransfer bool
 }
 
 // AttributionConfig tunes the bottleneck attribution engine (package
@@ -185,8 +197,6 @@ type Params struct {
 	// initialization overhead per GEM page I/O (300).
 	IOInstr    float64
 	GEMIOInstr float64
-	// LockInstr is the local lock/unlock handling cost per request.
-	LockInstr float64
 
 	// RestartDelayMean is the mean back-off before restarting a
 	// deadlock victim.
@@ -203,13 +213,6 @@ type Params struct {
 	LogMergeInterval time.Duration
 	// LogMergeInstr is the CPU cost of merging one log page.
 	LogMergeInstr float64
-	// InstantWakeup makes GEM lock wakeups free instead of sending a
-	// short message to the waiting node (ablation switch).
-	InstantWakeup bool
-	// GEMPageTransfer routes NOFORCE page exchanges between nodes
-	// through GEM (two page accesses) instead of the communication
-	// system (extension discussed in the paper's conclusions).
-	GEMPageTransfer bool
 	// GEMMsgShortInstr/GEMMsgLongInstr are the per-operation CPU
 	// overheads of the storage-based GEMMessaging protocol.
 	GEMMsgShortInstr float64
@@ -265,7 +268,6 @@ func DefaultParams(nodes int) Params {
 		EOTInstr:         20000,
 		IOInstr:          3000,
 		GEMIOInstr:       300,
-		LockInstr:        0,
 		RestartDelayMean: 10 * time.Millisecond,
 		GEM:              gem.DefaultParams(),
 		Net:              netsim.DefaultParams(),

@@ -36,6 +36,21 @@ func TestLoadSpecExample(t *testing.T) {
 	}
 }
 
+// TestFailoverConfigFileMatchesPreset holds the failover walkthrough
+// config to the failover preset's GEM/GEM-log row: both must digest to
+// the same configuration, so `gemsim -config` on the file reproduces
+// that row.
+func TestFailoverConfigFileMatchesPreset(t *testing.T) {
+	cfg, err := core.LoadConfigFile(filepath.Join("..", "..", "examples", "config", "failover-gemlog.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	preset := core.FailoverConfig(core.CouplingGEM, true, core.PresetOptions{})
+	if got, want := ConfigDigest(&cfg), ConfigDigest(&preset); got != want {
+		t.Fatalf("failover-gemlog.json drifted from the preset:\n got:  %s\n want: %s", got, want)
+	}
+}
+
 func TestSpecExpansion(t *testing.T) {
 	s := &Spec{
 		Name:         "m",

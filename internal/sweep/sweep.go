@@ -90,12 +90,10 @@ func (r *Run) Fingerprint() string {
 
 // cfgDigest is the hashable shadow of core.Config: every field that
 // influences simulation results, in a canonically marshalable form
-// (map keys sort during JSON encoding). Two Config fields are left
-// out on purpose: Tracing only observes a run, and Tune, a function, is
-// recorded only as the Tuned flag, so a change to a hook's body does
-// not change the digest. Fields added after the first digests are
-// omitted when zero, so stored fingerprints of runs that leave them
-// unset stay valid.
+// (map keys sort during JSON encoding). Tracing is left out on
+// purpose: it only observes a run. Fields added after the first
+// digests are omitted when zero, so stored fingerprints of runs that
+// leave them unset stay valid.
 type cfgDigest struct {
 	Nodes       int
 	Rate        float64
@@ -125,12 +123,10 @@ type cfgDigest struct {
 	Control  string `json:",omitempty"`
 	// Attribution changes the stored attribution metrics (bn_*).
 	Attribution *core.AttributionConfig `json:",omitempty"`
-	// Tuned records only that a Tune hook is set, not what the hook
-	// does: -resume in another process trusts the stored rows of a tuned
-	// configuration even after the hook's body changed. CI's preset
-	// resume smoke run relies on exactly that for the engines preset.
-	// ROADMAP item 7 replaces Config.Tune with a model knob.
-	Tuned bool
+
+	LockInstr       float64 `json:",omitempty"`
+	InstantWakeup   bool    `json:",omitempty"`
+	GEMPageTransfer bool    `json:",omitempty"`
 }
 
 // ConfigDigest canonically encodes the result-relevant parts of a
@@ -157,7 +153,10 @@ func ConfigDigest(cfg *core.Config) string {
 		Seed:           cfg.Seed,
 		Check:          cfg.CheckInvariants,
 		Workload:       workloadDigest(&cfg.Workload),
-		Tuned:          cfg.Tune != nil,
+
+		LockInstr:       cfg.LockInstr,
+		InstantWakeup:   cfg.InstantWakeup,
+		GEMPageTransfer: cfg.GEMPageTransfer,
 	}
 	if len(cfg.FileMedium) > 0 {
 		d.FileMedium = make(map[string]int, len(cfg.FileMedium))

@@ -298,7 +298,9 @@ func TestFingerprintCoversEveryResultField(t *testing.T) {
 		"Attribution.Tolerance":       func(c *core.Config) { c.Attribution.Tolerance = 0.1 },
 		"Control":                     func(c *core.Config) { c.Control.Reroute = false },
 		"Control nil":                 func(c *core.Config) { c.Control = nil },
-		"Tune":                        func(c *core.Config) { c.Tune = func(*node.Params) {} },
+		"LockInstr":                   func(c *core.Config) { c.LockInstr = 40000 },
+		"InstantWakeup":               func(c *core.Config) { c.InstantWakeup = true },
+		"GEMPageTransfer":             func(c *core.Config) { c.GEMPageTransfer = true },
 	}
 	// VisibleFields includes the fields promoted from embedded structs
 	// (node.ModelKnobs), so each shared knob needs its own mutation.
