@@ -48,12 +48,12 @@ var knobCases = map[string]struct {
 	"seed":             {"-seed 9", `"seed":9`, "", ``, ``},
 	"check":            {"-check", `"checkInvariants":true`, "", ``, ``},
 	"attrib-off":       {"-attrib-off", `"attribution":{"off":true}`, "", ``, ``},
-	"attrib-tolerance": {"-attrib-tolerance 0.1", `"attribution":{"tolerance":0.1}`, "", ``, ``},
 }
 
 // TestKnobsAgreeAcrossFlagJSONAndAxis sets each knob through its gemsim
 // flag, through its JSON key and through its sweep axis, and requires
-// the same configuration from all three.
+// the same configuration from all three, one that differs from the
+// defaults.
 func TestKnobsAgreeAcrossFlagJSONAndAxis(t *testing.T) {
 	p := workload.DefaultTraceGenParams(1)
 	p.Transactions = 200
@@ -78,6 +78,12 @@ func TestKnobsAgreeAcrossFlagJSONAndAxis(t *testing.T) {
 		}
 		return f
 	}
+	base := decode("")
+	baseCfg, err := base.ToConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseDigest := sweep.ConfigDigest(&baseCfg)
 	for _, k := range core.Knobs() {
 		name := k.Flag
 		if name == "" {
@@ -101,6 +107,9 @@ func TestKnobsAgreeAcrossFlagJSONAndAxis(t *testing.T) {
 			t.Fatalf("%s JSON: %v", name, err)
 		}
 		want := sweep.ConfigDigest(&fromJSON)
+		if want == baseDigest {
+			t.Errorf("%s: %s leaves gemsim's default configuration", name, c.json)
+		}
 		if c.flags != "" {
 			fromFlags, _, err := parseArgs(strings.Fields(c.flags))
 			if err != nil {

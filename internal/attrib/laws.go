@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// DefaultTolerance is the default relative residual above which a
-// law check warns: 5% leaves room for boundary effects (jobs in
+// DefaultTolerance is the relative residual above which a run's law
+// check warns: 5% leaves room for boundary effects (jobs in
 // flight at the interval edges) on runs of a few simulated minutes
 // while still catching genuine accounting bugs, which produce
 // residuals an order of magnitude larger.

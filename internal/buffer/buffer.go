@@ -71,9 +71,6 @@ func NewPool(capacity int) *Pool {
 	}
 }
 
-// Capacity returns the configured capacity.
-func (b *Pool) Capacity() int { return b.capacity }
-
 // Len returns the number of buffered pages.
 func (b *Pool) Len() int { return b.frames }
 

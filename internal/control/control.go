@@ -7,19 +7,6 @@
 // internal/node stays a thin actuator layer.
 package control
 
-// Sample is one observation window of a node, assembled by the driver
-// from the simulator's windowed counters.
-type Sample struct {
-	// Conflict is the fraction of lock requests that had to wait in the
-	// window (lock waits / lock requests).
-	Conflict float64
-	// RT is the mean response time of the window's commits in seconds
-	// (0 when the window had no commits).
-	RT float64
-	// Commits counts the window's committed transactions.
-	Commits int64
-}
-
 // Action says what an admission update decided.
 type Action int
 
@@ -32,32 +19,25 @@ const (
 	Probe
 )
 
-// AdmissionParams configures the per-node admission controller.
-type AdmissionParams struct {
-	// MaxMPL is the configured multiprogramming ceiling (the static
-	// limit the controller replaces).
-	MaxMPL int
-	// MinMPL is the throttle floor; the controller never cuts below it.
-	MinMPL int
+// The admission controller's tuning.
+const (
+	// MinMPL is the throttle floor; the controller never cuts below it
+	// (nor below a smaller configured ceiling).
+	MinMPL = 4
 	// HighConflict is the conflict ratio at which a window counts as
 	// congested and the limit is cut.
-	HighConflict float64
+	HighConflict = 0.35
 	// LowConflict is the ratio below which a calm window may probe the
 	// limit upward.
-	LowConflict float64
-	// Backoff is the multiplicative cut factor applied on congestion,
-	// in (0, 1).
-	Backoff float64
+	LowConflict = 0.15
+	// Backoff is the multiplicative cut factor applied on congestion.
+	Backoff = 0.5
 	// ProbeStep is the additive increase per calm window.
-	ProbeStep int
+	ProbeStep = 4
 	// Cooldown is the number of windows to hold after a cut before
 	// probing resumes (the half-open guard).
-	Cooldown int
-	// RTFactor, when positive, also treats a window as congested when
-	// its mean response time exceeds RTFactor times the calm baseline
-	// (an exponentially weighted average of calm-window RTs).
-	RTFactor float64
-}
+	Cooldown = 2
+)
 
 // Admission is the per-node feedback controller bounding the effective
 // multiprogramming level. The policy is the classic conservative
@@ -67,33 +47,16 @@ type AdmissionParams struct {
 // ceiling), the loop cannot oscillate faster than the cooldown and
 // always converges to the ceiling once congestion clears.
 type Admission struct {
-	p      AdmissionParams
+	maxMPL int
+	minMPL int
 	limit  int
 	cool   int
-	baseRT float64
 }
 
-// NewAdmission builds a controller starting at the configured ceiling.
-func NewAdmission(p AdmissionParams) *Admission {
-	if p.MaxMPL < 1 {
-		p.MaxMPL = 1
-	}
-	if p.MinMPL < 1 {
-		p.MinMPL = 1
-	}
-	if p.MinMPL > p.MaxMPL {
-		p.MinMPL = p.MaxMPL
-	}
-	if p.Backoff <= 0 || p.Backoff >= 1 {
-		p.Backoff = 0.5
-	}
-	if p.ProbeStep < 1 {
-		p.ProbeStep = 1
-	}
-	if p.Cooldown < 0 {
-		p.Cooldown = 0
-	}
-	return &Admission{p: p, limit: p.MaxMPL}
+// NewAdmission builds a controller starting at the configured ceiling
+// maxMPL. Its floor is MinMPL, or the ceiling itself when that is lower.
+func NewAdmission(maxMPL int) *Admission {
+	return &Admission{maxMPL: maxMPL, minMPL: min(MinMPL, maxMPL), limit: maxMPL}
 }
 
 // Limit returns the current admission limit.
@@ -106,48 +69,24 @@ type Decision struct {
 	Changed bool
 }
 
-// Update feeds one observation window and returns the (possibly
-// unchanged) admission limit for the next window.
-func (a *Admission) Update(s Sample) Decision {
-	congested := s.Conflict >= a.p.HighConflict
-	if !congested && a.p.RTFactor > 0 && a.baseRT > 0 && s.Commits > 0 && s.RT > a.p.RTFactor*a.baseRT {
-		congested = true
-	}
+// Update feeds the conflict ratio of one observation window (the
+// fraction of its lock requests that had to wait) and returns the
+// (possibly unchanged) admission limit for the next window.
+func (a *Admission) Update(conflict float64) Decision {
 	switch {
-	case congested:
-		nl := int(float64(a.limit) * a.p.Backoff)
-		if nl < a.p.MinMPL {
-			nl = a.p.MinMPL
-		}
+	case conflict >= HighConflict:
+		nl := max(int(float64(a.limit)*Backoff), a.minMPL)
 		changed := nl != a.limit
 		a.limit = nl
-		a.cool = a.p.Cooldown
+		a.cool = Cooldown
 		return Decision{Limit: a.limit, Action: Throttle, Changed: changed}
 	case a.cool > 0:
 		a.cool--
 		return Decision{Limit: a.limit, Action: Hold}
-	case s.Conflict <= a.p.LowConflict && a.limit < a.p.MaxMPL:
-		a.observeCalm(s)
-		a.limit += a.p.ProbeStep
-		if a.limit > a.p.MaxMPL {
-			a.limit = a.p.MaxMPL
-		}
+	case conflict <= LowConflict && a.limit < a.maxMPL:
+		a.limit = min(a.limit+ProbeStep, a.maxMPL)
 		return Decision{Limit: a.limit, Action: Probe, Changed: true}
 	default:
-		a.observeCalm(s)
 		return Decision{Limit: a.limit, Action: Hold}
 	}
-}
-
-// observeCalm folds a calm window's response time into the baseline the
-// RTFactor congestion test compares against.
-func (a *Admission) observeCalm(s Sample) {
-	if s.Commits == 0 || s.RT <= 0 {
-		return
-	}
-	if a.baseRT == 0 {
-		a.baseRT = s.RT
-		return
-	}
-	a.baseRT = 0.8*a.baseRT + 0.2*s.RT
 }

@@ -5,90 +5,71 @@ import (
 	"testing"
 )
 
-func admission() *Admission {
-	return NewAdmission(AdmissionParams{
-		MaxMPL: 64, MinMPL: 4,
-		HighConflict: 0.35, LowConflict: 0.15,
-		Backoff: 0.5, ProbeStep: 4, Cooldown: 2,
-	})
-}
-
 // TestAdmissionThrottleAndRecover walks the half-open state machine:
 // multiplicative cut on congestion, a cooldown hold, then additive
 // probing back to the ceiling on calm windows.
 func TestAdmissionThrottleAndRecover(t *testing.T) {
-	a := admission()
+	a := NewAdmission(64)
 	if a.Limit() != 64 {
 		t.Fatalf("start limit %d, want the ceiling 64", a.Limit())
 	}
-	d := a.Update(Sample{Conflict: 0.5})
+	d := a.Update(0.5)
 	if d.Action != Throttle || !d.Changed || d.Limit != 32 {
 		t.Fatalf("congested window: %+v, want throttle to 32", d)
 	}
 	// Two cooldown windows hold even though conflict is calm.
 	for i := 0; i < 2; i++ {
-		if d = a.Update(Sample{Conflict: 0.05}); d.Action != Hold || d.Limit != 32 {
+		if d = a.Update(0.05); d.Action != Hold || d.Limit != 32 {
 			t.Fatalf("cooldown window %d: %+v, want hold at 32", i, d)
 		}
 	}
 	// Calm windows probe additively.
-	if d = a.Update(Sample{Conflict: 0.05}); d.Action != Probe || d.Limit != 36 {
+	if d = a.Update(0.05); d.Action != Probe || d.Limit != 36 {
 		t.Fatalf("calm window: %+v, want probe to 36", d)
 	}
 	// Mid-band conflict (between low and high) holds.
-	if d = a.Update(Sample{Conflict: 0.25}); d.Action != Hold || d.Limit != 36 {
+	if d = a.Update(0.25); d.Action != Hold || d.Limit != 36 {
 		t.Fatalf("mid-band window: %+v, want hold at 36", d)
 	}
 	// Probing saturates at the ceiling and then holds.
 	for a.Limit() < 64 {
-		d = a.Update(Sample{Conflict: 0.0})
+		d = a.Update(0.0)
 	}
 	if d.Limit != 64 || !d.Changed {
 		t.Fatalf("final probe: %+v, want limit 64", d)
 	}
-	if d = a.Update(Sample{Conflict: 0.0}); d.Action != Hold || d.Changed {
+	if d = a.Update(0.0); d.Action != Hold || d.Changed {
 		t.Fatalf("at ceiling: %+v, want unchanged hold", d)
 	}
 }
 
-// TestAdmissionFloor checks the throttle never cuts below MinMPL.
+// TestAdmissionFloor checks the throttle never cuts below MinMPL, and
+// that a ceiling below MinMPL is its own floor.
 func TestAdmissionFloor(t *testing.T) {
-	a := admission()
-	for i := 0; i < 10; i++ {
-		a.Update(Sample{Conflict: 1})
-	}
-	if a.Limit() != 4 {
-		t.Fatalf("limit %d after sustained congestion, want the floor 4", a.Limit())
-	}
-	// At the floor a congested window is no longer a change.
-	if d := a.Update(Sample{Conflict: 1}); d.Changed {
-		t.Fatalf("floor window: %+v, want unchanged", d)
-	}
-}
-
-// TestAdmissionRTCongestion checks the response-time trigger: once a
-// calm baseline exists, a blown-up RT counts as congestion even with a
-// low conflict rate.
-func TestAdmissionRTCongestion(t *testing.T) {
-	a := NewAdmission(AdmissionParams{
-		MaxMPL: 64, MinMPL: 4,
-		HighConflict: 0.35, LowConflict: 0.15,
-		Backoff: 0.5, ProbeStep: 4, Cooldown: 0,
-		RTFactor: 3,
-	})
-	// Establish a calm baseline around 50ms.
-	for i := 0; i < 5; i++ {
-		a.Update(Sample{Conflict: 0.05, RT: 0.05, Commits: 100})
-	}
-	d := a.Update(Sample{Conflict: 0.05, RT: 0.5, Commits: 100})
-	if d.Action != Throttle {
-		t.Fatalf("10x RT blow-up: %+v, want throttle", d)
-	}
-	// Without a baseline the RT trigger must stay inert.
-	b := NewAdmission(AdmissionParams{MaxMPL: 64, MinMPL: 4,
-		HighConflict: 0.35, LowConflict: 0.2, Backoff: 0.5, ProbeStep: 4, RTFactor: 3})
-	if d := b.Update(Sample{Conflict: 0.18, RT: 10, Commits: 1}); d.Action == Throttle {
-		t.Fatalf("no baseline yet: %+v, want no throttle", d)
+	for _, tc := range []struct{ ceiling, floor int }{
+		{64, MinMPL},
+		{MinMPL + 1, MinMPL},
+		{2, 2},
+		{1, 1},
+	} {
+		a := NewAdmission(tc.ceiling)
+		for i := 0; i < 10; i++ {
+			a.Update(1)
+		}
+		if a.Limit() != tc.floor {
+			t.Fatalf("ceiling %d: limit %d after sustained congestion, want the floor %d", tc.ceiling, a.Limit(), tc.floor)
+		}
+		// At the floor a congested window is no longer a change.
+		if d := a.Update(1); d.Changed || d.Action != Throttle {
+			t.Fatalf("ceiling %d: floor window %+v, want an unchanged throttle", tc.ceiling, d)
+		}
+		// Calm windows after the cooldown probe back to the ceiling.
+		for i := 0; i < Cooldown+20; i++ {
+			a.Update(0)
+		}
+		if a.Limit() != tc.ceiling {
+			t.Fatalf("ceiling %d: limit %d after calm windows, want the ceiling", tc.ceiling, a.Limit())
+		}
 	}
 }
 

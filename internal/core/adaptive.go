@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"gemsim/internal/node"
 	"gemsim/internal/workload"
 )
 
@@ -18,6 +17,7 @@ import (
 func AdaptiveConfig(coupling Coupling, adaptive bool, opts PresetOptions) Config {
 	cfg := opts.config(4, 24*time.Second)
 	cfg.Coupling = coupling
+	cfg.Control = adaptive
 	dc := workload.DefaultDebitCreditParams(cfg.ArrivalRatePerNode * float64(cfg.Nodes))
 	dc.Skew = &workload.Skew{
 		BranchTheta:  0.8,
@@ -27,9 +27,6 @@ func AdaptiveConfig(coupling Coupling, adaptive bool, opts PresetOptions) Config
 		},
 	}
 	cfg.Workload.DebitCredit = &dc
-	if adaptive {
-		cfg.Control = node.DefaultControlConfig()
-	}
 	return cfg
 }
 

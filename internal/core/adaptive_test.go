@@ -3,10 +3,11 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
-	"gemsim/internal/node"
+	"gemsim/internal/workload"
 )
 
 // TestAdaptiveBeatsStatic is the acceptance gate of the load-control
@@ -73,27 +74,17 @@ func TestAdaptiveDeterministic(t *testing.T) {
 func TestControlConfigValidation(t *testing.T) {
 	cfg := DefaultDebitCreditConfig(2)
 	cfg.Measure = time.Second
-	cfg.Control = &node.ControlConfig{} // neither admission nor reroute
-	if _, err := Run(cfg); err == nil {
-		t.Error("empty control config accepted")
-	}
-	cfg = DefaultDebitCreditConfig(2)
-	cfg.Measure = time.Second
 	cfg.Coupling = CouplingLockEngine
 	cfg.Force = true
-	cfg.Control = node.DefaultControlConfig()
+	cfg.Control = true
 	if _, err := Run(cfg); err == nil {
 		t.Error("control config accepted for the lock engine baseline")
-	}
-	bad := node.DefaultControlConfig()
-	bad.Backoff = 1.5
-	if err := bad.Validate(); err == nil {
-		t.Error("backoff 1.5 accepted")
 	}
 }
 
 // TestConfigFileSkewControl checks the JSON plumbing of the skew and
-// control blocks.
+// control blocks: "control": {} turns the controller on, and the block
+// takes no keys (the controller's tuning is fixed).
 func TestConfigFileSkewControl(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "c.json")
 	body := `{
@@ -103,7 +94,7 @@ func TestConfigFileSkewControl(t *testing.T) {
 			"branchTheta": 0.8, "accountTheta": 0.4,
 			"drift": [{"at": "600ms", "rotate": 0.5}]
 		},
-		"control": {"interval": "100ms", "minMPL": 2}
+		"control": {}
 	}`
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
@@ -116,26 +107,36 @@ func TestConfigFileSkewControl(t *testing.T) {
 	if dc == nil || dc.Skew == nil || dc.Skew.BranchTheta != 0.8 || len(dc.Skew.Drift) != 1 {
 		t.Fatalf("skew block not applied: %+v", dc)
 	}
-	if cfg.Control == nil || cfg.Control.Interval != 100*time.Millisecond || cfg.Control.MinMPL != 2 {
-		t.Fatalf("control block not applied: %+v", cfg.Control)
-	}
-	if !cfg.Control.Admission || !cfg.Control.Reroute {
-		t.Fatal("control defaults lost")
+	if !cfg.Control {
+		t.Fatal("control block did not turn the controller on")
 	}
 	if _, err := Run(cfg); err != nil {
 		t.Fatalf("config-file adaptive run failed: %v", err)
 	}
 
-	for name, bad := range map[string]string{
-		"skew-with-trace": `{"nodes":1,"traceFile":"/nonexistent.trc","skew":{"branchTheta":0.5}}`,
-		"bad-theta":       `{"nodes":1,"skew":{"branchTheta":1.5}}`,
-		"bad-interval":    `{"nodes":1,"control":{"interval":"-1s"}}`,
+	tp := workload.DefaultTraceGenParams(1)
+	tp.Transactions = 200
+	tr, err := workload.GenerateTrace(tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracePath := filepath.Join(t.TempDir(), "w.trc")
+	if err := tr.WriteFile(tracePath); err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]struct{ body, err string }{
+		"skew-with-trace":    {`{"nodes":1,"traceFile":"TRACE","skew":{"branchTheta":0.5}}`, "skew applies to the debit-credit workload"},
+		"control-with-trace": {`{"nodes":2,"traceFile":"TRACE","control":{}}`, "adaptive control requires the debit-credit workload"},
+		"bad-theta":          {`{"nodes":1,"skew":{"branchTheta":1.5}}`, "theta"},
+		"tuning-key":         {`{"nodes":1,"control":{"minMPL":2}}`, `unknown field "minMPL"`},
+		"control-value":      {`{"nodes":1,"control":true}`, "control"},
 	} {
-		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+		body := strings.ReplaceAll(bad.body, "TRACE", tracePath)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadConfigFile(path); err == nil {
-			t.Errorf("%s: invalid config accepted", name)
+		if _, err := LoadConfigFile(path); err == nil || !strings.Contains(err.Error(), bad.err) {
+			t.Errorf("%s: error %v, want one naming %q", name, err, bad.err)
 		}
 	}
 }

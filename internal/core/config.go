@@ -185,14 +185,15 @@ type Config struct {
 	// trace and time-series sampling.
 	Tracing *TraceConfig
 
-	// Control, if non-nil, enables the adaptive load-control subsystem:
-	// feedback-driven admission control per node (the effective MPL
-	// follows the measured conflict rate instead of the static limit)
-	// and periodic re-routing of hot branches away from overloaded
-	// nodes, with GLA partition migration under PCL. Nil keeps the
-	// static allocation; the results are then bit-identical to runs
-	// built before the controller existed.
-	Control *node.ControlConfig
+	// Control enables the adaptive load-control subsystem: feedback-driven
+	// admission control per node (the effective MPL follows the measured
+	// conflict rate instead of the static limit) and periodic re-routing
+	// of hot branches away from overloaded nodes, with GLA partition
+	// migration under PCL. Its tuning is fixed (package control and
+	// internal/node/adaptive.go). Off keeps the static allocation; the
+	// results are then bit-identical to runs built before the controller
+	// existed.
+	Control bool
 }
 
 // DefaultDebitCreditConfig returns the Table 4.1 configuration for the
@@ -271,15 +272,12 @@ func (c *Config) validate() error {
 			return fmt.Errorf("core: invalid Tracing.Format %v", tc.Format)
 		}
 	}
-	if ctl := c.Control; ctl != nil {
-		if err := ctl.Validate(); err != nil {
-			return err
-		}
+	if c.Control {
 		if c.Coupling == CouplingLockEngine {
 			return fmt.Errorf("core: adaptive control is not supported for the lock engine baseline")
 		}
-		if ctl.Reroute && c.Workload.Trace != nil {
-			return fmt.Errorf("core: Control.Reroute requires the debit-credit workload (trace routing tables are precomputed)")
+		if c.Workload.Trace != nil {
+			return fmt.Errorf("core: adaptive control requires the debit-credit workload (trace routing tables are precomputed)")
 		}
 	}
 	if f := c.Faults; f != nil {

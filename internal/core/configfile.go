@@ -10,7 +10,6 @@ import (
 	"gemsim/internal/cc"
 	"gemsim/internal/fault"
 	"gemsim/internal/model"
-	"gemsim/internal/node"
 	"gemsim/internal/recovery"
 	"gemsim/internal/workload"
 )
@@ -40,8 +39,9 @@ type ConfigFile struct {
 	// TraceFile.
 	Skew *SkewFile `json:"skew,omitempty"`
 
-	// Control enables the adaptive load controller.
-	Control *ControlFile `json:"control,omitempty"`
+	// Control, present as the empty object {}, enables the adaptive
+	// load controller. Its tuning is fixed, so the block takes no keys.
+	Control *struct{} `json:"control,omitempty"`
 
 	// FileMedium maps file names to media: "disk", "vcache",
 	// "nvcache", "gem", "gemwb".
@@ -70,8 +70,7 @@ type ConfigFile struct {
 
 // AttributionFile is the JSON representation of an AttributionConfig.
 type AttributionFile struct {
-	Off       bool    `json:"off,omitempty"`
-	Tolerance float64 `json:"tolerance,omitempty"`
+	Off bool `json:"off,omitempty"`
 }
 
 // FaultsFile is the JSON representation of a FaultConfig.
@@ -108,29 +107,6 @@ type SkewFile struct {
 type DriftFile struct {
 	At     string  `json:"at"`
 	Rotate float64 `json:"rotate"`
-}
-
-// ControlFile is the JSON representation of a node.ControlConfig. A
-// field the file sets reaches ControlConfig.Validate as written, zero
-// included; absent fields keep the DefaultControlConfig tuning
-// (admission and reroute enabled).
-type ControlFile struct {
-	Admission            *bool    `json:"admission,omitempty"`
-	Reroute              *bool    `json:"reroute,omitempty"`
-	Interval             string   `json:"interval,omitempty"`
-	MinMPL               *int     `json:"minMPL,omitempty"`
-	HighConflict         *float64 `json:"highConflict,omitempty"`
-	LowConflict          *float64 `json:"lowConflict,omitempty"`
-	Backoff              *float64 `json:"backoff,omitempty"`
-	ProbeStep            *int     `json:"probeStep,omitempty"`
-	Cooldown             *int     `json:"cooldown,omitempty"`
-	RTFactor             *float64 `json:"rtFactor,omitempty"`
-	RebalanceEvery       *int     `json:"rebalanceEvery,omitempty"`
-	Imbalance            *float64 `json:"imbalance,omitempty"`
-	MaxMoves             *int     `json:"maxMoves,omitempty"`
-	MigrateShare         *float64 `json:"migrateShare,omitempty"`
-	MigrateMinLocks      *float64 `json:"migrateMinLocks,omitempty"`
-	HandoffEntriesPerMsg *int     `json:"handoffEntriesPerMsg,omitempty"`
 }
 
 // CrashFile schedules one node crash.
@@ -313,13 +289,7 @@ func (f *ConfigFile) ToConfig() (Config, error) {
 		p.Skew = sk
 		cfg.Workload.DebitCredit = &p
 	}
-	if f.Control != nil {
-		ctl, err := f.Control.toControlConfig()
-		if err != nil {
-			return Config{}, err
-		}
-		cfg.Control = ctl
-	}
+	cfg.Control = f.Control != nil
 	if f.Faults != nil {
 		fc, err := f.Faults.toFaultConfig()
 		if err != nil {
@@ -328,10 +298,7 @@ func (f *ConfigFile) ToConfig() (Config, error) {
 		cfg.Faults = fc
 	}
 	if f.Attribution != nil {
-		cfg.Attribution = AttributionConfig{
-			Off:       f.Attribution.Off,
-			Tolerance: f.Attribution.Tolerance,
-		}
+		cfg.Attribution = AttributionConfig{Off: f.Attribution.Off}
 	}
 	return cfg, nil
 }
@@ -354,43 +321,6 @@ func (f *SkewFile) toSkew() (*workload.Skew, error) {
 		return nil, err
 	}
 	return sk, nil
-}
-
-func (f *ControlFile) toControlConfig() (*node.ControlConfig, error) {
-	ctl := node.DefaultControlConfig()
-	if f.Interval != "" {
-		d, err := parseOptDuration("control.interval", f.Interval)
-		if err != nil {
-			return nil, err
-		}
-		ctl.Interval = d
-	}
-	setIfGiven(&ctl.Admission, f.Admission)
-	setIfGiven(&ctl.Reroute, f.Reroute)
-	setIfGiven(&ctl.MinMPL, f.MinMPL)
-	setIfGiven(&ctl.HighConflict, f.HighConflict)
-	setIfGiven(&ctl.LowConflict, f.LowConflict)
-	setIfGiven(&ctl.Backoff, f.Backoff)
-	setIfGiven(&ctl.ProbeStep, f.ProbeStep)
-	setIfGiven(&ctl.Cooldown, f.Cooldown)
-	setIfGiven(&ctl.RTFactor, f.RTFactor)
-	setIfGiven(&ctl.RebalanceEvery, f.RebalanceEvery)
-	setIfGiven(&ctl.Imbalance, f.Imbalance)
-	setIfGiven(&ctl.MaxMoves, f.MaxMoves)
-	setIfGiven(&ctl.MigrateShare, f.MigrateShare)
-	setIfGiven(&ctl.MigrateMinLocks, f.MigrateMinLocks)
-	setIfGiven(&ctl.HandoffEntriesPerMsg, f.HandoffEntriesPerMsg)
-	if err := ctl.Validate(); err != nil {
-		return nil, err
-	}
-	return ctl, nil
-}
-
-// setIfGiven copies a value the file set over the default in *dst.
-func setIfGiven[T any](dst, v *T) {
-	if v != nil {
-		*dst = *v
-	}
 }
 
 func (f *FaultsFile) toFaultConfig() (*FaultConfig, error) {

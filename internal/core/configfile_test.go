@@ -3,12 +3,10 @@ package core
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
 	"gemsim/internal/model"
-	"gemsim/internal/node"
 )
 
 func writeCfg(t *testing.T, content string) string {
@@ -142,49 +140,6 @@ func TestLoadConfigFileErrors(t *testing.T) {
 	}
 	if _, err := LoadConfigFile("/nonexistent/path.json"); err == nil {
 		t.Error("expected error for missing file")
-	}
-}
-
-// TestControlBlockKeepsWrittenValues checks that a key the control
-// block sets reaches the controller's validation as written: valid
-// zeros are kept instead of falling back to the default tuning, and
-// negatives get the validation error instead of being replaced.
-func TestControlBlockKeepsWrittenValues(t *testing.T) {
-	for _, tc := range []struct {
-		control string
-		check   func(c *node.ControlConfig) bool
-		err     string
-	}{
-		{`{"lowConflict":0}`, func(c *node.ControlConfig) bool { return c.LowConflict == 0 }, ""},
-		{`{"cooldown":0}`, func(c *node.ControlConfig) bool { return c.Cooldown == 0 }, ""},
-		{`{"migrateMinLocks":0}`, func(c *node.ControlConfig) bool { return c.MigrateMinLocks == 0 }, ""},
-		{`{"rtFactor":0,"minMPL":3}`, func(c *node.ControlConfig) bool {
-			// Absent keys keep the default tuning.
-			d := node.DefaultControlConfig()
-			d.MinMPL = 3
-			return *c == *d
-		}, ""},
-		{`{"minMPL":-2}`, nil, "MinMPL must be at least 1"},
-		{`{"cooldown":-1}`, nil, "Cooldown must not be negative"},
-		{`{"backoff":-0.5}`, nil, "Backoff must be in (0,1)"},
-		{`{"minMPL":0}`, nil, "MinMPL must be at least 1"},
-		{`{"migrateMinLocks":-5}`, nil, "MigrateMinLocks must not be negative"},
-	} {
-		path := writeCfg(t, `{"nodes": 2, "control": `+tc.control+`}`)
-		cfg, err := LoadConfigFile(path)
-		if tc.err != "" {
-			if err == nil || !strings.Contains(err.Error(), tc.err) {
-				t.Errorf("%s: error %v, want one naming %q", tc.control, err, tc.err)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("%s: %v", tc.control, err)
-			continue
-		}
-		if !tc.check(cfg.Control) {
-			t.Errorf("%s: control %+v does not keep the written value", tc.control, *cfg.Control)
-		}
 	}
 }
 

@@ -86,7 +86,6 @@ func TestConfigValidation(t *testing.T) {
 		{func(c *Config) { c.GlobalLogMerge = true }, "GlobalLogMerge requires LogInGEM"},
 		{func(c *Config) { c.Coupling, c.Force, c.Faults = CouplingLockEngine, true, &FaultConfig{} }, "fault injection is not supported"},
 		{func(c *Config) { c.CheckInvariants, c.Faults = true, &FaultConfig{} }, "incompatible with CheckInvariants"},
-		{func(c *Config) { c.Attribution.Tolerance = -0.1 }, "Attribution.Tolerance"},
 	}
 	for i, tc := range cases {
 		cfg := DefaultDebitCreditConfig(2)

@@ -141,7 +141,7 @@ var knobs = []Knob{
 				return err
 			}
 			if on {
-				own(&f.Control) // keeps the base's controller settings
+				own(&f.Control)
 			} else {
 				f.Control = nil
 			}
@@ -189,9 +189,6 @@ var knobs = []Knob{
 	{Flag: "attrib-off", Kind: KnobBool,
 		Usage: "disable bottleneck attribution accounting",
 		set:   field(func(f *ConfigFile) *bool { return &own(&f.Attribution).Off })},
-	{Flag: "attrib-tolerance", Kind: KnobFloat,
-		Usage: "operational-law residual warning threshold (0 = default 5%)",
-		set:   field(func(f *ConfigFile) *float64 { return &own(&f.Attribution).Tolerance })},
 }
 
 // mediumKnob is the storage medium of one file.

@@ -90,10 +90,8 @@ func Run(cfg Config) (*Report, error) {
 		}
 		fault.NewInjector(env, plan, sys).Start()
 	}
-	if cfg.Control != nil {
-		if err := sys.StartControl(cfg.Control); err != nil {
-			return nil, err
-		}
+	if cfg.Control {
+		sys.StartControl()
 	}
 	if cl := cfg.ClosedLoop; cl != nil {
 		if err := sys.StartClosed(cl.TerminalsPerNode, cl.ThinkTime); err != nil {
@@ -212,7 +210,7 @@ func assemble(cfg *Config) (workload.Generator, routing.Router, routing.GLAMap, 
 		gla = aff
 		switch cfg.Routing {
 		case RoutingAffinity:
-			if ctl := cfg.Control; ctl != nil && ctl.Reroute {
+			if cfg.Control {
 				// The controller rewrites branch->node assignments at
 				// run time; give it a routing table with an override
 				// layer. GLA partitioning stays on the static map (the

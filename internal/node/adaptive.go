@@ -22,113 +22,30 @@ import (
 // runs remain exactly reproducible and runs without a controller are
 // untouched (no extra events, draws or allocations).
 
-// ControlConfig enables and tunes the closed-loop load controller.
-type ControlConfig struct {
-	// Admission enables the per-node feedback throttle on the effective
-	// multiprogramming level.
-	Admission bool
-	// Reroute enables periodic rebalancing of the branch routing table
-	// and, under PCL, GLA partition migration.
-	Reroute bool
-	// Interval is the controller sampling period (simulated time).
-	Interval time.Duration
-	// MinMPL is the admission throttle floor.
-	MinMPL int
-	// HighConflict and LowConflict are the lock-conflict ratios that
-	// trigger a throttle cut and allow upward probing, respectively.
-	HighConflict float64
-	LowConflict  float64
-	// Backoff is the multiplicative MPL cut factor in (0, 1).
-	Backoff float64
-	// ProbeStep is the additive MPL increase per calm window.
-	ProbeStep int
-	// Cooldown is the number of windows held after a cut before probing
-	// resumes.
-	Cooldown int
-	// RTFactor, when positive, also throttles when the windowed mean
-	// response time exceeds RTFactor times the calm baseline.
-	RTFactor float64
-	// RebalanceEvery runs the rebalancer every that many controller
-	// windows.
-	RebalanceEvery int
-	// Imbalance is the max/mean per-node load ratio that triggers
+// The controller's sampling, rebalance and migration tuning (the
+// admission tuning is in package control).
+const (
+	// controlInterval is the controller sampling period (simulated
+	// time).
+	controlInterval = 250 * time.Millisecond
+	// rebalanceEvery runs the rebalancer every that many windows.
+	rebalanceEvery = 4
+	// imbalanceLimit is the max/mean per-node load ratio that triggers
 	// re-routing.
-	Imbalance float64
-	// MaxMoves bounds the branch moves (and GLA migrations) per
+	imbalanceLimit = 1.3
+	// maxMoves bounds the branch moves (and GLA migrations) per
 	// rebalance pass.
-	MaxMoves int
-	// MigrateShare is the lock-traffic share a remote node must have on
+	maxMoves = 16
+	// migrateShare is the lock-traffic share a remote node must have on
 	// a GLA partition before the partition migrates to it.
-	MigrateShare float64
-	// MigrateMinLocks is the minimum observed lock traffic on a
+	migrateShare = 0.5
+	// migrateMinLocks is the minimum observed lock traffic on a
 	// partition before migration is considered (noise guard).
-	MigrateMinLocks float64
-	// HandoffEntriesPerMsg is the batch size of the migration handoff
+	migrateMinLocks = 100
+	// handoffEntriesPerMsg is the batch size of the migration handoff
 	// protocol (directory entries per long message).
-	HandoffEntriesPerMsg int
-}
-
-// DefaultControlConfig returns the controller tuning used by the
-// adaptive experiments.
-func DefaultControlConfig() *ControlConfig {
-	return &ControlConfig{
-		Admission:            true,
-		Reroute:              true,
-		Interval:             250 * time.Millisecond,
-		MinMPL:               4,
-		HighConflict:         0.35,
-		LowConflict:          0.15,
-		Backoff:              0.5,
-		ProbeStep:            4,
-		Cooldown:             2,
-		RTFactor:             0,
-		RebalanceEvery:       4,
-		Imbalance:            1.3,
-		MaxMoves:             16,
-		MigrateShare:         0.5,
-		MigrateMinLocks:      100,
-		HandoffEntriesPerMsg: 64,
-	}
-}
-
-// Validate checks the controller configuration.
-func (c *ControlConfig) Validate() error {
-	switch {
-	case c == nil:
-		return nil
-	case !c.Admission && !c.Reroute:
-		return errParam("control: neither admission nor re-routing enabled")
-	case c.Interval <= 0:
-		return errParam("control: sampling interval must be positive")
-	case c.MinMPL < 1:
-		return errParam("control: MinMPL must be at least 1")
-	case c.HighConflict <= 0 || c.HighConflict > 1:
-		return errParam("control: HighConflict out of (0,1]")
-	case c.LowConflict < 0 || c.LowConflict >= c.HighConflict:
-		return errParam("control: LowConflict must be in [0, HighConflict)")
-	case c.Backoff <= 0 || c.Backoff >= 1:
-		return errParam("control: Backoff must be in (0,1)")
-	case c.ProbeStep < 1:
-		return errParam("control: ProbeStep must be at least 1")
-	case c.Cooldown < 0:
-		return errParam("control: Cooldown must not be negative")
-	case c.RTFactor < 0:
-		return errParam("control: RTFactor must not be negative")
-	case c.Reroute && c.RebalanceEvery < 1:
-		return errParam("control: RebalanceEvery must be at least 1")
-	case c.Reroute && c.Imbalance < 1:
-		return errParam("control: Imbalance threshold must be at least 1")
-	case c.Reroute && c.MaxMoves < 1:
-		return errParam("control: MaxMoves must be at least 1")
-	case c.Reroute && (c.MigrateShare <= 0 || c.MigrateShare > 1):
-		return errParam("control: MigrateShare out of (0,1]")
-	case c.Reroute && c.MigrateMinLocks < 0:
-		return errParam("control: MigrateMinLocks must not be negative")
-	case c.Reroute && c.HandoffEntriesPerMsg < 1:
-		return errParam("control: HandoffEntriesPerMsg must be at least 1")
-	}
-	return nil
-}
+	handoffEntriesPerMsg = 64
+)
 
 // ctlCounters is one node's cumulative counter snapshot between
 // controller windows.
@@ -136,16 +53,13 @@ type ctlCounters struct {
 	lockReqs  int64
 	lockWaits int64
 	commits   int64
-	rtCount   int64
-	rtSum     float64
 }
 
 // controller drives the load-control loop of one system.
 type controller struct {
 	s        *System
-	cfg      ControlConfig
 	adaptive *routing.AdaptiveAffinity // nil: router not re-routable
-	adm      []*control.Admission      // nil: admission control off
+	adm      []*control.Admission
 	prev     []ctlCounters
 	routeCnt map[int]int64   // branch -> submissions this rebalance window
 	partCnt  []map[int]int64 // GLA partition -> requester node -> locks (PCL)
@@ -159,61 +73,40 @@ type controller struct {
 	migrations int64
 }
 
-// StartControl installs and starts the load controller. It must be
-// called before the workload source starts. With a nil configuration it
-// is a no-op (static allocation, zero overhead).
-func (s *System) StartControl(cfg *ControlConfig) error {
-	if cfg == nil {
-		return nil
-	}
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
+// StartControl installs and starts the load controller: per-node
+// feedback admission on the effective multiprogramming level, periodic
+// rebalancing of the branch routing table and, under PCL, GLA partition
+// migration. It must be called before the workload source starts;
+// without it the allocation stays static at zero overhead.
+func (s *System) StartControl() {
 	c := &controller{
 		s:         s,
-		cfg:       *cfg,
+		adm:       make([]*control.Admission, len(s.nodes)),
 		prev:      make([]ctlCounters, len(s.nodes)),
 		routeCnt:  make(map[int]int64),
 		migrating: make(map[int]bool),
 	}
-	if cfg.Reroute {
-		if aa, ok := s.router.(*routing.AdaptiveAffinity); ok {
-			c.adaptive = aa
-		}
-		if s.params.Coupling == CouplingPCL {
-			c.partCnt = make([]map[int]int64, len(s.tables))
-		}
+	if aa, ok := s.router.(*routing.AdaptiveAffinity); ok {
+		c.adaptive = aa
 	}
-	if cfg.Admission {
-		c.adm = make([]*control.Admission, len(s.nodes))
-		for i := range c.adm {
-			c.adm[i] = control.NewAdmission(control.AdmissionParams{
-				MaxMPL:       s.params.MPL,
-				MinMPL:       cfg.MinMPL,
-				HighConflict: cfg.HighConflict,
-				LowConflict:  cfg.LowConflict,
-				Backoff:      cfg.Backoff,
-				ProbeStep:    cfg.ProbeStep,
-				Cooldown:     cfg.Cooldown,
-				RTFactor:     cfg.RTFactor,
-			})
-		}
+	if s.params.Coupling == CouplingPCL {
+		c.partCnt = make([]map[int]int64, len(s.tables))
+	}
+	for i := range c.adm {
+		c.adm[i] = control.NewAdmission(s.params.MPL)
 	}
 	s.ctl = c
 	var tick func()
 	tick = func() {
 		c.tick()
-		s.env.After(cfg.Interval, tick)
+		s.env.After(controlInterval, tick)
 	}
-	s.env.After(cfg.Interval, tick)
-	return nil
+	s.env.After(controlInterval, tick)
 }
 
 // observeRoute counts one submitted transaction against its branch.
 func (c *controller) observeRoute(branch int) {
-	if c.cfg.Reroute {
-		c.routeCnt[branch]++
-	}
+	c.routeCnt[branch]++
 }
 
 // observePart counts one lock request of a node against the partition's
@@ -231,7 +124,7 @@ func (c *controller) observePart(gla, node int) {
 }
 
 // tick runs one controller window: per-node admission updates, and —
-// every RebalanceEvery windows — a rebalance pass. It runs on the
+// every rebalanceEvery windows — a rebalance pass. It runs on the
 // kernel's callback tier and never blocks.
 func (c *controller) tick() {
 	s := c.s
@@ -241,27 +134,22 @@ func (c *controller) tick() {
 			lockReqs:  n.localLocks + n.remoteLocks,
 			lockWaits: n.lockWaits,
 			commits:   n.commits,
-			rtCount:   n.resp.Count(),
-			rtSum:     n.resp.Mean() * float64(n.resp.Count()),
 		}
 		prev := c.prev[i]
 		c.prev[i] = cur
-		if cur.lockReqs < prev.lockReqs || cur.commits < prev.commits || cur.rtCount < prev.rtCount {
+		if cur.lockReqs < prev.lockReqs || cur.commits < prev.commits {
 			// The counters were reset under the window (end of warm-up):
 			// skip it and re-base on the fresh values.
 			continue
 		}
-		if c.adm == nil || (s.faultsOn && s.down[i]) {
+		if s.faultsOn && s.down[i] {
 			continue
 		}
-		smp := control.Sample{Commits: cur.commits - prev.commits}
+		var conflict float64
 		if dReq := cur.lockReqs - prev.lockReqs; dReq > 0 {
-			smp.Conflict = float64(cur.lockWaits-prev.lockWaits) / float64(dReq)
+			conflict = float64(cur.lockWaits-prev.lockWaits) / float64(dReq)
 		}
-		if dc := cur.rtCount - prev.rtCount; dc > 0 {
-			smp.RT = (cur.rtSum - prev.rtSum) / float64(dc)
-		}
-		dec := c.adm[i].Update(smp)
+		dec := c.adm[i].Update(conflict)
 		if !dec.Changed {
 			continue
 		}
@@ -282,7 +170,7 @@ func (c *controller) tick() {
 		}
 	}
 	c.ticks++
-	if c.cfg.Reroute && c.cfg.RebalanceEvery > 0 && c.ticks%c.cfg.RebalanceEvery == 0 {
+	if c.ticks%rebalanceEvery == 0 {
 		c.rebalance()
 	}
 }
@@ -316,7 +204,7 @@ func (c *controller) rebalance() {
 				Weight: float64(c.routeCnt[b]),
 			})
 		}
-		moves := control.Rebalance(units, alive, c.cfg.Imbalance, c.cfg.MaxMoves)
+		moves := control.Rebalance(units, alive, imbalanceLimit, maxMoves)
 		for _, mv := range moves {
 			c.adaptive.SetOverride(mv.ID, mv.To)
 			c.reroutes++
@@ -343,7 +231,7 @@ func (c *controller) rebalance() {
 			use = append(use, control.PartitionUse{Partition: g, Home: s.glaHomeOf(g), ByNode: by})
 		}
 		eligible := func(node int) bool { return !s.faultsOn || !s.down[node] }
-		for _, mv := range control.Migrations(use, c.cfg.MigrateShare, c.cfg.MigrateMinLocks, c.cfg.MaxMoves, eligible) {
+		for _, mv := range control.Migrations(use, migrateShare, migrateMinLocks, maxMoves, eligible) {
 			c.startMigration(mv.ID, mv.From, mv.To)
 		}
 	}
@@ -380,10 +268,7 @@ func (c *controller) startMigration(g, from, to int) {
 		if instr := s.params.RecoveryEntryInstr; instr > 0 {
 			src.cpu.Exec(p, float64(entries)*instr)
 		}
-		per := c.cfg.HandoffEntriesPerMsg
-		if per < 1 {
-			per = 1
-		}
+		per := handoffEntriesPerMsg
 		wait := s.newWait(p)
 		batches := (entries + per - 1) / per
 		aborted := false
@@ -439,9 +324,6 @@ func (n *Node) handleGLAHandoff(m *message) {
 // rebalance pass runs immediately instead of waiting for the next
 // scheduled window.
 func (c *controller) noteFailover() {
-	if !c.cfg.Reroute {
-		return
-	}
 	c.s.env.After(0, c.rebalance)
 }
 

@@ -114,17 +114,14 @@ type ModelKnobs struct {
 // AttributionConfig tunes the bottleneck attribution engine (package
 // attrib): per-transaction critical-path accounting, per-station
 // operational-law self-validation, and lock wait-for snapshots on the
-// event trace. The zero value is the default: attribution ON with the
-// default law tolerance. Attribution is pure accounting — it schedules
+// event trace. The zero value is the default: attribution ON.
+// Attribution is pure accounting — it schedules
 // no events and draws no random numbers — so enabling it never changes
 // any simulated result, and its per-commit cost is a handful of
 // additions.
 type AttributionConfig struct {
 	// Off disables all attribution accounting (benchmark ablations).
 	Off bool
-	// Tolerance is the relative residual above which a Little's-law or
-	// utilization-law self-check warns; 0 means attrib.DefaultTolerance.
-	Tolerance float64
 }
 
 // RecoveryKnobs are the recovery settings core.FaultConfig and Params
@@ -347,8 +344,6 @@ func (p *Params) Validate() error {
 		return errParam("recovery instruction demands must be non-negative")
 	case p.Net.LossProb < 0 || p.Net.LossProb >= 1:
 		return errParam("message loss probability (Net.LossProb) must be in [0,1)")
-	case p.Attribution.Tolerance < 0:
-		return errParam("Attribution.Tolerance must be non-negative")
 	}
 	return p.RecoveryKnobs.ValidateRecovery()
 }

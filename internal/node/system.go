@@ -147,11 +147,9 @@ type System struct {
 
 	// Bottleneck attribution (package attrib): attribBD aggregates
 	// the per-transaction response-time records and is nil when
-	// attribution is off; attribTol is the operational-law tolerance;
-	// prevStations re-bases the per-station counters between sampler
-	// ticks for windowed law instants.
+	// attribution is off; prevStations re-bases the per-station
+	// counters between sampler ticks for windowed law instants.
 	attribBD     *attrib.Breakdown
-	attribTol    float64
 	prevStations []attrib.StationCounters
 
 	// ctl is the adaptive load controller (StartControl); nil for
@@ -299,10 +297,6 @@ func NewSystem(env *sim.Env, params Params, gen workload.Generator, router routi
 	s.tracer = params.Tracer
 	if !params.Attribution.Off {
 		s.attribBD = &attrib.Breakdown{}
-		s.attribTol = params.Attribution.Tolerance
-		if s.attribTol <= 0 {
-			s.attribTol = attrib.DefaultTolerance
-		}
 	}
 	if s.tracer != nil {
 		s.gemDev.SetTracer(s.tracer)
@@ -916,7 +910,7 @@ func (s *System) Snapshot() Metrics {
 		m.DominantShare = share
 		m.StationLaws = s.StationLaws()
 		for _, l := range m.StationLaws {
-			m.LawWarnings = append(m.LawWarnings, l.Check(s.attribTol)...)
+			m.LawWarnings = append(m.LawWarnings, l.Check(attrib.DefaultTolerance)...)
 		}
 	}
 	m.MeanRTPreFailure = s.respPre.MeanDuration()

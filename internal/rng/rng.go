@@ -148,9 +148,6 @@ func (z *Zipf) Next() int64 { return z.Draw(z.src) }
 // N returns the size of the sampled range.
 func (z *Zipf) N() int64 { return z.n }
 
-// Theta returns the skew parameter.
-func (z *Zipf) Theta() float64 { return z.theta }
-
 // Mass returns the analytic probability of rank r under the sampler's
 // distribution (rank 0 is the hottest). It is the reference for
 // goodness-of-fit tests of the inverse-CDF approximation.

@@ -1,10 +1,6 @@
 package routing
 
-import (
-	"sort"
-
-	"gemsim/internal/model"
-)
+import "gemsim/internal/model"
 
 // AdaptiveAffinity wraps the static branch-partitioned affinity with a
 // mutable per-branch override table, the actuator of the dynamic
@@ -58,14 +54,3 @@ func (a *AdaptiveAffinity) SetOverride(branch, node int) {
 
 // Overrides returns the number of active overrides.
 func (a *AdaptiveAffinity) Overrides() int { return len(a.override) }
-
-// OverriddenBranches returns the overridden branches in ascending
-// order (diagnostics).
-func (a *AdaptiveAffinity) OverriddenBranches() []int {
-	bs := make([]int, 0, len(a.override))
-	for b := range a.override {
-		bs = append(bs, b)
-	}
-	sort.Ints(bs)
-	return bs
-}

@@ -103,7 +103,6 @@ type Group struct {
 	writesAbsorb int64
 	destages     int64
 	readLatency  stats.Series
-	writeLatency stats.Series
 	tracer       *trace.Tracer
 
 	ioOps      sim.FreeList[ioOp] // idle device-chain records
@@ -253,7 +252,6 @@ func (op *ioOp) finish() {
 	kind, hitKind := trace.IORead, trace.IOReadHit
 	if op.write {
 		kind, hitKind = trace.IOWrite, trace.IOWriteHit
-		g.writeLatency.AddDuration(g.env.Now() - op.start)
 	} else {
 		g.readLatency.AddDuration(g.env.Now() - op.start)
 	}
@@ -348,12 +346,6 @@ func (g *Group) WriteServiceTime(absorbed bool) time.Duration {
 	return d
 }
 
-// ControllerCounters returns the controllers' raw station counters.
-func (g *Group) ControllerCounters() attrib.StationCounters { return g.controllers.Counters() }
-
-// ControllerUtilization returns the utilization of the controllers.
-func (g *Group) ControllerUtilization() float64 { return g.controllers.Utilization() }
-
 // Reads returns the number of page reads since the last ResetStats.
 func (g *Group) Reads() int64 { return g.reads }
 
@@ -374,14 +366,10 @@ func (g *Group) Destages() int64 { return g.destages }
 // MeanReadLatency returns the mean read latency including queueing.
 func (g *Group) MeanReadLatency() time.Duration { return g.readLatency.MeanDuration() }
 
-// MeanWriteLatency returns the mean write latency including queueing.
-func (g *Group) MeanWriteLatency() time.Duration { return g.writeLatency.MeanDuration() }
-
 // ResetStats discards accumulated statistics.
 func (g *Group) ResetStats() {
 	g.controllers.ResetStats()
 	g.disks.ResetStats()
 	g.reads, g.writes, g.readHits, g.writesAbsorb, g.destages = 0, 0, 0, 0, 0
 	g.readLatency.Reset()
-	g.writeLatency.Reset()
 }

@@ -57,22 +57,12 @@ func bnShare(res attrib.Res) func(*core.Report) float64 {
 
 // bnDominantIdx encodes the dominant bottleneck as its attrib.Res
 // index (the Values store is numeric); -1 when attribution is off.
-// DominantName decodes it for table rendering.
 func bnDominantIdx(r *core.Report) float64 {
 	if r.Metrics.Attribution == nil {
 		return -1
 	}
 	dom, _ := r.Metrics.Attribution.Dominant()
 	return float64(dom)
-}
-
-// DominantName decodes a stored bn_dom value back to the resource name.
-func DominantName(v float64) string {
-	i := int(v)
-	if i < 0 || i >= int(attrib.NumRes) {
-		return "?"
-	}
-	return attrib.Res(i).String()
 }
 
 // Metric resolves a metric name to its extractor.

@@ -196,7 +196,7 @@ func TestSpecAdaptiveAxes(t *testing.T) {
 	if base.Key == "" {
 		t.Fatalf("missing baseline point; keys: %v", keysOf(byKey))
 	}
-	if base.Config.Workload.DebitCredit != nil || base.Config.Control != nil {
+	if base.Config.Workload.DebitCredit != nil || base.Config.Control {
 		t.Fatal("baseline point must stay at the static uniform configuration")
 	}
 	// Fully adaptive point: skewed params, drift schedule, controller.
@@ -208,7 +208,7 @@ func TestSpecAdaptiveAxes(t *testing.T) {
 	if dc == nil || dc.Skew == nil || dc.Skew.BranchTheta != 0.8 || len(dc.Skew.Drift) != 2 {
 		t.Fatalf("skew+drift axes not applied: %+v", dc)
 	}
-	if adapt.Config.Control == nil || !adapt.Config.Control.Admission {
+	if !adapt.Config.Control {
 		t.Fatal("control axis not applied")
 	}
 	// Drift without skew still yields a (rotating, uniform) skew config.
@@ -284,8 +284,7 @@ func TestSpecRunsLeaveBaseUnchanged(t *testing.T) {
 	}
 	s.Base.Faults = &core.FaultsFile{LockWaitTimeout: "1s"}
 	s.Base.FileMedium = map[string]string{"ACCOUNT": "disk"}
-	minMPL := 2
-	s.Base.Control = &core.ControlFile{MinMPL: &minMPL}
+	s.Base.Control = &struct{}{}
 	before, _ := json.Marshal(s.Base)
 	runs, err := s.Runs()
 	if err != nil {
@@ -293,7 +292,7 @@ func TestSpecRunsLeaveBaseUnchanged(t *testing.T) {
 	}
 	for _, r := range runs {
 		c := &r.Config
-		if c.Faults.LockWaitTimeout != time.Second || len(c.FileMedium) != 2 || c.Control.MinMPL != 2 {
+		if c.Faults.LockWaitTimeout != time.Second || len(c.FileMedium) != 2 || !c.Control {
 			t.Fatalf("run %s lost base settings: faults %+v, media %v, control %+v", r.Key, c.Faults, c.FileMedium, c.Control)
 		}
 	}

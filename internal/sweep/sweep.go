@@ -120,7 +120,7 @@ type cfgDigest struct {
 
 	Workload string
 	Faults   string `json:",omitempty"`
-	Control  string `json:",omitempty"`
+	Control  bool   `json:",omitempty"`
 	// Attribution changes the stored attribution metrics (bn_*).
 	Attribution *core.AttributionConfig `json:",omitempty"`
 
@@ -148,6 +148,7 @@ func ConfigDigest(cfg *core.Config) string {
 		LogInGEM:       cfg.LogInGEM,
 		GlobalLogMerge: cfg.GlobalLogMerge,
 		GEMMessaging:   cfg.GEMMessaging,
+		Control:        cfg.Control,
 		WarmupNS:       int64(cfg.Warmup),
 		MeasureNS:      int64(cfg.Measure),
 		Seed:           cfg.Seed,
@@ -174,10 +175,6 @@ func ConfigDigest(cfg *core.Config) string {
 	if cfg.Faults != nil {
 		fb, _ := json.Marshal(cfg.Faults)
 		d.Faults = string(fb)
-	}
-	if cfg.Control != nil {
-		cb, _ := json.Marshal(cfg.Control)
-		d.Control = string(cb)
 	}
 	if cfg.Attribution != (core.AttributionConfig{}) {
 		d.Attribution = &cfg.Attribution

@@ -11,7 +11,6 @@ import (
 	"gemsim/internal/cc"
 	"gemsim/internal/core"
 	"gemsim/internal/model"
-	"gemsim/internal/node"
 	"gemsim/internal/workload"
 )
 
@@ -267,7 +266,7 @@ func TestFingerprintCoversEveryResultField(t *testing.T) {
 		cfg.Seed = 7
 		cfg.ClosedLoop = &core.ClosedLoopConfig{TerminalsPerNode: 4, ThinkTime: time.Second}
 		cfg.Faults = &core.FaultConfig{MTBF: 8 * time.Second, MTTR: time.Second}
-		cfg.Control = node.DefaultControlConfig()
+		cfg.Control = true
 		return cfg
 	}
 	dc := workload.DefaultDebitCreditParams(200)
@@ -295,9 +294,7 @@ func TestFingerprintCoversEveryResultField(t *testing.T) {
 		"CheckInvariants":             func(c *core.Config) { c.CheckInvariants = true },
 		"Faults":                      func(c *core.Config) { c.Faults.RecoveryWorkers = 4 },
 		"Attribution":                 func(c *core.Config) { c.Attribution.Off = true },
-		"Attribution.Tolerance":       func(c *core.Config) { c.Attribution.Tolerance = 0.1 },
-		"Control":                     func(c *core.Config) { c.Control.Reroute = false },
-		"Control nil":                 func(c *core.Config) { c.Control = nil },
+		"Control":                     func(c *core.Config) { c.Control = false },
 		"LockInstr":                   func(c *core.Config) { c.LockInstr = 40000 },
 		"InstantWakeup":               func(c *core.Config) { c.InstantWakeup = true },
 		"GEMPageTransfer":             func(c *core.Config) { c.GEMPageTransfer = true },

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"gemsim/internal/rng"
@@ -166,27 +165,4 @@ func (st *skewState) account(src *rng.Source, accountsPerBranch int) int {
 		return int(st.acctZ.Draw(src))
 	}
 	return src.Intn(accountsPerBranch)
-}
-
-// HotBranches returns the physical branches of the hot set (or the
-// hottest Zipf ranks when no explicit hot set is configured) at time t,
-// capped at max entries. It is advisory, used by diagnostics only.
-func (st *skewState) HotBranches(t time.Duration, max int) []int {
-	n := st.hotN
-	if n == 0 {
-		n = max
-	}
-	if n > max {
-		n = max
-	}
-	if n > st.branches {
-		n = st.branches
-	}
-	rot := st.rotation(t)
-	out := make([]int, 0, n)
-	for r := 0; r < n; r++ {
-		out = append(out, (r+rot)%st.branches)
-	}
-	sort.Ints(out)
-	return out
 }
