@@ -167,15 +167,39 @@ func runTraced(t *testing.T, cfg Config) (events, ts []byte) {
 	return eb.Bytes(), tb.Bytes()
 }
 
+// writeBehindSpans are the spans that only background write-behind
+// emits in the write-behind golden: with no transaction to act for,
+// they carry no tid. A replaced ACCOUNT page leaves the GEM cache for
+// disk, a BRANCH/TELLER page the GEM write buffer, and GEM page reads
+// feed the GEM-cache destages.
+var writeBehindSpans = []string{
+	`"track":"ACCOUNT","cat":"io","name":"write"`,
+	`"track":"BRANCH/TELLER","cat":"io","name":"write"`,
+	`"track":"gem","cat":"gem","name":"page"`,
+}
+
 // TestTraceGolden replays the tiny run against checked-in golden
 // outputs: the event trace and the time series are byte-for-byte
 // reproducible functions of the configuration and seed. The lock-engine
-// variant pins the [Yu87] engine's trace. Regenerate with:
+// variant pins the [Yu87] engine's trace; the write-behind variant
+// (examples/config/write-behind.json) pins the background writes of
+// replaced pages, GEM-cache and GEM write-buffer destages and a disk
+// stall. Regenerate with:
 // go test ./internal/core -run TestTraceGolden -update
 func TestTraceGolden(t *testing.T) {
 	events, ts := runTraced(t, tinyConfig())
 	leEvents, _ := runTraced(t, tinyLockEngineConfig())
 	pclEvents, _ := runTraced(t, tinyPCLConfig())
+	wbCfg, err := LoadConfigFile(filepath.Join("..", "..", "examples", "config", "write-behind.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wbEvents, _ := runTraced(t, wbCfg)
+	for _, span := range writeBehindSpans {
+		if !bytes.Contains(wbEvents, []byte(span)) {
+			t.Errorf("write-behind trace has no tid-less %s span", span)
+		}
+	}
 	for _, g := range []struct {
 		file string
 		got  []byte
@@ -184,6 +208,7 @@ func TestTraceGolden(t *testing.T) {
 		{filepath.Join("testdata", "tiny_timeseries.jsonl"), ts},
 		{filepath.Join("testdata", "tiny_trace_le.jsonl"), leEvents},
 		{filepath.Join("testdata", "tiny_trace_pcl.jsonl"), pclEvents},
+		{filepath.Join("testdata", "tiny_trace_wb.jsonl"), wbEvents},
 	} {
 		if *updateGolden {
 			if err := os.WriteFile(g.file, g.got, 0o644); err != nil {
@@ -207,7 +232,7 @@ func TestTraceGolden(t *testing.T) {
 	}
 
 	// Every emitted line must be valid JSON with the mandatory fields.
-	for _, tr := range [][]byte{events, leEvents, pclEvents} {
+	for _, tr := range [][]byte{events, leEvents, pclEvents, wbEvents} {
 		for i, line := range strings.Split(strings.TrimSuffix(string(tr), "\n"), "\n") {
 			var e struct {
 				Ph    string   `json:"ph"`
