@@ -104,9 +104,12 @@ func (s *System) StartControl() {
 	s.env.After(controlInterval, tick)
 }
 
-// observeRoute counts one submitted transaction against its branch.
+// observeRoute counts one submitted transaction against its branch,
+// for the adaptive router's rebalancing, the counts' only reader.
 func (c *controller) observeRoute(branch int) {
-	c.routeCnt[branch]++
+	if c.adaptive != nil {
+		c.routeCnt[branch]++
+	}
 }
 
 // observePart counts one lock request of a node against the partition's
@@ -235,7 +238,7 @@ func (c *controller) rebalance() {
 			c.startMigration(mv.ID, mv.From, mv.To)
 		}
 	}
-	c.routeCnt = make(map[int]int64)
+	clear(c.routeCnt)
 	for g := range c.partCnt {
 		c.partCnt[g] = nil
 	}
