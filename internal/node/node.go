@@ -63,10 +63,10 @@ type Node struct {
 	// checkpoint: the redo log scan length if this node crashes now.
 	logSinceCkpt int64
 
-	// Recycled per-transaction and write-back records.
-	txns       sim.FreeList[txn]
-	subs       sim.FreeList[submission]
-	writeBacks sim.FreeList[writeBackRec]
+	// Recycled per-transaction and page-write records.
+	txns   sim.FreeList[txn]
+	subs   sim.FreeList[submission]
+	writes sim.FreeList[writeOp]
 
 	// Statistics (reset at the end of warm-up).
 	commits       int64
@@ -701,82 +701,30 @@ func (n *Node) fetchMiss(t *txn, file *model.File, page model.PageID, out cc.Out
 	return fr
 }
 
-// install puts a page into the pool, scheduling a background write for
-// a dirty replacement victim.
+// install puts a page into the pool. A dirty replacement victim is
+// written back in the background, its copy available in memory
+// (inflight) until the write completed.
 func (n *Node) install(page model.PageID, seq uint64, dirty bool) *buffer.Frame {
-	fr, victim, evicted := n.pool.Insert(page, seq, dirty)
-	if evicted && victim.Dirty {
-		n.writeBack(victim)
+	fr, v, evicted := n.pool.Insert(page, seq, dirty)
+	if evicted && v.Dirty {
+		n.inflight[v.Page] = v.SeqNo
+		w := n.newWrite(sim.Continuation{}, n.sys.db.File(v.Page.File), v.Page, v.SeqNo)
+		n.sys.env.After(0, w.writeBackFn)
 	}
 	return fr
 }
 
-// writeBack asynchronously writes a replaced dirty page to its storage
-// medium. Under GEM locking (NOFORCE) the global lock table is updated
-// afterwards so that future misses read from storage instead of asking
-// this node.
-func (n *Node) writeBack(v buffer.Victim) {
-	n.inflight[v.Page] = v.SeqNo
-	wb := n.writeBacks.Get()
-	if wb == nil {
-		wb = &writeBackRec{n: n}
-		wb.run = wb.start
-	}
-	wb.v = v
-	n.sys.env.Spawn("writeback", wb.run)
-}
-
-// writeBackRec hands one replaced dirty page to its write-back
-// process, pooled like submission.
-type writeBackRec struct {
-	n   *Node
-	v   buffer.Victim
-	run func(p *sim.Proc) // bound to start
-}
-
-// start runs the write-back; the record is recycled first.
-func (wb *writeBackRec) start(p *sim.Proc) {
-	n, v := wb.n, wb.v
-	n.writeBacks.Put(wb)
-	n.writeBackPage(p, v)
-}
-
-// writeBackPage is the body of a write-back process.
-func (n *Node) writeBackPage(p *sim.Proc, v buffer.Victim) {
-	file := n.sys.db.File(v.Page.File)
-	if n.sys.params.Coupling == CouplingGEM && !n.sys.params.Force && file.Locking {
-		// Check ownership with the GLT (one entry read): if a newer
-		// version exists elsewhere the stale copy must not reach the
-		// disk.
-		n.gemEntryOp(p, 0, 1)
-		meta := n.sys.gltMetaOf(v.Page)
-		if meta.Owner != n.id || meta.Seq != v.SeqNo {
-			if cur, ok := n.inflight[v.Page]; ok && cur == v.SeqNo {
-				delete(n.inflight, v.Page)
-			}
-			return
-		}
-		n.writeStorage(p, nil, file, v.Page, v.SeqNo)
-		// Adapt the entry with one Compare&Swap write so future misses
-		// read from the permanent database.
-		n.gemEntryOp(p, 0, 1)
-		if meta.Owner == n.id && meta.Seq == v.SeqNo {
-			meta.Owner = -1
-		}
-	} else {
-		n.writeStorage(p, nil, file, v.Page, v.SeqNo)
-	}
-	if cur, ok := n.inflight[v.Page]; ok && cur == v.SeqNo {
-		delete(n.inflight, v.Page)
-	}
-}
-
 // gemPageIO performs one synchronous GEM page access (the CPU stays
 // busy throughout) including the reduced initialization overhead, as
-// one CPU-held composite; the process parks once.
-func (n *Node) gemPageIO(p *sim.Proc) {
+// one CPU-held composite; the process parks once. cp, when non-nil,
+// receives the window as ResGEM (wait = window minus gemPageSvc).
+func (n *Node) gemPageIO(p *sim.Proc, cp *attrib.Vector) {
+	start := n.sys.env.Now()
 	n.cpu.Hold(p.Continuation(), n.sys.params.GEMIOInstr, n.sys.gemDev.Page(), 1, nil)
 	p.Park()
+	if cp != nil {
+		cp.AddWindow(attrib.ResGEM, n.sys.env.Now()-start, n.gemPageSvc())
+	}
 }
 
 // gemEntryOp charges one CPU-held GEM entry-access composite: the CPU
@@ -788,23 +736,11 @@ func (n *Node) gemEntryOp(p *sim.Proc, instr float64, entries int) {
 	p.Park()
 }
 
-// gemPageSvc returns the service demand of one gemPageIO composite:
-// the held CPU burst plus the GEM page access. The remainder of a
-// measured gemPageIO window is queueing (CPU or GEM device).
+// gemPageSvc returns the service demand of one GEM page access
+// composite: the held CPU burst plus the GEM page access. The remainder
+// of a measured window is queueing (CPU or GEM device).
 func (n *Node) gemPageSvc() time.Duration {
 	return n.cpu.ServiceTime(n.sys.params.GEMIOInstr) + n.sys.gemDev.PageAccessTime()
-}
-
-// gemPageIOAttr runs gemPageIO and attributes the window to ResGEM on
-// cp (wait = window minus the known composite service demand).
-func (n *Node) gemPageIOAttr(p *sim.Proc, cp *attrib.Vector) {
-	if cp == nil {
-		n.gemPageIO(p)
-		return
-	}
-	start := n.sys.env.Now()
-	n.gemPageIO(p)
-	cp.AddWindow(attrib.ResGEM, n.sys.env.Now()-start, n.gemPageSvc())
 }
 
 // diskReadAttr charges the I/O CPU overhead and reads the page from
@@ -815,7 +751,7 @@ func (n *Node) diskReadAttr(p *sim.Proc, cp *attrib.Vector, file *model.File, pa
 	n.cpu.Exec(p, n.sys.params.IOInstr)
 	hit := group.Read(p, page)
 	if cp != nil {
-		svc := n.cpu.ServiceTime(n.sys.params.IOInstr) + group.ReadServiceTime(hit)
+		svc := n.cpu.ServiceTime(n.sys.params.IOInstr) + group.ServiceTime(hit)
 		cp.AddWindow(attrib.ResDisk, n.sys.env.Now()-start, svc)
 	}
 }
@@ -828,13 +764,13 @@ func (n *Node) readStorage(p *sim.Proc, cp *attrib.Vector, file *model.File, pag
 	n.storageReads++
 	switch file.Medium {
 	case model.MediumGEM:
-		n.gemPageIOAttr(p, cp)
+		n.gemPageIO(p, cp)
 	case model.MediumGEMWriteBuffer:
 		// A recently written page may still sit in the GEM write
 		// buffer; read it from there at GEM speed.
 		if _, ok := n.sys.writeBuffer[page]; ok {
 			n.sys.wbReadHits++
-			n.gemPageIOAttr(p, cp)
+			n.gemPageIO(p, cp)
 		} else {
 			n.diskReadAttr(p, cp, file, page)
 		}
@@ -846,10 +782,10 @@ func (n *Node) readStorage(p *sim.Proc, cp *attrib.Vector, file *model.File, pag
 		n.sys.gemCacheReqs++
 		if cache.Get(page) != nil {
 			n.sys.gemCacheHits++
-			n.gemPageIOAttr(p, cp)
+			n.gemPageIO(p, cp)
 		} else {
 			n.diskReadAttr(p, cp, file, page)
-			n.gemPageIOAttr(p, cp) // install into the GEM cache
+			n.gemPageIO(p, cp) // install into the GEM cache
 			n.gemCacheInsert(file, page, false)
 		}
 	default:
@@ -858,64 +794,191 @@ func (n *Node) readStorage(p *sim.Proc, cp *attrib.Vector, file *model.File, pag
 	n.sys.oracle.checkStorageRead(page, expectSeq, file.Locking)
 }
 
-// writeStorage performs one page write to the file's storage medium.
-// cp, when non-nil, receives the critical-path attribution.
+// writeStorage performs one page write to the file's storage medium:
+// the write chain runs on p's behalf and p parks once. cp, when
+// non-nil, receives the critical-path attribution.
 func (n *Node) writeStorage(p *sim.Proc, cp *attrib.Vector, file *model.File, page model.PageID, seq uint64) {
-	n.storageWrites++
-	switch file.Medium {
-	case model.MediumGEM:
-		n.gemPageIOAttr(p, cp)
-	case model.MediumGEMCache:
-		// The non-volatile GEM cache absorbs the write; the disk copy
-		// is updated when the dirty entry is replaced.
-		n.gemPageIOAttr(p, cp)
-		n.gemCacheInsert(file, page, true)
-	case model.MediumGEMWriteBuffer:
-		// Write into the non-volatile GEM write buffer; the disk copy
-		// is updated asynchronously and the buffer entry is released
-		// once the disk write completed.
-		n.gemPageIOAttr(p, cp)
-		n.sys.wbWrites++
-		sys := n.sys
-		if cur, ok := sys.writeBuffer[page]; !ok || seq > cur {
-			sys.writeBuffer[page] = seq
-			sys.env.Spawn("wb-destage", func(q *sim.Proc) {
-				n.cpu.Exec(q, sys.params.IOInstr)
-				sys.groups[file.ID].Write(q, page)
-				if cur, ok := sys.writeBuffer[page]; ok && cur == seq {
-					delete(sys.writeBuffer, page)
-				}
-			})
-		}
-	default:
-		group := n.sys.groups[file.ID]
-		start := n.sys.env.Now()
-		n.cpu.Exec(p, n.sys.params.IOInstr)
-		absorbed := group.Write(p, page)
-		if cp != nil {
-			svc := n.cpu.ServiceTime(n.sys.params.IOInstr) + group.WriteServiceTime(absorbed)
-			cp.AddWindow(attrib.ResDisk, n.sys.env.Now()-start, svc)
-		}
+	start := n.sys.env.Now()
+	w := n.newWrite(p.Continuation(), file, page, seq)
+	w.write()
+	p.Park()
+	if cp != nil {
+		cp.AddWindow(w.res, n.sys.env.Now()-start, w.svc)
 	}
-	if file.AppendOnly {
-		n.sys.appendStored[page] = struct{}{}
-	}
-	n.sys.oracle.storageWrite(page, seq)
+	n.freeWrite(w)
 }
 
-// gemCacheInsert places a page into the file's GEM cache, destaging a
-// replaced dirty entry to disk in the background.
+// gemCacheInsert places a page into the file's GEM cache; a replaced
+// dirty entry is read out of GEM and destaged in the background.
 func (n *Node) gemCacheInsert(file *model.File, page model.PageID, dirty bool) {
-	_, victim, evicted := n.sys.gemCaches[file.ID].Insert(page, 0, dirty)
-	if evicted && victim.Dirty {
-		sys := n.sys
-		sys.env.Spawn("gemcache-destage", func(q *sim.Proc) {
-			// Read the page out of GEM and write it to disk.
-			n.gemPageIO(q)
-			n.cpu.Exec(q, sys.params.IOInstr)
-			sys.groups[file.ID].Write(q, victim.Page)
-		})
+	if _, victim, evicted := n.sys.gemCaches[file.ID].Insert(page, 0, dirty); evicted && victim.Dirty {
+		d := n.newWrite(sim.Continuation{}, file, victim.Page, 0)
+		d.next = d.destagedFn
+		n.sys.env.After(0, d.readGEMFn)
 	}
+}
+
+// writeOp is one page write on the callback tier: the write chain
+// (write), with a replaced page's write-back around it, or a GEM
+// write-buffer or GEM-cache destage. A process caller passes its
+// continuation and parks once; intermediate steps carry it detached.
+// Background chains carry none and start with Env.After(0), the slot a
+// spawned process would start in. Records are pooled per node with
+// their steps bound once, so a write allocates nothing.
+type writeOp struct {
+	n    *Node
+	cont sim.Continuation // resumed when the write is done
+	file *model.File
+	page model.PageID
+	seq  uint64
+	meta *pageMeta // GLT entry a write-back found this node owning
+	next func()    // runs when the disk write completed
+	then func()    // runs when the write chain completed; nil ends it
+	res  attrib.Res
+	svc  time.Duration // the write's service demand, for a caller's window
+
+	cachedFn, bufferedFn, wroteFn, execFn, diskFn, readGEMFn, destagedFn func()
+	writeBackFn, ownedFn, casFn, writtenBackFn                           func()
+}
+
+// newWrite takes a write record from the node's pool.
+func (n *Node) newWrite(cont sim.Continuation, file *model.File, page model.PageID, seq uint64) *writeOp {
+	w := n.writes.Get()
+	if w == nil {
+		w = &writeOp{n: n}
+		w.cachedFn, w.bufferedFn, w.wroteFn, w.execFn = w.cached, w.buffered, w.wrote, w.exec
+		w.diskFn, w.readGEMFn, w.destagedFn = w.disk, w.readGEM, w.destaged
+		w.writeBackFn, w.ownedFn, w.casFn, w.writtenBackFn = w.writeBack, w.owned, w.cas, w.writtenBack
+	}
+	w.cont, w.file, w.page, w.seq = cont, file, page, seq
+	return w
+}
+
+// freeWrite returns a finished write record to the pool.
+func (n *Node) freeWrite(w *writeOp) {
+	w.cont, w.file, w.meta, w.next, w.then = sim.Continuation{}, nil, nil, nil, nil
+	n.writes.Put(w)
+}
+
+// write runs the write chain: the one switch over the file's medium.
+// GEM, the GEM cache and the GEM write buffer take one GEM page access
+// (the latter two destage later); any other medium the I/O CPU burst
+// and a disk group write.
+func (w *writeOp) write() {
+	n := w.n
+	n.storageWrites++
+	switch w.file.Medium {
+	case model.MediumGEM:
+		w.gemPage(w.wroteFn)
+	case model.MediumGEMCache:
+		w.gemPage(w.cachedFn)
+	case model.MediumGEMWriteBuffer:
+		w.gemPage(w.bufferedFn)
+	default:
+		w.res, w.svc, w.next = attrib.ResDisk, n.cpu.ServiceTime(n.sys.params.IOInstr), w.wroteFn
+		w.exec()
+	}
+}
+
+// gemPage runs one CPU-held GEM page access, then done.
+func (w *writeOp) gemPage(done func()) {
+	n := w.n
+	w.res, w.svc = attrib.ResGEM, n.gemPageSvc()
+	n.cpu.Hold(w.cont, n.sys.params.GEMIOInstr, n.sys.gemDev.Page(), 1, done)
+}
+
+// cached ends a write into the non-volatile GEM cache.
+func (w *writeOp) cached() {
+	w.n.gemCacheInsert(w.file, w.page, true)
+	w.wrote()
+}
+
+// buffered ends a write into the non-volatile GEM write buffer: a
+// version newer than the buffered one is destaged in the background.
+func (w *writeOp) buffered() {
+	sys := w.n.sys
+	sys.wbWrites++
+	if cur, ok := sys.writeBuffer[w.page]; !ok || w.seq > cur {
+		sys.writeBuffer[w.page] = w.seq
+		d := w.n.newWrite(sim.Continuation{}, w.file, w.page, w.seq)
+		d.next = d.destagedFn
+		sys.env.After(0, d.execFn)
+	}
+	w.wrote()
+}
+
+// wrote records the stored version and goes on with then.
+func (w *writeOp) wrote() {
+	if w.file.AppendOnly {
+		w.n.sys.appendStored[w.page] = struct{}{}
+	}
+	w.n.sys.oracle.storageWrite(w.page, w.seq)
+	if w.then != nil {
+		w.then()
+	}
+}
+
+// exec charges the I/O CPU overhead of a disk write.
+func (w *writeOp) exec() { w.n.cpu.ExecFn(w.cont.Detach(), w.n.sys.params.IOInstr, w.diskFn) }
+
+// disk writes the page through the file's disk group, then next.
+func (w *writeOp) disk() {
+	g := w.n.sys.groups[w.file.ID]
+	w.svc += g.ServiceTime(g.WriteFn(w.cont, w.page, w.next))
+}
+
+// readGEM starts a GEM-cache destage: the page is read out of GEM.
+func (w *writeOp) readGEM() { w.gemPage(w.execFn) }
+
+// destaged ends a destage; a write-buffer entry still holding the
+// destaged version is released (a GEM-cache page has none).
+func (w *writeOp) destaged() {
+	if wb := w.n.sys.writeBuffer; wb[w.page] == w.seq {
+		delete(wb, w.page)
+	}
+	w.n.freeWrite(w)
+}
+
+// writeBack starts a replaced page's write-back. Under GEM locking
+// (NOFORCE) one GLT entry read checks ownership first: if a newer
+// version exists elsewhere, the stale copy must not reach the disk.
+func (w *writeOp) writeBack() {
+	if n := w.n; n.sys.params.Coupling == CouplingGEM && !n.sys.params.Force && w.file.Locking {
+		n.cpu.Hold(sim.Continuation{}, 0, n.sys.gemDev.Entries(), 1, w.ownedFn)
+		return
+	}
+	w.then = w.writtenBackFn
+	w.write()
+}
+
+// owned writes the page if the GLT entry still names this node and
+// version as its owner.
+func (w *writeOp) owned() {
+	if meta := w.n.sys.gltMetaOf(w.page); meta.Owner == w.n.id && meta.Seq == w.seq {
+		w.meta, w.then = meta, w.casFn
+		w.write()
+		return
+	}
+	w.writtenBack()
+}
+
+// cas adapts the GLT entry with one Compare&Swap write so future misses
+// read from the permanent database.
+func (w *writeOp) cas() {
+	w.n.cpu.Hold(sim.Continuation{}, 0, w.n.sys.gemDev.Entries(), 1, w.writtenBackFn)
+}
+
+// writtenBack ends a write-back: unless a newer version took over, the
+// GLT entry drops this node as owner and the in-memory copy goes.
+func (w *writeOp) writtenBack() {
+	n := w.n
+	if m := w.meta; m != nil && m.Owner == n.id && m.Seq == w.seq {
+		m.Owner = -1
+	}
+	if cur, ok := n.inflight[w.page]; ok && cur == w.seq {
+		delete(n.inflight, w.page)
+	}
+	n.freeWrite(w)
 }
 
 // writeLog writes the transaction's log data (one page) at commit. cp,
@@ -924,7 +987,7 @@ func (n *Node) writeLog(p *sim.Proc, cp *attrib.Vector) {
 	n.logWrites++
 	n.logSinceCkpt++
 	if n.sys.params.LogInGEM {
-		n.gemPageIOAttr(p, cp)
+		n.gemPageIO(p, cp)
 		if n.sys.params.GlobalLogMerge {
 			n.sys.unmergedLogPages++
 		}
@@ -934,7 +997,7 @@ func (n *Node) writeLog(p *sim.Proc, cp *attrib.Vector) {
 	n.cpu.Exec(p, n.sys.params.IOInstr)
 	absorbed := n.logGroup.Write(p, model.PageID{File: -1, Page: int32(n.id)})
 	if cp != nil {
-		svc := n.cpu.ServiceTime(n.sys.params.IOInstr) + n.logGroup.WriteServiceTime(absorbed)
+		svc := n.cpu.ServiceTime(n.sys.params.IOInstr) + n.logGroup.ServiceTime(absorbed)
 		cp.AddWindow(attrib.ResDisk, n.sys.env.Now()-start, svc)
 	}
 }
@@ -977,7 +1040,7 @@ func (n *Node) requestPage(t *txn, page model.PageID, owner int) (uint64, bool) 
 	if n.sys.params.GEMPageTransfer {
 		// Exchange across GEM: the owner deposited the page in GEM
 		// (modelled at the owner); read it back synchronously.
-		n.gemPageIOAttr(t.proc, t.cp)
+		n.gemPageIO(t.proc, t.cp)
 	}
 	n.pageReqDelay.AddDuration(n.sys.env.Now() - start)
 	return reply.seq, true

@@ -372,9 +372,9 @@ func (s *System) startLogMerge() {
 			for i := int64(0); i < pending; i++ {
 				// Read one local log page, merge, write one global
 				// log page.
-				merger.gemPageIO(p)
+				merger.gemPageIO(p, nil)
 				merger.cpu.Exec(p, s.params.LogMergeInstr)
-				merger.gemPageIO(p)
+				merger.gemPageIO(p, nil)
 				s.mergedLogPages++
 			}
 		}
