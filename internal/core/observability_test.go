@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -55,6 +56,23 @@ func tinyPCLConfig() Config {
 	cfg.Measure = 4 * time.Second
 	cfg.Faults = &FaultConfig{Crashes: []fault.NodeCrash{{Node: 1, At: 2 * time.Second, Repair: time.Second}}}
 	cfg.Faults.LockWaitTimeout = 300 * time.Millisecond
+	return cfg
+}
+
+// tinyLogConfig is a two-node GEM run with the logs on disk: a log0
+// stall holds up commit log writes, and node 1 crashes so that its
+// recovery scans log1 while a log1 stall is active. Its trace pins the
+// log-page I/O no other golden covers.
+func tinyLogConfig() Config {
+	cfg := tinyConfig()
+	cfg.Nodes = 2
+	cfg.Faults = &FaultConfig{
+		Crashes: []fault.NodeCrash{{Node: 1, At: 500 * time.Millisecond, Repair: time.Second}},
+		DiskStalls: []fault.DiskStall{
+			{File: "log0", At: 330 * time.Millisecond, Duration: 40 * time.Millisecond},
+			{File: "log1", At: 550 * time.Millisecond, Duration: 30 * time.Millisecond},
+		},
+	}
 	return cfg
 }
 
@@ -178,13 +196,23 @@ var writeBehindSpans = []string{
 	`"track":"gem","cat":"gem","name":"page"`,
 }
 
+// logSpans match the log-page I/O spans the disk-log golden must hold,
+// with or without a transaction id: the recovery's scan of the crashed
+// node's log and a commit log write.
+var logSpans = []*regexp.Regexp{
+	regexp.MustCompile(`"track":"log1",("tid":\d+,)?"cat":"io","name":"read"`),
+	regexp.MustCompile(`"track":"log0",("tid":\d+,)?"cat":"io","name":"write"`),
+}
+
 // TestTraceGolden replays the tiny run against checked-in golden
 // outputs: the event trace and the time series are byte-for-byte
 // reproducible functions of the configuration and seed. The lock-engine
 // variant pins the [Yu87] engine's trace; the write-behind variant
 // (examples/config/write-behind.json) pins the background writes of
 // replaced pages, GEM-cache and GEM write-buffer destages and a disk
-// stall. Regenerate with:
+// stall; the disk-log variant (tinyLogConfig) pins commit log writes
+// and a recovery's log scan, each under a log-disk stall. Regenerate
+// with:
 // go test ./internal/core -run TestTraceGolden -update
 func TestTraceGolden(t *testing.T) {
 	events, ts := runTraced(t, tinyConfig())
@@ -200,6 +228,12 @@ func TestTraceGolden(t *testing.T) {
 			t.Errorf("write-behind trace has no tid-less %s span", span)
 		}
 	}
+	logEvents, _ := runTraced(t, tinyLogConfig())
+	for _, span := range logSpans {
+		if !span.Match(logEvents) {
+			t.Errorf("disk-log trace has no span matching %s", span)
+		}
+	}
 	for _, g := range []struct {
 		file string
 		got  []byte
@@ -209,6 +243,7 @@ func TestTraceGolden(t *testing.T) {
 		{filepath.Join("testdata", "tiny_trace_le.jsonl"), leEvents},
 		{filepath.Join("testdata", "tiny_trace_pcl.jsonl"), pclEvents},
 		{filepath.Join("testdata", "tiny_trace_wb.jsonl"), wbEvents},
+		{filepath.Join("testdata", "tiny_trace_log.jsonl"), logEvents},
 	} {
 		if *updateGolden {
 			if err := os.WriteFile(g.file, g.got, 0o644); err != nil {
@@ -232,7 +267,7 @@ func TestTraceGolden(t *testing.T) {
 	}
 
 	// Every emitted line must be valid JSON with the mandatory fields.
-	for _, tr := range [][]byte{events, leEvents, pclEvents, wbEvents} {
+	for _, tr := range [][]byte{events, leEvents, pclEvents, wbEvents, logEvents} {
 		for i, line := range strings.Split(strings.TrimSuffix(string(tr), "\n"), "\n") {
 			var e struct {
 				Ph    string   `json:"ph"`

@@ -21,6 +21,7 @@ var modelGoldens = []string{
 	"testdata/tiny_trace_le.jsonl",
 	"testdata/tiny_trace_pcl.jsonl",
 	"testdata/tiny_trace_wb.jsonl",
+	"testdata/tiny_trace_log.jsonl",
 	"testdata/tiny_timeseries.jsonl",
 	"../../results/closed_loop.golden",
 	"example_test.go",
