@@ -600,7 +600,7 @@ func (s *System) runReplay(p *sim.Proc, coordID int, coord *Node, crashed int, l
 		perWorker[w] = append(perWorker[w], i)
 	}
 
-	logPage := model.PageID{File: -1, Page: int32(crashed)}
+	crashedNode := s.nodes[crashed]
 	work := func(wp *sim.Proc, w int) {
 		// Split the log span evenly; the first workers take the
 		// remainder.
@@ -609,15 +609,16 @@ func (s *System) runReplay(p *sim.Proc, coordID int, coord *Node, crashed int, l
 			share++
 		}
 		// Log placement decides this phase: GEM-resident logs read at
-		// ~50 µs per page, log disks at ~6 ms.
+		// ~50 µs per page, log disks at ~6 ms (shared disk: the
+		// coordinator reaches the failed node's log disks).
 		scanStart := s.env.Now()
 		for i := int64(0); i < share; i++ {
-			s.readCrashedLog(wp, coord, crashed, logPage)
+			coord.logIO(wp, nil, crashedNode, false)
 		}
 		if w == 0 {
 			// The loser undo scan is serial coordinator work.
 			for range losers {
-				s.readCrashedLog(wp, coord, crashed, logPage)
+				coord.logIO(wp, nil, crashedNode, false)
 				if params.RecoveryApplyInstr > 0 {
 					coord.cpu.Exec(wp, params.RecoveryApplyInstr)
 				}
@@ -705,10 +706,9 @@ func (s *System) repairOnDemand(rec *recoveryRun, page model.PageID) {
 		return
 	}
 	rec.repairs++
-	logPage := model.PageID{File: -1, Page: int32(rec.crashed)}
 	s.env.Spawn("page-repair", func(p *sim.Proc) {
 		start := s.env.Now()
-		s.readCrashedLog(p, rec.coord, rec.crashed, logPage)
+		rec.coord.logIO(p, nil, s.nodes[rec.crashed], false)
 		if s.params.RecoveryApplyInstr > 0 {
 			rec.coord.cpu.Exec(p, s.params.RecoveryApplyInstr)
 		}
@@ -719,18 +719,6 @@ func (s *System) repairOnDemand(rec *recoveryRun, page model.PageID) {
 		}
 		s.recPageDone(rec)
 	})
-}
-
-// readCrashedLog reads one page of the failed node's log: from GEM
-// when logs are GEM-resident, otherwise from the failed node's log
-// disks (shared disk: survivors reach all disks).
-func (s *System) readCrashedLog(p *sim.Proc, coord *Node, crashed int, logPage model.PageID) {
-	if s.params.LogInGEM {
-		coord.gemPageIO(p, nil)
-		return
-	}
-	coord.cpu.Exec(p, s.params.IOInstr)
-	s.nodes[crashed].logGroup.Read(p, logPage)
 }
 
 // gemOwnedPages lists the pages whose current version was buffered at

@@ -63,10 +63,9 @@ type Node struct {
 	// checkpoint: the redo log scan length if this node crashes now.
 	logSinceCkpt int64
 
-	// Recycled per-transaction and page-write records.
-	txns   sim.FreeList[txn]
-	subs   sim.FreeList[submission]
-	writes sim.FreeList[writeOp]
+	// Recycled per-transaction records.
+	txns sim.FreeList[txn]
+	subs sim.FreeList[submission]
 
 	// Statistics (reset at the end of warm-up).
 	commits       int64
@@ -708,23 +707,19 @@ func (n *Node) install(page model.PageID, seq uint64, dirty bool) *buffer.Frame 
 	fr, v, evicted := n.pool.Insert(page, seq, dirty)
 	if evicted && v.Dirty {
 		n.inflight[v.Page] = v.SeqNo
-		w := n.newWrite(sim.Continuation{}, n.sys.db.File(v.Page.File), v.Page, v.SeqNo)
-		n.sys.env.After(0, w.writeBackFn)
+		n.newOp(sim.Continuation{}, nil, n.sys.db.File(v.Page.File), v.Page, v.SeqNo).background((*pageOp).writeBack)
 	}
 	return fr
 }
 
-// gemPageIO performs one synchronous GEM page access (the CPU stays
-// busy throughout) including the reduced initialization overhead, as
-// one CPU-held composite; the process parks once. cp, when non-nil,
-// receives the window as ResGEM (wait = window minus gemPageSvc).
+// gemPageIO performs one synchronous GEM page access on p's behalf, a
+// page-I/O record's GEM step; p parks once. cp, when non-nil, receives
+// the window.
 func (n *Node) gemPageIO(p *sim.Proc, cp *attrib.Vector) {
-	start := n.sys.env.Now()
-	n.cpu.Hold(p.Continuation(), n.sys.params.GEMIOInstr, n.sys.gemDev.Page(), 1, nil)
+	w := n.newOp(p.Continuation(), cp, nil, model.PageID{}, 0)
+	w.gem(nil)
 	p.Park()
-	if cp != nil {
-		cp.AddWindow(attrib.ResGEM, n.sys.env.Now()-start, n.gemPageSvc())
-	}
+	n.freeOp(w)
 }
 
 // gemEntryOp charges one CPU-held GEM entry-access composite: the CPU
@@ -736,61 +731,15 @@ func (n *Node) gemEntryOp(p *sim.Proc, instr float64, entries int) {
 	p.Park()
 }
 
-// gemPageSvc returns the service demand of one GEM page access
-// composite: the held CPU burst plus the GEM page access. The remainder
-// of a measured window is queueing (CPU or GEM device).
-func (n *Node) gemPageSvc() time.Duration {
-	return n.cpu.ServiceTime(n.sys.params.GEMIOInstr) + n.sys.gemDev.PageAccessTime()
-}
-
-// diskReadAttr charges the I/O CPU overhead and reads the page from
-// the file's disk group, attributing the window to ResDisk on cp.
-func (n *Node) diskReadAttr(p *sim.Proc, cp *attrib.Vector, file *model.File, page model.PageID) {
-	group := n.sys.groups[file.ID]
-	start := n.sys.env.Now()
-	n.cpu.Exec(p, n.sys.params.IOInstr)
-	hit := group.Read(p, page)
-	if cp != nil {
-		svc := n.cpu.ServiceTime(n.sys.params.IOInstr) + group.ServiceTime(hit)
-		cp.AddWindow(attrib.ResDisk, n.sys.env.Now()-start, svc)
-	}
-}
-
-// readStorage performs one page read from the file's storage medium,
-// charging the I/O CPU overhead. cp, when non-nil, receives the
-// critical-path attribution (GEM vs disk); background readers pass
-// nil.
+// readStorage performs one page read from the file's storage medium:
+// the read chain runs on p's behalf and p parks once. cp, when
+// non-nil, receives the critical-path attribution (GEM vs disk);
+// background readers pass nil.
 func (n *Node) readStorage(p *sim.Proc, cp *attrib.Vector, file *model.File, page model.PageID, expectSeq uint64) {
-	n.storageReads++
-	switch file.Medium {
-	case model.MediumGEM:
-		n.gemPageIO(p, cp)
-	case model.MediumGEMWriteBuffer:
-		// A recently written page may still sit in the GEM write
-		// buffer; read it from there at GEM speed.
-		if _, ok := n.sys.writeBuffer[page]; ok {
-			n.sys.wbReadHits++
-			n.gemPageIO(p, cp)
-		} else {
-			n.diskReadAttr(p, cp, file, page)
-		}
-	case model.MediumGEMCache:
-		// Intermediate caching level in GEM: hits cost one page
-		// access; misses read from disk and install the page into the
-		// GEM cache (one additional page write).
-		cache := n.sys.gemCaches[file.ID]
-		n.sys.gemCacheReqs++
-		if cache.Get(page) != nil {
-			n.sys.gemCacheHits++
-			n.gemPageIO(p, cp)
-		} else {
-			n.diskReadAttr(p, cp, file, page)
-			n.gemPageIO(p, cp) // install into the GEM cache
-			n.gemCacheInsert(file, page, false)
-		}
-	default:
-		n.diskReadAttr(p, cp, file, page)
-	}
+	w := n.newOp(p.Continuation(), cp, file, page, 0)
+	w.read()
+	p.Park()
+	n.freeOp(w)
 	n.sys.oracle.checkStorageRead(page, expectSeq, file.Locking)
 }
 
@@ -798,164 +747,271 @@ func (n *Node) readStorage(p *sim.Proc, cp *attrib.Vector, file *model.File, pag
 // the write chain runs on p's behalf and p parks once. cp, when
 // non-nil, receives the critical-path attribution.
 func (n *Node) writeStorage(p *sim.Proc, cp *attrib.Vector, file *model.File, page model.PageID, seq uint64) {
-	start := n.sys.env.Now()
-	w := n.newWrite(p.Continuation(), file, page, seq)
+	w := n.newOp(p.Continuation(), cp, file, page, seq)
 	w.write()
 	p.Park()
-	if cp != nil {
-		cp.AddWindow(w.res, n.sys.env.Now()-start, w.svc)
+	n.freeOp(w)
+}
+
+// logIO reads or writes one page of owner's log on p's behalf and this
+// node's CPU (a recovery coordinator reads a failed node's log): a GEM
+// page access, or the I/O CPU burst and an access to owner's log group;
+// p parks once. cp, when non-nil, receives the attribution.
+func (n *Node) logIO(p *sim.Proc, cp *attrib.Vector, owner *Node, write bool) {
+	w := n.newOp(p.Continuation(), cp, nil, model.PageID{File: -1, Page: int32(owner.id)}, 0)
+	if n.sys.params.LogInGEM {
+		w.gem(nil)
+	} else {
+		w.group, w.writing = owner.logGroup, write
+		w.disk(w.cont, nil)
 	}
-	n.freeWrite(w)
+	p.Park()
+	n.freeOp(w)
+}
+
+// writeLog writes the transaction's log data (one page) at commit. cp,
+// when non-nil, receives the critical-path attribution.
+func (n *Node) writeLog(p *sim.Proc, cp *attrib.Vector) {
+	n.logWrites++
+	n.logSinceCkpt++
+	n.logIO(p, cp, n, true)
+	if n.sys.params.GlobalLogMerge {
+		n.sys.unmergedLogPages++
+	}
 }
 
 // gemCacheInsert places a page into the file's GEM cache; a replaced
 // dirty entry is read out of GEM and destaged in the background.
 func (n *Node) gemCacheInsert(file *model.File, page model.PageID, dirty bool) {
 	if _, victim, evicted := n.sys.gemCaches[file.ID].Insert(page, 0, dirty); evicted && victim.Dirty {
-		d := n.newWrite(sim.Continuation{}, file, victim.Page, 0)
-		d.next = d.destagedFn
-		n.sys.env.After(0, d.readGEMFn)
+		n.newOp(sim.Continuation{}, nil, file, victim.Page, 0).background((*pageOp).readGEM)
 	}
 }
 
-// writeOp is one page write on the callback tier: the write chain
-// (write), with a replaced page's write-back around it, or a GEM
-// write-buffer or GEM-cache destage. A process caller passes its
-// continuation and parks once; intermediate steps carry it detached.
-// Background chains carry none and start with Env.After(0), the slot a
-// spawned process would start in. Records are pooled per node with
-// their steps bound once, so a write allocates nothing.
-type writeOp struct {
-	n    *Node
-	cont sim.Continuation // resumed when the write is done
-	file *model.File
-	page model.PageID
-	seq  uint64
-	meta *pageMeta // GLT entry a write-back found this node owning
-	next func()    // runs when the disk write completed
-	then func()    // runs when the write chain completed; nil ends it
-	res  attrib.Res
-	svc  time.Duration // the write's service demand, for a caller's window
+// pageOp is one page I/O on the callback tier: a database page's read
+// or write (read and write hold the two switches over model.Medium), a
+// log page's I/O, a replaced page's write-back, or a GEM write-buffer or
+// GEM-cache destage. Its device steps, gem and disk, each close their
+// own attribution window on cp. A process caller passes its
+// continuation and parks once; earlier steps carry it detached, and
+// background chains carry none. Records are pooled per system and next
+// steps are method expressions, so an I/O allocates nothing.
+type pageOp struct {
+	n       *Node
+	cont    sim.Continuation // resumed when the chain is done
+	cp      *attrib.Vector   // receives each device window; nil in the background
+	start   sim.Time         // start of the open device window
+	file    *model.File      // nil for a log page or a bare GEM access
+	group   *storage.Group   // the disk step's group
+	page    model.PageID
+	seq     uint64
+	writing bool             // the disk step writes
+	io      sim.Continuation // the disk step's group access carries it
+	meta    *pageMeta        // GLT entry a write-back found this node owning
+	next    func(*pageOp)    // runs when the pending step completed
+	then    func(*pageOp)    // runs when the write chain completed; nil ends it
 
-	cachedFn, bufferedFn, wroteFn, execFn, diskFn, readGEMFn, destagedFn func()
-	writeBackFn, ownedFn, casFn, writtenBackFn                           func()
+	stepFn, gemDoneFn, accessFn func()
+	diskDoneFn                  func(cached bool)
 }
 
-// newWrite takes a write record from the node's pool.
-func (n *Node) newWrite(cont sim.Continuation, file *model.File, page model.PageID, seq uint64) *writeOp {
-	w := n.writes.Get()
+// newOp takes a page-I/O record from the system's pool; its first
+// device window opens now.
+func (n *Node) newOp(cont sim.Continuation, cp *attrib.Vector, file *model.File, page model.PageID, seq uint64) *pageOp {
+	w := n.sys.ops.Get()
 	if w == nil {
-		w = &writeOp{n: n}
-		w.cachedFn, w.bufferedFn, w.wroteFn, w.execFn = w.cached, w.buffered, w.wrote, w.exec
-		w.diskFn, w.readGEMFn, w.destagedFn = w.disk, w.readGEM, w.destaged
-		w.writeBackFn, w.ownedFn, w.casFn, w.writtenBackFn = w.writeBack, w.owned, w.cas, w.writtenBack
+		w = &pageOp{}
+		w.stepFn, w.gemDoneFn, w.accessFn, w.diskDoneFn = w.step, w.gemDone, w.access, w.diskDone
 	}
-	w.cont, w.file, w.page, w.seq = cont, file, page, seq
+	w.n, w.cont, w.cp, w.file, w.page, w.seq, w.start = n, cont, cp, file, page, seq, n.sys.env.Now()
 	return w
 }
 
-// freeWrite returns a finished write record to the pool.
-func (n *Node) freeWrite(w *writeOp) {
-	w.cont, w.file, w.meta, w.next, w.then = sim.Continuation{}, nil, nil, nil, nil
-	n.writes.Put(w)
+// freeOp returns a finished page-I/O record to the pool.
+func (n *Node) freeOp(w *pageOp) {
+	*w = pageOp{stepFn: w.stepFn, gemDoneFn: w.gemDoneFn, accessFn: w.accessFn, diskDoneFn: w.diskDoneFn}
+	n.sys.ops.Put(w)
 }
 
-// write runs the write chain: the one switch over the file's medium.
-// GEM, the GEM cache and the GEM write buffer take one GEM page access
-// (the latter two destage later); any other medium the I/O CPU burst
-// and a disk group write.
-func (w *writeOp) write() {
-	n := w.n
-	n.storageWrites++
-	switch w.file.Medium {
-	case model.MediumGEM:
-		w.gemPage(w.wroteFn)
-	case model.MediumGEMCache:
-		w.gemPage(w.cachedFn)
-	case model.MediumGEMWriteBuffer:
-		w.gemPage(w.bufferedFn)
-	default:
-		w.res, w.svc, w.next = attrib.ResDisk, n.cpu.ServiceTime(n.sys.params.IOInstr), w.wroteFn
-		w.exec()
+// background starts a chain with no process at step, in a new event at
+// this instant: the slot a spawned process would start in.
+func (w *pageOp) background(step func(*pageOp)) {
+	w.next = step
+	w.n.sys.env.After(0, w.stepFn)
+}
+
+// step runs next.
+func (w *pageOp) step() { w.next(w) }
+
+// gem runs one CPU-held GEM page access, then next (if non-nil).
+func (w *pageOp) gem(next func(*pageOp)) {
+	w.next = next
+	w.n.cpu.Hold(w.cont, w.n.sys.params.GEMIOInstr, w.n.sys.gemDev.Page(), 1, w.gemDoneFn)
+}
+
+// gemDone ends a GEM page access, whose service demand is the held CPU
+// burst plus the page access (the rest of its window is queueing).
+func (w *pageOp) gemDone() {
+	w.stepDone(attrib.ResGEM, w.n.cpu.ServiceTime(w.n.sys.params.GEMIOInstr)+w.n.sys.gemDev.PageAccessTime())
+}
+
+// disk charges the I/O CPU burst, then accesses the page through the
+// file's disk group (or the log group set) carrying cont, then next.
+func (w *pageOp) disk(cont sim.Continuation, next func(*pageOp)) {
+	if w.file != nil {
+		w.group = w.n.sys.groups[w.file.ID]
+	}
+	w.io, w.next = cont, next
+	w.n.cpu.ExecFn(w.cont.Detach(), w.n.sys.params.IOInstr, w.accessFn)
+}
+
+// access issues the disk step's group access.
+func (w *pageOp) access() { w.group.Access(w.io, w.page, w.writing, w.diskDoneFn) }
+
+// diskDone ends a disk step; cached: the group's cache served it.
+func (w *pageOp) diskDone(cached bool) {
+	w.stepDone(attrib.ResDisk, w.n.cpu.ServiceTime(w.n.sys.params.IOInstr)+w.group.ServiceTime(cached))
+}
+
+// stepDone is the one place a device window is charged: the window
+// open since the last step goes to cp (if any) as res with service
+// demand svc, the next one opens, and next (if any) runs.
+func (w *pageOp) stepDone(res attrib.Res, svc time.Duration) {
+	now := w.n.sys.env.Now()
+	if w.cp != nil {
+		w.cp.AddWindow(res, now-w.start, svc)
+	}
+	w.start = now
+	if w.next != nil {
+		w.next(w)
 	}
 }
 
-// gemPage runs one CPU-held GEM page access, then done.
-func (w *writeOp) gemPage(done func()) {
-	n := w.n
-	w.res, w.svc = attrib.ResGEM, n.gemPageSvc()
-	n.cpu.Hold(w.cont, n.sys.params.GEMIOInstr, n.sys.gemDev.Page(), 1, done)
+// read runs the read chain: the one switch over the file's medium that
+// serves page reads. GEM, a page still in the GEM write buffer and a
+// GEM-cache hit take one GEM page access; a GEM-cache miss reads the
+// disk and then fills the cache; any other medium reads the disk.
+func (w *pageOp) read() {
+	sys := w.n.sys
+	w.n.storageReads++
+	switch w.file.Medium {
+	case model.MediumGEM:
+		w.gem(nil)
+		return
+	case model.MediumGEMWriteBuffer:
+		if _, ok := sys.writeBuffer[w.page]; ok {
+			sys.wbReadHits++
+			w.gem(nil)
+			return
+		}
+	case model.MediumGEMCache:
+		sys.gemCacheReqs++
+		if sys.gemCaches[w.file.ID].Get(w.page) != nil {
+			sys.gemCacheHits++
+			w.gem(nil)
+		} else {
+			w.disk(w.cont.Detach(), (*pageOp).fill)
+		}
+		return
+	}
+	w.disk(w.cont, nil)
+}
+
+// fill copies a page read from disk into the GEM cache, then filled.
+func (w *pageOp) fill() { w.gem((*pageOp).filled) }
+
+// filled ends a GEM-cache fill.
+func (w *pageOp) filled() { w.n.gemCacheInsert(w.file, w.page, false) }
+
+// write runs the write chain: the one switch over the file's medium
+// that serves page writes. GEM, the GEM cache and the GEM write buffer
+// take one GEM page access (the latter two destage later); any other
+// medium the I/O CPU burst and a disk group write.
+func (w *pageOp) write() {
+	w.n.storageWrites++
+	switch w.file.Medium {
+	case model.MediumGEM:
+		w.gem((*pageOp).wrote)
+	case model.MediumGEMCache:
+		w.gem((*pageOp).cached)
+	case model.MediumGEMWriteBuffer:
+		w.gem((*pageOp).buffered)
+	default:
+		w.writing = true
+		w.disk(w.cont, (*pageOp).wrote)
+	}
 }
 
 // cached ends a write into the non-volatile GEM cache.
-func (w *writeOp) cached() {
+func (w *pageOp) cached() {
 	w.n.gemCacheInsert(w.file, w.page, true)
 	w.wrote()
 }
 
 // buffered ends a write into the non-volatile GEM write buffer: a
 // version newer than the buffered one is destaged in the background.
-func (w *writeOp) buffered() {
+func (w *pageOp) buffered() {
 	sys := w.n.sys
 	sys.wbWrites++
 	if cur, ok := sys.writeBuffer[w.page]; !ok || w.seq > cur {
 		sys.writeBuffer[w.page] = w.seq
-		d := w.n.newWrite(sim.Continuation{}, w.file, w.page, w.seq)
-		d.next = d.destagedFn
-		sys.env.After(0, d.execFn)
+		w.n.newOp(sim.Continuation{}, nil, w.file, w.page, w.seq).background((*pageOp).destage)
 	}
 	w.wrote()
 }
 
 // wrote records the stored version and goes on with then.
-func (w *writeOp) wrote() {
+func (w *pageOp) wrote() {
 	if w.file.AppendOnly {
 		w.n.sys.appendStored[w.page] = struct{}{}
 	}
 	w.n.sys.oracle.storageWrite(w.page, w.seq)
 	if w.then != nil {
-		w.then()
+		w.then(w)
 	}
-}
-
-// exec charges the I/O CPU overhead of a disk write.
-func (w *writeOp) exec() { w.n.cpu.ExecFn(w.cont.Detach(), w.n.sys.params.IOInstr, w.diskFn) }
-
-// disk writes the page through the file's disk group, then next.
-func (w *writeOp) disk() {
-	g := w.n.sys.groups[w.file.ID]
-	w.svc += g.ServiceTime(g.WriteFn(w.cont, w.page, w.next))
 }
 
 // readGEM starts a GEM-cache destage: the page is read out of GEM.
-func (w *writeOp) readGEM() { w.gemPage(w.execFn) }
+func (w *pageOp) readGEM() { w.gem((*pageOp).destage) }
+
+// destage writes a destaged page to disk.
+func (w *pageOp) destage() {
+	w.writing = true
+	w.disk(w.cont, (*pageOp).destaged)
+}
 
 // destaged ends a destage; a write-buffer entry still holding the
 // destaged version is released (a GEM-cache page has none).
-func (w *writeOp) destaged() {
+func (w *pageOp) destaged() {
 	if wb := w.n.sys.writeBuffer; wb[w.page] == w.seq {
 		delete(wb, w.page)
 	}
-	w.n.freeWrite(w)
+	w.n.freeOp(w)
 }
 
 // writeBack starts a replaced page's write-back. Under GEM locking
 // (NOFORCE) one GLT entry read checks ownership first: if a newer
 // version exists elsewhere, the stale copy must not reach the disk.
-func (w *writeOp) writeBack() {
+func (w *pageOp) writeBack() {
 	if n := w.n; n.sys.params.Coupling == CouplingGEM && !n.sys.params.Force && w.file.Locking {
-		n.cpu.Hold(sim.Continuation{}, 0, n.sys.gemDev.Entries(), 1, w.ownedFn)
+		w.entry((*pageOp).owned)
 		return
 	}
-	w.then = w.writtenBackFn
+	w.then = (*pageOp).writtenBack
 	w.write()
+}
+
+// entry runs one GLT entry access with the CPU held, then next.
+func (w *pageOp) entry(next func(*pageOp)) {
+	w.next = next
+	w.n.cpu.Hold(sim.Continuation{}, 0, w.n.sys.gemDev.Entries(), 1, w.stepFn)
 }
 
 // owned writes the page if the GLT entry still names this node and
 // version as its owner.
-func (w *writeOp) owned() {
+func (w *pageOp) owned() {
 	if meta := w.n.sys.gltMetaOf(w.page); meta.Owner == w.n.id && meta.Seq == w.seq {
-		w.meta, w.then = meta, w.casFn
+		w.meta, w.then = meta, (*pageOp).cas
 		w.write()
 		return
 	}
@@ -964,13 +1020,11 @@ func (w *writeOp) owned() {
 
 // cas adapts the GLT entry with one Compare&Swap write so future misses
 // read from the permanent database.
-func (w *writeOp) cas() {
-	w.n.cpu.Hold(sim.Continuation{}, 0, w.n.sys.gemDev.Entries(), 1, w.writtenBackFn)
-}
+func (w *pageOp) cas() { w.entry((*pageOp).writtenBack) }
 
 // writtenBack ends a write-back: unless a newer version took over, the
 // GLT entry drops this node as owner and the in-memory copy goes.
-func (w *writeOp) writtenBack() {
+func (w *pageOp) writtenBack() {
 	n := w.n
 	if m := w.meta; m != nil && m.Owner == n.id && m.Seq == w.seq {
 		m.Owner = -1
@@ -978,28 +1032,7 @@ func (w *writeOp) writtenBack() {
 	if cur, ok := n.inflight[w.page]; ok && cur == w.seq {
 		delete(n.inflight, w.page)
 	}
-	n.freeWrite(w)
-}
-
-// writeLog writes the transaction's log data (one page) at commit. cp,
-// when non-nil, receives the critical-path attribution.
-func (n *Node) writeLog(p *sim.Proc, cp *attrib.Vector) {
-	n.logWrites++
-	n.logSinceCkpt++
-	if n.sys.params.LogInGEM {
-		n.gemPageIO(p, cp)
-		if n.sys.params.GlobalLogMerge {
-			n.sys.unmergedLogPages++
-		}
-		return
-	}
-	start := n.sys.env.Now()
-	n.cpu.Exec(p, n.sys.params.IOInstr)
-	absorbed := n.logGroup.Write(p, model.PageID{File: -1, Page: int32(n.id)})
-	if cp != nil {
-		svc := n.cpu.ServiceTime(n.sys.params.IOInstr) + n.logGroup.ServiceTime(absorbed)
-		cp.AddWindow(attrib.ResDisk, n.sys.env.Now()-start, svc)
-	}
+	n.freeOp(w)
 }
 
 // requestPage asks the owning node for the current page version (GEM

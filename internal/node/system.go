@@ -57,9 +57,11 @@ type System struct {
 	// ra tracks read authorizations per page (PCL read optimization),
 	// as node bitsets (raWord).
 	ra map[raWord]uint64
-	// Recycled message and wait records (messages.go).
+	// Recycled message and wait records (messages.go) and page-I/O
+	// records (node.go).
 	msgs  sim.FreeList[message]
 	waits sim.FreeList[remoteWait]
+	ops   sim.FreeList[pageOp]
 	// writeBuffer holds pages written to the GEM write buffer whose
 	// asynchronous disk update is still pending (MediumGEMWriteBuffer).
 	writeBuffer map[model.PageID]uint64

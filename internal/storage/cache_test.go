@@ -31,7 +31,7 @@ func TestCacheLRUOrder(t *testing.T) {
 	var hits []bool
 	g := runCached(t, 2, true, func(g *Group, p *sim.Proc) {
 		for _, n := range []int32{1, 2, 1, 3} { // the hit on 1 makes 2 the LRU victim
-			hits = append(hits, g.Read(p, page(n)))
+			hits = append(hits, readPage(g, p, page(n)))
 		}
 	})
 	if hits[0] || hits[1] || !hits[2] || hits[3] {
@@ -48,8 +48,8 @@ func TestCacheLRUOrder(t *testing.T) {
 // the entry dirty.
 func TestCacheInsertExistingMergesDirty(t *testing.T) {
 	g := runCached(t, 2, false,
-		func(g *Group, p *sim.Proc) { g.Read(p, page(1)) },  // disk read, 16.4 ms
-		func(g *Group, p *sim.Proc) { g.Write(p, page(1)) }, // absorbed, 1.4 ms
+		func(g *Group, p *sim.Proc) { readPage(g, p, page(1)) },  // disk read, 16.4 ms
+		func(g *Group, p *sim.Proc) { writePage(g, p, page(1)) }, // absorbed, 1.4 ms
 	)
 	c := g.Cache()
 	if f := c.Peek(page(1)); f == nil || !f.Dirty {
@@ -64,8 +64,8 @@ func TestCacheInsertExistingMergesDirty(t *testing.T) {
 // evicted leaves the cache alone.
 func TestCacheClean(t *testing.T) {
 	g := runCached(t, 1, false, func(g *Group, p *sim.Proc) {
-		g.Write(p, page(1))
-		g.Write(p, page(2)) // evicts dirty page 1: background destage
+		writePage(g, p, page(1))
+		writePage(g, p, page(2)) // evicts dirty page 1: background destage
 	})
 	if g.Destages() != 1 {
 		t.Fatalf("destages %d, want 1", g.Destages())
@@ -82,8 +82,8 @@ func TestCacheClean(t *testing.T) {
 func TestCacheVictimDirtyFlag(t *testing.T) {
 	for _, volatile := range []bool{false, true} {
 		g := runCached(t, 1, volatile, func(g *Group, p *sim.Proc) {
-			g.Write(p, page(1)) // absorbed (dirty) or written through (clean)
-			g.Read(p, page(2))  // miss: page 1 is the victim
+			writePage(g, p, page(1)) // absorbed (dirty) or written through (clean)
+			readPage(g, p, page(2))  // miss: page 1 is the victim
 		})
 		want := int64(1)
 		if volatile {
@@ -108,9 +108,9 @@ func TestCacheNeverExceedsCapacityProperty(t *testing.T) {
 				pg := model.PageID{File: 1, Page: int32(op % 64)}
 				write := op%3 == 0
 				if write {
-					g.Write(p, pg)
+					writePage(g, p, pg)
 				} else {
-					g.Read(p, pg)
+					readPage(g, p, pg)
 				}
 				f := g.Cache().Peek(pg)
 				if f == nil || write && !volatile && !f.Dirty || g.Cache().Len() > capacity {

@@ -147,88 +147,62 @@ func (g *Group) StallFor(d time.Duration) {
 	}
 }
 
-// Read performs one page read through the group and reports whether it
-// was satisfied by the shared disk cache. The device chain (controller,
-// disk, transfer) runs on the callback tier; the calling process parks
-// once and resumes when the page has been transferred.
-func (g *Group) Read(p *sim.Proc, page model.PageID) (cacheHit bool) {
-	if now := g.env.Now(); now < g.stallUntil {
-		p.Wait(g.stallUntil - now)
-	}
-	g.reads++
-	hit := g.cache != nil && g.cache.Get(page) != nil
-	if hit {
-		g.readHits++
-	}
-	g.newIO(p.Continuation(), page, false, hit, nil).issue()
-	p.Park()
-	return hit
-}
-
-// Write performs one page write through the group and reports whether a
-// non-volatile cache absorbed it (updating the disk asynchronously):
-// WriteFn with a single park.
-func (g *Group) Write(p *sim.Proc, page model.PageID) (absorbed bool) {
-	absorbed = g.WriteFn(p.Continuation(), page, nil)
-	p.Park()
-	return absorbed
-}
-
-// WriteFn writes one page through the group on the callback tier: done
-// (if non-nil) runs in kernel context once the page has been
-// transferred, then cont's process (if any) resumes, both in the
-// transfer's calendar slot. A write issued during a stall waits it out
-// first. WriteFn reports whether a non-volatile cache absorbs the write.
-func (g *Group) WriteFn(cont sim.Continuation, page model.PageID, done func()) (absorbed bool) {
-	// Write-behind: a non-volatile cache absorbs the write; the disk
-	// copy is updated lazily when the dirty entry reaches the LRU end
-	// (asynchronous destage, so requesters never see disk delay).
-	absorbed = g.cache != nil && !g.volatile
-	op := g.newIO(cont, page, true, absorbed, done)
+// Access reads or writes one page through the group on the callback
+// tier. The request issues at once, or when an active stall clears (a
+// read's cache lookup happens then). done (if non-nil) runs in kernel
+// context once the page has been transferred, told whether the cache
+// served the request (a read hit, or a write a non-volatile cache
+// absorbed); then cont's process (if any) resumes, in the same slot.
+func (g *Group) Access(cont sim.Continuation, page model.PageID, write bool, done func(cached bool)) {
+	op := g.newIO(cont, page, write, done)
 	if now := g.env.Now(); now < g.stallUntil {
 		g.env.After(g.stallUntil-now, op.issueFn)
-	} else {
-		op.issue()
+		return
 	}
-	return absorbed
+	op.issue()
 }
 
-// ioOp is one in-flight Read or Write device chain: controller, then
-// disk unless the cache serves it (a read hit or an absorbed write),
-// then the transfer, whose completion runs done and resumes cont's
-// process. A cache destage is a record of its own, at the disk servers
-// only. Records are pooled per group and their chain steps are method
-// values bound once, so a request allocates nothing.
+// ioOp is one in-flight Access chain (controller, disk unless the cache
+// serves it, transfer) or cache destage (disk only). Records are pooled
+// per group with their steps bound once, so a request allocates nothing.
 type ioOp struct {
 	g      *Group
 	cont   sim.Continuation
 	page   model.PageID
 	start  sim.Time
 	write  bool
-	cached bool   // read hit or absorbed write: the disk is skipped
-	done   func() // runs after the transfer, before cont resumes
+	cached bool              // read hit or absorbed write: the disk is skipped
+	done   func(cached bool) // runs after the transfer, before cont resumes
 
 	issueFn, ctlFn, diskFn, finishFn, destageFn, cleanFn func() // bound once
 }
 
 // newIO takes a device-chain record for page from the pool.
-func (g *Group) newIO(cont sim.Continuation, page model.PageID, write, cached bool, done func()) *ioOp {
+func (g *Group) newIO(cont sim.Continuation, page model.PageID, write bool, done func(bool)) *ioOp {
 	op := g.ioOps.Get()
 	if op == nil {
 		op = &ioOp{g: g}
 		op.issueFn, op.ctlFn, op.diskFn, op.finishFn = op.issue, op.afterController, op.transfer, op.finish
 		op.destageFn, op.cleanFn = op.destage, op.clean
 	}
-	op.cont, op.page, op.write, op.cached, op.done = cont, page, write, cached, done
+	op.cont, op.page, op.write, op.done = cont, page, write, done
 	return op
 }
 
-// issue queues the request at the controllers; a write counts here,
-// once any stall is over.
+// issue counts the request and queues it at the controllers, once any
+// stall is over. A read looks the page up in the cache here, touching
+// its LRU position; a non-volatile cache absorbs every write.
 func (op *ioOp) issue() {
 	g := op.g
 	if op.write {
 		g.writes++
+		op.cached = g.cache != nil && !g.volatile
+	} else {
+		g.reads++
+		op.cached = g.cache != nil && g.cache.Get(op.page) != nil
+		if op.cached {
+			g.readHits++
+		}
 	}
 	op.start = g.env.Now()
 	g.controllers.Request(g.params.ControllerTime, op.ctlFn)
@@ -280,11 +254,11 @@ func (op *ioOp) finish() {
 		}
 		g.tracer.Span(g.name, op.cont.TraceID(), kind, op.start, g.env.Now(), op.page.String())
 	}
-	done := op.done
+	done, cached := op.done, op.cached
 	op.cont, op.done = sim.Continuation{}, nil
 	g.ioOps.Put(op)
 	if done != nil {
-		done()
+		done(cached)
 	}
 }
 
@@ -295,7 +269,7 @@ func (op *ioOp) finish() {
 func (g *Group) insert(page model.PageID, dirty bool) {
 	if _, victim, evicted := g.cache.Insert(page, 0, dirty); evicted && victim.Dirty {
 		g.destages++
-		g.env.After(0, g.newIO(sim.Continuation{}, victim.Page, true, false, nil).destageFn)
+		g.env.After(0, g.newIO(sim.Continuation{}, victim.Page, true, nil).destageFn)
 	}
 }
 

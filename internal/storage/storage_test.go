@@ -10,13 +10,26 @@ import (
 
 func page(n int32) model.PageID { return model.PageID{File: 1, Page: n} }
 
+// readPage and writePage are the process form of Access the tests use:
+// the calling process parks until the page has been transferred, and
+// learns whether the cache served the request.
+func readPage(g *Group, p *sim.Proc, pg model.PageID) (hit bool) { return access(g, p, pg, false) }
+
+func writePage(g *Group, p *sim.Proc, pg model.PageID) (absorbed bool) { return access(g, p, pg, true) }
+
+func access(g *Group, p *sim.Proc, pg model.PageID, write bool) (cached bool) {
+	g.Access(p.Continuation(), pg, write, func(c bool) { cached = c })
+	p.Park()
+	return cached
+}
+
 func TestPlainDiskReadTiming(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Stop()
 	g := NewGroup(env, "db", DefaultDBParams(1))
 	var done sim.Time
 	env.Spawn("u", func(p *sim.Proc) {
-		if hit := g.Read(p, page(1)); hit {
+		if hit := readPage(g, p, page(1)); hit {
 			t.Error("no cache: read must not hit")
 		}
 		done = env.Now()
@@ -36,7 +49,7 @@ func TestLogDiskWriteTiming(t *testing.T) {
 	g := NewGroup(env, "log", DefaultLogParams())
 	var done sim.Time
 	env.Spawn("u", func(p *sim.Proc) {
-		g.Write(p, page(1))
+		writePage(g, p, page(1))
 		done = env.Now()
 	})
 	if err := env.RunUntilIdle(); err != nil {
@@ -56,9 +69,9 @@ func TestVolatileCacheReadHit(t *testing.T) {
 	g := NewGroup(env, "db", params)
 	var first, second sim.Time
 	env.Spawn("u", func(p *sim.Proc) {
-		g.Read(p, page(1))
+		readPage(g, p, page(1))
 		first = env.Now()
-		g.Read(p, page(1))
+		readPage(g, p, page(1))
 		second = env.Now() - first
 	})
 	if err := env.RunUntilIdle(); err != nil {
@@ -85,12 +98,12 @@ func TestVolatileCacheWriteThrough(t *testing.T) {
 	var wdur, rdur sim.Time
 	env.Spawn("u", func(p *sim.Proc) {
 		start := env.Now()
-		if absorbed := g.Write(p, page(1)); absorbed {
+		if absorbed := writePage(g, p, page(1)); absorbed {
 			t.Error("volatile cache must not absorb writes")
 		}
 		wdur = env.Now() - start
 		start = env.Now()
-		g.Read(p, page(1)) // written page is cached readable
+		readPage(g, p, page(1)) // written page is cached readable
 		rdur = env.Now() - start
 	})
 	if err := env.RunUntilIdle(); err != nil {
@@ -113,7 +126,7 @@ func TestNonVolatileCacheAbsorbsWrites(t *testing.T) {
 	var wdur sim.Time
 	env.Spawn("u", func(p *sim.Proc) {
 		start := env.Now()
-		if absorbed := g.Write(p, page(1)); !absorbed {
+		if absorbed := writePage(g, p, page(1)); !absorbed {
 			t.Error("non-volatile cache must absorb writes")
 		}
 		wdur = env.Now() - start
@@ -133,9 +146,9 @@ func TestNonVolatileCacheDestagesOnEviction(t *testing.T) {
 	params.Cache = &CacheParams{SizePages: 2}
 	g := NewGroup(env, "db", params)
 	env.Spawn("u", func(p *sim.Proc) {
-		g.Write(p, page(1)) // dirty
-		g.Write(p, page(2)) // dirty
-		g.Write(p, page(3)) // evicts page 1 -> background destage
+		writePage(g, p, page(1)) // dirty
+		writePage(g, p, page(2)) // dirty
+		writePage(g, p, page(3)) // evicts page 1 -> background destage
 	})
 	if err := env.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -155,8 +168,8 @@ func TestRewriteCoalescesDirtyState(t *testing.T) {
 	params.Cache = &CacheParams{SizePages: 4}
 	g := NewGroup(env, "db", params)
 	env.Spawn("u", func(p *sim.Proc) {
-		g.Write(p, page(1))
-		g.Write(p, page(1)) // re-dirty, no extra destage scheduling
+		writePage(g, p, page(1))
+		writePage(g, p, page(1)) // re-dirty, no extra destage scheduling
 	})
 	if err := env.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -177,7 +190,7 @@ func TestDiskQueueing(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		i := i
 		env.Spawn("u", func(p *sim.Proc) {
-			g.Read(p, page(int32(i)))
+			readPage(g, p, page(int32(i)))
 			last = env.Now()
 		})
 	}
@@ -202,7 +215,7 @@ func TestResetStats(t *testing.T) {
 	defer env.Stop()
 	g := NewGroup(env, "db", DefaultDBParams(1))
 	env.Spawn("u", func(p *sim.Proc) {
-		g.Read(p, page(1))
+		readPage(g, p, page(1))
 		g.ResetStats()
 	})
 	if err := env.RunUntilIdle(); err != nil {
@@ -220,7 +233,7 @@ func TestStallForDelaysRequests(t *testing.T) {
 	var done sim.Time
 	env.Spawn("u", func(p *sim.Proc) {
 		g.StallFor(10 * time.Millisecond)
-		g.Read(p, page(1))
+		readPage(g, p, page(1))
 		done = env.Now()
 	})
 	if err := env.RunUntilIdle(); err != nil {
@@ -232,6 +245,36 @@ func TestStallForDelaysRequests(t *testing.T) {
 	}
 }
 
+// TestStallDefersCacheLookup: a read asked for during a stall is
+// counted and looks the cache up when the stall clears, not when it is
+// asked for, so it hits a page that an earlier miss inserted meanwhile.
+func TestStallDefersCacheLookup(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Stop()
+	params := DefaultDBParams(1)
+	params.Cache = &CacheParams{SizePages: 4, Volatile: true}
+	g := NewGroup(env, "db", params)
+	var hit bool
+	var done sim.Time
+	var readsAsked int64
+	g.Access(sim.Continuation{}, page(1), false, nil) // miss: cached at 16.4 ms
+	env.After(time.Millisecond, func() { g.StallFor(30 * time.Millisecond) })
+	env.After(2*time.Millisecond, func() {
+		g.Access(sim.Continuation{}, page(1), false, func(cached bool) { hit, done = cached, env.Now() })
+		readsAsked = g.Reads()
+	})
+	if err := env.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if readsAsked != 1 || g.Reads() != 2 {
+		t.Fatalf("reads %d when the stalled read was asked for, %d at the end; want 1 and 2", readsAsked, g.Reads())
+	}
+	// Issued at 31 ms: 1 ms controller + 0.4 ms transfer, no disk.
+	if !hit || done != 32400*time.Microsecond {
+		t.Fatalf("stalled read: hit %v at %v, want a hit at 32.4ms", hit, done)
+	}
+}
+
 func TestStallForExtendsNotShortens(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Stop()
@@ -240,7 +283,7 @@ func TestStallForExtendsNotShortens(t *testing.T) {
 	env.Spawn("u", func(p *sim.Proc) {
 		g.StallFor(10 * time.Millisecond)
 		g.StallFor(time.Millisecond) // must not shorten the window
-		g.Read(p, page(1))
+		readPage(g, p, page(1))
 		done = env.Now()
 	})
 	if err := env.RunUntilIdle(); err != nil {
@@ -255,7 +298,7 @@ func TestGroupDefaultsClampServers(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Stop()
 	g := NewGroup(env, "db", Params{DiskTime: time.Millisecond, ControllerTime: time.Millisecond})
-	env.Spawn("u", func(p *sim.Proc) { g.Read(p, page(1)) })
+	env.Spawn("u", func(p *sim.Proc) { readPage(g, p, page(1)) })
 	if err := env.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
