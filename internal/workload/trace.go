@@ -163,6 +163,11 @@ func (t *Trace) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
+// maxPrealloc caps the slice capacity ReadTrace reserves for a count
+// read from its input: the slices grow as their elements are read, so
+// a short input cannot demand a huge allocation.
+const maxPrealloc = 1024
+
 // ReadTrace parses a trace in the binary trace format.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
@@ -183,9 +188,10 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.Files = make([]model.File, nf)
-	for i := range t.Files {
-		f := &t.Files[i]
+	t.Files = make([]model.File, 0, min(nf, maxPrealloc))
+	for range nf {
+		t.Files = append(t.Files, model.File{})
+		f := &t.Files[len(t.Files)-1]
 		id, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, err
@@ -220,9 +226,10 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.Txns = make([]model.Txn, nt)
-	for i := range t.Txns {
-		tx := &t.Txns[i]
+	t.Txns = make([]model.Txn, 0, min(nt, maxPrealloc))
+	for range nt {
+		t.Txns = append(t.Txns, model.Txn{})
+		tx := &t.Txns[len(t.Txns)-1]
 		typ, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, err
@@ -232,8 +239,8 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		tx.Refs = make([]model.Ref, nr)
-		for j := range tx.Refs {
+		tx.Refs = make([]model.Ref, 0, min(nr, maxPrealloc))
+		for range nr {
 			file, err := binary.ReadUvarint(br)
 			if err != nil {
 				return nil, err
@@ -246,10 +253,10 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			if err != nil {
 				return nil, err
 			}
-			tx.Refs[j] = model.Ref{
+			tx.Refs = append(tx.Refs, model.Ref{
 				Page:  model.PageID{File: model.FileID(file), Page: int32(int64(page) - 1)},
 				Write: mode == 1,
-			}
+			})
 		}
 	}
 	if err := t.Validate(); err != nil {

@@ -221,4 +221,19 @@ func TestGenerateTraceValidation(t *testing.T) {
 	if _, err := GenerateTrace(p); err == nil {
 		t.Fatal("expected error for too many ad-hoc txns")
 	}
+	// Three files are all scan files: an update would have no file to
+	// go to (a division by zero before it was rejected).
+	for files := 1; files <= 3; files++ {
+		p = smallTraceParams()
+		p.Files = files
+		if _, err := GenerateTrace(p); err == nil {
+			t.Fatalf("expected error for %d files", files)
+		}
+	}
+	// Too few pages leave a file empty (an empty Zipf sampler).
+	p = smallTraceParams()
+	p.TotalPages = minFilePages*p.Files - 1
+	if _, err := GenerateTrace(p); err == nil {
+		t.Fatal("expected error for too few pages")
+	}
 }

@@ -65,10 +65,19 @@ func DefaultTraceGenParams(seed int64) TraceGenParams {
 	}
 }
 
+// minFilePages is the smallest file GenerateTrace makes.
+const minFilePages = 64
+
 // GenerateTrace synthesizes a trace with the given parameters.
 func GenerateTrace(params TraceGenParams) (*Trace, error) {
-	if params.Transactions <= 0 || params.Types < 2 || params.Files < 1 {
+	// The scanFiles largest files take the ad-hoc scans and no updates
+	// (see pickWritePage), so a trace needs at least one file more.
+	const scanFiles = 3
+	if params.Transactions <= 0 || params.Types < 2 || params.Files <= scanFiles {
 		return nil, fmt.Errorf("workload: invalid trace parameters %+v", params)
+	}
+	if params.TotalPages < minFilePages*params.Files {
+		return nil, fmt.Errorf("workload: %d pages cannot give %d files %d pages each", params.TotalPages, params.Files, minFilePages)
 	}
 	if params.AdHocTxns >= params.Transactions {
 		return nil, fmt.Errorf("workload: %d ad-hoc txns exceed %d transactions", params.AdHocTxns, params.Transactions)
@@ -88,8 +97,8 @@ func GenerateTrace(params TraceGenParams) (*Trace, error) {
 	remaining := params.TotalPages
 	for i := range files {
 		pages := int(float64(params.TotalPages) * weights[i] / wsum)
-		if pages < 64 {
-			pages = 64
+		if pages < minFilePages {
+			pages = minFilePages
 		}
 		if i == len(files)-1 || pages > remaining {
 			pages = remaining
@@ -205,7 +214,6 @@ func GenerateTrace(params TraceGenParams) (*Trace, error) {
 	// page locking — the paper reports that lock conflicts were
 	// insignificant for its trace, so its query targets cannot have
 	// been update-hot.
-	const scanFiles = 3
 	pickWritePage := func(typ int) model.PageID {
 		fi := pickFile(typ)
 		if fi < scanFiles {
