@@ -95,7 +95,7 @@ func allocsPerCommit(t *testing.T, env *sim.Env, sys *System, rate float64) (all
 // transaction on four nodes. Under debit-credit what remains is the
 // transaction's process record, its reference list, a frame per buffer
 // miss while the pool fills and the growth of pooled records and maps:
-// messages, wait records, page-write records and frames are recycled,
+// messages, wait records, page-I/O records and frames are recycled,
 // and a replaced page's write-back spawns no process. The ceilings sit
 // just above the measured values (about 2.5 per commit under GEM and
 // PCL, with or without GEM messaging, and 3.8 under the lock engine
