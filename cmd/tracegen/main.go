@@ -54,8 +54,14 @@ func run(args []string) error {
 	}
 
 	params := workload.DefaultTraceGenParams(*seed)
+	def := params
+	// A smaller trace keeps the calibrated trace's shape: its ad-hoc
+	// scans (8 in 17520 transactions, at least one) scale with the
+	// transaction count, and its largest scan (11200 references over
+	// 66000 pages) with the page universe.
 	if *txns > 0 {
 		params.Transactions = *txns
+		params.AdHocTxns = max(1, def.AdHocTxns*(*txns)/def.Transactions)
 	}
 	if *types > 0 {
 		params.Types = *types
@@ -65,6 +71,7 @@ func run(args []string) error {
 	}
 	if *pages > 0 {
 		params.TotalPages = *pages
+		params.LargestRefs = def.LargestRefs * (*pages) / def.TotalPages
 	}
 	if *refs > 0 {
 		params.MeanRefs = *refs

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"gemsim/internal/workload"
 )
 
 func TestGenerateAndInspect(t *testing.T) {
@@ -18,6 +20,27 @@ func TestGenerateAndInspect(t *testing.T) {
 	}
 	if err := run([]string{"-inspect", out}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSmallTraceScalesScans checks that a small trace keeps its ad-hoc
+// scans in proportion: one scan for a dozen transactions, none larger
+// than the page universe. With the calibrated trace's 8 scans of up to
+// 11200 references it would hold about 50000 references.
+func TestSmallTraceScalesScans(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "small.trc")
+	args := []string{"-out", out, "-txns", "12", "-pages", "400", "-files", "4", "-types", "3", "-meanrefs", "4"}
+	if err := run(args); err != nil {
+		t.Fatal(err)
+	}
+	trace, err := workload.ReadTraceFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := trace.Stats()
+	if s.Transactions != 12 || s.LargestTxn > 400 || s.References > 12*40 {
+		t.Fatalf("%d transactions, %d references, largest %d: want 12, at most 480, at most 400",
+			s.Transactions, s.References, s.LargestTxn)
 	}
 }
 

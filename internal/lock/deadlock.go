@@ -29,9 +29,6 @@ func NewDetector(tables ...*Table) *Detector {
 	return &Detector{tables: tables, visited: make(map[Owner]bool)}
 }
 
-// AddTable registers an additional table.
-func (d *Detector) AddTable(t *Table) { d.tables = append(d.tables, t) }
-
 // Cycles returns the number of deadlocks found.
 func (d *Detector) Cycles() int64 { return d.cycles }
 

@@ -94,10 +94,9 @@ func TestCycleResolutionByAbort(t *testing.T) {
 	}
 }
 
-func TestAddTable(t *testing.T) {
-	d := NewDetector()
+func TestLoneHolderIsNotACycle(t *testing.T) {
 	tb := NewTable("t")
-	d.AddTable(tb)
+	d := NewDetector(tb)
 	tb.Request(pg(1), owner(0, 1), model.LockWrite, nil)
 	if cycle := d.FindCycle(owner(0, 1)); cycle != nil {
 		t.Fatal("holder without waits cannot be in a cycle")

@@ -14,7 +14,7 @@ import (
 // This file is the actuator half of the adaptive load control
 // subsystem: it samples the simulator's windowed counters, feeds them
 // to the pure policies in internal/control, and applies the decisions —
-// per-node MPL limits through the admission semaphore, branch
+// per-node MPL limits through the admission gates, branch
 // re-routing through the adaptive affinity table, and GLA partition
 // migration through a costed handoff protocol over the communication
 // subsystem. Every controller activation is a Tier-1 callback event on
@@ -156,7 +156,7 @@ func (c *controller) tick() {
 		if !dec.Changed {
 			continue
 		}
-		n.mpl.SetLimit(dec.Limit)
+		n.gate.setLimit(dec.Limit)
 		// Only a throttle or a probe changes the limit.
 		kind := trace.ControlThrottle
 		switch dec.Action {

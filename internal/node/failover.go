@@ -263,10 +263,11 @@ func (s *System) coordinator() int {
 	return 0
 }
 
-// runWithRetry drives one transaction to commit across failures: when
-// the execution reports "not committed" (the node crashed under it),
-// the transaction is resubmitted — to another node if its own is down
-// — preserving the original arrival time, so the availability cost
+// runWithRetry drives one transaction, admitted at n's gate, to
+// commit across failures: when the execution reports "not committed"
+// (the node crashed under it), the transaction is resubmitted — to
+// another node if its own is down — and waits at that node's gate,
+// preserving the original arrival time, so the availability cost
 // shows up in the measured response time.
 func (s *System) runWithRetry(p *sim.Proc, n *Node, spec model.Txn, arrive sim.Time) {
 	var cp *attrib.Vector
@@ -279,11 +280,11 @@ func (s *System) runWithRetry(p *sim.Proc, n *Node, spec model.Txn, arrive sim.T
 		*cp = attrib.Vector{}
 		defer s.vectors.Put(cp)
 	}
+	entered := arrive
 	for {
-		if n.runTxnCounted(p, spec, arrive, cp) {
-			return
-		}
-		if !s.faultsOn {
+		committed := n.runTxn(p, spec, arrive, entered, cp)
+		n.active--
+		if committed || !s.faultsOn {
 			return
 		}
 		s.txnsRetried++
@@ -293,6 +294,9 @@ func (s *System) runWithRetry(p *sim.Proc, n *Node, spec model.Txn, arrive sim.T
 			cp.Charge(attrib.PhaseBackoff, attrib.ResOther, s.env.Now()-waitStart, 0)
 		}
 		n = s.nodes[s.aliveTarget(n.id)]
+		n.active++
+		entered = s.env.Now()
+		n.gate.wait(p)
 	}
 }
 

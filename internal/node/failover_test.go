@@ -220,7 +220,9 @@ func TestPCLRedoSkipsLoserPageAfterAdoption(t *testing.T) {
 	page := pgID(2)
 	run := func(node int, refs ...model.Ref) {
 		env.Spawn("txn", func(p *sim.Proc) {
-			sys.nodes[node].runTxnCounted(p, model.Txn{Type: node, Refs: refs}, env.Now(), nil)
+			n := sys.nodes[node]
+			n.gate.wait(p)
+			n.runTxn(p, model.Txn{Type: node, Refs: refs}, env.Now(), env.Now(), nil)
 		})
 	}
 	env.After(100*time.Millisecond, func() { run(2, model.Ref{Page: page, Write: true}) })

@@ -172,7 +172,7 @@ func runGrantCase(t *testing.T, c grantCase) (string, int64) {
 		t.Fatal(err)
 	}
 	for _, tx := range c.txns {
-		env.After(tx.at, func() { sys.nodes[tx.node].submit(model.Txn{Type: tx.node, Refs: tx.refs}) })
+		env.After(tx.at, func() { sys.nodes[tx.node].admit(model.Txn{Type: tx.node, Refs: tx.refs}) })
 	}
 	if c.act != nil {
 		env.After(c.actAt, func() { c.act(sys) })

@@ -33,7 +33,7 @@ type Node struct {
 
 	cpu      *cpusrv.CPU
 	pool     *buffer.Pool
-	mpl      *sim.Semaphore
+	gate     *gate
 	logGroup *storage.Group
 	cc       ccEngine
 	// opt is the optimistic engine when one is configured (it is then
@@ -56,7 +56,8 @@ type Node struct {
 	// raHeld is this node's view of its read authorizations (PCL).
 	raHeld map[model.PageID]bool
 
-	// active counts admitted-or-queued transactions (load control).
+	// active counts the transactions admitted at or queued in this
+	// node's gate (load control).
 	active int
 
 	// logSinceCkpt counts log pages written since the last fuzzy
@@ -244,7 +245,7 @@ func newNode(s *System, id int) *Node {
 		historyPage:  historyBase(id),
 	}
 	n.cpu = cpusrv.New(s.env, "cpu"+itoa(id), s.params.CPUsPerNode, s.params.MIPSPerCPU)
-	n.mpl = sim.NewSemaphore(s.env, "mpl"+itoa(id), s.params.MPL)
+	n.gate = newGate(s.env, "mpl"+itoa(id), s.params.MPL, n.spawn)
 	n.logGroup = storage.NewGroup(s.env, "log"+itoa(id), storage.DefaultLogParams())
 	switch s.params.Coupling {
 	case CouplingGEM:
@@ -269,19 +270,25 @@ func historyBase(id int) int32 { return int32(id) * 100_000_000 }
 
 func itoa(i int) string { return strconv.Itoa(i) }
 
-// submit spawns a process executing one transaction at this node.
-func (n *Node) submit(spec model.Txn) {
+// admit hands fresh work from either source to this node's gate.
+func (n *Node) admit(spec model.Txn) {
+	n.active++
+	n.gate.admit(spec)
+}
+
+// spawn starts a process for fresh work the gate admitted.
+func (n *Node) spawn(it gateItem) {
 	sb := n.subs.Get()
 	if sb == nil {
 		sb = &submission{n: n}
 		sb.run = sb.start
 	}
-	sb.spec, sb.arrive = spec, n.sys.env.Now()
+	sb.spec, sb.arrive = it.spec, it.at
 	n.sys.env.Spawn("txn", sb.run)
 }
 
-// submission hands one arriving transaction to its process. Records
-// are pooled per node with the process body bound once, so a submit
+// submission hands one admitted transaction to its process. Records
+// are pooled per node with the process body bound once, so a spawn
 // allocates only the process record.
 type submission struct {
 	n      *Node
@@ -290,37 +297,31 @@ type submission struct {
 	run    func(p *sim.Proc) // bound to start
 }
 
-// start runs the transaction; the record is recycled first, as the
-// process no longer needs it.
+// start runs the transaction, then returns a closed-loop terminal to
+// thinking; the record is recycled first, as the process no longer
+// needs it.
 func (sb *submission) start(p *sim.Proc) {
 	n, spec, arrive := sb.n, sb.spec, sb.arrive
 	sb.spec = model.Txn{}
 	n.subs.Put(sb)
 	n.sys.runWithRetry(p, n, spec, arrive)
+	if pt := n.sys.terminals; pt != nil {
+		pt.scheduleThink()
+	}
 }
 
-// runTxnCounted wraps runTxn with the activation accounting used by
-// load-aware routing. It reports whether the transaction committed
-// (false only when its node crashed under it).
-func (n *Node) runTxnCounted(p *sim.Proc, spec model.Txn, arrive sim.Time, cp *attrib.Vector) bool {
-	n.active++
-	committed := n.runTxn(p, spec, arrive, cp)
-	n.active--
-	return committed
-}
-
-// runTxn is the transaction manager's main loop: admission, execution,
-// restart on deadlock or timeout, statistics. It returns false when
-// the transaction was killed by a node crash (the caller resubmits).
-// cp, when non-nil, accumulates the response-time record across all
-// attempts (and across resubmissions after a crash).
-func (n *Node) runTxn(p *sim.Proc, spec model.Txn, arrive sim.Time, cp *attrib.Vector) bool {
+// runTxn is the transaction manager's main loop: execution, restart on
+// deadlock or timeout, statistics. The caller holds a slot of the
+// node's gate, taken at entered (the arrival, for fresh work); runTxn
+// frees it. It returns false when the transaction was killed by a node
+// crash (the caller resubmits). cp, when non-nil, accumulates the
+// response-time record across all attempts (and across resubmissions
+// after a crash).
+func (n *Node) runTxn(p *sim.Proc, spec model.Txn, arrive, entered sim.Time, cp *attrib.Vector) bool {
 	sys := n.sys
-	entered := sys.env.Now()
-	n.mpl.Acquire(p)
 	if sys.faultsOn && sys.down[n.id] {
 		// The node failed while the transaction queued for admission.
-		n.mpl.Release()
+		n.gate.release()
 		return false
 	}
 	n.inputWait.AddDuration(sys.env.Now() - arrive)
@@ -336,7 +337,7 @@ func (n *Node) runTxn(p *sim.Proc, spec model.Txn, arrive sim.Time, cp *attrib.V
 	}
 	for {
 		if sys.faultsOn && sys.down[n.id] {
-			n.mpl.Release()
+			n.gate.release()
 			return false
 		}
 		t.id = sys.nextTxID()
@@ -359,7 +360,7 @@ func (n *Node) runTxn(p *sim.Proc, spec model.Txn, arrive sim.Time, cp *attrib.V
 			// Crash kill: no local undo (the frames died with the
 			// buffer) and no lock release (recovery does that).
 			p.SetTraceID(0)
-			n.mpl.Release()
+			n.gate.release()
 			return false
 		}
 		// Deadlock victim, lock-wait timeout or optimistic conflict:
@@ -398,7 +399,7 @@ func (n *Node) runTxn(p *sim.Proc, spec model.Txn, arrive sim.Time, cp *attrib.V
 		cp.Charge(attrib.PhaseBackoff, attrib.ResOther, sys.env.Now()-backoffStart, 0)
 	}
 	p.SetTraceID(0)
-	n.mpl.Release()
+	n.gate.release()
 	rt := sys.env.Now() - arrive
 	sys.observeCommit(n, int64(t.id), cp, rt)
 	if tr := sys.tracer; tr.Enabled() {
@@ -1084,7 +1085,7 @@ func (n *Node) resetStats() {
 	n.cpu.ResetStats()
 	n.pool.ResetStats()
 	n.logGroup.ResetStats()
-	n.mpl.ResetStats()
+	n.gate.resetStats()
 	n.commits, n.aborts = 0, 0
 	n.respRefs = 0
 	n.resp.Reset()

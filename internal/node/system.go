@@ -92,8 +92,10 @@ type System struct {
 	rtBatches *stats.BatchMeans
 
 	// sourceProc is the open-model arrival process (used by the
-	// load-aware router to charge GEM status reads).
+	// load-aware router to charge GEM status reads); terminals is the
+	// closed-loop source. At most one of them is set.
 	sourceProc *sim.Proc
+	terminals  *pooledTerminals
 
 	// Global log merge state (GlobalLogMerge): local log pages written
 	// to GEM but not yet merged into the global log, and the total
@@ -347,9 +349,16 @@ func (s *System) Start(ratePerNode float64) {
 		for {
 			p.Wait(time.Duration(arrivals.Exp(1/totalRate) * float64(time.Second)))
 			spec := s.gen.Next(gen, s.env.Now())
-			s.nodes[s.route(spec)].submit(spec)
+			s.nodes[s.route(spec)].admit(spec)
 		}
 	})
+	s.startBackground()
+}
+
+// startBackground starts the work both sources run beside the
+// workload: the global log merge, fuzzy checkpoints and the
+// availability tracker.
+func (s *System) startBackground() {
 	s.startLogMerge()
 	s.startCheckpoints()
 	s.startAvailability()
@@ -558,7 +567,7 @@ func (s *System) ResetStats() {
 
 // stationCounters snapshots every queueing station of the system in a
 // deterministic order (per-node CPU, GEM, lock engine, disk groups in
-// file order, per-node log groups, per-node MPL semaphores). The order
+// file order, per-node log groups, per-node MPL gates). The order
 // is load-bearing: windowed sampler deltas pair entries by index, and
 // the emitted law instants must be byte-identical across -jobs levels.
 func (s *System) stationCounters() []attrib.StationCounters {
@@ -577,7 +586,7 @@ func (s *System) stationCounters() []attrib.StationCounters {
 		out = append(out, n.logGroup.DiskCounters())
 	}
 	for _, n := range s.nodes {
-		out = append(out, n.mpl.Counters())
+		out = append(out, n.gate.counters())
 	}
 	return out
 }

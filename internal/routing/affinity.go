@@ -228,10 +228,3 @@ func (a *TraceAffinity) GLA(page model.PageID) int {
 	}
 	return units[a.bucketOf(page)]
 }
-
-// TypeToNode returns a copy of the routing table.
-func (a *TraceAffinity) TypeToNode() []int {
-	out := make([]int, len(a.typeToNode))
-	copy(out, a.typeToNode)
-	return out
-}

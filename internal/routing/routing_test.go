@@ -167,13 +167,3 @@ func TestTraceAffinityGLAInRange(t *testing.T) {
 		t.Fatal("unknown file GLA")
 	}
 }
-
-func TestTraceAffinityTypeTableCopy(t *testing.T) {
-	trace := genTrace(t)
-	a := ComputeTraceAffinity(trace, 2)
-	tbl := a.TypeToNode()
-	tbl[0] = 99
-	if a.TypeToNode()[0] == 99 {
-		t.Fatal("TypeToNode must return a copy")
-	}
-}

@@ -19,7 +19,6 @@ func TestAccountingHooksAllocFree(t *testing.T) {
 	env := NewEnv()
 	defer env.Stop()
 	r := NewResource(env, "r", 2)
-	sem := NewSemaphore(env, "s", 2)
 
 	// Drive some contended traffic first so the counters are warm and
 	// the queues have seen transitions.
@@ -27,9 +26,7 @@ func TestAccountingHooksAllocFree(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		env.Spawn("w", func(p *Proc) {
 			for i := 0; i < 50; i++ {
-				sem.Acquire(p)
 				r.Use(p, time.Microsecond)
-				sem.Release()
 			}
 		})
 	}
@@ -40,14 +37,8 @@ func TestAccountingHooksAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, r.qAccumulate); n != 0 {
 		t.Errorf("Resource.qAccumulate allocates %.1f objects per call, want 0", n)
 	}
-	if n := testing.AllocsPerRun(1000, sem.qAccumulate); n != 0 {
-		t.Errorf("Semaphore.qAccumulate allocates %.1f objects per call, want 0", n)
-	}
 	if n := testing.AllocsPerRun(1000, func() { _ = r.Counters() }); n != 0 {
 		t.Errorf("Resource.Counters allocates %.1f objects per call, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() { _ = sem.Counters() }); n != 0 {
-		t.Errorf("Semaphore.Counters allocates %.1f objects per call, want 0", n)
 	}
 
 	c := r.Counters()

@@ -89,7 +89,7 @@ func TestFreeListReuse(t *testing.T) {
 
 // TestSpawnAndParkCounts pins the kernel's process counters: every
 // Spawn counts once, and every hand-off back to the kernel — Wait,
-// Park, a blocking Resource or Semaphore primitive — counts one park.
+// Park, a blocking Resource primitive — counts one park.
 func TestSpawnAndParkCounts(t *testing.T) {
 	env := NewEnv()
 	defer env.Stop()

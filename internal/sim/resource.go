@@ -40,7 +40,6 @@ type Resource struct {
 	lastT     Time
 	busyArea  float64 // server-busy time integral, in seconds
 	requests  int64
-	queued    int64
 	waitSum   Time
 
 	// Queue-length integral and tracked service demand, for
@@ -106,7 +105,6 @@ func (r *Resource) AcquireFn(granted func()) {
 		granted()
 		return
 	}
-	r.queued++
 	r.qAccumulate()
 	r.queue = append(r.queue, rwaiter{grant: granted, at: r.env.Now()})
 }
@@ -200,7 +198,6 @@ func (r *Resource) RequestResume(c Continuation, d Time, fin func()) {
 		r.scheduleComplete(r.env.now+d, c, fin)
 		return
 	}
-	r.queued++
 	r.qAccumulate()
 	r.queue = append(r.queue, rwaiter{at: r.env.Now(), svc: true, d: d, fn: fin, c: c})
 }
@@ -212,7 +209,6 @@ func (r *Resource) ResetStats() {
 	r.lastT = r.env.Now()
 	r.busyArea = 0
 	r.requests = 0
-	r.queued = 0
 	r.waitSum = 0
 	r.lastQT = r.env.Now()
 	r.qArea = 0
@@ -265,157 +261,4 @@ func (r *Resource) MeanWait() Time {
 		return 0
 	}
 	return r.waitSum / Time(r.requests)
-}
-
-// QueuedShare returns the fraction of requests that had to queue.
-func (r *Resource) QueuedShare() float64 {
-	if r.requests == 0 {
-		return 0
-	}
-	return float64(r.queued) / float64(r.requests)
-}
-
-// Semaphore is a counted admission gate with FCFS queueing (used for the
-// multiprogramming level of a node). Unlike Resource it keeps no
-// utilization statistics. The limit can be changed at run time
-// (SetLimit), which makes it the actuator for feedback-driven admission
-// control: raising the limit admits waiters immediately, lowering it
-// drains conservatively as current holders release.
-type Semaphore struct {
-	env     *Env
-	name    string
-	limit   int
-	held    int
-	waiters []*Proc
-	maxQ    int
-	queuedT Time
-	entries int64
-	waitSum Time
-
-	statStart Time
-	lastQT    Time
-	qArea     float64 // waiting-jobs time integral, in seconds
-}
-
-// qAccumulate integrates the admission-queue length up to the current
-// instant; called only when the queue length is about to change.
-func (s *Semaphore) qAccumulate() {
-	now := s.env.Now()
-	s.qArea += float64(len(s.waiters)) * (now - s.lastQT).Seconds()
-	s.lastQT = now
-}
-
-// NewSemaphore creates a semaphore with the given number of tokens.
-func NewSemaphore(env *Env, name string, tokens int) *Semaphore {
-	if tokens <= 0 {
-		panic("sim: semaphore " + name + " needs at least one token")
-	}
-	return &Semaphore{env: env, name: name, limit: tokens}
-}
-
-// Acquire takes one token, blocking FCFS while none is available.
-func (s *Semaphore) Acquire(p *Proc) {
-	s.entries++
-	if s.held < s.limit {
-		s.held++
-		return
-	}
-	at := s.env.Now()
-	s.qAccumulate()
-	s.waiters = append(s.waiters, p)
-	if len(s.waiters) > s.maxQ {
-		s.maxQ = len(s.waiters)
-	}
-	p.park()
-	s.waitSum += s.env.Now() - at
-}
-
-// Release returns one token, waking the longest waiter if any.
-func (s *Semaphore) Release() {
-	if s.held <= s.limit && len(s.waiters) > 0 {
-		// Hand the slot to the longest waiter; held is unchanged across
-		// the hand-off.
-		s.wakeFirst()
-		return
-	}
-	s.held--
-	s.admit()
-}
-
-// wakeFirst pops and unparks the longest-waiting process.
-func (s *Semaphore) wakeFirst() {
-	s.qAccumulate()
-	next := s.waiters[0]
-	copy(s.waiters, s.waiters[1:])
-	s.waiters[len(s.waiters)-1] = nil
-	s.waiters = s.waiters[:len(s.waiters)-1]
-	next.Unpark()
-}
-
-// admit wakes waiters while free slots exist.
-func (s *Semaphore) admit() {
-	for s.held < s.limit && len(s.waiters) > 0 {
-		s.held++
-		s.wakeFirst()
-	}
-}
-
-// SetLimit changes the admission limit. An increase admits queued
-// waiters immediately; a decrease never preempts current holders — the
-// overshoot drains as they release (conservative throttling). The limit
-// is clamped to at least one.
-func (s *Semaphore) SetLimit(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.limit = n
-	s.admit()
-}
-
-// Limit returns the current admission limit.
-func (s *Semaphore) Limit() int { return s.limit }
-
-// InUse returns the number of currently held slots.
-func (s *Semaphore) InUse() int { return s.held }
-
-// MaxQueue returns the largest observed queue length.
-func (s *Semaphore) MaxQueue() int { return s.maxQ }
-
-// QueueLen returns the number of processes currently waiting for a
-// token.
-func (s *Semaphore) QueueLen() int { return len(s.waiters) }
-
-// MeanWait returns the mean admission wait over all Acquire calls.
-func (s *Semaphore) MeanWait() Time {
-	if s.entries == 0 {
-		return 0
-	}
-	return s.waitSum / Time(s.entries)
-}
-
-// ResetStats discards accumulated admission statistics while keeping
-// current occupancy.
-func (s *Semaphore) ResetStats() {
-	now := s.env.Now()
-	s.statStart = now
-	s.lastQT = now
-	s.qArea = 0
-	s.entries = 0
-	s.waitSum = 0
-	s.maxQ = len(s.waiters)
-}
-
-// Counters returns the admission gate's statistics snapshot. Service
-// demand is never tracked for a semaphore (holders run arbitrary
-// work), so only Little's law is checkable on it.
-func (s *Semaphore) Counters() attrib.StationCounters {
-	now := s.env.Now()
-	return attrib.StationCounters{
-		Name:     s.name,
-		Servers:  s.limit,
-		Elapsed:  now - s.statStart,
-		QSeconds: s.qArea + float64(len(s.waiters))*(now-s.lastQT).Seconds(),
-		Requests: s.entries,
-		WaitSum:  s.waitSum,
-	}
 }

@@ -27,9 +27,10 @@
 //
 // The process-tier primitives are the classic DES set: Spawn to create
 // a process, Proc.Wait to let simulated time pass, Resource for
-// k-server FCFS queueing stations with utilization accounting,
-// Semaphore for counted admission control, and Park/Unpark for
-// building condition-style waits (lock tables, page transfers).
+// k-server FCFS queueing stations with utilization accounting, and
+// Park/Unpark for building condition-style waits (lock tables, page
+// transfers, admission gates). A process blocks only in Wait or Park;
+// Resource.Use is a callback-tier service cycle plus one park.
 package sim
 
 import (

@@ -9,8 +9,8 @@ import (
 // TestStopLeaksNoGoroutines is the leak regression test for Env.Stop:
 // after stopping an environment whose processes are blocked in every
 // way the kernel supports — plain Park, pending Wait timers, resource
-// queues, semaphore admission — the process goroutine
-// count must return to its pre-run level. Processes that finished
+// queues — the process goroutine count must return to its pre-run
+// level. Processes that finished
 // before Stop leave idle pooled workers, and one process is spawned
 // after the run and never started; Stop must retire both kinds of
 // worker. A leak here
@@ -21,18 +21,12 @@ func TestStopLeaksNoGoroutines(t *testing.T) {
 
 	env := NewEnv()
 	r := NewResource(env, "r", 1)
-	sem := NewSemaphore(env, "mpl", 1)
 
-	// Holders pin the resource and the semaphore so later arrivals
-	// stay queued when the run horizon is reached.
+	// A holder pins the resource so later arrivals stay queued when
+	// the run horizon is reached.
 	env.Spawn("rholder", func(p *Proc) { r.Use(p, time.Hour) })
-	env.Spawn("sholder", func(p *Proc) {
-		sem.Acquire(p)
-		p.Park()
-	})
 	for i := 0; i < 4; i++ {
 		env.Spawn("rwait", func(p *Proc) { r.Use(p, time.Millisecond) })
-		env.Spawn("swait", func(p *Proc) { sem.Acquire(p); sem.Release() })
 		env.Spawn("parked", func(p *Proc) { p.Park() })
 		env.Spawn("sleeper", func(p *Proc) { p.Wait(time.Hour) })
 		env.Spawn("finished", func(p *Proc) { p.Wait(time.Millisecond) })

@@ -302,7 +302,11 @@ func (b *BatchMeans) Mean() float64 {
 
 // HalfWidth95 returns the 95% confidence half-width using a normal
 // approximation over batch means; zero with fewer than two batches.
-func (b *BatchMeans) HalfWidth95() float64 {
+func (b *BatchMeans) HalfWidth95() float64 { return b.halfWidth(1.96) }
+
+// halfWidth returns q·s/√n over the batch means for the quantile q;
+// zero with fewer than two batches.
+func (b *BatchMeans) halfWidth(q float64) float64 {
 	n := len(b.batches)
 	if n < 2 {
 		return 0
@@ -314,20 +318,25 @@ func (b *BatchMeans) HalfWidth95() float64 {
 		ss += d * d
 	}
 	sd := math.Sqrt(ss / float64(n-1))
-	return 1.96 * sd / math.Sqrt(float64(n))
+	return q * sd / math.Sqrt(float64(n))
 }
 
 // ReplicateCI aggregates independently seeded replica measurements of
 // the same experiment point into a mean and a 95% confidence
 // half-width. Each replica is one batch of the batch-means machinery
-// (replicas are independent runs, so batch size 1 is exact); the
-// half-width is zero with fewer than two replicas.
+// (replicas are independent runs, so batch size 1 is exact). Replicas
+// are few, so the half-width uses Student's t(0.975, n-1), not the
+// normal 1.96 (4.30 for three replicas); it is zero with fewer than
+// two replicas.
 func ReplicateCI(values []float64) (mean, halfWidth float64) {
 	bm := NewBatchMeans(1)
 	for _, v := range values {
 		bm.Add(v)
 	}
-	return bm.Mean(), bm.HalfWidth95()
+	if len(values) < 2 {
+		return bm.Mean(), 0
+	}
+	return bm.Mean(), bm.halfWidth(studentTQuantile(0.975, float64(len(values)-1)))
 }
 
 // Equivalent is a two-one-sided-tests (TOST) equivalence check on
@@ -452,56 +461,4 @@ func Quantiles(sample []float64, qs ...float64) []float64 {
 		out[i] = sorted[rank]
 	}
 	return out
-}
-
-// MSERCutoff implements the MSER-k truncation rule for determining the
-// initial-transient (warm-up) cutoff of a steady-state simulation
-// output series: observations are averaged into batches of size k, and
-// the truncation point minimizing the marginal standard error of the
-// remaining batch means is returned (as an observation index). The
-// second return value is the standard error at the chosen cutoff.
-//
-// The rule ignores cutoffs in the last half of the series (a standard
-// guard against degenerate minima at the tail).
-func MSERCutoff(series []float64, k int) (int, float64) {
-	if k <= 0 {
-		k = 5
-	}
-	nb := len(series) / k
-	if nb < 4 {
-		return 0, 0
-	}
-	batches := make([]float64, nb)
-	for i := 0; i < nb; i++ {
-		var sum float64
-		for j := 0; j < k; j++ {
-			sum += series[i*k+j]
-		}
-		batches[i] = sum / float64(k)
-	}
-	// Suffix sums for O(n) evaluation of mean/variance of batches[d:].
-	suffix := make([]float64, nb+1)
-	suffixSq := make([]float64, nb+1)
-	for i := nb - 1; i >= 0; i-- {
-		suffix[i] = suffix[i+1] + batches[i]
-		suffixSq[i] = suffixSq[i+1] + batches[i]*batches[i]
-	}
-	bestD, bestMSE := 0, math.Inf(1)
-	for d := 0; d <= nb/2; d++ {
-		m := nb - d
-		if m < 2 {
-			break
-		}
-		mean := suffix[d] / float64(m)
-		variance := suffixSq[d]/float64(m) - mean*mean
-		if variance < 0 {
-			variance = 0
-		}
-		mse := variance / float64(m)
-		if mse < bestMSE {
-			bestMSE = mse
-			bestD = d
-		}
-	}
-	return bestD * k, math.Sqrt(bestMSE)
 }
