@@ -6,41 +6,44 @@
 // is obsolete [Ra86, Ra91b].
 //
 // The pool is a pure data structure; all I/O and coherency decisions
-// are made by the node layer.
+// are made by the node layer. It is keyed by K: a node's pool by the
+// page's directory slot, a disk cache by the page id.
 package buffer
 
 import (
+	"fmt"
+
 	"gemsim/internal/model"
 	"gemsim/internal/stats"
 )
 
 // Frame is one buffered page.
-type Frame struct {
-	Page  model.PageID
+type Frame[K comparable] struct {
+	Page  K
 	SeqNo uint64
 	Dirty bool
 
 	fixCount   int
-	prev, next *Frame // LRU neighbours: prev is more recently used
+	prev, next *Frame[K] // LRU neighbours: prev is more recently used
 }
 
 // Fixed reports whether the frame is pinned against replacement.
-func (f *Frame) Fixed() bool { return f.fixCount > 0 }
+func (f *Frame[K]) Fixed() bool { return f.fixCount > 0 }
 
 // Fix pins the frame against replacement.
-func (f *Frame) Fix() { f.fixCount++ }
+func (f *Frame[K]) Fix() { f.fixCount++ }
 
 // Unfix releases one pin.
-func (f *Frame) Unfix() {
+func (f *Frame[K]) Unfix() {
 	if f.fixCount == 0 {
-		panic("buffer: unfix of unfixed frame " + f.Page.String())
+		panic(fmt.Sprintf("buffer: unfix of unfixed frame %v", f.Page))
 	}
 	f.fixCount--
 }
 
 // Victim describes an evicted page that may need writing back.
-type Victim struct {
-	Page  model.PageID
+type Victim[K comparable] struct {
+	Page  K
 	SeqNo uint64
 	Dirty bool
 }
@@ -48,34 +51,34 @@ type Victim struct {
 // Pool is one node's LRU database buffer. The LRU chain is intrusive
 // (links in Frame), and Insert reuses the frame it evicts or one that
 // Drop freed, so a full pool allocates no frames at all.
-type Pool struct {
+type Pool[K comparable] struct {
 	capacity int
-	mru, lru *Frame // chain ends; nil when empty
+	mru, lru *Frame[K] // chain ends; nil when empty
 	frames   int
-	index    map[model.PageID]*Frame
-	free     []*Frame // frames removed by Drop, unfixed and unlinked
+	index    map[K]*Frame[K]
+	free     []*Frame[K] // frames removed by Drop, unfixed and unlinked
 
 	hitsByFile map[model.FileID]*stats.Ratio
 	overflow   int64
 }
 
 // NewPool creates a buffer of the given capacity in pages.
-func NewPool(capacity int) *Pool {
+func NewPool[K comparable](capacity int) *Pool[K] {
 	if capacity <= 0 {
 		panic("buffer: capacity must be positive")
 	}
-	return &Pool{
+	return &Pool[K]{
 		capacity:   capacity,
-		index:      make(map[model.PageID]*Frame, capacity),
+		index:      make(map[K]*Frame[K], capacity),
 		hitsByFile: make(map[model.FileID]*stats.Ratio),
 	}
 }
 
 // Len returns the number of buffered pages.
-func (b *Pool) Len() int { return b.frames }
+func (b *Pool[K]) Len() int { return b.frames }
 
 // pushFront links f in as the most recently used frame.
-func (b *Pool) pushFront(f *Frame) {
+func (b *Pool[K]) pushFront(f *Frame[K]) {
 	f.prev, f.next = nil, b.mru
 	if b.mru != nil {
 		b.mru.prev = f
@@ -87,7 +90,7 @@ func (b *Pool) pushFront(f *Frame) {
 }
 
 // unlink removes f from the LRU chain.
-func (b *Pool) unlink(f *Frame) {
+func (b *Pool[K]) unlink(f *Frame[K]) {
 	if f.prev != nil {
 		f.prev.next = f.next
 	} else {
@@ -103,7 +106,7 @@ func (b *Pool) unlink(f *Frame) {
 }
 
 // moveToFront promotes f to most recently used.
-func (b *Pool) moveToFront(f *Frame) {
+func (b *Pool[K]) moveToFront(f *Frame[K]) {
 	if b.mru == f {
 		return
 	}
@@ -112,7 +115,7 @@ func (b *Pool) moveToFront(f *Frame) {
 }
 
 // Get returns the frame for page and promotes it to MRU, or nil.
-func (b *Pool) Get(page model.PageID) *Frame {
+func (b *Pool[K]) Get(page K) *Frame[K] {
 	f, ok := b.index[page]
 	if !ok {
 		return nil
@@ -122,11 +125,11 @@ func (b *Pool) Get(page model.PageID) *Frame {
 }
 
 // Peek returns the frame without touching LRU state, or nil.
-func (b *Pool) Peek(page model.PageID) *Frame { return b.index[page] }
+func (b *Pool[K]) Peek(page K) *Frame[K] { return b.index[page] }
 
 // Observe records a logical buffer hit or miss for the page's file
 // (used for the per-partition hit ratios reported in the paper).
-func (b *Pool) Observe(file model.FileID, hit bool) {
+func (b *Pool[K]) Observe(file model.FileID, hit bool) {
 	r := b.hitsByFile[file]
 	if r == nil {
 		r = &stats.Ratio{}
@@ -136,7 +139,7 @@ func (b *Pool) Observe(file model.FileID, hit bool) {
 }
 
 // HitRatio returns the observed hit ratio for a file.
-func (b *Pool) HitRatio(file model.FileID) float64 {
+func (b *Pool[K]) HitRatio(file model.FileID) float64 {
 	if r := b.hitsByFile[file]; r != nil {
 		return r.Value()
 	}
@@ -144,7 +147,7 @@ func (b *Pool) HitRatio(file model.FileID) float64 {
 }
 
 // HitCounts returns (hits, total) observations for a file.
-func (b *Pool) HitCounts(file model.FileID) (int64, int64) {
+func (b *Pool[K]) HitCounts(file model.FileID) (int64, int64) {
 	if r := b.hitsByFile[file]; r != nil {
 		return r.Hits(), r.Total()
 	}
@@ -160,21 +163,21 @@ func (b *Pool) HitCounts(file model.FileID) (int64, int64) {
 // When every frame is fixed the pool grows past capacity rather than
 // failing (the overflow count is reported); with realistic MPL settings
 // this does not occur.
-func (b *Pool) Insert(page model.PageID, seqno uint64, dirty bool) (f *Frame, victim Victim, evicted bool) {
+func (b *Pool[K]) Insert(page K, seqno uint64, dirty bool) (f *Frame[K], victim Victim[K], evicted bool) {
 	if f, ok := b.index[page]; ok {
 		if seqno > f.SeqNo {
 			f.SeqNo = seqno
 		}
 		f.Dirty = f.Dirty || dirty
 		b.moveToFront(f)
-		return f, Victim{}, false
+		return f, Victim[K]{}, false
 	}
 	if b.frames >= b.capacity {
 		for vf := b.lru; vf != nil; vf = vf.prev {
 			if vf.Fixed() {
 				continue
 			}
-			victim = Victim{Page: vf.Page, SeqNo: vf.SeqNo, Dirty: vf.Dirty}
+			victim = Victim[K]{Page: vf.Page, SeqNo: vf.SeqNo, Dirty: vf.Dirty}
 			evicted = true
 			b.unlink(vf)
 			delete(b.index, vf.Page)
@@ -188,7 +191,7 @@ func (b *Pool) Insert(page model.PageID, seqno uint64, dirty bool) (f *Frame, vi
 	if n := len(b.free); f == nil && n > 0 {
 		f, b.free = b.free[n-1], b.free[:n-1]
 	} else if f == nil {
-		f = new(Frame)
+		f = new(Frame[K])
 	}
 	f.Page, f.SeqNo, f.Dirty = page, seqno, dirty
 	b.pushFront(f)
@@ -198,13 +201,13 @@ func (b *Pool) Insert(page model.PageID, seqno uint64, dirty bool) (f *Frame, vi
 
 // Drop removes a page (buffer invalidation discard) and keeps its frame
 // for the next Insert; fixed frames must not be dropped.
-func (b *Pool) Drop(page model.PageID) {
+func (b *Pool[K]) Drop(page K) {
 	f, ok := b.index[page]
 	if !ok {
 		return
 	}
 	if f.Fixed() {
-		panic("buffer: dropping fixed frame " + page.String())
+		panic(fmt.Sprintf("buffer: dropping fixed frame %v", page))
 	}
 	b.unlink(f)
 	delete(b.index, page)
@@ -212,10 +215,10 @@ func (b *Pool) Drop(page model.PageID) {
 }
 
 // Overflows returns how often an insert found no evictable frame.
-func (b *Pool) Overflows() int64 { return b.overflow }
+func (b *Pool[K]) Overflows() int64 { return b.overflow }
 
 // ResetStats clears the per-file hit statistics.
-func (b *Pool) ResetStats() {
+func (b *Pool[K]) ResetStats() {
 	for _, r := range b.hitsByFile {
 		r.Reset()
 	}
@@ -223,7 +226,7 @@ func (b *Pool) ResetStats() {
 }
 
 // Pages calls fn for every buffered page (diagnostics and tests).
-func (b *Pool) Pages(fn func(*Frame)) {
+func (b *Pool[K]) Pages(fn func(*Frame[K])) {
 	for f := b.mru; f != nil; f = f.next {
 		fn(f)
 	}
@@ -233,12 +236,12 @@ func (b *Pool) Pages(fn func(*Frame)) {
 // node's main memory buffer at a crash. Detached frames, which in-flight
 // transactions may still hold, keep their fix counts and are never
 // reused, so a later Unfix on a stale pointer is harmless.
-func (b *Pool) DropAll() {
+func (b *Pool[K]) DropAll() {
 	for f := b.mru; f != nil; {
 		next := f.next
 		f.prev, f.next = nil, nil
 		f = next
 	}
 	b.mru, b.lru, b.frames = nil, nil, 0
-	b.index = make(map[model.PageID]*Frame, b.capacity)
+	clear(b.index)
 }

@@ -10,7 +10,7 @@ import (
 func pg(n int32) model.PageID { return model.PageID{File: 1, Page: n} }
 
 func TestInsertAndGet(t *testing.T) {
-	b := NewPool(4)
+	b := NewPool[model.PageID](4)
 	f, _, evicted := b.Insert(pg(1), 5, false)
 	if evicted {
 		t.Fatal("unexpected victim")
@@ -27,7 +27,7 @@ func TestInsertAndGet(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	b := NewPool(2)
+	b := NewPool[model.PageID](2)
 	b.Insert(pg(1), 1, false)
 	b.Insert(pg(2), 1, true)
 	b.Get(pg(1)) // promote 1
@@ -41,7 +41,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestFixedFramesSkipped(t *testing.T) {
-	b := NewPool(2)
+	b := NewPool[model.PageID](2)
 	f1, _, _ := b.Insert(pg(1), 1, false)
 	b.Insert(pg(2), 1, false)
 	f1.Fix()
@@ -53,7 +53,7 @@ func TestFixedFramesSkipped(t *testing.T) {
 }
 
 func TestAllFixedOverflows(t *testing.T) {
-	b := NewPool(2)
+	b := NewPool[model.PageID](2)
 	f1, _, _ := b.Insert(pg(1), 1, false)
 	f2, _, _ := b.Insert(pg(2), 1, false)
 	f1.Fix()
@@ -72,7 +72,7 @@ func TestAllFixedOverflows(t *testing.T) {
 }
 
 func TestReinsertRefreshes(t *testing.T) {
-	b := NewPool(2)
+	b := NewPool[model.PageID](2)
 	b.Insert(pg(1), 3, false)
 	f, _, evicted := b.Insert(pg(1), 5, true)
 	if evicted {
@@ -89,7 +89,7 @@ func TestReinsertRefreshes(t *testing.T) {
 }
 
 func TestDrop(t *testing.T) {
-	b := NewPool(2)
+	b := NewPool[model.PageID](2)
 	b.Insert(pg(1), 1, false)
 	b.Drop(pg(1))
 	if b.Peek(pg(1)) != nil {
@@ -99,7 +99,7 @@ func TestDrop(t *testing.T) {
 }
 
 func TestDropFixedPanics(t *testing.T) {
-	b := NewPool(2)
+	b := NewPool[model.PageID](2)
 	f, _, _ := b.Insert(pg(1), 1, false)
 	f.Fix()
 	defer func() {
@@ -116,11 +116,11 @@ func TestZeroCapacityPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewPool(0)
+	NewPool[model.PageID](0)
 }
 
 func TestUnfixUnfixedPanics(t *testing.T) {
-	b := NewPool(2)
+	b := NewPool[model.PageID](2)
 	f, _, _ := b.Insert(pg(1), 1, false)
 	defer func() {
 		if recover() == nil {
@@ -131,7 +131,7 @@ func TestUnfixUnfixedPanics(t *testing.T) {
 }
 
 func TestHitStats(t *testing.T) {
-	b := NewPool(2)
+	b := NewPool[model.PageID](2)
 	b.Observe(1, true)
 	b.Observe(1, true)
 	b.Observe(1, false)
@@ -152,11 +152,11 @@ func TestHitStats(t *testing.T) {
 }
 
 func TestPagesIteration(t *testing.T) {
-	b := NewPool(3)
+	b := NewPool[model.PageID](3)
 	b.Insert(pg(1), 1, false)
 	b.Insert(pg(2), 1, false)
 	count := 0
-	b.Pages(func(f *Frame) { count++ })
+	b.Pages(func(f *Frame[model.PageID]) { count++ })
 	if count != 2 {
 		t.Fatalf("iterated %d frames", count)
 	}
@@ -167,7 +167,7 @@ func TestPagesIteration(t *testing.T) {
 func TestPoolCapacityProperty(t *testing.T) {
 	err := quick.Check(func(ops []uint16, capRaw uint8) bool {
 		capacity := int(capRaw%8) + 1
-		b := NewPool(capacity)
+		b := NewPool[model.PageID](capacity)
 		for _, op := range ops {
 			p := pg(int32(op % 32))
 			switch op % 4 {
@@ -193,7 +193,7 @@ func TestPoolCapacityProperty(t *testing.T) {
 // in the pool, was returned as a victim, or was dropped.
 func TestVictimConservationProperty(t *testing.T) {
 	err := quick.Check(func(pages []uint8) bool {
-		b := NewPool(4)
+		b := NewPool[model.PageID](4)
 		inserted := make(map[model.PageID]bool)
 		evicted := make(map[model.PageID]bool)
 		for _, raw := range pages {
@@ -225,7 +225,7 @@ func TestVictimConservationProperty(t *testing.T) {
 func TestLRUOrderMatchesReference(t *testing.T) {
 	err := quick.Check(func(ops []uint16) bool {
 		const capacity = 5
-		b := NewPool(capacity)
+		b := NewPool[model.PageID](capacity)
 		var ref []model.PageID // ref[0] is the MRU page
 		fixed := make(map[model.PageID]bool)
 		promote := func(p model.PageID) {
@@ -285,7 +285,7 @@ func TestLRUOrderMatchesReference(t *testing.T) {
 				}
 			}
 			var order []model.PageID
-			b.Pages(func(f *Frame) { order = append(order, f.Page) })
+			b.Pages(func(f *Frame[model.PageID]) { order = append(order, f.Page) })
 			if len(order) != len(ref) || b.Len() != len(ref) {
 				return false
 			}
@@ -315,7 +315,7 @@ func contains(pages []model.PageID, p model.PageID) bool {
 // insert refills the frame it evicts, and a dropped frame serves the
 // next insert.
 func TestFramesAreReused(t *testing.T) {
-	b := NewPool(2)
+	b := NewPool[model.PageID](2)
 	f1, _, _ := b.Insert(pg(1), 1, false)
 	b.Insert(pg(2), 1, false)
 	f3, victim, evicted := b.Insert(pg(3), 4, true)
@@ -343,13 +343,13 @@ func TestFramesAreReused(t *testing.T) {
 // which in-flight transactions of a crashed node may still hold, are
 // never handed out again, while frames dropped afterwards are.
 func TestDropAllFramesNeverReused(t *testing.T) {
-	b := NewPool(2)
+	b := NewPool[model.PageID](2)
 	f1, _, _ := b.Insert(pg(1), 1, false)
 	f2, _, _ := b.Insert(pg(2), 1, false)
 	f1.Fix()
 	b.DropAll()
 	f1.Unfix() // a stale pointer stays harmless
-	seen := map[*Frame]bool{}
+	seen := map[*Frame[model.PageID]]bool{}
 	for i := int32(10); i < 20; i++ {
 		f, _, _ := b.Insert(pg(i), 1, false)
 		if f == f1 || f == f2 {

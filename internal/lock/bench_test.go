@@ -9,9 +9,9 @@ import (
 // BenchmarkRequestRelease measures the uncontended lock table fast
 // path.
 func BenchmarkRequestRelease(b *testing.B) {
-	tb := NewTable("bench")
+	tb := newTable()
 	o := Owner{Node: 0, Tx: 1}
-	p := model.PageID{File: 1, Page: 42}
+	p := pg(42)
 	for i := 0; i < b.N; i++ {
 		tb.Request(p, o, model.LockWrite, nil)
 		tb.Release(p, o)
@@ -21,11 +21,11 @@ func BenchmarkRequestRelease(b *testing.B) {
 // BenchmarkReleaseAll measures commit-time release of a realistic lock
 // set.
 func BenchmarkReleaseAll(b *testing.B) {
-	tb := NewTable("bench")
+	tb := newTable()
 	for i := 0; i < b.N; i++ {
 		o := Owner{Node: 0, Tx: TxID(i)}
 		for k := int32(0); k < 8; k++ {
-			tb.Request(model.PageID{File: 1, Page: k}, o, model.LockRead, nil)
+			tb.Request(pg(k), o, model.LockRead, nil)
 		}
 		tb.ReleaseAll(o)
 	}
@@ -36,9 +36,9 @@ func BenchmarkReleaseAll(b *testing.B) {
 // request/release cycle — and a full commit-time ReleaseAll over a
 // multi-page lock set — performs zero heap allocations.
 func TestUncontendedCycleAllocFree(t *testing.T) {
-	tb := NewTable("alloc")
+	tb := newTable()
 	o := Owner{Node: 0, Tx: 1}
-	p := model.PageID{File: 1, Page: 42}
+	p := pg(42)
 	tb.Request(p, o, model.LockWrite, nil)
 	tb.Release(p, o)
 	if n := testing.AllocsPerRun(200, func() {
@@ -51,7 +51,7 @@ func TestUncontendedCycleAllocFree(t *testing.T) {
 	warm := func(tx TxID) {
 		ow := Owner{Node: 0, Tx: tx}
 		for k := int32(0); k < 8; k++ {
-			tb.Request(model.PageID{File: 1, Page: k}, ow, model.LockRead, nil)
+			tb.Request(pg(k), ow, model.LockRead, nil)
 		}
 		tb.ReleaseAll(ow)
 	}
@@ -68,14 +68,14 @@ func TestUncontendedCycleAllocFree(t *testing.T) {
 // BenchmarkDeadlockDetection measures a waits-for search over a chain
 // of blocked transactions.
 func BenchmarkDeadlockDetection(b *testing.B) {
-	tb := NewTable("bench")
+	tb := newTable()
 	d := NewDetector(tb)
 	const chain = 32
 	for i := 0; i < chain; i++ {
 		o := Owner{Node: i % 4, Tx: TxID(i + 1)}
-		tb.Request(model.PageID{File: 1, Page: int32(i)}, o, model.LockWrite, nil)
+		tb.Request(pg(int32(i)), o, model.LockWrite, nil)
 		if i > 0 {
-			tb.Request(model.PageID{File: 1, Page: int32(i - 1)}, o, model.LockWrite, nil)
+			tb.Request(pg(int32(i - 1)), o, model.LockWrite, nil)
 		}
 	}
 	last := Owner{Node: 0, Tx: TxID(chain)}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestNoCycleWhenWaitingOnFreeChain(t *testing.T) {
-	tb := NewTable("t")
+	tb := newTable()
 	d := NewDetector(tb)
 	tb.Request(pg(1), owner(0, 1), model.LockWrite, nil)
 	tb.Request(pg(1), owner(1, 2), model.LockWrite, nil) // waits on t1
@@ -17,7 +17,7 @@ func TestNoCycleWhenWaitingOnFreeChain(t *testing.T) {
 }
 
 func TestTwoTxnDeadlock(t *testing.T) {
-	tb := NewTable("t")
+	tb := newTable()
 	d := NewDetector(tb)
 	tb.Request(pg(1), owner(0, 1), model.LockWrite, nil)
 	tb.Request(pg(2), owner(1, 2), model.LockWrite, nil)
@@ -37,8 +37,8 @@ func TestTwoTxnDeadlock(t *testing.T) {
 
 func TestThreeTxnDeadlockAcrossTables(t *testing.T) {
 	// PCL-style: locks spread over two GLA tables, global deadlock.
-	ta := NewTable("GLA0")
-	tc := NewTable("GLA1")
+	ta := newTable()
+	tc := newTable()
 	d := NewDetector(ta, tc)
 	ta.Request(pg(1), owner(0, 1), model.LockWrite, nil)
 	tc.Request(pg(2), owner(1, 2), model.LockWrite, nil)
@@ -60,7 +60,7 @@ func TestThreeTxnDeadlockAcrossTables(t *testing.T) {
 
 func TestUpgradeDeadlock(t *testing.T) {
 	// Two readers both upgrading: the classic conversion deadlock.
-	tb := NewTable("t")
+	tb := newTable()
 	d := NewDetector(tb)
 	tb.Request(pg(1), owner(0, 1), model.LockRead, nil)
 	tb.Request(pg(1), owner(1, 2), model.LockRead, nil)
@@ -73,7 +73,7 @@ func TestUpgradeDeadlock(t *testing.T) {
 }
 
 func TestCycleResolutionByAbort(t *testing.T) {
-	tb := NewTable("t")
+	tb := newTable()
 	d := NewDetector(tb)
 	tb.Request(pg(1), owner(0, 1), model.LockWrite, nil)
 	tb.Request(pg(2), owner(1, 2), model.LockWrite, nil)
@@ -95,7 +95,7 @@ func TestCycleResolutionByAbort(t *testing.T) {
 }
 
 func TestLoneHolderIsNotACycle(t *testing.T) {
-	tb := NewTable("t")
+	tb := newTable()
 	d := NewDetector(tb)
 	tb.Request(pg(1), owner(0, 1), model.LockWrite, nil)
 	if cycle := d.FindCycle(owner(0, 1)); cycle != nil {
@@ -108,7 +108,7 @@ func TestSelfUpgradeIsNotACycle(t *testing.T) {
 	// and even while other readers block the upgrade, the upgrader's
 	// blocker set must never include itself (a self-edge would make
 	// every blocked upgrade look like an instant one-node deadlock).
-	tb := NewTable("t")
+	tb := newTable()
 	d := NewDetector(tb)
 	if _, granted := tb.Request(pg(1), owner(0, 1), model.LockRead, nil); !granted {
 		t.Fatal("first read lock must grant")
@@ -137,7 +137,7 @@ func TestVictimAlreadyAborted(t *testing.T) {
 	// runs (its node crashed, or a concurrent conflict aborted it).
 	// Cancelling just its waiting edge must already break the cycle;
 	// releasing its granted locks then unblocks the survivor.
-	tb := NewTable("t")
+	tb := newTable()
 	d := NewDetector(tb)
 	tb.Request(pg(1), owner(0, 1), model.LockWrite, nil)
 	tb.Request(pg(2), owner(1, 2), model.LockWrite, nil)
@@ -175,7 +175,7 @@ func TestVictimDeterministicAcrossStartPoints(t *testing.T) {
 	// that is what keeps sweep tables byte-identical for any -jobs
 	// value when a deadlock occurs.
 	build := func() (*Table, *Detector) {
-		tb := NewTable("t")
+		tb := newTable()
 		d := NewDetector(tb)
 		tb.Request(pg(1), owner(0, 5), model.LockWrite, nil)
 		tb.Request(pg(2), owner(1, 3), model.LockWrite, nil)

@@ -14,6 +14,7 @@ import (
 	"sort"
 
 	"gemsim/internal/model"
+	"gemsim/internal/pagedir"
 )
 
 // TxID identifies a transaction instance system-wide. Larger ids are
@@ -39,47 +40,71 @@ func (o Owner) String() string { return fmt.Sprintf("n%d/t%d", o.Node, o.Tx) }
 // record already serving a later wait.
 type Request struct {
 	Owner Owner
-	Page  model.PageID
 	Mode  model.LockMode
 	Data  any
 	Epoch uint64
 
+	gen     uint32 // records returned to the pool so far; see Grant
+	entry   int32  // handle of the page's entry
 	granted bool
 	upgrade bool // waiting R->W conversion of an already granted R lock
-	queued  bool // request spent time in an entry queue; never pooled
 }
 
 // Granted reports whether the request has been granted.
 func (r *Request) Granted() bool { return r.granted }
 
+// Grant is a queued request that a release or cancellation granted,
+// pinned at the record's generation. Request records are pooled: a
+// grant answered after its request was released reaches a record that
+// may already serve a later wait, and Request then reports nil.
+type Grant struct {
+	r   *Request
+	gen uint32
+}
+
+// Request returns the granted request, or nil when it has been released
+// since.
+func (g Grant) Request() *Request {
+	if g.r.gen != g.gen {
+		return nil
+	}
+	return g.r
+}
+
+// inlineGrants is the number of holders an entry keeps in itself; more
+// concurrent holders spill into a heap slice.
+const inlineGrants = 4
+
+// holder is one granted request of an entry. The owner and mode are
+// kept beside the record, so ownership and compatibility checks do not
+// dereference it.
+type holder struct {
+	owner Owner
+	mode  model.LockMode
+	r     *Request
+}
+
 // entry is the lock state of one page.
 type entry struct {
-	granted []*Request
+	slot    int32
+	granted []holder // inline[:n] until it spills, in grant order
+	inline  [inlineGrants]holder
 	queue   []*Request
 }
 
-// lockShards is the number of hash buckets the page->entry index is
-// split into. Sharding keeps each map small under hyperscale page
-// populations — cheaper growth, better locality — and gives the GLT
-// independent buckets instead of one global map. All accesses are
-// keyed (never iterated), so the split cannot affect determinism.
-const lockShards = 64
-
-// shardOf hashes a page id to its shard.
-func shardOf(p model.PageID) int {
-	return int((uint32(p.File)*0x9e3779b1 ^ uint32(p.Page)*0x85ebca77) & (lockShards - 1))
-}
+// chunk is the number of entries and request records allocated at a
+// time; neither ever moves.
+const chunk = 64
 
 // Table is a strict-2PL page lock table with FIFO queueing and lock
-// upgrades. Entry and request records are pooled: a request that never
-// waited is returned to the pool when its lock is released, so the
-// uncontended request/release cycle allocates nothing in steady state.
-// Requests that entered a queue are deliberately never pooled — their
-// pointers escape into wake lists and protocol continuations that can
-// outlive the release (timeouts, crash aborts).
+// upgrades. A page's entry is found through its page directory slot,
+// which holds the entry's handle. Entries and request records are
+// pooled, so the request/release cycle allocates nothing in steady
+// state; a queued request's record returns to the pool like any other,
+// and Grant pins its generation for the protocol layer's wake lists.
 type Table struct {
-	name   string
-	shards [lockShards]map[model.PageID]*entry
+	dir     *pagedir.Dir
+	entries []*[chunk]entry
 	// held tracks every granted request per owner for ReleaseAll.
 	held map[Owner][]*Request
 	// waiting maps each owner to its single outstanding waiting
@@ -87,50 +112,82 @@ type Table struct {
 	// time).
 	waiting map[Owner]*Request
 
-	freeEntries []*entry
+	freeEntries []int32
 	freeReqs    []*Request
 	freeHeld    [][]*Request
+	// grants is the result of the last release or cancellation.
+	grants []Grant
 
 	requests  int64
 	conflicts int64
 }
 
-// NewTable creates an empty lock table.
-func NewTable(name string) *Table {
-	t := &Table{
-		name:    name,
+// NewTable creates an empty lock table over the pages of dir.
+func NewTable(dir *pagedir.Dir) *Table {
+	return &Table{
+		dir:     dir,
 		held:    make(map[Owner][]*Request),
 		waiting: make(map[Owner]*Request),
 	}
-	for i := range t.shards {
-		t.shards[i] = make(map[model.PageID]*entry)
-	}
-	return t
 }
 
-// entryOf returns the entry for page, or nil.
-func (t *Table) entryOf(page model.PageID) *entry {
-	return t.shards[shardOf(page)][page]
+// entry returns the entry of handle h.
+func (t *Table) entry(h int32) *entry { return &t.entries[(h-1)/chunk][(h-1)%chunk] }
+
+// entryOf returns the entry of the page in slot, or nil.
+func (t *Table) entryOf(slot int32) *entry {
+	if h := t.dir.At(slot).Lock; h != 0 {
+		return t.entry(h)
+	}
+	return nil
+}
+
+// newEntry gives the page in slot an entry from the pool.
+func (t *Table) newEntry(slot int32) int32 {
+	var h int32
+	if n := len(t.freeEntries); n > 0 {
+		h = t.freeEntries[n-1]
+		t.freeEntries = t.freeEntries[:n-1]
+	} else {
+		h = int32(len(t.entries)*chunk + 1)
+		t.entries = append(t.entries, new([chunk]entry))
+		for k := h + chunk - 1; k > h; k-- {
+			t.freeEntries = append(t.freeEntries, k)
+		}
+		for i := range t.entries[len(t.entries)-1] {
+			e := &t.entries[len(t.entries)-1][i]
+			e.granted = e.inline[:0]
+		}
+	}
+	t.entry(h).slot = slot
+	t.dir.At(slot).Lock = h
+	return h
 }
 
 // newRequest takes a request record from the pool.
-func (t *Table) newRequest(page model.PageID, o Owner, m model.LockMode, data any) *Request {
-	if n := len(t.freeReqs); n > 0 {
-		r := t.freeReqs[n-1]
-		t.freeReqs[n-1] = nil
-		t.freeReqs = t.freeReqs[:n-1]
-		*r = Request{Owner: o, Page: page, Mode: m, Data: data}
-		return r
+func (t *Table) newRequest(h int32, o Owner, m model.LockMode, data any) *Request {
+	n := len(t.freeReqs)
+	if n == 0 {
+		rs := new([chunk]Request)
+		for i := range rs {
+			t.freeReqs = append(t.freeReqs, &rs[chunk-1-i])
+		}
+		n = chunk
 	}
-	return &Request{Owner: o, Page: page, Mode: m, Data: data}
+	r := t.freeReqs[n-1]
+	t.freeReqs = t.freeReqs[:n-1]
+	*r = Request{Owner: o, Mode: m, Data: data, gen: r.gen, entry: h}
+	return r
 }
 
-// recycleRequest returns a released request record to the pool —
-// only ever called for records that never entered a queue.
+// recycleRequest returns a released or cancelled request record to the
+// pool; its generation moves on, so every Grant of it goes stale. A
+// granted upgrade record belongs to no entry and is not pooled.
 func (t *Table) recycleRequest(r *Request) {
-	if r.queued {
+	if r.upgrade && r.granted {
 		return
 	}
+	r.gen++
 	r.Data = nil
 	t.freeReqs = append(t.freeReqs, r)
 }
@@ -151,15 +208,9 @@ func (t *Table) recycleHeld(hs []*Request) {
 	if cap(hs) == 0 {
 		return
 	}
-	hs = hs[:cap(hs)]
-	for i := range hs {
-		hs[i] = nil
-	}
+	clear(hs[:cap(hs)])
 	t.freeHeld = append(t.freeHeld, hs[:0])
 }
-
-// Name returns the table name.
-func (t *Table) Name() string { return t.name }
 
 // Requests returns the number of lock requests processed.
 func (t *Table) Requests() int64 { return t.requests }
@@ -167,66 +218,67 @@ func (t *Table) Requests() int64 { return t.requests }
 // Conflicts returns the number of requests that had to wait.
 func (t *Table) Conflicts() int64 { return t.conflicts }
 
-// holds returns the granted request of owner on page, or nil.
-func (e *entry) holds(o Owner) *Request {
-	for _, r := range e.granted {
-		if r.Owner == o {
-			return r
+// holds returns the index of owner's holder in e, or -1.
+func (e *entry) holds(o Owner) int {
+	for i := range e.granted {
+		if e.granted[i].owner == o {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // compatibleWithGranted reports whether a request by o in mode m is
 // compatible with all granted locks other than o's own.
 func (e *entry) compatibleWithGranted(o Owner, m model.LockMode) bool {
-	for _, r := range e.granted {
-		if r.Owner == o {
-			continue
-		}
-		if !m.Compatible(r.Mode) {
+	for i := range e.granted {
+		if g := &e.granted[i]; g.owner != o && !m.Compatible(g.mode) {
 			return false
 		}
 	}
 	return true
 }
 
-// Request asks for a lock on page in the given mode. If the lock is
-// granted immediately it returns (req, true); otherwise the request is
-// queued FIFO and returned with granted == false. data is kept on the
-// request for the protocol layer's continuation.
+// grant adds r to e's holders and to its owner's held list.
+func (t *Table) grant(e *entry, r *Request) {
+	r.granted = true
+	e.granted = append(e.granted, holder{owner: r.Owner, mode: r.Mode, r: r})
+	hs, ok := t.held[r.Owner]
+	if !ok {
+		hs = t.newHeld()
+	}
+	t.held[r.Owner] = append(hs, r)
+}
+
+// Request asks for a lock on the page in slot in the given mode. If the
+// lock is granted immediately it returns (req, true); otherwise the
+// request is queued FIFO and returned with granted == false. data is
+// kept on the request for the protocol layer's continuation.
 //
 // Re-requests by a holder are idempotent: holding W satisfies R and W;
 // holding R satisfies R; holding R and requesting W is an upgrade that
 // is granted immediately if o is the sole holder and queued with
 // priority otherwise.
-func (t *Table) Request(page model.PageID, o Owner, m model.LockMode, data any) (*Request, bool) {
+func (t *Table) Request(slot int32, o Owner, m model.LockMode, data any) (*Request, bool) {
 	t.requests++
-	shard := t.shards[shardOf(page)]
-	e := shard[page]
-	if e == nil {
-		if n := len(t.freeEntries); n > 0 {
-			e = t.freeEntries[n-1]
-			t.freeEntries[n-1] = nil
-			t.freeEntries = t.freeEntries[:n-1]
-		} else {
-			e = &entry{}
-		}
-		shard[page] = e
+	h := t.dir.At(slot).Lock
+	if h == 0 {
+		h = t.newEntry(slot)
 	}
-	if own := e.holds(o); own != nil {
-		if own.Mode == model.LockWrite || m == model.LockRead {
-			return own, true // already sufficient
+	e := t.entry(h)
+	if i := e.holds(o); i >= 0 {
+		own := &e.granted[i]
+		if own.mode == model.LockWrite || m == model.LockRead {
+			return own.r, true // already sufficient
 		}
 		// Upgrade R -> W.
 		if len(e.granted) == 1 {
-			own.Mode = model.LockWrite
-			return own, true
+			own.mode, own.r.Mode = model.LockWrite, model.LockWrite
+			return own.r, true
 		}
 		t.conflicts++
-		up := t.newRequest(page, o, model.LockWrite, data)
+		up := t.newRequest(h, o, model.LockWrite, data)
 		up.upgrade = true
-		up.queued = true
 		// Upgrades go to the queue head: they precede new requests to
 		// bound starvation (two simultaneous upgraders deadlock and
 		// are resolved by the detector).
@@ -236,135 +288,118 @@ func (t *Table) Request(page model.PageID, o Owner, m model.LockMode, data any) 
 		t.waiting[o] = up
 		return up, false
 	}
+	r := t.newRequest(h, o, m, data)
 	if len(e.queue) == 0 && e.compatibleWithGranted(o, m) {
-		r := t.newRequest(page, o, m, data)
-		r.granted = true
-		e.granted = append(e.granted, r)
-		t.addHeld(o, r)
+		t.grant(e, r)
 		return r, true
 	}
 	t.conflicts++
-	r := t.newRequest(page, o, m, data)
-	r.queued = true
 	e.queue = append(e.queue, r)
 	t.waiting[o] = r
 	return r, false
 }
 
-// addHeld records a granted request in the per-owner index, reusing a
-// pooled backing array for first-time owners.
-func (t *Table) addHeld(o Owner, r *Request) {
-	hs, ok := t.held[o]
-	if !ok {
-		hs = t.newHeld()
-	}
-	t.held[o] = append(hs, r)
-}
-
-// promote grants queued requests that have become compatible, in FIFO
-// order, stopping at the first request that must keep waiting. It
-// returns the newly granted requests.
-func (t *Table) promote(page model.PageID, e *entry) []*Request {
-	var grantedNow []*Request
+// promote grants queued requests of e that have become compatible, in
+// FIFO order, stopping at the first request that must keep waiting,
+// and appends them to t.grants. An entry left empty returns to the
+// pool.
+func (t *Table) promote(e *entry) {
 	for len(e.queue) > 0 {
 		head := e.queue[0]
-		if head.upgrade {
-			if len(e.granted) == 1 && e.granted[0].Owner == head.Owner {
-				e.granted[0].Mode = model.LockWrite
-				head.granted = true
-				e.queue = e.queue[1:]
-				delete(t.waiting, head.Owner)
-				grantedNow = append(grantedNow, head)
-				continue
+		upgrade := head.upgrade
+		if upgrade {
+			if len(e.granted) != 1 || e.granted[0].owner != head.Owner {
+				break
 			}
-			break
+			e.granted[0].mode, e.granted[0].r.Mode = model.LockWrite, model.LockWrite
+			head.granted = true
+		} else {
+			if !e.compatibleWithGranted(head.Owner, head.Mode) {
+				break
+			}
+			t.grant(e, head)
 		}
-		if !e.compatibleWithGranted(head.Owner, head.Mode) {
-			break
-		}
-		head.granted = true
-		e.granted = append(e.granted, head)
-		t.addHeld(head.Owner, head)
-		e.queue = e.queue[1:]
+		e.queue = e.queue[:copy(e.queue, e.queue[1:])]
 		delete(t.waiting, head.Owner)
-		grantedNow = append(grantedNow, head)
-		if head.Mode == model.LockWrite {
+		t.grants = append(t.grants, Grant{r: head, gen: head.gen})
+		if !upgrade && head.Mode == model.LockWrite {
 			break
 		}
 	}
 	if len(e.queue) == 0 && len(e.granted) == 0 {
-		delete(t.shards[shardOf(page)], page)
-		e.granted = e.granted[:0]
-		e.queue = e.queue[:0]
-		t.freeEntries = append(t.freeEntries, e)
+		s := t.dir.At(e.slot)
+		t.freeEntries = append(t.freeEntries, s.Lock)
+		s.Lock = 0
 	}
-	return grantedNow
 }
 
-// Release drops o's lock on page and returns the requests that became
-// granted as a result.
-func (t *Table) Release(page model.PageID, o Owner) []*Request {
-	e := t.entryOf(page)
+// drop removes o's holder from e and returns its request.
+func (e *entry) drop(o Owner) *Request {
+	i := e.holds(o)
+	if i < 0 {
+		return nil
+	}
+	r := e.granted[i].r
+	e.granted = append(e.granted[:i], e.granted[i+1:]...)
+	return r
+}
+
+// Release drops o's lock on the page in slot and returns the requests
+// that became granted as a result, valid until the table's next
+// release or cancellation.
+func (t *Table) Release(slot int32, o Owner) []Grant {
+	t.grants = t.grants[:0]
+	e := t.entryOf(slot)
 	if e == nil {
 		return nil
 	}
-	for i, r := range e.granted {
-		if r.Owner == o {
-			e.granted = append(e.granted[:i], e.granted[i+1:]...)
-			t.removeHeld(o, r)
-			t.recycleRequest(r)
-			break
-		}
+	if r := e.drop(o); r != nil {
+		t.removeHeld(o, r)
+		t.recycleRequest(r)
 	}
-	return t.promote(page, e)
+	t.promote(e)
+	return t.grants
 }
 
 // ReleaseAll drops every lock held by o (commit phase 2 or abort) and
-// returns all newly granted requests. A waiting request of o, if any,
-// is cancelled as well.
-func (t *Table) ReleaseAll(o Owner) []*Request {
+// returns all newly granted requests, valid until the table's next
+// release or cancellation. A waiting request of o, if any, is cancelled
+// as well.
+func (t *Table) ReleaseAll(o Owner) []Grant {
 	t.CancelWaiting(o)
+	t.grants = t.grants[:0]
 	reqs := t.held[o]
 	delete(t.held, o)
-	var grantedNow []*Request
 	for _, r := range reqs {
-		e := t.entryOf(r.Page)
-		if e == nil {
-			continue
-		}
-		for i, g := range e.granted {
-			if g.Owner == o {
-				e.granted = append(e.granted[:i], e.granted[i+1:]...)
-				break
-			}
-		}
-		grantedNow = append(grantedNow, t.promote(r.Page, e)...)
+		e := t.entry(r.entry)
+		e.drop(o)
+		t.promote(e)
 		t.recycleRequest(r)
 	}
 	t.recycleHeld(reqs)
-	return grantedNow
+	return t.grants
 }
 
 // CancelWaiting removes o's waiting request, if any, and returns
 // requests that became granted because the cancellation unblocked the
-// queue.
-func (t *Table) CancelWaiting(o Owner) []*Request {
+// queue, valid until the table's next release or cancellation.
+func (t *Table) CancelWaiting(o Owner) []Grant {
+	t.grants = t.grants[:0]
 	w := t.waiting[o]
 	if w == nil {
 		return nil
 	}
 	delete(t.waiting, o)
-	e := t.entryOf(w.Page)
-	if e == nil {
-		return nil
-	}
+	e := t.entry(w.entry)
 	for i, q := range e.queue {
 		if q == w {
 			e.queue = append(e.queue[:i], e.queue[i+1:]...)
 			break
 		}
 	}
-	return t.promote(w.Page, e)
+	t.recycleRequest(w)
+	t.promote(e)
+	return t.grants
 }
 
 // removeHeld deletes one granted request from the per-owner index.
@@ -387,14 +422,15 @@ func (t *Table) removeHeld(o Owner, r *Request) {
 // HeldCount returns the number of locks o currently holds.
 func (t *Table) HeldCount(o Owner) int { return len(t.held[o]) }
 
-// HoldsLock reports whether o holds a lock on page in at least mode m.
-func (t *Table) HoldsLock(page model.PageID, o Owner, m model.LockMode) bool {
-	e := t.entryOf(page)
+// HoldsLock reports whether o holds a lock on the page in slot in at
+// least mode m.
+func (t *Table) HoldsLock(slot int32, o Owner, m model.LockMode) bool {
+	e := t.entryOf(slot)
 	if e == nil {
 		return false
 	}
-	r := e.holds(o)
-	return r != nil && (r.Mode == model.LockWrite || m == model.LockRead)
+	i := e.holds(o)
+	return i >= 0 && (e.granted[i].mode == model.LockWrite || m == model.LockRead)
 }
 
 // Waiting returns o's outstanding waiting request, or nil.
@@ -447,16 +483,10 @@ func sortOwners(os []Owner) {
 // appendBlockers appends the owners a waiting request waits for: all
 // incompatible granted holders plus incompatible requests queued ahead.
 func (t *Table) appendBlockers(out []Owner, w *Request) []Owner {
-	e := t.entryOf(w.Page)
-	if e == nil {
-		return out
-	}
-	for _, g := range e.granted {
-		if g.Owner == w.Owner {
-			continue
-		}
-		if !w.Mode.Compatible(g.Mode) {
-			out = append(out, g.Owner)
+	e := t.entry(w.entry)
+	for i := range e.granted {
+		if g := &e.granted[i]; g.owner != w.Owner && !w.Mode.Compatible(g.mode) {
+			out = append(out, g.owner)
 		}
 	}
 	for _, q := range e.queue {

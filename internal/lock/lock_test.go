@@ -5,15 +5,29 @@ import (
 	"testing/quick"
 
 	"gemsim/internal/model"
+	"gemsim/internal/pagedir"
 )
 
-func pg(n int32) model.PageID { return model.PageID{File: 1, Page: n} }
+// testPages is the number of pages newTable resolves up front.
+const testPages = 256
 
-// allEntries flattens the sharded page index for invariant checks.
+// newTable returns a table over a directory of its own in which page
+// n of file 1 has slot n, so that pg(n) names the page in any table.
+func newTable() *Table {
+	d := pagedir.New(0)
+	for i := int32(0); i < testPages; i++ {
+		d.Of(model.PageID{File: 1, Page: i})
+	}
+	return NewTable(d)
+}
+
+func pg(n int32) int32 { return n }
+
+// allEntries lists the entries in use for invariant checks.
 func (t *Table) allEntries() []*entry {
 	var out []*entry
-	for _, shard := range t.shards {
-		for _, e := range shard {
+	for h := int32(1); h <= int32(len(t.entries)*chunk); h++ {
+		if e := t.entry(h); t.dir.At(e.slot).Lock == h {
 			out = append(out, e)
 		}
 	}
@@ -23,7 +37,7 @@ func (t *Table) allEntries() []*entry {
 func owner(node int, tx int64) Owner { return Owner{Node: node, Tx: TxID(tx)} }
 
 func TestGrantCompatibleReaders(t *testing.T) {
-	tb := NewTable("t")
+	tb := newTable()
 	_, ok1 := tb.Request(pg(1), owner(0, 1), model.LockRead, nil)
 	_, ok2 := tb.Request(pg(1), owner(1, 2), model.LockRead, nil)
 	if !ok1 || !ok2 {
@@ -35,20 +49,20 @@ func TestGrantCompatibleReaders(t *testing.T) {
 }
 
 func TestWriterConflictsWithReader(t *testing.T) {
-	tb := NewTable("t")
+	tb := newTable()
 	tb.Request(pg(1), owner(0, 1), model.LockRead, nil)
 	_, ok := tb.Request(pg(1), owner(1, 2), model.LockWrite, nil)
 	if ok {
 		t.Fatal("writer must wait for reader")
 	}
 	granted := tb.Release(pg(1), owner(0, 1))
-	if len(granted) != 1 || granted[0].Owner != owner(1, 2) {
+	if len(granted) != 1 || granted[0].Request().Owner != owner(1, 2) {
 		t.Fatalf("granted %v", granted)
 	}
 }
 
 func TestFIFONoReaderBypass(t *testing.T) {
-	tb := NewTable("t")
+	tb := newTable()
 	tb.Request(pg(1), owner(0, 1), model.LockRead, nil)  // granted
 	tb.Request(pg(1), owner(1, 2), model.LockWrite, nil) // queued
 	_, ok := tb.Request(pg(1), owner(2, 3), model.LockRead, nil)
@@ -57,18 +71,18 @@ func TestFIFONoReaderBypass(t *testing.T) {
 	}
 	// Releasing the first reader grants the writer only.
 	granted := tb.Release(pg(1), owner(0, 1))
-	if len(granted) != 1 || granted[0].Mode != model.LockWrite {
+	if len(granted) != 1 || granted[0].Request().Mode != model.LockWrite {
 		t.Fatalf("granted %v", granted)
 	}
 	// Releasing the writer grants the reader.
 	granted = tb.Release(pg(1), owner(1, 2))
-	if len(granted) != 1 || granted[0].Owner != owner(2, 3) {
+	if len(granted) != 1 || granted[0].Request().Owner != owner(2, 3) {
 		t.Fatalf("granted %v", granted)
 	}
 }
 
 func TestRerequestIdempotent(t *testing.T) {
-	tb := NewTable("t")
+	tb := newTable()
 	tb.Request(pg(1), owner(0, 1), model.LockWrite, nil)
 	_, ok := tb.Request(pg(1), owner(0, 1), model.LockRead, nil)
 	if !ok {
@@ -87,7 +101,7 @@ func TestRerequestIdempotent(t *testing.T) {
 }
 
 func TestUpgradeSoleHolder(t *testing.T) {
-	tb := NewTable("t")
+	tb := newTable()
 	tb.Request(pg(1), owner(0, 1), model.LockRead, nil)
 	req, ok := tb.Request(pg(1), owner(0, 1), model.LockWrite, nil)
 	if !ok || req.Mode != model.LockWrite {
@@ -96,7 +110,7 @@ func TestUpgradeSoleHolder(t *testing.T) {
 }
 
 func TestUpgradeWaitsForOtherReaders(t *testing.T) {
-	tb := NewTable("t")
+	tb := newTable()
 	tb.Request(pg(1), owner(0, 1), model.LockRead, nil)
 	tb.Request(pg(1), owner(1, 2), model.LockRead, nil)
 	_, ok := tb.Request(pg(1), owner(0, 1), model.LockWrite, nil)
@@ -104,7 +118,7 @@ func TestUpgradeWaitsForOtherReaders(t *testing.T) {
 		t.Fatal("upgrade must wait for the second reader")
 	}
 	granted := tb.Release(pg(1), owner(1, 2))
-	if len(granted) != 1 || !granted[0].Granted() {
+	if len(granted) != 1 || !granted[0].Request().Granted() {
 		t.Fatalf("granted %v", granted)
 	}
 	if !tb.HoldsLock(pg(1), owner(0, 1), model.LockWrite) {
@@ -113,19 +127,19 @@ func TestUpgradeWaitsForOtherReaders(t *testing.T) {
 }
 
 func TestUpgradePrecedesQueuedRequests(t *testing.T) {
-	tb := NewTable("t")
+	tb := newTable()
 	tb.Request(pg(1), owner(0, 1), model.LockRead, nil)
 	tb.Request(pg(1), owner(1, 2), model.LockRead, nil)
 	tb.Request(pg(1), owner(2, 3), model.LockWrite, nil) // queued
 	tb.Request(pg(1), owner(0, 1), model.LockWrite, nil) // upgrade, goes first
 	granted := tb.Release(pg(1), owner(1, 2))
-	if len(granted) != 1 || granted[0].Owner != owner(0, 1) {
+	if len(granted) != 1 || granted[0].Request().Owner != owner(0, 1) {
 		t.Fatalf("granted %v, want upgrade of n0/t1", granted)
 	}
 }
 
 func TestReleaseAllGrantsWaiters(t *testing.T) {
-	tb := NewTable("t")
+	tb := newTable()
 	tb.Request(pg(1), owner(0, 1), model.LockWrite, nil)
 	tb.Request(pg(2), owner(0, 1), model.LockWrite, nil)
 	tb.Request(pg(1), owner(1, 2), model.LockRead, nil)
@@ -140,12 +154,12 @@ func TestReleaseAllGrantsWaiters(t *testing.T) {
 }
 
 func TestCancelWaitingUnblocksQueue(t *testing.T) {
-	tb := NewTable("t")
+	tb := newTable()
 	tb.Request(pg(1), owner(0, 1), model.LockRead, nil)
 	tb.Request(pg(1), owner(1, 2), model.LockWrite, nil) // queued
 	tb.Request(pg(1), owner(2, 3), model.LockRead, nil)  // queued behind W
 	granted := tb.CancelWaiting(owner(1, 2))
-	if len(granted) != 1 || granted[0].Owner != owner(2, 3) {
+	if len(granted) != 1 || granted[0].Request().Owner != owner(2, 3) {
 		t.Fatalf("granted %v, want reader n2/t3", granted)
 	}
 	if tb.Waiting(owner(1, 2)) != nil {
@@ -154,7 +168,7 @@ func TestCancelWaitingUnblocksQueue(t *testing.T) {
 }
 
 func TestHoldsLock(t *testing.T) {
-	tb := NewTable("t")
+	tb := newTable()
 	tb.Request(pg(1), owner(0, 1), model.LockRead, nil)
 	if !tb.HoldsLock(pg(1), owner(0, 1), model.LockRead) {
 		t.Fatal("R lock not reported")
@@ -168,7 +182,7 @@ func TestHoldsLock(t *testing.T) {
 }
 
 func TestEntryCleanupOnRelease(t *testing.T) {
-	tb := NewTable("t")
+	tb := newTable()
 	tb.Request(pg(1), owner(0, 1), model.LockWrite, nil)
 	tb.Release(pg(1), owner(0, 1))
 	if n := len(tb.allEntries()); n != 0 {
@@ -187,7 +201,7 @@ func TestTableInvariantsProperty(t *testing.T) {
 		Release bool
 	}
 	err := quick.Check(func(ops []op) bool {
-		tb := NewTable("t")
+		tb := newTable()
 		for _, o := range ops {
 			ow := owner(int(o.Tx%4), int64(o.Tx%8)+1)
 			p := pg(int32(o.Page % 4))
@@ -204,13 +218,13 @@ func TestTableInvariantsProperty(t *testing.T) {
 			for _, e := range tb.allEntries() {
 				for i, a := range e.granted {
 					for _, b := range e.granted[i+1:] {
-						if a.Owner == b.Owner {
+						if a.owner == b.owner {
 							return false // duplicate holder entries
 						}
-						if !a.Mode.Compatible(b.Mode) && !(a.Mode == model.LockWrite || b.Mode == model.LockWrite) {
+						if !a.mode.Compatible(b.mode) && !(a.mode == model.LockWrite || b.mode == model.LockWrite) {
 							return false
 						}
-						if a.Mode == model.LockWrite || b.Mode == model.LockWrite {
+						if a.mode == model.LockWrite || b.mode == model.LockWrite {
 							return false // W must be exclusive
 						}
 					}

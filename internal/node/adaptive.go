@@ -264,7 +264,7 @@ func (c *controller) startMigration(g, from, to int) {
 	src := s.nodes[from]
 	s.env.Spawn("gla-migrate", func(p *sim.Proc) {
 		start := s.env.Now()
-		entries := s.pclMeta[g].Len()
+		entries := s.partMeta[g]
 		if entries < 1 {
 			entries = 1
 		}

@@ -23,7 +23,7 @@ type ccEngine interface {
 	// attempt's first touch of the page (buffer hit-ratio accounting).
 	// The error is a *cc.Conflict (restart with backoff) or one of the
 	// abort sentinels errDeadlock, errTimeout and errKilled.
-	access(t *txn, page model.PageID, mode model.LockMode) (out cc.Outcome, first bool, err error)
+	access(t *txn, slot int32, mode model.LockMode) (out cc.Outcome, first bool, err error)
 	// releaseAll ends the attempt: on commit it publishes the new page
 	// versions; either way it releases every lock the attempt holds.
 	releaseAll(t *txn, commit bool)
@@ -40,9 +40,9 @@ func lockCovers(held heldLock, mode model.LockMode) bool {
 // mediation: a held lock, or a recorded optimistic observation,
 // guarantees the buffered copy cannot have been dropped below the
 // version the attempt observed.
-func (n *Node) buffered(page model.PageID) cc.Outcome {
+func (n *Node) buffered(slot int32) cc.Outcome {
 	out := cc.Outcome{Owner: -1}
-	if fr := n.pool.Peek(page); fr != nil {
+	if fr := n.pool.Peek(slot); fr != nil {
 		out.Seq = fr.SeqNo
 	}
 	return out
@@ -57,9 +57,10 @@ func (n *Node) buffered(page model.PageID) cc.Outcome {
 // by the time the backoff expires the partition has been reassigned to
 // a survivor. The whole round trip counts as lock-message time and is
 // charged to res on the critical path — the requester has no view of
-// the remote service split — and traced as span cat/name. On success
-// the caller reads the reply from the returned wait and ends it.
-func (n *Node) remoteRoundTrip(t *txn, home int, m *message, res attrib.Res, kind trace.Kind, page model.PageID) (*remoteWait, error) {
+// the remote service split — and traced as span kind on the page in
+// slot. On success the caller reads the reply from the returned wait
+// and ends it.
+func (n *Node) remoteRoundTrip(t *txn, home int, m *message, res attrib.Res, kind trace.Kind, slot int32) (*remoteWait, error) {
 	sys := n.sys
 	if sys.faultsOn && sys.down[home] {
 		sys.freeMsg(m)
@@ -83,7 +84,7 @@ func (n *Node) remoteRoundTrip(t *txn, home int, m *message, res attrib.Res, kin
 	t.waiting = nil
 	t.cp.Charge(attrib.PhaseLockMsg, res, sys.env.Now()-start, 0)
 	if tr := sys.tracer; tr.Enabled() {
-		tr.Span(n.track, int64(t.id), kind, start, sys.env.Now(), page.String())
+		tr.Span(n.track, int64(t.id), kind, start, sys.env.Now(), sys.dir.Page(slot).String())
 	}
 	var err error
 	switch {
@@ -143,9 +144,11 @@ func (e *optEngine) hot(page model.PageID) bool {
 	return sys.params.HotPage != nil && sys.params.HotPage(page, time.Duration(sys.env.Now()))
 }
 
-func (e *optEngine) access(t *txn, page model.PageID, mode model.LockMode) (cc.Outcome, bool, error) {
-	if e.native != nil && (t.locked[page].kind != 0 || e.hot(page)) {
-		return e.native.access(t, page, mode)
+func (e *optEngine) access(t *txn, slot int32, mode model.LockMode) (cc.Outcome, bool, error) {
+	sys := e.n.sys
+	page := sys.dir.Page(slot)
+	if e.native != nil && (t.locked[slot].kind != 0 || e.hot(page)) {
+		return e.native.access(t, slot, mode)
 	}
 	if t.killed {
 		return cc.Outcome{}, false, errKilled
@@ -153,36 +156,35 @@ func (e *optEngine) access(t *txn, page model.PageID, mode model.LockMode) (cc.O
 	write := mode == model.LockWrite
 	if t.cct.Touched(page) {
 		if write && !t.cct.Writes[page] {
-			if err := e.upgrade(t, page); err != nil {
+			if err := e.upgrade(t, slot); err != nil {
 				return cc.Outcome{}, false, err
 			}
 		}
-		return e.n.buffered(page), false, nil
+		return e.n.buffered(slot), false, nil
 	}
-	sys := e.n.sys
 	if sys.params.Coupling == CouplingPCL {
 		gla := sys.gla.GLA(page)
 		if sys.ctl != nil {
 			sys.ctl.observePart(gla, e.n.id)
 		}
 		if home := sys.glaHomeOf(gla); home != e.n.id {
-			out, err := e.accessRemote(t, page, gla, home, write)
+			out, err := e.accessRemote(t, slot, gla, home, write)
 			return out, true, err
 		}
 	}
 	e.lookup(t)
-	out, err := e.observe(t, page, write)
+	out, err := e.observe(t, slot, write)
 	return out, true, err
 }
 
-// meta returns the page's coherency metadata: its GLT entry under close
-// coupling, its GLA partition entry under PCL.
-func (e *optEngine) meta(page model.PageID) *pageMeta {
+// meta returns the coherency metadata of the page in slot: its GLT
+// entry under close coupling, its GLA partition entry under PCL.
+func (e *optEngine) meta(slot int32) *pageMeta {
 	sys := e.n.sys
 	if sys.params.Coupling == CouplingPCL {
-		return sys.pclMetaOf(sys.gla.GLA(page), page)
+		return sys.pclMetaOf(sys.glaOf(slot), slot)
 	}
-	return sys.gltMetaOf(page)
+	return sys.gltMetaOf(slot)
 }
 
 // lookup charges one metadata lookup this node performs itself: a GEM
@@ -201,11 +203,12 @@ func (e *optEngine) lookup(t *txn) {
 // reads itself (GEM, or a local PCL partition): OCC records the
 // committed sequence number, MV-TO the version valid at the attempt's
 // timestamp, or admits the write.
-func (e *optEngine) observe(t *txn, page model.PageID, write bool) (cc.Outcome, error) {
+func (e *optEngine) observe(t *txn, slot int32, write bool) (cc.Outcome, error) {
 	n := e.n
 	sys := n.sys
 	gem := sys.params.Coupling != CouplingPCL
-	pm := e.meta(page)
+	pm := e.meta(slot)
+	page := pm.Page
 	out := cc.Outcome{Seq: pm.Seq, Owner: -1}
 	if gem && !sys.params.Force {
 		out.Owner = pm.Owner
@@ -248,7 +251,7 @@ func (e *optEngine) admitWrite(t *txn, page model.PageID, seq uint64) error {
 
 // accessRemote mediates a first-touch access to a remote PCL partition
 // with one message round trip at its serving node.
-func (e *optEngine) accessRemote(t *txn, page model.PageID, gla, home int, write bool) (cc.Outcome, error) {
+func (e *optEngine) accessRemote(t *txn, slot int32, gla, home int, write bool) (cc.Outcome, error) {
 	op := ccOpLookup
 	if e.mvto {
 		op = ccOpVersionRead
@@ -256,7 +259,7 @@ func (e *optEngine) accessRemote(t *txn, page model.PageID, gla, home int, write
 			op = ccOpVersionWrite
 		}
 	}
-	seq, wts, ownerHasCopy, err := e.remoteOp(t, gla, home, op, msgPage{page: page})
+	seq, wts, ownerHasCopy, err := e.remoteOp(t, gla, home, op, msgPage{slot: slot})
 	if err != nil {
 		return cc.Outcome{}, err
 	}
@@ -268,6 +271,7 @@ func (e *optEngine) accessRemote(t *txn, page model.PageID, gla, home int, write
 	if e.mvto {
 		observed = wts
 	}
+	page := e.n.sys.dir.Page(slot)
 	t.cct.RecordRead(page, observed)
 	if write {
 		t.cct.RecordWrite(page)
@@ -278,16 +282,17 @@ func (e *optEngine) accessRemote(t *txn, page model.PageID, gla, home int, write
 // upgrade registers a write on a page first touched in read mode. OCC
 // needs no extra metadata work (backward validation covers the read
 // observation); MV-TO must run its write admission check.
-func (e *optEngine) upgrade(t *txn, page model.PageID) error {
+func (e *optEngine) upgrade(t *txn, slot int32) error {
+	sys := e.n.sys
+	page := sys.dir.Page(slot)
 	if !e.mvto {
 		t.cct.RecordWrite(page)
 		return nil
 	}
-	sys := e.n.sys
 	if sys.params.Coupling == CouplingPCL {
 		gla := sys.gla.GLA(page)
 		if home := sys.glaHomeOf(gla); home != e.n.id {
-			_, wts, _, err := e.remoteOp(t, gla, home, ccOpVersionWrite, msgPage{page: page})
+			_, wts, _, err := e.remoteOp(t, gla, home, ccOpVersionWrite, msgPage{slot: slot})
 			if err != nil {
 				return err
 			}
@@ -297,7 +302,7 @@ func (e *optEngine) upgrade(t *txn, page model.PageID) error {
 		}
 	}
 	e.lookup(t)
-	return e.admitWrite(t, page, e.meta(page).Seq)
+	return e.admitWrite(t, page, e.meta(slot).Seq)
 }
 
 // remoteOp performs one optimistic metadata operation at a partition's
@@ -310,17 +315,18 @@ func (e *optEngine) remoteOp(t *txn, gla, home int, op ccOp, pages ...msgPage) (
 	m := sys.newMsg(msgCCOp)
 	m.owner, m.op, m.gla, m.ts, m.mvto = t.owner, op, gla, t.cct.TS, e.mvto
 	m.pages = append(m.pages, pages...)
-	wait, err := n.remoteRoundTrip(t, home, m, attrib.ResCC, trace.CCRemote, pages[0].page)
+	wait, err := n.remoteRoundTrip(t, home, m, attrib.ResCC, trace.CCRemote, pages[0].slot)
 	if err != nil {
 		return 0, 0, false, err
 	}
 	defer sys.endWait(wait)
 	if r := wait.reply; !r.ok {
+		page := sys.dir.Page(r.slot)
 		reason := r.reason
 		if reason == "" {
-			reason = e.occReason(t, r.page)
+			reason = e.occReason(t, page)
 		}
-		return 0, 0, false, n.ccConflict(t, r.page, reason)
+		return 0, 0, false, n.ccConflict(t, page, reason)
 	}
 	return wait.reply.seq, wait.reply.wts, wait.reply.ownerHasCopy, nil
 }
@@ -347,15 +353,14 @@ func (e *optEngine) validate(t *txn) error {
 	}
 	n.ccValidations++
 	start := sys.env.Now()
-	t.pages = sortedPages(t.pages, set)
-	pages := t.pages
+	slots := slotsOf(t, set)
 	var conflict error
 	if sys.params.Coupling == CouplingPCL {
-		conflict = e.validatePCL(t, pages, set)
+		conflict = e.validatePCL(t, slots, set)
 	} else {
-		n.ccGEMOp(t, sys.params.LockInstr, len(pages))
-		for _, page := range pages {
-			if conflict = e.check(t, page, set[page]); conflict != nil {
+		n.ccGEMOp(t, sys.params.LockInstr, len(slots))
+		for _, slot := range slots {
+			if conflict = e.check(t, slot, set[sys.dir.Page(slot)]); conflict != nil {
 				break
 			}
 		}
@@ -376,8 +381,9 @@ func (e *optEngine) validate(t *txn) error {
 // check re-checks one recorded observation against the committed
 // metadata: first-committer-wins under MV-TO, an unchanged sequence
 // number under OCC.
-func (e *optEngine) check(t *txn, page model.PageID, recorded uint64) error {
-	seq := e.meta(page).Seq
+func (e *optEngine) check(t *txn, slot int32, recorded uint64) error {
+	pm := e.meta(slot)
+	seq, page := pm.Seq, pm.Page
 	if e.mvto {
 		if ok, reason := e.n.sys.ccVersions.Recheck(page, t.cct.TS, recorded, seq); !ok {
 			return e.n.ccConflict(t, page, reason)
@@ -400,13 +406,14 @@ func (e *optEngine) occReason(t *txn, page model.PageID) cc.Reason {
 
 // validatePCL validates the set partition by partition: local GLAs
 // with one CPU burst, remote GLAs with one batched round trip each.
-func (e *optEngine) validatePCL(t *txn, pages []model.PageID, set map[model.PageID]uint64) error {
+func (e *optEngine) validatePCL(t *txn, slots []int32, set map[model.PageID]uint64) error {
 	n := e.n
 	sys := n.sys
 	out := t.partitions(sys.params.Nodes)
-	for _, page := range pages {
+	for _, slot := range slots {
+		page := sys.dir.Page(slot)
 		gla := sys.gla.GLA(page)
-		out[gla] = append(out[gla], msgPage{page: page, seq: set[page]})
+		out[gla] = append(out[gla], msgPage{slot: slot, seq: set[page]})
 	}
 	for gla, batch := range out {
 		if len(batch) == 0 {
@@ -420,7 +427,7 @@ func (e *optEngine) validatePCL(t *txn, pages []model.PageID, set map[model.Page
 		}
 		n.lockCPUOp(t, sys.params.LockInstr, attrib.ResCC)
 		for _, op := range batch {
-			if err := e.check(t, op.page, op.seq); err != nil {
+			if err := e.check(t, op.slot, op.seq); err != nil {
 				return err
 			}
 		}
@@ -450,22 +457,33 @@ func (e *optEngine) publish(t *txn) {
 	if len(t.cct.Writes) == 0 {
 		return
 	}
-	t.pages = sortedPages(t.pages, t.cct.Writes)
-	pages := t.pages
+	slots := slotsOf(t, t.cct.Writes)
 	if sys.params.Coupling == CouplingPCL {
-		e.publishPCL(t, pages)
+		e.publishPCL(t, slots)
 		return
 	}
-	n.ccGEMOp(t, sys.params.LockInstr, len(pages))
+	n.ccGEMOp(t, sys.params.LockInstr, len(slots))
 	owner := n.id
 	if sys.params.Force {
 		owner = -1
 	}
-	for _, page := range pages {
-		if mod, ok := t.modified[page]; ok {
-			e.install(t, page, mod.frame.SeqNo, owner)
+	for _, slot := range slots {
+		if mod, ok := t.modified[slot]; ok {
+			e.install(t, slot, mod.frame.SeqNo, owner)
 		}
 	}
+}
+
+// slotsOf returns the slots of the pages in an observation set, in page
+// order, in t's page buffer.
+func slotsOf[V any](t *txn, set map[model.PageID]V) []int32 {
+	d := t.node.sys.dir
+	t.pages = t.pages[:0]
+	for page := range set {
+		t.pages = append(t.pages, d.Of(page))
+	}
+	t.pages = sortSlots(d, t.pages)
+	return t.pages
 }
 
 // install records one committed write in metadata this node reaches
@@ -473,34 +491,34 @@ func (e *optEngine) publish(t *txn) {
 // update is monotonic: validation precedes the commit log write, so a
 // concurrent attempt can validate against the same version and commit
 // the same sequence number first (DESIGN.md §12, approximation 2).
-func (e *optEngine) install(t *txn, page model.PageID, seq uint64, owner int) {
+func (e *optEngine) install(t *txn, slot int32, seq uint64, owner int) {
 	sys := e.n.sys
-	pm := e.meta(page)
+	pm := e.meta(slot)
 	if e.mvto {
-		sys.ccVersions.Commit(page, t.cct.TS, seq, pm.Seq)
+		sys.ccVersions.Commit(pm.Page, t.cct.TS, seq, pm.Seq)
 	}
 	if seq > pm.Seq {
 		pm.Seq = seq
 		pm.Owner = owner
-		sys.oracle.commit(page, seq)
+		sys.oracle.commit(pm.Page, seq)
 	}
 }
 
-func (e *optEngine) publishPCL(t *txn, pages []model.PageID) {
+func (e *optEngine) publishPCL(t *txn, slots []int32) {
 	n := e.n
 	sys := n.sys
 	out := t.partitions(sys.params.Nodes)
-	for _, page := range pages {
-		mod, ok := t.modified[page]
+	for _, slot := range slots {
+		mod, ok := t.modified[slot]
 		if !ok {
 			continue
 		}
-		gla := sys.gla.GLA(page)
+		gla := sys.glaOf(slot)
 		if sys.glaHomeOf(gla) == n.id {
-			e.install(t, page, mod.frame.SeqNo, -1)
+			e.install(t, slot, mod.frame.SeqNo, -1)
 			continue
 		}
-		rp := msgPage{page: page, seq: mod.frame.SeqNo}
+		rp := msgPage{slot: slot, seq: mod.frame.SeqNo}
 		if !sys.params.Force {
 			// Ownership moves to the serving node; the local copy stays
 			// readable but is no longer this node's to write back.
@@ -556,38 +574,38 @@ func (n *Node) handleCCOp(m *message) {
 	m.kind, m.ok = msgCCOpAck, true
 	switch m.op {
 	case ccOpLookup:
-		page := m.pages[0].page
-		meta := sys.pclMetaOf(m.gla, page)
+		slot := m.pages[0].slot
+		meta := sys.pclMetaOf(m.gla, slot)
 		m.seq = meta.Seq
-		if !sys.params.Force && n.hasCurrent(page, meta.Seq) {
+		if !sys.params.Force && n.hasCurrent(slot, meta.Seq) {
 			m.ownerHasCopy = true
 		}
 	case ccOpVersionRead:
-		page := m.pages[0].page
-		meta := sys.pclMetaOf(m.gla, page)
-		v, _ := sys.ccVersions.Read(page, m.ts, meta.Seq)
+		slot := m.pages[0].slot
+		meta := sys.pclMetaOf(m.gla, slot)
+		v, _ := sys.ccVersions.Read(meta.Page, m.ts, meta.Seq)
 		m.seq, m.wts = v.Seq, v.WTS
-		if !sys.params.Force && v.Seq == meta.Seq && n.hasCurrent(page, meta.Seq) {
+		if !sys.params.Force && v.Seq == meta.Seq && n.hasCurrent(slot, meta.Seq) {
 			m.ownerHasCopy = true
 		}
 	case ccOpVersionWrite:
-		page := m.pages[0].page
-		meta := sys.pclMetaOf(m.gla, page)
-		wts, ok, reason := sys.ccVersions.WriteObserve(page, m.ts, meta.Seq)
+		slot := m.pages[0].slot
+		meta := sys.pclMetaOf(m.gla, slot)
+		wts, ok, reason := sys.ccVersions.WriteObserve(meta.Page, m.ts, meta.Seq)
 		m.seq, m.wts, m.ok, m.reason = meta.Seq, wts, ok, reason
 		if !ok {
-			m.page = page
+			m.slot = slot
 		}
 	case ccOpValidate:
 		for _, op := range m.pages {
-			meta := sys.pclMetaOf(m.gla, op.page)
+			meta := sys.pclMetaOf(m.gla, op.slot)
 			if m.mvto {
-				if ok, reason := sys.ccVersions.Recheck(op.page, m.ts, op.seq, meta.Seq); !ok {
-					m.ok, m.reason, m.page = false, reason, op.page
+				if ok, reason := sys.ccVersions.Recheck(meta.Page, m.ts, op.seq, meta.Seq); !ok {
+					m.ok, m.reason, m.slot = false, reason, op.slot
 					break
 				}
 			} else if meta.Seq != op.seq {
-				m.ok, m.page = false, op.page
+				m.ok, m.slot = false, op.slot
 				break
 			}
 		}
@@ -601,16 +619,16 @@ func (n *Node) handleCCOp(m *message) {
 func (n *Node) handleCCPublish(m *message) {
 	sys := n.sys
 	for _, rp := range m.pages {
-		meta := sys.pclMetaOf(m.gla, rp.page)
+		meta := sys.pclMetaOf(m.gla, rp.slot)
 		if m.mvto {
-			sys.ccVersions.Commit(rp.page, m.ts, rp.seq, meta.Seq)
+			sys.ccVersions.Commit(meta.Page, m.ts, rp.seq, meta.Seq)
 		}
 		if rp.seq > meta.Seq {
 			meta.Seq = rp.seq
-			sys.oracle.commit(rp.page, rp.seq)
+			sys.oracle.commit(meta.Page, rp.seq)
 		}
 		if rp.carried {
-			n.install(rp.page, rp.seq, true)
+			n.install(rp.slot, rp.seq, true)
 		}
 	}
 }

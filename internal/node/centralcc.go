@@ -68,18 +68,18 @@ func (c *centralCC) op(t *txn, ops int, ph attrib.Phase) {
 // invalidation stale copies are discarded eagerly; the sequence number
 // still travels for the coherency oracle (a cached copy that survived
 // all broadcasts is current).
-func (c *centralCC) access(t *txn, page model.PageID, mode model.LockMode) (cc.Outcome, bool, error) {
+func (c *centralCC) access(t *txn, slot int32, mode model.LockMode) (cc.Outcome, bool, error) {
 	n := c.n
-	held := t.locked[page]
+	held := t.locked[slot]
 	if lockCovers(held, mode) {
-		return n.buffered(page), false, nil
+		return n.buffered(slot), false, nil
 	}
 	if t.killed {
 		return cc.Outcome{}, false, errKilled
 	}
 	n.localLocks++ // central locking is routing-independent; no messages
 	c.op(t, c.cycles, attrib.PhaseLockSvc)
-	waited, err := n.requestLock(t, c.table(), page, mode)
+	waited, err := n.requestLock(t, c.table(), slot, mode)
 	if err != nil {
 		return cc.Outcome{}, false, err
 	}
@@ -87,9 +87,9 @@ func (c *centralCC) access(t *txn, page model.PageID, mode model.LockMode) (cc.O
 		// Re-read the entry after the wakeup notification.
 		c.op(t, c.cycles, attrib.PhaseLockSvc)
 	}
-	t.locked[page] = heldLock{mode: mode, kind: kindLocal}
+	t.locked[slot] = heldLock{mode: mode, kind: kindLocal}
 
-	meta := n.sys.gltMetaOf(page)
+	meta := n.sys.gltMetaOf(slot)
 	out := cc.Outcome{Seq: meta.Seq, Owner: -1}
 	if !n.sys.params.Force {
 		out.Owner = meta.Owner
@@ -132,17 +132,17 @@ func (c *centralCC) publish(t *txn) {
 		owner = n.id
 	}
 	inv := t.partitions(1)
-	t.pages = sortedPages(t.pages, t.modified)
-	for _, page := range t.pages {
-		if !sys.db.File(page.File).Locking {
+	t.pages = sortedSlots(sys.dir, t.pages, t.modified)
+	for _, slot := range t.pages {
+		meta := sys.gltMetaOf(slot)
+		if !sys.db.File(meta.Page.File).Locking {
 			continue
 		}
-		seq := t.modified[page].frame.SeqNo
-		meta := sys.gltMetaOf(page)
+		seq := t.modified[slot].frame.SeqNo
 		meta.Seq, meta.Owner = seq, owner
-		sys.oracle.commit(page, seq)
+		sys.oracle.commit(meta.Page, seq)
 		if c.broadcast {
-			inv[0] = append(inv[0], msgPage{page: page})
+			inv[0] = append(inv[0], msgPage{slot: slot})
 		}
 	}
 	if len(inv[0]) > 0 && sys.params.Nodes > 1 {
@@ -178,9 +178,9 @@ func (c *centralCC) broadcastInvalidations(t *txn) {
 // acknowledgement.
 func (n *Node) handleInvalidate(m *message) {
 	for _, pg := range m.pages {
-		if fr := n.pool.Peek(pg.page); fr != nil && !fr.Fixed() {
+		if fr := n.pool.Peek(pg.slot); fr != nil && !fr.Fixed() {
 			n.invalidations++
-			n.pool.Drop(pg.page)
+			n.pool.Drop(pg.slot)
 		}
 	}
 	m.kind = msgInvalidateAck

@@ -1,14 +1,12 @@
 package node
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"time"
 
 	"gemsim/internal/attrib"
 	"gemsim/internal/buffer"
-	"gemsim/internal/gem"
 	"gemsim/internal/lock"
 	"gemsim/internal/model"
 	"gemsim/internal/netsim"
@@ -43,6 +41,7 @@ type rebuildTag struct{}
 // dirtyPage is one buffered page lost in a crash.
 type dirtyPage struct {
 	page model.PageID
+	slot int32
 	seq  uint64
 }
 
@@ -50,6 +49,7 @@ type dirtyPage struct {
 // storage.
 type redoPage struct {
 	page   model.PageID
+	slot   int32
 	tbl    int    // lock table holding the fence; -1 for unlocked files
 	seq    uint64 // committed sequence number to restore
 	fence  lock.Owner
@@ -152,18 +152,18 @@ func (s *System) CrashNode(node int) {
 	// The dirty pages lost with the buffer form the redo set (under
 	// NOFORCE committed versions may exist only in the failed buffer).
 	var dirty []dirtyPage
-	n.pool.Pages(func(f *buffer.Frame) {
+	n.pool.Pages(func(f *buffer.Frame[int32]) {
 		if f.Dirty {
-			dirty = append(dirty, dirtyPage{page: f.Page, seq: f.SeqNo})
+			dirty = append(dirty, dirtyPage{page: s.dir.Page(f.Page), slot: f.Page, seq: f.SeqNo})
 		}
 	})
 	slices.SortFunc(dirty, func(a, b dirtyPage) int { return pageCmp(a.page, b.page) })
 	n.pool.DropAll()
-	n.inflight = make(map[model.PageID]uint64)
-	n.raHeld = make(map[model.PageID]bool)
+	n.inflight = make(map[int32]uint64)
+	s.dropNodeRAs(s.raWords, node)
 	logPages := n.logSinceCkpt
 	n.logSinceCkpt = 0
-	s.dropNodeRAs(node)
+	s.dropNodeRAs(0, node)
 
 	// Kill the transactions in flight at the node. Parked waiters are
 	// woken so they unwind; running ones notice killed at their next
@@ -214,8 +214,8 @@ func (s *System) RepairNode(node int) {
 	}
 	n := s.nodes[node]
 	n.pool.DropAll()
-	n.inflight = make(map[model.PageID]uint64)
-	n.raHeld = make(map[model.PageID]bool)
+	n.inflight = make(map[int32]uint64)
+	s.dropNodeRAs(s.raWords, node)
 	n.logSinceCkpt = 0
 	s.down[node] = false
 	if tr := s.tracer; tr.Enabled() {
@@ -383,17 +383,16 @@ func (s *System) runRecovery(p *sim.Proc, crashed int, crashAt sim.Time, losers 
 		// recovery waits for the rebuild replies.
 		committed := make([]uint64, len(dirty))
 		for i, d := range dirty {
-			committed[i] = s.pclMeta[s.gla.GLA(d.page)].Peek(d.page).Seq
+			committed[i] = s.dir.At(d.slot).Seq
 		}
 		fs.LocksRecovered = s.recoverPCLLocks(p, coord, crashed)
 		for i, d := range dirty {
 			if !s.db.File(d.page.File).Locking {
-				redo = append(redo, redoPage{page: d.page, tbl: -1, seq: d.seq})
+				redo = append(redo, redoPage{page: d.page, slot: d.slot, tbl: -1, seq: d.seq})
 				continue
 			}
-			g := s.gla.GLA(d.page)
-			if seq := max(committed[i], s.pclMeta[g].Peek(d.page).Seq); seq > 0 {
-				redo = append(redo, redoPage{page: d.page, tbl: g, seq: seq})
+			if seq := max(committed[i], s.dir.At(d.slot).Seq); seq > 0 {
+				redo = append(redo, redoPage{page: d.page, slot: d.slot, tbl: s.gla.GLA(d.page), seq: seq})
 			}
 		}
 	} else {
@@ -409,12 +408,13 @@ func (s *System) runRecovery(p *sim.Proc, crashed int, crashAt sim.Time, losers 
 			coord.gemEntryOp(p, float64(entries)*params.RecoveryEntryInstr, entries)
 		}
 		fs.LocksRecovered = int64(entries)
-		for _, pg := range owned {
-			redo = append(redo, redoPage{page: pg, tbl: 0, seq: s.gltMetaOf(pg).Seq})
+		for _, slot := range owned {
+			m := s.gltMetaOf(slot)
+			redo = append(redo, redoPage{page: m.Page, slot: slot, tbl: 0, seq: m.Seq})
 		}
 		for _, d := range dirty {
 			if !s.db.File(d.page.File).Locking {
-				redo = append(redo, redoPage{page: d.page, tbl: -1, seq: d.seq})
+				redo = append(redo, redoPage{page: d.page, slot: d.slot, tbl: -1, seq: d.seq})
 			}
 		}
 	}
@@ -438,7 +438,7 @@ func (s *System) runRecovery(p *sim.Proc, crashed int, crashAt sim.Time, losers 
 		} else {
 			coord.gemEntryOp(p, 0, 1)
 		}
-		s.tables[r.tbl].Request(r.page, r.fence, model.LockWrite, fenceTag{})
+		s.tables[r.tbl].Request(r.slot, r.fence, model.LockWrite, fenceTag{})
 		r.fenced = true
 	}
 
@@ -496,14 +496,14 @@ func (s *System) runRecovery(p *sim.Proc, crashed int, crashAt sim.Time, losers 
 func (s *System) redoOnePage(p *sim.Proc, coordID int, coord *Node, crashed int, r *redoPage) {
 	params := &s.params
 	file := s.db.File(r.page.File)
-	coord.readStorage(p, nil, file, r.page, 0)
+	coord.readStorage(p, nil, file, r.slot, 0)
 	if params.RecoveryApplyInstr > 0 {
 		coord.cpu.Exec(p, params.RecoveryApplyInstr)
 	}
-	coord.writeStorage(p, nil, file, r.page, r.seq)
+	coord.writeStorage(p, nil, file, r.slot, r.seq)
 	if r.tbl >= 0 {
 		if params.Coupling == CouplingPCL {
-			meta := s.pclMetaOf(r.tbl, r.page)
+			meta := s.pclMetaOf(r.tbl, r.slot)
 			if r.seq > meta.Seq {
 				meta.Seq = r.seq
 			}
@@ -511,7 +511,7 @@ func (s *System) redoOnePage(p *sim.Proc, coordID int, coord *Node, crashed int,
 				meta.Owner = -1
 			}
 		} else {
-			meta := s.gltMetaOf(r.page)
+			meta := s.gltMetaOf(r.slot)
 			if meta.Owner == crashed {
 				meta.Owner = -1
 			}
@@ -520,9 +520,9 @@ func (s *System) redoOnePage(p *sim.Proc, coordID int, coord *Node, crashed int,
 	}
 	if r.fenced {
 		tbl := s.tables[r.tbl]
-		var granted []*lock.Request
-		if tbl.HoldsLock(r.page, r.fence, model.LockWrite) {
-			granted = tbl.Release(r.page, r.fence)
+		var granted []lock.Grant
+		if tbl.HoldsLock(r.slot, r.fence, model.LockWrite) {
+			granted = tbl.Release(r.slot, r.fence)
 		} else {
 			// Fence never granted (a survivor still holds the
 			// page); withdraw it, the holder's copy is current.
@@ -693,10 +693,10 @@ func (s *System) recWorkerDone(rec *recoveryRun, scan, replay time.Duration) {
 // repair carries its own log lookup cost (one log page read) on top of
 // the normal per-page redo, so queue-jumping is costed, traced and
 // counted. Outside recovery this is an empty loop.
-func (s *System) noteFenceConflict(page model.PageID) {
+func (s *System) noteFenceConflict(slot int32) {
 	for _, rec := range s.recs {
 		if rec.incremental {
-			s.repairOnDemand(rec, page)
+			s.repairOnDemand(rec, s.dir.Page(slot))
 		}
 	}
 }
@@ -725,17 +725,16 @@ func (s *System) repairOnDemand(rec *recoveryRun, page model.PageID) {
 	})
 }
 
-// gemOwnedPages lists the pages whose current version was buffered at
-// the given node according to the GLT, in deterministic order.
-func (s *System) gemOwnedPages(node int) []model.PageID {
-	var pages []model.PageID
-	s.gltMeta.Range(func(pg model.PageID, meta *pageMeta) {
-		if meta.Owner == node {
-			pages = append(pages, pg)
+// gemOwnedPages lists the slots of the pages whose current version was
+// buffered at the given node according to the GLT, in page order.
+func (s *System) gemOwnedPages(node int) []int32 {
+	var slots []int32
+	for i := int32(0); i < int32(s.dir.Len()); i++ {
+		if s.gltMetaOf(i).Owner == node {
+			slots = append(slots, i)
 		}
-	})
-	slices.SortFunc(pages, pageCmp)
-	return pages
+	}
+	return sortSlots(s.dir, slots)
 }
 
 // recoverPCLLocks adopts the crashed node's GLA partitions at the
@@ -756,13 +755,13 @@ func (s *System) recoverPCLLocks(p *sim.Proc, coord *Node, crashed int) int64 {
 	partSet := make(map[int]bool, len(parts))
 	for _, g := range parts {
 		s.glaHome[g] = coord.id
-		tbl := lock.NewTable(fmt.Sprintf("GLA%d@%d", g, coord.id))
+		tbl := lock.NewTable(s.dir)
 		s.tables[g] = tbl
 		s.detector.SetTable(g, tbl)
-		s.pclMeta[g] = gem.NewMetaTable()
+		s.partMeta[g] = 0
 		partSet[g] = true
 	}
-	s.dropPartitionRAs(partSet)
+	s.resetPartitions(partSet)
 
 	var total int64
 	for _, n := range s.nodes {
@@ -808,18 +807,18 @@ func (s *System) rebuildFromNode(n *Node, parts map[int]bool) int64 {
 	var count int64
 	// The owners are parked mid-attempt, possibly iterating their own
 	// sort buffers, so the rebuild sorts into a buffer of its own.
-	var pages []model.PageID
+	var slots []int32
 	for _, o := range owners {
 		t := s.active[o]
-		pages = sortedPages(pages, t.locked)
-		for _, page := range pages {
-			g := s.gla.GLA(page)
+		slots = sortedSlots(s.dir, slots, t.locked)
+		for _, slot := range slots {
+			g := s.glaOf(slot)
 			if !parts[g] {
 				continue
 			}
-			hl := t.locked[page]
+			hl := t.locked[slot]
 			tbl := s.tables[g]
-			_, granted := tbl.Request(page, o, hl.mode, rebuildTag{})
+			_, granted := tbl.Request(slot, o, hl.mode, rebuildTag{})
 			if !granted {
 				// Cannot happen with a consistent snapshot; withdraw
 				// defensively rather than strand the entry.
@@ -830,9 +829,9 @@ func (s *System) rebuildFromNode(n *Node, parts map[int]bool) int64 {
 			// Unmodified copies seed the rebuilt coherency metadata;
 			// modified (uncommitted) versions do not — their sequence
 			// number becomes authoritative only at commit.
-			if _, modified := t.modified[page]; !modified {
-				if copySeq, _ := n.copySeq(page); copySeq > 0 {
-					meta := s.pclMetaOf(g, page)
+			if _, modified := t.modified[slot]; !modified {
+				if copySeq, _ := n.copySeq(slot); copySeq > 0 {
+					meta := s.pclMetaOf(g, slot)
 					if copySeq > meta.Seq {
 						meta.Seq = copySeq
 					}
@@ -840,43 +839,48 @@ func (s *System) rebuildFromNode(n *Node, parts map[int]bool) int64 {
 			}
 		}
 	}
-	var drops []model.PageID
-	n.pool.Pages(func(f *buffer.Frame) {
-		if f.Fixed() || !s.db.File(f.Page.File).Locking {
+	var drops []int32
+	n.pool.Pages(func(f *buffer.Frame[int32]) {
+		if f.Fixed() || !s.db.File(s.dir.Page(f.Page).File).Locking {
 			return
 		}
-		if parts[s.gla.GLA(f.Page)] {
+		if parts[s.glaOf(f.Page)] {
 			drops = append(drops, f.Page)
 		}
 	})
-	for _, pg := range drops {
-		n.pool.Drop(pg)
+	for _, slot := range drops {
+		n.pool.Drop(slot)
 	}
-	for pg := range n.raHeld {
-		if parts[s.gla.GLA(pg)] {
-			delete(n.raHeld, pg)
+	for i := int32(0); i < int32(s.dir.Len()); i++ {
+		if s.raBit(i, s.raWords, n.id) && parts[s.glaOf(i)] {
+			s.setRABit(i, s.raWords, n.id, false)
 		}
 	}
 	return count
 }
 
-// dropNodeRAs clears a crashed node out of every read authorization
-// set.
-func (s *System) dropNodeRAs(node int) {
-	for key := range s.ra {
-		if key.word == node/64 {
-			s.dropRA(key.page, node)
-		}
+// dropNodeRAs clears a node out of the read authorization sets from
+// word base on: the GLAs' grants (0) or the nodes' own views
+// (raWords).
+func (s *System) dropNodeRAs(base, node int) {
+	for i := int32(0); i < int32(s.dir.Len()) && s.raWords > 0; i++ {
+		s.setRABit(i, base, node, false)
 	}
 }
 
-// dropPartitionRAs forgets all read authorizations of the lost
-// partitions (their grant state died with the GLA; survivors' raHeld
-// views are cleared during rebuild).
-func (s *System) dropPartitionRAs(parts map[int]bool) {
-	for key := range s.ra {
-		if parts[s.gla.GLA(key.page)] {
-			delete(s.ra, key)
+// resetPartitions forgets the lost partitions' state in the directory:
+// their coherency metadata, lock entries and read authorization grants
+// died with the GLA (survivors' own views are cleared during rebuild).
+func (s *System) resetPartitions(parts map[int]bool) {
+	for i := int32(0); i < int32(s.dir.Len()); i++ {
+		m := s.dir.At(i)
+		ra := s.dir.Words(i)[:s.raWords]
+		if !m.Meta && m.Lock == 0 && !slices.ContainsFunc(ra, func(w uint64) bool { return w != 0 }) {
+			continue
+		}
+		if parts[s.gla.GLA(m.Page)] {
+			m.Seq, m.Owner, m.Meta, m.Lock = 0, -1, false, 0
+			clear(ra)
 		}
 	}
 }

@@ -101,7 +101,7 @@ func TestOrphanedLockStallsWithoutTimeout(t *testing.T) {
 		}
 		// Orphan the page-1 write lock: owner 99 exists on no node and
 		// never waits, so no deadlock cycle ever forms through it.
-		sys.tables[0].Request(pgID(1), lock.Owner{Node: 99, Tx: 1}, model.LockWrite, nil)
+		sys.tables[0].Request(sys.dir.Of(pgID(1)), lock.Owner{Node: 99, Tx: 1}, model.LockWrite, nil)
 		// A closed workload: once every terminal is blocked on the
 		// orphan, the event calendar drains (an open source would keep
 		// scheduling arrivals and mask the stall).
@@ -172,7 +172,7 @@ func TestPCLRedoSeesReleaseDuringRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	page := pgID(2)
+	page := sys.dir.Of(pgID(2))
 	sys.nodes[2].pool.Insert(page, 1, true)
 	const crashAt = time.Second
 	env.After(crashAt, func() { sys.CrashNode(2) })
@@ -186,7 +186,7 @@ func TestPCLRedoSeesReleaseDuringRebuild(t *testing.T) {
 		env.Spawn("release", func(p *sim.Proc) {
 			m := sys.newMsg(msgLockRelease)
 			m.owner, m.gla = lock.Owner{Node: 1, Tx: 1}, 2
-			m.pages = append(m.pages, msgPage{page: page, seq: 1})
+			m.pages = append(m.pages, msgPage{slot: page, seq: 1})
 			sys.net.SendReliable(p, 1, 0, netsim.Short, m)
 		})
 	})
@@ -233,7 +233,7 @@ func TestPCLRedoSkipsLoserPageAfterAdoption(t *testing.T) {
 		run(0, model.Ref{Page: page, Write: true}, model.Ref{Page: pgID(4)}, model.Ref{Page: pgID(7)}, model.Ref{Page: pgID(10)})
 	})
 	env.After(loserAt+30*time.Millisecond, func() {
-		if fr := sys.nodes[0].pool.Peek(page); fr == nil || !fr.Dirty {
+		if fr := sys.nodes[0].pool.Peek(sys.dir.Of(page)); fr == nil || !fr.Dirty {
 			t.Error("the loser must hold page 2 dirty at the crash")
 		}
 		sys.CrashNode(0)

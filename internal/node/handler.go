@@ -42,7 +42,7 @@ func (n *Node) handleMessage(from int, msg any) {
 		m.send()
 		return
 	case msgRevokeRA:
-		delete(n.raHeld, m.page)
+		sys.setRABit(m.slot, sys.raWords, n.id, false)
 	case msgGLAHandoff:
 		n.handleGLAHandoff(m)
 		return // freed, or the record lives on as the acknowledgement
@@ -73,9 +73,9 @@ func (n *Node) handleMessage(from int, msg any) {
 // enabled, deposited in GEM and acknowledged with a short message.
 func (n *Node) handlePageRequest(m *message) {
 	m.kind = msgPageReply
-	if fr := n.pool.Get(m.page); fr != nil {
+	if fr := n.pool.Get(m.slot); fr != nil {
 		m.found, m.seq = true, fr.SeqNo
-	} else if seq, ok := n.inflight[m.page]; ok {
+	} else if seq, ok := n.inflight[m.slot]; ok {
 		m.found, m.seq = true, seq
 	}
 	if m.found {

@@ -56,7 +56,7 @@ const (
 // invalidation, with a version: the new one (0 if the page was not
 // modified), or the one observed at access time.
 type msgPage struct {
-	page    model.PageID
+	slot    int32
 	seq     uint64
 	carried bool // the modified page travels with the message (NOFORCE)
 }
@@ -108,7 +108,7 @@ type message struct {
 	wait   waitRef
 	owner  lock.Owner
 	gla    int
-	page   model.PageID
+	slot   int32
 	mode   model.LockMode
 	op     ccOp
 	seq    uint64
@@ -123,14 +123,15 @@ type message struct {
 	// send routes the record from node at to node to, after the
 	// revocations under a write grant's cursor, then runs then and
 	// resumes cont's process. A grant walk (walk) answers the requests
-	// in granted from node to.
+	// in granted[next:] from node to.
 	at, to   int
 	class    netsim.Class
 	reliable bool
 	revoking raCursor
 	then     func()
 	cont     sim.Continuation
-	granted  []*lock.Request
+	granted  []lock.Grant
+	next     int
 
 	sys    *System
 	sendFn func() // bound to send
@@ -150,7 +151,7 @@ func (s *System) newMsg(kind msgKind) *message {
 
 // freeMsg returns a handled message record to the pool.
 func (s *System) freeMsg(m *message) {
-	*m = message{sys: s, sendFn: m.sendFn, walkFn: m.walkFn, pages: m.pages[:0]}
+	*m = message{sys: s, sendFn: m.sendFn, walkFn: m.walkFn, pages: m.pages[:0], granted: m.granted[:0]}
 	s.msgs.Put(m)
 }
 
@@ -164,7 +165,7 @@ func (m *message) send() {
 	s := m.sys
 	if node := m.revoking.next(s); node >= 0 {
 		if m.kind != msgRevokeRA || m.revoking.more(s) {
-			s.net.Post(m.cont.Detach(), m.at, node, netsim.Short, s.revocation(m.page), true, m.sendFn)
+			s.net.Post(m.cont.Detach(), m.at, node, netsim.Short, s.revocation(m.slot), true, m.sendFn)
 			return
 		}
 		m.to = node
@@ -181,12 +182,12 @@ func (m *message) send() {
 // send resumes it. Every other walk starts in the next calendar slot,
 // on nobody's behalf. Under PCL the serving node is the partition's;
 // under GEM locking and the lock engine it is the caller's.
-func (s *System) answer(granted []*lock.Request, tbl, from int, cont sim.Continuation) bool {
+func (s *System) answer(granted []lock.Grant, tbl, from int, cont sim.Continuation) bool {
 	if len(granted) == 0 {
 		return false
 	}
 	m := s.newMsg(msgLockRelease)
-	m.gla, m.granted, m.to = tbl, granted, from
+	m.gla, m.granted, m.to = tbl, append(m.granted, granted...), from
 	if s.params.Coupling == CouplingPCL {
 		if s.glaHomeOf(tbl) != from {
 			cont = sim.Continuation{}
@@ -216,14 +217,14 @@ func (m *message) walk() bool {
 		if m.to < 0 {
 			m.to = s.glaHomeOf(m.gla)
 		}
-		for len(m.granted) > 0 {
-			d := s.answerOne(m.granted[0], m.to)
-			m.granted = m.granted[1:]
+		for m.next < len(m.granted) {
+			d := s.answerOne(m.granted[m.next].Request(), m.to)
+			m.next++
 			if d == nil {
 				continue
 			}
 			d.then, d.cont = m.walkFn, m.cont.Detach()
-			if m.cont.Proc() != nil && !slices.ContainsFunc(m.granted, func(r *lock.Request) bool { return s.sends(r, m.to) }) {
+			if m.cont.Proc() != nil && !slices.ContainsFunc(m.granted[m.next:], func(g lock.Grant) bool { return s.sends(g.Request(), m.to) }) {
 				d.cont, m.cont = m.cont, sim.Continuation{} // the last send
 			}
 			d.send()
@@ -236,16 +237,16 @@ func (m *message) walk() bool {
 		rp := m.pages[m.count]
 		m.count++
 		if rp.seq > 0 {
-			meta := s.pclMetaOf(m.gla, rp.page)
+			meta := s.pclMetaOf(m.gla, rp.slot)
 			if rp.seq > meta.Seq {
 				meta.Seq = rp.seq
-				s.oracle.commit(rp.page, rp.seq)
+				s.oracle.commit(meta.Page, rp.seq)
 			}
 		}
 		if rp.carried {
-			s.nodes[m.at].install(rp.page, rp.seq, true)
+			s.nodes[m.at].install(rp.slot, rp.seq, true)
 		}
-		m.granted = s.tables[m.gla].Release(rp.page, m.owner)
+		m.granted, m.next = append(m.granted[:0], s.tables[m.gla].Release(rp.slot, m.owner)...), 0
 		m.to = s.glaHomeOf(m.gla)
 	}
 }
@@ -262,9 +263,13 @@ func (m *message) walkOn() {
 
 // answerOne answers one granted request from node at: it resumes a
 // waiter in place and returns nil, or returns the message that answers
-// the request, ready to send. Recovery fences and rebuild registrations
-// carry tag data and are held silently.
+// the request, ready to send. A request released since its grant (nil)
+// is dropped; recovery fences and rebuild registrations carry tag data
+// and are held silently.
 func (s *System) answerOne(req *lock.Request, at int) *message {
+	if req == nil {
+		return nil
+	}
 	if !s.sends(req, at) {
 		if d, ok := req.Data.(*remoteWait); ok && d.epoch == req.Epoch {
 			d.proc.Unpark()
@@ -285,6 +290,9 @@ func (s *System) answerOne(req *lock.Request, at int) *message {
 // PCL remote request's grant, or a GEM wakeup to a live waiter on
 // another node (a short message unless InstantWakeup).
 func (s *System) sends(req *lock.Request, at int) bool {
+	if req == nil {
+		return false
+	}
 	switch d := req.Data.(type) {
 	case *message:
 		return true

@@ -94,8 +94,8 @@ func TestStaleLockWakeIsDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := lock.NewTable("t")
-	page := model.PageID{File: 1, Page: 1}
+	tbl := lock.NewTable(sys.dir)
+	page := sys.dir.Of(model.PageID{File: 1, Page: 1})
 	holder, waiter := lock.Owner{Node: 0, Tx: 1}, lock.Owner{Node: 0, Tx: 2}
 	tbl.Request(page, holder, model.LockWrite, nil)
 	var resumed sim.Time
@@ -115,7 +115,7 @@ func TestStaleLockWakeIsDropped(t *testing.T) {
 			}
 			// The holder releases: the queued request is granted late.
 			for _, g := range tbl.Release(page, holder) {
-				if d := sys.answerOne(g, 0); d != nil {
+				if d := sys.answerOne(g.Request(), 0); d != nil {
 					t.Error("a local request answered as a remote one")
 				}
 			}
@@ -129,5 +129,53 @@ func TestStaleLockWakeIsDropped(t *testing.T) {
 	}
 	if want := time.Millisecond + time.Second; resumed != want {
 		t.Fatalf("next waiter resumed at %v, want %v: the stale grant woke it", resumed, want)
+	}
+}
+
+// TestStaleGrantOnRecycledRequestIsDropped covers the request side of
+// the generation rule: lock request records are pooled, so a grant
+// answered after its request was released can reach a record that
+// already serves a later wait. The grant must be dropped, not wake
+// that wait.
+func TestStaleGrantOnRecycledRequestIsDropped(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Stop()
+	sys, err := NewSystem(env, testParams(2, CouplingPCL, false), &scriptGen{db: testDB()}, typeRouter{2}, modGLA{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := lock.NewTable(sys.dir)
+	p1, p2 := sys.dir.Of(model.PageID{File: 1, Page: 1}), sys.dir.Of(model.PageID{File: 1, Page: 2})
+	holder, first, other, later := lock.Owner{Node: 0, Tx: 1}, lock.Owner{Node: 0, Tx: 2}, lock.Owner{Node: 1, Tx: 3}, lock.Owner{Node: 1, Tx: 4}
+	tbl.Request(p1, holder, model.LockWrite, nil)
+	firstReq, _ := tbl.Request(p1, first, model.LockWrite, nil)
+	// The holder's release grants the first waiter; the walk that
+	// answers it is still under way when that waiter's transaction
+	// aborts and releases the lock, returning its record to the pool.
+	stale := append([]lock.Grant(nil), tbl.Release(p1, holder)...)
+	if len(stale) != 1 {
+		t.Fatalf("release granted %d requests, want 1", len(stale))
+	}
+	tbl.Request(p2, other, model.LockWrite, nil)
+	tbl.ReleaseAll(first)
+	var resumed sim.Time
+	env.Spawn("later", func(p *sim.Proc) {
+		req, granted := tbl.Request(p2, later, model.LockWrite, nil)
+		if granted || req != firstReq {
+			t.Fatalf("the later wait must queue in the recycled record (granted %v, same record %v)", granted, req == firstReq)
+		}
+		w := sys.newWait(p)
+		req.Data, req.Epoch = w, w.epoch
+		env.After(time.Millisecond, func() { sys.answerOne(stale[0].Request(), 0) })
+		p.UnparkAfter(time.Second)
+		p.Park()
+		resumed = env.Now()
+		sys.endWait(w)
+	})
+	if err := env.Run(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if resumed != time.Second {
+		t.Fatalf("later waiter resumed at %v, want %v: the stale grant woke it", resumed, time.Second)
 	}
 }

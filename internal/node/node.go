@@ -14,6 +14,7 @@ import (
 	"gemsim/internal/lock"
 	"gemsim/internal/model"
 	"gemsim/internal/netsim"
+	"gemsim/internal/pagedir"
 	"gemsim/internal/rng"
 	"gemsim/internal/sim"
 	"gemsim/internal/stats"
@@ -32,7 +33,7 @@ type Node struct {
 	track string
 
 	cpu      *cpusrv.CPU
-	pool     *buffer.Pool
+	pool     *buffer.Pool[int32] // keyed by directory slot
 	gate     *gate
 	logGroup *storage.Group
 	cc       ccEngine
@@ -48,13 +49,10 @@ type Node struct {
 	historySeq  int32
 
 	// inflight tracks pages whose replacement write-back is under
-	// way; the copy is still available in memory.
-	inflight map[model.PageID]uint64
+	// way; the copy is still available in memory. Keyed by slot.
+	inflight map[int32]uint64
 	// pendingReads coalesces concurrent misses on one page.
-	pendingReads map[model.PageID][]*sim.Proc
-
-	// raHeld is this node's view of its read authorizations (PCL).
-	raHeld map[model.PageID]bool
+	pendingReads map[int32][]*sim.Proc
 
 	// active counts the transactions admitted at or queued in this
 	// node's gate (load control).
@@ -119,7 +117,7 @@ type heldLock struct {
 // modRecord remembers a modified frame together with its pre-image
 // metadata so that aborts can undo the modification exactly.
 type modRecord struct {
-	frame    *buffer.Frame
+	frame    *buffer.Frame[int32]
 	preSeq   uint64
 	preDirty bool
 }
@@ -139,18 +137,19 @@ type txn struct {
 	proc   *sim.Proc
 	arrive sim.Time
 
-	locked   map[model.PageID]heldLock
-	modified map[model.PageID]modRecord
+	// locked and modified are keyed by directory slot.
+	locked   map[int32]heldLock
+	modified map[int32]modRecord
 
 	// cct records the optimistic engines' observations; runTxn resets
 	// it for each attempt.
 	cct cc.Txn
 
-	// pages is the attempt's buffer for sortedPages, and out (see
-	// partitions) the ones for pages bound for partitions' messages.
-	// They are per transaction, not per node: commit parks while
-	// iterating them.
-	pages []model.PageID
+	// pages is the attempt's buffer of slots in page order
+	// (sortedSlots), and out (see partitions) the ones for pages bound
+	// for partitions' messages. They are per transaction, not per node:
+	// commit parks while iterating them.
+	pages []int32
 	out   [][]msgPage
 
 	waiting  *remoteWait
@@ -208,15 +207,20 @@ func pageCmp(a, b model.PageID) int {
 	return cmp.Compare(a.Page, b.Page)
 }
 
-// sortedPages returns the pages of a page-keyed map in a stable order
-// (map iteration order would make runs nondeterministic), reusing buf.
-func sortedPages[V any](buf []model.PageID, m map[model.PageID]V) []model.PageID {
-	pages := buf[:0]
-	for p := range m {
-		pages = append(pages, p)
+// sortedSlots returns the slots of a slot-keyed map in page order (map
+// iteration order would make runs nondeterministic), reusing buf.
+func sortedSlots[V any](d *pagedir.Dir, buf []int32, m map[int32]V) []int32 {
+	slots := buf[:0]
+	for i := range m {
+		slots = append(slots, i)
 	}
-	slices.SortFunc(pages, pageCmp)
-	return pages
+	return sortSlots(d, slots)
+}
+
+// sortSlots orders slots by page.
+func sortSlots(d *pagedir.Dir, slots []int32) []int32 {
+	slices.SortFunc(slots, func(a, b int32) int { return pageCmp(d.Page(a), d.Page(b)) })
+	return slots
 }
 
 // sortedKeys returns the integer keys of a map in ascending order.
@@ -235,11 +239,10 @@ func newNode(s *System, id int) *Node {
 		sys:          s,
 		id:           id,
 		track:        "node" + itoa(id),
-		pool:         buffer.NewPool(s.params.BufferPages),
+		pool:         buffer.NewPool[int32](s.params.BufferPages),
 		respHist:     stats.NewDurationHistogram(),
-		inflight:     make(map[model.PageID]uint64),
-		pendingReads: make(map[model.PageID][]*sim.Proc),
-		raHeld:       make(map[model.PageID]bool),
+		inflight:     make(map[int32]uint64),
+		pendingReads: make(map[int32][]*sim.Proc),
 		respByType:   make(map[int]*stats.Series),
 		src:          s.split.Stream("node" + itoa(id)),
 		historyPage:  historyBase(id),
@@ -332,8 +335,8 @@ func (n *Node) runTxn(p *sim.Proc, spec model.Txn, arrive, entered sim.Time, cp 
 	defer n.freeTxn(t)
 	t.spec, t.proc, t.arrive, t.cp = spec, p, arrive, cp
 	if t.locked == nil {
-		t.locked = make(map[model.PageID]heldLock, len(spec.Refs))
-		t.modified = make(map[model.PageID]modRecord, 4)
+		t.locked = make(map[int32]heldLock, len(spec.Refs))
+		t.modified = make(map[int32]modRecord, 4)
 	}
 	for {
 		if sys.faultsOn && sys.down[n.id] {
@@ -454,6 +457,7 @@ func (n *Node) attempt(t *txn) error {
 			return errKilled
 		}
 		ref = n.resolveRef(ref)
+		slot := n.sys.dir.Of(ref.Page)
 		file := n.sys.db.File(ref.Page.File)
 		// CPU demand of the record access.
 		cpuStart = n.sys.env.Now()
@@ -469,16 +473,16 @@ func (n *Node) attempt(t *txn) error {
 				mode = model.LockWrite
 			}
 			var err error
-			out, firstTouch, err = n.cc.access(t, ref.Page, mode)
+			out, firstTouch, err = n.cc.access(t, slot, mode)
 			if err != nil {
 				return err
 			}
 		}
-		_, preModified := t.modified[ref.Page]
+		_, preModified := t.modified[slot]
 		if obs := n.sys.pageObserver; obs != nil {
 			obs(ref.Page)
 		}
-		frame := n.getPage(t, file, ref.Page, out, firstTouch)
+		frame := n.getPage(t, file, slot, out, firstTouch)
 		if ref.Write {
 			n.markModified(t, frame)
 		}
@@ -530,7 +534,7 @@ func (n *Node) resolveRef(ref model.Ref) model.Ref {
 
 // markModified pins the frame until commit, bumps its page sequence
 // number and remembers the pre-image for undo.
-func (n *Node) markModified(t *txn, frame *buffer.Frame) {
+func (n *Node) markModified(t *txn, frame *buffer.Frame[int32]) {
 	if _, ok := t.modified[frame.Page]; ok {
 		return
 	}
@@ -539,14 +543,14 @@ func (n *Node) markModified(t *txn, frame *buffer.Frame) {
 	frame.Dirty = true
 }
 
-// requestLock registers t's request for page in mode at tbl, a lock
+// requestLock registers t's request for the page in slot in mode at tbl, a lock
 // table this node processes itself (the central table, or a PCL
 // partition it serves). An ungranted request blocks t until the grant
 // (blockForLock), and the wait is counted, timed, charged to t's record
 // and traced. waited reports a wait; err is blockForLock's abort
 // sentinel.
-func (n *Node) requestLock(t *txn, tbl *lock.Table, page model.PageID, mode model.LockMode) (waited bool, err error) {
-	req, granted := tbl.Request(page, t.owner, mode, nil)
+func (n *Node) requestLock(t *txn, tbl *lock.Table, slot int32, mode model.LockMode) (waited bool, err error) {
+	req, granted := tbl.Request(slot, t.owner, mode, nil)
 	if granted {
 		return false, nil
 	}
@@ -556,7 +560,7 @@ func (n *Node) requestLock(t *txn, tbl *lock.Table, page model.PageID, mode mode
 	wait := sys.newWait(t.proc)
 	req.Data, req.Epoch = wait, wait.epoch
 	n.lockWaits++
-	sys.noteFenceConflict(page)
+	sys.noteFenceConflict(slot)
 	start := sys.env.Now()
 	t.waiting = wait
 	err = sys.blockForLock(t)
@@ -565,7 +569,7 @@ func (n *Node) requestLock(t *txn, tbl *lock.Table, page model.PageID, mode mode
 	if err == nil {
 		n.lockWaitTime.AddDuration(sys.env.Now() - start)
 	}
-	n.lockWaitDone(t, page, start)
+	n.lockWaitDone(t, slot, start)
 	return true, err
 }
 
@@ -581,11 +585,11 @@ func (n *Node) commit(t *txn) {
 		t.cp.AddPhase(attrib.PhaseLog, n.sys.env.Now()-logStart)
 		if params.Force {
 			forceStart := n.sys.env.Now()
-			t.pages = sortedPages(t.pages, t.modified)
-			for _, page := range t.pages {
-				mod := t.modified[page]
-				file := n.sys.db.File(page.File)
-				n.writeStorage(t.proc, t.cp, file, page, mod.frame.SeqNo)
+			t.pages = sortedSlots(n.sys.dir, t.pages, t.modified)
+			for _, slot := range t.pages {
+				mod := t.modified[slot]
+				file := n.sys.db.File(n.sys.dir.Page(slot).File)
+				n.writeStorage(t.proc, t.cp, file, slot, mod.frame.SeqNo)
 				n.forceWrites++
 				mod.frame.Dirty = false
 			}
@@ -615,44 +619,44 @@ func (n *Node) abortTxn(t *txn) {
 // getPage brings the page into the buffer (coherency controlled) and
 // returns its frame, fixed. The caller unfixes it after the record
 // access unless the page was modified.
-func (n *Node) getPage(t *txn, file *model.File, page model.PageID, out cc.Outcome, firstTouch bool) *buffer.Frame {
+func (n *Node) getPage(t *txn, file *model.File, slot int32, out cc.Outcome, firstTouch bool) *buffer.Frame[int32] {
 	for {
-		if fr := n.pool.Get(page); fr != nil {
+		if fr := n.pool.Get(slot); fr != nil {
 			if fr.SeqNo >= out.Seq {
 				if firstTouch {
 					n.pool.Observe(file.ID, true)
 				}
 				fr.Fix()
-				n.sys.oracle.checkAccess(page, fr.SeqNo, file.Locking)
+				n.sys.oracle.checkAccess(n.sys.dir.Page(slot), fr.SeqNo, file.Locking)
 				return fr
 			}
 			// Buffer invalidation: the cached copy is obsolete.
 			n.invalidations++
 			if !fr.Fixed() {
-				n.pool.Drop(page)
+				n.pool.Drop(slot)
 				continue
 			}
 			// A concurrent optimistic transaction still has the stale
 			// copy fixed (impossible under 2PL, where the committer's
 			// write lock excludes readers until release): fetch the
 			// current version and refresh the frame in place.
-			fr = n.fetchMiss(t, file, page, out)
+			fr = n.fetchMiss(t, file, slot, out)
 			fr.Fix()
-			n.sys.oracle.checkAccess(page, fr.SeqNo, file.Locking)
+			n.sys.oracle.checkAccess(n.sys.dir.Page(slot), fr.SeqNo, file.Locking)
 			return fr
 		}
 		// A copy being written back is still available in memory.
-		if seq, ok := n.inflight[page]; ok && seq >= out.Seq {
+		if seq, ok := n.inflight[slot]; ok && seq >= out.Seq {
 			if firstTouch {
 				n.pool.Observe(file.ID, true)
 			}
-			fr := n.install(page, seq, false)
+			fr := n.install(slot, seq, false)
 			fr.Fix()
 			return fr
 		}
 		// Coalesce with a concurrent fetch of the same page.
-		if waiters, pending := n.pendingReads[page]; pending {
-			n.pendingReads[page] = append(waiters, t.proc)
+		if waiters, pending := n.pendingReads[slot]; pending {
+			n.pendingReads[slot] = append(waiters, t.proc)
 			waitStart := n.sys.env.Now()
 			t.proc.Park()
 			t.cp.Charge(readPhase(file), attrib.ResBuf, n.sys.env.Now()-waitStart, 0)
@@ -661,7 +665,7 @@ func (n *Node) getPage(t *txn, file *model.File, page model.PageID, out cc.Outco
 		if firstTouch {
 			n.pool.Observe(file.ID, false)
 		}
-		fr := n.fetchMiss(t, file, page, out)
+		fr := n.fetchMiss(t, file, slot, out)
 		fr.Fix()
 		return fr
 	}
@@ -670,45 +674,43 @@ func (n *Node) getPage(t *txn, file *model.File, page model.PageID, out cc.Outco
 // fetchMiss obtains a missing page: fresh HISTORY pages are allocated,
 // carried pages (PCL) are installed directly, otherwise the page comes
 // from the owning node (GEM locking, NOFORCE) or from storage.
-func (n *Node) fetchMiss(t *txn, file *model.File, page model.PageID, out cc.Outcome) *buffer.Frame {
-	if file.AppendOnly && out.Seq == 0 {
-		if _, stored := n.sys.appendStored[page]; !stored {
-			// First insert into a fresh page: no I/O, allocate in place.
-			return n.install(page, 1, true)
-		}
+func (n *Node) fetchMiss(t *txn, file *model.File, slot int32, out cc.Outcome) *buffer.Frame[int32] {
+	if file.AppendOnly && out.Seq == 0 && !n.sys.dir.At(slot).Stored {
+		// First insert into a fresh page: no I/O, allocate in place.
+		return n.install(slot, 1, true)
 	}
-	n.pendingReads[page] = nil
+	n.pendingReads[slot] = nil
 	seq := out.Seq
 	got := out.Carried
 	if !got && !n.sys.params.Force && out.Owner >= 0 && out.Owner != n.id {
 		reqStart := n.sys.env.Now()
-		if s, ok := n.requestPage(t, page, out.Owner); ok {
+		if s, ok := n.requestPage(t, slot, out.Owner); ok {
 			seq, got = s, true
 		}
 		t.cp.AddPhase(attrib.PhasePageXfer, n.sys.env.Now()-reqStart)
 	}
 	if !got {
 		ioStart := n.sys.env.Now()
-		n.readStorage(t.proc, t.cp, file, page, out.Seq)
+		n.readStorage(t.proc, t.cp, file, slot, out.Seq)
 		t.cp.AddPhase(readPhase(file), n.sys.env.Now()-ioStart)
 	}
-	fr := n.install(page, seq, false)
+	fr := n.install(slot, seq, false)
 	// Wake coalesced waiters.
-	for _, w := range n.pendingReads[page] {
+	for _, w := range n.pendingReads[slot] {
 		w.Unpark()
 	}
-	delete(n.pendingReads, page)
+	delete(n.pendingReads, slot)
 	return fr
 }
 
 // install puts a page into the pool. A dirty replacement victim is
 // written back in the background, its copy available in memory
 // (inflight) until the write completed.
-func (n *Node) install(page model.PageID, seq uint64, dirty bool) *buffer.Frame {
-	fr, v, evicted := n.pool.Insert(page, seq, dirty)
+func (n *Node) install(slot int32, seq uint64, dirty bool) *buffer.Frame[int32] {
+	fr, v, evicted := n.pool.Insert(slot, seq, dirty)
 	if evicted && v.Dirty {
 		n.inflight[v.Page] = v.SeqNo
-		n.newOp(sim.Continuation{}, nil, n.sys.db.File(v.Page.File), v.Page, v.SeqNo).background((*pageOp).writeBack)
+		n.newOp(sim.Continuation{}, nil, v.Page, v.SeqNo).background((*pageOp).writeBack)
 	}
 	return fr
 }
@@ -717,7 +719,7 @@ func (n *Node) install(page model.PageID, seq uint64, dirty bool) *buffer.Frame 
 // page-I/O record's GEM step; p parks once. cp, when non-nil, receives
 // the window.
 func (n *Node) gemPageIO(p *sim.Proc, cp *attrib.Vector) {
-	w := n.newOp(p.Continuation(), cp, nil, model.PageID{}, 0)
+	w := n.newOp(p.Continuation(), cp, -1, 0)
 	w.gem(nil)
 	p.Park()
 	n.freeOp(w)
@@ -736,19 +738,19 @@ func (n *Node) gemEntryOp(p *sim.Proc, instr float64, entries int) {
 // the read chain runs on p's behalf and p parks once. cp, when
 // non-nil, receives the critical-path attribution (GEM vs disk);
 // background readers pass nil.
-func (n *Node) readStorage(p *sim.Proc, cp *attrib.Vector, file *model.File, page model.PageID, expectSeq uint64) {
-	w := n.newOp(p.Continuation(), cp, file, page, 0)
+func (n *Node) readStorage(p *sim.Proc, cp *attrib.Vector, file *model.File, slot int32, expectSeq uint64) {
+	w := n.newOp(p.Continuation(), cp, slot, 0)
 	w.read()
 	p.Park()
 	n.freeOp(w)
-	n.sys.oracle.checkStorageRead(page, expectSeq, file.Locking)
+	n.sys.oracle.checkStorageRead(n.sys.dir.Page(slot), expectSeq, file.Locking)
 }
 
 // writeStorage performs one page write to the file's storage medium:
 // the write chain runs on p's behalf and p parks once. cp, when
 // non-nil, receives the critical-path attribution.
-func (n *Node) writeStorage(p *sim.Proc, cp *attrib.Vector, file *model.File, page model.PageID, seq uint64) {
-	w := n.newOp(p.Continuation(), cp, file, page, seq)
+func (n *Node) writeStorage(p *sim.Proc, cp *attrib.Vector, file *model.File, slot int32, seq uint64) {
+	w := n.newOp(p.Continuation(), cp, slot, seq)
 	w.write()
 	p.Park()
 	n.freeOp(w)
@@ -759,7 +761,8 @@ func (n *Node) writeStorage(p *sim.Proc, cp *attrib.Vector, file *model.File, pa
 // page access, or the I/O CPU burst and an access to owner's log group;
 // p parks once. cp, when non-nil, receives the attribution.
 func (n *Node) logIO(p *sim.Proc, cp *attrib.Vector, owner *Node, write bool) {
-	w := n.newOp(p.Continuation(), cp, nil, model.PageID{File: -1, Page: int32(owner.id)}, 0)
+	w := n.newOp(p.Continuation(), cp, -1, 0)
+	w.page = model.PageID{File: -1, Page: int32(owner.id)}
 	if n.sys.params.LogInGEM {
 		w.gem(nil)
 	} else {
@@ -783,9 +786,9 @@ func (n *Node) writeLog(p *sim.Proc, cp *attrib.Vector) {
 
 // gemCacheInsert places a page into the file's GEM cache; a replaced
 // dirty entry is read out of GEM and destaged in the background.
-func (n *Node) gemCacheInsert(file *model.File, page model.PageID, dirty bool) {
-	if _, victim, evicted := n.sys.gemCaches[file.ID].Insert(page, 0, dirty); evicted && victim.Dirty {
-		n.newOp(sim.Continuation{}, nil, file, victim.Page, 0).background((*pageOp).readGEM)
+func (n *Node) gemCacheInsert(file *model.File, slot int32, dirty bool) {
+	if _, victim, evicted := n.sys.gemCaches[file.ID].Insert(slot, 0, dirty); evicted && victim.Dirty {
+		n.newOp(sim.Continuation{}, nil, victim.Page, 0).background((*pageOp).readGEM)
 	}
 }
 
@@ -804,6 +807,7 @@ type pageOp struct {
 	start   sim.Time         // start of the open device window
 	file    *model.File      // nil for a log page or a bare GEM access
 	group   *storage.Group   // the disk step's group
+	slot    int32            // the database page's directory slot; -1 for none
 	page    model.PageID
 	seq     uint64
 	writing bool             // the disk step writes
@@ -816,15 +820,20 @@ type pageOp struct {
 	diskDoneFn                  func(cached bool)
 }
 
-// newOp takes a page-I/O record from the system's pool; its first
-// device window opens now.
-func (n *Node) newOp(cont sim.Continuation, cp *attrib.Vector, file *model.File, page model.PageID, seq uint64) *pageOp {
+// newOp takes a page-I/O record from the system's pool for the
+// database page in slot (-1: a log page or a bare GEM access); its
+// first device window opens now.
+func (n *Node) newOp(cont sim.Continuation, cp *attrib.Vector, slot int32, seq uint64) *pageOp {
 	w := n.sys.ops.Get()
 	if w == nil {
 		w = &pageOp{}
 		w.stepFn, w.gemDoneFn, w.accessFn, w.diskDoneFn = w.step, w.gemDone, w.access, w.diskDone
 	}
-	w.n, w.cont, w.cp, w.file, w.page, w.seq, w.start = n, cont, cp, file, page, seq, n.sys.env.Now()
+	w.n, w.cont, w.cp, w.slot, w.seq, w.start = n, cont, cp, slot, seq, n.sys.env.Now()
+	if slot >= 0 {
+		w.page = n.sys.dir.Page(slot)
+		w.file = n.sys.db.File(w.page.File)
+	}
 	return w
 }
 
@@ -900,14 +909,14 @@ func (w *pageOp) read() {
 		w.gem(nil)
 		return
 	case model.MediumGEMWriteBuffer:
-		if _, ok := sys.writeBuffer[w.page]; ok {
+		if sys.dir.At(w.slot).Buffered {
 			sys.wbReadHits++
 			w.gem(nil)
 			return
 		}
 	case model.MediumGEMCache:
 		sys.gemCacheReqs++
-		if sys.gemCaches[w.file.ID].Get(w.page) != nil {
+		if sys.gemCaches[w.file.ID].Get(w.slot) != nil {
 			sys.gemCacheHits++
 			w.gem(nil)
 		} else {
@@ -922,7 +931,7 @@ func (w *pageOp) read() {
 func (w *pageOp) fill() { w.gem((*pageOp).filled) }
 
 // filled ends a GEM-cache fill.
-func (w *pageOp) filled() { w.n.gemCacheInsert(w.file, w.page, false) }
+func (w *pageOp) filled() { w.n.gemCacheInsert(w.file, w.slot, false) }
 
 // write runs the write chain: the one switch over the file's medium
 // that serves page writes. GEM, the GEM cache and the GEM write buffer
@@ -945,7 +954,7 @@ func (w *pageOp) write() {
 
 // cached ends a write into the non-volatile GEM cache.
 func (w *pageOp) cached() {
-	w.n.gemCacheInsert(w.file, w.page, true)
+	w.n.gemCacheInsert(w.file, w.slot, true)
 	w.wrote()
 }
 
@@ -954,9 +963,9 @@ func (w *pageOp) cached() {
 func (w *pageOp) buffered() {
 	sys := w.n.sys
 	sys.wbWrites++
-	if cur, ok := sys.writeBuffer[w.page]; !ok || w.seq > cur {
-		sys.writeBuffer[w.page] = w.seq
-		w.n.newOp(sim.Continuation{}, nil, w.file, w.page, w.seq).background((*pageOp).destage)
+	if s := sys.dir.At(w.slot); !s.Buffered || w.seq > s.WBSeq {
+		s.Buffered, s.WBSeq = true, w.seq
+		w.n.newOp(sim.Continuation{}, nil, w.slot, w.seq).background((*pageOp).destage)
 	}
 	w.wrote()
 }
@@ -964,7 +973,7 @@ func (w *pageOp) buffered() {
 // wrote records the stored version and goes on with then.
 func (w *pageOp) wrote() {
 	if w.file.AppendOnly {
-		w.n.sys.appendStored[w.page] = struct{}{}
+		w.n.sys.dir.At(w.slot).Stored = true
 	}
 	w.n.sys.oracle.storageWrite(w.page, w.seq)
 	if w.then != nil {
@@ -984,8 +993,8 @@ func (w *pageOp) destage() {
 // destaged ends a destage; a write-buffer entry still holding the
 // destaged version is released (a GEM-cache page has none).
 func (w *pageOp) destaged() {
-	if wb := w.n.sys.writeBuffer; wb[w.page] == w.seq {
-		delete(wb, w.page)
+	if s := w.n.sys.dir.At(w.slot); s.Buffered && s.WBSeq == w.seq {
+		s.Buffered = false
 	}
 	w.n.freeOp(w)
 }
@@ -1011,7 +1020,7 @@ func (w *pageOp) entry(next func(*pageOp)) {
 // owned writes the page if the GLT entry still names this node and
 // version as its owner.
 func (w *pageOp) owned() {
-	if meta := w.n.sys.gltMetaOf(w.page); meta.Owner == w.n.id && meta.Seq == w.seq {
+	if meta := w.n.sys.gltMetaOf(w.slot); meta.Owner == w.n.id && meta.Seq == w.seq {
 		w.meta, w.then = meta, (*pageOp).cas
 		w.write()
 		return
@@ -1030,8 +1039,8 @@ func (w *pageOp) writtenBack() {
 	if m := w.meta; m != nil && m.Owner == n.id && m.Seq == w.seq {
 		m.Owner = -1
 	}
-	if cur, ok := n.inflight[w.page]; ok && cur == w.seq {
-		delete(n.inflight, w.page)
+	if cur, ok := n.inflight[w.slot]; ok && cur == w.seq {
+		delete(n.inflight, w.slot)
 	}
 	n.freeOp(w)
 }
@@ -1040,7 +1049,7 @@ func (w *pageOp) writtenBack() {
 // locking, NOFORCE). It returns the received sequence number, or ok ==
 // false if the owner no longer buffers the page (then the permanent
 // database is current).
-func (n *Node) requestPage(t *txn, page model.PageID, owner int) (uint64, bool) {
+func (n *Node) requestPage(t *txn, slot int32, owner int) (uint64, bool) {
 	sys := n.sys
 	if sys.faultsOn && (sys.down[owner] || sys.down[n.id]) {
 		// The owner (or this node) is down: fall back to storage.
@@ -1053,7 +1062,7 @@ func (n *Node) requestPage(t *txn, page model.PageID, owner int) (uint64, bool) 
 	wait := sys.newWait(t.proc)
 	defer sys.endWait(wait)
 	m := sys.newMsg(msgPageRequest)
-	m.page, m.wait = page, waitRef{w: wait, epoch: wait.epoch}
+	m.slot, m.wait = slot, waitRef{w: wait, epoch: wait.epoch}
 	sys.net.Send(t.proc, n.id, owner, netsim.Short, m)
 	if armed := sys.faultsOn && sys.params.LockWaitTimeout > 0; armed {
 		t.proc.UnparkAfter(sys.params.LockWaitTimeout)
@@ -1111,7 +1120,7 @@ func (n *Node) resetStats() {
 func (n *Node) respHistInto(h *stats.Histogram) { h.Merge(n.respHist) }
 
 // Pool exposes the buffer pool (tests and diagnostics).
-func (n *Node) Pool() *buffer.Pool { return n.pool }
+func (n *Node) Pool() *buffer.Pool[int32] { return n.pool }
 
 // CPU exposes the CPU complex (tests and diagnostics).
 func (n *Node) CPU() *cpusrv.CPU { return n.cpu }

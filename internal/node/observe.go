@@ -284,10 +284,10 @@ func readPhase(f *model.File) attrib.Phase {
 // at start: into the transaction's response-time record and, when
 // tracing, as one wait span on the node's track keyed by the contended
 // page.
-func (n *Node) lockWaitDone(t *txn, page model.PageID, start sim.Time) {
+func (n *Node) lockWaitDone(t *txn, slot int32, start sim.Time) {
 	t.cp.Charge(attrib.PhaseLockWait, attrib.ResLock, n.sys.env.Now()-start, 0)
 	if tr := n.sys.tracer; tr.Enabled() {
-		tr.Span(n.track, int64(t.id), trace.LockWait, start, n.sys.env.Now(), page.String())
+		tr.Span(n.track, int64(t.id), trace.LockWait, start, n.sys.env.Now(), n.sys.dir.Page(slot).String())
 	}
 }
 

@@ -35,23 +35,23 @@ func (c *pclCC) table(gla int) *lock.Table { return c.n.sys.tables[gla] }
 
 // access processes one page lock request under PCL, unless a held lock
 // already covers the access.
-func (c *pclCC) access(t *txn, page model.PageID, mode model.LockMode) (cc.Outcome, bool, error) {
-	held := t.locked[page]
+func (c *pclCC) access(t *txn, slot int32, mode model.LockMode) (cc.Outcome, bool, error) {
+	held := t.locked[slot]
 	if lockCovers(held, mode) {
-		return c.n.buffered(page), false, nil
+		return c.n.buffered(slot), false, nil
 	}
-	out, err := c.lock(t, page, mode)
+	out, err := c.lock(t, slot, mode)
 	return out, held.kind == 0, err
 }
 
 // lock routes a lock request to the page's partition.
-func (c *pclCC) lock(t *txn, page model.PageID, mode model.LockMode) (cc.Outcome, error) {
+func (c *pclCC) lock(t *txn, slot int32, mode model.LockMode) (cc.Outcome, error) {
 	n := c.n
 	sys := n.sys
 	if t.killed {
 		return cc.Outcome{}, errKilled
 	}
-	gla := sys.gla.GLA(page)
+	gla := sys.glaOf(slot)
 	// After a failover the partition of a crashed node is served by the
 	// recovery coordinator; requests follow the indirection.
 	home := sys.glaHomeOf(gla)
@@ -60,7 +60,7 @@ func (c *pclCC) lock(t *txn, page model.PageID, mode model.LockMode) (cc.Outcome
 	}
 
 	if home == n.id {
-		return c.lockLocal(t, page, mode, gla)
+		return c.lockLocal(t, slot, mode, gla)
 	}
 
 	// Read optimization: a read lock on a page for which this node
@@ -68,54 +68,54 @@ func (c *pclCC) lock(t *txn, page model.PageID, mode model.LockMode) (cc.Outcome
 	// locally, without messages. The lock is still registered at the
 	// GLA table (at zero cost) so that conflicting writers queue and
 	// deadlock detection stays sound.
-	if mode == model.LockRead && n.raHeld[page] {
-		if seq, ok := n.copySeq(page); ok {
-			return c.lockShadowRA(t, page, gla, seq)
+	if mode == model.LockRead && sys.raBit(slot, sys.raWords, n.id) {
+		if seq, ok := n.copySeq(slot); ok {
+			return c.lockShadowRA(t, slot, gla, seq)
 		}
 	}
 
-	return c.lockRemote(t, page, mode, gla, home)
+	return c.lockRemote(t, slot, mode, gla, home)
 }
 
 // lockLocal handles a request against this node's own partition.
-func (c *pclCC) lockLocal(t *txn, page model.PageID, mode model.LockMode, gla int) (cc.Outcome, error) {
+func (c *pclCC) lockLocal(t *txn, slot int32, mode model.LockMode, gla int) (cc.Outcome, error) {
 	n := c.n
 	sys := n.sys
 	n.localLocks++
 	n.lockCPUOp(t, sys.params.LockInstr, attrib.ResLock)
-	if _, err := n.requestLock(t, c.table(gla), page, mode); err != nil {
+	if _, err := n.requestLock(t, c.table(gla), slot, mode); err != nil {
 		return cc.Outcome{}, err
 	}
-	if mode == model.LockWrite && sys.revoke(page, n.id, t.proc.Continuation()) {
+	if mode == model.LockWrite && sys.revoke(slot, n.id, t.proc.Continuation()) {
 		t.proc.Park()
 	}
-	t.locked[page] = heldLock{mode: mode, kind: kindLocal}
-	meta := sys.pclMetaOf(gla, page)
+	t.locked[slot] = heldLock{mode: mode, kind: kindLocal}
+	meta := sys.pclMetaOf(gla, slot)
 	return cc.Outcome{Seq: meta.Seq, Owner: -1}, nil
 }
 
 // lockShadowRA handles a locally processed read lock under a read
 // authorization. copySeq is the sequence number of the buffered copy,
 // which the RA guarantees to be current.
-func (c *pclCC) lockShadowRA(t *txn, page model.PageID, gla int, copySeq uint64) (cc.Outcome, error) {
+func (c *pclCC) lockShadowRA(t *txn, slot int32, gla int, copySeq uint64) (cc.Outcome, error) {
 	n := c.n
 	sys := n.sys
 	n.localLocks++
 	n.lockCPUOp(t, sys.params.LockInstr, attrib.ResLock)
 	// An ungranted request means the RA is being revoked by a writer; it
 	// waits like a regular conflict.
-	waited, err := n.requestLock(t, c.table(gla), page, model.LockRead)
+	waited, err := n.requestLock(t, c.table(gla), slot, model.LockRead)
 	if err != nil {
 		return cc.Outcome{}, err
 	}
-	t.locked[page] = heldLock{mode: model.LockRead, kind: kindShadowRA}
+	t.locked[slot] = heldLock{mode: model.LockRead, kind: kindShadowRA}
 	if !waited {
 		return cc.Outcome{Seq: copySeq, Owner: -1}, nil
 	}
 	// After the writer committed the copy may be obsolete; report the
 	// authoritative sequence number and direct refetches to the GLA
 	// node, which owns the current version under NOFORCE.
-	meta := sys.pclMetaOf(gla, page)
+	meta := sys.pclMetaOf(gla, slot)
 	out := cc.Outcome{Seq: meta.Seq, Owner: -1}
 	if !sys.params.Force {
 		out.Owner = sys.glaHomeOf(gla)
@@ -126,14 +126,14 @@ func (c *pclCC) lockShadowRA(t *txn, page model.PageID, gla int, copySeq uint64)
 // lockRemote sends the request to the partition's serving node (its
 // original GLA home, or the adoptive coordinator after a failover) and
 // waits for the grant.
-func (c *pclCC) lockRemote(t *txn, page model.PageID, mode model.LockMode, gla, home int) (cc.Outcome, error) {
+func (c *pclCC) lockRemote(t *txn, slot int32, mode model.LockMode, gla, home int) (cc.Outcome, error) {
 	n := c.n
 	sys := n.sys
 	m := sys.newMsg(msgLockRequest)
-	m.owner, m.page, m.mode, m.gla = t.owner, page, mode, gla
-	m.seq, m.hasCopy = n.copySeq(page)
+	m.owner, m.slot, m.mode, m.gla = t.owner, slot, mode, gla
+	m.seq, m.hasCopy = n.copySeq(slot)
 	start := sys.env.Now()
-	wait, err := n.remoteRoundTrip(t, home, m, attrib.ResNet, trace.LockRemote, page)
+	wait, err := n.remoteRoundTrip(t, home, m, attrib.ResNet, trace.LockRemote, slot)
 	if err != nil {
 		if err == errTimeout {
 			// Withdraw the request unless the serving node is down (the
@@ -150,9 +150,9 @@ func (c *pclCC) lockRemote(t *txn, page model.PageID, mode model.LockMode, gla, 
 	n.lockWaitTime.AddDuration(sys.env.Now() - start)
 	grant := wait.reply
 	if grant.grantRA {
-		n.raHeld[page] = true
+		sys.setRABit(slot, sys.raWords, n.id, true)
 	}
-	t.locked[page] = heldLock{mode: mode, kind: kindRemote}
+	t.locked[slot] = heldLock{mode: mode, kind: kindRemote}
 	out := cc.Outcome{Seq: grant.seq, Owner: -1, Carried: grant.carried}
 	if grant.ownerHasCopy && !sys.params.Force {
 		// Should the local copy disappear before the access (it can be
@@ -175,14 +175,14 @@ func (n *Node) handleLockRequest(m *message) {
 		sys.freeMsg(m)
 		return
 	}
-	req, granted := sys.tables[m.gla].Request(m.page, m.owner, m.mode, nil)
+	req, granted := sys.tables[m.gla].Request(m.slot, m.owner, m.mode, nil)
 	if granted {
 		n.pclReply(m)
 		m.send()
 		return
 	}
 	req.Data = m
-	sys.noteFenceConflict(m.page)
+	sys.noteFenceConflict(m.slot)
 	// The remote requester waits in the queue; check for deadlocks it
 	// may have closed.
 	if cycle := sys.detector.FindCycle(m.owner); cycle != nil {
@@ -199,92 +199,96 @@ func (n *Node) handleLockRequest(m *message) {
 // (long reply).
 func (n *Node) pclReply(m *message) {
 	sys := n.sys
-	meta := sys.pclMetaOf(m.gla, m.page)
+	meta := sys.pclMetaOf(m.gla, m.slot)
 	stale := !m.hasCopy || m.seq < meta.Seq
 	m.kind, m.at, m.to, m.class = msgLockGrant, n.id, m.owner.Node, netsim.Short
 	m.seq = meta.Seq
 	if !sys.params.Force {
 		// The GLA holds the current version of its partition's
 		// modified pages; ship it with the grant when useful.
-		if n.hasCurrent(m.page, meta.Seq) {
+		if n.hasCurrent(m.slot, meta.Seq) {
 			m.ownerHasCopy = true
 			if stale {
-				n.pool.Get(m.page) // LRU touch for the supplied page
+				n.pool.Get(m.slot) // LRU touch for the supplied page
 				m.carried = true
 				m.class = netsim.Long
 			}
 		}
 	}
 	if m.mode == model.LockWrite {
-		m.revoking = sys.raCursor(m.page, m.owner.Node)
+		m.revoking = sys.raCursor(m.slot, m.owner.Node)
 	} else {
 		m.grantRA = true
-		sys.ra[raWord{page: m.page, word: m.owner.Node / 64}] |= 1 << (m.owner.Node % 64)
+		sys.setRABit(m.slot, 0, m.owner.Node, true)
 	}
 }
 
-// copySeq returns the sequence number of this node's copy of page, in
-// the buffer or under replacement write-back, and whether it has one.
-func (n *Node) copySeq(page model.PageID) (uint64, bool) {
-	if fr := n.pool.Peek(page); fr != nil {
+// copySeq returns the sequence number of this node's copy of the page
+// in slot, in the buffer or under replacement write-back, and whether
+// it has one.
+func (n *Node) copySeq(slot int32) (uint64, bool) {
+	if fr := n.pool.Peek(slot); fr != nil {
 		return fr.SeqNo, true
 	}
-	seq, ok := n.inflight[page]
+	seq, ok := n.inflight[slot]
 	return seq, ok
 }
 
 // hasCurrent reports whether this node buffers the current version of
-// the page (including copies under replacement write-back).
-func (n *Node) hasCurrent(page model.PageID, seq uint64) bool {
-	if fr := n.pool.Peek(page); fr != nil && fr.SeqNo >= seq {
+// the page in slot (including copies under replacement write-back).
+func (n *Node) hasCurrent(slot int32, seq uint64) bool {
+	if fr := n.pool.Peek(slot); fr != nil && fr.SeqNo >= seq {
 		return true
 	}
-	if s, ok := n.inflight[page]; ok && s >= seq {
+	if s, ok := n.inflight[slot]; ok && s >= seq {
 		return true
 	}
 	return false
 }
 
-// revoke withdraws the read authorizations on page of every node but
+// revoke withdraws the read authorizations on the page in slot of every node but
 // at, in ascending node order: a short revocation message per holder
 // node, sent from at on the callback tier, one after another
 // (fire-and-forget; in-progress local read locks are covered by their
 // shadow registrations). The last revocation resumes cont's process;
 // revoke reports whether the process must park.
-func (s *System) revoke(page model.PageID, at int, cont sim.Continuation) bool {
-	cur := s.raCursor(page, at)
+func (s *System) revoke(slot int32, at int, cont sim.Continuation) bool {
+	cur := s.raCursor(slot, at)
 	if !cur.more(s) {
 		return false
 	}
-	m := s.revocation(page)
+	m := s.revocation(slot)
 	m.revoking, m.at, m.class, m.reliable, m.cont = cur, at, netsim.Short, true, cont
 	m.send()
 	return true
 }
 
-// revocation is the message withdrawing a read authorization on page.
-// It is sent reliably: a lost revocation would leave a stale
-// authorization and silently break coherency.
-func (s *System) revocation(page model.PageID) *message {
+// revocation is the message withdrawing a read authorization on the
+// page in slot. It is sent reliably: a lost revocation would leave a
+// stale authorization and silently break coherency.
+func (s *System) revocation(slot int32) *message {
 	m := s.newMsg(msgRevokeRA)
-	m.page = page
+	m.slot = slot
 	return m
 }
 
-// raWord keys one word of a page's read-authorization set (System.ra):
-// bit b stands for node 64*word+b.
-type raWord struct {
-	page model.PageID
-	word int
+// The read authorizations on a page are two node bitsets in its
+// directory slot's words: the ones the GLA granted (from word 0), then
+// each node's own view of the ones it holds (from word raWords). Bit b
+// of word w stands for node 64*w+b.
+
+// raBit reports node's bit in the set starting at word base.
+func (s *System) raBit(slot int32, base, node int) bool {
+	return s.dir.Words(slot)[base+node/64]&(1<<(node%64)) != 0
 }
 
-// dropRA withdraws node's read authorization on page.
-func (s *System) dropRA(page model.PageID, node int) {
-	key := raWord{page: page, word: node / 64}
-	if bits := s.ra[key] &^ (1 << (node % 64)); bits != 0 {
-		s.ra[key] = bits
+// setRABit sets or clears node's bit in the set starting at word base.
+func (s *System) setRABit(slot int32, base, node int, on bool) {
+	w := &s.dir.Words(slot)[base+node/64]
+	if on {
+		*w |= 1 << (node % 64)
 	} else {
-		delete(s.ra, key)
+		*w &^= 1 << (node % 64)
 	}
 }
 
@@ -292,14 +296,15 @@ func (s *System) dropRA(page model.PageID, node int) {
 // order, withdrawing each holder but keep as it reaches it; a word of
 // the set is read when the walk enters it. The zero cursor is done.
 type raCursor struct {
-	page             model.PageID
+	slot             int32
 	keep, word, left int    // left counts the words still to read
 	bits             uint64 // holders of word-1 not reached yet
 }
 
-// raCursor starts a walk of page's read authorizations.
-func (s *System) raCursor(page model.PageID, keep int) raCursor {
-	return raCursor{page: page, keep: keep, left: (s.params.Nodes + 63) / 64}
+// raCursor starts a walk of the read authorizations on the page in
+// slot.
+func (s *System) raCursor(slot int32, keep int) raCursor {
+	return raCursor{slot: slot, keep: keep, left: s.raWords}
 }
 
 // next withdraws the next holder's authorization and returns the
@@ -307,7 +312,7 @@ func (s *System) raCursor(page model.PageID, keep int) raCursor {
 func (c *raCursor) next(s *System) int {
 	node := c.holder(s)
 	if node >= 0 {
-		s.dropRA(c.page, node)
+		s.setRABit(c.slot, 0, node, false)
 	}
 	return node
 }
@@ -321,7 +326,7 @@ func (c raCursor) more(s *System) bool { return c.holder(s) >= 0 }
 func (c *raCursor) holder(s *System) int {
 	for c.bits != 0 || c.left > 0 {
 		if c.bits == 0 {
-			c.bits = s.ra[raWord{page: c.page, word: c.word}]
+			c.bits = s.dir.Words(c.slot)[c.word]
 			c.word++
 			c.left--
 			continue
@@ -358,30 +363,30 @@ func (c *pclCC) releaseAll(t *txn, commit bool) {
 		return
 	}
 
-	t.pages = sortedPages(t.pages, t.locked)
+	t.pages = sortedSlots(sys.dir, t.pages, t.locked)
 	out := t.partitions(sys.params.Nodes)
-	for _, page := range t.pages {
-		hl := t.locked[page]
-		gla := sys.gla.GLA(page)
-		mod, modified := t.modified[page]
+	for _, slot := range t.pages {
+		hl := t.locked[slot]
+		gla := sys.glaOf(slot)
+		mod, modified := t.modified[slot]
 		switch hl.kind {
 		case kindLocal:
 			if modified {
-				meta := sys.pclMetaOf(gla, page)
+				meta := sys.pclMetaOf(gla, slot)
 				meta.Seq = mod.frame.SeqNo
-				sys.oracle.commit(page, mod.frame.SeqNo)
+				sys.oracle.commit(meta.Page, mod.frame.SeqNo)
 			}
 			// Answered in this process even after a GLA migration
 			// moved the partition away: the lock was granted here.
-			if sys.answer(sys.tables[gla].Release(page, t.owner), gla, sys.glaHomeOf(gla), t.proc.Continuation()) {
+			if sys.answer(sys.tables[gla].Release(slot, t.owner), gla, sys.glaHomeOf(gla), t.proc.Continuation()) {
 				t.proc.Park()
 			}
 		case kindShadowRA:
-			if sys.answer(sys.tables[gla].Release(page, t.owner), gla, n.id, t.proc.Continuation()) {
+			if sys.answer(sys.tables[gla].Release(slot, t.owner), gla, n.id, t.proc.Continuation()) {
 				t.proc.Park()
 			}
 		case kindRemote:
-			rp := msgPage{page: page}
+			rp := msgPage{slot: slot}
 			if modified {
 				rp.seq = mod.frame.SeqNo
 				if !sys.params.Force {
@@ -394,7 +399,7 @@ func (c *pclCC) releaseAll(t *txn, commit bool) {
 			}
 			out[gla] = append(out[gla], rp)
 		}
-		delete(t.locked, page)
+		delete(t.locked, slot)
 	}
 	n.sendPartitions(t, msgLockRelease, false)
 }

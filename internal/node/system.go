@@ -12,6 +12,7 @@ import (
 	"gemsim/internal/lock"
 	"gemsim/internal/model"
 	"gemsim/internal/netsim"
+	"gemsim/internal/pagedir"
 	"gemsim/internal/rng"
 	"gemsim/internal/routing"
 	"gemsim/internal/sim"
@@ -40,42 +41,40 @@ type System struct {
 	// a station the CPU is held on like a GEM access.
 	engine *cpusrv.Device
 
+	// dir is the page directory: a reference resolves its page to a
+	// slot once, and the slot holds the page's system-wide state — the
+	// coherency metadata of the GLT (committed sequence number and
+	// current owner) or of its GLA partition, its lock entry, its GEM
+	// write-buffer version and append-stored bit, and (PCL) two node
+	// bitsets: the read authorizations the GLA granted, then each
+	// node's own view of the ones it holds (raWords words each).
+	dir     *pagedir.Dir
+	raWords int
 	// Concurrency control state. GEM locking uses tables[0] as the
 	// global lock table; PCL uses one table per GLA node.
 	tables   []*lock.Table
 	detector *lock.Detector
-	// gltMeta holds the coherency information of the global lock
-	// table: committed page sequence number and current page owner.
-	gltMeta *gem.MetaTable
-	// pclMeta holds, per GLA node, the committed sequence numbers of
-	// its partition.
-	pclMeta []*gem.MetaTable
+	// partMeta counts, per GLA partition, the pages whose metadata the
+	// partition has recorded (pclMetaOf).
+	partMeta []int
 	// ccVersions is the multiversion page store (CC == KindMVTO only):
 	// bounded per-page version histories and read timestamps backing
 	// timestamp-ordered reads and first-committer-wins writes.
 	ccVersions *cc.VersionStore
-	// ra tracks read authorizations per page (PCL read optimization),
-	// as node bitsets (raWord).
-	ra map[raWord]uint64
 	// Recycled message and wait records (messages.go) and page-I/O
 	// records (node.go).
 	msgs  sim.FreeList[message]
 	waits sim.FreeList[remoteWait]
 	ops   sim.FreeList[pageOp]
-	// writeBuffer holds pages written to the GEM write buffer whose
-	// asynchronous disk update is still pending (MediumGEMWriteBuffer).
-	writeBuffer map[model.PageID]uint64
-	wbWrites    int64
-	wbReadHits  int64
+	// GEM write-buffer statistics; a page whose asynchronous disk
+	// update is pending has Buffered set in its slot.
+	wbWrites   int64
+	wbReadHits int64
 	// gemCaches are the non-volatile LRU page caches in GEM fronting
 	// the disk groups of MediumGEMCache files.
-	gemCaches    map[model.FileID]*buffer.Pool
+	gemCaches    map[model.FileID]*buffer.Pool[int32] // keyed by slot
 	gemCacheHits int64
 	gemCacheReqs int64
-	// appendStored holds the append-only pages that have reached
-	// permanent storage; any other append-only page is fresh and is
-	// allocated in place without a read.
-	appendStored map[model.PageID]struct{}
 
 	oracle *oracle
 	split  *rng.Splitter
@@ -161,10 +160,9 @@ type System struct {
 	ctl *controller
 }
 
-// pageMeta is the per-page coherency control information, stored in
-// gem.MetaTable's fixed slabs behind a pointer-free page index instead
-// of one heap object per page.
-type pageMeta = gem.PageMeta
+// pageMeta is a page's directory slot seen as its coherency control
+// information (Seq, Owner).
+type pageMeta = pagedir.Slot
 
 // errDeadlock aborts a transaction chosen as deadlock victim.
 var errDeadlock = fmt.Errorf("node: transaction aborted as deadlock victim")
@@ -201,11 +199,7 @@ func NewSystem(env *sim.Env, params Params, gen workload.Generator, router routi
 		gemDev:       gem.New(env, params.GEM),
 		net:          netsim.New(env, params.Net, params.Nodes),
 		groups:       make(map[model.FileID]*storage.Group, len(db.Files)),
-		gltMeta:      gem.NewMetaTable(),
-		ra:           make(map[raWord]uint64),
-		writeBuffer:  make(map[model.PageID]uint64),
-		appendStored: make(map[model.PageID]struct{}),
-		gemCaches:    make(map[model.FileID]*buffer.Pool),
+		gemCaches:    make(map[model.FileID]*buffer.Pool[int32]),
 		split:        rng.NewSplitter(params.Seed),
 		active:       make(map[lock.Owner]*txn),
 		rtBatches:    stats.NewBatchMeans(100),
@@ -235,7 +229,7 @@ func NewSystem(env *sim.Env, params Params, gen workload.Generator, router routi
 					size = 1024
 				}
 			}
-			s.gemCaches[f.ID] = buffer.NewPool(size)
+			s.gemCaches[f.ID] = buffer.NewPool[int32](size)
 		case model.MediumDiskCacheVolatile, model.MediumDiskCacheNV:
 			size := params.DiskCachePages[f.ID]
 			if size <= 0 {
@@ -255,16 +249,18 @@ func NewSystem(env *sim.Env, params Params, gen workload.Generator, router routi
 	// Lock tables: one global table for GEM locking and the lock
 	// engine, one per node for PCL.
 	if params.Coupling != CouplingPCL {
-		s.tables = []*lock.Table{lock.NewTable("GLT")}
+		s.dir = pagedir.New(0)
+		s.tables = []*lock.Table{lock.NewTable(s.dir)}
 		if params.Coupling == CouplingLockEngine {
 			s.engine = &cpusrv.Device{Res: sim.NewResource(env, "lockengine", 1), Svc: params.LockEngine.ServiceTime, Span: s.engineSpan}
 		}
 	} else {
+		s.raWords = (params.Nodes + 63) / 64
+		s.dir = pagedir.New(2 * s.raWords)
 		s.tables = make([]*lock.Table, params.Nodes)
-		s.pclMeta = make([]*gem.MetaTable, params.Nodes)
+		s.partMeta = make([]int, params.Nodes)
 		for i := range s.tables {
-			s.tables[i] = lock.NewTable(fmt.Sprintf("GLA%d", i))
-			s.pclMeta[i] = gem.NewMetaTable()
+			s.tables[i] = lock.NewTable(s.dir)
 		}
 	}
 	s.detector = lock.NewDetector(s.tables...)
@@ -420,15 +416,22 @@ func (s *System) nextTxID() lock.TxID {
 	return s.txSeq
 }
 
-// meta returns (creating on demand) the GLT coherency entry of a page.
-func (s *System) gltMetaOf(page model.PageID) *pageMeta {
-	return s.gltMeta.Of(page)
+// gltMetaOf returns the GLT coherency entry of the page in slot.
+func (s *System) gltMetaOf(slot int32) *pageMeta { return s.dir.At(slot) }
+
+// pclMetaOf returns the coherency entry of the page in slot at its GLA
+// partition gla, which records it.
+func (s *System) pclMetaOf(gla int, slot int32) *pageMeta {
+	m := s.dir.At(slot)
+	if !m.Meta {
+		m.Meta = true
+		s.partMeta[gla]++
+	}
+	return m
 }
 
-// pclMetaOf returns (creating on demand) the GLA-side coherency entry.
-func (s *System) pclMetaOf(gla int, page model.PageID) *pageMeta {
-	return s.pclMeta[gla].Of(page)
-}
+// glaOf returns the GLA partition of the page in slot.
+func (s *System) glaOf(slot int32) int { return s.gla.GLA(s.dir.Page(slot)) }
 
 // glaHomeOf returns the node currently serving GLA partition g: its
 // original home, or — after a failover — the survivor that adopted the

@@ -119,7 +119,7 @@ func TestCacheNeverExceedsCapacityProperty(t *testing.T) {
 			}
 		})
 		n := 0
-		g.Cache().Pages(func(*buffer.Frame) { n++ })
+		g.Cache().Pages(func(*buffer.Frame[model.PageID]) { n++ })
 		return ok && n == g.Cache().Len()
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {

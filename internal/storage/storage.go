@@ -88,7 +88,7 @@ type Group struct {
 	params      Params
 	controllers *sim.Resource
 	disks       *sim.Resource
-	cache       *buffer.Pool
+	cache       *buffer.Pool[model.PageID]
 	// volatile marks a cache that loses its content on power failure
 	// and therefore cannot absorb writes.
 	volatile bool
@@ -123,7 +123,7 @@ func NewGroup(env *sim.Env, name string, params Params) *Group {
 		disks:       sim.NewResource(env, name+"/disk", params.Disks),
 	}
 	if params.Cache != nil && params.Cache.SizePages > 0 {
-		g.cache = buffer.NewPool(params.Cache.SizePages)
+		g.cache = buffer.NewPool[model.PageID](params.Cache.SizePages)
 		g.volatile = params.Cache.Volatile
 	}
 	return g
@@ -136,7 +136,7 @@ func (g *Group) Name() string { return g.name }
 func (g *Group) SetTracer(t *trace.Tracer) { g.tracer = t }
 
 // Cache returns the attached shared disk cache, or nil.
-func (g *Group) Cache() *buffer.Pool { return g.cache }
+func (g *Group) Cache() *buffer.Pool[model.PageID] { return g.cache }
 
 // StallFor freezes the group for d from now (fault injection: a
 // controller hiccup or path failure). Requests issued while the stall
