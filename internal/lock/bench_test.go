@@ -75,7 +75,7 @@ func BenchmarkDeadlockDetection(b *testing.B) {
 		o := Owner{Node: i % 4, Tx: TxID(i + 1)}
 		tb.Request(pg(int32(i)), o, model.LockWrite, nil)
 		if i > 0 {
-			tb.Request(pg(int32(i - 1)), o, model.LockWrite, nil)
+			tb.Request(pg(int32(i-1)), o, model.LockWrite, nil)
 		}
 	}
 	last := Owner{Node: 0, Tx: TxID(chain)}

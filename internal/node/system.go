@@ -190,19 +190,19 @@ func NewSystem(env *sim.Env, params Params, gen workload.Generator, router routi
 		return nil, errParam("PCL coupling needs a GLA map")
 	}
 	s := &System{
-		env:          env,
-		params:       params,
-		db:           db,
-		gen:          gen,
-		router:       router,
-		gla:          gla,
-		gemDev:       gem.New(env, params.GEM),
-		net:          netsim.New(env, params.Net, params.Nodes),
-		groups:       make(map[model.FileID]*storage.Group, len(db.Files)),
-		gemCaches:    make(map[model.FileID]*buffer.Pool[int32]),
-		split:        rng.NewSplitter(params.Seed),
-		active:       make(map[lock.Owner]*txn),
-		rtBatches:    stats.NewBatchMeans(100),
+		env:       env,
+		params:    params,
+		db:        db,
+		gen:       gen,
+		router:    router,
+		gla:       gla,
+		gemDev:    gem.New(env, params.GEM),
+		net:       netsim.New(env, params.Net, params.Nodes),
+		groups:    make(map[model.FileID]*storage.Group, len(db.Files)),
+		gemCaches: make(map[model.FileID]*buffer.Pool[int32]),
+		split:     rng.NewSplitter(params.Seed),
+		active:    make(map[lock.Owner]*txn),
+		rtBatches: stats.NewBatchMeans(100),
 	}
 	if params.CheckInvariants {
 		s.oracle = newOracle()
