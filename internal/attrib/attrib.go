@@ -176,6 +176,18 @@ func (v *Vector) Charge(p Phase, r Res, elapsed, svc time.Duration) {
 	v.AddWindow(r, elapsed, svc)
 }
 
+// PhaseSum returns the total time recorded across all phases.
+func (v *Vector) PhaseSum() time.Duration {
+	if v == nil {
+		return 0
+	}
+	var t time.Duration
+	for _, d := range v.Phase {
+		t += d
+	}
+	return t
+}
+
 // Sum returns the total time attributed across all resources.
 func (v *Vector) Sum() time.Duration {
 	if v == nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"gemsim/internal/attrib"
 	"gemsim/internal/cc"
 	"gemsim/internal/core"
 	"gemsim/internal/report"
@@ -181,6 +182,32 @@ func TestRunAvailabilityIncrementalImprovesTTFT(t *testing.T) {
 	for _, want := range []string{"TTFT [ms]", "p99 unavail", "SLO [%]", "demand repairs"} {
 		if !strings.Contains(rendered, want) {
 			t.Errorf("table missing column %q", want)
+		}
+	}
+}
+
+// TestPhasesSumToResponseTime: in every row of the engines preset the
+// phase means sum to the mean response time. The phases partition each
+// transaction's response time, so a window charged to two phases (the
+// commit release and, inside it, an optimistic engine's publication
+// burst) shows up here as phases summing past the response time.
+func TestPhasesSumToResponseTime(t *testing.T) {
+	_, reps := executePreset(t, "engines")
+	if len(reps) != 12 {
+		t.Fatalf("%d engines rows, want 12", len(reps))
+	}
+	for label, rep := range reps {
+		b := rep.Metrics.Phases
+		if b == nil {
+			t.Fatalf("%s: no phase breakdown", label)
+		}
+		var sum time.Duration
+		for p := attrib.Phase(0); p < attrib.NumPhases; p++ {
+			sum += b.PhaseMean(p)
+		}
+		// Each phase mean truncates to the nanosecond.
+		if diff := sum - b.MeanRT(); diff > time.Duration(attrib.NumPhases) || -diff > time.Duration(attrib.NumPhases) {
+			t.Errorf("%s: phases sum to %v, mean response time %v", label, sum, b.MeanRT())
 		}
 	}
 }

@@ -163,7 +163,7 @@ func (e *optEngine) access(t *txn, slot int32, mode model.LockMode) (cc.Outcome,
 		return e.n.buffered(slot), false, nil
 	}
 	if sys.params.Coupling == CouplingPCL {
-		gla := sys.gla.GLA(page)
+		gla := sys.glaOf(slot)
 		if sys.ctl != nil {
 			sys.ctl.observePart(gla, e.n.id)
 		}
@@ -211,7 +211,7 @@ func (e *optEngine) observe(t *txn, slot int32, write bool) (cc.Outcome, error) 
 	page := pm.Page
 	out := cc.Outcome{Seq: pm.Seq, Owner: -1}
 	if gem && !sys.params.Force {
-		out.Owner = pm.Owner
+		out.Owner = int(pm.Owner)
 	}
 	switch {
 	case e.mvto && write:
@@ -290,7 +290,7 @@ func (e *optEngine) upgrade(t *txn, slot int32) error {
 		return nil
 	}
 	if sys.params.Coupling == CouplingPCL {
-		gla := sys.gla.GLA(page)
+		gla := sys.glaOf(slot)
 		if home := sys.glaHomeOf(gla); home != e.n.id {
 			_, wts, _, err := e.remoteOp(t, gla, home, ccOpVersionWrite, msgPage{slot: slot})
 			if err != nil {
@@ -411,9 +411,8 @@ func (e *optEngine) validatePCL(t *txn, slots []int32, set map[model.PageID]uint
 	sys := n.sys
 	out := t.partitions(sys.params.Nodes)
 	for _, slot := range slots {
-		page := sys.dir.Page(slot)
-		gla := sys.gla.GLA(page)
-		out[gla] = append(out[gla], msgPage{slot: slot, seq: set[page]})
+		gla := sys.glaOf(slot)
+		out[gla] = append(out[gla], msgPage{slot: slot, seq: set[sys.dir.Page(slot)]})
 	}
 	for gla, batch := range out {
 		if len(batch) == 0 {
@@ -499,7 +498,7 @@ func (e *optEngine) install(t *txn, slot int32, seq uint64, owner int) {
 	}
 	if seq > pm.Seq {
 		pm.Seq = seq
-		pm.Owner = owner
+		pm.Owner = int32(owner)
 		sys.oracle.commit(pm.Page, seq)
 	}
 }

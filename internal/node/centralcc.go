@@ -92,7 +92,7 @@ func (c *centralCC) access(t *txn, slot int32, mode model.LockMode) (cc.Outcome,
 	meta := n.sys.gltMetaOf(slot)
 	out := cc.Outcome{Seq: meta.Seq, Owner: -1}
 	if !n.sys.params.Force {
-		out.Owner = meta.Owner
+		out.Owner = int(meta.Owner)
 	}
 	return out, held.kind == 0, nil
 }
@@ -139,7 +139,7 @@ func (c *centralCC) publish(t *txn) {
 			continue
 		}
 		seq := t.modified[slot].frame.SeqNo
-		meta.Seq, meta.Owner = seq, owner
+		meta.Seq, meta.Owner = seq, int32(owner)
 		sys.oracle.commit(meta.Page, seq)
 		if c.broadcast {
 			inv[0] = append(inv[0], msgPage{slot: slot})

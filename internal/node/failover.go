@@ -392,7 +392,7 @@ func (s *System) runRecovery(p *sim.Proc, crashed int, crashAt sim.Time, losers 
 				continue
 			}
 			if seq := max(committed[i], s.dir.At(d.slot).Seq); seq > 0 {
-				redo = append(redo, redoPage{page: d.page, slot: d.slot, tbl: s.gla.GLA(d.page), seq: seq})
+				redo = append(redo, redoPage{page: d.page, slot: d.slot, tbl: s.glaOf(d.slot), seq: seq})
 			}
 		}
 	} else {
@@ -507,12 +507,12 @@ func (s *System) redoOnePage(p *sim.Proc, coordID int, coord *Node, crashed int,
 			if r.seq > meta.Seq {
 				meta.Seq = r.seq
 			}
-			if meta.Owner == crashed {
+			if int(meta.Owner) == crashed {
 				meta.Owner = -1
 			}
 		} else {
 			meta := s.gltMetaOf(r.slot)
-			if meta.Owner == crashed {
+			if int(meta.Owner) == crashed {
 				meta.Owner = -1
 			}
 			coord.gemEntryOp(p, 0, 1)
@@ -730,7 +730,7 @@ func (s *System) repairOnDemand(rec *recoveryRun, page model.PageID) {
 func (s *System) gemOwnedPages(node int) []int32 {
 	var slots []int32
 	for i := int32(0); i < int32(s.dir.Len()); i++ {
-		if s.gltMetaOf(i).Owner == node {
+		if int(s.gltMetaOf(i).Owner) == node {
 			slots = append(slots, i)
 		}
 	}

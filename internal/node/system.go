@@ -430,8 +430,15 @@ func (s *System) pclMetaOf(gla int, slot int32) *pageMeta {
 	return m
 }
 
-// glaOf returns the GLA partition of the page in slot.
-func (s *System) glaOf(slot int32) int { return s.gla.GLA(s.dir.Page(slot)) }
+// glaOf returns the GLA partition of the page in slot, kept in the slot
+// after the first lookup (the GLA map is static).
+func (s *System) glaOf(slot int32) int {
+	m := s.dir.At(slot)
+	if m.Part == 0 {
+		m.Part = int32(s.gla.GLA(m.Page)) + 1
+	}
+	return int(m.Part) - 1
+}
 
 // glaHomeOf returns the node currently serving GLA partition g: its
 // original home, or — after a failover — the survivor that adopted the

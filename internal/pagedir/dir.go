@@ -23,14 +23,16 @@ type Slot struct {
 	// Seq is the committed page sequence number and Owner the node
 	// buffering the current version (-1: permanent storage), as the
 	// global lock table or the page's GLA partition records them.
-	Seq   uint64
-	Owner int
+	Seq uint64
 	// WBSeq is the version held in the GEM write buffer while
 	// Buffered is set.
 	WBSeq uint64
+	Owner int32
 	// Lock is the page's lock entry handle in its lock table; 0 when
 	// the page has no entry.
 	Lock int32
+	// Part is the page's GLA partition plus one, once known; 0 before.
+	Part int32
 	// Meta marks coherency metadata a GLA partition has recorded
 	// (partition handoffs are costed per such page); Buffered a
 	// write-buffer version; Stored an append-only page that reached
