@@ -140,7 +140,7 @@ func (d *Database) Validate() error {
 }
 
 // LockMode is the access mode of a page lock.
-type LockMode int
+type LockMode uint8
 
 const (
 	// LockRead is a shared lock.

@@ -147,7 +147,7 @@ func (e *optEngine) hot(page model.PageID) bool {
 func (e *optEngine) access(t *txn, slot int32, mode model.LockMode) (cc.Outcome, bool, error) {
 	sys := e.n.sys
 	page := sys.dir.Page(slot)
-	if e.native != nil && (t.locked[slot].kind != 0 || e.hot(page)) {
+	if _, held := t.locked.get(slot); e.native != nil && (held || e.hot(page)) {
 		return e.native.access(t, slot, mode)
 	}
 	if t.killed {
@@ -467,7 +467,7 @@ func (e *optEngine) publish(t *txn) {
 		owner = -1
 	}
 	for _, slot := range slots {
-		if mod, ok := t.modified[slot]; ok {
+		if mod, ok := t.modified.get(slot); ok {
 			e.install(t, slot, mod.frame.SeqNo, owner)
 		}
 	}
@@ -508,7 +508,7 @@ func (e *optEngine) publishPCL(t *txn, slots []int32) {
 	sys := n.sys
 	out := t.partitions(sys.params.Nodes)
 	for _, slot := range slots {
-		mod, ok := t.modified[slot]
+		mod, ok := t.modified.get(slot)
 		if !ok {
 			continue
 		}

@@ -70,7 +70,7 @@ func (c *centralCC) op(t *txn, ops int, ph attrib.Phase) {
 // all broadcasts is current).
 func (c *centralCC) access(t *txn, slot int32, mode model.LockMode) (cc.Outcome, bool, error) {
 	n := c.n
-	held := t.locked[slot]
+	held, _ := t.locked.get(slot)
 	if lockCovers(held, mode) {
 		return n.buffered(slot), false, nil
 	}
@@ -87,7 +87,7 @@ func (c *centralCC) access(t *txn, slot int32, mode model.LockMode) (cc.Outcome,
 		// Re-read the entry after the wakeup notification.
 		c.op(t, c.cycles, attrib.PhaseLockSvc)
 	}
-	t.locked[slot] = heldLock{mode: mode, kind: kindLocal}
+	t.locked.put(slot, heldLock{mode: mode, kind: kindLocal})
 
 	meta := n.sys.gltMetaOf(slot)
 	out := cc.Outcome{Seq: meta.Seq, Owner: -1}
@@ -117,7 +117,7 @@ func (c *centralCC) releaseAll(t *txn, commit bool) {
 	if n.sys.answer(c.table().ReleaseAll(t.owner), 0, n.id, t.proc.Continuation()) {
 		t.proc.Park()
 	}
-	clear(t.locked)
+	t.locked.reset(0)
 }
 
 // publish records each committed modification in its entry: the new
@@ -132,13 +132,14 @@ func (c *centralCC) publish(t *txn) {
 		owner = n.id
 	}
 	inv := t.partitions(1)
-	t.pages = sortedSlots(sys.dir, t.pages, t.modified)
+	t.pages = sortedSlots(sys.dir, t.pages, &t.modified)
 	for _, slot := range t.pages {
 		meta := sys.gltMetaOf(slot)
 		if !sys.db.File(meta.Page.File).Locking {
 			continue
 		}
-		seq := t.modified[slot].frame.SeqNo
+		mod, _ := t.modified.get(slot)
+		seq := mod.frame.SeqNo
 		meta.Seq, meta.Owner = seq, int32(owner)
 		sys.oracle.commit(meta.Page, seq)
 		if c.broadcast {

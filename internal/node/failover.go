@@ -810,13 +810,13 @@ func (s *System) rebuildFromNode(n *Node, parts map[int]bool) int64 {
 	var slots []int32
 	for _, o := range owners {
 		t := s.active[o]
-		slots = sortedSlots(s.dir, slots, t.locked)
+		slots = sortedSlots(s.dir, slots, &t.locked)
 		for _, slot := range slots {
 			g := s.glaOf(slot)
 			if !parts[g] {
 				continue
 			}
-			hl := t.locked[slot]
+			hl, _ := t.locked.get(slot)
 			tbl := s.tables[g]
 			_, granted := tbl.Request(slot, o, hl.mode, rebuildTag{})
 			if !granted {
@@ -829,7 +829,7 @@ func (s *System) rebuildFromNode(n *Node, parts map[int]bool) int64 {
 			// Unmodified copies seed the rebuilt coherency metadata;
 			// modified (uncommitted) versions do not — their sequence
 			// number becomes authoritative only at commit.
-			if _, modified := t.modified[slot]; !modified {
+			if _, modified := t.modified.get(slot); !modified {
 				if copySeq, _ := n.copySeq(slot); copySeq > 0 {
 					meta := s.pclMetaOf(g, slot)
 					if copySeq > meta.Seq {

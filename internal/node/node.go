@@ -99,7 +99,7 @@ type Node struct {
 
 // lockKind records how a transaction acquired a lock, which determines
 // the release path.
-type lockKind int
+type lockKind uint8
 
 const (
 	kindLocal    lockKind = iota + 1 // GLT or local-GLA lock
@@ -138,8 +138,8 @@ type txn struct {
 	arrive sim.Time
 
 	// locked and modified are keyed by directory slot.
-	locked   map[int32]heldLock
-	modified map[int32]modRecord
+	locked   slotMap[heldLock]
+	modified slotMap[modRecord]
 
 	// cct records the optimistic engines' observations; runTxn resets
 	// it for each attempt.
@@ -185,7 +185,7 @@ func (n *Node) newTxn() *txn {
 // attempt clears them when it starts).
 func (n *Node) freeTxn(t *txn) {
 	if len(t.spec.Refs) > txnKeepRefs {
-		t.locked, t.modified, t.cct = nil, nil, cc.Txn{}
+		t.locked, t.modified, t.cct = slotMap[heldLock]{}, slotMap[modRecord]{}, cc.Txn{}
 	}
 	if cap(t.pages) > txnKeepRefs {
 		t.pages = nil
@@ -207,14 +207,10 @@ func pageCmp(a, b model.PageID) int {
 	return cmp.Compare(a.Page, b.Page)
 }
 
-// sortedSlots returns the slots of a slot-keyed map in page order (map
-// iteration order would make runs nondeterministic), reusing buf.
-func sortedSlots[V any](d *pagedir.Dir, buf []int32, m map[int32]V) []int32 {
-	slots := buf[:0]
-	for i := range m {
-		slots = append(slots, i)
-	}
-	return sortSlots(d, slots)
+// sortedSlots returns the slots present in m in page order (table order
+// depends on the slot numbers), reusing buf.
+func sortedSlots[V comparable](d *pagedir.Dir, buf []int32, m *slotMap[V]) []int32 {
+	return sortSlots(d, m.appendSlots(buf[:0]))
 }
 
 // sortSlots orders slots by page.
@@ -334,10 +330,6 @@ func (n *Node) runTxn(p *sim.Proc, spec model.Txn, arrive, entered sim.Time, cp 
 	t := n.newTxn()
 	defer n.freeTxn(t)
 	t.spec, t.proc, t.arrive, t.cp = spec, p, arrive, cp
-	if t.locked == nil {
-		t.locked = make(map[int32]heldLock, len(spec.Refs))
-		t.modified = make(map[int32]modRecord, 4)
-	}
 	for {
 		if sys.faultsOn && sys.down[n.id] {
 			n.gate.release()
@@ -348,8 +340,8 @@ func (n *Node) runTxn(p *sim.Proc, spec model.Txn, arrive, entered sim.Time, cp 
 		t.waiting, t.deadlock, t.killed = nil, false, false
 		// A killed attempt skips releaseAll, and no attempt clears its
 		// modified set.
-		clear(t.locked)
-		clear(t.modified)
+		t.locked.reset(len(spec.Refs))
+		t.modified.reset(0)
 		t.cct.Begin(int64(t.id))
 		p.SetTraceID(int64(t.id))
 		sys.active[t.owner] = t
@@ -478,7 +470,7 @@ func (n *Node) attempt(t *txn) error {
 				return err
 			}
 		}
-		_, preModified := t.modified[slot]
+		_, preModified := t.modified.get(slot)
 		if obs := n.sys.pageObserver; obs != nil {
 			obs(ref.Page)
 		}
@@ -535,10 +527,10 @@ func (n *Node) resolveRef(ref model.Ref) model.Ref {
 // markModified pins the frame until commit, bumps its page sequence
 // number and remembers the pre-image for undo.
 func (n *Node) markModified(t *txn, frame *buffer.Frame[int32]) {
-	if _, ok := t.modified[frame.Page]; ok {
+	if _, ok := t.modified.get(frame.Page); ok {
 		return
 	}
-	t.modified[frame.Page] = modRecord{frame: frame, preSeq: frame.SeqNo, preDirty: frame.Dirty}
+	t.modified.put(frame.Page, modRecord{frame: frame, preSeq: frame.SeqNo, preDirty: frame.Dirty})
 	frame.SeqNo++
 	frame.Dirty = true
 }
@@ -579,15 +571,15 @@ func (n *Node) requestLock(t *txn, tbl *lock.Table, slot int32, mode model.LockM
 // transaction's locks and propagates the new page versions.
 func (n *Node) commit(t *txn) {
 	params := &n.sys.params
-	if len(t.modified) > 0 {
+	if t.modified.live > 0 {
 		logStart := n.sys.env.Now()
 		n.writeLog(t.proc, t.cp)
 		t.cp.AddPhase(attrib.PhaseLog, n.sys.env.Now()-logStart)
 		if params.Force {
 			forceStart := n.sys.env.Now()
-			t.pages = sortedSlots(n.sys.dir, t.pages, t.modified)
+			t.pages = sortedSlots(n.sys.dir, t.pages, &t.modified)
 			for _, slot := range t.pages {
-				mod := t.modified[slot]
+				mod, _ := t.modified.get(slot)
 				file := n.sys.db.File(n.sys.dir.Page(slot).File)
 				n.writeStorage(t.proc, t.cp, file, slot, mod.frame.SeqNo)
 				n.forceWrites++
@@ -601,8 +593,10 @@ func (n *Node) commit(t *txn) {
 	relStart, charged := n.sys.env.Now(), t.cp.PhaseSum()
 	n.cc.releaseAll(t, true)
 	t.cp.AddPhase(attrib.PhaseCommit, n.sys.env.Now()-relStart-(t.cp.PhaseSum()-charged))
-	for _, mod := range t.modified {
-		mod.frame.Unfix()
+	for _, e := range t.modified.ents {
+		if e.key != 0 {
+			e.val.frame.Unfix()
+		}
 	}
 }
 
@@ -611,10 +605,12 @@ func (n *Node) commit(t *txn) {
 func (n *Node) abortTxn(t *txn) {
 	n.aborts++
 	n.cc.releaseAll(t, false)
-	for _, mod := range t.modified {
-		mod.frame.SeqNo = mod.preSeq
-		mod.frame.Dirty = mod.preDirty
-		mod.frame.Unfix()
+	for _, e := range t.modified.ents {
+		if mod := e.val; e.key != 0 {
+			mod.frame.SeqNo = mod.preSeq
+			mod.frame.Dirty = mod.preDirty
+			mod.frame.Unfix()
+		}
 	}
 }
 
