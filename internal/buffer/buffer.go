@@ -13,6 +13,7 @@ package buffer
 import (
 	"fmt"
 
+	"gemsim/internal/flatmap"
 	"gemsim/internal/model"
 	"gemsim/internal/stats"
 )
@@ -49,27 +50,28 @@ type Victim[K comparable] struct {
 }
 
 // Pool is one node's LRU database buffer. The LRU chain is intrusive
-// (links in Frame), and Insert reuses the frame it evicts or one that
-// Drop freed, so a full pool allocates no frames at all.
+// (links in Frame), the index a flat map, and Insert reuses the frame
+// it evicts or one that Drop freed, so a full pool allocates nothing.
 type Pool[K comparable] struct {
 	capacity int
 	mru, lru *Frame[K] // chain ends; nil when empty
 	frames   int
-	index    map[K]*Frame[K]
+	index    flatmap.Map[K, *Frame[K]]
 	free     []*Frame[K] // frames removed by Drop, unfixed and unlinked
 
 	hitsByFile map[model.FileID]*stats.Ratio
 	overflow   int64
 }
 
-// NewPool creates a buffer of the given capacity in pages.
-func NewPool[K comparable](capacity int) *Pool[K] {
+// NewPool creates a buffer of the given capacity in pages, hashing
+// page keys with hash.
+func NewPool[K comparable](capacity int, hash func(K) uint64) *Pool[K] {
 	if capacity <= 0 {
 		panic("buffer: capacity must be positive")
 	}
 	return &Pool[K]{
 		capacity:   capacity,
-		index:      make(map[K]*Frame[K], capacity),
+		index:      flatmap.Make[K, *Frame[K]](hash, capacity),
 		hitsByFile: make(map[model.FileID]*stats.Ratio),
 	}
 }
@@ -116,16 +118,15 @@ func (b *Pool[K]) moveToFront(f *Frame[K]) {
 
 // Get returns the frame for page and promotes it to MRU, or nil.
 func (b *Pool[K]) Get(page K) *Frame[K] {
-	f, ok := b.index[page]
-	if !ok {
-		return nil
+	f := b.index.Get(page)
+	if f != nil {
+		b.moveToFront(f)
 	}
-	b.moveToFront(f)
 	return f
 }
 
 // Peek returns the frame without touching LRU state, or nil.
-func (b *Pool[K]) Peek(page K) *Frame[K] { return b.index[page] }
+func (b *Pool[K]) Peek(page K) *Frame[K] { return b.index.Get(page) }
 
 // Observe records a logical buffer hit or miss for the page's file
 // (used for the per-partition hit ratios reported in the paper).
@@ -164,7 +165,7 @@ func (b *Pool[K]) HitCounts(file model.FileID) (int64, int64) {
 // failing (the overflow count is reported); with realistic MPL settings
 // this does not occur.
 func (b *Pool[K]) Insert(page K, seqno uint64, dirty bool) (f *Frame[K], victim Victim[K], evicted bool) {
-	if f, ok := b.index[page]; ok {
+	if f := b.index.Get(page); f != nil {
 		if seqno > f.SeqNo {
 			f.SeqNo = seqno
 		}
@@ -180,7 +181,7 @@ func (b *Pool[K]) Insert(page K, seqno uint64, dirty bool) (f *Frame[K], victim 
 			victim = Victim[K]{Page: vf.Page, SeqNo: vf.SeqNo, Dirty: vf.Dirty}
 			evicted = true
 			b.unlink(vf)
-			delete(b.index, vf.Page)
+			b.index.Delete(vf.Page)
 			f = vf
 			break
 		}
@@ -195,22 +196,22 @@ func (b *Pool[K]) Insert(page K, seqno uint64, dirty bool) (f *Frame[K], victim 
 	}
 	f.Page, f.SeqNo, f.Dirty = page, seqno, dirty
 	b.pushFront(f)
-	b.index[page] = f
+	b.index.Put(page, f)
 	return f, victim, evicted
 }
 
 // Drop removes a page (buffer invalidation discard) and keeps its frame
 // for the next Insert; fixed frames must not be dropped.
 func (b *Pool[K]) Drop(page K) {
-	f, ok := b.index[page]
-	if !ok {
+	f := b.index.Get(page)
+	if f == nil {
 		return
 	}
 	if f.Fixed() {
 		panic(fmt.Sprintf("buffer: dropping fixed frame %v", page))
 	}
 	b.unlink(f)
-	delete(b.index, page)
+	b.index.Delete(page)
 	b.free = append(b.free, f)
 }
 
@@ -243,5 +244,5 @@ func (b *Pool[K]) DropAll() {
 		f = next
 	}
 	b.mru, b.lru, b.frames = nil, nil, 0
-	clear(b.index)
+	b.index.Reset(b.capacity)
 }

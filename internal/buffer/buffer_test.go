@@ -9,8 +9,10 @@ import (
 
 func pg(n int32) model.PageID { return model.PageID{File: 1, Page: n} }
 
+func newPool(capacity int) *Pool[model.PageID] { return NewPool(capacity, model.PageID.Key) }
+
 func TestInsertAndGet(t *testing.T) {
-	b := NewPool[model.PageID](4)
+	b := newPool(4)
 	f, _, evicted := b.Insert(pg(1), 5, false)
 	if evicted {
 		t.Fatal("unexpected victim")
@@ -27,7 +29,7 @@ func TestInsertAndGet(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	b := NewPool[model.PageID](2)
+	b := newPool(2)
 	b.Insert(pg(1), 1, false)
 	b.Insert(pg(2), 1, true)
 	b.Get(pg(1)) // promote 1
@@ -41,7 +43,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestFixedFramesSkipped(t *testing.T) {
-	b := NewPool[model.PageID](2)
+	b := newPool(2)
 	f1, _, _ := b.Insert(pg(1), 1, false)
 	b.Insert(pg(2), 1, false)
 	f1.Fix()
@@ -53,7 +55,7 @@ func TestFixedFramesSkipped(t *testing.T) {
 }
 
 func TestAllFixedOverflows(t *testing.T) {
-	b := NewPool[model.PageID](2)
+	b := newPool(2)
 	f1, _, _ := b.Insert(pg(1), 1, false)
 	f2, _, _ := b.Insert(pg(2), 1, false)
 	f1.Fix()
@@ -72,7 +74,7 @@ func TestAllFixedOverflows(t *testing.T) {
 }
 
 func TestReinsertRefreshes(t *testing.T) {
-	b := NewPool[model.PageID](2)
+	b := newPool(2)
 	b.Insert(pg(1), 3, false)
 	f, _, evicted := b.Insert(pg(1), 5, true)
 	if evicted {
@@ -89,7 +91,7 @@ func TestReinsertRefreshes(t *testing.T) {
 }
 
 func TestDrop(t *testing.T) {
-	b := NewPool[model.PageID](2)
+	b := newPool(2)
 	b.Insert(pg(1), 1, false)
 	b.Drop(pg(1))
 	if b.Peek(pg(1)) != nil {
@@ -99,7 +101,7 @@ func TestDrop(t *testing.T) {
 }
 
 func TestDropFixedPanics(t *testing.T) {
-	b := NewPool[model.PageID](2)
+	b := newPool(2)
 	f, _, _ := b.Insert(pg(1), 1, false)
 	f.Fix()
 	defer func() {
@@ -116,11 +118,11 @@ func TestZeroCapacityPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewPool[model.PageID](0)
+	newPool(0)
 }
 
 func TestUnfixUnfixedPanics(t *testing.T) {
-	b := NewPool[model.PageID](2)
+	b := newPool(2)
 	f, _, _ := b.Insert(pg(1), 1, false)
 	defer func() {
 		if recover() == nil {
@@ -131,7 +133,7 @@ func TestUnfixUnfixedPanics(t *testing.T) {
 }
 
 func TestHitStats(t *testing.T) {
-	b := NewPool[model.PageID](2)
+	b := newPool(2)
 	b.Observe(1, true)
 	b.Observe(1, true)
 	b.Observe(1, false)
@@ -152,7 +154,7 @@ func TestHitStats(t *testing.T) {
 }
 
 func TestPagesIteration(t *testing.T) {
-	b := NewPool[model.PageID](3)
+	b := newPool(3)
 	b.Insert(pg(1), 1, false)
 	b.Insert(pg(2), 1, false)
 	count := 0
@@ -167,7 +169,7 @@ func TestPagesIteration(t *testing.T) {
 func TestPoolCapacityProperty(t *testing.T) {
 	err := quick.Check(func(ops []uint16, capRaw uint8) bool {
 		capacity := int(capRaw%8) + 1
-		b := NewPool[model.PageID](capacity)
+		b := newPool(capacity)
 		for _, op := range ops {
 			p := pg(int32(op % 32))
 			switch op % 4 {
@@ -193,7 +195,7 @@ func TestPoolCapacityProperty(t *testing.T) {
 // in the pool, was returned as a victim, or was dropped.
 func TestVictimConservationProperty(t *testing.T) {
 	err := quick.Check(func(pages []uint8) bool {
-		b := NewPool[model.PageID](4)
+		b := newPool(4)
 		inserted := make(map[model.PageID]bool)
 		evicted := make(map[model.PageID]bool)
 		for _, raw := range pages {
@@ -225,7 +227,7 @@ func TestVictimConservationProperty(t *testing.T) {
 func TestLRUOrderMatchesReference(t *testing.T) {
 	err := quick.Check(func(ops []uint16) bool {
 		const capacity = 5
-		b := NewPool[model.PageID](capacity)
+		b := newPool(capacity)
 		var ref []model.PageID // ref[0] is the MRU page
 		fixed := make(map[model.PageID]bool)
 		promote := func(p model.PageID) {
@@ -315,7 +317,7 @@ func contains(pages []model.PageID, p model.PageID) bool {
 // insert refills the frame it evicts, and a dropped frame serves the
 // next insert.
 func TestFramesAreReused(t *testing.T) {
-	b := NewPool[model.PageID](2)
+	b := newPool(2)
 	f1, _, _ := b.Insert(pg(1), 1, false)
 	b.Insert(pg(2), 1, false)
 	f3, victim, evicted := b.Insert(pg(3), 4, true)
@@ -343,7 +345,7 @@ func TestFramesAreReused(t *testing.T) {
 // which in-flight transactions of a crashed node may still hold, are
 // never handed out again, while frames dropped afterwards are.
 func TestDropAllFramesNeverReused(t *testing.T) {
-	b := NewPool[model.PageID](2)
+	b := newPool(2)
 	f1, _, _ := b.Insert(pg(1), 1, false)
 	f2, _, _ := b.Insert(pg(2), 1, false)
 	f1.Fix()

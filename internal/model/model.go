@@ -18,6 +18,9 @@ type PageID struct {
 // String formats a page id as file:page.
 func (p PageID) String() string { return fmt.Sprintf("%d:%d", p.File, p.Page) }
 
+// Key packs a page id into one integer (file, then page), a hash key.
+func (p PageID) Key() uint64 { return uint64(uint32(p.File))<<32 | uint64(uint32(p.Page)) }
+
 // Medium is the storage medium a file is allocated to.
 type Medium int
 

@@ -147,7 +147,7 @@ func (e *optEngine) hot(page model.PageID) bool {
 func (e *optEngine) access(t *txn, slot int32, mode model.LockMode) (cc.Outcome, bool, error) {
 	sys := e.n.sys
 	page := sys.dir.Page(slot)
-	if _, held := t.locked.get(slot); e.native != nil && (held || e.hot(page)) {
+	if e.native != nil && (t.locked.Get(slot).kind != 0 || e.hot(page)) {
 		return e.native.access(t, slot, mode)
 	}
 	if t.killed {
@@ -467,7 +467,7 @@ func (e *optEngine) publish(t *txn) {
 		owner = -1
 	}
 	for _, slot := range slots {
-		if mod, ok := t.modified.get(slot); ok {
+		if mod := t.modified.Get(slot); mod.frame != nil {
 			e.install(t, slot, mod.frame.SeqNo, owner)
 		}
 	}
@@ -508,8 +508,8 @@ func (e *optEngine) publishPCL(t *txn, slots []int32) {
 	sys := n.sys
 	out := t.partitions(sys.params.Nodes)
 	for _, slot := range slots {
-		mod, ok := t.modified.get(slot)
-		if !ok {
+		mod := t.modified.Get(slot)
+		if mod.frame == nil {
 			continue
 		}
 		gla := sys.glaOf(slot)

@@ -70,7 +70,7 @@ func (c *centralCC) op(t *txn, ops int, ph attrib.Phase) {
 // all broadcasts is current).
 func (c *centralCC) access(t *txn, slot int32, mode model.LockMode) (cc.Outcome, bool, error) {
 	n := c.n
-	held, _ := t.locked.get(slot)
+	held := t.locked.Get(slot)
 	if lockCovers(held, mode) {
 		return n.buffered(slot), false, nil
 	}
@@ -87,7 +87,7 @@ func (c *centralCC) access(t *txn, slot int32, mode model.LockMode) (cc.Outcome,
 		// Re-read the entry after the wakeup notification.
 		c.op(t, c.cycles, attrib.PhaseLockSvc)
 	}
-	t.locked.put(slot, heldLock{mode: mode, kind: kindLocal})
+	t.locked.Put(slot, heldLock{mode: mode, kind: kindLocal})
 
 	meta := n.sys.gltMetaOf(slot)
 	out := cc.Outcome{Seq: meta.Seq, Owner: -1}
@@ -117,7 +117,7 @@ func (c *centralCC) releaseAll(t *txn, commit bool) {
 	if n.sys.answer(c.table().ReleaseAll(t.owner), 0, n.id, t.proc.Continuation()) {
 		t.proc.Park()
 	}
-	t.locked.reset(0)
+	t.locked.Reset(0)
 }
 
 // publish records each committed modification in its entry: the new
@@ -138,7 +138,7 @@ func (c *centralCC) publish(t *txn) {
 		if !sys.db.File(meta.Page.File).Locking {
 			continue
 		}
-		mod, _ := t.modified.get(slot)
+		mod := t.modified.Get(slot)
 		seq := mod.frame.SeqNo
 		meta.Seq, meta.Owner = seq, int32(owner)
 		sys.oracle.commit(meta.Page, seq)

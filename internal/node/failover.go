@@ -816,7 +816,7 @@ func (s *System) rebuildFromNode(n *Node, parts map[int]bool) int64 {
 			if !parts[g] {
 				continue
 			}
-			hl, _ := t.locked.get(slot)
+			hl := t.locked.Get(slot)
 			tbl := s.tables[g]
 			_, granted := tbl.Request(slot, o, hl.mode, rebuildTag{})
 			if !granted {
@@ -829,7 +829,7 @@ func (s *System) rebuildFromNode(n *Node, parts map[int]bool) int64 {
 			// Unmodified copies seed the rebuilt coherency metadata;
 			// modified (uncommitted) versions do not — their sequence
 			// number becomes authoritative only at commit.
-			if _, modified := t.modified.get(slot); !modified {
+			if t.modified.Get(slot).frame == nil {
 				if copySeq, _ := n.copySeq(slot); copySeq > 0 {
 					meta := s.pclMetaOf(g, slot)
 					if copySeq > meta.Seq {

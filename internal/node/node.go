@@ -11,6 +11,7 @@ import (
 	"gemsim/internal/buffer"
 	"gemsim/internal/cc"
 	"gemsim/internal/cpusrv"
+	"gemsim/internal/flatmap"
 	"gemsim/internal/lock"
 	"gemsim/internal/model"
 	"gemsim/internal/netsim"
@@ -138,8 +139,8 @@ type txn struct {
 	arrive sim.Time
 
 	// locked and modified are keyed by directory slot.
-	locked   slotMap[heldLock]
-	modified slotMap[modRecord]
+	locked   flatmap.Map[int32, heldLock]
+	modified flatmap.Map[int32, modRecord]
 
 	// cct records the optimistic engines' observations; runTxn resets
 	// it for each attempt.
@@ -178,14 +179,15 @@ func (n *Node) newTxn() *txn {
 	if t := n.txns.Get(); t != nil {
 		return t
 	}
-	return &txn{node: n}
+	return &txn{node: n, locked: flatmap.Make[int32, heldLock](flatmap.Int32, 0), modified: flatmap.Make[int32, modRecord](flatmap.Int32, 0)}
 }
 
 // freeTxn returns t to the pool, keeping its maps and buffers (each
 // attempt clears them when it starts).
 func (n *Node) freeTxn(t *txn) {
 	if len(t.spec.Refs) > txnKeepRefs {
-		t.locked, t.modified, t.cct = slotMap[heldLock]{}, slotMap[modRecord]{}, cc.Txn{}
+		t.locked, t.modified = flatmap.Make[int32, heldLock](flatmap.Int32, 0), flatmap.Make[int32, modRecord](flatmap.Int32, 0)
+		t.cct = cc.Txn{}
 	}
 	if cap(t.pages) > txnKeepRefs {
 		t.pages = nil
@@ -209,8 +211,8 @@ func pageCmp(a, b model.PageID) int {
 
 // sortedSlots returns the slots present in m in page order (table order
 // depends on the slot numbers), reusing buf.
-func sortedSlots[V comparable](d *pagedir.Dir, buf []int32, m *slotMap[V]) []int32 {
-	return sortSlots(d, m.appendSlots(buf[:0]))
+func sortedSlots[V comparable](d *pagedir.Dir, buf []int32, m *flatmap.Map[int32, V]) []int32 {
+	return sortSlots(d, m.AppendKeys(buf[:0]))
 }
 
 // sortSlots orders slots by page.
@@ -235,7 +237,7 @@ func newNode(s *System, id int) *Node {
 		sys:          s,
 		id:           id,
 		track:        "node" + itoa(id),
-		pool:         buffer.NewPool[int32](s.params.BufferPages),
+		pool:         buffer.NewPool(s.params.BufferPages, flatmap.Int32),
 		respHist:     stats.NewDurationHistogram(),
 		inflight:     make(map[int32]uint64),
 		pendingReads: make(map[int32][]*sim.Proc),
@@ -340,8 +342,8 @@ func (n *Node) runTxn(p *sim.Proc, spec model.Txn, arrive, entered sim.Time, cp 
 		t.waiting, t.deadlock, t.killed = nil, false, false
 		// A killed attempt skips releaseAll, and no attempt clears its
 		// modified set.
-		t.locked.reset(len(spec.Refs))
-		t.modified.reset(0)
+		t.locked.Reset(len(spec.Refs))
+		t.modified.Reset(0)
 		t.cct.Begin(int64(t.id))
 		p.SetTraceID(int64(t.id))
 		sys.active[t.owner] = t
@@ -470,7 +472,7 @@ func (n *Node) attempt(t *txn) error {
 				return err
 			}
 		}
-		_, preModified := t.modified.get(slot)
+		preModified := t.modified.Get(slot) != (modRecord{})
 		if obs := n.sys.pageObserver; obs != nil {
 			obs(ref.Page)
 		}
@@ -527,10 +529,10 @@ func (n *Node) resolveRef(ref model.Ref) model.Ref {
 // markModified pins the frame until commit, bumps its page sequence
 // number and remembers the pre-image for undo.
 func (n *Node) markModified(t *txn, frame *buffer.Frame[int32]) {
-	if _, ok := t.modified.get(frame.Page); ok {
+	if t.modified.Get(frame.Page) != (modRecord{}) {
 		return
 	}
-	t.modified.put(frame.Page, modRecord{frame: frame, preSeq: frame.SeqNo, preDirty: frame.Dirty})
+	t.modified.Put(frame.Page, modRecord{frame: frame, preSeq: frame.SeqNo, preDirty: frame.Dirty})
 	frame.SeqNo++
 	frame.Dirty = true
 }
@@ -571,7 +573,7 @@ func (n *Node) requestLock(t *txn, tbl *lock.Table, slot int32, mode model.LockM
 // transaction's locks and propagates the new page versions.
 func (n *Node) commit(t *txn) {
 	params := &n.sys.params
-	if t.modified.live > 0 {
+	if t.modified.Len() > 0 {
 		logStart := n.sys.env.Now()
 		n.writeLog(t.proc, t.cp)
 		t.cp.AddPhase(attrib.PhaseLog, n.sys.env.Now()-logStart)
@@ -579,7 +581,7 @@ func (n *Node) commit(t *txn) {
 			forceStart := n.sys.env.Now()
 			t.pages = sortedSlots(n.sys.dir, t.pages, &t.modified)
 			for _, slot := range t.pages {
-				mod, _ := t.modified.get(slot)
+				mod := t.modified.Get(slot)
 				file := n.sys.db.File(n.sys.dir.Page(slot).File)
 				n.writeStorage(t.proc, t.cp, file, slot, mod.frame.SeqNo)
 				n.forceWrites++
@@ -593,10 +595,9 @@ func (n *Node) commit(t *txn) {
 	relStart, charged := n.sys.env.Now(), t.cp.PhaseSum()
 	n.cc.releaseAll(t, true)
 	t.cp.AddPhase(attrib.PhaseCommit, n.sys.env.Now()-relStart-(t.cp.PhaseSum()-charged))
-	for _, e := range t.modified.ents {
-		if e.key != 0 {
-			e.val.frame.Unfix()
-		}
+	t.pages = t.modified.AppendKeys(t.pages[:0])
+	for _, slot := range t.pages {
+		t.modified.Get(slot).frame.Unfix()
 	}
 }
 
@@ -605,12 +606,12 @@ func (n *Node) commit(t *txn) {
 func (n *Node) abortTxn(t *txn) {
 	n.aborts++
 	n.cc.releaseAll(t, false)
-	for _, e := range t.modified.ents {
-		if mod := e.val; e.key != 0 {
-			mod.frame.SeqNo = mod.preSeq
-			mod.frame.Dirty = mod.preDirty
-			mod.frame.Unfix()
-		}
+	t.pages = t.modified.AppendKeys(t.pages[:0])
+	for _, slot := range t.pages {
+		mod := t.modified.Get(slot)
+		mod.frame.SeqNo = mod.preSeq
+		mod.frame.Dirty = mod.preDirty
+		mod.frame.Unfix()
 	}
 }
 

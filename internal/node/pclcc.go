@@ -36,7 +36,7 @@ func (c *pclCC) table(gla int) *lock.Table { return c.n.sys.tables[gla] }
 // access processes one page lock request under PCL, unless a held lock
 // already covers the access.
 func (c *pclCC) access(t *txn, slot int32, mode model.LockMode) (cc.Outcome, bool, error) {
-	held, _ := t.locked.get(slot)
+	held := t.locked.Get(slot)
 	if lockCovers(held, mode) {
 		return c.n.buffered(slot), false, nil
 	}
@@ -89,7 +89,7 @@ func (c *pclCC) lockLocal(t *txn, slot int32, mode model.LockMode, gla int) (cc.
 	if mode == model.LockWrite && sys.revoke(slot, n.id, t.proc.Continuation()) {
 		t.proc.Park()
 	}
-	t.locked.put(slot, heldLock{mode: mode, kind: kindLocal})
+	t.locked.Put(slot, heldLock{mode: mode, kind: kindLocal})
 	meta := sys.pclMetaOf(gla, slot)
 	return cc.Outcome{Seq: meta.Seq, Owner: -1}, nil
 }
@@ -108,7 +108,7 @@ func (c *pclCC) lockShadowRA(t *txn, slot int32, gla int, copySeq uint64) (cc.Ou
 	if err != nil {
 		return cc.Outcome{}, err
 	}
-	t.locked.put(slot, heldLock{mode: model.LockRead, kind: kindShadowRA})
+	t.locked.Put(slot, heldLock{mode: model.LockRead, kind: kindShadowRA})
 	if !waited {
 		return cc.Outcome{Seq: copySeq, Owner: -1}, nil
 	}
@@ -152,7 +152,7 @@ func (c *pclCC) lockRemote(t *txn, slot int32, mode model.LockMode, gla, home in
 	if grant.grantRA {
 		sys.setRABit(slot, sys.raWords, n.id, true)
 	}
-	t.locked.put(slot, heldLock{mode: mode, kind: kindRemote})
+	t.locked.Put(slot, heldLock{mode: mode, kind: kindRemote})
 	out := cc.Outcome{Seq: grant.seq, Owner: -1, Carried: grant.carried}
 	if grant.ownerHasCopy && !sys.params.Force {
 		// Should the local copy disappear before the access (it can be
@@ -359,16 +359,17 @@ func (c *pclCC) releaseAll(t *txn, commit bool) {
 				t.proc.Park()
 			}
 		}
-		t.locked.reset(0)
+		t.locked.Reset(0)
 		return
 	}
 
 	t.pages = sortedSlots(sys.dir, t.pages, &t.locked)
 	out := t.partitions(sys.params.Nodes)
 	for _, slot := range t.pages {
-		hl, _ := t.locked.get(slot)
+		hl := t.locked.Get(slot)
 		gla := sys.glaOf(slot)
-		mod, modified := t.modified.get(slot)
+		mod := t.modified.Get(slot)
+		modified := mod.frame != nil
 		switch hl.kind {
 		case kindLocal:
 			if modified {
@@ -399,7 +400,7 @@ func (c *pclCC) releaseAll(t *txn, commit bool) {
 			}
 			out[gla] = append(out[gla], rp)
 		}
-		t.locked.put(slot, heldLock{})
+		t.locked.Delete(slot)
 	}
 	n.sendPartitions(t, msgLockRelease, false)
 }

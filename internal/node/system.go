@@ -8,6 +8,7 @@ import (
 	"gemsim/internal/buffer"
 	"gemsim/internal/cc"
 	"gemsim/internal/cpusrv"
+	"gemsim/internal/flatmap"
 	"gemsim/internal/gem"
 	"gemsim/internal/lock"
 	"gemsim/internal/model"
@@ -229,7 +230,7 @@ func NewSystem(env *sim.Env, params Params, gen workload.Generator, router routi
 					size = 1024
 				}
 			}
-			s.gemCaches[f.ID] = buffer.NewPool[int32](size)
+			s.gemCaches[f.ID] = buffer.NewPool(size, flatmap.Int32)
 		case model.MediumDiskCacheVolatile, model.MediumDiskCacheNV:
 			size := params.DiskCachePages[f.ID]
 			if size <= 0 {

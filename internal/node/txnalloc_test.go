@@ -109,7 +109,7 @@ func allocsPerCommit(t *testing.T, env *sim.Env, sys *System, rate float64) (all
 //
 // The trace rows run a small Fig. 4.7 trace, whose transactions make
 // dozens of lock requests each, most of them remote under PCL: about
-// 2.9 allocations and 2.1 KB per commit under PCL and 2.2 and 1.7 KB
+// 3.0 allocations and 1.7 KB per commit under PCL and 2.4 and 1.4 KB
 // under GEM. Lock entries and request records, queued ones included,
 // come from pooled chunks, so the lock table's growth while the
 // backlog of the trace's long transactions builds up costs few
@@ -130,8 +130,8 @@ func TestTxnAllocs(t *testing.T) {
 		{"PCL", func() (float64, float64) { return txnAllocsPerCommit(t, CouplingPCL, false, false, 4) }, 3, maxBytesPerCommit},
 		{"PCL+GEM messaging", func() (float64, float64) { return txnAllocsPerCommit(t, CouplingPCL, false, true, 4) }, 3, maxBytesPerCommit},
 		{"lock engine", func() (float64, float64) { return txnAllocsPerCommit(t, CouplingLockEngine, true, false, 4) }, 4, maxBytesPerCommit},
-		{"trace PCL", func() (float64, float64) { return traceAllocsPerCommit(t, CouplingPCL, 4) }, 3.5, 2400},
-		{"trace GEM", func() (float64, float64) { return traceAllocsPerCommit(t, CouplingGEM, 4) }, 3, 2048},
+		{"trace PCL", func() (float64, float64) { return traceAllocsPerCommit(t, CouplingPCL, 4) }, 3.5, 2048},
+		{"trace GEM", func() (float64, float64) { return traceAllocsPerCommit(t, CouplingGEM, 4) }, 3, 1600},
 	} {
 		allocs, bytes := tc.measure()
 		t.Logf("%s: %.2f allocs, %.0f B per commit", tc.name, allocs, bytes)

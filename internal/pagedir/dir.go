@@ -8,14 +8,15 @@
 //
 // Slots are handed out in first-touch order from fixed slabs that are
 // never moved or grown, so a slot pointer stays valid for the
-// directory's lifetime. The index from page to slot is an
-// open-addressed table of packed page ids: the directory never forgets
-// a page, so it needs no deletion, and a lookup reads one key and one
-// slot number. Slots and the index hold no pointers, so the garbage
-// collector never scans them.
+// directory's lifetime. The index from page to slot is a flat
+// open-addressed map. Slots and the index hold no pointers, so the
+// garbage collector never scans them.
 package pagedir
 
-import "gemsim/internal/model"
+import (
+	"gemsim/internal/flatmap"
+	"gemsim/internal/model"
+)
 
 // slabSlots is the number of slots per slab.
 const slabSlots = 128
@@ -45,10 +46,7 @@ type Slot struct {
 
 // Dir is a page directory.
 type Dir struct {
-	// keys holds packed page ids with linear probing, slot the slot
-	// number plus one of the page at the same index (0: empty bucket).
-	keys  []uint64
-	slot  []int32
+	index flatmap.Map[model.PageID, int32] // slot plus one
 	n     int32
 	slabs []*[slabSlots]Slot
 	// words per slot of bit words (Words), and their slabs.
@@ -58,33 +56,18 @@ type Dir struct {
 
 // New returns an empty directory whose slots carry words bit words
 // each (none when words is 0).
-func New(words int) *Dir { return &Dir{words: words} }
+func New(words int) *Dir {
+	return &Dir{index: flatmap.Make[model.PageID, int32](model.PageID.Key, 0), words: words}
+}
 
 // Len reports the number of pages in the directory.
 func (d *Dir) Len() int { return int(d.n) }
-
-// key packs a page id into an index key.
-func key(page model.PageID) uint64 { return uint64(uint32(page.File))<<32 | uint64(uint32(page.Page)) }
-
-// bucket returns the index bucket holding k, or the empty one where it
-// belongs.
-func (d *Dir) bucket(k uint64) int {
-	mask := len(d.keys) - 1
-	i := int((k*0x9e3779b97f4a7c15)>>32) & mask
-	for d.slot[i] != 0 && d.keys[i] != k {
-		i = (i + 1) & mask
-	}
-	return i
-}
 
 // Of returns page's slot, assigning the next one (Owner -1, all else
 // zero) on first touch.
 func (d *Dir) Of(page model.PageID) int32 {
 	if i, ok := d.Find(page); ok {
 		return i
-	}
-	if 4*(d.n+1) > 3*int32(len(d.keys)) {
-		d.grow()
 	}
 	i := d.n
 	d.n++
@@ -94,33 +77,15 @@ func (d *Dir) Of(page model.PageID) int32 {
 			d.wordSlabs = append(d.wordSlabs, make([]uint64, slabSlots*d.words))
 		}
 	}
-	k := key(page)
-	b := d.bucket(k)
-	d.keys[b], d.slot[b] = k, i+1
+	d.index.Put(page, i+1)
 	*d.At(i) = Slot{Page: page, Owner: -1}
 	return i
 }
 
-// grow doubles the index, keeping it at most three quarters full.
-func (d *Dir) grow() {
-	keys, slot := d.keys, d.slot
-	n := max(2*len(keys), 2*slabSlots)
-	d.keys, d.slot = make([]uint64, n), make([]int32, n)
-	for j, k := range keys {
-		if slot[j] != 0 {
-			b := d.bucket(k)
-			d.keys[b], d.slot[b] = k, slot[j]
-		}
-	}
-}
-
 // Find returns page's slot without creating one.
 func (d *Dir) Find(page model.PageID) (int32, bool) {
-	if d.n == 0 {
-		return 0, false
-	}
-	b := d.bucket(key(page))
-	return d.slot[b] - 1, d.slot[b] != 0
+	i := d.index.Get(page)
+	return i - 1, i != 0
 }
 
 // At returns slot i.

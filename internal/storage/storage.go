@@ -123,7 +123,7 @@ func NewGroup(env *sim.Env, name string, params Params) *Group {
 		disks:       sim.NewResource(env, name+"/disk", params.Disks),
 	}
 	if params.Cache != nil && params.Cache.SizePages > 0 {
-		g.cache = buffer.NewPool[model.PageID](params.Cache.SizePages)
+		g.cache = buffer.NewPool(params.Cache.SizePages, model.PageID.Key)
 		g.volatile = params.Cache.Volatile
 	}
 	return g
