@@ -44,8 +44,9 @@ type Request struct {
 	Data  any
 	Epoch uint64
 
-	gen     uint32 // records returned to the pool so far; see Grant
-	entry   int32  // handle of the page's entry
+	gen     uint32   // records returned to the pool so far; see Grant
+	entry   int32    // handle of the page's entry
+	next    *Request // the owner's next granted request
 	granted bool
 	upgrade bool // waiting R->W conversion of an already granted R lock
 }
@@ -105,8 +106,8 @@ const chunk = 64
 type Table struct {
 	dir     *pagedir.Dir
 	entries []*[chunk]entry
-	// held tracks every granted request per owner for ReleaseAll.
-	held map[Owner][]*Request
+	// held lists every owner's granted requests for ReleaseAll.
+	held map[Owner]heldList
 	// waiting maps each owner to its single outstanding waiting
 	// request (strict 2PL: a transaction waits for one lock at a
 	// time).
@@ -114,7 +115,6 @@ type Table struct {
 
 	freeEntries []int32
 	freeReqs    []*Request
-	freeHeld    [][]*Request
 	// grants is the result of the last release or cancellation.
 	grants []Grant
 
@@ -126,7 +126,7 @@ type Table struct {
 func NewTable(dir *pagedir.Dir) *Table {
 	return &Table{
 		dir:     dir,
-		held:    make(map[Owner][]*Request),
+		held:    make(map[Owner]heldList),
 		waiting: make(map[Owner]*Request),
 	}
 }
@@ -192,24 +192,11 @@ func (t *Table) recycleRequest(r *Request) {
 	t.freeReqs = append(t.freeReqs, r)
 }
 
-// newHeld takes a held-slice backing array from the pool.
-func (t *Table) newHeld() []*Request {
-	if n := len(t.freeHeld); n > 0 {
-		hs := t.freeHeld[n-1]
-		t.freeHeld[n-1] = nil
-		t.freeHeld = t.freeHeld[:n-1]
-		return hs
-	}
-	return nil
-}
-
-// recycleHeld returns a held-slice backing array to the pool.
-func (t *Table) recycleHeld(hs []*Request) {
-	if cap(hs) == 0 {
-		return
-	}
-	clear(hs[:cap(hs)])
-	t.freeHeld = append(t.freeHeld, hs[:0])
+// heldList is an owner's granted requests in grant order, linked
+// through the records.
+type heldList struct {
+	first, last *Request
+	n           int
 }
 
 // Requests returns the number of lock requests processed.
@@ -243,11 +230,15 @@ func (e *entry) compatibleWithGranted(o Owner, m model.LockMode) bool {
 func (t *Table) grant(e *entry, r *Request) {
 	r.granted = true
 	e.granted = append(e.granted, holder{owner: r.Owner, mode: r.Mode, r: r})
-	hs, ok := t.held[r.Owner]
-	if !ok {
-		hs = t.newHeld()
+	l := t.held[r.Owner]
+	if l.first == nil {
+		l.first = r
+	} else {
+		l.last.next = r
 	}
-	t.held[r.Owner] = append(hs, r)
+	l.last = r
+	l.n++
+	t.held[r.Owner] = l
 }
 
 // Request asks for a lock on the page in slot in the given mode. If the
@@ -368,15 +359,15 @@ func (t *Table) Release(slot int32, o Owner) []Grant {
 func (t *Table) ReleaseAll(o Owner) []Grant {
 	t.CancelWaiting(o)
 	t.grants = t.grants[:0]
-	reqs := t.held[o]
+	r := t.held[o].first
 	delete(t.held, o)
-	for _, r := range reqs {
-		e := t.entry(r.entry)
+	for r != nil {
+		next, e := r.next, t.entry(r.entry)
 		e.drop(o)
 		t.promote(e)
 		t.recycleRequest(r)
+		r = next
 	}
-	t.recycleHeld(reqs)
 	return t.grants
 }
 
@@ -402,25 +393,30 @@ func (t *Table) CancelWaiting(o Owner) []Grant {
 	return t.grants
 }
 
-// removeHeld deletes one granted request from the per-owner index.
+// removeHeld unlinks one granted request from its owner's held list.
 func (t *Table) removeHeld(o Owner, r *Request) {
-	hs := t.held[o]
-	for i, h := range hs {
-		if h == r {
-			hs = append(hs[:i], hs[i+1:]...)
-			break
-		}
+	l := t.held[o]
+	var prev *Request
+	for q := l.first; q != r; q = q.next {
+		prev = q
 	}
-	if len(hs) == 0 {
-		delete(t.held, o)
-		t.recycleHeld(hs)
+	if prev == nil {
+		l.first = r.next
 	} else {
-		t.held[o] = hs
+		prev.next = r.next
+	}
+	if l.last == r {
+		l.last = prev
+	}
+	if l.n--; l.n == 0 {
+		delete(t.held, o)
+	} else {
+		t.held[o] = l
 	}
 }
 
 // HeldCount returns the number of locks o currently holds.
-func (t *Table) HeldCount(o Owner) int { return len(t.held[o]) }
+func (t *Table) HeldCount(o Owner) int { return t.held[o].n }
 
 // HoldsLock reports whether o holds a lock on the page in slot in at
 // least mode m.
