@@ -7,6 +7,7 @@ import (
 	"gemsim/internal/cc"
 	"gemsim/internal/model"
 	"gemsim/internal/netsim"
+	"gemsim/internal/pagedir"
 	"gemsim/internal/trace"
 )
 
@@ -179,7 +180,7 @@ func (e *optEngine) access(t *txn, slot int32, mode model.LockMode) (cc.Outcome,
 
 // meta returns the coherency metadata of the page in slot: its GLT
 // entry under close coupling, its GLA partition entry under PCL.
-func (e *optEngine) meta(slot int32) *pageMeta {
+func (e *optEngine) meta(slot int32) *pagedir.Slot {
 	sys := e.n.sys
 	if sys.params.Coupling == CouplingPCL {
 		return sys.pclMetaOf(sys.glaOf(slot), slot)

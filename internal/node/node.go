@@ -472,7 +472,7 @@ func (n *Node) attempt(t *txn) error {
 				return err
 			}
 		}
-		preModified := t.modified.Get(slot) != (modRecord{})
+		preModified := t.modified.Get(slot).frame != nil
 		if obs := n.sys.pageObserver; obs != nil {
 			obs(ref.Page)
 		}
@@ -529,7 +529,7 @@ func (n *Node) resolveRef(ref model.Ref) model.Ref {
 // markModified pins the frame until commit, bumps its page sequence
 // number and remembers the pre-image for undo.
 func (n *Node) markModified(t *txn, frame *buffer.Frame[int32]) {
-	if t.modified.Get(frame.Page) != (modRecord{}) {
+	if t.modified.Get(frame.Page).frame != nil {
 		return
 	}
 	t.modified.Put(frame.Page, modRecord{frame: frame, preSeq: frame.SeqNo, preDirty: frame.Dirty})
@@ -811,7 +811,7 @@ type pageOp struct {
 	seq     uint64
 	writing bool             // the disk step writes
 	io      sim.Continuation // the disk step's group access carries it
-	meta    *pageMeta        // GLT entry a write-back found this node owning
+	meta    *pagedir.Slot    // GLT entry a write-back found this node owning
 	next    func(*pageOp)    // runs when the pending step completed
 	then    func(*pageOp)    // runs when the write chain completed; nil ends it
 

@@ -161,10 +161,6 @@ type System struct {
 	ctl *controller
 }
 
-// pageMeta is a page's directory slot seen as its coherency control
-// information (Seq, Owner).
-type pageMeta = pagedir.Slot
-
 // errDeadlock aborts a transaction chosen as deadlock victim.
 var errDeadlock = fmt.Errorf("node: transaction aborted as deadlock victim")
 
@@ -418,11 +414,11 @@ func (s *System) nextTxID() lock.TxID {
 }
 
 // gltMetaOf returns the GLT coherency entry of the page in slot.
-func (s *System) gltMetaOf(slot int32) *pageMeta { return s.dir.At(slot) }
+func (s *System) gltMetaOf(slot int32) *pagedir.Slot { return s.dir.At(slot) }
 
 // pclMetaOf returns the coherency entry of the page in slot at its GLA
 // partition gla, which records it.
-func (s *System) pclMetaOf(gla int, slot int32) *pageMeta {
+func (s *System) pclMetaOf(gla int, slot int32) *pagedir.Slot {
 	m := s.dir.At(slot)
 	if !m.Meta {
 		m.Meta = true
