@@ -47,7 +47,6 @@ type Slot struct {
 // Dir is a page directory.
 type Dir struct {
 	index flatmap.Map[model.PageID, int32] // slot plus one
-	n     int32
 	slabs []*[slabSlots]Slot
 	// words per slot of bit words (Words), and their slabs.
 	words     int
@@ -61,7 +60,7 @@ func New(words int) *Dir {
 }
 
 // Len reports the number of pages in the directory.
-func (d *Dir) Len() int { return int(d.n) }
+func (d *Dir) Len() int { return d.index.Len() }
 
 // Of returns page's slot, assigning the next one (Owner -1, all else
 // zero) on first touch.
@@ -69,8 +68,7 @@ func (d *Dir) Of(page model.PageID) int32 {
 	if i, ok := d.Find(page); ok {
 		return i
 	}
-	i := d.n
-	d.n++
+	i := int32(d.index.Len())
 	if i%slabSlots == 0 {
 		d.slabs = append(d.slabs, new([slabSlots]Slot))
 		if d.words > 0 {
