@@ -55,7 +55,6 @@ type Victim[K comparable] struct {
 type Pool[K comparable] struct {
 	capacity int
 	mru, lru *Frame[K] // chain ends; nil when empty
-	frames   int
 	index    flatmap.Map[K, *Frame[K]]
 	free     []*Frame[K] // frames removed by Drop, unfixed and unlinked
 
@@ -77,7 +76,7 @@ func NewPool[K comparable](capacity int, hash func(K) uint64) *Pool[K] {
 }
 
 // Len returns the number of buffered pages.
-func (b *Pool[K]) Len() int { return b.frames }
+func (b *Pool[K]) Len() int { return b.index.Len() }
 
 // pushFront links f in as the most recently used frame.
 func (b *Pool[K]) pushFront(f *Frame[K]) {
@@ -88,7 +87,6 @@ func (b *Pool[K]) pushFront(f *Frame[K]) {
 		b.lru = f
 	}
 	b.mru = f
-	b.frames++
 }
 
 // unlink removes f from the LRU chain.
@@ -104,7 +102,6 @@ func (b *Pool[K]) unlink(f *Frame[K]) {
 		b.lru = f.prev
 	}
 	f.prev, f.next = nil, nil
-	b.frames--
 }
 
 // moveToFront promotes f to most recently used.
@@ -173,7 +170,7 @@ func (b *Pool[K]) Insert(page K, seqno uint64, dirty bool) (f *Frame[K], victim 
 		b.moveToFront(f)
 		return f, Victim[K]{}, false
 	}
-	if b.frames >= b.capacity {
+	if b.index.Len() >= b.capacity {
 		for vf := b.lru; vf != nil; vf = vf.prev {
 			if vf.Fixed() {
 				continue
@@ -243,6 +240,6 @@ func (b *Pool[K]) DropAll() {
 		f.prev, f.next = nil, nil
 		f = next
 	}
-	b.mru, b.lru, b.frames = nil, nil, 0
+	b.mru, b.lru = nil, nil
 	b.index.Reset(b.capacity)
 }
