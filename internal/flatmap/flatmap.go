@@ -8,7 +8,8 @@
 // made with, and the zero value of V stands for an absent key.
 package flatmap
 
-// Map maps keys to non-zero values.
+// Map maps keys to non-zero values. Make one with Make: the zero Map
+// has no hash function.
 type Map[K, V comparable] struct {
 	ents []entry[K, V]
 	n    int
