@@ -8,12 +8,12 @@
 // the hot set while running the cold tail optimistically [Th93].
 //
 // The package is pure state: a Kind naming each engine, the Outcome
-// every mediated access reports to the buffer manager, the per-attempt
-// Txn record of observed versions, the Conflict abort error, and the
-// MV-TO VersionStore. The engines themselves live with the transaction
-// manager (internal/node), which owns the cost model: every metadata
-// access is charged against the simulated GEM device, CPU, or network
-// according to the coupling mode.
+// every mediated access reports to the buffer manager, the Reason and
+// Conflict of an engine abort, and the MV-TO VersionStore. The engines
+// themselves live with the transaction manager (internal/node), which
+// keeps each attempt's observed versions on its transaction record and
+// owns the cost model: every metadata access is charged against the
+// simulated GEM device, CPU, or network according to the coupling mode.
 package cc
 
 import (
@@ -93,59 +93,6 @@ type Outcome struct {
 	Owner int
 	// Carried reports that the reply itself carried the page copy.
 	Carried bool
-}
-
-// Txn is the engine-side state of one transaction execution attempt.
-type Txn struct {
-	// ID is the attempt's transaction identifier (globally monotonic;
-	// restarts run under a fresh one).
-	ID int64
-	// TS is the timestamp-ordering timestamp (MV-TO); it equals the
-	// attempt's ID, so restarts are automatically younger.
-	TS uint64
-	// Reads records, per page accessed optimistically, the committed
-	// sequence number (OCC) or version write timestamp (MV-TO) the
-	// attempt observed — the backward-validation set.
-	Reads map[model.PageID]uint64
-	// Writes marks the pages the attempt accessed optimistically in
-	// write mode (the publish set; every write is also in Reads).
-	Writes map[model.PageID]bool
-}
-
-// Begin resets the attempt state; the hosting transaction manager
-// calls it before every (re-)execution. The sets are emptied, not
-// dropped, so a reused record records without allocating.
-func (t *Txn) Begin(id int64) {
-	t.ID = id
-	t.TS = uint64(id)
-	clear(t.Reads)
-	clear(t.Writes)
-}
-
-// Touched reports whether the attempt already accessed the page
-// optimistically (first-touch accounting).
-func (t *Txn) Touched(page model.PageID) bool {
-	_, ok := t.Reads[page]
-	return ok
-}
-
-// RecordRead stores the observed committed version of a first-touch
-// access; later touches keep the first observation.
-func (t *Txn) RecordRead(page model.PageID, observed uint64) {
-	if t.Reads == nil {
-		t.Reads = make(map[model.PageID]uint64, 4)
-	}
-	if _, ok := t.Reads[page]; !ok {
-		t.Reads[page] = observed
-	}
-}
-
-// RecordWrite adds the page to the publish set.
-func (t *Txn) RecordWrite(page model.PageID) {
-	if t.Writes == nil {
-		t.Writes = make(map[model.PageID]bool, 4)
-	}
-	t.Writes[page] = true
 }
 
 // Reason classifies engine-initiated aborts; it is the trace argument

@@ -35,34 +35,9 @@ func TestParse(t *testing.T) {
 	}
 }
 
-func TestTxnRecording(t *testing.T) {
-	tx := &Txn{}
-	tx.Begin(7)
-	pg := model.PageID{File: 1, Page: 3}
-	if tx.Touched(pg) {
-		t.Error("fresh txn reports page touched")
-	}
-	tx.RecordRead(pg, 5)
-	tx.RecordRead(pg, 9) // later touches keep the first observation
-	if !tx.Touched(pg) || tx.Reads[pg] != 5 {
-		t.Errorf("Reads[%v] = %d, want first observation 5", pg, tx.Reads[pg])
-	}
-	tx.RecordWrite(pg)
-	if !tx.Writes[pg] {
-		t.Error("write not recorded")
-	}
-	tx.Begin(9)
-	if tx.Touched(pg) || len(tx.Writes) != 0 {
-		t.Error("Begin did not reset the attempt state")
-	}
-	if tx.TS != 9 {
-		t.Errorf("TS = %d, want attempt id 9", tx.TS)
-	}
-}
-
 func TestVersionStoreReadVisibility(t *testing.T) {
 	vs := NewVersionStore(4)
-	pg := model.PageID{File: 1, Page: 1}
+	const pg int32 = 0
 	// Base version (WTS 0) visible to everyone.
 	v, old := vs.Read(pg, 10, 42)
 	if v.WTS != 0 || v.Seq != 42 || old {
@@ -87,7 +62,7 @@ func TestVersionStoreReadVisibility(t *testing.T) {
 
 func TestVersionStoreWriteChecks(t *testing.T) {
 	vs := NewVersionStore(4)
-	pg := model.PageID{File: 2, Page: 7}
+	const pg int32 = 7
 	// First writer observes the base and is admissible.
 	obs, ok, _ := vs.WriteObserve(pg, 10, 0)
 	if obs != 0 || !ok {
@@ -120,7 +95,7 @@ func TestVersionStoreWriteChecks(t *testing.T) {
 
 func TestVersionStorePruning(t *testing.T) {
 	vs := NewVersionStore(2)
-	pg := model.PageID{File: 1, Page: 2}
+	const pg int32 = 2
 	vs.Commit(pg, 10, 100, 1)
 	vs.Commit(pg, 20, 101, 1)
 	vs.Commit(pg, 30, 102, 1)

@@ -1,6 +1,6 @@
 package cc
 
-import "gemsim/internal/model"
+import "gemsim/internal/flatmap"
 
 // Version is one committed page version in the MV-TO version store.
 type Version struct {
@@ -11,22 +11,26 @@ type Version struct {
 	Seq uint64
 }
 
-// VersionStore keeps, per page, a bounded history of committed
-// versions plus the largest timestamp that read the page. It models
-// the version metadata an MV-TO engine keeps in the coupling medium
-// (GEM entries, GLA partitions); the hosting engine charges the access
-// costs, the store is pure state. History is bounded: a reader older
-// than the retained horizon observes the oldest retained version (the
-// simulator carries no page contents, so this only shifts which
-// sequence number the read reports).
+// VersionStore keeps, per page, a bounded history of committed versions
+// plus the largest timestamp that read the page. Pages are keyed by
+// their directory slot (internal/pagedir). It models the version
+// metadata an MV-TO engine keeps in the coupling medium (GEM entries,
+// GLA partitions); the hosting engine charges the access costs, the
+// store is pure state. History is bounded: a reader older than the
+// retained horizon observes the oldest retained version (the simulator
+// carries no page contents, so this only shifts which sequence number
+// the read reports).
 type VersionStore struct {
 	cap   int
-	pages map[model.PageID]*pageVersions
+	pages flatmap.Map[int32, *pageVersions]
 }
 
 type pageVersions struct {
 	rts      uint64    // largest reader timestamp seen
 	versions []Version // ascending WTS, versions[len-1] newest
+	// first backs versions until the history outgrows it, so a page's
+	// base version and its first committed one come with the record.
+	first [2]Version
 }
 
 // NewVersionStore returns a store retaining up to capPerPage committed
@@ -35,17 +39,18 @@ func NewVersionStore(capPerPage int) *VersionStore {
 	if capPerPage < 2 {
 		capPerPage = 2
 	}
-	return &VersionStore{cap: capPerPage, pages: make(map[model.PageID]*pageVersions)}
+	return &VersionStore{cap: capPerPage, pages: flatmap.Make[int32, *pageVersions](flatmap.Int32, 0)}
 }
 
 // page lazily initializes a page's history with its base version: the
 // committed state predating every transaction, at the sequence number
 // the coherency metadata records.
-func (vs *VersionStore) page(p model.PageID, baseSeq uint64) *pageVersions {
-	pv := vs.pages[p]
+func (vs *VersionStore) page(slot int32, baseSeq uint64) *pageVersions {
+	pv := vs.pages.Get(slot)
 	if pv == nil {
-		pv = &pageVersions{versions: []Version{{WTS: 0, Seq: baseSeq}}}
-		vs.pages[p] = pv
+		pv = &pageVersions{first: [2]Version{{WTS: 0, Seq: baseSeq}}}
+		pv.versions = pv.first[:1]
+		vs.pages.Put(slot, pv)
 	}
 	return pv
 }
@@ -54,8 +59,8 @@ func (vs *VersionStore) page(p model.PageID, baseSeq uint64) *pageVersions {
 // newest version with WTS <= ts — and advances the page's read
 // timestamp. old reports that an older-than-newest version was
 // returned (the read pays an extra version-store access).
-func (vs *VersionStore) Read(p model.PageID, ts, baseSeq uint64) (v Version, old bool) {
-	pv := vs.page(p, baseSeq)
+func (vs *VersionStore) Read(slot int32, ts, baseSeq uint64) (v Version, old bool) {
+	pv := vs.page(slot, baseSeq)
 	if ts > pv.rts {
 		pv.rts = ts
 	}
@@ -75,8 +80,8 @@ func (vs *VersionStore) Read(p model.PageID, ts, baseSeq uint64) (v Version, old
 // re-check). The write is inadmissible when a younger writer already
 // committed, or a younger reader observed the predecessor version
 // (installing now would invalidate that read).
-func (vs *VersionStore) WriteObserve(p model.PageID, ts, baseSeq uint64) (observedWTS uint64, ok bool, reason Reason) {
-	pv := vs.page(p, baseSeq)
+func (vs *VersionStore) WriteObserve(slot int32, ts, baseSeq uint64) (observedWTS uint64, ok bool, reason Reason) {
+	pv := vs.page(slot, baseSeq)
 	newest := pv.versions[len(pv.versions)-1]
 	if newest.WTS >= ts || pv.rts > ts {
 		return newest.WTS, false, ReasonLateWrite
@@ -87,8 +92,8 @@ func (vs *VersionStore) WriteObserve(p model.PageID, ts, baseSeq uint64) (observ
 // Recheck re-validates a write at commit time: the newest committed
 // version must still be the one observed at write time (first
 // committer wins) and no younger reader may have appeared since.
-func (vs *VersionStore) Recheck(p model.PageID, ts, observedWTS, baseSeq uint64) (ok bool, reason Reason) {
-	pv := vs.page(p, baseSeq)
+func (vs *VersionStore) Recheck(slot int32, ts, observedWTS, baseSeq uint64) (ok bool, reason Reason) {
+	pv := vs.page(slot, baseSeq)
 	if newest := pv.versions[len(pv.versions)-1]; newest.WTS != observedWTS {
 		return false, ReasonWW
 	}
@@ -100,8 +105,8 @@ func (vs *VersionStore) Recheck(p model.PageID, ts, observedWTS, baseSeq uint64)
 
 // Commit installs the committed version, pruning history beyond the
 // retention bound.
-func (vs *VersionStore) Commit(p model.PageID, ts, seq, baseSeq uint64) {
-	pv := vs.page(p, baseSeq)
+func (vs *VersionStore) Commit(slot int32, ts, seq, baseSeq uint64) {
+	pv := vs.page(slot, baseSeq)
 	pv.versions = append(pv.versions, Version{WTS: ts, Seq: seq})
 	if len(pv.versions) > vs.cap {
 		pv.versions = pv.versions[len(pv.versions)-vs.cap:]

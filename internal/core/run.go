@@ -163,9 +163,9 @@ func assemble(cfg *Config) (workload.Generator, routing.Router, routing.GLAMap, 
 	params := cfg.params()
 
 	var (
-		gen    workload.Generator
-		router routing.Router
-		gla    routing.GLAMap
+		gen      workload.Generator
+		affinity routing.Router // the workload's affinity router
+		gla      routing.GLAMap
 	)
 	switch {
 	case cfg.Workload.Trace != nil:
@@ -184,15 +184,7 @@ func assemble(cfg *Config) (workload.Generator, routing.Router, routing.GLAMap, 
 		// negligible, as the paper prescribes.
 		params.MPL = 256
 		aff := routing.ComputeTraceAffinity(trace, cfg.Nodes)
-		gla = aff
-		switch cfg.Routing {
-		case RoutingAffinity:
-			router = aff
-		case RoutingLoadAware:
-			router = node.NewLoadAwareRouter()
-		default:
-			router = routing.NewRoundRobin(cfg.Nodes)
-		}
+		affinity, gla = aff, aff
 	default:
 		dcParams := workload.DefaultDebitCreditParams(cfg.ArrivalRatePerNode * float64(cfg.Nodes))
 		if cfg.Workload.DebitCredit != nil {
@@ -207,23 +199,23 @@ func assemble(cfg *Config) (workload.Generator, routing.Router, routing.GLAMap, 
 		// (rotation-aware) hot-spot set.
 		params.HotPage = dc.HotPage
 		aff := routing.NewDebitCreditAffinity(cfg.Nodes, dcParams)
-		gla = aff
-		switch cfg.Routing {
-		case RoutingAffinity:
-			if cfg.Control {
-				// The controller rewrites branch->node assignments at
-				// run time; give it a routing table with an override
-				// layer. GLA partitioning stays on the static map (the
-				// controller migrates partitions explicitly).
-				router = routing.NewAdaptiveAffinity(aff)
-			} else {
-				router = aff
-			}
-		case RoutingLoadAware:
-			router = node.NewLoadAwareRouter()
-		default:
-			router = routing.NewRoundRobin(cfg.Nodes)
+		affinity, gla = aff, aff
+		if cfg.Control {
+			// The controller rewrites branch->node assignments at run
+			// time; give it a routing table with an override layer.
+			// GLA partitioning stays on the static map (the controller
+			// migrates partitions explicitly).
+			affinity = routing.NewAdaptiveAffinity(aff)
 		}
+	}
+	var router routing.Router
+	switch cfg.Routing {
+	case RoutingAffinity:
+		router = affinity
+	case RoutingLoadAware:
+		router = node.NewLoadAwareRouter()
+	default:
+		router = routing.NewRoundRobin(cfg.Nodes)
 	}
 
 	// Storage allocation overrides.

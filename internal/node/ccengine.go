@@ -147,17 +147,15 @@ func (e *optEngine) hot(page model.PageID) bool {
 
 func (e *optEngine) access(t *txn, slot int32, mode model.LockMode) (cc.Outcome, bool, error) {
 	sys := e.n.sys
-	page := sys.dir.Page(slot)
-	if e.native != nil && (t.locked.Get(slot).kind != 0 || e.hot(page)) {
+	if e.native != nil && (t.locked.Get(slot).kind != 0 || e.hot(sys.dir.Page(slot))) {
 		return e.native.access(t, slot, mode)
 	}
 	if t.killed {
 		return cc.Outcome{}, false, errKilled
 	}
-	write := mode == model.LockWrite
-	if t.cct.Touched(page) {
-		if write && !t.cct.Writes[page] {
-			if err := e.upgrade(t, slot); err != nil {
+	if ob := t.observed.Get(slot); ob.mode != 0 {
+		if mode == model.LockWrite && ob.mode == model.LockRead {
+			if err := e.upgrade(t, slot, ob); err != nil {
 				return cc.Outcome{}, false, err
 			}
 		}
@@ -169,12 +167,12 @@ func (e *optEngine) access(t *txn, slot int32, mode model.LockMode) (cc.Outcome,
 			sys.ctl.observePart(gla, e.n.id)
 		}
 		if home := sys.glaHomeOf(gla); home != e.n.id {
-			out, err := e.accessRemote(t, slot, gla, home, write)
+			out, err := e.accessRemote(t, slot, gla, home, mode)
 			return out, true, err
 		}
 	}
 	e.lookup(t)
-	out, err := e.observe(t, slot, write)
+	out, err := e.observe(t, slot, mode)
 	return out, true, err
 }
 
@@ -204,21 +202,20 @@ func (e *optEngine) lookup(t *txn) {
 // reads itself (GEM, or a local PCL partition): OCC records the
 // committed sequence number, MV-TO the version valid at the attempt's
 // timestamp, or admits the write.
-func (e *optEngine) observe(t *txn, slot int32, write bool) (cc.Outcome, error) {
+func (e *optEngine) observe(t *txn, slot int32, mode model.LockMode) (cc.Outcome, error) {
 	n := e.n
 	sys := n.sys
 	gem := sys.params.Coupling != CouplingPCL
 	pm := e.meta(slot)
-	page := pm.Page
 	out := cc.Outcome{Seq: pm.Seq, Owner: -1}
 	if gem && !sys.params.Force {
 		out.Owner = int(pm.Owner)
 	}
 	switch {
-	case e.mvto && write:
-		return out, e.admitWrite(t, page, pm.Seq)
+	case e.mvto && mode == model.LockWrite:
+		return out, e.admitWrite(t, slot, pm.Seq)
 	case e.mvto:
-		v, old := sys.ccVersions.Read(page, t.cct.TS, pm.Seq)
+		v, old := sys.ccVersions.Read(slot, uint64(t.id), pm.Seq)
 		if old && gem {
 			// Version-list traversal: one more entry access; old
 			// versions come from permanent storage, not a node buffer.
@@ -226,12 +223,9 @@ func (e *optEngine) observe(t *txn, slot int32, write bool) (cc.Outcome, error) 
 			out.Owner = -1
 		}
 		out.Seq = v.Seq
-		t.cct.RecordRead(page, v.WTS)
+		t.observed.Put(slot, observation{version: v.WTS, mode: model.LockRead})
 	default:
-		t.cct.RecordRead(page, pm.Seq)
-		if write {
-			t.cct.RecordWrite(page)
-		}
+		t.observed.Put(slot, observation{version: pm.Seq, mode: mode})
 	}
 	return out, nil
 }
@@ -239,24 +233,22 @@ func (e *optEngine) observe(t *txn, slot int32, write bool) (cc.Outcome, error) 
 // admitWrite runs the MV-TO write admission check against the
 // committed sequence number seq and adds the page to the publish set.
 // The admitted version replaces an earlier read observation.
-func (e *optEngine) admitWrite(t *txn, page model.PageID, seq uint64) error {
-	wts, ok, reason := e.n.sys.ccVersions.WriteObserve(page, t.cct.TS, seq)
+func (e *optEngine) admitWrite(t *txn, slot int32, seq uint64) error {
+	wts, ok, reason := e.n.sys.ccVersions.WriteObserve(slot, uint64(t.id), seq)
 	if !ok {
-		return e.n.ccConflict(t, page, reason)
+		return e.n.ccConflict(t, slot, reason)
 	}
-	delete(t.cct.Reads, page)
-	t.cct.RecordRead(page, wts)
-	t.cct.RecordWrite(page)
+	t.observed.Put(slot, observation{version: wts, mode: model.LockWrite})
 	return nil
 }
 
 // accessRemote mediates a first-touch access to a remote PCL partition
 // with one message round trip at its serving node.
-func (e *optEngine) accessRemote(t *txn, slot int32, gla, home int, write bool) (cc.Outcome, error) {
+func (e *optEngine) accessRemote(t *txn, slot int32, gla, home int, mode model.LockMode) (cc.Outcome, error) {
 	op := ccOpLookup
 	if e.mvto {
 		op = ccOpVersionRead
-		if write {
+		if mode == model.LockWrite {
 			op = ccOpVersionWrite
 		}
 	}
@@ -272,22 +264,18 @@ func (e *optEngine) accessRemote(t *txn, slot int32, gla, home int, write bool) 
 	if e.mvto {
 		observed = wts
 	}
-	page := e.n.sys.dir.Page(slot)
-	t.cct.RecordRead(page, observed)
-	if write {
-		t.cct.RecordWrite(page)
-	}
+	t.observed.Put(slot, observation{version: observed, mode: mode})
 	return out, nil
 }
 
-// upgrade registers a write on a page first touched in read mode. OCC
-// needs no extra metadata work (backward validation covers the read
-// observation); MV-TO must run its write admission check.
-func (e *optEngine) upgrade(t *txn, slot int32) error {
+// upgrade registers a write on a page first touched in read mode, whose
+// observation is ob. OCC needs no extra metadata work (backward
+// validation covers the read observation, which the write keeps);
+// MV-TO must run its write admission check.
+func (e *optEngine) upgrade(t *txn, slot int32, ob observation) error {
 	sys := e.n.sys
-	page := sys.dir.Page(slot)
 	if !e.mvto {
-		t.cct.RecordWrite(page)
+		t.observed.Put(slot, observation{version: ob.version, mode: model.LockWrite})
 		return nil
 	}
 	if sys.params.Coupling == CouplingPCL {
@@ -297,13 +285,12 @@ func (e *optEngine) upgrade(t *txn, slot int32) error {
 			if err != nil {
 				return err
 			}
-			t.cct.Reads[page] = wts
-			t.cct.RecordWrite(page)
+			t.observed.Put(slot, observation{version: wts, mode: model.LockWrite})
 			return nil
 		}
 	}
 	e.lookup(t)
-	return e.admitWrite(t, page, e.meta(slot).Seq)
+	return e.admitWrite(t, slot, e.meta(slot).Seq)
 }
 
 // remoteOp performs one optimistic metadata operation at a partition's
@@ -314,7 +301,7 @@ func (e *optEngine) remoteOp(t *txn, gla, home int, op ccOp, pages ...msgPage) (
 	n := e.n
 	sys := n.sys
 	m := sys.newMsg(msgCCOp)
-	m.owner, m.op, m.gla, m.ts, m.mvto = t.owner, op, gla, t.cct.TS, e.mvto
+	m.owner, m.op, m.gla, m.ts, m.mvto = t.owner, op, gla, uint64(t.id), e.mvto
 	m.pages = append(m.pages, pages...)
 	wait, err := n.remoteRoundTrip(t, home, m, attrib.ResCC, trace.CCRemote, pages[0].slot)
 	if err != nil {
@@ -322,12 +309,11 @@ func (e *optEngine) remoteOp(t *txn, gla, home int, op ccOp, pages ...msgPage) (
 	}
 	defer sys.endWait(wait)
 	if r := wait.reply; !r.ok {
-		page := sys.dir.Page(r.slot)
 		reason := r.reason
 		if reason == "" {
-			reason = e.occReason(t, page)
+			reason = e.occReason(t, r.slot)
 		}
-		return 0, 0, false, n.ccConflict(t, page, reason)
+		return 0, 0, false, n.ccConflict(t, r.slot, reason)
 	}
 	return wait.reply.seq, wait.reply.wts, wait.reply.ownerHasCopy, nil
 }
@@ -339,29 +325,19 @@ func (e *optEngine) remoteOp(t *txn, gla, home int, op ccOp, pages ...msgPage) (
 func (e *optEngine) validate(t *txn) error {
 	n := e.n
 	sys := n.sys
-	set := t.cct.Reads
-	if e.mvto {
-		if len(t.cct.Writes) == 0 {
-			return nil
-		}
-		set = make(map[model.PageID]uint64, len(t.cct.Writes))
-		for page := range t.cct.Writes {
-			set[page] = t.cct.Reads[page]
-		}
-	}
-	if len(set) == 0 {
+	slots := t.observedSlots(e.mvto)
+	if len(slots) == 0 {
 		return nil
 	}
 	n.ccValidations++
 	start := sys.env.Now()
-	slots := slotsOf(t, set)
 	var conflict error
 	if sys.params.Coupling == CouplingPCL {
-		conflict = e.validatePCL(t, slots, set)
+		conflict = e.validatePCL(t, slots)
 	} else {
 		n.ccGEMOp(t, sys.params.LockInstr, len(slots))
 		for _, slot := range slots {
-			if conflict = e.check(t, slot, set[sys.dir.Page(slot)]); conflict != nil {
+			if conflict = e.check(t, slot, t.observed.Get(slot).version); conflict != nil {
 				break
 			}
 		}
@@ -383,14 +359,13 @@ func (e *optEngine) validate(t *txn) error {
 // metadata: first-committer-wins under MV-TO, an unchanged sequence
 // number under OCC.
 func (e *optEngine) check(t *txn, slot int32, recorded uint64) error {
-	pm := e.meta(slot)
-	seq, page := pm.Seq, pm.Page
+	seq := e.meta(slot).Seq
 	if e.mvto {
-		if ok, reason := e.n.sys.ccVersions.Recheck(page, t.cct.TS, recorded, seq); !ok {
-			return e.n.ccConflict(t, page, reason)
+		if ok, reason := e.n.sys.ccVersions.Recheck(slot, uint64(t.id), recorded, seq); !ok {
+			return e.n.ccConflict(t, slot, reason)
 		}
 	} else if seq != recorded {
-		return e.n.ccConflict(t, page, e.occReason(t, page))
+		return e.n.ccConflict(t, slot, e.occReason(t, slot))
 	}
 	return nil
 }
@@ -398,22 +373,22 @@ func (e *optEngine) check(t *txn, slot int32, recorded uint64) error {
 // occReason classifies an OCC validation failure: a stale page of the
 // publish set is a write-write conflict, a stale read observation a
 // plain validation conflict.
-func (e *optEngine) occReason(t *txn, page model.PageID) cc.Reason {
-	if t.cct.Writes[page] {
+func (e *optEngine) occReason(t *txn, slot int32) cc.Reason {
+	if t.observed.Get(slot).mode == model.LockWrite {
 		return cc.ReasonWW
 	}
 	return cc.ReasonValidation
 }
 
-// validatePCL validates the set partition by partition: local GLAs
-// with one CPU burst, remote GLAs with one batched round trip each.
-func (e *optEngine) validatePCL(t *txn, slots []int32, set map[model.PageID]uint64) error {
+// validatePCL validates the given slots partition by partition: local
+// GLAs with one CPU burst, remote GLAs with one batched round trip each.
+func (e *optEngine) validatePCL(t *txn, slots []int32) error {
 	n := e.n
 	sys := n.sys
 	out := t.partitions(sys.params.Nodes)
 	for _, slot := range slots {
 		gla := sys.glaOf(slot)
-		out[gla] = append(out[gla], msgPage{slot: slot, seq: set[sys.dir.Page(slot)]})
+		out[gla] = append(out[gla], msgPage{slot: slot, seq: t.observed.Get(slot).version})
 	}
 	for gla, batch := range out {
 		if len(batch) == 0 {
@@ -454,10 +429,10 @@ func (e *optEngine) releaseAll(t *txn, commit bool) {
 func (e *optEngine) publish(t *txn) {
 	n := e.n
 	sys := n.sys
-	if len(t.cct.Writes) == 0 {
+	slots := t.observedSlots(true)
+	if len(slots) == 0 {
 		return
 	}
-	slots := slotsOf(t, t.cct.Writes)
 	if sys.params.Coupling == CouplingPCL {
 		e.publishPCL(t, slots)
 		return
@@ -474,15 +449,21 @@ func (e *optEngine) publish(t *txn) {
 	}
 }
 
-// slotsOf returns the slots of the pages in an observation set, in page
+// observedSlots returns the slots of the pages the attempt accessed
+// optimistically, only the written ones when writes is set, in page
 // order, in t's page buffer.
-func slotsOf[V any](t *txn, set map[model.PageID]V) []int32 {
-	d := t.node.sys.dir
-	t.pages = t.pages[:0]
-	for page := range set {
-		t.pages = append(t.pages, d.Of(page))
+func (t *txn) observedSlots(writes bool) []int32 {
+	slots := t.observed.AppendKeys(t.pages[:0])
+	if writes {
+		kept := slots[:0]
+		for _, slot := range slots {
+			if t.observed.Get(slot).mode == model.LockWrite {
+				kept = append(kept, slot)
+			}
+		}
+		slots = kept
 	}
-	t.pages = sortSlots(d, t.pages)
+	t.pages = sortSlots(t.node.sys.dir, slots)
 	return t.pages
 }
 
@@ -495,7 +476,7 @@ func (e *optEngine) install(t *txn, slot int32, seq uint64, owner int) {
 	sys := e.n.sys
 	pm := e.meta(slot)
 	if e.mvto {
-		sys.ccVersions.Commit(pm.Page, t.cct.TS, seq, pm.Seq)
+		sys.ccVersions.Commit(slot, uint64(t.id), seq, pm.Seq)
 	}
 	if seq > pm.Seq {
 		pm.Seq = seq
@@ -554,11 +535,11 @@ func (n *Node) lockCPUOp(t *txn, instr float64, res attrib.Res) {
 
 // ccConflict emits the cc-abort trace instant and builds the typed
 // conflict error that restarts the transaction with backoff.
-func (n *Node) ccConflict(t *txn, page model.PageID, reason cc.Reason) error {
+func (n *Node) ccConflict(t *txn, slot int32, reason cc.Reason) error {
 	if tr := n.sys.tracer; tr.Enabled() {
 		tr.Instant(n.track, int64(t.id), trace.CCAbort, n.sys.env.Now(), string(reason))
 	}
-	return &cc.Conflict{Reason: reason, Page: page}
+	return &cc.Conflict{Reason: reason, Page: n.sys.dir.Page(slot)}
 }
 
 // handleCCOp serves optimistic metadata operations at a partition's
@@ -583,7 +564,7 @@ func (n *Node) handleCCOp(m *message) {
 	case ccOpVersionRead:
 		slot := m.pages[0].slot
 		meta := sys.pclMetaOf(m.gla, slot)
-		v, _ := sys.ccVersions.Read(meta.Page, m.ts, meta.Seq)
+		v, _ := sys.ccVersions.Read(slot, m.ts, meta.Seq)
 		m.seq, m.wts = v.Seq, v.WTS
 		if !sys.params.Force && v.Seq == meta.Seq && n.hasCurrent(slot, meta.Seq) {
 			m.ownerHasCopy = true
@@ -591,7 +572,7 @@ func (n *Node) handleCCOp(m *message) {
 	case ccOpVersionWrite:
 		slot := m.pages[0].slot
 		meta := sys.pclMetaOf(m.gla, slot)
-		wts, ok, reason := sys.ccVersions.WriteObserve(meta.Page, m.ts, meta.Seq)
+		wts, ok, reason := sys.ccVersions.WriteObserve(slot, m.ts, meta.Seq)
 		m.seq, m.wts, m.ok, m.reason = meta.Seq, wts, ok, reason
 		if !ok {
 			m.slot = slot
@@ -600,7 +581,7 @@ func (n *Node) handleCCOp(m *message) {
 		for _, op := range m.pages {
 			meta := sys.pclMetaOf(m.gla, op.slot)
 			if m.mvto {
-				if ok, reason := sys.ccVersions.Recheck(meta.Page, m.ts, op.seq, meta.Seq); !ok {
+				if ok, reason := sys.ccVersions.Recheck(op.slot, m.ts, op.seq, meta.Seq); !ok {
 					m.ok, m.reason, m.slot = false, reason, op.slot
 					break
 				}
@@ -621,7 +602,7 @@ func (n *Node) handleCCPublish(m *message) {
 	for _, rp := range m.pages {
 		meta := sys.pclMetaOf(m.gla, rp.slot)
 		if m.mvto {
-			sys.ccVersions.Commit(meta.Page, m.ts, rp.seq, meta.Seq)
+			sys.ccVersions.Commit(rp.slot, m.ts, rp.seq, meta.Seq)
 		}
 		if rp.seq > meta.Seq {
 			meta.Seq = rp.seq

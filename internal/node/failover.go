@@ -7,6 +7,7 @@ import (
 
 	"gemsim/internal/attrib"
 	"gemsim/internal/buffer"
+	"gemsim/internal/flatmap"
 	"gemsim/internal/lock"
 	"gemsim/internal/model"
 	"gemsim/internal/netsim"
@@ -54,7 +55,19 @@ type redoPage struct {
 	seq    uint64 // committed sequence number to restore
 	fence  lock.Owner
 	fenced bool
+	state  redoState
 }
+
+// redoState is the replay lifecycle of one backlog page. A replay
+// worker or an on-demand repair claims a pending page; whoever claims
+// it redoes it, so each page is redone exactly once.
+type redoState uint8
+
+const (
+	redoPending redoState = iota // in the backlog, not yet picked up
+	redoClaimed                  // a worker or repair is redoing it
+	redoDone                     // redone, fence released
+)
 
 // failWindow is one [crash, recovery-end] interval; end stays zero
 // while recovery is in progress.
@@ -107,14 +120,17 @@ type FailoverStats struct {
 
 // recoveryRun is the live state of one in-flight recovery under the
 // replay engine. System.recs lists the runs in flight, so fault-free
-// runs take no new branches.
+// runs take no new branches. Its state needs no lock: a system's
+// recovery processes run on the single-threaded kernel.
 type recoveryRun struct {
 	crashed     int
 	coordID     int
 	coord       *Node
 	incremental bool
-	replay      *recovery.Replay
-	byPage      map[model.PageID]*redoPage
+	// redo is the backlog, and index maps a backlog page's slot to its
+	// index in redo plus one (zero: not in the backlog).
+	redo        []redoPage
+	index       flatmap.Map[int32, int32]
 	pagesLeft   int
 	workersLeft int
 	coordProc   *sim.Proc
@@ -551,19 +567,21 @@ func (s *System) redoOnePage(p *sim.Proc, coordID int, coord *Node, crashed int,
 func (s *System) runReplay(p *sim.Proc, coordID int, coord *Node, crashed int, losers []lock.Owner, redo []redoPage, logPages int64, workers int, incremental bool, fs *FailoverStats, traceArg string) {
 	params := &s.params
 	replayStart := s.env.Now()
-	pages := make([]model.PageID, len(redo))
-	byPage := make(map[model.PageID]*redoPage, len(redo))
+	// The backlog holds each page once: under PCL it is the crashed
+	// buffer's dirty pages; under close coupling the pages the GLT says
+	// the node owned, which are all in locking files, plus its dirty
+	// pages of non-locking files. pagesLeft counts them down to zero.
+	index := flatmap.Make[int32, int32](flatmap.Int32, len(redo))
 	for i := range redo {
-		pages[i] = redo[i].page
-		byPage[redo[i].page] = &redo[i]
+		index.Put(redo[i].slot, int32(i+1))
 	}
 	rec := &recoveryRun{
 		crashed:     crashed,
 		coordID:     coordID,
 		coord:       coord,
 		incremental: incremental,
-		replay:      recovery.NewReplay(pages),
-		byPage:      byPage,
+		redo:        redo,
+		index:       index,
 		pagesLeft:   len(redo),
 		workersLeft: workers,
 		coordProc:   p,
@@ -634,12 +652,12 @@ func (s *System) runReplay(p *sim.Proc, coordID int, coord *Node, crashed int, l
 		}
 		for _, idx := range perWorker[w] {
 			r := &redo[idx]
-			if !rec.replay.Claim(r.page) {
-				continue // repaired on demand (or by a racing claim)
+			if r.state != redoPending {
+				continue // repaired on demand
 			}
+			r.state = redoClaimed
 			s.redoOnePage(wp, coordID, coord, crashed, r)
-			rec.replay.Done(r.page)
-			s.recPageDone(rec)
+			s.recPageDone(rec, r)
 		}
 		replayEnd := s.env.Now()
 		if tr := s.tracer; tr.Enabled() && len(perWorker[w]) > 0 {
@@ -661,9 +679,10 @@ func (s *System) runReplay(p *sim.Proc, coordID int, coord *Node, crashed int, l
 	fs.PagesRepairedOnDemand = rec.repairs
 }
 
-// recPageDone marks one backlog page fully replayed and completes the
-// recovery when the last page and worker are done.
-func (s *System) recPageDone(rec *recoveryRun) {
+// recPageDone marks backlog page r redone and completes the recovery
+// when the last page and worker are done.
+func (s *System) recPageDone(rec *recoveryRun, r *redoPage) {
+	r.state = redoDone
 	rec.pagesLeft--
 	if rec.pagesLeft == 0 && rec.workersLeft == 0 && rec.waiting {
 		rec.coordProc.Unpark()
@@ -696,19 +715,21 @@ func (s *System) recWorkerDone(rec *recoveryRun, scan, replay time.Duration) {
 func (s *System) noteFenceConflict(slot int32) {
 	for _, rec := range s.recs {
 		if rec.incremental {
-			s.repairOnDemand(rec, s.dir.Page(slot))
+			s.repairOnDemand(rec, slot)
 		}
 	}
 }
 
-// repairOnDemand spawns the on-demand repair of one page of rec's
-// backlog, unless the page is not in the backlog or is already claimed
-// by a replay worker or an earlier repair.
-func (s *System) repairOnDemand(rec *recoveryRun, page model.PageID) {
-	r, ok := rec.byPage[page]
-	if !ok || !rec.replay.ClaimDemand(page) {
+// repairOnDemand spawns the on-demand repair of the page in slot,
+// unless it is not in rec's backlog or is already claimed by a replay
+// worker or an earlier repair.
+func (s *System) repairOnDemand(rec *recoveryRun, slot int32) {
+	i := rec.index.Get(slot)
+	if i == 0 || rec.redo[i-1].state != redoPending {
 		return
 	}
+	r := &rec.redo[i-1]
+	r.state = redoClaimed
 	rec.repairs++
 	s.env.Spawn("page-repair", func(p *sim.Proc) {
 		start := s.env.Now()
@@ -717,11 +738,10 @@ func (s *System) repairOnDemand(rec *recoveryRun, page model.PageID) {
 			rec.coord.cpu.Exec(p, s.params.RecoveryApplyInstr)
 		}
 		s.redoOnePage(p, rec.coordID, rec.coord, rec.crashed, r)
-		rec.replay.Done(page)
 		if tr := s.tracer; tr.Enabled() {
-			tr.Span("failover", 0, trace.RecoveryPageRepair, start, s.env.Now(), "page="+page.String())
+			tr.Span("failover", 0, trace.RecoveryPageRepair, start, s.env.Now(), "page="+r.page.String())
 		}
-		s.recPageDone(rec)
+		s.recPageDone(rec, r)
 	})
 }
 

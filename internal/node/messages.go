@@ -86,7 +86,7 @@ func (n *Node) sendPartitions(t *txn, kind msgKind, mvto bool) {
 			continue
 		}
 		m := sys.newMsg(kind)
-		m.owner, m.gla, m.ts, m.mvto = t.owner, gla, t.cct.TS, mvto
+		m.owner, m.gla, m.ts, m.mvto = t.owner, gla, uint64(t.id), mvto
 		class := netsim.Short
 		for _, pg := range batch {
 			m.pages = append(m.pages, pg)

@@ -138,13 +138,12 @@ type txn struct {
 	proc   *sim.Proc
 	arrive sim.Time
 
-	// locked and modified are keyed by directory slot.
+	// locked, modified and observed are keyed by directory slot.
+	// observed holds the optimistic engines' observations and is made
+	// only when one is configured.
 	locked   flatmap.Map[int32, heldLock]
 	modified flatmap.Map[int32, modRecord]
-
-	// cct records the optimistic engines' observations; runTxn resets
-	// it for each attempt.
-	cct cc.Txn
+	observed flatmap.Map[int32, observation]
 
 	// pages is the attempt's buffer of slots in page order
 	// (sortedSlots), and out (see partitions) the ones for pages bound
@@ -167,6 +166,16 @@ type txn struct {
 	cp *attrib.Vector
 }
 
+// observation is an optimistic engine's record of one page an attempt
+// accessed without a lock: the committed sequence number (OCC) or
+// version write timestamp (MV-TO) it observed, which validation
+// re-checks, and the access mode. The mode is never zero, so a base
+// version observed at sequence number 0 is still present in the map.
+type observation struct {
+	version uint64
+	mode    model.LockMode
+}
+
 // txnKeepRefs bounds the transactions whose maps a pooled record
 // keeps, and the capacity of each page buffer it keeps: a record drops
 // the maps of a larger transaction (trace transactions reach thousands
@@ -179,15 +188,24 @@ func (n *Node) newTxn() *txn {
 	if t := n.txns.Get(); t != nil {
 		return t
 	}
-	return &txn{node: n, locked: flatmap.Make[int32, heldLock](flatmap.Int32, 0), modified: flatmap.Make[int32, modRecord](flatmap.Int32, 0)}
+	t := &txn{node: n}
+	n.makeTxnMaps(t)
+	return t
+}
+
+// makeTxnMaps gives t empty per-attempt maps.
+func (n *Node) makeTxnMaps(t *txn) {
+	t.locked, t.modified = flatmap.Make[int32, heldLock](flatmap.Int32, 0), flatmap.Make[int32, modRecord](flatmap.Int32, 0)
+	if n.opt != nil {
+		t.observed = flatmap.Make[int32, observation](flatmap.Int32, 0)
+	}
 }
 
 // freeTxn returns t to the pool, keeping its maps and buffers (each
 // attempt clears them when it starts).
 func (n *Node) freeTxn(t *txn) {
 	if len(t.spec.Refs) > txnKeepRefs {
-		t.locked, t.modified = flatmap.Make[int32, heldLock](flatmap.Int32, 0), flatmap.Make[int32, modRecord](flatmap.Int32, 0)
-		t.cct = cc.Txn{}
+		n.makeTxnMaps(t)
 	}
 	if cap(t.pages) > txnKeepRefs {
 		t.pages = nil
@@ -197,7 +215,7 @@ func (n *Node) freeTxn(t *txn) {
 			t.out[i] = nil
 		}
 	}
-	*t = txn{node: n, locked: t.locked, modified: t.modified, cct: t.cct, pages: t.pages[:0], out: t.out}
+	*t = txn{node: n, locked: t.locked, modified: t.modified, observed: t.observed, pages: t.pages[:0], out: t.out}
 	n.txns.Put(t)
 }
 
@@ -344,7 +362,9 @@ func (n *Node) runTxn(p *sim.Proc, spec model.Txn, arrive, entered sim.Time, cp 
 		// modified set.
 		t.locked.Reset(len(spec.Refs))
 		t.modified.Reset(0)
-		t.cct.Begin(int64(t.id))
+		if n.opt != nil {
+			t.observed.Reset(len(spec.Refs))
+		}
 		p.SetTraceID(int64(t.id))
 		sys.active[t.owner] = t
 		n.admitted++
@@ -474,7 +494,7 @@ func (n *Node) attempt(t *txn) error {
 		}
 		preModified := t.modified.Get(slot).frame != nil
 		if obs := n.sys.pageObserver; obs != nil {
-			obs(ref.Page)
+			obs(slot)
 		}
 		frame := n.getPage(t, file, slot, out, firstTouch)
 		if ref.Write {

@@ -41,6 +41,40 @@ func replayCases(workers int) []replayCase {
 	return cases
 }
 
+// backlogWatch counts, for invariant 1 of the replay engine, the
+// transaction page accesses that found their page in a live recovery's
+// backlog and not yet redone. It also counts backlogs seen holding a
+// page twice: recovery counts pages down to zero and would never end.
+type backlogWatch struct {
+	unredone, duplicated int
+}
+
+// watchBacklog installs w as sys's page observer.
+func (w *backlogWatch) watchBacklog(sys *System) {
+	sys.pageObserver = func(slot int32) {
+		for _, rec := range sys.recs {
+			if rec.index.Len() != len(rec.redo) {
+				w.duplicated++
+			}
+			if i := rec.index.Get(slot); i != 0 && rec.redo[i-1].state != redoDone {
+				w.unredone++
+			}
+		}
+	}
+}
+
+// check fails the test if any access found an unredone page or a
+// backlog held a page twice.
+func (w *backlogWatch) check(t *testing.T, tc replayCase) {
+	t.Helper()
+	if w.unredone > 0 {
+		t.Fatalf("%s: %d transaction accesses observed an unredone page", tc, w.unredone)
+	}
+	if w.duplicated > 0 {
+		t.Fatalf("%s: %d accesses saw a backlog holding a page twice", tc, w.duplicated)
+	}
+}
+
 // TestIncrementalReopenInvariants crashes a node under incremental
 // reopen, with the coordinator replaying alone and with parallel
 // replay workers, and checks the two safety invariants of the engine
@@ -69,14 +103,8 @@ func TestIncrementalReopenInvariants(t *testing.T) {
 
 		// Invariant 1: a transaction access on a backlog page must find
 		// it replayed (the fence releases only after redoOnePage).
-		violations := 0
-		sys.pageObserver = func(pg model.PageID) {
-			for _, rec := range sys.recs {
-				if rec.replay.Unredone(pg) {
-					violations++
-				}
-			}
-		}
+		var watch backlogWatch
+		watch.watchBacklog(sys)
 		env.After(time.Second, func() { sys.CrashNode(1) })
 		env.After(2500*time.Millisecond, func() { sys.RepairNode(1) })
 		sys.Start(30)
@@ -90,9 +118,7 @@ func TestIncrementalReopenInvariants(t *testing.T) {
 		}
 		env.Stop()
 
-		if violations > 0 {
-			t.Fatalf("%s: %d transaction accesses observed an unredone page", tc, violations)
-		}
+		watch.check(t, tc)
 		if len(m.Failovers) != 1 {
 			t.Fatalf("%s: failovers %d, want 1", tc, len(m.Failovers))
 		}
@@ -141,7 +167,8 @@ func TestIncrementalReopenInvariants(t *testing.T) {
 // TestParallelReplayExactlyOnce runs the engine with offline reopen,
 // one worker and several: the backlog must replay exactly once per page
 // (PagesRedone matches the recorded backlog; no on-demand repairs in
-// offline mode) and recovery must still complete.
+// offline mode), recovery must still complete, and no transaction may
+// observe an unredone page (invariant 1 under offline reopen).
 func TestParallelReplayExactlyOnce(t *testing.T) {
 	for _, tc := range replayCases(3) {
 		gen := &scriptGen{db: testDB(), txns: []model.Txn{
@@ -154,6 +181,8 @@ func TestParallelReplayExactlyOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var watch backlogWatch
+		watch.watchBacklog(sys)
 		env.After(time.Second, func() { sys.CrashNode(1) })
 		env.After(2500*time.Millisecond, func() { sys.RepairNode(1) })
 		sys.Start(30)
@@ -164,6 +193,7 @@ func TestParallelReplayExactlyOnce(t *testing.T) {
 		m := sys.Snapshot()
 		env.Stop()
 
+		watch.check(t, tc)
 		if len(m.Failovers) != 1 {
 			t.Fatalf("%s: failovers %d, want 1", tc, len(m.Failovers))
 		}

@@ -138,7 +138,7 @@ type System struct {
 	// pageObserver, when non-nil, sees every transaction page access
 	// after its lock is granted (invariant tests: no transaction may
 	// observe an unredone page).
-	pageObserver func(model.PageID)
+	pageObserver func(slot int32)
 
 	// Observability (see observe.go). tracer fans spans out to the
 	// configured sink (nil when tracing is off); the remaining fields

@@ -5,17 +5,19 @@ import (
 	"testing"
 	"time"
 
+	"gemsim/internal/cc"
 	"gemsim/internal/routing"
 	"gemsim/internal/sim"
 	"gemsim/internal/workload"
 )
 
 // txnAllocsPerCommit runs the Table 4.1 debit-credit configuration
-// (100 TPS per node, affinity routing) on the given coupling, under
-// FORCE when force is set (the lock engine needs it), with messages
-// exchanged across GEM when gemMessaging is set, and returns its heap
-// allocations and bytes per commit (allocsPerCommit).
-func txnAllocsPerCommit(t *testing.T, coupling Coupling, force, gemMessaging bool, nodes int) (allocs, bytes float64) {
+// (100 TPS per node, affinity routing) on the given coupling and
+// concurrency-control engine, under FORCE when force is set (the lock
+// engine needs it), with messages exchanged across GEM when
+// gemMessaging is set, and returns its heap allocations and bytes per
+// commit (allocsPerCommit).
+func txnAllocsPerCommit(t *testing.T, coupling Coupling, engine cc.Kind, force, gemMessaging bool, nodes int) (allocs, bytes float64) {
 	t.Helper()
 	const rate = 100
 	dcParams := workload.DefaultDebitCreditParams(rate * float64(nodes))
@@ -28,6 +30,7 @@ func txnAllocsPerCommit(t *testing.T, coupling Coupling, force, gemMessaging boo
 	params.Coupling = coupling
 	params.Force = force
 	params.GEMMessaging = gemMessaging
+	params.CC = engine
 	params.HotPage = dc.HotPage
 	env := sim.NewEnv()
 	defer env.Stop()
@@ -107,6 +110,13 @@ func allocsPerCommit(t *testing.T, env *sim.Env, sys *System, rate float64) (all
 // slot to the GEM page metadata, not a block of slots for pages never
 // touched.
 //
+// The optimistic engines run the same debit-credit configuration under
+// GEM and PCL. OCC and HAD cost about 2.35 allocations and 265 B per
+// commit: an attempt's observations go into a slot-keyed map its pooled
+// record keeps. MV-TO costs about 3.5 and 435 B: the first write of a
+// page creates its version history, one record holding the base and the
+// first committed version.
+//
 // The trace rows run a small Fig. 4.7 trace, whose transactions make
 // dozens of lock requests each, most of them remote under PCL: about
 // 3.0 allocations and 1.7 KB per commit under PCL and 2.4 and 1.4 KB
@@ -120,16 +130,25 @@ func TestTxnAllocs(t *testing.T) {
 		t.Skip("the race detector instruments allocations")
 	}
 	const maxBytesPerCommit = 1024
+	dc := func(coupling Coupling, engine cc.Kind, force, gemMessaging bool) func() (float64, float64) {
+		return func() (float64, float64) { return txnAllocsPerCommit(t, coupling, engine, force, gemMessaging, 4) }
+	}
 	for _, tc := range []struct {
 		name     string
 		measure  func() (allocs, bytes float64)
 		max      float64
 		maxBytes float64
 	}{
-		{"GEM", func() (float64, float64) { return txnAllocsPerCommit(t, CouplingGEM, false, false, 4) }, 3, maxBytesPerCommit},
-		{"PCL", func() (float64, float64) { return txnAllocsPerCommit(t, CouplingPCL, false, false, 4) }, 3, maxBytesPerCommit},
-		{"PCL+GEM messaging", func() (float64, float64) { return txnAllocsPerCommit(t, CouplingPCL, false, true, 4) }, 3, maxBytesPerCommit},
-		{"lock engine", func() (float64, float64) { return txnAllocsPerCommit(t, CouplingLockEngine, true, false, 4) }, 4, maxBytesPerCommit},
+		{"GEM", dc(CouplingGEM, cc.KindDefault, false, false), 3, maxBytesPerCommit},
+		{"PCL", dc(CouplingPCL, cc.KindDefault, false, false), 3, maxBytesPerCommit},
+		{"PCL+GEM messaging", dc(CouplingPCL, cc.KindDefault, false, true), 3, maxBytesPerCommit},
+		{"lock engine", dc(CouplingLockEngine, cc.KindDefault, true, false), 4, maxBytesPerCommit},
+		{"GEM OCC", dc(CouplingGEM, cc.KindOCC, false, false), 2.6, 320},
+		{"PCL OCC", dc(CouplingPCL, cc.KindOCC, false, false), 2.6, 320},
+		{"GEM MV-TO", dc(CouplingGEM, cc.KindMVTO, false, false), 3.8, 480},
+		{"PCL MV-TO", dc(CouplingPCL, cc.KindMVTO, false, false), 3.8, 480},
+		{"GEM HAD", dc(CouplingGEM, cc.KindHAD, false, false), 2.6, 320},
+		{"PCL HAD", dc(CouplingPCL, cc.KindHAD, false, false), 2.6, 320},
 		{"trace PCL", func() (float64, float64) { return traceAllocsPerCommit(t, CouplingPCL, 4) }, 3.5, 2048},
 		{"trace GEM", func() (float64, float64) { return traceAllocsPerCommit(t, CouplingGEM, 4) }, 3, 1600},
 	} {

@@ -1,21 +1,19 @@
-// The replay engine: shared bookkeeping for the in-simulation REDO
-// recovery in internal/node. Recovery replays the crashed node's
-// dirty-page backlog, partitioned by GLA so several recovery workers
-// can make progress at once, and — under the incremental reopen policy
-// — repairs individual pages on demand when a readmitted transaction
-// touches them before replay gets there. The types here keep the
-// replay state (which page is pending, claimed or done) with
-// exactly-once semantics, and extend the analytic model of recovery.go
-// to the parallel case so the simulated engine can be cross-checked.
+// The replay engine: shared policy for the in-simulation REDO recovery
+// in internal/node. Recovery replays the crashed node's dirty-page
+// backlog, partitioned by GLA so several recovery workers can make
+// progress at once, and — under the incremental reopen policy —
+// repairs individual pages on demand when a readmitted transaction
+// touches them before replay gets there. This file names the reopen
+// policies, assigns partitions to workers, and extends the analytic
+// model of recovery.go to the parallel case so the simulated engine
+// can be cross-checked. The backlog itself, each page with its replay
+// state, lives with the simulated recovery.
 package recovery
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
-
-	"gemsim/internal/model"
 )
 
 // ReopenPolicy selects when transactions are readmitted after a node
@@ -93,101 +91,6 @@ func AssignPartitions(pagesPerPartition []int, workers int) []int {
 		load[best] += pagesPerPartition[part]
 	}
 	return assign
-}
-
-// pageState is the replay lifecycle of one page.
-type pageState int
-
-const (
-	pagePending pageState = iota // in the backlog, not yet picked up
-	pageClaimed                  // a worker or repair holds the claim
-	pageDone                     // replayed (fence released)
-)
-
-// Replay tracks the exactly-once replay of a crashed node's REDO
-// backlog. Replay workers and on-demand repairs race for the same
-// pages; Claim hands each page to exactly one of them. The structure
-// is guarded by a mutex so the exactly-once property holds even under
-// genuine goroutine concurrency (exercised by the -race tests); inside
-// the simulation the kernel is cooperatively single-threaded and the
-// lock is uncontended.
-type Replay struct {
-	mu       sync.Mutex
-	state    map[model.PageID]pageState
-	pending  int
-	demanded int // pages repaired on demand (first touch before replay)
-}
-
-// NewReplay builds the replay bookkeeping for the given backlog.
-func NewReplay(pages []model.PageID) *Replay {
-	r := &Replay{state: make(map[model.PageID]pageState, len(pages))}
-	for _, p := range pages {
-		if _, dup := r.state[p]; !dup {
-			r.state[p] = pagePending
-			r.pending++
-		}
-	}
-	return r
-}
-
-// Claim atomically moves page p from pending to claimed and reports
-// whether the caller won the claim. A page outside the backlog, already
-// claimed or already done returns false: the caller must not replay it.
-func (r *Replay) Claim(p model.PageID) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if st, ok := r.state[p]; !ok || st != pagePending {
-		return false
-	}
-	r.state[p] = pageClaimed
-	r.pending--
-	return true
-}
-
-// ClaimDemand is Claim for an on-demand repair: it additionally counts
-// the page as demanded when the claim succeeds.
-func (r *Replay) ClaimDemand(p model.PageID) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if st, ok := r.state[p]; !ok || st != pagePending {
-		return false
-	}
-	r.state[p] = pageClaimed
-	r.pending--
-	r.demanded++
-	return true
-}
-
-// Done marks a claimed page as replayed.
-func (r *Replay) Done(p model.PageID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.state[p] == pageClaimed {
-		r.state[p] = pageDone
-	}
-}
-
-// Pending returns the number of pages not yet claimed.
-func (r *Replay) Pending() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.pending
-}
-
-// Unredone reports whether page p is in the backlog and not yet fully
-// replayed (pending or mid-repair).
-func (r *Replay) Unredone(p model.PageID) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st, ok := r.state[p]
-	return ok && st != pageDone
-}
-
-// Demanded returns the number of pages repaired on demand.
-func (r *Replay) Demanded() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.demanded
 }
 
 // ParallelEstimate extends Estimate to replay partitioned across the

@@ -1,11 +1,6 @@
 package recovery
 
-import (
-	"sync"
-	"testing"
-
-	"gemsim/internal/model"
-)
+import "testing"
 
 func TestReopenPolicyParse(t *testing.T) {
 	cases := []struct {
@@ -76,92 +71,6 @@ func TestAssignPartitionsDeterministicAndBalanced(t *testing.T) {
 	}
 }
 
-func pid(n int) model.PageID {
-	return model.PageID{File: 1, Page: int32(n)}
-}
-
-func TestReplayExactlyOnce(t *testing.T) {
-	pages := []model.PageID{pid(1), pid(2), pid(3), pid(2)} // dup collapses
-	r := NewReplay(pages)
-	if got := r.Pending(); got != 3 {
-		t.Fatalf("pending %d, want 3 (duplicate page must collapse)", got)
-	}
-	if !r.Claim(pid(1)) {
-		t.Fatal("first claim must win")
-	}
-	if r.Claim(pid(1)) {
-		t.Fatal("second claim of the same page must lose")
-	}
-	if !r.Unredone(pid(1)) {
-		t.Fatal("a claimed page is still unredone until Done")
-	}
-	r.Done(pid(1))
-	if r.Unredone(pid(1)) {
-		t.Fatal("a replayed page must not read as unredone")
-	}
-	if r.Claim(pid(99)) {
-		t.Fatal("a page outside the backlog must not be claimable")
-	}
-	if !r.ClaimDemand(pid(2)) || r.Demanded() != 1 {
-		t.Fatal("on-demand claim must win and be counted")
-	}
-	if r.ClaimDemand(pid(2)) || r.Demanded() != 1 {
-		t.Fatal("a lost on-demand claim must not inflate the demand count")
-	}
-	if got := r.Pending(); got != 1 {
-		t.Fatalf("pending %d, want 1", got)
-	}
-}
-
-// TestReplayConcurrentClaims drives the claim bookkeeping from many
-// goroutines at once (run under -race in CI): across all racing
-// claimers, each page must be won exactly once, whether claimed by a
-// replay worker or an on-demand repair.
-func TestReplayConcurrentClaims(t *testing.T) {
-	const pages, claimers = 200, 8
-	ids := make([]model.PageID, pages)
-	for i := range ids {
-		ids[i] = pid(i)
-	}
-	r := NewReplay(ids)
-	wins := make([]int, claimers)
-	var wg sync.WaitGroup
-	for c := 0; c < claimers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < pages; i++ {
-				won := false
-				if c%2 == 0 {
-					won = r.Claim(ids[i])
-				} else {
-					won = r.ClaimDemand(ids[i])
-				}
-				if won {
-					wins[c]++
-					r.Done(ids[i])
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	total := 0
-	for _, w := range wins {
-		total += w
-	}
-	if total != pages {
-		t.Fatalf("claims won %d, want exactly %d (one per page)", total, pages)
-	}
-	if r.Pending() != 0 {
-		t.Fatalf("pending %d after full replay, want 0", r.Pending())
-	}
-	for _, id := range ids {
-		if r.Unredone(id) {
-			t.Fatalf("page %v still unredone after all claims completed", id)
-		}
-	}
-}
-
 func TestParallelEstimate(t *testing.T) {
 	p := GEMLogParams()
 	w := Workload{LogPagesSinceCheckpoint: 1000, DirtyPages: 200, LoserTxns: 10}
@@ -178,30 +87,6 @@ func TestParallelEstimate(t *testing.T) {
 	}
 	if par.Total() >= serial.Total() {
 		t.Fatal("parallel replay must shorten the total")
-	}
-}
-
-// BenchmarkReplayDrain measures the per-page cost of the backlog's
-// claim/done cycle: the hot path every replay worker and every
-// on-demand repair goes through.
-func BenchmarkReplayDrain(b *testing.B) {
-	const pages = 512
-	ids := make([]model.PageID, pages)
-	for i := range ids {
-		ids[i] = pid(i)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := NewReplay(ids)
-		for _, p := range ids {
-			if !r.Claim(p) {
-				b.Fatal("fresh page not claimable")
-			}
-			r.Done(p)
-		}
-		if r.Pending() != 0 {
-			b.Fatal("backlog not drained")
-		}
 	}
 }
 
