@@ -263,8 +263,11 @@ func printDetails(rep *core.Report) {
 	fmt.Printf("storage                 reads %d  writes %d  force writes %d  log writes %d\n",
 		m.StorageReads, m.StorageWrites, m.ForceWrites, m.LogWrites)
 	perCommit := func(n int64) float64 { return float64(n) / float64(max(m.Commits, 1)) }
-	fmt.Printf("kernel                  %d events dispatched (%.0f events/sec wall clock)  spawns/commit %.2f  parks/commit %.2f\n",
-		rep.KernelEvents, rep.KernelEventsPerSec, perCommit(rep.KernelSpawns), perCommit(rep.KernelParks))
+	k := rep.KernelCounts
+	fmt.Printf("kernel                  %d events dispatched (%.0f events/sec wall clock)  spawns/commit %.2f  parks/commit %.2f"+
+		"  per commit: fn %.2f  complete %.2f  handoff %.2f  rebuilds %.4f  rung spawns %.4f\n",
+		rep.KernelEvents, rep.KernelEventsPerSec, perCommit(rep.KernelSpawns), perCommit(rep.KernelParks),
+		perCommit(k.Fn), perCommit(k.Complete), perCommit(k.Handoff), perCommit(k.Rebuilds), perCommit(k.RungSpawns))
 	if m.TxnsKilled > 0 || m.TxnsRetried > 0 || m.LockTimeouts > 0 ||
 		m.MessagesDropped > 0 || len(m.Failovers) > 0 {
 		fmt.Printf("faults                  killed %d  retried %d  lock timeouts %d  messages dropped %d\n",

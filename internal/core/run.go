@@ -31,6 +31,10 @@ type Report struct {
 	// spawned and the times a process parked over the measured
 	// interval, outside Metrics for the same reason.
 	KernelSpawns, KernelParks int64
+	// KernelCounts splits the kernel's work over the measured interval:
+	// dispatches by event kind and the event calendar's rebuilds and
+	// rung spawns, outside Metrics for the same reason.
+	KernelCounts sim.KernelCounts
 	// KernelEventsPerSec is KernelEvents over the measured interval's
 	// wall-clock time — the kernel's simulation speed. Wall-clock
 	// derived, so never deterministic and never part of result tables.
@@ -114,7 +118,7 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	sys.ResetStats()
-	evBase, spawnBase, parkBase := env.Dispatched(), env.Spawns(), env.Parks()
+	evBase, spawnBase, parkBase, countBase := env.Dispatched(), env.Spawns(), env.Parks(), env.Counts()
 	wallStart := time.Now()
 	if err := env.Run(cfg.Warmup + cfg.Measure); err != nil {
 		return nil, err
@@ -127,6 +131,7 @@ func Run(cfg Config) (*Report, error) {
 	rep := &Report{Config: cfg, Metrics: metrics}
 	rep.KernelEvents = env.Dispatched() - evBase
 	rep.KernelSpawns, rep.KernelParks = env.Spawns()-spawnBase, env.Parks()-parkBase
+	rep.KernelCounts = env.Counts().Sub(countBase)
 	if wall > 0 {
 		rep.KernelEventsPerSec = float64(rep.KernelEvents) / wall.Seconds()
 	}

@@ -112,6 +112,30 @@ func TestSpawnAndParkCounts(t *testing.T) {
 	}
 }
 
+// TestKernelCountsByKind pins the per-kind dispatch counters: two
+// requests on a one-server station dispatch two completions and one
+// hand-off (the queued request served at the first release), and a
+// plain After one general event.
+func TestKernelCountsByKind(t *testing.T) {
+	env := NewEnv()
+	defer env.Stop()
+	r := NewResource(env, "r", 1)
+	base := env.Counts()
+	env.After(0, func() {})
+	r.Request(time.Microsecond, nil)
+	r.Request(time.Microsecond, nil)
+	if err := env.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	k := env.Counts().Sub(base)
+	if k.Fn != 1 || k.Complete != 2 || k.Handoff != 1 {
+		t.Fatalf("dispatches fn %d complete %d handoff %d, want 1, 2 and 1", k.Fn, k.Complete, k.Handoff)
+	}
+	if k.Rebuilds == 0 {
+		t.Fatal("the calendar's rebuilds are not counted")
+	}
+}
+
 // TestDetachedContinuationNeverResumes checks that a detached
 // continuation keeps its process's trace id but that a chain
 // completing through it leaves the process parked.

@@ -145,12 +145,12 @@ func BenchmarkServiceCompletion(b *testing.B) {
 	}
 }
 
-// BenchmarkCalendarHyperscale measures the calendar queue at a
+// BenchmarkCalendarHyperscale measures the event calendar at a
 // hyperscale pending-event population: 64k self-rescheduling entities
 // with pseudo-randomly spread delays keep 64k events live at all
-// times, exercising bucket resizing and window rotation continuously.
-// The binary heap paid O(log n) per operation at this depth; the
-// calendar stays O(1). Reports events/sec for BENCH_kernel.json.
+// times, spread uniformly over 1ms. The binary heap paid O(log n) per
+// operation at this depth; the ladder queue stays O(1). Reports
+// events/sec for BENCH_kernel.json.
 func BenchmarkCalendarHyperscale(b *testing.B) {
 	env := NewEnv()
 	defer env.Stop()
@@ -181,6 +181,52 @@ func BenchmarkCalendarHyperscale(b *testing.B) {
 		b.Fatalf("fired %d of %d", fired, b.N)
 	}
 	b.ReportMetric(float64(fired)/b.Elapsed().Seconds(), "events/sec")
+}
+
+// BenchmarkCalendarBimodal measures the event calendar on the pending
+// shape of the hyperscale workload, which a uniform spread never shows:
+// 32k idle terminals' wake-ups 0.5-1.5s out plus a dense band of 2048
+// near-term service events 0-1ms out, each entity rescheduling itself
+// in its own band. The band is far denser than the gaps between
+// wake-ups, so a queue whose bucket width follows the mean gap crowds
+// the whole band into a few sorted buckets. Warm-up (outside the
+// timer) runs past the first rebuild and rung spawns, so the timed
+// cycles run on warm pools and must not allocate. Reports events/sec.
+func BenchmarkCalendarBimodal(b *testing.B) {
+	env := NewEnv()
+	defer env.Stop()
+	const (
+		far  = 32768
+		near = 2048
+	)
+	h := uint32(2463534242)
+	rnd := func(n uint32) Time {
+		h ^= h << 13
+		h ^= h >> 17
+		h ^= h << 5
+		return Time(h % n)
+	}
+	var wake, serve func()
+	wake = func() { env.After(500*time.Millisecond+rnd(1e9), wake) }
+	serve = func() { env.After(rnd(1e6), serve) }
+	for i := 0; i < far; i++ {
+		env.After(rnd(15e8), wake)
+	}
+	for i := 0; i < near; i++ {
+		env.After(rnd(1e6), serve)
+	}
+	// About 1M events: every entity fires at least once.
+	if err := env.Run(250 * time.Millisecond); err != nil {
+		b.Fatal(err)
+	}
+	base := env.Dispatched()
+	b.ResetTimer()
+	for env.Dispatched()-base < int64(b.N) {
+		if err := env.Run(env.Now() + 10*time.Microsecond); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(env.Dispatched()-base)/b.Elapsed().Seconds(), "events/sec")
 }
 
 // BenchmarkEventScheduling measures raw calendar insert/dispatch.

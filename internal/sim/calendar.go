@@ -2,74 +2,98 @@ package sim
 
 import (
 	"math"
-	"time"
+	"math/bits"
+	"slices"
 )
 
-// calendar is the event queue: a calendar/ladder queue with O(1)
-// amortized insert and pop-min, replacing the former binary heap.
+// calendar is the event queue: a ladder queue (Tang, Goh & Thng, ACM
+// TOMACS 2005) with O(1) amortized insert and pop-min and no width
+// parameter to tune.
 //
-// Events inside the current window [start, start+width*len(buckets))
-// are direct-indexed into fixed-width buckets; each bucket keeps its
-// events sorted by (at, seq) with a consumed-prefix head index, so the
-// common append-at-end insert (new events carry the largest seq for
-// their timestamp) is O(1). Events beyond the window land in an
-// unsorted overflow tier and are redistributed when the window rotates
-// past them. The bucket count doubles when bucket occupancy exceeds 2x
-// and shrinks when the total pending count (buckets plus overflow)
-// falls below 1/8 of it, with the width re-derived from the mean event
-// spacing, so both same-instant bursts and sparse far-future schedules
-// stay O(1) amortized. Shrinking on the total, the count a rebuild is
-// sized from, keeps a schedule with a few far-future events in
-// overflow from rebuilding the array at its own size over and over.
+// It keeps pending events in three tiers, ordered by time:
 //
-// Allocation: the steady state allocates nothing. A resize keeps the
-// bucket array (reslicing it when it shrinks) and every bucket's
-// backing slice, and gathers the live events into one reused scratch
-// slice; a full bucket with a consumed prefix is compacted in place
-// before it is grown. Only a new high-water mark (more buckets, or more
-// events in one bucket or in overflow than ever before) allocates.
+//   - Top: an unsorted list of far-future events (at >= topStart), with
+//     their minimum and maximum tracked.
+//   - Rungs: rungs[0] is built from Top with about one event per
+//     bucket; each bucket is an unsorted list over a fixed interval. A
+//     bucket holding more than spawnThreshold events when the dequeue
+//     reaches it spawns a finer child rung over its interval, so each
+//     rung covers exactly one bucket of the rung above it. At most
+//     maxRungs rungs exist.
+//   - Bottom: a short run sorted by (at, seq), descending so pop takes
+//     the last element. It is refilled one bucket at a time from the
+//     lowest rung, or straight from Top when Top is small.
+//
+// An insert goes to Top, to the highest rung whose current bucket
+// starts at or before it, or into Bottom by sorted insert. Each event
+// moves down at most once per tier, so insert and pop are O(1)
+// amortized whatever the spread of the schedule: a dense near-term
+// band and tens of thousands of far-future wake-ups land in different
+// rungs instead of sharing a bucket's sorted slice.
+//
+// Allocation: buckets are intrusive singly linked lists through
+// event.next, the rung bucket arrays and the Bottom slice are kept at
+// their high-water marks, and sorting uses a non-capturing comparator,
+// so the steady state allocates nothing.
 //
 // Determinism: every event has a globally unique seq, so the strict
 // total order (at, seq) has exactly one sorted sequence. Any correct
 // pop-min therefore yields byte-identical dispatch order with the
-// legacy heap — bucket geometry, resizes and rotations cannot change
-// the order, only the constant factors. The property test in
-// calendar_test.go checks this against a reference heap on randomized
-// schedules.
+// legacy heap: rung geometry, spawns and rebuilds change only when work
+// happens, never its order. The property test in calendar_test.go
+// checks this against a reference heap on randomized schedules.
 //
 // Invariants:
-//   - all bucket events live in buckets[cur:]; inserts that map below
-//     cur (possible after the cursor advanced over empty buckets, or
-//     after a rotation re-anchored start above the clock) are clamped
-//     into bucket cur, which stays sorted, so ordering holds;
-//   - every bucket event has at < horizon and every overflow event has
-//     at >= horizon, at every horizon change;
-//   - overMin tracks the minimum overflow timestamp, so rotation can
-//     re-anchor the window directly at the next populated region.
+//   - every Top event has at >= topStart, and every rung or Bottom
+//     event has at < topStart;
+//   - rungs[0] ends at topStart, and rungs[r+1] ends where the current
+//     bucket of rungs[r] starts; the buckets of a rung before its
+//     cursor are empty;
+//   - every Bottom event is earlier than the current bucket start of
+//     the lowest rung (topStart when there is none).
 type calendar struct {
-	buckets []calBucket
-	width   Time // bucket width, >= 1ns
-	start   Time // window start of buckets[0]
-	cur     int  // dispatch cursor: first possibly non-empty bucket
-	count   int  // events currently in buckets
+	top      *event // unsorted far-future list
+	nTop     int
+	topMin   Time
+	topMax   Time
+	topStart Time // Top holds exactly the events with at >= topStart
 
-	over    []*event // far-future tier: at >= horizon, unsorted
-	overMin Time     // min at in over; undefined when over is empty
+	rungs  [maxRungs]rung // rungs[:nRungs] are live; the rest keep their arrays
+	nRungs int
 
-	scratch []*event // resize's gathering buffer, empty between resizes
-	resizes int      // rebuilds so far (tests bound the thrash)
+	bottom     []*event // sorted descending by (at, seq); pop takes the last
+	bottomBase int      // Bottom's size after its last refill
+
+	n int // pending events across all tiers
+
+	// Work counters (cumulative): Top emptied into the ladder, rungs
+	// spawned from a crowded bucket or an overgrown Bottom, and events
+	// moved by either.
+	rebuilds int64
+	spawns   int64
+	moved    int64
 }
 
-// calBucket is one sorted bucket with a consumed prefix.
-type calBucket struct {
-	evs  []*event
-	head int
+// rung is one level of the ladder: len(buckets) buckets of width
+// width starting at start, dequeued from bucket cur onward.
+type rung struct {
+	buckets []*event // list heads; buckets before cur are nil
+	start   Time
+	width   Time // >= 1
+	cur     int
+	count   int // events in the rung
 }
 
 const (
-	calMinBuckets   = 16
-	calInitialWidth = Time(time.Millisecond)
-	maxTime         = Time(math.MaxInt64)
+	// spawnThreshold is the bucket size above which a reached bucket
+	// spawns a child rung instead of being sorted into Bottom, and the
+	// Top size above which Top becomes a rung rather than going
+	// straight to Bottom.
+	spawnThreshold = 50
+	// maxRungs caps the ladder's depth; past it, a crowded bucket is
+	// sorted into Bottom whole.
+	maxRungs = 8
+	maxTime  = Time(math.MaxInt64)
 )
 
 // evLess orders events by (at, seq).
@@ -80,225 +104,247 @@ func evLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// total reports the number of pending events across both tiers.
-func (c *calendar) total() int { return c.count + len(c.over) }
-
-// horizon returns the exclusive upper bound of the bucket window,
-// saturating on overflow.
-func (c *calendar) horizon() Time {
-	h := c.start + c.width*Time(len(c.buckets))
-	if h < c.start {
-		return maxTime
-	}
-	return h
-}
-
-// insert adds ev to the queue, growing the bucket array when occupancy
-// passes 2x.
-func (c *calendar) insert(ev *event) {
-	if c.buckets == nil {
-		c.buckets = make([]calBucket, calMinBuckets)
-		c.width = calInitialWidth
-		c.start = ev.at - ev.at%c.width
-	} else if c.count == 0 && len(c.over) == 0 {
-		// Queue drained: re-anchor the window at the new event so a
-		// long idle gap does not force a rotation on the next pop.
-		c.start = ev.at - ev.at%c.width
-		c.cur = 0
-	}
-	c.place(ev)
-	if c.count > 2*len(c.buckets) {
-		c.resize()
-	}
-}
-
-// place routes ev to its bucket or the overflow tier, without resize
-// checks (resize and rotation reuse it while rebuilding).
-func (c *calendar) place(ev *event) {
-	if ev.at >= c.horizon() {
-		if len(c.over) == 0 || ev.at < c.overMin {
-			c.overMin = ev.at
+// evDesc is Bottom's sort order: descending (at, seq).
+func evDesc(a, b *event) int {
+	if a.at != b.at {
+		if a.at > b.at {
+			return -1
 		}
-		c.over = append(c.over, ev)
-		return
+		return 1
 	}
-	idx := int((ev.at - c.start) / c.width)
-	if idx < c.cur {
-		// Clamp events mapping below the cursor (or below start) into
-		// the cursor bucket; it is sorted, so order is preserved.
-		idx = c.cur
+	if a.seq > b.seq {
+		return -1
 	}
-	c.bucketInsert(idx, ev)
-	c.count++
+	return 1
 }
 
-// bucketInsert places ev into buckets[idx] keeping (at, seq) order.
-// New events almost always append at the end: seq grows monotonically,
-// so only an event with a strictly larger at already in the bucket
-// forces a mid-slice insert.
-func (c *calendar) bucketInsert(idx int, ev *event) {
-	b := &c.buckets[idx]
-	if b.head > 0 && len(b.evs) == cap(b.evs) {
-		// Full, with a consumed prefix: slide the live events down
-		// instead of growing the slice.
-		live := copy(b.evs, b.evs[b.head:])
-		clear(b.evs[live:])
-		b.evs = b.evs[:live]
-		b.head = 0
+// total reports the number of pending events.
+func (c *calendar) total() int { return c.n }
+
+// curStart is the start of rung r's current bucket: every rung r event
+// is at or after it.
+func (r *rung) curStart() Time { return r.start + Time(r.cur)*r.width }
+
+// add links ev into its bucket of the rung. at must lie in the rung's
+// interval at or after its current bucket; the index is clamped only
+// for a rung whose end saturated at maxTime.
+func (r *rung) add(ev *event) {
+	i := int((ev.at - r.start) / r.width)
+	if i >= len(r.buckets) {
+		i = len(r.buckets) - 1
 	}
-	n := len(b.evs)
-	if n == b.head || evLess(b.evs[n-1], ev) {
-		b.evs = append(b.evs, ev)
+	ev.next = r.buckets[i]
+	r.buckets[i] = ev
+	r.count++
+}
+
+// addList adds every event of the list at head to the rung.
+func (r *rung) addList(head *event) {
+	for ev := head; ev != nil; {
+		next := ev.next
+		r.add(ev)
+		ev = next
+	}
+}
+
+// insert adds ev to the queue.
+func (c *calendar) insert(ev *event) {
+	if c.n == 0 {
+		// Empty: every rung is empty too, so start the ladder afresh
+		// and let the next pop build it from Top.
+		c.nRungs = 0
+		c.topStart = 0
+	}
+	c.n++
+	if ev.at >= c.topStart {
+		if c.nTop == 0 || ev.at < c.topMin {
+			c.topMin = ev.at
+		}
+		if c.nTop == 0 || ev.at > c.topMax {
+			c.topMax = ev.at
+		}
+		ev.next = c.top
+		c.top = ev
+		c.nTop++
 		return
 	}
-	lo, hi := b.head, n
+	for i := 0; i < c.nRungs; i++ {
+		if r := &c.rungs[i]; ev.at >= r.curStart() {
+			r.add(ev)
+			return
+		}
+	}
+	c.bottomInsert(ev)
+	if n := len(c.bottom); n > 4*spawnThreshold && n > 2*c.bottomBase &&
+		c.nRungs < maxRungs && c.bottom[0].at != c.bottom[n-1].at {
+		c.bottomToRung()
+	}
+}
+
+// bottomInsert places ev into Bottom, keeping it sorted descending.
+// New events are usually the earliest, so the common case appends.
+func (c *calendar) bottomInsert(ev *event) {
+	n := len(c.bottom)
+	if n == 0 || evLess(ev, c.bottom[n-1]) {
+		c.bottom = append(c.bottom, ev)
+		return
+	}
+	lo, hi := 0, n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if evLess(b.evs[mid], ev) {
+		if evLess(ev, c.bottom[mid]) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	b.evs = append(b.evs, nil)
-	copy(b.evs[lo+1:], b.evs[lo:])
-	b.evs[lo] = ev
+	c.bottom = append(c.bottom, nil)
+	copy(c.bottom[lo+1:], c.bottom[lo:])
+	c.bottom[lo] = ev
 }
 
-// pop removes and returns the minimum (at, seq) event. When bounded,
-// events with at > limit stay queued and pop returns nil. Returns nil
-// on an empty queue.
-func (c *calendar) pop(limit Time, bounded bool) *event {
-	for c.count == 0 {
-		if len(c.over) == 0 {
-			return nil
-		}
-		if bounded && c.overMin > limit {
-			return nil
-		}
-		c.rotate()
+// bottomToRung turns an overgrown Bottom into a new lowest rung over
+// [earliest Bottom event, current bucket start of the rung above), or
+// up to topStart when there is no rung. Bottom qualifies only at twice
+// the size of its last refill, so sorted inserts pay for every event
+// this moves, and a bucket sorted whole into Bottom (one instant, or
+// past maxRungs) is not turned back into a rung at once.
+func (c *calendar) bottomToRung() {
+	end := c.topStart
+	if c.nRungs > 0 {
+		end = c.rungs[c.nRungs-1].curStart()
 	}
-	for c.buckets[c.cur].head == len(c.buckets[c.cur].evs) {
-		c.cur++
+	n := len(c.bottom)
+	r := c.newRung(c.bottom[n-1].at, end, n)
+	for _, ev := range c.bottom {
+		r.add(ev)
 	}
-	b := &c.buckets[c.cur]
-	ev := b.evs[b.head]
-	if bounded && ev.at > limit {
-		return nil
-	}
-	b.evs[b.head] = nil
-	b.head++
-	if b.head == len(b.evs) {
-		b.evs = b.evs[:0]
-		b.head = 0
-	}
-	c.count--
-	if len(c.buckets) > calMinBuckets && 8*c.total() < len(c.buckets) {
-		c.resize()
-	}
-	return ev
+	clear(c.bottom)
+	c.bottom = c.bottom[:0]
+	c.spawns++
+	c.moved += int64(n)
 }
 
-// rotate re-anchors the window at the earliest overflow event and
-// redistributes the overflow tier. Called only when the buckets are
-// empty; the event at overMin always lands in bucket 0, so rotation
-// makes progress.
-func (c *calendar) rotate() {
-	c.start = c.overMin - c.overMin%c.width
-	c.cur = 0
-	horizon := c.horizon()
-	kept := c.over[:0]
-	newMin := maxTime
-	for _, ev := range c.over {
-		if ev.at < horizon {
-			c.bucketInsert(int((ev.at-c.start)/c.width), ev)
-			c.count++
-		} else {
-			if ev.at < newMin {
-				newMin = ev.at
-			}
-			kept = append(kept, ev)
-		}
+// newRung makes rungs[nRungs] the lowest rung, covering [start, end)
+// with about n buckets, and returns it. The bucket array is reused at
+// its high-water mark; a drained rung's buckets are all nil.
+func (c *calendar) newRung(start, end Time, n int) *rung {
+	r := &c.rungs[c.nRungs]
+	c.nRungs++
+	span := end - start
+	w := span / Time(n)
+	if w*Time(n) < span {
+		w++
 	}
-	for i := len(kept); i < len(c.over); i++ {
-		c.over[i] = nil
+	if w < 1 {
+		w = 1
 	}
-	c.over = kept
-	c.overMin = newMin
-}
-
-// resize rebuilds the bucket array sized to the live event count, with
-// the width re-derived from the mean event spacing (clamped so the
-// horizon cannot overflow). Doubling up and shrinking at 1/8 keeps the
-// rebuild cost O(1) amortized per operation. The bucket array and the
-// bucket slices are reused; only growing past the array's capacity
-// allocates a larger one, which inherits the old buckets' slices.
-func (c *calendar) resize() {
-	c.resizes++
-	evs := c.scratch[:0]
-	for i := range c.buckets {
-		b := &c.buckets[i]
-		if i >= c.cur {
-			evs = append(evs, b.evs[b.head:]...)
-		}
-		clear(b.evs)
-		b.evs = b.evs[:0]
-		b.head = 0
+	nb := int(span / w)
+	if Time(nb)*w < span || nb == 0 {
+		nb++
 	}
-	evs = append(evs, c.over...)
-	clear(c.over)
-	c.over = c.over[:0]
-	n := pow2ceil(len(evs))
-	if n < calMinBuckets {
-		n = calMinBuckets
-	}
-	minAt, maxAt := maxTime, Time(0)
-	for _, ev := range evs {
-		if ev.at < minAt {
-			minAt = ev.at
-		}
-		if ev.at > maxAt {
-			maxAt = ev.at
-		}
-	}
-	width := c.width
-	if len(evs) > 0 {
-		// Twice the mean gap: half-full buckets on a uniform spread.
-		width = 2 * (maxAt - minAt) / Time(len(evs))
-	}
-	if lim := (maxTime - minAt) / Time(n); width > lim {
-		width = lim
-	}
-	if width < 1 {
-		width = 1
-	}
-	if n <= cap(c.buckets) {
-		c.buckets = c.buckets[:n]
+	if nb <= cap(r.buckets) {
+		r.buckets = r.buckets[:nb]
 	} else {
-		grown := make([]calBucket, n)
-		copy(grown, c.buckets[:cap(c.buckets)])
-		c.buckets = grown
+		// Round up, so a rung that outgrows its array seldom does so
+		// again.
+		r.buckets = make([]*event, nb, 1<<bits.Len(uint(nb)))
 	}
-	c.width = width
-	c.start = minAt - minAt%width
-	c.cur = 0
-	c.count = 0
-	c.overMin = maxTime
-	if len(evs) == 0 {
-		c.start = 0
-	}
-	for _, ev := range evs {
-		c.place(ev)
-	}
-	clear(evs)
-	c.scratch = evs[:0]
+	r.start, r.width, r.cur, r.count = start, w, 0, 0
+	return r
 }
 
-// pow2ceil returns the smallest power of two >= n.
-func pow2ceil(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
+// pop removes and returns the minimum (at, seq) event, or nil on an
+// empty queue. When bounded, an event with at > limit stays queued and
+// pop returns nil, leaving the pending set as it was.
+func (c *calendar) pop(limit Time, bounded bool) *event {
+	for {
+		if n := len(c.bottom); n > 0 {
+			ev := c.bottom[n-1]
+			if bounded && ev.at > limit {
+				return nil
+			}
+			c.bottom[n-1] = nil
+			c.bottom = c.bottom[:n-1]
+			c.n--
+			return ev
+		}
+		if !c.refill(limit, bounded) {
+			return nil
+		}
 	}
-	return p
+}
+
+// refill moves the next bucket into the empty Bottom, spawning child
+// rungs over crowded buckets on the way, and builds the ladder from
+// Top when the rungs are drained. It reports false when the queue is
+// empty or (bounded) every pending event is past limit; the pending
+// set is then as it was, and Bottom still empty.
+func (c *calendar) refill(limit Time, bounded bool) bool {
+	for c.nRungs > 0 {
+		r := &c.rungs[c.nRungs-1]
+		if r.count == 0 {
+			c.nRungs--
+			continue
+		}
+		for r.buckets[r.cur] == nil {
+			r.cur++
+		}
+		start := r.curStart()
+		if bounded && start > limit {
+			return false
+		}
+		head := r.buckets[r.cur]
+		k := 0
+		for ev := head; ev != nil && k <= spawnThreshold; ev = ev.next {
+			k++
+		}
+		r.buckets[r.cur] = nil
+		r.cur++
+		if k > spawnThreshold && r.width > 1 && c.nRungs < maxRungs {
+			k = 0
+			for ev := head; ev != nil; ev = ev.next {
+				k++
+			}
+			r.count -= k
+			c.newRung(start, start+r.width, k).addList(head)
+			c.spawns++
+			c.moved += int64(k)
+			continue
+		}
+		r.count -= c.listToBottom(head)
+		return true
+	}
+	if c.nTop == 0 || bounded && c.topMin > limit {
+		return false
+	}
+	c.rebuilds++
+	c.moved += int64(c.nTop)
+	head, n := c.top, c.nTop
+	c.top, c.nTop = nil, 0
+	end := c.topMax + 1
+	if end < c.topMax {
+		end = maxTime
+	}
+	c.topStart = end
+	if n <= spawnThreshold {
+		c.listToBottom(head)
+		return true
+	}
+	c.newRung(c.topMin, end, n).addList(head)
+	return true
+}
+
+// listToBottom sorts the list at head into the empty Bottom and
+// returns its length.
+func (c *calendar) listToBottom(head *event) int {
+	for ev := head; ev != nil; ev = ev.next {
+		c.bottom = append(c.bottom, ev)
+	}
+	n := len(c.bottom)
+	if n > 1 {
+		slices.SortFunc(c.bottom, evDesc)
+	}
+	c.bottomBase = n
+	return n
 }

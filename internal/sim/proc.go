@@ -26,6 +26,45 @@ type Proc struct {
 	done    bool
 	stopped bool  // set by Stop: the next resume unwinds the process
 	traceID int64 // transaction id for the trace layer; 0 outside transactions
+
+	livePrev, liveNext *Proc // links in Env.live while the process is live
+}
+
+// procList is the intrusive, doubly linked list of live processes in
+// spawn order, linked through Proc.livePrev/liveNext.
+type procList struct {
+	head, tail *Proc
+	n          int
+}
+
+// push appends p at the tail.
+func (l *procList) push(p *Proc) {
+	p.livePrev, p.liveNext = l.tail, nil
+	if l.tail != nil {
+		l.tail.liveNext = p
+	} else {
+		l.head = p
+	}
+	l.tail = p
+	l.n++
+}
+
+// remove unlinks p; it does nothing if p is not on the list.
+func (l *procList) remove(p *Proc) {
+	if p.livePrev != nil {
+		p.livePrev.liveNext = p.liveNext
+	} else if l.head == p {
+		l.head = p.liveNext
+	} else {
+		return
+	}
+	if p.liveNext != nil {
+		p.liveNext.livePrev = p.livePrev
+	} else {
+		l.tail = p.livePrev
+	}
+	p.livePrev, p.liveNext = nil, nil
+	l.n--
 }
 
 // worker is a runtime coroutine that runs processes one after another.
@@ -70,7 +109,7 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{env: e, name: name, fn: fn, w: e.worker()}
 	p.w.p = p
 	e.spawns++
-	e.live[p] = struct{}{}
+	e.live.push(p)
 	e.schedule(e.now, p, nil)
 	return p
 }
@@ -110,7 +149,7 @@ func (p *Proc) run() {
 	}
 	e := p.env
 	p.done = true
-	delete(e.live, p)
+	e.live.remove(p)
 	w := p.w
 	p.w, w.p = nil, nil
 	e.idle = append(e.idle, w)
@@ -209,17 +248,13 @@ func (c Continuation) ResumeAfter(d Time, fn func()) {
 	ev.gen = c.gen
 }
 
-// Stop terminates all live processes by unwinding them, then retires
-// the idle workers, so that no goroutines leak after a run. The
-// environment must not be used again.
+// Stop terminates all live processes by unwinding them in spawn order,
+// then retires the idle workers, so that no goroutines leak after a
+// run. The environment must not be used again.
 func (e *Env) Stop() {
-	for len(e.live) > 0 {
-		var p *Proc
-		for q := range e.live {
-			p = q
-			break
-		}
-		delete(e.live, p)
+	for e.live.head != nil {
+		p := e.live.head
+		e.live.remove(p)
 		p.stopped = true
 		p.resume()
 	}

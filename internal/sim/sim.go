@@ -17,11 +17,11 @@
 // runs deterministically. Coroutines are pooled: a finished process
 // leaves its coroutine idle in the Env for the next Spawn.
 //
-// Both tiers share one event calendar ordered by (at, seq) with ties
-// broken by insertion order, so mixing them preserves determinism. A
-// single event may carry both a callback and a process resume: the
-// callback runs first, then the process resumes — within the same
-// calendar slot. Service chains use this to do their completion
+// Both tiers share one event calendar, a ladder queue (calendar.go),
+// ordered by (at, seq) with ties broken by insertion order, so mixing
+// them preserves determinism. A single event may carry both a callback
+// and a process resume: the callback runs first, then the process
+// resumes — within the same calendar slot. Service chains use this to do their completion
 // bookkeeping and unpark the waiting transaction process exactly once,
 // instead of bouncing through helper processes.
 //
@@ -63,31 +63,28 @@ type event struct {
 	gen  int64 // proc generation
 	fn   func()
 	res  *Resource // evComplete / evHandoff target
+	next *event    // next in the calendar's Top list or rung bucket; stale elsewhere
 	kind uint8
 }
 
 // Env is a simulation environment: an event calendar, a clock and the
-// set of live processes. An Env must be used from a single goroutine
+// list of live processes. An Env must be used from a single goroutine
 // (the one calling Run); model code runs inside processes spawned on it.
 type Env struct {
-	now        Time
-	seq        int64
-	events     calendar
-	free       []*event // recycled event records
-	dispatched int64
-	spawns     int64 // processes spawned
-	parks      int64 // process parks: Park, Wait and every blocking primitive
-	live       map[*Proc]struct{}
-	idle       []*worker // process coroutines waiting for a Spawn
-	panicked   any
+	now      Time
+	seq      int64
+	events   calendar
+	free     []*event             // recycled event records
+	kinds    [evHandoff + 1]int64 // dispatches by event kind
+	spawns   int64                // processes spawned
+	parks    int64                // process parks: Park, Wait and every blocking primitive
+	live     procList             // live processes in spawn order
+	idle     []*worker            // process coroutines waiting for a Spawn
+	panicked any
 }
 
 // NewEnv returns an empty simulation environment at time zero.
-func NewEnv() *Env {
-	return &Env{
-		live: make(map[*Proc]struct{}),
-	}
-}
+func NewEnv() *Env { return &Env{} }
 
 // Now returns the current simulated time.
 func (e *Env) Now() Time { return e.now }
@@ -98,7 +95,9 @@ func (e *Env) Pending() int { return e.events.total() }
 // Dispatched reports the total number of events dispatched since the
 // environment was created. It is a deterministic kernel-work measure:
 // identical runs dispatch identical event counts.
-func (e *Env) Dispatched() int64 { return e.dispatched }
+func (e *Env) Dispatched() int64 {
+	return e.kinds[evFn] + e.kinds[evComplete] + e.kinds[evHandoff]
+}
 
 // Spawns reports the number of processes spawned since the
 // environment was created.
@@ -109,16 +108,49 @@ func (e *Env) Spawns() int64 { return e.spawns }
 // was created.
 func (e *Env) Parks() int64 { return e.parks }
 
+// KernelCounts are the kernel's cumulative work counters beyond
+// Dispatched, Spawns and Parks: dispatches by event kind, and the
+// calendar's rebuilds (its far-future tier emptied into the ladder)
+// and rung spawns (a crowded bucket or an overgrown sorted run split
+// into a finer rung).
+type KernelCounts struct {
+	Fn, Complete, Handoff int64
+	Rebuilds, RungSpawns  int64
+}
+
+// Sub returns the counts accumulated since base.
+func (k KernelCounts) Sub(base KernelCounts) KernelCounts {
+	return KernelCounts{
+		Fn:         k.Fn - base.Fn,
+		Complete:   k.Complete - base.Complete,
+		Handoff:    k.Handoff - base.Handoff,
+		Rebuilds:   k.Rebuilds - base.Rebuilds,
+		RungSpawns: k.RungSpawns - base.RungSpawns,
+	}
+}
+
+// Counts reports the kernel's work counters since the environment was
+// created.
+func (e *Env) Counts() KernelCounts {
+	return KernelCounts{
+		Fn:         e.kinds[evFn],
+		Complete:   e.kinds[evComplete],
+		Handoff:    e.kinds[evHandoff],
+		Rebuilds:   e.events.rebuilds,
+		RungSpawns: e.events.spawns,
+	}
+}
+
 // LiveCount reports the number of live (spawned, not yet finished)
 // processes.
-func (e *Env) LiveCount() int { return len(e.live) }
+func (e *Env) LiveCount() int { return e.live.n }
 
 // Stalled reports whether the simulation can make no further progress
 // while processes are still alive: the event calendar is empty but live
 // processes remain, all of them parked with nothing scheduled to wake
 // them (e.g. waiters on a lock that is never released).
 func (e *Env) Stalled() bool {
-	return e.events.total() == 0 && len(e.live) > 0
+	return e.events.total() == 0 && e.live.n > 0
 }
 
 // LiveNames returns the names of live processes, deduplicated with
@@ -126,7 +158,7 @@ func (e *Env) Stalled() bool {
 // distinct names are returned (0 means all).
 func (e *Env) LiveNames(max int) []string {
 	counts := make(map[string]int)
-	for p := range e.live {
+	for p := e.live.head; p != nil; p = p.liveNext {
 		counts[p.name]++
 	}
 	names := make([]string, 0, len(counts))
@@ -220,7 +252,7 @@ func (e *Env) drain(until Time, bounded bool) error {
 			return nil
 		}
 		e.now = ev.at
-		e.dispatched++
+		e.kinds[ev.kind]++
 		e.dispatch(ev)
 		e.recycle(ev)
 		if e.panicked != nil {

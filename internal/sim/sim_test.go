@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -216,8 +217,38 @@ func TestStopUnwindsParkedProcesses(t *testing.T) {
 	}
 	env.Stop()
 	// All processes must have unwound; live set is drained by Stop.
-	if len(env.live) != 0 {
-		t.Fatalf("%d processes still live after Stop", len(env.live))
+	if env.LiveCount() != 0 {
+		t.Fatalf("%d processes still live after Stop", env.LiveCount())
+	}
+}
+
+// TestStopUnwindsInSpawnOrder checks that Stop unwinds the live
+// processes oldest first, whatever order they parked in, and that a
+// finished process leaves the live list from the middle.
+func TestStopUnwindsInSpawnOrder(t *testing.T) {
+	env := NewEnv()
+	var order []string
+	for _, name := range []string{"a", "b", "c", "d"} {
+		env.Spawn(name, func(p *Proc) {
+			defer func() { order = append(order, p.Name()) }()
+			if p.Name() == "b" {
+				return
+			}
+			p.Park()
+		})
+	}
+	if err := env.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if env.LiveCount() != 3 || !env.Stalled() {
+		t.Fatalf("live %d stalled %v, want 3 parked processes", env.LiveCount(), env.Stalled())
+	}
+	if got := env.LiveNames(0); strings.Join(got, ",") != "a,c,d" {
+		t.Fatalf("live names %v, want a, c and d", got)
+	}
+	env.Stop()
+	if got := strings.Join(order, ","); got != "b,a,c,d" {
+		t.Fatalf("processes ended in order %s, want b,a,c,d", got)
 	}
 }
 
