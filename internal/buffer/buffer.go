@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"gemsim/internal/flatmap"
-	"gemsim/internal/model"
 	"gemsim/internal/stats"
 )
 
@@ -58,7 +57,7 @@ type Pool[K comparable] struct {
 	index    flatmap.Map[K, *Frame[K]]
 	free     []*Frame[K] // frames removed by Drop, unfixed and unlinked
 
-	hitsByFile map[model.FileID]*stats.Ratio
+	hitsByFile []stats.Ratio // by the file's position in the database
 	overflow   int64
 }
 
@@ -69,9 +68,8 @@ func NewPool[K comparable](capacity int, hash func(K) uint64) *Pool[K] {
 		panic("buffer: capacity must be positive")
 	}
 	return &Pool[K]{
-		capacity:   capacity,
-		index:      flatmap.Make[K, *Frame[K]](hash, capacity),
-		hitsByFile: make(map[model.FileID]*stats.Ratio),
+		capacity: capacity,
+		index:    flatmap.Make[K, *Frame[K]](hash, capacity),
 	}
 }
 
@@ -126,28 +124,29 @@ func (b *Pool[K]) Get(page K) *Frame[K] {
 func (b *Pool[K]) Peek(page K) *Frame[K] { return b.index.Get(page) }
 
 // Observe records a logical buffer hit or miss for the page's file
-// (used for the per-partition hit ratios reported in the paper).
-func (b *Pool[K]) Observe(file model.FileID, hit bool) {
-	r := b.hitsByFile[file]
-	if r == nil {
-		r = &stats.Ratio{}
-		b.hitsByFile[file] = r
+// (used for the per-partition hit ratios reported in the paper). Files
+// are named by their position in the database (model.Database.Files).
+func (b *Pool[K]) Observe(file int, hit bool) {
+	if file >= len(b.hitsByFile) {
+		b.hitsByFile = append(b.hitsByFile, make([]stats.Ratio, file+1-len(b.hitsByFile))...)
 	}
-	r.Observe(hit)
+	b.hitsByFile[file].Observe(hit)
 }
 
-// HitRatio returns the observed hit ratio for a file.
-func (b *Pool[K]) HitRatio(file model.FileID) float64 {
-	if r := b.hitsByFile[file]; r != nil {
-		return r.Value()
+// HitRatio returns the observed hit ratio for the file at position
+// file.
+func (b *Pool[K]) HitRatio(file int) float64 {
+	if file < len(b.hitsByFile) {
+		return b.hitsByFile[file].Value()
 	}
 	return 0
 }
 
-// HitCounts returns (hits, total) observations for a file.
-func (b *Pool[K]) HitCounts(file model.FileID) (int64, int64) {
-	if r := b.hitsByFile[file]; r != nil {
-		return r.Hits(), r.Total()
+// HitCounts returns (hits, total) observations for the file at
+// position file.
+func (b *Pool[K]) HitCounts(file int) (int64, int64) {
+	if file < len(b.hitsByFile) {
+		return b.hitsByFile[file].Hits(), b.hitsByFile[file].Total()
 	}
 	return 0, 0
 }
@@ -217,9 +216,7 @@ func (b *Pool[K]) Overflows() int64 { return b.overflow }
 
 // ResetStats clears the per-file hit statistics.
 func (b *Pool[K]) ResetStats() {
-	for _, r := range b.hitsByFile {
-		r.Reset()
-	}
+	clear(b.hitsByFile)
 	b.overflow = 0
 }
 

@@ -10,7 +10,7 @@ import (
 // path.
 func BenchmarkRequestRelease(b *testing.B) {
 	tb := newTable()
-	o := Owner{Node: 0, Tx: 1}
+	o := owner(0, 1)
 	p := pg(42)
 	for i := 0; i < b.N; i++ {
 		tb.Request(p, o, model.LockWrite, nil)
@@ -23,11 +23,12 @@ func BenchmarkRequestRelease(b *testing.B) {
 func BenchmarkReleaseAll(b *testing.B) {
 	tb := newTable()
 	for i := 0; i < b.N; i++ {
-		o := Owner{Node: 0, Tx: TxID(i)}
+		o := testOwners.New(0, TxID(i))
 		for k := int32(0); k < 8; k++ {
 			tb.Request(pg(k), o, model.LockRead, nil)
 		}
 		tb.ReleaseAll(o)
+		testOwners.Release(o)
 	}
 }
 
@@ -37,7 +38,7 @@ func BenchmarkReleaseAll(b *testing.B) {
 // multi-page lock set — performs zero heap allocations.
 func TestUncontendedCycleAllocFree(t *testing.T) {
 	tb := newTable()
-	o := Owner{Node: 0, Tx: 1}
+	o := owner(0, 1)
 	p := pg(42)
 	tb.Request(p, o, model.LockWrite, nil)
 	tb.Release(p, o)
@@ -49,11 +50,12 @@ func TestUncontendedCycleAllocFree(t *testing.T) {
 	}
 
 	warm := func(tx TxID) {
-		ow := Owner{Node: 0, Tx: tx}
+		ow := testOwners.New(0, tx)
 		for k := int32(0); k < 8; k++ {
 			tb.Request(pg(k), ow, model.LockRead, nil)
 		}
 		tb.ReleaseAll(ow)
+		testOwners.Release(ow)
 	}
 	warm(2)
 	tx := TxID(3)
@@ -66,23 +68,54 @@ func TestUncontendedCycleAllocFree(t *testing.T) {
 }
 
 // BenchmarkDeadlockDetection measures a waits-for search over a chain
-// of blocked transactions.
+// of blocked transactions, from its tail: member i holds page i and
+// waits for page i-1, so the search walks the whole chain.
 func BenchmarkDeadlockDetection(b *testing.B) {
 	tb := newTable()
 	d := NewDetector(tb)
 	const chain = 32
+	var tail Owner
 	for i := 0; i < chain; i++ {
-		o := Owner{Node: i % 4, Tx: TxID(i + 1)}
-		tb.Request(pg(int32(i)), o, model.LockWrite, nil)
+		tail = testOwners.New(i%4, TxID(i+1))
+		tb.Request(pg(int32(i)), tail, model.LockWrite, nil)
 		if i > 0 {
-			tb.Request(pg(int32(i-1)), o, model.LockWrite, nil)
+			tb.Request(pg(int32(i-1)), tail, model.LockWrite, nil)
 		}
 	}
-	last := Owner{Node: 0, Tx: TxID(chain)}
+	benchFindNoCycle(b, d, tail)
+}
+
+// BenchmarkDeadlockConvoy measures the search a contended hot spot
+// runs on every block: the writer holding the hot page waits for a
+// page held elsewhere, and 32 writers queue behind it. The search from
+// the last of them meets each one queued ahead, and the blockers of
+// each.
+func BenchmarkDeadlockConvoy(b *testing.B) {
+	tb := newTable()
+	d := NewDetector(tb)
+	const hot, cold, queued = 0, 1, 32
+	tb.Request(pg(cold), testOwners.New(1, 1), model.LockWrite, nil)
+	writer := testOwners.New(0, 2)
+	tb.Request(pg(hot), writer, model.LockWrite, nil)
+	tb.Request(pg(cold), writer, model.LockWrite, nil)
+	var last Owner
+	for i := 0; i < queued; i++ {
+		last = testOwners.New(i%2, TxID(i+3))
+		tb.Request(pg(hot), last, model.LockWrite, nil)
+	}
+	benchFindNoCycle(b, d, last)
+}
+
+// benchFindNoCycle times FindCycle from start, which must find no
+// cycle; the warm-up search sizes the scratch outside the timer.
+func benchFindNoCycle(b *testing.B, d *Detector, start Owner) {
+	if d.FindCycle(start) != nil {
+		b.Fatal("the waits-for graph must contain no cycle")
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if cycle := d.FindCycle(last); cycle != nil {
-			b.Fatal("chain must not contain a cycle")
+		if d.FindCycle(start) != nil {
+			b.Fatal("the waits-for graph must contain no cycle")
 		}
 	}
 }

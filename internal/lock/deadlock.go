@@ -11,10 +11,12 @@ type Detector struct {
 
 	// Search scratch, reused so that a search allocates nothing: the
 	// blocker lists of every frame pushed so far, the DFS stack, and
-	// the visited set.
+	// by owner handle the search that last visited the owner (the
+	// current one is stamp).
 	edges   []Owner
 	stack   []dfsFrame
-	visited map[Owner]bool
+	visited []uint32
+	stamp   uint32
 }
 
 // dfsFrame is one owner on the search path; edges[next:end] are the
@@ -26,7 +28,7 @@ type dfsFrame struct {
 
 // NewDetector creates a detector over the given tables.
 func NewDetector(tables ...*Table) *Detector {
-	return &Detector{tables: tables, visited: make(map[Owner]bool)}
+	return &Detector{tables: tables}
 }
 
 // Cycles returns the number of deadlocks found.
@@ -35,7 +37,7 @@ func (d *Detector) Cycles() int64 { return d.cycles }
 // appendBlockers appends the owners o waits for across all tables.
 func (d *Detector) appendBlockers(dst []Owner, o Owner) []Owner {
 	for _, t := range d.tables {
-		if w := t.waiting[o]; w != nil {
+		if w := t.Waiting(o); w != nil {
 			dst = t.appendBlockers(dst, w)
 		}
 	}
@@ -48,8 +50,11 @@ func (d *Detector) appendBlockers(dst []Owner, o Owner) []Owner {
 // again: a cycle through it that does not pass start is detected by
 // its own members.
 func (d *Detector) FindCycle(start Owner) []Owner {
-	clear(d.visited)
-	d.visited[start] = true
+	if d.stamp++; d.stamp == 0 {
+		clear(d.visited)
+		d.stamp = 1
+	}
+	d.visit(start)
 	d.edges = d.appendBlockers(d.edges[:0], start)
 	d.stack = append(d.stack[:0], dfsFrame{owner: start, end: len(d.edges)})
 	for len(d.stack) > 0 {
@@ -69,14 +74,24 @@ func (d *Detector) FindCycle(start Owner) []Owner {
 			d.cycles++
 			return cycle
 		}
-		if !d.visited[n] {
-			d.visited[n] = true
+		if d.visit(n) {
 			lo := len(d.edges)
 			d.edges = d.appendBlockers(d.edges, n)
 			d.stack = append(d.stack, dfsFrame{owner: n, next: lo, end: len(d.edges)})
 		}
 	}
 	return nil
+}
+
+// visit marks o visited by the current search and reports whether it
+// was not yet.
+func (d *Detector) visit(o Owner) bool {
+	d.visited = grow(d.visited, o.h)
+	if d.visited[o.h] == d.stamp {
+		return false
+	}
+	d.visited[o.h] = d.stamp
+	return true
 }
 
 // Victim selects the transaction to abort from a cycle: the youngest

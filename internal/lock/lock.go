@@ -10,27 +10,11 @@
 package lock
 
 import (
-	"fmt"
 	"sort"
 
 	"gemsim/internal/model"
 	"gemsim/internal/pagedir"
 )
-
-// TxID identifies a transaction instance system-wide. Larger ids are
-// younger transactions; deadlock resolution aborts the youngest member
-// of a cycle.
-type TxID int64
-
-// Owner identifies a lock owner: a transaction instance running at a
-// node.
-type Owner struct {
-	Node int
-	Tx   TxID
-}
-
-// String formats the owner as node/tx.
-func (o Owner) String() string { return fmt.Sprintf("n%d/t%d", o.Node, o.Tx) }
 
 // Request is one lock request in a table. While waiting it carries an
 // opaque continuation (Data) that the protocol layer uses to resume or
@@ -40,13 +24,14 @@ func (o Owner) String() string { return fmt.Sprintf("n%d/t%d", o.Node, o.Tx) }
 // record already serving a later wait.
 type Request struct {
 	Owner Owner
-	Mode  model.LockMode
 	Data  any
 	Epoch uint64
 
-	gen     uint32   // records returned to the pool so far; see Grant
-	entry   int32    // handle of the page's entry
-	next    *Request // the owner's next granted request
+	prev, next *Request // the owner's granted requests, in grant order
+	gen        uint32   // records returned to the pool so far; see Grant
+	entry      int32    // handle of the page's entry
+
+	Mode    model.LockMode
 	granted bool
 	upgrade bool // waiting R->W conversion of an already granted R lock
 }
@@ -99,19 +84,19 @@ const chunk = 64
 
 // Table is a strict-2PL page lock table with FIFO queueing and lock
 // upgrades. A page's entry is found through its page directory slot,
-// which holds the entry's handle. Entries and request records are
-// pooled, so the request/release cycle allocates nothing in steady
-// state; a queued request's record returns to the pool like any other,
-// and Grant pins its generation for the protocol layer's wake lists.
+// which holds the entry's handle, and an owner's state through its
+// owner handle. Entries and request records are pooled, so the
+// request/release cycle allocates nothing in steady state; a queued
+// request's record returns to the pool like any other, and Grant pins
+// its generation for the protocol layer's wake lists.
 type Table struct {
 	dir     *pagedir.Dir
+	owners  *Owners
 	entries []*[chunk]entry
-	// held lists every owner's granted requests for ReleaseAll.
-	held map[Owner]heldList
-	// waiting maps each owner to its single outstanding waiting
-	// request (strict 2PL: a transaction waits for one lock at a
-	// time).
-	waiting map[Owner]*Request
+	// states holds every owner's granted and waiting requests, by
+	// owner handle.
+	states   []ownerState
+	nwaiting int
 
 	freeEntries []int32
 	freeReqs    []*Request
@@ -122,13 +107,63 @@ type Table struct {
 	conflicts int64
 }
 
-// NewTable creates an empty lock table over the pages of dir.
-func NewTable(dir *pagedir.Dir) *Table {
-	return &Table{
-		dir:     dir,
-		held:    make(map[Owner]heldList),
-		waiting: make(map[Owner]*Request),
+// ownerState is one owner's requests in a table: its granted requests
+// in grant order, linked through the records for ReleaseAll, and its
+// single outstanding waiting request (strict 2PL: a transaction waits
+// for one lock at a time). A state that is not empty holds a reference
+// to the owner's handle, so the handle cannot pass to another owner
+// while the table still names it; owner tells a stale lookup from the
+// current one.
+type ownerState struct {
+	owner       Owner
+	first, last *Request
+	n           int
+	waiting     *Request
+}
+
+// NewTable creates an empty lock table over the pages of dir for the
+// owners of registry owners.
+func NewTable(dir *pagedir.Dir, owners *Owners) *Table {
+	return &Table{dir: dir, owners: owners}
+}
+
+// state returns o's state, or nil when o has none in t.
+func (t *Table) state(o Owner) *ownerState {
+	if int(o.h) < len(t.states) {
+		if st := &t.states[o.h]; st.owner == o {
+			return st
+		}
 	}
+	return nil
+}
+
+// hold returns o's state for adding a request to it. A state that was
+// empty takes a reference to o's handle.
+func (t *Table) hold(o Owner) *ownerState {
+	t.states = grow(t.states, o.h)
+	st := &t.states[o.h]
+	if st.n == 0 && st.waiting == nil {
+		*st = ownerState{owner: t.owners.Retain(o)}
+	} else if st.owner != o {
+		panic("lock: " + o.String() + " shares its handle with " + st.owner.String())
+	}
+	return st
+}
+
+// settle drops st's handle reference once st is empty.
+func (t *Table) settle(st *ownerState) {
+	if st.n == 0 && st.waiting == nil {
+		t.owners.Release(st.owner)
+	}
+}
+
+// wait makes r its owner's waiting request.
+func (t *Table) wait(r *Request) {
+	st := t.hold(r.Owner)
+	if st.waiting == nil {
+		t.nwaiting++
+	}
+	st.waiting = r
 }
 
 // entry returns the entry of handle h.
@@ -192,13 +227,6 @@ func (t *Table) recycleRequest(r *Request) {
 	t.freeReqs = append(t.freeReqs, r)
 }
 
-// heldList is an owner's granted requests in grant order, linked
-// through the records.
-type heldList struct {
-	first, last *Request
-	n           int
-}
-
 // Requests returns the number of lock requests processed.
 func (t *Table) Requests() int64 { return t.requests }
 
@@ -230,15 +258,14 @@ func (e *entry) compatibleWithGranted(o Owner, m model.LockMode) bool {
 func (t *Table) grant(e *entry, r *Request) {
 	r.granted = true
 	e.granted = append(e.granted, holder{owner: r.Owner, mode: r.Mode, r: r})
-	l := t.held[r.Owner]
-	if l.first == nil {
-		l.first = r
+	st := t.hold(r.Owner)
+	if st.first == nil {
+		st.first = r
 	} else {
-		l.last.next = r
+		st.last.next, r.prev = r, st.last
 	}
-	l.last = r
-	l.n++
-	t.held[r.Owner] = l
+	st.last = r
+	st.n++
 }
 
 // Request asks for a lock on the page in slot in the given mode. If the
@@ -276,7 +303,7 @@ func (t *Table) Request(slot int32, o Owner, m model.LockMode, data any) (*Reque
 		e.queue = append(e.queue, nil)
 		copy(e.queue[1:], e.queue)
 		e.queue[0] = up
-		t.waiting[o] = up
+		t.wait(up)
 		return up, false
 	}
 	r := t.newRequest(h, o, m, data)
@@ -286,7 +313,7 @@ func (t *Table) Request(slot int32, o Owner, m model.LockMode, data any) (*Reque
 	}
 	t.conflicts++
 	e.queue = append(e.queue, r)
-	t.waiting[o] = r
+	t.wait(r)
 	return r, false
 }
 
@@ -311,7 +338,9 @@ func (t *Table) promote(e *entry) {
 			t.grant(e, head)
 		}
 		e.queue = e.queue[:copy(e.queue, e.queue[1:])]
-		delete(t.waiting, head.Owner)
+		// The owner holds a lock on e now, so its state stays.
+		t.states[head.Owner.h].waiting = nil
+		t.nwaiting--
 		t.grants = append(t.grants, Grant{r: head, gen: head.gen})
 		if !upgrade && head.Mode == model.LockWrite {
 			break
@@ -345,7 +374,7 @@ func (t *Table) Release(slot int32, o Owner) []Grant {
 		return nil
 	}
 	if r := e.drop(o); r != nil {
-		t.removeHeld(o, r)
+		t.removeHeld(t.state(o), r)
 		t.recycleRequest(r)
 	}
 	t.promote(e)
@@ -359,8 +388,13 @@ func (t *Table) Release(slot int32, o Owner) []Grant {
 func (t *Table) ReleaseAll(o Owner) []Grant {
 	t.CancelWaiting(o)
 	t.grants = t.grants[:0]
-	r := t.held[o].first
-	delete(t.held, o)
+	st := t.state(o)
+	if st == nil || st.n == 0 {
+		return t.grants
+	}
+	r := st.first
+	st.first, st.last, st.n = nil, nil, 0
+	t.settle(st)
 	for r != nil {
 		next, e := r.next, t.entry(r.entry)
 		e.drop(o)
@@ -376,11 +410,14 @@ func (t *Table) ReleaseAll(o Owner) []Grant {
 // queue, valid until the table's next release or cancellation.
 func (t *Table) CancelWaiting(o Owner) []Grant {
 	t.grants = t.grants[:0]
-	w := t.waiting[o]
-	if w == nil {
+	st := t.state(o)
+	if st == nil || st.waiting == nil {
 		return nil
 	}
-	delete(t.waiting, o)
+	w := st.waiting
+	st.waiting = nil
+	t.nwaiting--
+	t.settle(st)
 	e := t.entry(w.entry)
 	for i, q := range e.queue {
 		if q == w {
@@ -393,30 +430,30 @@ func (t *Table) CancelWaiting(o Owner) []Grant {
 	return t.grants
 }
 
-// removeHeld unlinks one granted request from its owner's held list.
-func (t *Table) removeHeld(o Owner, r *Request) {
-	l := t.held[o]
-	var prev *Request
-	for q := l.first; q != r; q = q.next {
-		prev = q
-	}
-	if prev == nil {
-		l.first = r.next
+// removeHeld unlinks one granted request from its owner's held list,
+// st.
+func (t *Table) removeHeld(st *ownerState, r *Request) {
+	if r.prev == nil {
+		st.first = r.next
 	} else {
-		prev.next = r.next
+		r.prev.next = r.next
 	}
-	if l.last == r {
-		l.last = prev
-	}
-	if l.n--; l.n == 0 {
-		delete(t.held, o)
+	if r.next == nil {
+		st.last = r.prev
 	} else {
-		t.held[o] = l
+		r.next.prev = r.prev
 	}
+	st.n--
+	t.settle(st)
 }
 
 // HeldCount returns the number of locks o currently holds.
-func (t *Table) HeldCount(o Owner) int { return t.held[o].n }
+func (t *Table) HeldCount(o Owner) int {
+	if st := t.state(o); st != nil {
+		return st.n
+	}
+	return 0
+}
 
 // HoldsLock reports whether o holds a lock on the page in slot in at
 // least mode m.
@@ -430,11 +467,28 @@ func (t *Table) HoldsLock(slot int32, o Owner, m model.LockMode) bool {
 }
 
 // Waiting returns o's outstanding waiting request, or nil.
-func (t *Table) Waiting(o Owner) *Request { return t.waiting[o] }
+func (t *Table) Waiting(o Owner) *Request {
+	if st := t.state(o); st != nil {
+		return st.waiting
+	}
+	return nil
+}
 
 // WaitingCount returns the number of requests currently queued behind
 // a conflicting lock, for queue-depth sampling.
-func (t *Table) WaitingCount() int { return len(t.waiting) }
+func (t *Table) WaitingCount() int { return t.nwaiting }
+
+// Discard drops every owner's state and the table's references to
+// their handles, for a table that is replaced (a lost GLA partition
+// rebuilt at its new home). The table must not be used afterwards.
+func (t *Table) Discard() {
+	for i := range t.states {
+		if st := &t.states[i]; st.n > 0 || st.waiting != nil {
+			t.owners.Release(st.owner)
+		}
+	}
+	t.states = nil
+}
 
 // WaitEdge is one wait-for relation in the table: Waiter is blocked by
 // a conflicting lock Holder has granted or queued ahead.
@@ -447,18 +501,20 @@ type WaitEdge struct {
 // waiters sorted by owner, each waiter's blockers in table order. Used
 // by the attribution layer's blocker and convoy analysis.
 func (t *Table) WaitEdges() []WaitEdge {
-	if len(t.waiting) == 0 {
+	if t.nwaiting == 0 {
 		return nil
 	}
-	waiters := make([]Owner, 0, len(t.waiting))
-	for o := range t.waiting {
-		waiters = append(waiters, o)
+	waiters := make([]Owner, 0, t.nwaiting)
+	for i := range t.states {
+		if st := &t.states[i]; st.waiting != nil {
+			waiters = append(waiters, st.owner)
+		}
 	}
 	sortOwners(waiters)
 	var out []WaitEdge
 	var hs []Owner
 	for _, o := range waiters {
-		hs = t.appendBlockers(hs[:0], t.waiting[o])
+		hs = t.appendBlockers(hs[:0], t.Waiting(o))
 		for _, h := range hs {
 			out = append(out, WaitEdge{Waiter: o, Holder: h})
 		}

@@ -11,14 +11,26 @@ import (
 // testPages is the number of pages newTable resolves up front.
 const testPages = 256
 
-// newTable returns a table over a directory of its own in which page
-// n of file 1 has slot n, so that pg(n) names the page in any table.
-func newTable() *Table {
+// testOwners is the registry of every test table and owner; owner
+// keeps one reference to each owner it made, so a test's owners never
+// share a handle.
+var (
+	testOwners = NewOwners()
+	madeOwners = map[[2]int64]Owner{}
+)
+
+// newTable returns a table of testOwners' owners over a directory of
+// its own in which page n of file 1 has slot n, so that pg(n) names the
+// page in any table.
+func newTable() *Table { return newTableFor(testOwners) }
+
+// newTableFor is newTable for the owners of registry owners.
+func newTableFor(owners *Owners) *Table {
 	d := pagedir.New(0)
 	for i := int32(0); i < testPages; i++ {
 		d.Of(model.PageID{File: 1, Page: i})
 	}
-	return NewTable(d)
+	return NewTable(d, owners)
 }
 
 func pg(n int32) int32 { return n }
@@ -34,7 +46,17 @@ func (t *Table) allEntries() []*entry {
 	return out
 }
 
-func owner(node int, tx int64) Owner { return Owner{Node: node, Tx: TxID(tx)} }
+// owner returns the owner of transaction tx at node, the same one on
+// every call.
+func owner(node int, tx int64) Owner {
+	k := [2]int64{int64(node), tx}
+	o, ok := madeOwners[k]
+	if !ok {
+		o = testOwners.New(node, TxID(tx))
+		madeOwners[k] = o
+	}
+	return o
+}
 
 func TestGrantCompatibleReaders(t *testing.T) {
 	tb := newTable()

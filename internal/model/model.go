@@ -86,14 +86,23 @@ type Database struct {
 	Files []File
 }
 
-// File returns the file with the given id.
+// File returns the file with the given id, or nil.
 func (d *Database) File(id FileID) *File {
-	for i := range d.Files {
-		if d.Files[i].ID == id {
-			return &d.Files[i]
-		}
+	if i := d.FileIndex(id); i >= 0 {
+		return &d.Files[i]
 	}
 	return nil
+}
+
+// FileIndex returns the position in Files of the file with the given
+// id, or -1.
+func (d *Database) FileIndex(id FileID) int {
+	for i := range d.Files {
+		if d.Files[i].ID == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // FileByName returns the file with the given name, or nil.

@@ -301,7 +301,7 @@ func (e *optEngine) remoteOp(t *txn, gla, home int, op ccOp, pages ...msgPage) (
 	n := e.n
 	sys := n.sys
 	m := sys.newMsg(msgCCOp)
-	m.owner, m.op, m.gla, m.ts, m.mvto = t.owner, op, gla, uint64(t.id), e.mvto
+	m.owner, m.op, m.gla, m.ts, m.mvto = sys.owners.Retain(t.owner), op, gla, uint64(t.id), e.mvto
 	m.pages = append(m.pages, pages...)
 	wait, err := n.remoteRoundTrip(t, home, m, attrib.ResCC, trace.CCRemote, pages[0].slot)
 	if err != nil {

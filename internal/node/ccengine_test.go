@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"gemsim/internal/cc"
-	"gemsim/internal/lock"
 	"gemsim/internal/model"
 	"gemsim/internal/sim"
 )
@@ -36,7 +35,7 @@ func TestOCCObservations(t *testing.T) {
 		a := n.newTxn()
 		a.proc = p
 		a.id = sys.nextTxID()
-		a.owner = lock.Owner{Node: n.id, Tx: a.id}
+		a.owner = sys.owners.New(n.id, a.id)
 		a.observed.Reset(0)
 		return a
 	}

@@ -61,7 +61,7 @@ func TestEngineConservation(t *testing.T) {
 			if m.Commits == 0 {
 				t.Fatal("workload produced no commits")
 			}
-			inFlight := int64(len(sys.active))
+			inFlight := int64(sys.live)
 			if m.Admitted != m.Commits+m.Aborts+inFlight {
 				t.Errorf("admitted %d != commits %d + aborts %d + in-flight %d",
 					m.Admitted, m.Commits, m.Aborts, inFlight)

@@ -175,7 +175,7 @@ func (s *System) CrashNode(node int) {
 	})
 	slices.SortFunc(dirty, func(a, b dirtyPage) int { return pageCmp(a.page, b.page) })
 	n.pool.DropAll()
-	n.inflight = make(map[int32]uint64)
+	n.inflight.Reset(0)
 	s.dropNodeRAs(s.raWords, node)
 	logPages := n.logSinceCkpt
 	n.logSinceCkpt = 0
@@ -185,16 +185,17 @@ func (s *System) CrashNode(node int) {
 	// woken so they unwind; running ones notice killed at their next
 	// lock or loop check. Their locks stay registered until recovery
 	// releases them, so surviving conflicting requests keep waiting —
-	// that wait is part of the measured degradation.
+	// that wait is part of the measured degradation. The losers list
+	// holds a reference to each owner until recovery released them.
 	var losers []lock.Owner
-	for o := range s.active {
-		if o.Node == node {
-			losers = append(losers, o)
+	for _, t := range s.active {
+		if t != nil && t.node.id == node {
+			losers = append(losers, s.owners.Retain(t.owner))
 		}
 	}
 	sort.Slice(losers, func(i, j int) bool { return losers[i].Tx < losers[j].Tx })
 	for _, o := range losers {
-		t := s.active[o]
+		t := s.activeTxn(o)
 		t.killed = true
 		if t.waiting == nil {
 			continue
@@ -230,7 +231,7 @@ func (s *System) RepairNode(node int) {
 	}
 	n := s.nodes[node]
 	n.pool.DropAll()
-	n.inflight = make(map[int32]uint64)
+	n.inflight.Reset(0)
 	s.dropNodeRAs(s.raWords, node)
 	n.logSinceCkpt = 0
 	s.down[node] = false
@@ -446,7 +447,7 @@ func (s *System) runRecovery(p *sim.Proc, crashed int, crashAt sim.Time, losers 
 			continue
 		}
 		s.recoverySeq++
-		r.fence = lock.Owner{Node: crashed, Tx: lock.TxID(-s.recoverySeq)}
+		r.fence = s.owners.New(crashed, lock.TxID(-s.recoverySeq))
 		if params.Coupling == CouplingPCL {
 			if params.RecoveryEntryInstr > 0 {
 				coord.cpu.Exec(p, params.RecoveryEntryInstr)
@@ -476,6 +477,7 @@ func (s *System) runRecovery(p *sim.Proc, crashed int, crashAt sim.Time, losers 
 				p.Park()
 			}
 		}
+		s.owners.Release(o) // runReplay only counts the losers
 	}
 	fs.LockRecovery = s.env.Now() - lockStart
 	if tr := s.tracer; tr.Enabled() {
@@ -544,6 +546,7 @@ func (s *System) redoOnePage(p *sim.Proc, coordID int, coord *Node, crashed int,
 			// page); withdraw it, the holder's copy is current.
 			granted = tbl.CancelWaiting(r.fence)
 		}
+		s.owners.Release(r.fence)
 		if s.answer(granted, r.tbl, coordID, p.Continuation()) {
 			p.Park()
 		}
@@ -775,7 +778,8 @@ func (s *System) recoverPCLLocks(p *sim.Proc, coord *Node, crashed int) int64 {
 	partSet := make(map[int]bool, len(parts))
 	for _, g := range parts {
 		s.glaHome[g] = coord.id
-		tbl := lock.NewTable(s.dir)
+		s.tables[g].Discard()
+		tbl := lock.NewTable(s.dir, s.owners)
 		s.tables[g] = tbl
 		s.detector.SetTable(g, tbl)
 		s.partMeta[g] = 0
@@ -817,19 +821,19 @@ func (s *System) recoverPCLLocks(p *sim.Proc, coord *Node, crashed int) int64 {
 // of those partitions (the coherency metadata proving them current
 // died with the GLA), along with its read authorizations there.
 func (s *System) rebuildFromNode(n *Node, parts map[int]bool) int64 {
-	var owners []lock.Owner
-	for o := range s.active {
-		if o.Node == n.id {
-			owners = append(owners, o)
+	var txns []*txn
+	for _, t := range s.active {
+		if t != nil && t.node == n {
+			txns = append(txns, t)
 		}
 	}
-	sort.Slice(owners, func(i, j int) bool { return owners[i].Tx < owners[j].Tx })
+	sort.Slice(txns, func(i, j int) bool { return txns[i].id < txns[j].id })
 	var count int64
 	// The owners are parked mid-attempt, possibly iterating their own
 	// sort buffers, so the rebuild sorts into a buffer of its own.
 	var slots []int32
-	for _, o := range owners {
-		t := s.active[o]
+	for _, t := range txns {
+		o := t.owner
 		slots = sortedSlots(s.dir, slots, &t.locked)
 		for _, slot := range slots {
 			g := s.glaOf(slot)

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"gemsim/internal/lock"
 	"gemsim/internal/model"
 	"gemsim/internal/netsim"
 	"gemsim/internal/sim"
@@ -101,7 +100,7 @@ func TestOrphanedLockStallsWithoutTimeout(t *testing.T) {
 		}
 		// Orphan the page-1 write lock: owner 99 exists on no node and
 		// never waits, so no deadlock cycle ever forms through it.
-		sys.tables[0].Request(sys.dir.Of(pgID(1)), lock.Owner{Node: 99, Tx: 1}, model.LockWrite, nil)
+		sys.tables[0].Request(sys.dir.Of(pgID(1)), sys.owners.New(99, 1), model.LockWrite, nil)
 		// A closed workload: once every terminal is blocked on the
 		// orphan, the event calendar drains (an open source would keep
 		// scheduling arrivals and mask the stall).
@@ -185,7 +184,7 @@ func TestPCLRedoSeesReleaseDuringRebuild(t *testing.T) {
 		}
 		env.Spawn("release", func(p *sim.Proc) {
 			m := sys.newMsg(msgLockRelease)
-			m.owner, m.gla = lock.Owner{Node: 1, Tx: 1}, 2
+			m.owner, m.gla = sys.owners.New(1, 1), 2
 			m.pages = append(m.pages, msgPage{slot: page, seq: 1})
 			sys.net.SendReliable(p, 1, 0, netsim.Short, m)
 		})

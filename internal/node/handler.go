@@ -75,7 +75,7 @@ func (n *Node) handlePageRequest(m *message) {
 	m.kind = msgPageReply
 	if fr := n.pool.Get(m.slot); fr != nil {
 		m.found, m.seq = true, fr.SeqNo
-	} else if seq, ok := n.inflight[m.slot]; ok {
+	} else if seq := n.inflight.Get(m.slot); seq != 0 {
 		m.found, m.seq = true, seq
 	}
 	if m.found {

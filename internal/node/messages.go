@@ -86,7 +86,7 @@ func (n *Node) sendPartitions(t *txn, kind msgKind, mvto bool) {
 			continue
 		}
 		m := sys.newMsg(kind)
-		m.owner, m.gla, m.ts, m.mvto = t.owner, gla, uint64(t.id), mvto
+		m.owner, m.gla, m.ts, m.mvto = sys.owners.Retain(t.owner), gla, uint64(t.id), mvto
 		class := netsim.Short
 		for _, pg := range batch {
 			m.pages = append(m.pages, pg)
@@ -102,7 +102,10 @@ func (n *Node) sendPartitions(t *txn, kind msgKind, mvto bool) {
 // set. A lock request gives the requester's buffered version (hasCopy,
 // seq), its grant the current one, carried when the page travels with
 // it, ownerHasCopy when the serving node buffers it and grantRA with a
-// read authorization. A reply carries its request's wait back.
+// read authorization. A reply carries its request's wait back. A
+// message that names an owner holds a reference to its handle
+// (lock.Owners) until it is freed: a request or release in flight
+// still names the owner after its attempt ended.
 type message struct {
 	kind   msgKind
 	wait   waitRef
@@ -149,8 +152,12 @@ func (s *System) newMsg(kind msgKind) *message {
 	return m
 }
 
-// freeMsg returns a handled message record to the pool.
+// freeMsg returns a handled message record to the pool, with the
+// reference to the owner it carries.
 func (s *System) freeMsg(m *message) {
+	if m.owner.Index() != 0 {
+		s.owners.Release(m.owner)
+	}
 	*m = message{sys: s, sendFn: m.sendFn, walkFn: m.walkFn, pages: m.pages[:0], granted: m.granted[:0]}
 	s.msgs.Put(m)
 }
@@ -282,7 +289,7 @@ func (s *System) answerOne(req *lock.Request, at int) *message {
 	}
 	m := s.newMsg(msgWakeup)
 	m.wait = waitRef{w: req.Data.(*remoteWait), epoch: req.Epoch}
-	m.at, m.to, m.class = at, req.Owner.Node, netsim.Short
+	m.at, m.to, m.class = at, int(req.Owner.Node), netsim.Short
 	return m
 }
 
@@ -298,7 +305,7 @@ func (s *System) sends(req *lock.Request, at int) bool {
 		return true
 	case *remoteWait:
 		return d.epoch == req.Epoch && s.params.Coupling != CouplingPCL &&
-			!s.params.InstantWakeup && req.Owner.Node != at
+			!s.params.InstantWakeup && int(req.Owner.Node) != at
 	}
 	return false
 }

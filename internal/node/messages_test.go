@@ -94,9 +94,9 @@ func TestStaleLockWakeIsDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := lock.NewTable(sys.dir)
+	tbl := lock.NewTable(sys.dir, sys.owners)
 	page := sys.dir.Of(model.PageID{File: 1, Page: 1})
-	holder, waiter := lock.Owner{Node: 0, Tx: 1}, lock.Owner{Node: 0, Tx: 2}
+	holder, waiter := sys.owners.New(0, 1), sys.owners.New(0, 2)
 	tbl.Request(page, holder, model.LockWrite, nil)
 	var resumed sim.Time
 	env.Spawn("waiter", func(p *sim.Proc) {
@@ -144,9 +144,9 @@ func TestStaleGrantOnRecycledRequestIsDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := lock.NewTable(sys.dir)
+	tbl := lock.NewTable(sys.dir, sys.owners)
 	p1, p2 := sys.dir.Of(model.PageID{File: 1, Page: 1}), sys.dir.Of(model.PageID{File: 1, Page: 2})
-	holder, first, other, later := lock.Owner{Node: 0, Tx: 1}, lock.Owner{Node: 0, Tx: 2}, lock.Owner{Node: 1, Tx: 3}, lock.Owner{Node: 1, Tx: 4}
+	holder, first, other, later := sys.owners.New(0, 1), sys.owners.New(0, 2), sys.owners.New(1, 3), sys.owners.New(1, 4)
 	tbl.Request(p1, holder, model.LockWrite, nil)
 	firstReq, _ := tbl.Request(p1, first, model.LockWrite, nil)
 	// The holder's release grants the first waiter; the walk that

@@ -50,10 +50,16 @@ type Node struct {
 	historySeq  int32
 
 	// inflight tracks pages whose replacement write-back is under
-	// way; the copy is still available in memory. Keyed by slot.
-	inflight map[int32]uint64
-	// pendingReads coalesces concurrent misses on one page.
-	pendingReads map[int32][]*sim.Proc
+	// way, with the copy's sequence number (never zero: the page was
+	// dirty); the copy is still available in memory. Keyed by slot.
+	inflight flatmap.Map[int32, uint64]
+	// pendingReads coalesces concurrent misses on one page: keyed by
+	// slot, it holds an entry while a fetch of the page is under way.
+	// The processes waiting for a fetch are a list of waitLists (index
+	// 0 stands for none yet); freeLists recycles the lists.
+	pendingReads flatmap.Map[int32, pendingRead]
+	waitLists    [][]*sim.Proc
+	freeLists    []int32
 
 	// active counts the transactions admitted at or queued in this
 	// node's gate (load control).
@@ -98,6 +104,14 @@ type Node struct {
 	storageWrites     int64
 }
 
+// pendingRead is one page fetch under way: pending is always set, so
+// that the entry is present (a flat map's zero value is absence), and
+// waiters is its list in waitLists, or 0.
+type pendingRead struct {
+	pending bool
+	waiters int32
+}
+
 // lockKind records how a transaction acquired a lock, which determines
 // the release path.
 type lockKind uint8
@@ -129,7 +143,10 @@ type modRecord struct {
 // its maps and buffers emptied but kept. Nothing outside the running
 // process refers to a record once its attempt has left System.active:
 // lock queues and messages hold only generation-checked references to
-// the attempt's wait records.
+// the attempt's wait records. Each attempt gets a fresh owner, whose
+// handle reference the attempt drops when it has released its locks;
+// the tables, messages and recovery that still name the owner hold
+// references of their own (lock.Owners).
 type txn struct {
 	id     lock.TxID
 	owner  lock.Owner
@@ -257,8 +274,9 @@ func newNode(s *System, id int) *Node {
 		track:        "node" + itoa(id),
 		pool:         buffer.NewPool(s.params.BufferPages, flatmap.Int32),
 		respHist:     stats.NewDurationHistogram(),
-		inflight:     make(map[int32]uint64),
-		pendingReads: make(map[int32][]*sim.Proc),
+		inflight:     flatmap.Make[int32, uint64](flatmap.Int32, 0),
+		pendingReads: flatmap.Make[int32, pendingRead](flatmap.Int32, 0),
+		waitLists:    make([][]*sim.Proc, 1),
 		respByType:   make(map[int]*stats.Series),
 		src:          s.split.Stream("node" + itoa(id)),
 		historyPage:  historyBase(id),
@@ -356,7 +374,7 @@ func (n *Node) runTxn(p *sim.Proc, spec model.Txn, arrive, entered sim.Time, cp 
 			return false
 		}
 		t.id = sys.nextTxID()
-		t.owner = lock.Owner{Node: n.id, Tx: t.id}
+		t.owner = sys.owners.New(n.id, t.id)
 		t.waiting, t.deadlock, t.killed = nil, false, false
 		// A killed attempt skips releaseAll, and no attempt clears its
 		// modified set.
@@ -366,16 +384,19 @@ func (n *Node) runTxn(p *sim.Proc, spec model.Txn, arrive, entered sim.Time, cp 
 			t.observed.Reset(len(spec.Refs))
 		}
 		p.SetTraceID(int64(t.id))
-		sys.active[t.owner] = t
+		sys.activate(t)
 		n.admitted++
 		err := n.attempt(t)
-		delete(sys.active, t.owner)
+		sys.deactivate(t)
 		if err == nil {
+			sys.owners.Release(t.owner)
 			break
 		}
 		if t.killed || err == errKilled {
 			// Crash kill: no local undo (the frames died with the
-			// buffer) and no lock release (recovery does that).
+			// buffer) and no lock release (recovery does that, its
+			// losers list holding the owner).
+			sys.owners.Release(t.owner)
 			p.SetTraceID(0)
 			n.gate.release()
 			return false
@@ -384,6 +405,7 @@ func (n *Node) runTxn(p *sim.Proc, spec model.Txn, arrive, entered sim.Time, cp 
 		// undo, back off, restart as a younger transaction.
 		abortStart := sys.env.Now()
 		n.abortTxn(t)
+		sys.owners.Release(t.owner)
 		n.restarts++
 		cp.AddPhase(attrib.PhaseCommit, sys.env.Now()-abortStart)
 		if tr := sys.tracer; tr.Enabled() {
@@ -472,7 +494,8 @@ func (n *Node) attempt(t *txn) error {
 		}
 		ref = n.resolveRef(ref)
 		slot := n.sys.dir.Of(ref.Page)
-		file := n.sys.db.File(ref.Page.File)
+		fi := n.sys.db.FileIndex(ref.Page.File)
+		file := &n.sys.db.Files[fi]
 		// CPU demand of the record access.
 		cpuStart = n.sys.env.Now()
 		instr = n.src.Exp(params.RefInstr)
@@ -496,7 +519,7 @@ func (n *Node) attempt(t *txn) error {
 		if obs := n.sys.pageObserver; obs != nil {
 			obs(slot)
 		}
-		frame := n.getPage(t, file, slot, out, firstTouch)
+		frame := n.getPage(t, fi, slot, out, firstTouch)
 		if ref.Write {
 			n.markModified(t, frame)
 		}
@@ -636,14 +659,16 @@ func (n *Node) abortTxn(t *txn) {
 }
 
 // getPage brings the page into the buffer (coherency controlled) and
-// returns its frame, fixed. The caller unfixes it after the record
-// access unless the page was modified.
-func (n *Node) getPage(t *txn, file *model.File, slot int32, out cc.Outcome, firstTouch bool) *buffer.Frame[int32] {
+// returns its frame, fixed. The page is in the file at position fi of
+// the database. The caller unfixes it after the record access unless
+// the page was modified.
+func (n *Node) getPage(t *txn, fi int, slot int32, out cc.Outcome, firstTouch bool) *buffer.Frame[int32] {
+	file := &n.sys.db.Files[fi]
 	for {
 		if fr := n.pool.Get(slot); fr != nil {
 			if fr.SeqNo >= out.Seq {
 				if firstTouch {
-					n.pool.Observe(file.ID, true)
+					n.pool.Observe(fi, true)
 				}
 				fr.Fix()
 				n.sys.oracle.checkAccess(n.sys.dir.Page(slot), fr.SeqNo, file.Locking)
@@ -665,24 +690,28 @@ func (n *Node) getPage(t *txn, file *model.File, slot int32, out cc.Outcome, fir
 			return fr
 		}
 		// A copy being written back is still available in memory.
-		if seq, ok := n.inflight[slot]; ok && seq >= out.Seq {
+		if seq := n.inflight.Get(slot); seq != 0 && seq >= out.Seq {
 			if firstTouch {
-				n.pool.Observe(file.ID, true)
+				n.pool.Observe(fi, true)
 			}
 			fr := n.install(slot, seq, false)
 			fr.Fix()
 			return fr
 		}
 		// Coalesce with a concurrent fetch of the same page.
-		if waiters, pending := n.pendingReads[slot]; pending {
-			n.pendingReads[slot] = append(waiters, t.proc)
+		if pr := n.pendingReads.Get(slot); pr.pending {
+			if pr.waiters == 0 {
+				pr.waiters = n.newWaitList()
+				n.pendingReads.Put(slot, pr)
+			}
+			n.waitLists[pr.waiters] = append(n.waitLists[pr.waiters], t.proc)
 			waitStart := n.sys.env.Now()
 			t.proc.Park()
 			t.cp.Charge(readPhase(file), attrib.ResBuf, n.sys.env.Now()-waitStart, 0)
 			continue
 		}
 		if firstTouch {
-			n.pool.Observe(file.ID, false)
+			n.pool.Observe(fi, false)
 		}
 		fr := n.fetchMiss(t, file, slot, out)
 		fr.Fix()
@@ -698,7 +727,7 @@ func (n *Node) fetchMiss(t *txn, file *model.File, slot int32, out cc.Outcome) *
 		// First insert into a fresh page: no I/O, allocate in place.
 		return n.install(slot, 1, true)
 	}
-	n.pendingReads[slot] = nil
+	n.startRead(slot)
 	seq := out.Seq
 	got := out.Carried
 	if !got && !n.sys.params.Force && out.Owner >= 0 && out.Owner != n.id {
@@ -714,12 +743,50 @@ func (n *Node) fetchMiss(t *txn, file *model.File, slot int32, out cc.Outcome) *
 		t.cp.AddPhase(readPhase(file), n.sys.env.Now()-ioStart)
 	}
 	fr := n.install(slot, seq, false)
-	// Wake coalesced waiters.
-	for _, w := range n.pendingReads[slot] {
-		w.Unpark()
-	}
-	delete(n.pendingReads, slot)
+	n.endRead(slot)
 	return fr
+}
+
+// startRead marks a fetch of the page in slot under way. A fetch that
+// finds one under way already (an optimistic refresh of a fixed stale
+// copy) starts the waiter list afresh, as the map it replaced did: the
+// misses queued on the earlier fetch drop out of it and stay parked.
+func (n *Node) startRead(slot int32) {
+	if pr := n.pendingReads.Get(slot); pr.waiters != 0 {
+		n.freeWaitList(pr.waiters)
+	}
+	n.pendingReads.Put(slot, pendingRead{pending: true})
+}
+
+// endRead ends the fetches of the page in slot under way: the waiters
+// coalesced on them resume.
+func (n *Node) endRead(slot int32) {
+	pr := n.pendingReads.Get(slot)
+	n.pendingReads.Delete(slot)
+	if pr.waiters != 0 {
+		for _, w := range n.waitLists[pr.waiters] {
+			w.Unpark()
+		}
+		n.freeWaitList(pr.waiters)
+	}
+}
+
+// newWaitList returns an empty list of waitLists.
+func (n *Node) newWaitList() int32 {
+	if k := len(n.freeLists); k > 0 {
+		l := n.freeLists[k-1]
+		n.freeLists = n.freeLists[:k-1]
+		return l
+	}
+	n.waitLists = append(n.waitLists, nil)
+	return int32(len(n.waitLists) - 1)
+}
+
+// freeWaitList empties list l and recycles it.
+func (n *Node) freeWaitList(l int32) {
+	clear(n.waitLists[l])
+	n.waitLists[l] = n.waitLists[l][:0]
+	n.freeLists = append(n.freeLists, l)
 }
 
 // install puts a page into the pool. A dirty replacement victim is
@@ -728,7 +795,7 @@ func (n *Node) fetchMiss(t *txn, file *model.File, slot int32, out cc.Outcome) *
 func (n *Node) install(slot int32, seq uint64, dirty bool) *buffer.Frame[int32] {
 	fr, v, evicted := n.pool.Insert(slot, seq, dirty)
 	if evicted && v.Dirty {
-		n.inflight[v.Page] = v.SeqNo
+		n.inflight.Put(v.Page, v.SeqNo)
 		n.newOp(sim.Continuation{}, nil, v.Page, v.SeqNo).background((*pageOp).writeBack)
 	}
 	return fr
@@ -1058,8 +1125,8 @@ func (w *pageOp) writtenBack() {
 	if m := w.meta; m != nil && int(m.Owner) == n.id && m.Seq == w.seq {
 		m.Owner = -1
 	}
-	if cur, ok := n.inflight[w.slot]; ok && cur == w.seq {
-		delete(n.inflight, w.slot)
+	if n.inflight.Get(w.slot) == w.seq {
+		n.inflight.Delete(w.slot)
 	}
 	n.freeOp(w)
 }

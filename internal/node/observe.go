@@ -150,9 +150,8 @@ func (s *System) cumCounters() winCounters {
 		c.diskBusy += s.groups[id].DiskBusySeconds()
 	}
 	for i := range s.db.Files {
-		f := &s.db.Files[i]
 		for _, n := range s.nodes {
-			h, t := n.pool.HitCounts(f.ID)
+			h, t := n.pool.HitCounts(i)
 			c.bufHits += h
 			c.bufTotal += t
 		}
@@ -202,7 +201,7 @@ func (s *System) windowSample(interval time.Duration) *trace.Sample {
 	for _, tbl := range s.tables {
 		smp.LockWaitQ += tbl.WaitingCount()
 	}
-	smp.Active = len(s.active)
+	smp.Active = s.live
 	if dTotal := cur.bufTotal - prev.bufTotal; dTotal > 0 {
 		smp.BufferHit = float64(cur.bufHits-prev.bufHits) / float64(dTotal)
 	} else {

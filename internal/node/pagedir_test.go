@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"gemsim/internal/lock"
 	"gemsim/internal/model"
 	"gemsim/internal/sim"
 )
@@ -22,7 +21,7 @@ func TestGLAMigrationKeepsLockEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.StartControl()
-	holder, waiter := lock.Owner{Node: 0, Tx: 1}, lock.Owner{Node: 0, Tx: 2}
+	holder, waiter := sys.owners.New(0, 1), sys.owners.New(0, 2)
 	var slots []int32
 	for p := int32(1); p < 20; p += 2 { // partition 1: odd pages
 		slot := sys.dir.Of(pgID(p))

@@ -130,7 +130,7 @@ func (c *pclCC) lockRemote(t *txn, slot int32, mode model.LockMode, gla, home in
 	n := c.n
 	sys := n.sys
 	m := sys.newMsg(msgLockRequest)
-	m.owner, m.slot, m.mode, m.gla = t.owner, slot, mode, gla
+	m.owner, m.slot, m.mode, m.gla = sys.owners.Retain(t.owner), slot, mode, gla
 	m.seq, m.hasCopy = n.copySeq(slot)
 	start := sys.env.Now()
 	wait, err := n.remoteRoundTrip(t, home, m, attrib.ResNet, trace.LockRemote, slot)
@@ -141,7 +141,7 @@ func (c *pclCC) lockRemote(t *txn, slot int32, mode model.LockMode, gla, home in
 			// cancel message models the distributed withdrawal).
 			if home = sys.glaHomeOf(gla); !sys.down[home] {
 				cm := sys.newMsg(msgLockCancel)
-				cm.owner, cm.gla = t.owner, gla
+				cm.owner, cm.gla = sys.owners.Retain(t.owner), gla
 				sys.net.Send(t.proc, n.id, home, netsim.Short, cm)
 			}
 		}
@@ -201,7 +201,7 @@ func (n *Node) pclReply(m *message) {
 	sys := n.sys
 	meta := sys.pclMetaOf(m.gla, m.slot)
 	stale := !m.hasCopy || m.seq < meta.Seq
-	m.kind, m.at, m.to, m.class = msgLockGrant, n.id, m.owner.Node, netsim.Short
+	m.kind, m.at, m.to, m.class = msgLockGrant, n.id, int(m.owner.Node), netsim.Short
 	m.seq = meta.Seq
 	if !sys.params.Force {
 		// The GLA holds the current version of its partition's
@@ -216,10 +216,10 @@ func (n *Node) pclReply(m *message) {
 		}
 	}
 	if m.mode == model.LockWrite {
-		m.revoking = sys.raCursor(m.slot, m.owner.Node)
+		m.revoking = sys.raCursor(m.slot, int(m.owner.Node))
 	} else {
 		m.grantRA = true
-		sys.setRABit(m.slot, 0, m.owner.Node, true)
+		sys.setRABit(m.slot, 0, int(m.owner.Node), true)
 	}
 }
 
@@ -230,8 +230,8 @@ func (n *Node) copySeq(slot int32) (uint64, bool) {
 	if fr := n.pool.Peek(slot); fr != nil {
 		return fr.SeqNo, true
 	}
-	seq, ok := n.inflight[slot]
-	return seq, ok
+	seq := n.inflight.Get(slot)
+	return seq, seq != 0
 }
 
 // hasCurrent reports whether this node buffers the current version of
@@ -240,7 +240,7 @@ func (n *Node) hasCurrent(slot int32, seq uint64) bool {
 	if fr := n.pool.Peek(slot); fr != nil && fr.SeqNo >= seq {
 		return true
 	}
-	if s, ok := n.inflight[slot]; ok && s >= seq {
+	if s := n.inflight.Get(slot); s != 0 && s >= seq {
 		return true
 	}
 	return false

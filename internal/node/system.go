@@ -80,7 +80,11 @@ type System struct {
 	oracle *oracle
 	split  *rng.Splitter
 	txSeq  lock.TxID
-	active map[lock.Owner]*txn
+	// owners gives every lock owner its handle; active holds the
+	// running attempts by owner handle, live counts them.
+	owners *lock.Owners
+	active []*txn
+	live   int
 	// routed is the router's argument (route).
 	routed model.Txn
 	// Recycled per-transaction records (runWithRetry).
@@ -198,7 +202,7 @@ func NewSystem(env *sim.Env, params Params, gen workload.Generator, router routi
 		groups:    make(map[model.FileID]*storage.Group, len(db.Files)),
 		gemCaches: make(map[model.FileID]*buffer.Pool[int32]),
 		split:     rng.NewSplitter(params.Seed),
-		active:    make(map[lock.Owner]*txn),
+		owners:    lock.NewOwners(),
 		rtBatches: stats.NewBatchMeans(100),
 	}
 	if params.CheckInvariants {
@@ -247,7 +251,7 @@ func NewSystem(env *sim.Env, params Params, gen workload.Generator, router routi
 	// engine, one per node for PCL.
 	if params.Coupling != CouplingPCL {
 		s.dir = pagedir.New(0)
-		s.tables = []*lock.Table{lock.NewTable(s.dir)}
+		s.tables = []*lock.Table{lock.NewTable(s.dir, s.owners)}
 		if params.Coupling == CouplingLockEngine {
 			s.engine = &cpusrv.Device{Res: sim.NewResource(env, "lockengine", 1), Svc: params.LockEngine.ServiceTime, Span: s.engineSpan}
 		}
@@ -257,7 +261,7 @@ func NewSystem(env *sim.Env, params Params, gen workload.Generator, router routi
 		s.tables = make([]*lock.Table, params.Nodes)
 		s.partMeta = make([]int, params.Nodes)
 		for i := range s.tables {
-			s.tables[i] = lock.NewTable(s.dir)
+			s.tables[i] = lock.NewTable(s.dir, s.owners)
 		}
 	}
 	s.detector = lock.NewDetector(s.tables...)
@@ -516,7 +520,7 @@ func (s *System) cancelWaiting(t *txn) {
 // (a PCL table's at its serving node) in the next calendar slot, never
 // through the victim's suspended process.
 func (s *System) abortVictim(o lock.Owner) {
-	vt := s.active[o]
+	vt := s.activeTxn(o)
 	if vt == nil {
 		return
 	}
@@ -527,6 +531,32 @@ func (s *System) abortVictim(o lock.Owner) {
 		}
 	}
 	vt.proc.Unpark()
+}
+
+// activate registers t's attempt as running.
+func (s *System) activate(t *txn) {
+	i := t.owner.Index()
+	if i >= len(s.active) {
+		s.active = append(s.active, make([]*txn, i+1-len(s.active))...)
+	}
+	s.active[i] = t
+	s.live++
+}
+
+// deactivate ends t's attempt's registration.
+func (s *System) deactivate(t *txn) {
+	s.active[t.owner.Index()] = nil
+	s.live--
+}
+
+// activeTxn returns the running attempt of owner o, or nil.
+func (s *System) activeTxn(o lock.Owner) *txn {
+	if i := o.Index(); i < len(s.active) {
+		if t := s.active[i]; t != nil && t.owner == o {
+			return t
+		}
+	}
+	return nil
 }
 
 // ResetStats starts the measurement interval: all device, node and
@@ -892,7 +922,7 @@ func (s *System) Snapshot() Metrics {
 		f := &s.db.Files[i]
 		var hits, total int64
 		for _, n := range s.nodes {
-			h, t := n.pool.HitCounts(f.ID)
+			h, t := n.pool.HitCounts(i)
 			hits += h
 			total += t
 		}
